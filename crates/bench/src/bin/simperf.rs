@@ -1,10 +1,14 @@
 //! Simulator self-benchmark: how fast does the simulator itself run?
 //!
 //! Measures wall-clock scheduling events per second and peak RSS of the
-//! event-calendar cluster loop ([`ClusterSim`]) on bursty traces at 1, 4,
-//! 16, and 64 replicas, plus the calendar's speedup over the
-//! pre-calendar linear-rescan loop (`ReferenceClusterSim`, kept as an
-//! executable specification). Results land in `BENCH_simperf.json`.
+//! horizon-window cluster loop ([`ClusterSim`]) on bursty traces at 1,
+//! 4, 16, and 64 replicas, plus its speedup over the one-event-at-a-time
+//! linear-rescan loop (`ReferenceClusterSim`, kept as an executable
+//! specification). Results land in `BENCH_simperf.json`.
+//!
+//! Every cluster scenario runs at fan-out width 1 — the width that has
+//! won on every host measured so far — except the
+//! `parallel_r64_t{1,2,8}` thread sweep, which exists to measure width.
 //!
 //! ```text
 //! cargo run --release -p sp-bench --bin simperf [-- --smoke] [-- --baseline ci/simperf_baseline.json]
@@ -18,13 +22,11 @@
 //!   baseline JSON and exit non-zero on a >30% regression in any
 //!   scenario present in both runs.
 //!
-//! Besides the calendar sweep and the calendar-vs-reference headline
-//! pair, the bench measures `pricing_evals_per_sec`: a multi-config
-//! `ShiftPolicy` cluster on 8-GPU nodes priced through compiled
-//! [`ExecPlan`]s plus the engine's decode-shape memo, against the same
-//! cluster forced onto the direct `try_iteration` fold
-//! (`Engine::set_direct_pricing`). Both runs share the calendar
-//! scheduler, so the ratio isolates the pricing layer.
+//! Besides the replica sweep and the window-vs-reference headline pair,
+//! the bench measures `pricing_evals_per_sec`: every candidate shift
+//! layout of an 8-GPU node priced through compiled [`ExecPlan`]s, against
+//! the direct `try_iteration` fold, over the same batch stream, so the
+//! ratio isolates the pricing layer.
 //!
 //! The replica sweep fans out across cores via
 //! [`sp_bench::harness::parallel_sweep`]; the headline and pricing
@@ -108,20 +110,16 @@ fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, reference_mode: bo
         .collect()
 }
 
-/// Engines for the pricing pair: 8-GPU paper nodes running the
-/// two-config Shift policy, so every scheduling iteration prices both
-/// the base and the shifted layout. `memo` enables the decode-shape
-/// step memo; `direct` forces pricing back onto the `try_iteration`
-/// fold while keeping the calendar scheduler, isolating pricing cost.
-fn pricing_engines(n: usize, memo: Option<u64>, direct: bool) -> Vec<Engine> {
+/// Engines for the decode-heavy shift clusters: 8-GPU paper nodes
+/// running the two-config Shift policy, so every scheduling iteration
+/// prices both the base and the shifted layout. `direct` forces pricing
+/// back onto the `try_iteration` fold while keeping every scheduler
+/// fast path, isolating pricing cost.
+fn pricing_engines(n: usize, direct: bool) -> Vec<Engine> {
     let node = NodeSpec::p5en_48xlarge();
     (0..n)
         .map(|_| {
-            let config = EngineConfig {
-                kv_capacity_tokens: DEFAULT_KV,
-                decode_memo_tokens: memo,
-                ..EngineConfig::default()
-            };
+            let config = EngineConfig { kv_capacity_tokens: DEFAULT_KV, ..EngineConfig::default() };
             let mut engine = Engine::new(
                 ExecutionModel::new(node, presets::qwen_32b()),
                 Box::new(ShiftPolicy::with_default_threshold(ParallelConfig::new(4, 2))),
@@ -134,13 +132,13 @@ fn pricing_engines(n: usize, memo: Option<u64>, direct: bool) -> Vec<Engine> {
 }
 
 /// Engines for the fast-forward pair: the decode-heavy shift cluster
-/// with the decode-shape memo on (the `cluster_memo` configuration),
-/// with the steady-state decode fast-forward either live (the engine
-/// default) or disabled so every decode iteration walks the
-/// per-iteration scheduler. Both sides share the calendar and the
-/// pricing stack, so the ratio isolates macro-stepping.
+/// with exact compiled pricing, with the steady-state decode
+/// fast-forward either live (the engine default) or disabled so every
+/// decode iteration walks the per-iteration scheduler. Both sides share
+/// the window loop and the pricing stack, so the ratio isolates
+/// macro-stepping.
 fn fastforward_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
-    let mut engines = pricing_engines(n, Some(8192), false);
+    let mut engines = pricing_engines(n, false);
     for e in &mut engines {
         e.set_fast_forward(fast_forward);
     }
@@ -176,8 +174,7 @@ fn bursty_trace(replicas: usize, smoke: bool, burst_depth: usize) -> Trace {
 /// of a trickle of interactive traffic. After the burst prefills drain,
 /// every replica settles into a long plateau of pure-decode iterations
 /// over ~200 sequences — the regime where the direct per-chunk cost
-/// fold dominates wall time and the compiled plans plus the
-/// decode-shape memo pay off.
+/// fold dominates wall time.
 fn decode_heavy_trace(replicas: usize, smoke: bool) -> Trace {
     let r = replicas as f64;
     let (duration, burst_depth, out_median) =
@@ -315,9 +312,10 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// Runs `trace` through a calendar-driven cluster of `replicas` engines
-/// and measures events/sec (events = engine scheduling iterations).
-fn measure_calendar(
+/// Runs `trace` through a width-1 window-loop cluster of `replicas`
+/// engines and measures events/sec (events = engine scheduling
+/// iterations).
+fn measure_cluster(
     name: &str,
     replicas: usize,
     slo: Option<ClassSlo>,
@@ -327,7 +325,8 @@ fn measure_calendar(
     let mut sim = ClusterSim::new(
         engines(replicas, slo, kv_capacity, false),
         RoutingKind::default().policy(),
-    );
+    )
+    .with_threads(1);
     reset_peak_rss();
     let start = Instant::now();
     let report = sim.run(trace);
@@ -350,12 +349,12 @@ fn measure_calendar(
     }
 }
 
-/// Calendar measurement with the load-band autoscaler in the loop: the
+/// Cluster measurement with the load-band autoscaler in the loop: the
 /// fleet starts at one replica and grows toward `peak` on the load
 /// signal, so every dispatch pays the `pre_dispatch` lifecycle sweep
-/// and the calendar absorbs generation-tagged spawn/retire churn. The
-/// gated events/sec number keeps the autoscaling overhead on the
-/// regression radar alongside the plain calendar scenarios.
+/// and the window loop absorbs spawn/retire churn. The gated
+/// events/sec number keeps the autoscaling overhead on the regression
+/// radar alongside the plain cluster scenarios.
 fn measure_autoscaled(
     name: &str,
     peak: usize,
@@ -378,6 +377,7 @@ fn measure_autoscaled(
     );
     let mut sim =
         ClusterSim::new(engines(1, slo, kv_capacity, false), RoutingKind::default().policy())
+            .with_threads(1)
             .with_autoscaler(scaler);
     reset_peak_rss();
     let start = Instant::now();
@@ -405,10 +405,10 @@ fn measure_autoscaled(
     }
 }
 
-/// Same measurement through the naive loop this PR replaced: the
-/// linear-rescan cluster dispatch (`ReferenceClusterSim`) over engines
-/// running the pre-index linear admission scan. Scheduling decisions
-/// are identical to the calendar path — only the cost model differs.
+/// Same measurement through the executable specification: the
+/// one-event linear-rescan cluster loop (`ReferenceClusterSim`) over
+/// engines running the pre-index linear admission scan. Scheduling
+/// decisions are identical to the window loop — only the cost differs.
 fn measure_reference(
     name: &str,
     replicas: usize,
@@ -478,12 +478,11 @@ fn pricing_batch_window() -> Vec<BatchWork> {
         .collect()
 }
 
-/// Calendar measurement with fault injection in the loop: a seeded
+/// Cluster measurement with fault injection in the loop: a seeded
 /// Poisson crash schedule plus the crash-deficit autoscaler respawning
-/// lost replicas, so every event passes through the fault-timer
-/// interleaving (`peek_timer`, salvage, retry redelivery) instead of the
-/// fault-free fast path. Gated like the other calendar scenarios to keep
-/// the chaos machinery's overhead on the regression radar.
+/// lost replicas, so windows are cut at every fault timer (`peek_timer`,
+/// salvage, retry redelivery). Gated like the other cluster scenarios
+/// to keep the chaos machinery's overhead on the regression radar.
 fn measure_chaos(
     name: &str,
     peak: usize,
@@ -511,6 +510,7 @@ fn measure_chaos(
     let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.25) };
     let mut sim =
         ClusterSim::new(engines(1, slo, kv_capacity, false), RoutingKind::default().policy())
+            .with_threads(1)
             .with_autoscaler(scaler)
             .with_faults(plan, retry);
     reset_peak_rss();
@@ -536,7 +536,7 @@ fn measure_chaos(
     }
 }
 
-/// Calendar measurement at an explicit horizon-parallel fan-out width.
+/// Cluster measurement at an explicit horizon-window fan-out width.
 /// The `parallel_r*_t*` scenarios run the same replica fleet and trace
 /// at widths 1, 2, and 8, so the JSON carries an events/sec column per
 /// thread count and the t8 point can be gated in CI. Reports are
@@ -624,19 +624,16 @@ fn measure_pricing_evals(
     }
 }
 
-/// Runs `trace` through a calendar-driven cluster built from the given
-/// engines. Used by the cluster-level memo pair, where the two runs
-/// differ only in how iterations are priced — scheduling decisions may
-/// diverge across the pair (the memo quantizes decode durations), so no
-/// event-count equality is asserted; each run's events/sec stands on
-/// its own wall.
+/// Runs `trace` through a width-1 window-loop cluster built from the
+/// given engines; callers that pair two runs assert equal event counts
+/// themselves.
 fn measure_with_engines(
     name: &str,
     replicas: usize,
     engines: Vec<Engine>,
     trace: &Trace,
 ) -> Scenario {
-    let mut sim = ClusterSim::new(engines, RoutingKind::default().policy());
+    let mut sim = ClusterSim::new(engines, RoutingKind::default().policy()).with_threads(1);
     reset_peak_rss();
     let start = Instant::now();
     let report = sim.run(trace);
@@ -749,13 +746,13 @@ fn main() {
         // larger points stay cold in full mode (one run each).
         let point_runs = if r == 1 { runs.max(3) } else { runs };
         best_of(point_runs, || {
-            measure_calendar(&format!("calendar_r{r}"), r, None, DEFAULT_KV, &trace)
+            measure_cluster(&format!("calendar_r{r}"), r, None, DEFAULT_KV, &trace)
         })
     });
 
-    // Headline pair: the optimized stack (event calendar + indexed EDF
-    // admission + allocation-free batch build) versus the naive loop it
-    // replaced (linear-rescan dispatch + linear admission scan), on a
+    // Headline pair: the optimized stack (horizon windows + indexed EDF
+    // admission + allocation-free batch build) versus the executable
+    // spec (one-event linear-rescan dispatch + linear admission scan), on a
     // deep-burst SLO trace at the largest sweep point, measured
     // back-to-back on a quiet process. The measured ratio is a lower
     // bound on the true win: the pre-PR code also paid O(W) queue
@@ -765,7 +762,7 @@ fn main() {
     let slo = Some(ClassSlo::default());
     let trace = bursty_trace(headline_r, smoke, if smoke { 40 } else { 300 });
     let cal = best_of(runs, || {
-        measure_calendar(
+        measure_cluster(
             &format!("calendar_headline_r{headline_r}"),
             headline_r,
             slo,
@@ -781,16 +778,16 @@ fn main() {
     scenarios.push(cal);
     scenarios.push(reference);
 
-    // Autoscaled calendar: the same deep-burst SLO trace driven through
-    // a fleet that starts at one replica and scales toward the headline
-    // replica count on the load signal. Gated like the other calendar
+    // Autoscaled fleet: the same deep-burst SLO trace driven through a
+    // fleet that starts at one replica and scales toward the headline
+    // replica count on the load signal. Gated like the other cluster
     // scenarios so the per-dispatch lifecycle sweep and the
-    // generation-tagged calendar churn stay on the regression radar.
+    // spawn/retire churn stay on the regression radar.
     scenarios.push(best_of(runs, || {
         measure_autoscaled(&format!("autoscale_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
     }));
 
-    // Chaos calendar: the same autoscaled fleet under a seeded Poisson
+    // Chaos fleet: the same autoscaled fleet under a seeded Poisson
     // crash schedule, so the fault-timer interleaving (salvage, backoff
     // redelivery, deficit respawn) is measured and gated rather than
     // only tested.
@@ -869,30 +866,19 @@ fn main() {
     scenarios.push(compiled);
     scenarios.push(direct);
 
-    // Cluster-level memo pair (informational): the same calendar
-    // scheduler end to end on a decode-heavy shift-policy cluster, with
-    // pricing either through plans + the decode-shape memo or forced
-    // onto the direct fold. Bounds how much of a full simulation run
-    // the pricing layer is worth.
+    // Cluster-level direct pricing (informational): the window loop
+    // end to end on a decode-heavy shift-policy cluster with pricing
+    // forced onto the direct fold. Bounds how much of a full simulation
+    // run the pricing layer is worth.
     let cluster_trace = decode_heavy_trace(pricing_r, smoke);
-    let memo = best_of(runs, || {
-        measure_with_engines(
-            &format!("cluster_memo_r{pricing_r}"),
-            pricing_r,
-            pricing_engines(pricing_r, Some(8192), false),
-            &cluster_trace,
-        )
-    });
-    let direct_cluster = best_of(runs, || {
+    scenarios.push(best_of(runs, || {
         measure_with_engines(
             &format!("cluster_directprice_r{pricing_r}"),
             pricing_r,
-            pricing_engines(pricing_r, None, true),
+            pricing_engines(pricing_r, true),
             &cluster_trace,
         )
-    });
-    scenarios.push(memo);
-    scenarios.push(direct_cluster);
+    }));
 
     // Fast-forward pair: the decode-heavy shift cluster macro-stepped
     // through steady-state decode runs versus the same fleet forced
@@ -987,7 +973,7 @@ fn main() {
     std::fs::write("BENCH_simperf.json", &json).expect("write BENCH_simperf.json");
     println!("{json}");
     println!(
-        "calendar vs linear-rescan reference at {headline_r} replicas: {speedup:.2}x events/sec"
+        "window loop vs linear-rescan reference at {headline_r} replicas: {speedup:.2}x events/sec"
     );
     println!(
         "horizon-parallel stepping at {par_r} replicas: {parallel_scaling:.2}x events/sec at 8 threads vs 1"

@@ -56,8 +56,8 @@ pub fn probe_node() -> sp_cluster::NodeSpec {
 }
 
 /// Prints the per-phase wall breakdown accumulated by
-/// [`sp_core::profile`] (batch build / pricing / calendar / merge /
-/// admission / window detect) when
+/// [`sp_core::profile`] (batch build / pricing / merge / admission /
+/// window detect) when
 /// `SP_PROFILE=1`; no-op — and no output — otherwise. Benches call this
 /// at the end of a run so future perf work can see where time goes
 /// without external tooling.

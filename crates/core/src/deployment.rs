@@ -9,7 +9,9 @@ use crate::invariance::InvarianceCertificate;
 use crate::policy::{ShiftPolicy, DEFAULT_SHIFT_THRESHOLD};
 use crate::weights::{ShiftWeightPlan, WeightStrategy};
 use sp_cluster::NodeSpec;
-use sp_engine::{DataParallelCluster, Engine, EngineConfig, EngineReport, RoutingKind, SimNode};
+use sp_engine::{
+    DataParallelCluster, Engine, EngineConfig, EngineReport, RoutingKind, RunAdvance, SimNode,
+};
 use sp_metrics::{Dur, SimTime};
 use sp_model::ModelConfig;
 use sp_parallel::{
@@ -296,7 +298,6 @@ impl DeploymentBuilder {
             max_prefill_tokens: self.max_prefill_tokens,
             queue_policy: self.queue_policy,
             class_slo: self.class_slo,
-            decode_memo_tokens: None,
         };
 
         let make_exec = |node: NodeSpec| -> ExecutionModel {
@@ -581,6 +582,13 @@ impl SimNode for Deployment {
             Inner::Cluster(cluster) => SimNode::set_slowdown(cluster, factor),
         }
     }
+
+    fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
+        match &mut self.inner {
+            Inner::Single(engine) => engine.step_run(cap),
+            Inner::Cluster(cluster) => SimNode::step_run(cluster, cap),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -659,6 +667,24 @@ mod tests {
         let (base_iters, shift_iters, _) = dep.shift_stats().unwrap();
         assert!(base_iters > 0);
         assert_eq!(shift_iters, 0);
+    }
+
+    #[test]
+    fn shift_deployment_fast_forwards_steady_decode() {
+        // `step_run` reaches the engine: once the prompt is prefilled,
+        // the decode tail advances as one multi-event run.
+        let mut dep = build(DeploymentKind::Shift, presets::llama_70b());
+        dep.push_request(synthetic::single(1024, 64).requests()[0]);
+        let mut guard = 0;
+        let run = loop {
+            if let Some(run) = SimNode::step_run(&mut dep, None) {
+                break run;
+            }
+            dep.step_once();
+            guard += 1;
+            assert!(guard < 8, "the decode tail never fast-forwarded");
+        };
+        assert!(run.events > 1, "a steady decode tail is a multi-event run");
     }
 
     #[test]

@@ -135,6 +135,8 @@ mod tests {
     use super::*;
     use crate::deployment::DeploymentKind;
     use sp_cluster::NodeSpec;
+    use sp_engine::{SalvagedWork, SimNode};
+    use sp_metrics::{ClassSlo, NodeLoad, SimTime};
     use sp_model::presets;
     use sp_workload::synthetic;
 
@@ -188,5 +190,109 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn empty_fleet_rejected() {
         let _ = make_fleet(0);
+    }
+
+    /// A deployment behind a wrapper that forwards every [`SimNode`]
+    /// method except `step_run`, so the cluster loop steps it one event
+    /// at a time.
+    #[derive(Debug)]
+    struct PerEvent(Deployment);
+
+    impl SimNode for PerEvent {
+        fn push_request(&mut self, req: Request) {
+            self.0.push_request(req);
+        }
+
+        fn step_once(&mut self) {
+            self.0.step_once();
+        }
+
+        fn next_event_time(&self) -> Option<SimTime> {
+            self.0.next_event_time()
+        }
+
+        fn outstanding_tokens(&self) -> u64 {
+            self.0.outstanding_tokens()
+        }
+
+        fn load(&self) -> NodeLoad {
+            self.0.load()
+        }
+
+        fn take_report(&mut self) -> EngineReport {
+            self.0.take_report()
+        }
+
+        fn take_unfinished(&mut self) -> SalvagedWork {
+            self.0.take_unfinished()
+        }
+
+        fn set_slowdown(&mut self, factor: f64) {
+            self.0.set_slowdown(factor);
+        }
+    }
+
+    /// Every report surface in a form two runs compare bit-exactly
+    /// (config usage sorted: its map iterates in hash order).
+    fn full_fingerprint(r: &EngineReport) -> String {
+        let mut usage: Vec<String> =
+            r.config_usage().iter().map(|(c, n)| format!("{c:?}={n}")).collect();
+        usage.sort();
+        format!(
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{usage:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
+            r.records(),
+            r.metrics(),
+            r.routing_decisions(),
+            r.replica_loads(),
+            r.rejected(),
+            r.failed(),
+            r.timeline(),
+            r.iterations(),
+            r.preemptions(),
+            r.batch_sheds(),
+            r.batch_deferrals(),
+            r.peak_kv_utilization(),
+            r.makespan(),
+            r.max_iteration_time(),
+            r.fleet_timeline(),
+        )
+    }
+
+    #[test]
+    fn fast_forwarded_deployments_match_per_event_stepping() {
+        // Shift deployments with class-SLO admission forward `step_run`
+        // to their engine; the fleet must report exactly what the same
+        // deployments stepped one event at a time report, shift
+        // controller counters included.
+        let builder = || {
+            Deployment::builder(NodeSpec::p5en_48xlarge(), presets::llama_70b())
+                .kind(DeploymentKind::Shift)
+                .class_slo(ClassSlo::default())
+                .record_timeline(true)
+        };
+        let trace = sp_workload::bursty::BurstyConfig {
+            duration: Dur::from_secs(20.0),
+            base_rate: 2.0,
+            bursts: 1,
+            burst_size: 60,
+            ..sp_workload::bursty::BurstyConfig::default()
+        }
+        .generate();
+
+        let mut fleet = Fleet::new(3, builder).unwrap();
+        let fast = fleet.run(&trace);
+        let nodes = (0..3).map(|_| PerEvent(builder().build().unwrap())).collect();
+        let mut sim = ClusterSim::new(nodes, RoutingKind::default().policy())
+            .throughput_bin(Dur::from_secs(1.0));
+        let slow = sim.run(&trace);
+        let slow_stats = sim.into_nodes().iter().try_fold((0, 0, 0), |(a, b, c), n| {
+            n.0.shift_stats().map(|(x, y, z)| (a + x, b + y, c + z))
+        });
+
+        assert_eq!(fast.records().len() + fast.rejected().len(), trace.len());
+        assert_eq!(full_fingerprint(&fast), full_fingerprint(&slow));
+        assert_eq!(fleet.shift_stats(), slow_stats);
+        let (base, shift, switches) = slow_stats.expect("shift deployments");
+        assert!(base > 0 && shift > 0 && switches > 0, "both configs must run");
     }
 }

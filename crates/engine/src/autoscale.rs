@@ -106,7 +106,7 @@ pub enum ScaleAction {
 /// Policies may keep state (smoothers, cooldown clocks), hence
 /// `&mut self`. They must be deterministic: the same signal sequence
 /// must yield the same actions, or runs stop being reproducible (and
-/// the calendar/reference equivalence property stops holding). Policies
+/// the window/reference equivalence property stops holding). Policies
 /// are `Send` so autoscaled [`crate::ClusterSim`]s can be stepped from
 /// pool worker threads during horizon-parallel windows.
 pub trait ScalePolicy: fmt::Debug + Send {

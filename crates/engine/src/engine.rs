@@ -12,16 +12,7 @@ use sp_parallel::{
     ParallelismPolicy,
 };
 use sp_workload::{Request, Trace};
-use std::collections::{HashMap, VecDeque};
-
-// TEMP instrumentation — remove before commit.
-/// Quantized decode-batch shape the pricing memo keys on: `(decode seq
-/// count, Σ past-context / bucket, config)`.
-type PriceKey = (usize, u64, ParallelConfig);
-
-/// Entry cap on the pricing memo; reaching it clears the map (shapes from
-/// long-retired load regimes would otherwise accumulate without bound).
-const PRICE_MEMO_CAP: usize = 65_536;
+use std::collections::VecDeque;
 
 /// Speculative decoding (§4.5): a free draft source (e.g. SuffixDecoding)
 /// proposes `draft_len` tokens per decode step; the target model verifies
@@ -109,17 +100,6 @@ pub struct EngineConfig {
     /// admission. Takes precedence over `queue_policy` for candidate
     /// selection.
     pub class_slo: Option<ClassSlo>,
-    /// Bucket width, in total past-context tokens, of the decode-shape
-    /// pricing memo. Steady-state decode batches repeat near-identical
-    /// shapes for thousands of consecutive iterations; with a bucket the
-    /// engine prices each quantized shape `(decode seqs, Σpast / bucket,
-    /// config)` once and reuses the duration until the batch's total
-    /// context drifts into the next bucket. Iteration durations are then
-    /// approximate: the absolute error is bounded by the cost of one
-    /// bucket of extra KV traffic (`bucket × kv_bytes_per_token ×
-    /// shard_fraction / mem_bw`) plus its attention FLOPs. `None` (the
-    /// default) disables the memo and prices every iteration exactly.
-    pub decode_memo_tokens: Option<u64>,
 }
 
 /// Admission order among waiting requests.
@@ -148,7 +128,6 @@ impl Default for EngineConfig {
             max_prefill_tokens: None,
             queue_policy: QueuePolicy::Fcfs,
             class_slo: None,
-            decode_memo_tokens: None,
         }
     }
 }
@@ -234,13 +213,8 @@ pub struct Engine {
     /// per call. Bit-identical to the direct walk; debug builds assert so
     /// on every evaluation.
     plans: Vec<ExecPlan>,
-    /// Decode-shape pricing memo (see
-    /// [`EngineConfig::decode_memo_tokens`]). Lives with the plans so any
-    /// future config/overhead mutation invalidates both together.
-    price_memo: HashMap<PriceKey, Dur>,
     /// Fault-injection slowdown multiplier on iteration durations
-    /// (1.0 = healthy). Applied *outside* the pricing memo, which keeps
-    /// storing base durations, so a slowdown window never poisons it.
+    /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
     /// Enables the decode fast-forward macro-step (see
     /// [`Engine::step_run`]). On by default; benches and equivalence
@@ -454,7 +428,6 @@ impl Engine {
             running_outstanding_tokens: 0,
             running_prefill_tokens: 0,
             plans,
-            price_memo: HashMap::new(),
             slowdown: 1.0,
             fast_forward: true,
             scratch_run_pasts: Vec::new(),
@@ -476,53 +449,33 @@ impl Engine {
         self.slowdown = factor;
     }
 
-    /// Prices one iteration of `work` under `config`.
+    /// Prices one iteration of `work` under `config` on healthy
+    /// hardware — the one pricing path of the per-iteration step and the
+    /// fast-forward windows alike.
     ///
     /// Fast path: evaluate the config's compiled [`ExecPlan`] from one
     /// shared batch fold — bit-identical to the direct walk (debug builds
-    /// assert so on every call). With
-    /// [`EngineConfig::decode_memo_tokens`] set, steady-state decode
-    /// batches are priced once per quantized shape and the duration
-    /// reused until the shape drifts into the next bucket. Reference mode
-    /// prices through `try_iteration` directly, preserving the
-    /// pre-compilation path as an executable specification.
-    fn price_iteration(&mut self, config: &ParallelConfig, work: &BatchWork) -> Dur {
+    /// assert so on every call). Reference mode prices through
+    /// `try_iteration` directly, preserving the pre-compilation path as
+    /// an executable specification, as does a config outside
+    /// `configurations()` (the plan set cannot be trusted for it).
+    fn price_iteration(&self, config: &ParallelConfig, work: &BatchWork) -> Dur {
         let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-        let base = self.price_iteration_base(config, work);
+        match self.plans.iter().find(|p| p.config() == *config) {
+            Some(plan) if !self.reference_mode && !self.direct_pricing => {
+                self.exec.price_planned(plan, work).total()
+            }
+            _ => self.exec.iteration(config, work).total(),
+        }
+    }
+
+    /// Scales a healthy-hardware price by the fault-injection slowdown.
+    fn slowed(&self, base: Dur) -> Dur {
         if self.slowdown == 1.0 {
             base
         } else {
             base * self.slowdown
         }
-    }
-
-    /// The healthy-hardware iteration price — what [`Engine::price_iteration`]
-    /// scales by the fault-injection slowdown. Kept separate so the
-    /// decode-shape memo only ever holds base durations.
-    fn price_iteration_base(&mut self, config: &ParallelConfig, work: &BatchWork) -> Dur {
-        if self.reference_mode || self.direct_pricing {
-            return self.exec.iteration(config, work).total();
-        }
-        let Some(plan) = self.plans.iter().find(|p| p.config() == *config) else {
-            // The policy chose a config outside `configurations()`;
-            // price it directly rather than trusting the plan set.
-            return self.exec.iteration(config, work).total();
-        };
-        if let Some(bucket) = self.config.decode_memo_tokens {
-            if let Some((seqs, past)) = work.decode_only_shape() {
-                let key = (seqs, past / bucket.max(1), *config);
-                if let Some(&dur) = self.price_memo.get(&key) {
-                    return dur;
-                }
-                let dur = self.exec.price_planned(plan, work).total();
-                if self.price_memo.len() >= PRICE_MEMO_CAP {
-                    self.price_memo.clear();
-                }
-                self.price_memo.insert(key, dur);
-                return dur;
-            }
-        }
-        self.exec.price_planned(plan, work).total()
     }
 
     /// Switches the scheduler's hot paths to their pre-optimization
@@ -536,29 +489,25 @@ impl Engine {
     /// `try_iteration` per iteration instead of evaluating the compiled
     /// per-config plan. Scheduling decisions are identical either way —
     /// only the cost differs (plan evaluation is bit-identical to the
-    /// direct walk; the decode-shape memo, which is not, is ignored in
-    /// reference mode and flushed here). Consumed by the `simperf` bench
-    /// to measure the win and by equivalence tests; not part of the
-    /// supported API.
+    /// direct walk). Consumed by the `simperf` bench to measure the win
+    /// and by equivalence tests; not part of the supported API.
     #[doc(hidden)]
     pub fn set_reference_mode(&mut self, reference: bool) {
         self.reference_mode = reference;
-        self.price_memo.clear();
         self.admission_gate = None;
         self.run_cache = None;
     }
 
     /// Switches *only* iteration pricing to the direct `try_iteration`
     /// walk (per-call layout planning, chunk fold per candidate config,
-    /// no plan evaluation, no decode-shape memo), leaving every other
-    /// scheduler fast path in place. Unlike
-    /// [`Engine::set_reference_mode`] this isolates the pricing cost, so
-    /// the `simperf` pricing pair measures compiled-vs-direct pricing
-    /// and nothing else. Not part of the supported API.
+    /// no plan evaluation), leaving every other scheduler fast path in
+    /// place. Unlike [`Engine::set_reference_mode`] this isolates the
+    /// pricing cost, so the `simperf` pricing pair measures
+    /// compiled-vs-direct pricing and nothing else. Not part of the
+    /// supported API.
     #[doc(hidden)]
     pub fn set_direct_pricing(&mut self, direct: bool) {
         self.direct_pricing = direct;
-        self.price_memo.clear();
     }
 
     /// Disables (or re-enables) the decode fast-forward macro-step, so
@@ -583,12 +532,12 @@ impl Engine {
     /// accumulating time and metrics in the exact same float-op order
     /// as the per-iteration path.
     ///
-    /// `cap` is the caller's window bound (a [`crate::WindowCap`]
-    /// instant): the run stops before any iteration whose event instant
-    /// is not strictly below it, exactly as the per-event window loop
-    /// would. Returns `None` — with zero state change — whenever the
-    /// shape-stability gates fail or the first iteration is already
-    /// outside the cap, so callers fall back to [`Engine::step_once`].
+    /// `cap` is the caller's window bound: the run stops before any
+    /// iteration whose event instant is not strictly below it, exactly
+    /// as the per-event window loop would. Returns `None` — with zero
+    /// state change — whenever the shape-stability gates fail or the
+    /// first iteration is already outside the cap, so callers fall back
+    /// to [`Engine::step_once`].
     pub fn step_run(&mut self, cap: Option<f64>) -> Option<crate::routing::RunAdvance> {
         // Cheap gates first; the O(batch) scans only run once they pass.
         if !self.fast_forward
@@ -625,10 +574,10 @@ impl Engine {
     }
 
     /// The fast-forward loop itself. Every observable effect — policy
-    /// `choose` calls, memo lookups and inserts, clock advances, report
-    /// accumulation, retirement — happens at the same iteration and in
-    /// the same order as `run_limit` calls of [`Engine::step`] would
-    /// produce; see DESIGN.md decision 13 for the equivalence argument.
+    /// `choose` calls, clock advances, report accumulation, retirement —
+    /// happens at the same iteration and in the same order as
+    /// `run_limit` calls of [`Engine::step`] would produce; see
+    /// DESIGN.md decision 13 for the equivalence argument.
     fn decode_run(
         &mut self,
         cap: Option<f64>,
@@ -646,7 +595,6 @@ impl Engine {
         }
         let mut base_pasts = std::mem::take(&mut self.scratch_run_pasts);
         base_pasts.clear();
-        let mut past_total = 0u64;
         let run_limit: u32;
         let lin: Option<LinearRunSummary>;
 
@@ -660,11 +608,7 @@ impl Engine {
         // scan is what makes re-entering the same steady batch across
         // many horizon windows O(1) per window instead of O(n).
         let hit = match self.run_cache {
-            Some(cache)
-                if cache.version == self.batch_version
-                    && n > 0
-                    && self.config.decode_memo_tokens.is_none() =>
-            {
+            Some(cache) if cache.version == self.batch_version && n > 0 => {
                 let remaining = (cache.valid_to + 1).saturating_sub(cache.base_k);
                 debug_assert!(remaining >= 1, "a consumed cache implies a retirement bump");
                 let limit = remaining.min(u64::from(u32::MAX)) as u32;
@@ -712,15 +656,13 @@ impl Engine {
                     return None;
                 }
                 limit = limit.min(seq.decode_remaining());
-                let ctx = seq.context_len();
-                base_pasts.push(ctx);
-                past_total += ctx;
+                base_pasts.push(seq.context_len());
             }
             debug_assert!(limit >= 1);
             run_limit = limit;
-            // Memo-off runs re-price every rotation; when the chunk-cost
-            // fold is provably exact integer arithmetic, replace the
-            // O(n) fold per iteration with a closed-form summary (cached
+            // Every rotation is re-priced; when the chunk-cost fold is
+            // provably exact integer arithmetic, replace the O(n) fold
+            // per iteration with a closed-form summary (cached
             // across the horizon windows that repeatedly re-enter the
             // same steady batch; fresh captures pay three real folds).
             lin = self.capture_run_summary(&base_pasts, run_limit);
@@ -732,11 +674,6 @@ impl Engine {
         let timeline = report.timeline_enabled();
         let kv_util = self.kv.utilization();
 
-        // Last priced (config, memo bucket) → base duration. Valid only
-        // while the memo is on (a per-iteration repeat would hit the
-        // memo and return the stored value); with the memo off every
-        // iteration re-prices its own rotation, as the slow path does.
-        let mut cached: Option<(ParallelConfig, u64, Dur)> = None;
         // Closed-form runs price through a partially evaluated plan:
         // built on first use (and on config change), it re-times only
         // the attention kernel per iteration.
@@ -754,11 +691,10 @@ impl Engine {
         for k in 0..run_limit {
             let t = self.clock;
             if let Some(c) = cap {
-                // NaN-safe: `!(t < c)` breaks exactly where the
-                // per-event window breaks (`t >= c`, or NaN under
-                // either cap flavor — fault-free windows then abort to
-                // the sequential replay upstream). The negated operator
-                // is the point: `t >= c` would step past a NaN cap.
+                // The window stop rule `!(t < cap)`, the same one the
+                // cluster's per-event window loop applies. The negated
+                // operator is the point: `t >= c` would step past a NaN
+                // cap.
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 if !(t.as_secs() < c) {
                     break;
@@ -792,23 +728,11 @@ impl Engine {
             }
             config_count += 1;
 
-            let memo_bucket = self.config.decode_memo_tokens.map(|b| past_total / b.max(1));
-            let base = match (memo_bucket, cached) {
-                (Some(bi), Some((c, cbi, d))) if c == config && cbi == bi => d,
-                _ => {
-                    let d = match &lin {
-                        Some(l) => self.price_linear_iteration(&config, k, l, &mut pricer),
-                        None => {
-                            self.price_run_iteration(&config, k as usize, &base_pasts, past_total)
-                        }
-                    };
-                    if let Some(bi) = memo_bucket {
-                        cached = Some((config, bi, d));
-                    }
-                    d
-                }
+            let base = match &lin {
+                Some(l) => self.price_linear_iteration(&config, k, l, &mut pricer),
+                None => self.price_run_iteration(&config, k as usize, &base_pasts),
             };
-            let duration = if self.slowdown == 1.0 { base } else { base * self.slowdown };
+            let duration = self.slowed(base);
             self.clock += duration;
             run_max = run_max.max(duration);
             last_t = t;
@@ -836,7 +760,6 @@ impl Engine {
                     kv_utilization: kv_util,
                 });
             }
-            past_total += n as u64;
         }
         self.scratch_run_pasts = base_pasts;
         if done == 0 {
@@ -910,18 +833,14 @@ impl Engine {
     }
 
     /// Prices run iteration `k` by materializing the rotated decode
-    /// batch and walking the exact branch structure of
-    /// [`Engine::price_iteration_base`] (plan lookup, memo get/insert
-    /// with the cap-clear, direct fallback for out-of-set configs), so
-    /// memo state after the run matches the per-iteration path's.
+    /// batch and pricing it exactly as the per-iteration path would
+    /// ([`Engine::price_iteration`]).
     fn price_run_iteration(
         &mut self,
         config: &ParallelConfig,
         k: usize,
         base_pasts: &[u64],
-        past_total: u64,
     ) -> Dur {
-        let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
         let n = base_pasts.len();
         let mut chunks = std::mem::take(&mut self.scratch_chunks);
         chunks.clear();
@@ -929,29 +848,7 @@ impl Engine {
             chunks.push(ChunkWork::decode(base_pasts[(j + k) % n] + k as u64));
         }
         let work = BatchWork::new(chunks);
-        debug_assert_eq!(work.decode_only_shape(), Some((n, past_total)));
-        let dur = match self.plans.iter().position(|p| p.config() == *config) {
-            Some(pi) => {
-                if let Some(bucket) = self.config.decode_memo_tokens {
-                    let key = (n, past_total / bucket.max(1), *config);
-                    if let Some(&d) = self.price_memo.get(&key) {
-                        d
-                    } else {
-                        let d = self.exec.price_planned(&self.plans[pi], &work).total();
-                        if self.price_memo.len() >= PRICE_MEMO_CAP {
-                            self.price_memo.clear();
-                        }
-                        self.price_memo.insert(key, d);
-                        d
-                    }
-                } else {
-                    self.exec.price_planned(&self.plans[pi], &work).total()
-                }
-            }
-            // The policy chose a config outside `configurations()`;
-            // price directly, unmemoized, like the slow path.
-            None => self.exec.iteration(config, &work).total(),
-        };
+        let dur = self.price_iteration(config, &work);
         self.scratch_chunks = work.into_chunks();
         dur
     }
@@ -968,7 +865,7 @@ impl Engine {
         base_pasts: &[u64],
         run_limit: u32,
     ) -> Option<LinearRunSummary> {
-        if self.config.decode_memo_tokens.is_some() || run_limit < 4 {
+        if run_limit < 4 {
             return None;
         }
         let lin = self.linear_run_summary(base_pasts, run_limit)?;
@@ -1053,9 +950,9 @@ impl Engine {
         summary
     }
 
-    /// Prices run iteration `k` from the closed-form summary — the
-    /// memo-off fast path that skips materializing and folding the
-    /// rotated batch. The window's plan is partially evaluated once per
+    /// Prices run iteration `k` from the closed-form summary — the fast
+    /// path that skips materializing and folding the rotated batch. The
+    /// window's plan is partially evaluated once per
     /// `(window, config)` into `pricer`; each iteration then re-times
     /// only the attention kernel (the one cost term that moves along a
     /// pure-decode run), bit-identical to pricing the full summary.
@@ -1075,9 +972,8 @@ impl Engine {
                 // batch state (closed-form windows may not have built
                 // the base contexts) and price directly, as the slow
                 // path would.
-                let (pasts, base_total) = self.running_base_pasts();
-                let past_total = base_total + u64::from(k) * pasts.len() as u64;
-                return self.price_run_iteration(config, k as usize, &pasts, past_total);
+                let pasts = self.running_base_pasts();
+                return self.price_run_iteration(config, k as usize, &pasts);
             };
             *pricer = Some((*config, self.plans[pi].decode_run_pricer(&lin.s0)));
         }
@@ -1090,11 +986,10 @@ impl Engine {
         };
         #[cfg(debug_assertions)]
         {
-            let (pasts, base_total) = self.running_base_pasts();
-            let past_total = base_total + u64::from(k) * pasts.len() as u64;
+            let pasts = self.running_base_pasts();
             assert_eq!(
                 dur,
-                self.price_run_iteration(config, k as usize, &pasts, past_total),
+                self.price_run_iteration(config, k as usize, &pasts),
                 "linear summary extrapolation diverged from the materialized fold"
             );
         }
@@ -1102,19 +997,12 @@ impl Engine {
     }
 
     /// The live batch's base decode contexts in cursor order (the shape
-    /// [`Engine::decode_run`]'s slow path scans out), plus their sum —
-    /// for the rare paths that must materialize a rotation after the
-    /// closed-form window skipped the scan.
-    fn running_base_pasts(&self) -> (Vec<u64>, u64) {
+    /// [`Engine::decode_run`]'s slow path scans out) — for the rare
+    /// paths that must materialize a rotation after the closed-form
+    /// window skipped the scan.
+    fn running_base_pasts(&self) -> Vec<u64> {
         let n = self.running.len();
-        let mut pasts = Vec::with_capacity(n);
-        let mut total = 0u64;
-        for k in 0..n {
-            let ctx = self.running[(self.decode_cursor + k) % n].context_len();
-            pasts.push(ctx);
-            total += ctx;
-        }
-        (pasts, total)
+        (0..n).map(|k| self.running[(self.decode_cursor + k) % n].context_len()).collect()
     }
 
     /// The mixed-window fast-forward: exactly one running sequence
@@ -1250,11 +1138,8 @@ impl Engine {
             }
             config_count += 1;
 
-            // Mixed batches never touch the decode-shape memo (their
-            // shape is not decode-only), so pricing is a straight plan
-            // evaluation per rotation, like the per-iteration path.
             let base = self.price_mixed_iteration(&config, k, &slots, done0, pb);
-            let duration = if self.slowdown == 1.0 { base } else { base * self.slowdown };
+            let duration = self.slowed(base);
             self.clock += duration;
             run_max = run_max.max(duration);
             last_t = t;
@@ -1341,10 +1226,9 @@ impl Engine {
     }
 
     /// Prices mixed-window iteration `k` by materializing the rotated
-    /// decode chunks plus the leader's `k`-th prefill chunk and walking
-    /// the branch structure of [`Engine::price_iteration_base`] for a
-    /// prefill-bearing batch (plan lookup, no memo — the shape is not
-    /// decode-only — with the direct fallback for out-of-set configs).
+    /// decode chunks plus the leader's `k`-th prefill chunk and pricing
+    /// it exactly as the per-iteration path would
+    /// ([`Engine::price_iteration`]).
     fn price_mixed_iteration(
         &mut self,
         config: &ParallelConfig,
@@ -1353,7 +1237,6 @@ impl Engine {
         done0: u64,
         pb: u64,
     ) -> Dur {
-        let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
         let n = slots.len();
         let ku = u64::from(k);
         let mut chunks = std::mem::take(&mut self.scratch_chunks);
@@ -1365,10 +1248,7 @@ impl Engine {
         }
         chunks.push(ChunkWork::prefill(pb, done0 + ku * pb, false));
         let work = BatchWork::new(chunks);
-        let dur = match self.plans.iter().position(|p| p.config() == *config) {
-            Some(pi) => self.exec.price_planned(&self.plans[pi], &work).total(),
-            None => self.exec.iteration(config, &work).total(),
-        };
+        let dur = self.price_iteration(config, &work);
         self.scratch_chunks = work.into_chunks();
         dur
     }
@@ -1622,7 +1502,7 @@ impl Engine {
         report.note_deferrals(deferred);
         let stats = BatchStats::of(&work);
         let config = self.policy.choose(&stats);
-        let duration = self.price_iteration(&config, &work);
+        let duration = self.slowed(self.price_iteration(&config, &work));
         self.clock += duration;
         self.decode_cursor = self.decode_cursor.wrapping_add(1);
 
@@ -1758,8 +1638,10 @@ impl Engine {
         while self.running.len() < self.config.max_seqs {
             let Some(pos) = self.next_admission_candidate() else { break };
             let head = *self.waiting.get(pos);
-            if head.total_tokens() > self.kv.capacity_tokens() {
-                // Can never fit: reject rather than deadlock.
+            if head.total_tokens() > self.kv.capacity_tokens() || head.input_tokens == 0 {
+                // Can never fit, or has no prompt to prefill (no prefill
+                // chunk would ever emit its first token): reject rather
+                // than deadlock.
                 self.waiting.remove(pos);
                 self.queued_total_tokens -= head.total_tokens();
                 self.queued_input_tokens -= u64::from(head.input_tokens);
@@ -2220,70 +2102,28 @@ mod tests {
     }
 
     #[test]
-    fn decode_memo_stays_within_bucket_error() {
-        // Same trace priced exactly and through the decode-shape memo:
-        // identical scheduling (iteration and completion counts), and
-        // timing within the documented quantization error — one bucket
-        // of KV traffic per memoized iteration.
-        let trace = synthetic::uniform_batch(8, 512, 400);
-        let exact = engine_with(EngineConfig::default(), ParallelConfig::tensor(8)).run(&trace);
-        let cfg = EngineConfig { decode_memo_tokens: Some(4096), ..EngineConfig::default() };
-        let memo = engine_with(cfg, ParallelConfig::tensor(8)).run(&trace);
-        assert_eq!(exact.records().len(), memo.records().len());
-        assert_eq!(exact.iterations(), memo.iterations());
-        let end =
-            |r: &EngineReport| r.records().iter().map(|c| c.finish.as_secs()).fold(0.0, f64::max);
-        let (a, b) = (end(&exact), end(&memo));
-        let rel = (a - b).abs() / a;
-        assert!(rel < 0.02, "memoized makespan drifted {:.2}% from exact", rel * 100.0);
-        assert!(a > 0.0 && b > 0.0);
-    }
-
-    #[test]
-    fn pricing_mode_switches_flush_the_decode_shape_memo() {
-        // Regression pin: `set_direct_pricing` / `set_reference_mode`
-        // must invalidate the decode-shape memo. A memo carried across a
-        // pricing-mode switch is priced under the other mode's semantics
-        // and silently corrupts every later run. Poison the memo, flip
-        // the mode, and require a subsequent run to be bit-identical to
-        // a fresh engine — if the flush is ever removed, the poisoned
-        // entries inflate the makespan and this fails.
-        let cfg = EngineConfig { decode_memo_tokens: Some(4096), ..EngineConfig::default() };
-        let trace = synthetic::uniform_batch(8, 512, 400);
-        let fresh = engine_with(cfg, ParallelConfig::tensor(8)).run(&trace);
-
-        let mut e = engine_with(cfg, ParallelConfig::tensor(8));
-        for seqs in 1..=16 {
-            for bucket in 0..8 {
-                e.price_memo.insert((seqs, bucket, ParallelConfig::tensor(8)), Dur::from_secs(1e6));
-            }
-        }
-        e.set_direct_pricing(true);
-        assert!(e.price_memo.is_empty(), "set_direct_pricing must flush the memo");
-        for seqs in 1..=16 {
-            for bucket in 0..8 {
-                e.price_memo.insert((seqs, bucket, ParallelConfig::tensor(8)), Dur::from_secs(1e6));
-            }
-        }
-        e.set_direct_pricing(false);
-        assert!(e.price_memo.is_empty(), "leaving direct pricing must flush the memo");
-
-        let report = e.run(&trace);
-        let end =
-            |r: &EngineReport| r.records().iter().map(|c| c.finish.as_secs()).fold(0.0, f64::max);
-        assert_eq!(
-            end(&fresh).to_bits(),
-            end(&report).to_bits(),
-            "a mode round-trip must leave pricing bit-identical to a fresh engine"
+    fn zero_token_prompt_is_rejected_not_spun_on() {
+        // A prompt with no tokens has no prefill chunk to emit its first
+        // token: admitting it would leave it running forever. It must
+        // land in `rejected()` while its neighbours complete.
+        let trace = Trace::with_ids(
+            [(0, 0), (1, 512), (2, 0)]
+                .into_iter()
+                .map(|(id, input)| Request {
+                    id,
+                    arrival: SimTime::from_secs(0.1 * id as f64),
+                    input_tokens: input,
+                    output_tokens: 8,
+                    class: RequestClass::Interactive,
+                    cached_prefix: 0,
+                    prefix_group: None,
+                })
+                .collect(),
         );
-
-        let mut r = engine_with(
-            EngineConfig { decode_memo_tokens: Some(4096), ..EngineConfig::default() },
-            ParallelConfig::tensor(8),
-        );
-        r.price_memo.insert((1, 0, ParallelConfig::tensor(8)), Dur::from_secs(1e6));
-        r.set_reference_mode(true);
-        assert!(r.price_memo.is_empty(), "set_reference_mode must flush the memo");
+        let report = engine().run(&trace);
+        assert_eq!(report.rejected(), &[0, 2]);
+        assert_eq!(report.records().len(), 1);
+        assert_eq!(report.records()[0].request_id, 1);
     }
 
     #[test]

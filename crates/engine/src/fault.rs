@@ -5,7 +5,7 @@
 //! injected into [`crate::routing::ClusterSim`] and
 //! [`crate::routing::ReferenceClusterSim`] through their shared fleet
 //! core. Faults fire as ordinary timers in the global event order, so the
-//! heap-calendar and reference loops stay byte-identical under the same
+//! window and reference loops stay byte-identical under the same
 //! plan.
 //!
 //! The recovery model follows production inference fleets: a crash

@@ -21,43 +21,7 @@ use sp_metrics::{
     RequestClass, RequestFaultKind, RoutingDecision, SimTime,
 };
 use sp_workload::{Request, Trace};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-
-/// A totally ordered next-event instant — the event calendar's sort key.
-///
-/// Wraps the raw seconds with [`f64::total_cmp`] so a pathological node
-/// reporting a NaN next-event time sorts *after* every finite instant
-/// (and after infinity) instead of panicking the comparison, and so the
-/// ordering is a genuine `Ord` the binary heap can rely on.
-#[derive(Debug, Clone, Copy)]
-struct EventKey(f64);
-
-impl EventKey {
-    fn of(t: SimTime) -> EventKey {
-        EventKey(t.as_secs())
-    }
-}
-
-impl PartialEq for EventKey {
-    fn eq(&self, other: &EventKey) -> bool {
-        self.0.total_cmp(&other.0).is_eq()
-    }
-}
-
-impl Eq for EventKey {}
-
-impl PartialOrd for EventKey {
-    fn partial_cmp(&self, other: &EventKey) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EventKey {
-    fn cmp(&self, other: &EventKey) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+use std::collections::HashMap;
 
 /// Picks a replica for each request as it arrives.
 ///
@@ -302,7 +266,10 @@ pub trait SimNode: Send {
     /// Advances this node by one scheduling event. No-op when idle.
     fn step_once(&mut self);
 
-    /// Instant of this node's next event, or `None` when idle.
+    /// Instant of this node's next event, or `None` when idle. Never
+    /// NaN: a NaN instant has no place in the global event order, and
+    /// debug builds of [`ClusterSim`] and [`ReferenceClusterSim`] panic
+    /// on one.
     fn next_event_time(&self) -> Option<SimTime>;
 
     /// Live outstanding work in tokens — the routing load signal.
@@ -393,6 +360,17 @@ impl SimNode for Engine {
     }
 }
 
+/// A node's next event instant, checked against the [`SimNode`]
+/// contract: both cluster loops read every instant through here.
+fn next_event<N: SimNode>(node: &N) -> Option<SimTime> {
+    let t = node.next_event_time();
+    debug_assert!(
+        !t.is_some_and(|t| t.as_secs().is_nan()),
+        "SimNode contract violation: NaN next-event time"
+    );
+    t
+}
+
 /// A replica slot's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum SlotState {
@@ -409,18 +387,13 @@ enum SlotState {
 }
 
 /// One replica slot. Slots are *stable*: a retired replica's slot is
-/// never shifted out from under live calendar entries — the node is
-/// taken out, the generation bumps, and a later scale-out may install a
-/// new tenant in the same slot. Routing decisions and load samples
-/// record slot indices, so replica identities in reports stay stable
-/// across the whole run.
+/// never shifted out — the node is taken out, and a later scale-out may
+/// install a new tenant in the same slot. Routing decisions and load
+/// samples record slot indices, so replica identities in reports stay
+/// stable across the whole run.
 #[derive(Debug)]
 struct Slot<N> {
     node: Option<N>,
-    /// Tenancy generation: bumped when a tenant retires, so calendar
-    /// entries published by a dead tenant can never alias a new tenant
-    /// in the same slot (see [`ClusterSim`]'s calendar docs).
-    gen: u64,
     state: SlotState,
 }
 
@@ -453,9 +426,11 @@ enum TimerChoice {
 }
 
 /// Fault-injection state carried by the shared fleet core. Fault timers
-/// interleave with node events through the simulations' event loops —
-/// never behind the calendar's back — so the heap and reference loops
-/// stay byte-identical under the same plan.
+/// are coordination events in the global event order: [`ClusterSim`]
+/// cuts its horizon windows at each pending timer and fires it between
+/// windows, and [`ReferenceClusterSim`] interleaves timers with node
+/// events one at a time, so both loops stay byte-identical under the
+/// same plan.
 #[derive(Debug)]
 struct FaultState {
     /// The schedule, in firing order; `cursor` is the next unfired event.
@@ -547,10 +522,12 @@ impl FaultState {
 
 /// The lifecycle-aware fleet core shared by [`ClusterSim`] and
 /// [`ReferenceClusterSim`]: slots, routing, autoscaling decisions,
-/// lifecycle bookkeeping and report assembly. The two simulations differ
-/// *only* in how they find the earliest pending event (binary-heap
-/// calendar vs. linear rescan), so the byte-identity property between
-/// them keeps pinning exactly the calendar — scale events included.
+/// lifecycle bookkeeping, report assembly, and the single-event step
+/// (a linear rescan for the globally earliest node event or fault
+/// timer). The two simulations differ *only* in how they advance to a
+/// dispatch instant — horizon windows vs. one event at a time — so the
+/// byte-identity property between them pins exactly the window loop,
+/// scale events and faults included.
 #[derive(Debug)]
 struct Fleet<N> {
     slots: Vec<Slot<N>>,
@@ -586,7 +563,7 @@ impl<N: SimNode> Fleet<N> {
             .map(|(i, n)| {
                 timeline.record(i, SimTime::ZERO, ReplicaEventKind::Spawned);
                 timeline.record(i, SimTime::ZERO, ReplicaEventKind::Ready);
-                Slot { node: Some(n), gen: 0, state: SlotState::Active }
+                Slot { node: Some(n), state: SlotState::Active }
             })
             .collect();
         Fleet {
@@ -604,10 +581,6 @@ impl<N: SimNode> Fleet<N> {
         }
     }
 
-    fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Provisioned replicas: slots currently holding a node (routable,
     /// warming or draining).
     fn live_count(&self) -> usize {
@@ -622,44 +595,60 @@ impl<N: SimNode> Fleet<N> {
             .count()
     }
 
-    fn gen(&self, i: usize) -> u64 {
-        self.slots[i].gen
-    }
-
     fn next_event_of(&self, i: usize) -> Option<SimTime> {
-        self.slots[i].node.as_ref().and_then(SimNode::next_event_time)
+        self.slots[i].node.as_ref().and_then(next_event)
     }
 
-    /// Linear rescanning next-event query over live slots: O(R) per
-    /// event. Ties break to the lowest slot index (`min_by` keeps the
-    /// first minimum) and times compare with `total_cmp`, matching the
-    /// calendar's key order.
-    fn earliest_linear(&self) -> Option<usize> {
-        (0..self.slots.len())
-            .filter_map(|i| self.next_event_of(i).map(|t| (i, t)))
-            .min_by(|a, b| a.1.as_secs().total_cmp(&b.1.as_secs()))
-            .map(|(i, _)| i)
-    }
-
-    fn step(&mut self, i: usize) {
-        if let Some(n) = self.slots[i].node.as_mut() {
-            n.step_once();
+    /// The globally earliest pending event, by linear rescan: a fault
+    /// timer (`None`) or slot `i`'s next node event (`Some(i)`). Timers
+    /// win ties, so a crash scheduled exactly at an arrival instant
+    /// lands before that dispatch; node ties break to the lowest slot
+    /// index (`min_by` keeps the first minimum). O(R) per call — the
+    /// spec loop's whole advance, and the single-event step of both
+    /// simulations.
+    fn earliest_event(&self) -> Option<(SimTime, Option<usize>)> {
+        let node = (0..self.slots.len())
+            .filter_map(|i| self.next_event_of(i).map(|t| (t, Some(i))))
+            .min_by(|a, b| a.0.as_secs().total_cmp(&b.0.as_secs()));
+        match (self.next_timer_time(), node) {
+            (Some(tt), Some((nt, _))) if tt.as_secs().total_cmp(&nt.as_secs()).is_le() => {
+                Some((tt, None))
+            }
+            (Some(tt), None) => Some((tt, None)),
+            (_, node) => node,
         }
     }
 
-    /// Post-step lifecycle hook: a draining slot whose final event just
-    /// fired (at instant `t`) retires on the spot, and the fault clock
-    /// advances to the event's instant.
-    fn after_step(&mut self, i: usize, t: SimTime) {
+    fn next_event_time(&self) -> Option<SimTime> {
+        self.earliest_event().map(|(t, _)| t)
+    }
+
+    /// Steps the single globally earliest event (see
+    /// [`Fleet::earliest_event`]). Returns `false` when nothing is
+    /// pending.
+    fn step_event(&mut self) -> bool {
+        match self.earliest_event() {
+            None => return false,
+            Some((_, None)) => self.fire_next_timer(),
+            Some((_, Some(i))) => self.step_node(i),
+        }
+        true
+    }
+
+    /// Steps slot `i` by one event. A draining slot whose final event
+    /// just fired retires at that event's instant, and the fault clock
+    /// advances to it.
+    fn step_node(&mut self, i: usize) {
+        let Some(t) = self.next_event_of(i) else { return };
+        self.slots[i].node.as_mut().expect("a pending event implies a node").step_once();
         if let Some(f) = self.faults.as_mut() {
             f.now = f.now.max(t);
         }
         self.maybe_retire(i, t);
     }
 
-    /// Retires slot `i` if it is draining and idle: takes its report,
-    /// removes the node, bumps the tenancy generation. Returns whether
-    /// it retired.
+    /// Retires slot `i` if it is draining and idle: takes its report and
+    /// removes the node. Returns whether it retired.
     fn maybe_retire(&mut self, i: usize, at: SimTime) -> bool {
         if self.slots[i].state != SlotState::Draining {
             return false;
@@ -673,7 +662,6 @@ impl<N: SimNode> Fleet<N> {
         }
         let mut node = self.slots[i].node.take().expect("draining slot holds a node");
         self.retired.push(node.take_report());
-        self.slots[i].gen += 1;
         self.slots[i].state = SlotState::Active;
         self.timeline.record(i, at, ReplicaEventKind::Retired);
         true
@@ -701,7 +689,7 @@ impl<N: SimNode> Fleet<N> {
         let i = match self.slots.iter().position(|s| s.node.is_none()) {
             Some(i) => i,
             None => {
-                self.slots.push(Slot { node: None, gen: 0, state: SlotState::Active });
+                self.slots.push(Slot { node: None, state: SlotState::Active });
                 self.slots.len() - 1
             }
         };
@@ -909,8 +897,7 @@ impl<N: SimNode> Fleet<N> {
     /// (completed work survives), its unfinished requests are salvaged
     /// into the retry queue with their prefill progress written off (the
     /// KV cache died with the replica), and the slot retires *without*
-    /// draining — the generation bump tombstones its calendar keys
-    /// exactly like the retire path. Crashing an empty slot is a no-op.
+    /// draining. Crashing an empty slot is a no-op.
     fn crash(&mut self, i: usize, at: SimTime) {
         if i >= self.slots.len() || self.slots[i].node.is_none() {
             return;
@@ -918,7 +905,6 @@ impl<N: SimNode> Fleet<N> {
         let mut node = self.slots[i].node.take().expect("checked above");
         let salvage = node.take_unfinished();
         self.retired.push(node.take_report());
-        self.slots[i].gen += 1;
         self.slots[i].state = SlotState::Active;
         self.timeline.record(i, at, ReplicaEventKind::Crashed);
         self.timeline.note_wasted_prefill(salvage.wasted_prefill_tokens);
@@ -942,11 +928,11 @@ impl<N: SimNode> Fleet<N> {
         self.faults.as_ref().and_then(FaultState::peek_timer).map(|(t, _)| t)
     }
 
-    /// Fires exactly the earliest fault timer. Returns the slot whose
-    /// next-event key may have changed (the crash victim, or the slot a
-    /// retry was redelivered to) so the calendar can republish it.
-    fn fire_next_timer(&mut self) -> Option<usize> {
-        let (tt, choice) = self.faults.as_ref().and_then(FaultState::peek_timer)?;
+    /// Fires exactly the earliest fault timer, if any.
+    fn fire_next_timer(&mut self) {
+        let Some((tt, choice)) = self.faults.as_ref().and_then(FaultState::peek_timer) else {
+            return;
+        };
         let f = self.faults.as_mut().expect("peeked above");
         f.now = f.now.max(tt);
         match choice {
@@ -954,12 +940,7 @@ impl<N: SimNode> Fleet<N> {
                 let event = f.plan[f.cursor];
                 f.cursor += 1;
                 match event.fault {
-                    Fault::Crash { replica } => {
-                        self.crash(replica, tt);
-                        // An out-of-range target was a no-op: nothing to
-                        // republish in the calendar.
-                        (replica < self.slots.len()).then_some(replica)
-                    }
+                    Fault::Crash { replica } => self.crash(replica, tt),
                     Fault::Slowdown { replica, factor, duration } => {
                         if replica < self.slots.len() {
                             if let Some(n) = self.slots[replica].node.as_mut() {
@@ -970,12 +951,8 @@ impl<N: SimNode> Fleet<N> {
                                 f.slow_until.push((tt + duration, replica));
                             }
                         }
-                        None
                     }
-                    Fault::RouteTimeout => {
-                        f.route_timeout_armed = true;
-                        None
-                    }
+                    Fault::RouteTimeout => f.route_timeout_armed = true,
                 }
             }
             TimerChoice::SlowEnd(j) => {
@@ -983,7 +960,6 @@ impl<N: SimNode> Fleet<N> {
                 if let Some(n) = self.slots[slot].node.as_mut() {
                     n.set_slowdown(1.0);
                 }
-                None
             }
             TimerChoice::Retry => {
                 let p = f.pending.remove(0);
@@ -991,8 +967,7 @@ impl<N: SimNode> Fleet<N> {
                 // Full re-prefill: the cached prefix (and any prefix
                 // group sharing) died with the replica's KV cache.
                 let req = Request { arrival: tt, cached_prefix: 0, prefix_group: None, ..p.req };
-                let slot = self.dispatch(req, tt);
-                if slot.is_some() {
+                if self.dispatch(req, tt).is_some() {
                     self.timeline.record_request_fault(
                         p.req.id,
                         tt,
@@ -1000,7 +975,6 @@ impl<N: SimNode> Fleet<N> {
                     );
                     self.timeline.note_recovery(tt.since(p.lost_at));
                 }
-                slot
             }
         }
     }
@@ -1110,6 +1084,15 @@ impl<N: SimNode> Fleet<N> {
 /// report carries the routing decision trail and a per-replica load time
 /// series sampled at every dispatch.
 ///
+/// Only coordination events — dispatch arrivals and fault timers — read
+/// or write cross-replica state, so the simulation advances in *horizon
+/// windows*: between two coordination instants every slot steps on its
+/// own (fast-forwarding steady-state runs through [`SimNode::step_run`],
+/// fanned out across threads when [`ClusterSim::set_threads`] allows),
+/// and the per-slot results merge back in canonical order. Reports are
+/// byte-identical to [`ReferenceClusterSim`], the one-event-at-a-time
+/// specification, at every thread width.
+///
 /// Attach an [`Autoscaler`] with [`ClusterSim::with_autoscaler`] to let
 /// a [`crate::autoscale::ScalePolicy`] grow and shrink the fleet
 /// mid-trace on the load signal (scale-out with a cold-start delay,
@@ -1144,91 +1127,28 @@ impl<N: SimNode> Fleet<N> {
 #[derive(Debug)]
 pub struct ClusterSim<N: SimNode> {
     fleet: Fleet<N>,
-    /// The event calendar: a min-heap of `(next_event_time, slot,
-    /// generation)` entries with *lazy invalidation*. Stepping or
-    /// feeding a slot pushes its fresh key instead of rewriting the old
-    /// entry; stale entries (whose key no longer matches the slot's live
-    /// `next_event_time`) are discarded when they surface at the top.
-    /// The key includes the slot index, so simultaneous events pop in
-    /// slot order — the same lowest-index tie-break the original linear
-    /// rescanning loop got from `min_by`, keeping every downstream
-    /// report byte-identical while next-event dispatch drops from O(R)
-    /// to O(log R).
-    ///
-    /// The *generation* tombstones entries across replica lifecycles:
-    /// when a draining replica retires, its published keys stay buried
-    /// in the heap, and a scale-out may install a new tenant in the same
-    /// slot whose next event happens to coincide with a dead entry's
-    /// key. Pure key matching would mistake that stale entry for live.
-    /// The tenancy generation (bumped at every retire) makes entries
-    /// from retired tenants compare unequal regardless of key
-    /// coincidences.
-    ///
-    /// Invariant (holds between public calls): every live slot's current
-    /// key is present, and the heap top is not stale — so read-only
-    /// peeks need no cleanup.
-    ///
-    /// `None` below [`LINEAR_SCAN_MAX_REPLICAS`] slots: at small fleet
-    /// sizes the heap's push/pop/settle traffic costs more than an O(R)
-    /// rescan (`Fleet::earliest_linear`, whose `total_cmp` + first-min
-    /// tie-break is the same total order as the heap key), so the
-    /// calendar degrades to the linear scan and upgrades to a heap the
-    /// moment a scale-out grows the slot vector past the threshold.
-    calendar: Option<BinaryHeap<Reverse<(EventKey, usize, u64)>>>,
-    /// Fan-out width for horizon-parallel windows (see
+    /// Fan-out width for horizon windows (see
     /// [`ClusterSim::set_threads`]); `1` steps windows inline.
     threads: usize,
-    /// `false` pins the legacy one-event-at-a-time advance loop — kept
-    /// only so the property suite can compare the horizon-parallel
-    /// engine against the sequential calendar it must be byte-identical
-    /// to.
-    horizon_parallel: bool,
     /// Scratch buffers for window stepping, reused across windows to
     /// keep the hot path allocation-free.
     window_pending: Vec<usize>,
     window_outcomes: Vec<WindowOutcome>,
     window_retires: Vec<(SimTime, usize)>,
     /// Fan-out result buffer for [`sp_core::map_into`], reused across
-    /// windows like the other scratch — the per-window allocation was
-    /// the last one on the horizon-parallel hot path.
-    window_results: Vec<(Option<WindowOutcome>, bool)>,
+    /// windows like the other scratch.
+    window_results: Vec<Option<WindowOutcome>>,
 }
 
-/// Replica-count threshold below which [`ClusterSim`] uses the linear
-/// rescanning `earliest` query instead of the heap calendar. Measured
-/// crossover: at 1–4 replicas the heap's settle traffic loses to the
-/// rescan (simperf's smoke `speedup_vs_reference` dipped to 0.93); by
-/// 16 replicas the heap wins clearly.
-const LINEAR_SCAN_MAX_REPLICAS: usize = 8;
-
-/// What bounds one horizon-parallel window.
-#[derive(Clone, Copy)]
-enum WindowCap {
-    /// Drain: no bound — step until idle (NaN-keyed events included,
-    /// matching the sequential drain loops, which never compare against
-    /// a horizon).
-    Unbounded,
-    /// Fault-free advance: step while `t < cap`, but a NaN-keyed event
-    /// aborts the window for a sequential fallback — the sequential
-    /// loop's `t >= horizon` break is false for NaN, and whether it
-    /// steps a NaN node depends on *other* slots' keys (NaN sorts last
-    /// in the calendar order), which a per-slot worker cannot see.
-    FaultFree(f64),
-    /// Faulted advance: step while `t < cap` — NaN simply stops the
-    /// slot, exactly like the sequential faulted loop's
-    /// `t < horizon` guard.
-    Faulted(f64),
-}
-
-/// One slot's result for one horizon-parallel window.
+/// One slot's result for one horizon window.
 #[derive(Debug, Clone, Copy)]
 struct WindowOutcome {
     slot: usize,
-    /// Instant of the last event stepped (retire candidates use it as
-    /// their retire instant, matching the sequential `after_step`).
+    /// Instant of the last event stepped (a draining slot retires at
+    /// it, as it would right after that event in the one-event loop).
     last: SimTime,
     /// Max event instant stepped — folded into the fault clock `f.now`
-    /// (per-slot max of maxes equals the sequential running max).
+    /// (per-slot max of maxes equals the one-event loop's running max).
     hi: SimTime,
 }
 
@@ -1247,69 +1167,35 @@ impl<N> Copy for SlotsPtr<N> {}
 unsafe impl<N: Send> Send for SlotsPtr<N> {}
 unsafe impl<N: Send> Sync for SlotsPtr<N> {}
 
-/// Steps one slot's node up to the window cap. Runs on a pool worker
-/// (or inline); touches nothing but the node itself.
-fn step_slot<N: SimNode>(node: &mut N, cap: WindowCap) -> (Option<WindowOutcome>, bool) {
-    let mut last: Option<SimTime> = None;
-    let mut hi: Option<SimTime> = None;
+/// Steps one slot's node while its next event lies strictly below
+/// `cap` (`None`: until idle) — the stop rule `!(t < cap)` that
+/// [`Engine::step_run`] also applies inside a run. Runs on a pool
+/// worker (or inline); touches nothing but the node itself.
+fn step_slot<N: SimNode>(node: &mut N, cap: Option<f64>) -> Option<WindowOutcome> {
+    let mut stepped: Option<WindowOutcome> = None;
     let mut steps: u64 = 0;
-    while let Some(t) = node.next_event_time() {
-        let ts = t.as_secs();
-        match cap {
-            WindowCap::Unbounded => {}
-            WindowCap::FaultFree(cap) => {
-                if ts.is_nan() {
-                    return (outcome_of(last, hi), true);
-                }
-                if ts >= cap {
-                    break;
-                }
-            }
-            WindowCap::Faulted(cap) => {
-                // NaN fails `ts < cap` and stops the slot, matching the
-                // sequential faulted loop.
-                if ts.is_nan() || ts >= cap {
-                    break;
-                }
-            }
+    while let Some(t) = next_event(node) {
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if cap.is_some_and(|c| !(t.as_secs() < c)) {
+            break;
         }
         // Try a fast-forward run first: the node advances a whole
         // steady-state stretch in one call (re-checking the cap per
-        // event internally), and the calendar republishes once per run
-        // instead of once per event. Run instants are nondecreasing, so
-        // folding the run's final instant equals folding each one.
-        let capf = match cap {
-            WindowCap::Unbounded => None,
-            WindowCap::FaultFree(c) | WindowCap::Faulted(c) => Some(c),
-        };
-        let advanced = match node.step_run(capf) {
-            Some(run) => {
-                last = Some(run.last);
-                steps += run.events;
-                run.last
-            }
+        // event internally). Run instants are nondecreasing, so folding
+        // the run's final instant equals folding each one.
+        let (last, events) = match node.step_run(cap) {
+            Some(run) => (run.last, run.events),
             None => {
                 node.step_once();
-                last = Some(t);
-                steps += 1;
-                t
+                (t, 1)
             }
         };
-        hi = Some(match hi {
-            Some(h) => h.max(advanced),
-            None => advanced,
-        });
-        // Mirrors the sequential loops' global progress guard, per slot.
+        let hi = stepped.map_or(last, |o| o.hi.max(last));
+        stepped = Some(WindowOutcome { slot: usize::MAX, last, hi });
+        steps += events;
         assert!(steps < 400_000_000, "cluster simulation failed to terminate");
     }
-    (outcome_of(last, hi), false)
-}
-
-fn outcome_of(last: Option<SimTime>, hi: Option<SimTime>) -> Option<WindowOutcome> {
-    match (last, hi) {
-        (Some(last), Some(hi)) => Some(WindowOutcome { slot: usize::MAX, last, hi }),
-        _ => None,
-    }
+    stepped
 }
 
 impl<N: SimNode> ClusterSim<N> {
@@ -1319,29 +1205,21 @@ impl<N: SimNode> ClusterSim<N> {
     ///
     /// Panics if `nodes` is empty.
     pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ClusterSim<N> {
-        let calendar =
-            if nodes.len() > LINEAR_SCAN_MAX_REPLICAS { Some(BinaryHeap::new()) } else { None };
-        let mut sim = ClusterSim {
+        ClusterSim {
             fleet: Fleet::new(nodes, policy),
-            calendar,
             threads: sp_core::default_threads(),
-            horizon_parallel: true,
             window_pending: Vec::new(),
             window_outcomes: Vec::new(),
             window_retires: Vec::new(),
             window_results: Vec::new(),
-        };
-        for i in 0..sim.fleet.slot_count() {
-            sim.reschedule(i);
         }
-        sim
     }
 
-    /// Sets the fan-out width for horizon-parallel windows (clamped to
-    /// at least 1; `1` steps windows inline on the calling thread). The
-    /// default comes from [`sp_core::default_threads`] — `SP_THREADS`
-    /// or the machine's available parallelism. Reports are byte-identical
-    /// for every width.
+    /// Sets the fan-out width for horizon windows (clamped to at least
+    /// 1; `1` steps windows inline on the calling thread). The default
+    /// comes from [`sp_core::default_threads`] — `SP_THREADS` or the
+    /// machine's available parallelism. Reports are byte-identical for
+    /// every width.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -1352,18 +1230,9 @@ impl<N: SimNode> ClusterSim<N> {
         self
     }
 
-    /// The current horizon-parallel fan-out width.
+    /// The current horizon-window fan-out width.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Pins the legacy one-event-at-a-time advance loop (`false`) or the
-    /// horizon-parallel window engine (`true`, the default). Exists so
-    /// the property suite can pin byte-identity between the two; not
-    /// part of the supported API.
-    #[doc(hidden)]
-    pub fn set_horizon_parallel(&mut self, on: bool) {
-        self.horizon_parallel = on;
     }
 
     /// Attaches an autoscaler: at every dispatch instant its
@@ -1414,177 +1283,46 @@ impl<N: SimNode> ClusterSim<N> {
         self.fleet.into_nodes()
     }
 
-    /// Publishes slot `i`'s current next-event key on the calendar. Must
-    /// be called after every operation that may change the slot's next
-    /// event (stepping it, feeding it a request, installing or retiring
-    /// a tenant); the key it superseded becomes stale and is lazily
-    /// discarded by [`ClusterSim::settle`].
-    fn reschedule(&mut self, i: usize) {
-        let Some(cal) = self.calendar.as_mut() else { return };
-        let _cal_span = sp_core::profile::start(sp_core::profile::Phase::Calendar);
-        if let Some(key) = self.fleet.next_event_of(i).map(EventKey::of) {
-            cal.push(Reverse((key, i, self.fleet.gen(i))));
+    /// Steps every slot up to `horizon` (`None`: until idle): node
+    /// events strictly before it, plus every fault timer at or before
+    /// it. Each timer cuts the window and fires between windows on the
+    /// coordinator, so a timer wins a tie with a node event and a crash
+    /// scheduled exactly at an arrival instant lands before that
+    /// dispatch — the order [`ReferenceClusterSim`] steps in.
+    ///
+    /// One timer query per window suffices: plan cursors, slowdown ends
+    /// and retry redeliveries only change when a timer fires or a
+    /// dispatch runs, and the clamped redelivery instant `max(at,
+    /// f.now)` cannot move while every stepped event is earlier than it.
+    fn advance_to(&mut self, horizon: Option<SimTime>) {
+        let mut guard: u64 = 0;
+        while let Some(tt) = self
+            .fleet
+            .next_timer_time()
+            .filter(|tt| horizon.is_none_or(|h| tt.as_secs() <= h.as_secs()))
+        {
+            self.step_window(Some(tt.as_secs()));
+            self.fleet.fire_next_timer();
+            guard += 1;
+            assert!(guard < 400_000_000, "cluster simulation failed to terminate");
         }
+        self.step_window(horizon.map(SimTime::as_secs));
     }
 
-    /// Upgrades the linear-scan `earliest` to the heap calendar once a
-    /// scale-out grows the slot vector past
-    /// [`LINEAR_SCAN_MAX_REPLICAS`]. Slots never shrink, so the upgrade
-    /// is one-way. Must run after any operation that can spawn (dispatch
-    /// and timer fires, both of which run autoscaler actions).
-    fn maybe_upgrade_calendar(&mut self) {
-        if self.calendar.is_some() || self.fleet.slot_count() <= LINEAR_SCAN_MAX_REPLICAS {
-            return;
-        }
-        self.calendar = Some(BinaryHeap::with_capacity(self.fleet.slot_count() * 2));
-        for i in 0..self.fleet.slot_count() {
-            self.reschedule(i);
-        }
-    }
-
-    /// Discards stale calendar entries until the top is live (same
-    /// tenancy generation, key matches the slot's current
-    /// `next_event_time`) or the calendar is empty. Every mutating
-    /// public method ends with a settled calendar, so read-only peeks
-    /// ([`ClusterSim::next_event_time`]) stay `&self`.
-    fn settle(&mut self) {
-        let Some(cal) = self.calendar.as_mut() else { return };
-        let _cal_span = sp_core::profile::start(sp_core::profile::Phase::Calendar);
-        while let Some(&Reverse((key, i, gen))) = cal.peek() {
-            if self.fleet.gen(i) == gen
-                && self.fleet.next_event_of(i).map(EventKey::of) == Some(key)
-            {
-                break;
-            }
-            cal.pop();
-        }
-    }
-
-    /// Index of the slot with the earliest pending event, if any,
-    /// settling the calendar first. Simultaneous events resolve to the
-    /// lowest slot index (the index is part of the heap key), so
-    /// stepping order — and therefore every downstream report — is
-    /// deterministic and identical to the reference linear rescanning
-    /// loop's `min_by` tie-break.
-    fn earliest(&mut self) -> Option<usize> {
-        if self.calendar.is_none() {
-            return self.fleet.earliest_linear();
-        }
-        self.settle();
-        self.calendar.as_ref().and_then(|cal| cal.peek().map(|&Reverse((_, i, _))| i))
-    }
-
-    /// Steps slot `i` by one event, runs the post-step lifecycle hook
-    /// (a drained-dry replica retires at the event's instant), and
-    /// republishes the slot's calendar key.
-    fn step_node(&mut self, i: usize) {
-        let t = self.fleet.next_event_of(i);
-        self.fleet.step(i);
-        if let Some(t) = t {
-            self.fleet.after_step(i, t);
-        }
-        self.reschedule(i);
-    }
-
-    /// Fires the earliest fault timer and republishes whatever slot key
-    /// it may have touched.
-    fn fire_timer(&mut self) {
-        if let Some(slot) = self.fleet.fire_next_timer() {
-            self.reschedule(slot);
-        }
-        self.settle();
-    }
-
-    /// Steps the single globally earliest event — fault timer or node
-    /// event, timers first on ties. Returns `false` when nothing is
-    /// pending.
-    fn step_event(&mut self) -> bool {
-        let node = self.earliest();
-        let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-        let timer_first = match (self.fleet.next_timer_time(), node_t) {
-            (Some(_), None) => true,
-            (Some(tt), Some(nt)) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-            (None, _) => false,
-        };
-        if timer_first {
-            self.fire_timer();
-            return true;
-        }
-        if let Some(i) = node {
-            self.step_node(i);
-            self.settle();
-            return true;
-        }
-        false
-    }
-
-    /// Steps every slot up to `horizon` (see [`WindowCap`] for the exact
-    /// boundary semantics per mode). Dispatches to the horizon-parallel
-    /// window engine or the legacy per-event loop.
-    fn advance_to(&mut self, horizon: SimTime) {
-        if self.horizon_parallel {
-            self.advance_to_windowed(horizon);
-        } else {
-            self.advance_to_sequential(horizon);
-        }
-    }
-
-    /// Horizon-parallel advance: within one window no coordination event
-    /// (dispatch arrival, fault timer) can fire, so the slots share no
-    /// state and step concurrently; fault windows are additionally cut
-    /// at each pending timer, which fires between windows on the
-    /// coordinator. Byte-identical to
-    /// [`ClusterSim::advance_to_sequential`] for any thread count.
-    fn advance_to_windowed(&mut self, horizon: SimTime) {
-        if self.fleet.faults.is_none() {
-            if self.step_window(WindowCap::FaultFree(horizon.as_secs())) {
-                // A NaN-keyed event surfaced: whether the sequential
-                // loop steps it depends on the *global* calendar order,
-                // so replay the remainder sequentially.
-                self.advance_to_sequential(horizon);
-            }
-            return;
-        }
-        loop {
-            // The timer set is stable within a window: plan cursors,
-            // slowdown ends and retry redeliveries only change when a
-            // timer fires or a dispatch runs, and the clamped redelivery
-            // instant `max(at, f.now)` cannot move while every stepped
-            // event is earlier than it. So one query per window suffices.
-            match self.fleet.next_timer_time() {
-                Some(tt) if tt.as_secs() <= horizon.as_secs() => {
-                    self.step_window(WindowCap::Faulted(tt.as_secs()));
-                    self.fire_timer();
-                    self.maybe_upgrade_calendar();
-                }
-                _ => {
-                    self.step_window(WindowCap::Faulted(horizon.as_secs()));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Runs one horizon window: steps every pending slot up to `cap`
+    /// Runs one horizon window: steps every slot up to `cap`
     /// (concurrently when `threads > 1`), then merges the per-slot
-    /// results back into the global order — drained-dry draining slots
-    /// retire sorted by (instant, slot), exactly the order the
-    /// sequential loop would have retired them in; the fault clock
-    /// advances to the max stepped instant; stepped slots republish
-    /// their calendar keys. Returns whether a NaN-keyed event aborted a
-    /// [`WindowCap::FaultFree`] window.
-    fn step_window(&mut self, cap: WindowCap) -> bool {
+    /// results back into the global order — the fault clock advances to
+    /// the max stepped instant, then drained-dry draining slots retire
+    /// sorted by (instant, slot), exactly the order the one-event loop
+    /// retires them in.
+    fn step_window(&mut self, cap: Option<f64>) {
         let mut outcomes = std::mem::take(&mut self.window_outcomes);
         outcomes.clear();
-        let mut saw_nan = false;
         if self.threads <= 1 {
-            for i in 0..self.fleet.slots.len() {
-                let Some(node) = self.fleet.slots[i].node.as_mut() else { continue };
-                let (outcome, nan) = step_slot(node, cap);
-                saw_nan |= nan;
-                if let Some(mut o) = outcome {
-                    o.slot = i;
-                    outcomes.push(o);
+            for (i, slot) in self.fleet.slots.iter_mut().enumerate() {
+                let Some(node) = slot.node.as_mut() else { continue };
+                if let Some(o) = step_slot(node, cap) {
+                    outcomes.push(WindowOutcome { slot: i, ..o });
                 }
             }
         } else {
@@ -1616,11 +1354,9 @@ impl<N: SimNode> ClusterSim<N> {
                 },
                 &mut results,
             );
-            for (&i, &(outcome, nan)) in pending.iter().zip(&results) {
-                saw_nan |= nan;
-                if let Some(mut o) = outcome {
-                    o.slot = i;
-                    outcomes.push(o);
+            for (&i, o) in pending.iter().zip(&results) {
+                if let Some(o) = *o {
+                    outcomes.push(WindowOutcome { slot: i, ..o });
                 }
             }
             self.window_results = results;
@@ -1628,77 +1364,26 @@ impl<N: SimNode> ClusterSim<N> {
         }
 
         // Merge: fault clock first (retires and timer clamps read it),
-        // then retires in (instant, slot) order — the global order the
-        // sequential loop's `after_step` would have used.
+        // then retires in (instant, slot) order.
         let _merge_span = sp_core::profile::start(sp_core::profile::Phase::Merge);
-        let mut hi: Option<SimTime> = None;
-        for o in &outcomes {
-            hi = Some(match hi {
-                Some(h) => h.max(o.hi),
-                None => o.hi,
-            });
-        }
+        let hi = outcomes.iter().map(|o| o.hi).reduce(SimTime::max);
         if let (Some(f), Some(hi)) = (self.fleet.faults.as_mut(), hi) {
             f.now = f.now.max(hi);
         }
         let mut retires = std::mem::take(&mut self.window_retires);
         retires.clear();
-        for o in &outcomes {
-            let slot = &self.fleet.slots[o.slot];
-            if slot.state == SlotState::Draining {
-                retires.push((o.last, o.slot));
-            }
-        }
+        retires.extend(
+            outcomes
+                .iter()
+                .filter(|o| self.fleet.slots[o.slot].state == SlotState::Draining)
+                .map(|o| (o.last, o.slot)),
+        );
         retires.sort_by(sp_metrics::window_event_order);
         for &(t, i) in &retires {
             self.fleet.maybe_retire(i, t);
         }
         self.window_retires = retires;
-        for o in &outcomes {
-            self.reschedule(o.slot);
-        }
         self.window_outcomes = outcomes;
-        self.settle();
-        saw_nan
-    }
-
-    /// The legacy one-event-at-a-time advance: steps slots in global
-    /// time order until every pending event is at or after `horizon`.
-    /// Fault timers interleave: a timer fires before any node event at
-    /// the same instant, and — unlike node events — fires *at* the
-    /// horizon too, so a crash scheduled exactly at an arrival instant
-    /// lands before that dispatch.
-    fn advance_to_sequential(&mut self, horizon: SimTime) {
-        if self.fleet.faults.is_none() {
-            while let Some(i) = self.earliest() {
-                let t = self.fleet.next_event_of(i).expect("earliest implies event");
-                if t.as_secs() >= horizon.as_secs() {
-                    break;
-                }
-                self.step_node(i);
-            }
-            self.settle();
-            return;
-        }
-        loop {
-            let node = self.earliest();
-            let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-            if let Some(tt) = self.fleet.next_timer_time() {
-                let timer_first = match node_t {
-                    Some(nt) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-                    None => true,
-                };
-                if timer_first && tt.as_secs() <= horizon.as_secs() {
-                    self.fire_timer();
-                    continue;
-                }
-            }
-            match (node, node_t) {
-                (Some(i), Some(t)) if t.as_secs() < horizon.as_secs() => self.step_node(i),
-                _ => break,
-            }
-        }
-        self.settle();
     }
 
     /// Dispatches one request at its arrival instant: advances every
@@ -1710,38 +1395,22 @@ impl<N: SimNode> ClusterSim<N> {
     pub fn push_request(&mut self, req: Request) {
         // Bring every node's local clock up to this arrival so the load
         // signal reflects work actually still outstanding now.
-        self.advance_to(req.arrival);
-        if let Some(slot) = self.fleet.dispatch(req, req.arrival) {
-            self.reschedule(slot);
-        }
-        self.maybe_upgrade_calendar();
-        self.settle();
+        self.advance_to(Some(req.arrival));
+        self.fleet.dispatch(req, req.arrival);
     }
 
     /// Advances the cluster by one event — the globally earliest node
-    /// event or fault timer. No-op when every node is idle and no timer
-    /// is pending.
+    /// event or fault timer, found by the linear rescan shared with
+    /// [`ReferenceClusterSim`]. No-op when every node is idle and no
+    /// timer is pending.
     pub fn step_once(&mut self) {
-        self.step_event();
+        self.fleet.step_event();
     }
 
     /// Instant of the cluster's next event (the earliest node event or
     /// fault timer), or `None` when all idle.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        // The calendar is settled at rest, so its top (when present) is a
-        // live `(key, slot, gen)` triple; below the linear-scan
-        // threshold there is no calendar and the rescan answers directly.
-        let node = match &self.calendar {
-            Some(cal) => cal.peek().and_then(|&Reverse((_, i, _))| self.fleet.next_event_of(i)),
-            None => self.fleet.earliest_linear().and_then(|i| self.fleet.next_event_of(i)),
-        };
-        match (self.fleet.next_timer_time(), node) {
-            (Some(tt), Some(nt)) => {
-                Some(if tt.as_secs().total_cmp(&nt.as_secs()).is_le() { tt } else { nt })
-            }
-            (Some(tt), None) => Some(tt),
-            (None, node) => node,
-        }
+        self.fleet.next_event_time()
     }
 
     /// Total outstanding work across live nodes, in tokens.
@@ -1769,6 +1438,9 @@ impl<N: SimNode> ClusterSim<N> {
 
     /// Runs `trace` to completion: dispatch at arrival instants, then
     /// drain, then merge per-node reports (plus the decision trail).
+    /// Remaining fault timers (backoffs, trailing plan events) cut the
+    /// drain into windows too, so salvaged requests finish — or fail
+    /// terminally — before the report is cut.
     ///
     /// # Panics
     ///
@@ -1779,61 +1451,21 @@ impl<N: SimNode> ClusterSim<N> {
         for &req in trace.requests() {
             self.push_request(req);
         }
-
-        // Drain: keep stepping until all idle. The fault-free fleet
-        // drains in one unbounded window; with faults attached,
-        // remaining timers (backoffs, trailing plan events) cut the
-        // windows and fire between them, so salvaged requests finish —
-        // or fail terminally — before the report is cut.
-        let mut guard: u64 = 0;
-        if !self.horizon_parallel {
-            if self.fleet.faults.is_none() {
-                while let Some(i) = self.earliest() {
-                    guard += 1;
-                    assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                    self.step_node(i);
-                }
-            } else {
-                while self.step_event() {
-                    guard += 1;
-                    assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                }
-            }
-        } else if self.fleet.faults.is_none() {
-            self.step_window(WindowCap::Unbounded);
-        } else {
-            loop {
-                match self.fleet.next_timer_time() {
-                    Some(tt) => {
-                        self.step_window(WindowCap::Faulted(tt.as_secs()));
-                        self.fire_timer();
-                        self.maybe_upgrade_calendar();
-                        guard += 1;
-                        assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                    }
-                    None => {
-                        // No timer can appear while only node events
-                        // fire, so one unbounded window finishes it.
-                        self.step_window(WindowCap::Unbounded);
-                        break;
-                    }
-                }
-            }
-        }
-
+        self.advance_to(None);
         self.take_report()
     }
 }
 
-/// The pre-calendar cluster loop, kept as an executable specification:
-/// every `earliest` query rescans all `R` nodes linearly, exactly as
-/// [`ClusterSim`] did before it grew the event calendar.
+/// The one-event-at-a-time cluster loop, kept as an executable
+/// specification: it advances by stepping the single globally earliest
+/// event — node event or fault timer — found by a linear rescan of every
+/// slot, and never fast-forwards through [`SimNode::step_run`].
 ///
-/// It exists for two consumers only — the equivalence property in
-/// `tests/cluster_properties.rs` (heap-driven runs must stay
-/// byte-identical to this loop) and the `simperf` bench bin (which
-/// measures the calendar's speedup against it). It is not part of the
-/// supported API.
+/// It exists for two consumers only — the byte-identity properties in
+/// `tests/cluster_properties.rs` and `tests/fastforward.rs` (windowed
+/// [`ClusterSim`] runs must match this loop exactly) and the `simperf`
+/// bench bin (which measures the window loop's speedup against it). It
+/// is not part of the supported API.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct ReferenceClusterSim<N: SimNode> {
@@ -1873,64 +1505,16 @@ impl<N: SimNode> ReferenceClusterSim<N> {
         self
     }
 
-    /// Steps slot `i` with the same post-step lifecycle hook as
-    /// [`ClusterSim`], so drained replicas retire at identical instants.
-    fn step_node(&mut self, i: usize) {
-        let t = self.fleet.next_event_of(i);
-        self.fleet.step(i);
-        if let Some(t) = t {
-            self.fleet.after_step(i, t);
-        }
-    }
-
-    /// Steps the single globally earliest event — fault timer or node
-    /// event, timers first on ties (the mirror of
-    /// [`ClusterSim::step_event`]).
-    fn step_event(&mut self) -> bool {
-        let node = self.fleet.earliest_linear();
-        let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-        let timer_first = match (self.fleet.next_timer_time(), node_t) {
-            (Some(_), None) => true,
-            (Some(tt), Some(nt)) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-            (None, _) => false,
-        };
-        if timer_first {
-            self.fleet.fire_next_timer();
-            return true;
-        }
-        if let Some(i) = node {
-            self.step_node(i);
-            return true;
-        }
-        false
-    }
-
+    /// Steps events in global order until every pending node event is
+    /// at or after `horizon`. Fault timers fire *at* the horizon too, so
+    /// a crash scheduled exactly at an arrival instant lands before that
+    /// dispatch.
     fn advance_to(&mut self, horizon: SimTime) {
-        if self.fleet.faults.is_none() {
-            while let Some(i) = self.fleet.earliest_linear() {
-                let t = self.fleet.next_event_of(i).expect("earliest implies event");
-                if t.as_secs() >= horizon.as_secs() {
-                    break;
-                }
-                self.step_node(i);
-            }
-            return;
-        }
-        loop {
-            let node = self.fleet.earliest_linear();
-            let node_t = node.and_then(|i| self.fleet.next_event_of(i));
-            if let Some(tt) = self.fleet.next_timer_time() {
-                let timer_first = match node_t {
-                    Some(nt) => tt.as_secs().total_cmp(&nt.as_secs()).is_le(),
-                    None => true,
-                };
-                if timer_first && tt.as_secs() <= horizon.as_secs() {
-                    self.fleet.fire_next_timer();
-                    continue;
-                }
-            }
-            match (node, node_t) {
-                (Some(i), Some(t)) if t.as_secs() < horizon.as_secs() => self.step_node(i),
+        let h = horizon.as_secs();
+        while let Some((t, next)) = self.fleet.earliest_event() {
+            match next {
+                None if t.as_secs() <= h => self.fleet.fire_next_timer(),
+                Some(i) if t.as_secs() < h => self.fleet.step_node(i),
                 _ => break,
             }
         }
@@ -1945,19 +1529,12 @@ impl<N: SimNode> ReferenceClusterSim<N> {
 
     /// Advances the cluster by one event — node event or fault timer.
     pub fn step_once(&mut self) {
-        self.step_event();
+        self.fleet.step_event();
     }
 
     /// Instant of the cluster's next event, or `None` when all idle.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let node = self.fleet.earliest_linear().and_then(|i| self.fleet.next_event_of(i));
-        match (self.fleet.next_timer_time(), node) {
-            (Some(tt), Some(nt)) => {
-                Some(if tt.as_secs().total_cmp(&nt.as_secs()).is_le() { tt } else { nt })
-            }
-            (Some(tt), None) => Some(tt),
-            (None, node) => node,
-        }
+        self.fleet.next_event_time()
     }
 
     /// Finalizes an incremental run (see [`ClusterSim::take_report`]).
@@ -1977,17 +1554,9 @@ impl<N: SimNode> ReferenceClusterSim<N> {
             self.push_request(req);
         }
         let mut guard: u64 = 0;
-        if self.fleet.faults.is_none() {
-            while let Some(i) = self.fleet.earliest_linear() {
-                guard += 1;
-                assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-                self.step_node(i);
-            }
-        } else {
-            while self.step_event() {
-                guard += 1;
-                assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-            }
+        while self.fleet.step_event() {
+            guard += 1;
+            assert!(guard < 400_000_000, "cluster simulation failed to terminate");
         }
         self.take_report()
     }
@@ -2019,12 +1588,7 @@ impl<N: SimNode> SimNode for ClusterSim<N> {
     }
 
     fn take_unfinished(&mut self) -> SalvagedWork {
-        let salvaged = self.fleet.take_unfinished_all();
-        for i in 0..self.fleet.slot_count() {
-            self.reschedule(i);
-        }
-        self.settle();
-        salvaged
+        self.fleet.take_unfinished_all()
     }
 
     fn set_slowdown(&mut self, factor: f64) {
@@ -2425,20 +1989,17 @@ mod tests {
 
     #[test]
     fn retire_then_respawn_reuses_the_slot_and_matches_reference() {
-        // Regression (stale calendar entries): retiring a replica and
-        // later installing a new tenant in the same slot must neither
-        // resurrect the dead tenant's calendar entries nor shift live
-        // ones — the tenancy generation in the heap key tombstones them.
-        // A naive implementation that removes the node from the vector
-        // (shifting indices) or reuses the slot without bumping the
-        // generation diverges from the linear-rescan reference here.
+        // Retiring a replica and later installing a new tenant in the
+        // same slot must keep slot indices stable: an implementation
+        // that removes the node from the vector (shifting indices)
+        // diverges from the one-event reference loop here.
         use crate::autoscale::AutoscaleConfig;
         use sp_metrics::ReplicaEventKind;
         let config =
             AutoscaleConfig { cold_start: Dur::from_secs(1.0), min_replicas: 1, max_replicas: 2 };
         let script = || vec![(5.0, ScaleAction::Drain { replica: 1 }), (15.0, ScaleAction::Spawn)];
         let trace = steady_trace(60, 0.5);
-        let heap = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
+        let windowed = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
             .with_autoscaler(scripted_scaler(config, script()))
             .run(&trace);
         let reference =
@@ -2446,12 +2007,12 @@ mod tests {
                 .with_autoscaler(scripted_scaler(config, script()))
                 .run(&trace);
 
-        assert_eq!(heap.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&heap), record_bits(&reference));
+        assert_eq!(windowed.routing_decisions(), reference.routing_decisions());
+        assert_eq!(record_bits(&windowed), record_bits(&reference));
 
         // The respawn reused slot 1: two Spawned events on the same
         // stable replica index, one Retired between them.
-        let slot1: Vec<ReplicaEventKind> = heap
+        let slot1: Vec<ReplicaEventKind> = windowed
             .fleet_timeline()
             .events()
             .iter()
@@ -2696,7 +2257,7 @@ mod tests {
     }
 
     #[test]
-    fn heap_and_reference_stay_lockstep_under_a_mixed_fault_plan() {
+    fn window_and_reference_loops_stay_lockstep_under_a_mixed_fault_plan() {
         let plan = || {
             FaultPlan::new(vec![
                 crash_at(2.0, 0),
@@ -2714,7 +2275,7 @@ mod tests {
         };
         let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.5) };
         let trace = steady_trace(60, 0.25);
-        let heap = ClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
+        let windowed = ClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
             .with_faults(plan(), retry)
             .run(&trace);
         let reference =
@@ -2722,16 +2283,16 @@ mod tests {
                 .with_faults(plan(), retry)
                 .run(&trace);
 
-        assert_eq!(heap.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&heap), record_bits(&reference));
-        assert_eq!(heap.failed(), reference.failed());
+        assert_eq!(windowed.routing_decisions(), reference.routing_decisions());
+        assert_eq!(record_bits(&windowed), record_bits(&reference));
+        assert_eq!(windowed.failed(), reference.failed());
         assert_eq!(
-            heap.fleet_timeline().request_faults(),
+            windowed.fleet_timeline().request_faults(),
             reference.fleet_timeline().request_faults()
         );
-        assert_eq!(heap.fleet_timeline().crash_count(), 2);
+        assert_eq!(windowed.fleet_timeline().crash_count(), 2);
         // Conservation: completed + failed covers the whole trace.
-        assert_eq!(heap.records().len() + heap.failed().len(), 60);
+        assert_eq!(windowed.records().len() + windowed.failed().len(), 60);
     }
 
     #[test]

@@ -292,9 +292,8 @@ pub struct ReplicaEvent {
 /// ```
 /// The canonical total order for merging same-window fleet events back
 /// into the global event order: ascending instant (`total_cmp`, so NaN
-/// sorts last — the same order the event calendar uses) with ties
-/// broken by replica slot index, matching the calendar's
-/// lowest-slot-first tie-break. Horizon-parallel simulations sort
+/// sorts last) with ties broken by replica slot index, matching the
+/// one-event cluster loop's lowest-slot-first tie-break. Horizon-parallel simulations sort
 /// concurrently-collected per-replica events with this order before
 /// folding them into reports, which is what keeps merged reports
 /// byte-identical across thread counts.
@@ -503,14 +502,13 @@ mod tests {
     #[test]
     fn window_event_order_sorts_by_instant_then_slot_with_nan_last() {
         let t = |s: f64| SimTime::from_secs(s);
-        let mut evs = vec![(t(2.0), 0), (t(1.0), 3), (t(1.0), 1), (t(0.5), 9)];
+        let mut evs = [(t(2.0), 0), (t(1.0), 3), (t(1.0), 1), (t(0.5), 9)];
         evs.sort_by(window_event_order);
         assert_eq!(
             evs.iter().map(|&(at, r)| (at.as_secs(), r)).collect::<Vec<_>>(),
             vec![(0.5, 9), (1.0, 1), (1.0, 3), (2.0, 0)]
         );
-        // Positive NaN (total_cmp) sorts after every finite instant,
-        // matching the event calendar's key order.
+        // Positive NaN (total_cmp) sorts after every finite instant.
         let nan = SimTime::from_secs(0.0) + Dur::from_secs(1.0) * f64::NAN;
         assert!(window_event_order(&(t(1e12), 7), &(nan, 0)).is_lt());
     }

@@ -207,25 +207,6 @@ impl BatchWork {
             .map(|c| model.chunk_cost(c.new_tokens, c.past, u64::from(c.emits_logit)))
             .sum()
     }
-
-    /// `(sequence count, Σ past-context tokens)` when every chunk is a
-    /// plain single-token decode — the steady-state shape that repeats
-    /// for thousands of consecutive iterations and that the engine's
-    /// pricing memo quantizes. `None` for empty batches, batches with
-    /// prefill chunks, or speculative (multi-token) decode chunks.
-    pub fn decode_only_shape(&self) -> Option<(usize, u64)> {
-        if self.chunks.is_empty() {
-            return None;
-        }
-        let mut past = 0u64;
-        for c in &self.chunks {
-            if c.kind != ChunkKind::Decode || c.new_tokens != 1 {
-                return None;
-            }
-            past += c.past;
-        }
-        Some((self.chunks.len(), past))
-    }
 }
 
 #[cfg(test)]

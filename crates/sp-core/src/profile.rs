@@ -1,8 +1,8 @@
 //! Opt-in per-phase wall-clock profiling (`SP_PROFILE=1`).
 //!
 //! The simulator's hot loop has a handful of broad phases — batch
-//! build, iteration pricing, calendar upkeep, window merge, admission
-//! scans, and shape-stable window detection — and knowing
+//! build, iteration pricing, window merge, admission scans, and
+//! shape-stable window detection — and knowing
 //! where wall time goes is the first question of every perf PR. Setting
 //! `SP_PROFILE=1` makes the instrumented call sites accumulate
 //! wall-clock nanoseconds per phase into process-wide atomics;
@@ -25,11 +25,9 @@ use std::time::Instant;
 pub enum Phase {
     /// `Engine::build_batch`: decode scan + chunked-prefill packing.
     BatchBuild,
-    /// `Engine::price_iteration`: plan evaluation / memo traffic.
+    /// `Engine::price_iteration`: plan evaluation.
     Pricing,
-    /// `ClusterSim` calendar upkeep: reschedules and settles.
-    Calendar,
-    /// Horizon-window merge: outcome folds, retires, republish.
+    /// Horizon-window merge: fault-clock fold and retires.
     Merge,
     /// `Engine::admit`: wait-queue candidate scans + KV reservation.
     Admission,
@@ -38,9 +36,8 @@ pub enum Phase {
     WindowDetect,
 }
 
-const PHASES: usize = 6;
-const NAMES: [&str; PHASES] =
-    ["batch build", "pricing", "calendar", "merge", "admission", "window detect"];
+const PHASES: usize = 5;
+const NAMES: [&str; PHASES] = ["batch build", "pricing", "merge", "admission", "window detect"];
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
@@ -115,7 +112,7 @@ mod tests {
     fn snapshot_reports_all_phases_and_reset_zeroes() {
         reset();
         let snap = snapshot();
-        assert_eq!(snap.len(), 6);
+        assert_eq!(snap.len(), 5);
         assert!(snap.iter().all(|&(_, secs, calls)| secs == 0.0 && calls == 0));
         // Accumulate directly (the env-gated `start` may be off here).
         let t = Timer { phase: Phase::Pricing, start: Instant::now() };

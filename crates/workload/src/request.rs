@@ -7,6 +7,13 @@ use sp_metrics::{Dur, SimTime};
 /// workload crate is where requests are born.
 pub use sp_metrics::RequestClass;
 
+/// Latest arrival a trace line may carry, in seconds (about 11.6 days).
+/// Reports bin throughput per second from the epoch, so every second of
+/// arrival time costs a bin; a later arrival is far more likely a unit
+/// error than a real trace, and one near `f64::MAX` would overflow the
+/// bin vector.
+pub const MAX_ARRIVAL_SECS: f64 = 1e6;
+
 /// One inference request: a prompt of `input_tokens` arriving at `arrival`,
 /// generating `output_tokens`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,13 +80,24 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceParseError`] for malformed input.
+    /// Returns [`TraceParseError`] for malformed input, including an
+    /// `arrival` that is not a finite number in
+    /// `0..=`[`MAX_ARRIVAL_SECS`], and an `id` or token count that is
+    /// not a non-negative integer fitting its field.
     pub fn from_json(s: &str) -> Result<Request, TraceParseError> {
         let fields = json::parse_object(s)?;
         let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-        let req_num = |key: &str| -> Result<f64, TraceParseError> {
-            let v = get(key).ok_or_else(|| TraceParseError::missing(key))?;
-            v.parse::<f64>().map_err(|_| TraceParseError::bad_value(key, v))
+        let required = |key: &str| get(key).ok_or_else(|| TraceParseError::missing(key));
+        let arrival = {
+            let v = required("arrival")?;
+            match v.parse::<f64>() {
+                Ok(secs) if (0.0..=MAX_ARRIVAL_SECS).contains(&secs) => SimTime::from_secs(secs),
+                _ => return Err(TraceParseError::bad_value("arrival", v)),
+            }
+        };
+        let tokens = |key: &str| -> Result<u32, TraceParseError> {
+            let v = required(key)?;
+            v.parse::<u32>().map_err(|_| TraceParseError::bad_value(key, v))
         };
         let class = match get("class") {
             Some("\"Interactive\"") | None => RequestClass::Interactive,
@@ -98,11 +116,12 @@ impl Request {
                 v.parse::<u32>().map_err(|_| TraceParseError::bad_value("cached_prefix", v))?
             }
         };
+        let id = required("id")?;
         Ok(Request {
-            id: req_num("id")? as u64,
-            arrival: SimTime::from_secs(req_num("arrival")?),
-            input_tokens: req_num("input_tokens")? as u32,
-            output_tokens: req_num("output_tokens")? as u32,
+            id: id.parse::<u64>().map_err(|_| TraceParseError::bad_value("id", id))?,
+            arrival,
+            input_tokens: tokens("input_tokens")?,
+            output_tokens: tokens("output_tokens")?,
             class,
             cached_prefix,
             prefix_group,
@@ -433,6 +452,61 @@ mod tests {
     #[test]
     fn jsonl_rejects_garbage() {
         assert!(Trace::from_jsonl("not json").is_err());
+    }
+
+    /// A trace line with one field replaced by `value`.
+    fn line_with(key: &str, value: &str) -> String {
+        let mut fields =
+            [("id", "7"), ("arrival", "1.5"), ("input_tokens", "128"), ("output_tokens", "16")];
+        fields.iter_mut().find(|(k, _)| *k == key).expect("known key").1 = value;
+        let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("{{{}}}", body.join(","))
+    }
+
+    fn parse_error(key: &str, value: &str) -> String {
+        Request::from_json(&line_with(key, value)).expect_err("must be rejected").to_string()
+    }
+
+    #[test]
+    fn well_formed_line_parses() {
+        let r = Request::from_json(&line_with("id", "7")).unwrap();
+        assert_eq!((r.id, r.arrival.as_secs(), r.input_tokens, r.output_tokens), (7, 1.5, 128, 16));
+    }
+
+    #[test]
+    fn negative_arrival_is_a_parse_error() {
+        assert!(parse_error("arrival", "-5").contains("arrival"));
+    }
+
+    #[test]
+    fn arrival_beyond_the_horizon_is_a_parse_error() {
+        assert!(parse_error("arrival", "1e308").contains("arrival"));
+        assert!(parse_error("arrival", "1000000.5").contains("arrival"));
+        assert!(Request::from_json(&line_with("arrival", "1e6")).is_ok(), "the bound is inclusive");
+    }
+
+    #[test]
+    fn non_finite_arrival_is_a_parse_error() {
+        assert!(parse_error("arrival", "NaN").contains("arrival"));
+        assert!(parse_error("arrival", "inf").contains("arrival"));
+    }
+
+    #[test]
+    fn negative_token_count_is_a_parse_error() {
+        assert!(parse_error("input_tokens", "-3").contains("input_tokens"));
+        assert!(parse_error("output_tokens", "-1").contains("output_tokens"));
+    }
+
+    #[test]
+    fn fractional_or_oversized_token_count_is_a_parse_error() {
+        assert!(parse_error("input_tokens", "12.5").contains("input_tokens"));
+        assert!(parse_error("output_tokens", "4294967296").contains("output_tokens"));
+    }
+
+    #[test]
+    fn negative_or_fractional_id_is_a_parse_error() {
+        assert!(parse_error("id", "-1").contains("id"));
+        assert!(parse_error("id", "2.5").contains("id"));
     }
 
     #[test]

@@ -62,13 +62,19 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
         .prop_map(Trace::new)
 }
 
+/// Prompt lengths with a one-in-eight share of zero-token prompts,
+/// which engines must reject rather than spin on.
+fn arb_input(max: u32) -> impl Strategy<Value = u32> {
+    (0u8..8, 1u32..max).prop_map(|(k, input)| if k == 0 { 0 } else { input })
+}
+
 /// Like [`arb_trace`], but with every arrival packed into an 8 s window
 /// so instantaneous load actually accumulates — the autoscaling
 /// properties need traces that push a load-band policy across both
 /// watermarks (spawns *and* drains), which uniformly spread arrivals
-/// rarely do.
+/// rarely do — and with zero-token prompts mixed in.
 fn arb_dense_trace() -> impl Strategy<Value = Trace> {
-    (prop::collection::vec((1u32..12_000, 1u32..100, 0.0f64..8.0, any::<bool>()), 1..30),)
+    (prop::collection::vec((arb_input(12_000), 1u32..100, 0.0f64..8.0, any::<bool>()), 1..30),)
         .prop_map(|(reqs,)| {
             reqs.into_iter()
                 .map(|(input, output, at, interactive)| Request {
@@ -176,13 +182,13 @@ proptest! {
         prop_assert_eq!(format!("{:?}", a.records()), format!("{:?}", b.records()));
     }
 
-    /// The event-calendar loop is an *optimization*, never a behavior
-    /// change: over randomized traces and randomized push/step
-    /// interleavings, `ClusterSim` (binary-heap dispatch, indexed EDF
-    /// admission, incremental load counters) must stay in lockstep with
-    /// `ReferenceClusterSim` (the pre-PR linear-rescan loop over
-    /// reference-mode engines) — same next-event instant at every step,
-    /// and byte-identical reports at the end.
+    /// The window loop is an *optimization*, never a behavior change:
+    /// over randomized traces and randomized push/step interleavings,
+    /// `ClusterSim` (horizon windows, indexed EDF admission, incremental
+    /// load counters) must stay in lockstep with `ReferenceClusterSim`
+    /// (the one-event linear-rescan loop over reference-mode engines) —
+    /// same next-event instant at every step, and byte-identical reports
+    /// at the end.
     #[test]
     fn event_calendar_matches_reference_loop(
         trace in arb_trace(),
@@ -194,7 +200,7 @@ proptest! {
         let slo = use_slo.then(ClassSlo::default);
         let build =
             |reference: bool| (0..n).map(|_| engine_with(kv, slo, reference)).collect::<Vec<_>>();
-        let mut calendar =
+        let mut windowed =
             ClusterSim::new(build(false), RoutingKind::JoinShortestOutstanding.policy());
         let mut naive =
             ReferenceClusterSim::new(build(true), RoutingKind::JoinShortestOutstanding.policy());
@@ -207,25 +213,25 @@ proptest! {
         };
         for (k, &req) in trace.requests().iter().enumerate() {
             for _ in 0..steps_between.get(k).copied().unwrap_or(0) {
-                let (a, b) = next_bits(&calendar, &naive);
+                let (a, b) = next_bits(&windowed, &naive);
                 prop_assert_eq!(a, b, "next-event divergence before arrival {}", k);
-                calendar.step_once();
+                windowed.step_once();
                 naive.step_once();
             }
-            calendar.push_request(req);
+            windowed.push_request(req);
             naive.push_request(req);
         }
         let mut guard: u64 = 0;
-        while calendar.next_event_time().is_some() || naive.next_event_time().is_some() {
-            let (a, b) = next_bits(&calendar, &naive);
+        while windowed.next_event_time().is_some() || naive.next_event_time().is_some() {
+            let (a, b) = next_bits(&windowed, &naive);
             prop_assert_eq!(a, b, "next-event divergence while draining");
-            calendar.step_once();
+            windowed.step_once();
             naive.step_once();
             guard += 1;
             prop_assert!(guard < 2_000_000, "drain failed to terminate");
         }
 
-        let a = calendar.take_report();
+        let a = windowed.take_report();
         let b = naive.take_report();
         prop_assert_eq!(a.routing_decisions(), b.routing_decisions());
         prop_assert_eq!(canonical_records(&a), canonical_records(&b));
@@ -264,14 +270,13 @@ proptest! {
         );
     }
 
-    /// The calendar/reference byte-identity property *with live scale
+    /// The window/reference byte-identity property *with live scale
     /// events*: a load-band autoscaler spawns (with cold start) and
     /// drains replicas mid-trace on both simulations, which share the
-    /// lifecycle core but find the next event differently (heap vs
-    /// linear rescan). Tombstoned generations in the heap key must keep
-    /// retire-then-respawn slot reuse invisible: same next-event instant
-    /// at every step, byte-identical reports and lifecycle timelines at
-    /// the end.
+    /// lifecycle core but advance differently (horizon windows vs one
+    /// event at a time). Retire-then-respawn slot reuse must stay
+    /// invisible: same next-event instant at every step, byte-identical
+    /// reports and lifecycle timelines at the end.
     #[test]
     fn event_calendar_matches_reference_loop_with_scale_events(
         trace in arb_dense_trace(),
@@ -297,7 +302,7 @@ proptest! {
                 move |_| engine_with(kv, None, reference),
             )
         };
-        let mut calendar =
+        let mut windowed =
             ClusterSim::new(build(false), RoutingKind::JoinShortestOutstanding.policy())
                 .with_autoscaler(scaler(false));
         let mut naive =
@@ -312,25 +317,25 @@ proptest! {
         };
         for (k, &req) in trace.requests().iter().enumerate() {
             for _ in 0..steps_between.get(k).copied().unwrap_or(0) {
-                let (a, b) = next_bits(&calendar, &naive);
+                let (a, b) = next_bits(&windowed, &naive);
                 prop_assert_eq!(a, b, "next-event divergence before arrival {}", k);
-                calendar.step_once();
+                windowed.step_once();
                 naive.step_once();
             }
-            calendar.push_request(req);
+            windowed.push_request(req);
             naive.push_request(req);
         }
         let mut guard: u64 = 0;
-        while calendar.next_event_time().is_some() || naive.next_event_time().is_some() {
-            let (a, b) = next_bits(&calendar, &naive);
+        while windowed.next_event_time().is_some() || naive.next_event_time().is_some() {
+            let (a, b) = next_bits(&windowed, &naive);
             prop_assert_eq!(a, b, "next-event divergence while draining");
-            calendar.step_once();
+            windowed.step_once();
             naive.step_once();
             guard += 1;
             prop_assert!(guard < 2_000_000, "drain failed to terminate");
         }
 
-        let a = calendar.take_report();
+        let a = windowed.take_report();
         let b = naive.take_report();
         prop_assert_eq!(a.routing_decisions(), b.routing_decisions());
         prop_assert_eq!(canonical_records(&a), canonical_records(&b));
@@ -445,7 +450,10 @@ proptest! {
     /// spent attempts. Nothing is lost, nothing is double-served.
     #[test]
     fn crash_schedules_conserve_requests(
-        reqs in prop::collection::vec((1u32..10_000, 1u32..60, 0.0f64..30.0, any::<bool>()), 1..10),
+        reqs in prop::collection::vec(
+            (arb_input(10_000), 1u32..60, 0.0f64..30.0, any::<bool>()),
+            1..10,
+        ),
         n in 1usize..3,
         plan in arb_fault_plan(3),
         budget in 0u32..3,
@@ -505,11 +513,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The calendar/reference byte-identity property *under fault
+    /// The window/reference byte-identity property *under fault
     /// injection*: both simulations consume the same `FaultPlan` through
-    /// their shared fleet core, so crashes (gen-bumped slots, salvaged
+    /// their shared fleet core, so crashes (retired slots, salvaged
     /// work), retry timers, slowdown windows, and route timeouts must
-    /// leave the heap loop and the linear rescan in lockstep — same
+    /// leave the window loop and the one-event loop in lockstep — same
     /// next-event instant at every step, byte-identical reports, fault
     /// trails, and failure lists at the end.
     #[test]
@@ -521,7 +529,7 @@ proptest! {
         steps_between in prop::collection::vec(0usize..5, 0..32),
     ) {
         let retry = RetryPolicy { max_retries: budget, base_backoff: Dur::from_secs(0.5) };
-        let mut calendar =
+        let mut windowed =
             ClusterSim::new(engines(n, 60_000), RoutingKind::JoinShortestOutstanding.policy())
                 .with_faults(plan.clone(), retry);
         let mut naive = ReferenceClusterSim::new(
@@ -538,25 +546,25 @@ proptest! {
         };
         for (k, &req) in trace.requests().iter().enumerate() {
             for _ in 0..steps_between.get(k).copied().unwrap_or(0) {
-                let (a, b) = next_bits(&calendar, &naive);
+                let (a, b) = next_bits(&windowed, &naive);
                 prop_assert_eq!(a, b, "next-event divergence before arrival {}", k);
-                calendar.step_once();
+                windowed.step_once();
                 naive.step_once();
             }
-            calendar.push_request(req);
+            windowed.push_request(req);
             naive.push_request(req);
         }
         let mut guard: u64 = 0;
-        while calendar.next_event_time().is_some() || naive.next_event_time().is_some() {
-            let (a, b) = next_bits(&calendar, &naive);
+        while windowed.next_event_time().is_some() || naive.next_event_time().is_some() {
+            let (a, b) = next_bits(&windowed, &naive);
             prop_assert_eq!(a, b, "next-event divergence while draining");
-            calendar.step_once();
+            windowed.step_once();
             naive.step_once();
             guard += 1;
             prop_assert!(guard < 2_000_000, "drain failed to terminate");
         }
 
-        let a = calendar.take_report();
+        let a = windowed.take_report();
         let b = naive.take_report();
         prop_assert_eq!(a.routing_decisions(), b.routing_decisions());
         prop_assert_eq!(canonical_records(&a), canonical_records(&b));
@@ -594,26 +602,28 @@ fn full_fingerprint(r: &EngineReport) -> Fingerprint {
     )
 }
 
-/// Runs `sim` over `trace` as the sequential calendar (`threads` of
-/// `None`) or the horizon-parallel engine at the given fan-out width.
-fn run_mode(mut sim: ClusterSim<Engine>, threads: Option<usize>, trace: &Trace) -> EngineReport {
-    match threads {
-        None => sim.set_horizon_parallel(false),
-        Some(t) => sim.set_threads(t),
+/// Asserts that windowed `ClusterSim` runs at horizon widths {1, 2, 8}
+/// reproduce `spec`, the one-event reference loop's report, exactly.
+fn assert_windows_match(
+    spec: &EngineReport,
+    trace: &Trace,
+    build: impl Fn() -> ClusterSim<Engine>,
+) {
+    let spec = full_fingerprint(spec);
+    for threads in [1usize, 2, 8] {
+        let windowed = full_fingerprint(&build().with_threads(threads).run(trace));
+        assert_eq!(windowed, spec, "divergence at {threads} threads");
     }
-    sim.run(trace)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// The tentpole property: horizon-parallel execution (windows of
-    /// independent replica stepping between coordination events, merged
-    /// in slot order) is byte-identical to the sequential calendar for
-    /// every thread count — same decision trail, bit-exact records,
-    /// same timelines. `n = 12` cases cross the linear-scan threshold,
-    /// so both calendar representations (linear rescan and heap) are
-    /// covered.
+    /// The window loop's contract: horizon windows (independent replica
+    /// stepping between coordination events, merged in slot order) are
+    /// byte-identical to the one-event reference loop for every thread
+    /// count — same decision trail, bit-exact records, same timelines.
+    /// `n = 12` cases cover a wider fleet than the small-n draws.
     #[test]
     fn horizon_parallel_matches_sequential_calendar(
         trace in arb_trace(),
@@ -621,18 +631,15 @@ proptest! {
         kv in prop_oneof![Just(30_000u64), Just(200_000)],
     ) {
         let n = if n_sel == 5 { 12 } else { n_sel + 1 };
-        let build = || ClusterSim::new(engines(n, kv), RoutingKind::JoinShortestOutstanding.policy());
-        let sequential = full_fingerprint(&run_mode(build(), None, &trace));
-        for threads in [1usize, 2, 8] {
-            let parallel = full_fingerprint(&run_mode(build(), Some(threads), &trace));
-            prop_assert_eq!(&parallel, &sequential, "divergence at {} threads", threads);
-        }
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let spec = ReferenceClusterSim::new(engines(n, kv), policy()).run(&trace);
+        assert_windows_match(&spec, &trace, || ClusterSim::new(engines(n, kv), policy()));
     }
 
     /// Byte-identity under fault injection: crash salvage, retry
-    /// backoff timers, slowdown windows and route timeouts all cut or
-    /// interleave with the horizon windows, and the merged result must
-    /// still match the sequential calendar exactly at every width.
+    /// backoff timers, slowdown windows and route timeouts all cut the
+    /// horizon windows, and the merged result must still match the
+    /// reference loop exactly at every width.
     #[test]
     fn horizon_parallel_matches_sequential_under_faults(
         trace in arb_trace(),
@@ -641,15 +648,13 @@ proptest! {
         budget in 0u32..3,
     ) {
         let retry = RetryPolicy { max_retries: budget, base_backoff: Dur::from_secs(0.25) };
-        let build = || {
-            ClusterSim::new(engines(n, 60_000), RoutingKind::JoinShortestOutstanding.policy())
-                .with_faults(plan.clone(), retry)
-        };
-        let sequential = full_fingerprint(&run_mode(build(), None, &trace));
-        for threads in [1usize, 2, 8] {
-            let parallel = full_fingerprint(&run_mode(build(), Some(threads), &trace));
-            prop_assert_eq!(&parallel, &sequential, "divergence at {} threads", threads);
-        }
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let spec = ReferenceClusterSim::new(engines(n, 60_000), policy())
+            .with_faults(plan.clone(), retry)
+            .run(&trace);
+        assert_windows_match(&spec, &trace, || {
+            ClusterSim::new(engines(n, 60_000), policy()).with_faults(plan.clone(), retry)
+        });
     }
 }
 
@@ -660,7 +665,7 @@ proptest! {
     /// and retires are coordination events (they only happen at dispatch
     /// or timer instants), so windows never straddle them — spawn/retire
     /// order, slot reuse and the lifecycle timeline must come out
-    /// identical to the sequential calendar at every width.
+    /// identical to the reference loop at every width.
     #[test]
     fn horizon_parallel_matches_sequential_with_autoscaling(
         trace in arb_dense_trace(),
@@ -670,8 +675,9 @@ proptest! {
         cold in prop_oneof![Just(0.0f64), Just(2.5), Just(10.0)],
     ) {
         let kv = 60_000u64;
-        let build = || {
-            let scaler = Autoscaler::new(
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let scaler = || {
+            Autoscaler::new(
                 AutoscaleConfig {
                     cold_start: Dur::from_secs(cold),
                     min_replicas: 1,
@@ -681,15 +687,14 @@ proptest! {
                     LoadBandPolicy::new(hi, lo).smoothing(0.5).cooldown(Dur::from_secs(2.0)),
                 ),
                 move |_| engine(kv),
-            );
-            ClusterSim::new(engines(n, kv), RoutingKind::JoinShortestOutstanding.policy())
-                .with_autoscaler(scaler)
+            )
         };
-        let sequential = full_fingerprint(&run_mode(build(), None, &trace));
-        for threads in [1usize, 2, 8] {
-            let parallel = full_fingerprint(&run_mode(build(), Some(threads), &trace));
-            prop_assert_eq!(&parallel, &sequential, "divergence at {} threads", threads);
-        }
+        let spec = ReferenceClusterSim::new(engines(n, kv), policy())
+            .with_autoscaler(scaler())
+            .run(&trace);
+        assert_windows_match(&spec, &trace, || {
+            ClusterSim::new(engines(n, kv), policy()).with_autoscaler(scaler())
+        });
     }
 }
 
@@ -721,87 +726,31 @@ impl SimNode for StubNode {
     }
 }
 
-/// Regression: a node reporting a NaN next-event time must not panic the
-/// dispatch loop. The pre-calendar `earliest()` compared instants with
-/// `partial_cmp(..).expect("simulated clocks are finite")`, which panicked
-/// the moment a NaN met another node's time; the calendar orders keys
-/// with `f64::total_cmp`, under which NaN sorts after every finite
-/// instant (and after infinity), so the pathological node simply goes
-/// last.
+/// A NaN next-event time violates the `SimNode` contract: NaN has no
+/// place in the global event order, so rather than guess one, debug
+/// builds stop the cluster loop at the first NaN instant it reads.
+#[cfg(debug_assertions)]
 #[test]
-fn nan_next_event_time_is_ordered_not_a_panic() {
+fn nan_next_event_time_is_a_contract_violation() {
     // `SimTime::from_secs` rejects NaN, but arithmetic does not validate
     // — the same hole a buggy cost model would leak NaN through.
     let nan_time = SimTime::ZERO + Dur::from_secs(1.0) * f64::NAN;
     assert!(nan_time.as_secs().is_nan());
-
     let nodes = vec![
         StubNode { time: SimTime::from_secs(1.0), remaining: 3 },
         StubNode { time: nan_time, remaining: 2 },
     ];
-    let mut sim = ClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy());
-
-    // The finite node must drain first: NaN sorts after 1.0 s.
-    for expected_outstanding in [5, 4, 3] {
-        assert_eq!(sim.outstanding_tokens(), expected_outstanding);
-        assert!(sim.next_event_time().is_some());
-        sim.step_once();
-    }
-    assert_eq!(sim.outstanding_tokens(), 2, "finite-time node drains before the NaN node");
-
-    // The NaN node still gets scheduled (its events are not lost), and
-    // the cluster reaches quiescence without panicking.
-    sim.step_once();
-    sim.step_once();
-    assert_eq!(sim.outstanding_tokens(), 0);
-    assert!(sim.next_event_time().is_none());
-}
-
-/// A NaN-keyed event aborts a fault-free horizon window for a
-/// sequential replay: whether the sequential loop steps a NaN node
-/// before the horizon depends on the *other* slots' keys (NaN sorts
-/// last), which a per-slot worker cannot observe. The windowed engine
-/// must land in exactly the sequential state either way.
-#[test]
-fn nan_next_event_time_windowed_advance_matches_sequential() {
-    let nan_time = SimTime::ZERO + Dur::from_secs(1.0) * f64::NAN;
-    let build = || {
-        vec![
-            StubNode { time: SimTime::from_secs(1.0), remaining: 3 },
-            StubNode { time: nan_time, remaining: 2 },
-            StubNode { time: SimTime::from_secs(9.0), remaining: 4 },
-        ]
-    };
-    let arrival = Request {
-        id: 0,
-        arrival: SimTime::from_secs(5.0),
-        input_tokens: 1,
-        output_tokens: 1,
-        class: RequestClass::Interactive,
-        cached_prefix: 0,
-        prefix_group: None,
-    };
-    let mut results = Vec::new();
-    for threads in [None, Some(1usize), Some(8)] {
-        let mut sim = ClusterSim::new(build(), RoutingKind::JoinShortestOutstanding.policy());
-        match threads {
-            None => sim.set_horizon_parallel(false),
-            Some(t) => sim.set_threads(t),
-        }
-        // Advancing to the arrival drains the 1.0 s node; the NaN node
-        // holds, because the sequential loop breaks on the 9.0 s node's
-        // key first (finite keys sort before NaN, and `NaN >= horizon`
-        // is false only when NaN reaches the top). The windowed engine
-        // must reproduce exactly that — its NaN fallback replays the
-        // window sequentially rather than letting a per-slot worker
-        // guess at the global order.
-        sim.push_request(arrival);
-        let remaining: Vec<u32> = sim.into_nodes().iter().map(|n| n.remaining).collect();
-        results.push(remaining);
-    }
-    assert_eq!(results[0], results[1], "1-thread windowed diverged from sequential");
-    assert_eq!(results[0], results[2], "8-thread windowed diverged from sequential");
-    assert_eq!(results[0], vec![0, 2, 4], "1.0 s node drains; NaN and 9.0 s nodes hold");
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy())
+            .run(&Trace::default());
+    }));
+    let payload = outcome.expect_err("a NaN next-event time must stop the cluster loop");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(message.contains("NaN next-event time"), "unexpected panic message: {message:?}");
 }
 
 #[test]

@@ -18,8 +18,14 @@ fn arb_kind() -> impl Strategy<Value = DeploymentKind> {
     ]
 }
 
+/// Prompt lengths with a one-in-eight share of zero-token prompts,
+/// which engines must reject rather than spin on.
+fn arb_input() -> impl Strategy<Value = u32> {
+    (0u8..8, 1u32..16_000).prop_map(|(k, input)| if k == 0 { 0 } else { input })
+}
+
 fn arb_trace() -> impl Strategy<Value = Trace> {
-    (prop::collection::vec((1u32..16_000, 1u32..200, 0.0f64..120.0, any::<bool>()), 1..40),)
+    (prop::collection::vec((arb_input(), 1u32..200, 0.0f64..120.0, any::<bool>()), 1..40),)
         .prop_map(|(reqs,)| {
             reqs.into_iter()
                 .enumerate()

@@ -7,28 +7,27 @@
 //! fast-forwarded run must reproduce that loop's report bit-for-bit —
 //! not just records and rejects, but throughput bins, makespan,
 //! max-iteration time, config usage, KV peaks, and the per-iteration
-//! timeline when capture is on. The properties here compare a deep
-//! fingerprint across fast-forward on/off, sequential and
-//! horizon-parallel widths {1, 2, 8}, under no faults, seeded fault
-//! plans, and autoscaler churn; the edge-case tests pin the run-length
-//! boundaries (length-1 runs, caps landing mid-run, memo-bucket
-//! crossings) individually.
+//! timeline when capture is on. The cluster properties compare a deep
+//! fingerprint of windowed `ClusterSim` runs with fast-forward live, at
+//! widths {1, 2, 8}, against the one-event `ReferenceClusterSim` spec
+//! over per-iteration engines, under no faults, seeded fault plans, and
+//! autoscaler churn; the edge-case tests pin the run-length boundaries
+//! (length-1 runs, caps landing mid-run) individually.
 
 use proptest::prelude::*;
 use shift_parallelism::prelude::*;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 
 /// An engine with the decode fast-forward either live or forced off,
-/// optional decode-shape memo, optional SLO admission, and timeline
-/// capture (so the fingerprint pins per-iteration events bit-exactly).
-fn engine_ff(kv: u64, memo: Option<u64>, slo: Option<ClassSlo>, fast_forward: bool) -> Engine {
+/// optional SLO admission, and timeline capture (so the fingerprint
+/// pins per-iteration events bit-exactly).
+fn engine_ff(kv: u64, slo: Option<ClassSlo>, fast_forward: bool) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
         Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
         EngineConfig {
             kv_capacity_tokens: kv,
-            decode_memo_tokens: memo,
             class_slo: slo,
             record_timeline: true,
             ..EngineConfig::default()
@@ -38,8 +37,8 @@ fn engine_ff(kv: u64, memo: Option<u64>, slo: Option<ClassSlo>, fast_forward: bo
     e
 }
 
-fn engines_ff(n: usize, kv: u64, memo: Option<u64>, fast_forward: bool) -> Vec<Engine> {
-    (0..n).map(|_| engine_ff(kv, memo, None, fast_forward)).collect()
+fn engines_ff(n: usize, kv: u64, fast_forward: bool) -> Vec<Engine> {
+    (0..n).map(|_| engine_ff(kv, None, fast_forward)).collect()
 }
 
 /// The KV-pressure regime the shape-stable windows and the admission
@@ -64,6 +63,8 @@ fn pressure_engine(kv: u64, fast_forward: bool) -> Engine {
     e
 }
 
+type Fingerprint = (String, String, Vec<(u64, u64)>, u64);
+
 /// Everything observable about a report, in owned, bit-exact form. This
 /// deliberately goes beyond the routing-equivalence fingerprint in
 /// `cluster_properties.rs`: the fast-forward path recomputes iteration
@@ -71,7 +72,7 @@ fn pressure_engine(kv: u64, fast_forward: bool) -> Engine {
 /// closed form, so exactly those aggregates are what the comparison
 /// must pin. f64s are compared via `to_bits` or their Debug rendering
 /// (shortest-roundtrip, hence bit-exact).
-fn deep_fingerprint(r: &EngineReport) -> (String, String, Vec<(u64, u64)>, u64) {
+fn deep_fingerprint(r: &EngineReport) -> Fingerprint {
     let m = r.metrics();
     let bins: Vec<(u64, u64)> =
         m.throughput().totals().map(|(t, w)| (t.as_secs().to_bits(), w.to_bits())).collect();
@@ -138,10 +139,6 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
         .prop_map(Trace::new)
 }
 
-fn arb_memo() -> impl Strategy<Value = Option<u64>> {
-    prop_oneof![Just(None), Just(Some(64u64)), Just(Some(4096))]
-}
-
 fn arb_fault_plan(max_replicas: usize) -> impl Strategy<Value = FaultPlan> {
     prop::collection::vec((0.0f64..30.0, 0usize..max_replicas, 0u8..8), 0..6).prop_map(|faults| {
         FaultPlan::new(
@@ -162,19 +159,17 @@ fn arb_fault_plan(max_replicas: usize) -> impl Strategy<Value = FaultPlan> {
     })
 }
 
-/// Runs a cluster as the sequential calendar (`None`) or the
-/// horizon-parallel engine at the given width, fingerprinting the
-/// merged report.
-fn run_cluster(
-    mut sim: ClusterSim<Engine>,
-    threads: Option<usize>,
-    trace: &Trace,
-) -> (String, String, Vec<(u64, u64)>, u64) {
-    match threads {
-        None => sim.set_horizon_parallel(false),
-        Some(t) => sim.set_threads(t),
+/// Asserts that windowed `ClusterSim` runs with fast-forward live
+/// reproduce `spec` — the reference loop's fingerprint over
+/// per-iteration engines — at horizon widths {1, 2, 8}.
+fn assert_windows_match(spec: &Fingerprint, trace: &Trace, build: impl Fn() -> ClusterSim<Engine>) {
+    for threads in [1usize, 2, 8] {
+        let windowed = deep_fingerprint(&build().with_threads(threads).run(trace));
+        assert_eq!(
+            &windowed, spec,
+            "fast-forward windows diverged from the reference at {threads} threads"
+        );
     }
-    deep_fingerprint(&sim.run(trace))
 }
 
 proptest! {
@@ -182,86 +177,61 @@ proptest! {
 
     /// The core equivalence: a lone engine with fast-forward live must
     /// produce a bit-identical report to the same engine walking every
-    /// iteration, across randomized traces, memo granularities, and SLO
-    /// admission — including the captured per-iteration timeline, so a
-    /// run that mis-attributed even one iteration's end instant,
-    /// duration, config, or KV reading fails here.
+    /// iteration, across randomized traces and SLO admission —
+    /// including the captured per-iteration timeline, so a run that
+    /// mis-attributed even one iteration's end instant, duration,
+    /// config, or KV reading fails here.
     #[test]
     fn fastforward_engine_matches_per_iteration(
         trace in arb_trace(),
-        memo in arb_memo(),
         use_slo in any::<bool>(),
         kv in prop_oneof![Just(30_000u64), Just(200_000)],
     ) {
         let slo = use_slo.then(ClassSlo::default);
-        let fast = deep_fingerprint(&engine_ff(kv, memo, slo, true).run(&trace));
-        let slow = deep_fingerprint(&engine_ff(kv, memo, slo, false).run(&trace));
+        let fast = deep_fingerprint(&engine_ff(kv, slo, true).run(&trace));
+        let slow = deep_fingerprint(&engine_ff(kv, slo, false).run(&trace));
         prop_assert_eq!(&fast, &slow, "fast-forward diverged from the per-iteration engine");
     }
 
-    /// Cluster-level equivalence, no faults: fast-forward on, at the
-    /// sequential calendar and horizon widths {1, 2, 8}, must match the
-    /// per-iteration sequential calendar bit-for-bit. Runs here are cut
-    /// by dispatch horizons (`WindowCap::FaultFree`), so the cap-clamp
-    /// path is exercised on every arrival.
+    /// Cluster-level equivalence, no faults: fast-forward windows at
+    /// widths {1, 2, 8} must match the per-iteration reference loop
+    /// bit-for-bit. Runs here are cut by dispatch horizons, so the
+    /// cap-clamp path is exercised on every arrival.
     #[test]
     fn fastforward_cluster_matches_per_iteration(
         trace in arb_trace(),
         n in 1usize..4,
-        memo in arb_memo(),
         kv in prop_oneof![Just(30_000u64), Just(200_000)],
     ) {
-        let build = |ff: bool| {
-            ClusterSim::new(engines_ff(n, kv, memo, ff), RoutingKind::JoinShortestOutstanding.policy())
-        };
-        let baseline = run_cluster(build(false), None, &trace);
-        prop_assert_eq!(
-            &run_cluster(build(true), None, &trace),
-            &baseline,
-            "sequential fast-forward diverged"
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let spec = deep_fingerprint(
+            &ReferenceClusterSim::new(engines_ff(n, kv, false), policy()).run(&trace),
         );
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &run_cluster(build(true), Some(threads), &trace),
-                &baseline,
-                "fast-forward divergence at {} threads",
-                threads
-            );
-        }
+        assert_windows_match(&spec, &trace, || ClusterSim::new(engines_ff(n, kv, true), policy()));
     }
 
     /// Cluster-level equivalence under seeded fault plans: crashes,
     /// slowdown windows, and route timeouts cut horizon windows at
-    /// timer instants (`WindowCap::Faulted`), so decode runs clamp at
-    /// fault timers and re-enter after salvage/redelivery — all of it
-    /// bit-identical to the per-iteration loop at every width.
+    /// timer instants, so decode runs clamp at fault timers and re-enter
+    /// after salvage/redelivery — all of it bit-identical to the
+    /// per-iteration reference loop at every width.
     #[test]
     fn fastforward_cluster_matches_per_iteration_under_faults(
         trace in arb_trace(),
         n in 1usize..4,
         plan in arb_fault_plan(4),
-        memo in arb_memo(),
         budget in 0u32..3,
     ) {
         let retry = RetryPolicy { max_retries: budget, base_backoff: Dur::from_secs(0.25) };
-        let build = |ff: bool| {
-            ClusterSim::new(engines_ff(n, 60_000, memo, ff), RoutingKind::JoinShortestOutstanding.policy())
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let spec = deep_fingerprint(
+            &ReferenceClusterSim::new(engines_ff(n, 60_000, false), policy())
                 .with_faults(plan.clone(), retry)
-        };
-        let baseline = run_cluster(build(false), None, &trace);
-        prop_assert_eq!(
-            &run_cluster(build(true), None, &trace),
-            &baseline,
-            "sequential fast-forward diverged under faults"
+                .run(&trace),
         );
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &run_cluster(build(true), Some(threads), &trace),
-                &baseline,
-                "fast-forward divergence under faults at {} threads",
-                threads
-            );
-        }
+        assert_windows_match(&spec, &trace, || {
+            ClusterSim::new(engines_ff(n, 60_000, true), policy()).with_faults(plan.clone(), retry)
+        });
     }
 
     /// Cluster-level equivalence under KV pressure: prompts comparable
@@ -270,9 +240,9 @@ proptest! {
     /// KV-blocked admission gate arms (with EDF expiries and shed-path
     /// re-entries), and retirements re-open admission mid-horizon. The
     /// generalized shape-stable fast-forward must reproduce the
-    /// per-iteration loop bit-for-bit at the sequential calendar and
-    /// every horizon width, with and without a fault plan cutting the
-    /// windows at timer instants.
+    /// per-iteration reference loop bit-for-bit at every horizon width,
+    /// with and without a fault plan cutting the windows at timer
+    /// instants.
     #[test]
     fn fastforward_cluster_matches_per_iteration_under_kv_pressure(
         trace in arb_trace(),
@@ -281,25 +251,16 @@ proptest! {
         plan in prop_oneof![Just(FaultPlan::empty()), arb_fault_plan(2)],
     ) {
         let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
-        let build = |ff: bool| {
-            let engines: Vec<Engine> = (0..n).map(|_| pressure_engine(kv, ff)).collect();
-            ClusterSim::new(engines, RoutingKind::JoinShortestOutstanding.policy())
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let engines = |ff: bool| (0..n).map(|_| pressure_engine(kv, ff)).collect::<Vec<_>>();
+        let spec = deep_fingerprint(
+            &ReferenceClusterSim::new(engines(false), policy())
                 .with_faults(plan.clone(), retry)
-        };
-        let baseline = run_cluster(build(false), None, &trace);
-        prop_assert_eq!(
-            &run_cluster(build(true), None, &trace),
-            &baseline,
-            "sequential fast-forward diverged under KV pressure"
+                .run(&trace),
         );
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &run_cluster(build(true), Some(threads), &trace),
-                &baseline,
-                "fast-forward divergence under KV pressure at {} threads",
-                threads
-            );
-        }
+        assert_windows_match(&spec, &trace, || {
+            ClusterSim::new(engines(true), policy()).with_faults(plan.clone(), retry)
+        });
     }
 }
 
@@ -315,7 +276,6 @@ proptest! {
     fn fastforward_cluster_matches_per_iteration_with_autoscaling(
         reqs in prop::collection::vec((1u32..12_000, 1u32..200, 0.0f64..8.0), 1..24),
         n in 1usize..4,
-        memo in arb_memo(),
         hi in 150f64..1_500.0,
         lo in 20f64..120.0,
     ) {
@@ -325,33 +285,26 @@ proptest! {
                 .collect(),
         );
         let kv = 60_000u64;
-        let build = |ff: bool| {
-            let scaler = Autoscaler::new(
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let scaler = |ff: bool| {
+            Autoscaler::new(
                 AutoscaleConfig {
                     cold_start: Dur::from_secs(2.5),
                     min_replicas: 1,
                     max_replicas: 4,
                 },
                 Box::new(LoadBandPolicy::new(hi, lo).smoothing(0.5).cooldown(Dur::from_secs(2.0))),
-                move |_| engine_ff(kv, memo, None, ff),
-            );
-            ClusterSim::new(engines_ff(n, kv, memo, ff), RoutingKind::JoinShortestOutstanding.policy())
-                .with_autoscaler(scaler)
+                move |_| engine_ff(kv, None, ff),
+            )
         };
-        let baseline = run_cluster(build(false), None, &trace);
-        prop_assert_eq!(
-            &run_cluster(build(true), None, &trace),
-            &baseline,
-            "sequential fast-forward diverged under autoscaling"
+        let spec = deep_fingerprint(
+            &ReferenceClusterSim::new(engines_ff(n, kv, false), policy())
+                .with_autoscaler(scaler(false))
+                .run(&trace),
         );
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(
-                &run_cluster(build(true), Some(threads), &trace),
-                &baseline,
-                "fast-forward divergence under autoscaling at {} threads",
-                threads
-            );
-        }
+        assert_windows_match(&spec, &trace, || {
+            ClusterSim::new(engines_ff(n, kv, true), policy()).with_autoscaler(scaler(true))
+        });
     }
 }
 
@@ -364,18 +317,33 @@ proptest! {
 #[test]
 fn run_length_one_is_byte_identical() {
     let trace = Trace::with_ids((0..6).map(|i| request(i, 0.0, 64, 3 + i as u32)).collect());
-    let fast_report = engine_ff(100_000, None, None, true).run(&trace);
+    let fast_report = engine_ff(100_000, None, true).run(&trace);
     let fast = deep_fingerprint(&fast_report);
-    let slow = deep_fingerprint(&engine_ff(100_000, None, None, false).run(&trace));
+    let slow = deep_fingerprint(&engine_ff(100_000, None, false).run(&trace));
     assert_eq!(fast, slow, "length-1 runs diverged from per-iteration stepping");
     assert_eq!(fast_report.records().len(), 6, "all staggered sequences must complete");
 }
 
+/// Runs `plan` over `trace` on `n` replicas through the per-iteration
+/// reference loop and through fast-forward windows at every width.
+fn assert_faulted_windows_match(n: usize, plan: FaultPlan, trace: &Trace) {
+    let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
+    let spec = deep_fingerprint(
+        &ReferenceClusterSim::new(engines_ff(n, 100_000, false), RoutingKind::default().policy())
+            .with_faults(plan.clone(), retry)
+            .run(trace),
+    );
+    assert_windows_match(&spec, trace, || {
+        ClusterSim::new(engines_ff(n, 100_000, true), RoutingKind::default().policy())
+            .with_faults(plan.clone(), retry)
+    });
+}
+
 /// A slowdown window edge landing mid-plateau: the window's start and
-/// end are fault timers, so the horizon cap (`WindowCap::Faulted`)
-/// clamps a decode run partway through, the slowdown factor changes,
-/// and the run resumes at the new per-iteration duration. Both edges
-/// land strictly inside what would otherwise be one long decode run.
+/// end are fault timers, so the horizon cap clamps a decode run partway
+/// through, the slowdown factor changes, and the run resumes at the new
+/// per-iteration duration. Both edges land strictly inside what would
+/// otherwise be one long decode run.
 #[test]
 fn slowdown_edge_mid_run_is_byte_identical() {
     let trace = Trace::with_ids((0..4).map(|i| request(i, 0.0, 128, 400)).collect());
@@ -383,24 +351,7 @@ fn slowdown_edge_mid_run_is_byte_identical() {
         at: SimTime::from_secs(1.0),
         fault: Fault::Slowdown { replica: 0, factor: 3.0, duration: Dur::from_secs(2.0) },
     }]);
-    let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
-    let build = |ff: bool| {
-        ClusterSim::new(engines_ff(1, 100_000, Some(4096), ff), RoutingKind::default().policy())
-            .with_faults(plan.clone(), retry)
-    };
-    let baseline = run_cluster(build(false), None, &trace);
-    assert_eq!(
-        run_cluster(build(true), None, &trace),
-        baseline,
-        "slowdown edge mid-run diverged (sequential)"
-    );
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            run_cluster(build(true), Some(threads), &trace),
-            baseline,
-            "slowdown edge mid-run diverged at {threads} threads"
-        );
-    }
+    assert_faulted_windows_match(1, plan, &trace);
 }
 
 /// A crash timer landing inside a decode run: the run clamps at the
@@ -414,39 +365,5 @@ fn crash_timer_mid_run_is_byte_identical() {
         at: SimTime::from_secs(1.5),
         fault: Fault::Crash { replica: 0 },
     }]);
-    let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
-    let build = |ff: bool| {
-        ClusterSim::new(engines_ff(2, 100_000, None, ff), RoutingKind::default().policy())
-            .with_faults(plan.clone(), retry)
-    };
-    let baseline = run_cluster(build(false), None, &trace);
-    assert_eq!(
-        run_cluster(build(true), None, &trace),
-        baseline,
-        "crash timer mid-run diverged (sequential)"
-    );
-    for threads in [1usize, 2, 8] {
-        assert_eq!(
-            run_cluster(build(true), Some(threads), &trace),
-            baseline,
-            "crash timer mid-run diverged at {threads} threads"
-        );
-    }
-}
-
-/// Memo-bucket boundary crossing inside a run: with a tiny
-/// `decode_memo_tokens` granularity the batch's total context crosses a
-/// bucket edge every few iterations, so the fast path must re-price
-/// mid-run at exactly the iterations the per-iteration loop would have
-/// seen a new memo key — and insert the same entries, so a *subsequent*
-/// run hits the same cached durations either way.
-#[test]
-fn memo_bucket_crossing_mid_run_is_byte_identical() {
-    let trace =
-        Trace::with_ids((0..5).map(|i| request(i, 0.0, 200 + 30 * i as u32, 300)).collect());
-    for memo in [Some(64u64), Some(1024), None] {
-        let fast = deep_fingerprint(&engine_ff(100_000, memo, None, true).run(&trace));
-        let slow = deep_fingerprint(&engine_ff(100_000, memo, None, false).run(&trace));
-        assert_eq!(fast, slow, "memo bucket crossings diverged (memo = {memo:?})");
-    }
+    assert_faulted_windows_match(2, plan, &trace);
 }
