@@ -57,8 +57,7 @@ pub fn probe_node() -> sp_cluster::NodeSpec {
 
 /// Prints the per-phase wall breakdown accumulated by
 /// [`sp_core::profile`] (batch build / pricing / merge / admission /
-/// window detect) when
-/// `SP_PROFILE=1`; no-op — and no output — otherwise. Benches call this
+/// window detect / dispatch) when `SP_PROFILE=1`; no-op — and no output — otherwise. Benches call this
 /// at the end of a run so future perf work can see where time goes
 /// without external tooling.
 pub fn print_profile() {

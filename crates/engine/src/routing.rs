@@ -258,6 +258,11 @@ impl RoutingKind {
 /// disjoint, so [`ClusterSim`] steps them from pool worker threads
 /// during horizon-parallel windows (nothing is shared — each worker owns
 /// one slot's node exclusively for the window).
+///
+/// What [`SimNode::next_event_time`] and [`SimNode::load`] report may
+/// change only through the `&mut self` methods: the cluster caches both
+/// per node and refreshes them after each `&mut` call (debug builds
+/// check the cache on every read).
 pub trait SimNode: Send {
     /// Enqueues a request (dispatch) — requests arrive in nondecreasing
     /// arrival order.
@@ -391,10 +396,81 @@ enum SlotState {
 /// install a new tenant in the same slot. Routing decisions and load
 /// samples record slot indices, so replica identities in reports stay
 /// stable across the whole run.
+///
+/// A slot caches its node's `next_event_time()` and `load()`. A node's
+/// state changes only through `&mut` access, and every such access goes
+/// through [`Slot::with_node`], which refreshes the cache afterwards —
+/// so the cache always equals what the node would report, and the
+/// per-dispatch scans (window stepping, autoscaler and router
+/// snapshots) read it instead of calling into every node. Debug builds
+/// check every cached read against the live node. The node sits behind
+/// a `Box` so the slot vector the scans walk stays dense.
 #[derive(Debug)]
 struct Slot<N> {
-    node: Option<N>,
+    node: Option<Box<N>>,
     state: SlotState,
+    /// The node's next event instant (`None` when idle or empty).
+    next: Option<SimTime>,
+    /// The node's load snapshot (default when empty).
+    load: NodeLoad,
+}
+
+impl<N: SimNode> Slot<N> {
+    fn new(node: Option<N>, state: SlotState) -> Slot<N> {
+        let mut slot =
+            Slot { node: node.map(Box::new), state, next: None, load: NodeLoad::default() };
+        slot.refresh();
+        slot
+    }
+
+    /// Re-reads the cached values from the node.
+    fn refresh(&mut self) {
+        (self.next, self.load) = match self.node.as_deref() {
+            Some(node) => (next_event(node), node.load()),
+            None => (None, NodeLoad::default()),
+        };
+    }
+
+    /// Runs `f` on the node, then refreshes the cache: the only way to
+    /// reach a slotted node mutably. `None` when the slot is empty.
+    fn with_node<R>(&mut self, f: impl FnOnce(&mut N) -> R) -> Option<R> {
+        let out = f(self.node.as_deref_mut()?);
+        self.refresh();
+        Some(out)
+    }
+
+    /// Installs `node` in this (empty) slot.
+    fn install(&mut self, node: N, state: SlotState) {
+        debug_assert!(self.node.is_none(), "installing over a live tenant");
+        *self = Slot::new(Some(node), state);
+    }
+
+    /// Removes the node, leaving an empty `Active` slot.
+    fn take_node(&mut self) -> Option<N> {
+        let node = self.node.take()?;
+        *self = Slot::new(None, SlotState::Active);
+        Some(*node)
+    }
+
+    /// The cached next event instant.
+    fn next(&self) -> Option<SimTime> {
+        debug_assert_eq!(
+            self.next,
+            self.node.as_deref().and_then(next_event),
+            "stale slot cache: next event"
+        );
+        self.next
+    }
+
+    /// The cached load snapshot.
+    fn load(&self) -> NodeLoad {
+        debug_assert_eq!(
+            self.load,
+            self.node.as_deref().map_or_else(NodeLoad::default, SimNode::load),
+            "stale slot cache: load"
+        );
+        self.load
+    }
 }
 
 /// A fault-displaced request waiting out its retry backoff.
@@ -563,7 +639,7 @@ impl<N: SimNode> Fleet<N> {
             .map(|(i, n)| {
                 timeline.record(i, SimTime::ZERO, ReplicaEventKind::Spawned);
                 timeline.record(i, SimTime::ZERO, ReplicaEventKind::Ready);
-                Slot { node: Some(n), state: SlotState::Active }
+                Slot::new(Some(n), SlotState::Active)
             })
             .collect();
         Fleet {
@@ -595,8 +671,10 @@ impl<N: SimNode> Fleet<N> {
             .count()
     }
 
+    /// Slot `i`'s next event, read from the node itself rather than the
+    /// slot cache: the spec loop's path.
     fn next_event_of(&self, i: usize) -> Option<SimTime> {
-        self.slots[i].node.as_ref().and_then(next_event)
+        self.slots[i].node.as_deref().and_then(next_event)
     }
 
     /// The globally earliest pending event, by linear rescan: a fault
@@ -640,7 +718,7 @@ impl<N: SimNode> Fleet<N> {
     /// advances to it.
     fn step_node(&mut self, i: usize) {
         let Some(t) = self.next_event_of(i) else { return };
-        self.slots[i].node.as_mut().expect("a pending event implies a node").step_once();
+        self.slots[i].with_node(|n| n.step_once()).expect("a pending event implies a node");
         if let Some(f) = self.faults.as_mut() {
             f.now = f.now.max(t);
         }
@@ -650,19 +728,15 @@ impl<N: SimNode> Fleet<N> {
     /// Retires slot `i` if it is draining and idle: takes its report and
     /// removes the node. Returns whether it retired.
     fn maybe_retire(&mut self, i: usize, at: SimTime) -> bool {
-        if self.slots[i].state != SlotState::Draining {
+        let slot = &self.slots[i];
+        if slot.state != SlotState::Draining || slot.next().is_some() {
             return false;
         }
-        let idle = self.slots[i]
-            .node
-            .as_ref()
-            .is_some_and(|n| n.next_event_time().is_none() && n.outstanding_tokens() == 0);
-        if !idle {
+        if slot.node.as_deref().is_none_or(|n| n.outstanding_tokens() != 0) {
             return false;
         }
-        let mut node = self.slots[i].node.take().expect("draining slot holds a node");
+        let mut node = self.slots[i].take_node().expect("draining slot holds a node");
         self.retired.push(node.take_report());
-        self.slots[i].state = SlotState::Active;
         self.timeline.record(i, at, ReplicaEventKind::Retired);
         true
     }
@@ -689,18 +763,17 @@ impl<N: SimNode> Fleet<N> {
         let i = match self.slots.iter().position(|s| s.node.is_none()) {
             Some(i) => i,
             None => {
-                self.slots.push(Slot { node: None, state: SlotState::Active });
+                self.slots.push(Slot::new(None, SlotState::Active));
                 self.slots.len() - 1
             }
         };
-        self.slots[i].node = Some(node);
         self.timeline.record(i, now, ReplicaEventKind::Spawned);
         let ready_at = now + config.cold_start;
         if ready_at <= now {
-            self.slots[i].state = SlotState::Active;
+            self.slots[i].install(node, SlotState::Active);
             self.timeline.record(i, now, ReplicaEventKind::Ready);
         } else {
-            self.slots[i].state = SlotState::Warming { ready_at };
+            self.slots[i].install(node, SlotState::Warming { ready_at });
         }
     }
 
@@ -751,10 +824,12 @@ impl<N: SimNode> Fleet<N> {
         let mut warming = 0usize;
         let mut draining = 0usize;
         for (i, s) in self.slots.iter().enumerate() {
-            let Some(node) = &s.node else { continue };
+            if s.node.is_none() {
+                continue;
+            }
             match s.state {
                 SlotState::Active => {
-                    loads.push(node.load());
+                    loads.push(s.load());
                     slots.push(i);
                 }
                 SlotState::Warming { .. } => warming += 1,
@@ -793,16 +868,16 @@ impl<N: SimNode> Fleet<N> {
         loads.clear();
         slots.clear();
         for (i, s) in self.slots.iter().enumerate() {
-            if matches!(s.state, SlotState::Active) {
-                if let Some(node) = &s.node {
-                    let load = node.load();
-                    self.load_series.record(i, req.arrival, load.outstanding_tokens);
-                    loads.push(load);
-                    slots.push(i);
-                }
+            if s.node.is_some() && matches!(s.state, SlotState::Active) {
+                loads.push(s.load());
+                slots.push(i);
             }
         }
         assert!(!loads.is_empty(), "no routable replica (min_replicas >= 1 guards this)");
+        self.load_series.record_dispatch(
+            req.arrival,
+            slots.iter().zip(&loads).map(|(&i, l)| (i, l.outstanding_tokens)),
+        );
         let pick = self.policy.pick(req, &loads).min(loads.len() - 1);
         let slot = slots[pick];
         self.decisions.push(RoutingDecision {
@@ -817,7 +892,7 @@ impl<N: SimNode> Fleet<N> {
     }
 
     fn push_to(&mut self, slot: usize, req: Request) {
-        self.slots[slot].node.as_mut().expect("routed to a live slot").push_request(req);
+        self.slots[slot].with_node(|n| n.push_request(req)).expect("routed to a live slot");
     }
 
     /// Dispatches one request at instant `now`: lifecycle work, then
@@ -832,6 +907,7 @@ impl<N: SimNode> Fleet<N> {
     /// faults the clamp never fires and this is exactly the pre-fault
     /// dispatch path.
     fn dispatch(&mut self, req: Request, now: SimTime) -> Option<usize> {
+        let _dispatch_span = sp_core::profile::start(sp_core::profile::Phase::Dispatch);
         self.pre_dispatch(now);
         if self.faults.is_none() {
             let slot = self.route(&req);
@@ -902,10 +978,9 @@ impl<N: SimNode> Fleet<N> {
         if i >= self.slots.len() || self.slots[i].node.is_none() {
             return;
         }
-        let mut node = self.slots[i].node.take().expect("checked above");
+        let mut node = self.slots[i].take_node().expect("checked above");
         let salvage = node.take_unfinished();
         self.retired.push(node.take_report());
-        self.slots[i].state = SlotState::Active;
         self.timeline.record(i, at, ReplicaEventKind::Crashed);
         self.timeline.note_wasted_prefill(salvage.wasted_prefill_tokens);
         {
@@ -943,8 +1018,8 @@ impl<N: SimNode> Fleet<N> {
                     Fault::Crash { replica } => self.crash(replica, tt),
                     Fault::Slowdown { replica, factor, duration } => {
                         if replica < self.slots.len() {
-                            if let Some(n) = self.slots[replica].node.as_mut() {
-                                n.set_slowdown(factor);
+                            let slowed = self.slots[replica].with_node(|n| n.set_slowdown(factor));
+                            if slowed.is_some() {
                                 let f = self.faults.as_mut().expect("fault state");
                                 // A new window replaces any open one.
                                 f.slow_until.retain(|&(_, s)| s != replica);
@@ -957,9 +1032,7 @@ impl<N: SimNode> Fleet<N> {
             }
             TimerChoice::SlowEnd(j) => {
                 let (_, slot) = f.slow_until.remove(j);
-                if let Some(n) = self.slots[slot].node.as_mut() {
-                    n.set_slowdown(1.0);
-                }
+                self.slots[slot].with_node(|n| n.set_slowdown(1.0));
             }
             TimerChoice::Retry => {
                 let p = f.pending.remove(0);
@@ -986,8 +1059,7 @@ impl<N: SimNode> Fleet<N> {
     fn take_unfinished_all(&mut self) -> SalvagedWork {
         let mut salvaged = SalvagedWork::default();
         for slot in &mut self.slots {
-            if let Some(n) = slot.node.as_mut() {
-                let part = n.take_unfinished();
+            if let Some(part) = slot.with_node(SimNode::take_unfinished) {
                 salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
                 salvaged.requests.extend(part.requests);
             }
@@ -1003,17 +1075,18 @@ impl<N: SimNode> Fleet<N> {
 
     fn set_slowdown_all(&mut self, factor: f64) {
         for slot in &mut self.slots {
-            if let Some(n) = slot.node.as_mut() {
-                n.set_slowdown(factor);
-            }
+            slot.with_node(|n| n.set_slowdown(factor));
         }
     }
 
+    /// Total outstanding work. Reads each node's `outstanding_tokens()`
+    /// rather than the cached load: a node may count work there (a
+    /// nested fleet's parked retries) that its load snapshot leaves out.
     fn outstanding(&self) -> u64 {
         let parked = self.faults.as_ref().map_or(0, |f| f.pending_tokens);
         self.slots
             .iter()
-            .filter_map(|s| s.node.as_ref())
+            .filter_map(|s| s.node.as_deref())
             .map(SimNode::outstanding_tokens)
             .sum::<u64>()
             + parked
@@ -1021,14 +1094,13 @@ impl<N: SimNode> Fleet<N> {
 
     fn aggregate_load(&self) -> NodeLoad {
         let seed = NodeLoad { min_kv_free_tokens: u64::MAX, ..NodeLoad::default() };
-        self.slots.iter().filter_map(|s| s.node.as_ref()).map(SimNode::load).fold(seed, |acc, l| {
-            NodeLoad {
-                outstanding_tokens: acc.outstanding_tokens + l.outstanding_tokens,
-                queued_prefill_tokens: acc.queued_prefill_tokens + l.queued_prefill_tokens,
-                kv_free_tokens: acc.kv_free_tokens + l.kv_free_tokens,
-                min_kv_free_tokens: acc.min_kv_free_tokens.min(l.min_kv_free_tokens),
-                prefill_tokens_per_sec: acc.prefill_tokens_per_sec + l.prefill_tokens_per_sec,
-            }
+        let live = self.slots.iter().filter(|s| s.node.is_some());
+        live.map(Slot::load).fold(seed, |acc, l| NodeLoad {
+            outstanding_tokens: acc.outstanding_tokens + l.outstanding_tokens,
+            queued_prefill_tokens: acc.queued_prefill_tokens + l.queued_prefill_tokens,
+            kv_free_tokens: acc.kv_free_tokens + l.kv_free_tokens,
+            min_kv_free_tokens: acc.min_kv_free_tokens.min(l.min_kv_free_tokens),
+            prefill_tokens_per_sec: acc.prefill_tokens_per_sec + l.prefill_tokens_per_sec,
         })
     }
 
@@ -1045,9 +1117,7 @@ impl<N: SimNode> Fleet<N> {
         let origin = self.faults.as_mut().map(|f| std::mem::take(&mut f.origin_arrival));
         let mut reports = std::mem::take(&mut self.retired);
         for s in &mut self.slots {
-            if let Some(n) = s.node.as_mut() {
-                reports.push(n.take_report());
-            }
+            reports.extend(s.with_node(SimNode::take_report));
         }
         for mut report in reports {
             if let Some(origin) = &origin {
@@ -1072,7 +1142,7 @@ impl<N: SimNode> Fleet<N> {
     }
 
     fn into_nodes(self) -> Vec<N> {
-        self.slots.into_iter().filter_map(|s| s.node).collect()
+        self.slots.into_iter().filter_map(|s| s.node.map(|n| *n)).collect()
     }
 }
 
@@ -1318,19 +1388,22 @@ impl<N: SimNode> ClusterSim<N> {
     fn step_window(&mut self, cap: Option<f64>) {
         let mut outcomes = std::mem::take(&mut self.window_outcomes);
         outcomes.clear();
+        // Only slots whose cached next event lies below the cap have
+        // anything to step; the rest are skipped without a node call.
+        let due = |slot: &Slot<N>| slot.next().is_some_and(|t| cap.is_none_or(|c| t.as_secs() < c));
         if self.threads <= 1 {
             for (i, slot) in self.fleet.slots.iter_mut().enumerate() {
-                let Some(node) = slot.node.as_mut() else { continue };
-                if let Some(o) = step_slot(node, cap) {
+                if !due(slot) {
+                    continue;
+                }
+                if let Some(o) = slot.with_node(|n| step_slot(n, cap)).flatten() {
                     outcomes.push(WindowOutcome { slot: i, ..o });
                 }
             }
         } else {
             let mut pending = std::mem::take(&mut self.window_pending);
             pending.clear();
-            pending.extend(
-                (0..self.fleet.slots.len()).filter(|&i| self.fleet.next_event_of(i).is_some()),
-            );
+            pending.extend((0..self.fleet.slots.len()).filter(|&i| due(&self.fleet.slots[i])));
             let base = SlotsPtr(self.fleet.slots.as_mut_ptr());
             let mut results = std::mem::take(&mut self.window_results);
             sp_core::map_into(
@@ -1349,8 +1422,7 @@ impl<N: SimNode> ClusterSim<N> {
                     // pointer stays valid for the whole fan-out (`self`
                     // is borrowed).
                     let slot = unsafe { &mut *base.0.add(i) };
-                    let node = slot.node.as_mut().expect("pending slot holds a node");
-                    step_slot(node, cap)
+                    slot.with_node(|n| step_slot(n, cap)).expect("pending slot holds a node")
                 },
                 &mut results,
             );
@@ -1829,7 +1901,7 @@ mod tests {
         let report = sim.run(&trace);
         assert_eq!(report.routing_decisions().len(), 40);
         // One load sample per replica per dispatch.
-        assert_eq!(report.replica_loads().samples().len(), 40 * 4);
+        assert_eq!(report.replica_loads().samples().count(), 40 * 4);
         assert_eq!(report.records().len(), 40);
     }
 
@@ -2326,5 +2398,192 @@ mod tests {
             tl.events().iter().any(|e| e.kind == ReplicaEventKind::Spawned && e.at >= crash_t),
             "the deficit must trigger a replacement spawn"
         );
+    }
+
+    /// A toy node whose `load()` and `next_event_time()` change on every
+    /// `&mut` call, so a slot cache that misses a refresh after any of
+    /// them is stale — unlike an [`Engine`], whose next event and load
+    /// do not move on `set_slowdown` or `take_report`. It serves its
+    /// queue one request per event, first come first served.
+    #[derive(Debug)]
+    struct StubNode {
+        queue: std::collections::VecDeque<Request>,
+        clock: SimTime,
+        factor: f64,
+        /// `&mut` calls so far.
+        touches: u64,
+        report: EngineReport,
+    }
+
+    impl StubNode {
+        fn new() -> StubNode {
+            StubNode {
+                queue: std::collections::VecDeque::new(),
+                clock: SimTime::ZERO,
+                factor: 1.0,
+                touches: 0,
+                report: EngineReport::new(Dur::from_secs(1.0)),
+            }
+        }
+
+        /// Service time of `req`: stretched by the slowdown, and shifted
+        /// later by every `&mut` call the node has seen.
+        fn service(&self, req: &Request) -> Dur {
+            Dur::from_secs(
+                1e-4 * req.total_tokens() as f64 * self.factor + 1e-6 * self.touches as f64,
+            )
+        }
+    }
+
+    impl SimNode for StubNode {
+        fn push_request(&mut self, req: Request) {
+            self.touches += 1;
+            self.queue.push_back(req);
+        }
+
+        fn step_once(&mut self) {
+            self.touches += 1;
+            let Some(t) = self.next_event_time() else { return };
+            let req = self.queue.pop_front().expect("a pending event implies a request");
+            self.clock = t;
+            self.report.note_iteration(ParallelConfig::single(), t, req.total_tokens(), Dur::ZERO);
+            self.report.note_completion(sp_metrics::RequestRecord {
+                request_id: req.id,
+                class: req.class,
+                arrival: req.arrival,
+                first_token: t,
+                finish: t,
+                input_tokens: req.input_tokens,
+                output_tokens: req.output_tokens,
+            });
+        }
+
+        fn next_event_time(&self) -> Option<SimTime> {
+            let head = self.queue.front()?;
+            Some(self.clock.max(head.arrival) + self.service(head))
+        }
+
+        fn outstanding_tokens(&self) -> u64 {
+            self.queue.iter().map(Request::total_tokens).sum()
+        }
+
+        fn load(&self) -> NodeLoad {
+            let queued_prefill = self.queue.iter().map(|r| u64::from(r.input_tokens)).sum();
+            NodeLoad {
+                outstanding_tokens: self.outstanding_tokens(),
+                queued_prefill_tokens: queued_prefill,
+                kv_free_tokens: 1_000_000 - self.touches,
+                min_kv_free_tokens: 1_000_000 - self.touches,
+                prefill_tokens_per_sec: 20_000.0 / self.factor,
+            }
+        }
+
+        fn take_report(&mut self) -> EngineReport {
+            self.touches += 1;
+            std::mem::replace(&mut self.report, EngineReport::new(Dur::from_secs(1.0)))
+        }
+
+        fn take_unfinished(&mut self) -> SalvagedWork {
+            self.touches += 1;
+            SalvagedWork { requests: self.queue.drain(..).collect(), wasted_prefill_tokens: 0 }
+        }
+
+        fn set_slowdown(&mut self, factor: f64) {
+            self.touches += 1;
+            self.factor = factor;
+        }
+
+        /// Steps up to three events below `cap` — every other call
+        /// declines, so both the run and the single-step paths run.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
+            if self.touches.is_multiple_of(2) {
+                return None;
+            }
+            let mut run: Option<RunAdvance> = None;
+            while let Some(t) = self.next_event_time() {
+                if cap.is_some_and(|c| !(t.as_secs() < c)) || run.is_some_and(|r| r.events == 3) {
+                    break;
+                }
+                self.step_once();
+                run = Some(RunAdvance { events: run.map_or(1, |r| r.events + 1), last: t });
+            }
+            run
+        }
+    }
+
+    #[test]
+    fn slot_cache_tracks_every_mutable_node_access() {
+        // Every `&mut` call moves the stub's load and next event, so in
+        // debug builds a missed cache refresh trips the stale-cache
+        // assertion on the next cached read; the windowed loop (which
+        // scans the cache) must also match the reference loop (which
+        // reads nodes directly). Crashes salvage (`take_unfinished`),
+        // slowdowns start and end (`set_slowdown`), the scripted scaler
+        // spawns, drains and retires (`take_report`), and a mid-run
+        // report cut takes every live node's report.
+        use crate::autoscale::AutoscaleConfig;
+        let plan = || {
+            FaultPlan::new(vec![
+                crash_at(2.0, 0),
+                FaultEvent {
+                    at: SimTime::from_secs(3.0),
+                    fault: Fault::Slowdown {
+                        replica: 1,
+                        factor: 3.0,
+                        duration: Dur::from_secs(2.0),
+                    },
+                },
+                FaultEvent { at: SimTime::from_secs(4.0), fault: Fault::RouteTimeout },
+                crash_at(9.0, 3),
+            ])
+        };
+        let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.5) };
+        let config =
+            AutoscaleConfig { cold_start: Dur::from_secs(0.5), min_replicas: 1, max_replicas: 4 };
+        let scaler = || {
+            let script = vec![
+                (1.0, ScaleAction::Spawn),
+                (6.0, ScaleAction::Drain { replica: 1 }),
+                (8.0, ScaleAction::Spawn),
+            ];
+            Autoscaler::new(config, Box::new(ScriptedScale::new(script)), |_| StubNode::new())
+        };
+        let stubs = || (0..3).map(|_| StubNode::new()).collect::<Vec<_>>();
+        let trace: Vec<Request> =
+            (0..120).map(|i| req(i, i as f64 * 0.1, 200 + (i as u32 % 5) * 300, 8)).collect();
+        let (head, tail) = trace.split_at(60);
+        let tail = Trace::with_ids(tail.to_vec());
+
+        let mut reference = ReferenceClusterSim::new(stubs(), RoutingKind::JsqByTtft.policy())
+            .with_autoscaler(scaler())
+            .with_faults(plan(), retry);
+        for &r in head {
+            reference.push_request(r);
+        }
+        let expected = [reference.take_report(), reference.run(&tail)];
+        for threads in [1, 2, 8] {
+            let mut sim = ClusterSim::new(stubs(), RoutingKind::JsqByTtft.policy())
+                .with_threads(threads)
+                .with_autoscaler(scaler())
+                .with_faults(plan(), retry);
+            for &r in head {
+                sim.push_request(r);
+            }
+            let got = [sim.take_report(), sim.run(&tail)];
+            for (got, want) in got.iter().zip(&expected) {
+                assert_eq!(got.routing_decisions(), want.routing_decisions(), "width {threads}");
+                assert_eq!(record_bits(got), record_bits(want), "width {threads}");
+                assert_eq!(got.failed(), want.failed(), "width {threads}");
+                assert_eq!(got.replica_loads(), want.replica_loads(), "width {threads}");
+                assert_eq!(got.fleet_timeline(), want.fleet_timeline(), "width {threads}");
+            }
+        }
+        let crashes = expected.iter().map(|r| r.fleet_timeline().crash_count()).sum::<usize>();
+        assert_eq!(crashes, 2);
+        let tl = expected[1].fleet_timeline();
+        assert!(tl.events().iter().any(|e| e.kind == ReplicaEventKind::Retired));
+        let served = expected.iter().map(|r| r.records().len() + r.failed().len()).sum::<usize>();
+        assert_eq!(served, 120, "every request completes or fails exactly once");
     }
 }

@@ -1,13 +1,14 @@
 //! Paged KV-cache substrate.
 //!
 //! Replaces vLLM's PagedAttention memory manager with a token-accurate
-//! block allocator, plus the head-sharding layout logic that makes Shift
-//! Parallelism possible:
+//! counted block pool, plus the head-sharding layout logic that makes
+//! Shift Parallelism possible:
 //!
-//! * [`allocator::BlockAllocator`] — fixed pool of fixed-size token blocks.
-//! * [`manager::KvCacheManager`] — per-sequence block accounting with
-//!   admission control (the engine refuses work that would overflow the
-//!   cache, reproducing the Mooncake wait-time experiment, Figure 10).
+//! * [`manager::KvCacheManager`] — a fixed pool of fixed-size token
+//!   blocks, charged per sequence in whole blocks, with admission control
+//!   (the engine refuses work that would overflow the cache, reproducing
+//!   the Mooncake wait-time experiment, Figure 10). Blocks are counted
+//!   rather than named, so reserving and releasing are O(1).
 //! * [`layout::KvShardLayout`] — how KV heads are distributed across an
 //!   attention-parallel group, including **KV-cache replication** when the
 //!   parallelism degree exceeds the KV head count (§3.2.1: Qwen-30B-A3B has
@@ -25,10 +26,8 @@
 //! assert_eq!(kv.used_tokens(), 0);
 //! ```
 
-pub mod allocator;
 pub mod layout;
 pub mod manager;
 
-pub use allocator::BlockAllocator;
 pub use layout::KvShardLayout;
 pub use manager::KvCacheManager;

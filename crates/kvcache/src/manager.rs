@@ -1,16 +1,22 @@
 //! Per-sequence KV accounting with admission control.
 
-use crate::allocator::{BlockAllocator, BlockId};
 use std::collections::HashMap;
 
-/// Tracks which KV blocks each live sequence holds and admits new work only
+/// Counts the KV blocks each live sequence holds and admits new work only
 /// if it fits.
 ///
 /// Capacity is expressed in *tokens* (the deployment planner converts the
 /// per-GPU HBM budget into tokens via the model's per-token KV bytes and
-/// the shard layout). The manager hands out whole blocks, so a sequence of
+/// the shard layout). The manager charges whole blocks, so a sequence of
 /// `t` tokens consumes `ceil(t / block_tokens)` blocks — the same internal
 /// fragmentation real PagedAttention pays.
+///
+/// Blocks are *counted*, not named: any free block can serve any
+/// sequence (PagedAttention has no external fragmentation), so nothing
+/// observable depends on which block a sequence holds. A counted pool
+/// makes [`KvCacheManager::try_reserve`], [`KvCacheManager::release`]
+/// and [`KvCacheManager::shrink_group`] O(1) regardless of how many
+/// blocks move.
 ///
 /// # Examples
 ///
@@ -25,7 +31,10 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct KvCacheManager {
     block_tokens: u32,
-    pool: BlockAllocator,
+    /// Whole blocks in the pool.
+    total_blocks: u64,
+    /// Blocks held by no sequence.
+    free_blocks: u64,
     seqs: HashMap<u64, SeqAlloc>,
     /// Shared prefix allocations: one growing sequence per group,
     /// attached to by many requests (multi-turn sessions). Stored under
@@ -38,7 +47,8 @@ pub struct KvCacheManager {
 #[derive(Debug, Clone)]
 struct SeqAlloc {
     tokens: u64,
-    blocks: Vec<BlockId>,
+    /// `ceil(tokens / block_tokens)`: the blocks charged to the sequence.
+    blocks: u64,
 }
 
 impl KvCacheManager {
@@ -50,10 +60,11 @@ impl KvCacheManager {
     /// Panics if `block_tokens` is zero.
     pub fn new(capacity_tokens: u64, block_tokens: u32) -> KvCacheManager {
         assert!(block_tokens > 0, "block size must be positive");
-        let blocks = (capacity_tokens / u64::from(block_tokens)) as u32;
+        let total_blocks = capacity_tokens / u64::from(block_tokens);
         KvCacheManager {
             block_tokens,
-            pool: BlockAllocator::new(blocks),
+            total_blocks,
+            free_blocks: total_blocks,
             seqs: HashMap::new(),
             groups: HashMap::new(),
             used_tokens: 0,
@@ -104,11 +115,9 @@ impl KvCacheManager {
             .seqs
             .get_mut(&Self::group_key(group))
             .expect("group watermark implies a live allocation");
-        let keep_blocks = watermark.div_ceil(u64::from(self.block_tokens)) as usize;
-        while alloc.blocks.len() > keep_blocks {
-            let block = alloc.blocks.pop().expect("length checked");
-            self.pool.free(block);
-        }
+        let keep_blocks = watermark.div_ceil(u64::from(self.block_tokens));
+        self.free_blocks += alloc.blocks - keep_blocks;
+        alloc.blocks = keep_blocks;
         self.used_tokens -= alloc.tokens - watermark;
         alloc.tokens = watermark;
         self.groups.insert(group, watermark);
@@ -134,7 +143,7 @@ impl KvCacheManager {
 
     /// Usable capacity in tokens (whole blocks only).
     pub fn capacity_tokens(&self) -> u64 {
-        u64::from(self.pool.total_blocks()) * u64::from(self.block_tokens)
+        self.total_blocks * u64::from(self.block_tokens)
     }
 
     /// Tokens currently cached across all sequences.
@@ -150,12 +159,16 @@ impl KvCacheManager {
     /// Free capacity in tokens, accounting for partially-filled tail blocks
     /// pessimistically (free blocks × block size).
     pub fn free_tokens(&self) -> u64 {
-        u64::from(self.pool.free_blocks()) * u64::from(self.block_tokens)
+        self.free_blocks * u64::from(self.block_tokens)
     }
 
-    /// Fraction of blocks in use.
+    /// Fraction of blocks in use (0 when the pool is empty).
     pub fn utilization(&self) -> f64 {
-        self.pool.utilization()
+        if self.total_blocks == 0 {
+            0.0
+        } else {
+            (self.total_blocks - self.free_blocks) as f64 / self.total_blocks as f64
+        }
     }
 
     /// Number of live sequences.
@@ -168,9 +181,9 @@ impl KvCacheManager {
     pub fn can_reserve(&self, seq: u64, tokens: u64) -> bool {
         let have = self.seqs.get(&seq);
         let current = have.map_or(0, |s| s.tokens);
-        let current_blocks = have.map_or(0, |s| s.blocks.len() as u64);
+        let current_blocks = have.map_or(0, |s| s.blocks);
         let needed_blocks = (current + tokens).div_ceil(u64::from(self.block_tokens));
-        needed_blocks.saturating_sub(current_blocks) <= u64::from(self.pool.free_blocks())
+        needed_blocks.saturating_sub(current_blocks) <= self.free_blocks
     }
 
     /// Appends `tokens` to sequence `seq`, creating it if absent. Returns
@@ -179,12 +192,11 @@ impl KvCacheManager {
         if !self.can_reserve(seq, tokens) {
             return false;
         }
-        let entry =
-            self.seqs.entry(seq).or_insert_with(|| SeqAlloc { tokens: 0, blocks: Vec::new() });
-        let needed_blocks = (entry.tokens + tokens).div_ceil(u64::from(self.block_tokens)) as usize;
-        while entry.blocks.len() < needed_blocks {
-            let block = self.pool.alloc().expect("can_reserve guaranteed capacity");
-            entry.blocks.push(block);
+        let entry = self.seqs.entry(seq).or_insert(SeqAlloc { tokens: 0, blocks: 0 });
+        let needed_blocks = (entry.tokens + tokens).div_ceil(u64::from(self.block_tokens));
+        if needed_blocks > entry.blocks {
+            self.free_blocks -= needed_blocks - entry.blocks;
+            entry.blocks = needed_blocks;
         }
         entry.tokens += tokens;
         self.used_tokens += tokens;
@@ -202,9 +214,7 @@ impl KvCacheManager {
     pub fn release(&mut self, seq: u64) {
         if let Some(alloc) = self.seqs.remove(&seq) {
             self.used_tokens -= alloc.tokens;
-            for b in alloc.blocks {
-                self.pool.free(b);
-            }
+            self.free_blocks += alloc.blocks;
         }
     }
 }
@@ -336,28 +346,113 @@ mod tests {
         assert_eq!(kv.capacity_tokens(), 96);
     }
 
+    #[test]
+    fn exhaustion_refuses_and_release_restores() {
+        let mut kv = KvCacheManager::new(32, 16);
+        assert!(kv.try_reserve(1, 16));
+        assert!(kv.try_reserve(2, 1));
+        assert_eq!(kv.free_tokens(), 0);
+        assert_eq!(kv.utilization(), 1.0);
+        assert!(!kv.can_reserve(3, 1));
+        assert!(!kv.try_reserve(3, 1));
+        // A sequence's partially filled tail block still takes appends.
+        assert!(kv.try_reserve(2, 15));
+        assert!(!kv.try_reserve(2, 1));
+        assert!(!kv.try_extend_group(1, 1));
+        kv.release(1);
+        assert_eq!(kv.free_tokens(), 16);
+        assert!(kv.try_reserve(3, 16));
+        assert_eq!(kv.live_sequences(), 2);
+    }
+
+    #[test]
+    fn zero_capacity_manager_admits_nothing() {
+        for capacity in [0, 15] {
+            let mut kv = KvCacheManager::new(capacity, 16);
+            assert_eq!(kv.capacity_tokens(), 0);
+            assert_eq!(kv.free_tokens(), 0);
+            assert_eq!(kv.utilization(), 0.0);
+            assert!(!kv.try_reserve(1, 1));
+            assert!(!kv.try_extend_group(1, 1));
+            // Zero-token work needs no block.
+            assert!(kv.try_reserve(2, 0));
+            assert!(kv.try_extend_group(2, 0));
+            assert_eq!(kv.used_tokens(), 0);
+        }
+    }
+
+    /// One manager operation for the accounting property.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Reserve(u64, u64),
+        Release(u64),
+        ExtendGroup(u64, u64),
+        ShrinkGroup(u64, u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..8, 1u64..40).prop_map(|(s, t)| Op::Reserve(s, t)),
+            (0u64..8).prop_map(Op::Release),
+            (0u64..4, 0u64..120).prop_map(|(g, w)| Op::ExtendGroup(g, w)),
+            (0u64..4, 0u64..120).prop_map(|(g, w)| Op::ShrinkGroup(g, w)),
+        ]
+    }
+
     proptest! {
         #[test]
-        fn accounting_invariants_hold(
-            ops in prop::collection::vec((0u64..8, 1u64..40, any::<bool>()), 0..300)
-        ) {
-            let mut kv = KvCacheManager::new(512, 16);
+        fn accounting_invariants_hold(ops in prop::collection::vec(op(), 0..300)) {
+            const BLOCK: u64 = 16;
+            let mut kv = KvCacheManager::new(512, BLOCK as u32);
             let mut shadow: HashMap<u64, u64> = HashMap::new();
-            for (seq, tokens, is_reserve) in ops {
-                if is_reserve {
-                    if kv.try_reserve(seq, tokens) {
-                        *shadow.entry(seq).or_default() += tokens;
+            let mut groups: HashMap<u64, u64> = HashMap::new();
+            for op in ops {
+                match op {
+                    Op::Reserve(seq, tokens) => {
+                        if kv.try_reserve(seq, tokens) {
+                            *shadow.entry(seq).or_default() += tokens;
+                        }
                     }
-                } else {
-                    kv.release(seq);
-                    shadow.remove(&seq);
+                    Op::Release(seq) => {
+                        kv.release(seq);
+                        shadow.remove(&seq);
+                    }
+                    Op::ExtendGroup(group, watermark) => {
+                        let current = groups.get(&group).copied().unwrap_or(0);
+                        if kv.try_extend_group(group, watermark) && watermark > current {
+                            groups.insert(group, watermark);
+                        }
+                    }
+                    Op::ShrinkGroup(group, watermark) => {
+                        kv.shrink_group(group, watermark);
+                        match groups.get(&group) {
+                            Some(_) if watermark == 0 => {
+                                groups.remove(&group);
+                            }
+                            Some(&current) if watermark < current => {
+                                groups.insert(group, watermark);
+                            }
+                            _ => {}
+                        }
+                    }
                 }
-                let expected: u64 = shadow.values().sum();
+                let expected: u64 = shadow.values().chain(groups.values()).sum();
                 prop_assert_eq!(kv.used_tokens(), expected);
                 prop_assert!(kv.used_tokens() <= kv.capacity_tokens());
                 for (&s, &t) in &shadow {
                     prop_assert_eq!(kv.sequence_tokens(s), t);
                 }
+                for (&g, &t) in &groups {
+                    prop_assert_eq!(kv.group_tokens(g), t);
+                }
+                // Block conservation: every block is free or charged to
+                // exactly one sequence, whole blocks per sequence.
+                let held: u64 = shadow
+                    .values()
+                    .chain(groups.values())
+                    .map(|&t| t.div_ceil(BLOCK) * BLOCK)
+                    .sum();
+                prop_assert_eq!(kv.free_tokens() + held, kv.capacity_tokens());
             }
         }
 

@@ -117,22 +117,59 @@ pub struct ReplicaLoadSample {
 
 /// A per-replica load time series, sampled at routing instants.
 ///
+/// Every dispatch samples each routable replica's outstanding tokens.
+/// Stored densely that is one sample per replica per dispatch, yet
+/// between two dispatches most replicas neither leave the routable set
+/// nor change load. The series therefore keeps the dispatch instants
+/// once, plus *runs*: a replica's unchanged load over consecutive
+/// dispatches is one `(replica, from, to, tokens)` entry, extended in
+/// place while the replica stays routable with the same load. Storage
+/// grows with the number of load *changes*, not with dispatches ×
+/// replicas.
+///
+/// The encoding is lossless: [`ReplicaLoadSeries::samples`] yields the
+/// dense sequence — dispatch order, replica-ascending within a dispatch
+/// — and [`ReplicaLoadSeries::peak`] and [`ReplicaLoadSeries::mean`]
+/// equal the dense formulas bit for bit.
+///
 /// # Examples
 ///
 /// ```
 /// use sp_metrics::{ReplicaLoadSeries, SimTime};
 ///
 /// let mut s = ReplicaLoadSeries::new();
-/// s.record(0, SimTime::from_secs(1.0), 500);
-/// s.record(1, SimTime::from_secs(1.0), 0);
+/// s.record_dispatch(SimTime::from_secs(1.0), [(0, 500), (1, 0)]);
+/// s.record_dispatch(SimTime::from_secs(2.0), [(0, 500), (1, 40)]);
 /// assert_eq!(s.replica_count(), 2);
 /// assert_eq!(s.peak(0), 500);
-/// assert_eq!(s.peak(1), 0);
+/// assert_eq!(s.mean(1), 20.0);
+/// assert_eq!(s.samples().count(), 4);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaLoadSeries {
-    samples: Vec<ReplicaLoadSample>,
+    /// Instant of every recorded dispatch, in recording order.
+    dispatches: Vec<SimTime>,
+    /// Runs ordered by `(from, replica)` — the order they were opened in.
+    runs: Vec<LoadRun>,
+    /// Per replica: index in `runs` of its latest run, the only one a
+    /// later dispatch may extend.
+    latest: Vec<Option<usize>>,
     replica_count: usize,
+}
+
+/// One replica's unchanged load over the dispatches `from..to`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LoadRun {
+    replica: usize,
+    from: usize,
+    to: usize,
+    tokens: u64,
+}
+
+impl LoadRun {
+    fn len(&self) -> u64 {
+        (self.to - self.from) as u64
+    }
 }
 
 impl ReplicaLoadSeries {
@@ -141,15 +178,47 @@ impl ReplicaLoadSeries {
         ReplicaLoadSeries::default()
     }
 
-    /// Records one observation.
-    pub fn record(&mut self, replica: usize, at: SimTime, outstanding_tokens: u64) {
-        self.replica_count = self.replica_count.max(replica + 1);
-        self.samples.push(ReplicaLoadSample { replica, at, outstanding_tokens });
+    /// Records one dispatch at `at`: the `(replica, outstanding tokens)`
+    /// of every replica sampled there, in ascending replica order. A
+    /// replica that was sampled at the previous dispatch with the same
+    /// load extends its run; any other sample opens a new run.
+    pub fn record_dispatch(&mut self, at: SimTime, loads: impl IntoIterator<Item = (usize, u64)>) {
+        let d = self.dispatches.len();
+        self.dispatches.push(at);
+        let mut prev: Option<usize> = None;
+        for (replica, tokens) in loads {
+            debug_assert!(
+                prev.is_none_or(|p| p < replica),
+                "dispatch samples must be replica-ascending"
+            );
+            prev = Some(replica);
+            if replica >= self.latest.len() {
+                self.latest.resize(replica + 1, None);
+            }
+            self.replica_count = self.replica_count.max(replica + 1);
+            if let Some(k) = self.latest[replica] {
+                let run = &mut self.runs[k];
+                if run.to == d && run.tokens == tokens {
+                    run.to = d + 1;
+                    continue;
+                }
+            }
+            self.latest[replica] = Some(self.runs.len());
+            self.runs.push(LoadRun { replica, from: d, to: d + 1, tokens });
+        }
     }
 
-    /// All samples in recording order.
-    pub fn samples(&self) -> &[ReplicaLoadSample] {
-        &self.samples
+    /// All samples in recording order: dispatch by dispatch, and within
+    /// a dispatch by ascending replica.
+    pub fn samples(&self) -> LoadSamples<'_> {
+        LoadSamples {
+            series: self,
+            next_dispatch: 0,
+            opened: 0,
+            active: Vec::new(),
+            merged: Vec::new(),
+            cursor: 0,
+        }
     }
 
     /// Number of distinct replicas observed (max index + 1).
@@ -157,45 +226,119 @@ impl ReplicaLoadSeries {
         self.replica_count
     }
 
-    /// True if nothing has been recorded.
+    /// True if no sample has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.runs.is_empty()
+    }
+
+    fn runs_of(&self, replica: usize) -> impl Iterator<Item = &LoadRun> {
+        self.runs.iter().filter(move |r| r.replica == replica)
     }
 
     /// Peak outstanding tokens observed for `replica` (0 if never seen).
     pub fn peak(&self, replica: usize) -> u64 {
-        self.samples
-            .iter()
-            .filter(|s| s.replica == replica)
-            .map(|s| s.outstanding_tokens)
-            .max()
-            .unwrap_or(0)
+        self.runs_of(replica).map(|r| r.tokens).max().unwrap_or(0)
     }
 
     /// Mean outstanding tokens over `replica`'s samples (0.0 if never
     /// seen).
     pub fn mean(&self, replica: usize) -> f64 {
-        let xs: Vec<u64> = self
-            .samples
-            .iter()
-            .filter(|s| s.replica == replica)
-            .map(|s| s.outstanding_tokens)
-            .collect();
-        if xs.is_empty() {
+        let (sum, count) = self
+            .runs_of(replica)
+            .fold((0u64, 0u64), |(s, n), r| (s + r.tokens * r.len(), n + r.len()));
+        if count == 0 {
             0.0
         } else {
-            xs.iter().sum::<u64>() as f64 / xs.len() as f64
+            sum as f64 / count as f64
         }
     }
 
     /// Absorbs `other`, shifting its replica indices past this series' —
-    /// merged reports keep per-tier replica identities distinct.
+    /// merged reports keep per-tier replica identities distinct. The
+    /// absorbed dispatches follow this series' own.
     pub fn absorb(&mut self, other: ReplicaLoadSeries) {
         let offset = self.replica_count;
-        for mut s in other.samples {
-            s.replica += offset;
-            self.replica_count = self.replica_count.max(s.replica + 1);
-            self.samples.push(s);
+        let dispatch_base = self.dispatches.len();
+        let run_base = self.runs.len();
+        self.dispatches.extend(other.dispatches);
+        self.runs.extend(other.runs.into_iter().map(|r| LoadRun {
+            replica: r.replica + offset,
+            from: r.from + dispatch_base,
+            to: r.to + dispatch_base,
+            ..r
+        }));
+        self.latest.extend(other.latest.into_iter().map(|k| k.map(|k| k + run_base)));
+        self.replica_count = offset + other.replica_count;
+    }
+}
+
+/// The dense sample sequence of a [`ReplicaLoadSeries`] (see
+/// [`ReplicaLoadSeries::samples`]).
+///
+/// Sweeps the dispatches in order, keeping the runs that cover the
+/// current dispatch sorted by replica: runs that ended drop out, runs
+/// opening there merge in. Each sample costs O(1) amortized.
+#[derive(Debug, Clone)]
+pub struct LoadSamples<'a> {
+    series: &'a ReplicaLoadSeries,
+    /// The next dispatch to sweep to; the one being yielded is the one
+    /// before it.
+    next_dispatch: usize,
+    /// Runs `..opened` have joined the sweep.
+    opened: usize,
+    /// Indices of the runs covering the current dispatch,
+    /// replica-ascending.
+    active: Vec<usize>,
+    /// Scratch for the next dispatch's `active`.
+    merged: Vec<usize>,
+    /// Next position in `active` to yield.
+    cursor: usize,
+}
+
+impl LoadSamples<'_> {
+    /// Sweeps to dispatch `next_dispatch`.
+    fn sweep(&mut self) {
+        let runs = &self.series.runs;
+        let d = self.next_dispatch;
+        self.next_dispatch += 1;
+        let end = self.opened + runs[self.opened..].partition_point(|r| r.from <= d);
+        self.merged.clear();
+        let mut live = self.active.iter().copied().filter(|&k| runs[k].to > d).peekable();
+        let mut fresh = (self.opened..end).peekable();
+        loop {
+            let next = match (live.peek(), fresh.peek()) {
+                (Some(&a), Some(&b)) if runs[a].replica < runs[b].replica => live.next(),
+                (_, Some(_)) => fresh.next(),
+                (Some(_), None) => live.next(),
+                (None, None) => break,
+            };
+            self.merged.extend(next);
+        }
+        self.opened = end;
+        std::mem::swap(&mut self.active, &mut self.merged);
+        self.cursor = 0;
+    }
+}
+
+impl Iterator for LoadSamples<'_> {
+    type Item = ReplicaLoadSample;
+
+    fn next(&mut self) -> Option<ReplicaLoadSample> {
+        let series = self.series;
+        loop {
+            if let Some(&k) = self.active.get(self.cursor) {
+                self.cursor += 1;
+                let run = series.runs[k];
+                return Some(ReplicaLoadSample {
+                    replica: run.replica,
+                    at: series.dispatches[self.next_dispatch - 1],
+                    outstanding_tokens: run.tokens,
+                });
+            }
+            if self.next_dispatch >= series.dispatches.len() {
+                return None;
+            }
+            self.sweep();
         }
     }
 }
@@ -498,6 +641,7 @@ impl FleetTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn window_event_order_sorts_by_instant_then_slot_with_nan_last() {
@@ -542,9 +686,8 @@ mod tests {
     #[test]
     fn peak_and_mean_are_per_replica() {
         let mut s = ReplicaLoadSeries::new();
-        s.record(0, SimTime::from_secs(0.0), 100);
-        s.record(0, SimTime::from_secs(1.0), 300);
-        s.record(1, SimTime::from_secs(1.0), 50);
+        s.record_dispatch(SimTime::from_secs(0.0), [(0, 100)]);
+        s.record_dispatch(SimTime::from_secs(1.0), [(0, 300), (1, 50)]);
         assert_eq!(s.replica_count(), 2);
         assert_eq!(s.peak(0), 300);
         assert_eq!(s.mean(0), 200.0);
@@ -723,13 +866,123 @@ mod tests {
     #[test]
     fn absorb_offsets_replica_indices() {
         let mut a = ReplicaLoadSeries::new();
-        a.record(0, SimTime::from_secs(0.0), 10);
-        a.record(1, SimTime::from_secs(0.0), 20);
+        a.record_dispatch(SimTime::from_secs(0.0), [(0, 10), (1, 20)]);
         let mut b = ReplicaLoadSeries::new();
-        b.record(0, SimTime::from_secs(1.0), 30);
+        b.record_dispatch(SimTime::from_secs(1.0), [(0, 30)]);
         a.absorb(b);
         assert_eq!(a.replica_count(), 3);
         assert_eq!(a.peak(2), 30);
-        assert_eq!(a.samples().len(), 3);
+        assert_eq!(a.samples().count(), 3);
+    }
+
+    #[test]
+    fn unchanged_loads_extend_one_run() {
+        let mut s = ReplicaLoadSeries::new();
+        for i in 0..100 {
+            s.record_dispatch(SimTime::from_secs(f64::from(i)), [(0, 7), (3, 9)]);
+        }
+        assert_eq!(s.runs.len(), 2, "an unchanged load is one run per replica");
+        // Leaving the routable set ends the run even at an equal load.
+        s.record_dispatch(SimTime::from_secs(100.0), [(3, 9)]);
+        s.record_dispatch(SimTime::from_secs(101.0), [(0, 7), (3, 9)]);
+        assert_eq!(s.runs.len(), 3);
+        assert_eq!(s.samples().count(), 203);
+        assert_eq!(s.mean(0), 7.0);
+    }
+
+    /// The dense one-sample-per-entry series the run-length encoding
+    /// must reproduce.
+    #[derive(Debug, Default)]
+    struct DenseSeries {
+        samples: Vec<ReplicaLoadSample>,
+        replica_count: usize,
+    }
+
+    impl DenseSeries {
+        fn record(&mut self, replica: usize, at: SimTime, outstanding_tokens: u64) {
+            self.replica_count = self.replica_count.max(replica + 1);
+            self.samples.push(ReplicaLoadSample { replica, at, outstanding_tokens });
+        }
+
+        fn peak(&self, replica: usize) -> u64 {
+            let of = self.samples.iter().filter(|s| s.replica == replica);
+            of.map(|s| s.outstanding_tokens).max().unwrap_or(0)
+        }
+
+        fn mean(&self, replica: usize) -> f64 {
+            let xs: Vec<u64> = self
+                .samples
+                .iter()
+                .filter(|s| s.replica == replica)
+                .map(|s| s.outstanding_tokens)
+                .collect();
+            if xs.is_empty() {
+                0.0
+            } else {
+                xs.iter().sum::<u64>() as f64 / xs.len() as f64
+            }
+        }
+
+        fn absorb(&mut self, other: DenseSeries) {
+            let offset = self.replica_count;
+            for mut s in other.samples {
+                s.replica += offset;
+                self.replica_count = self.replica_count.max(s.replica + 1);
+                self.samples.push(s);
+            }
+        }
+    }
+
+    /// One dispatch of a generated script: a routable mask over six
+    /// replicas (values of 64 and up mean "all routable", so long runs
+    /// occur) and each replica's load, drawn from a small alphabet so
+    /// loads repeat often.
+    type Script = Vec<(u32, Vec<u64>)>;
+
+    fn script() -> impl Strategy<Value = Script> {
+        prop::collection::vec((0u32..96, prop::collection::vec(0u64..4, 6)), 0..40)
+    }
+
+    fn replay(script: &Script, t0: f64, runs: &mut ReplicaLoadSeries, dense: &mut DenseSeries) {
+        const ALPHABET: [u64; 4] = [0, 100, 100, 7_000];
+        for (d, (mask, loads)) in script.iter().enumerate() {
+            let at = SimTime::from_secs(t0 + (d / 2) as f64);
+            let sampled: Vec<(usize, u64)> = (0..6)
+                .filter(|&r| *mask >= 64 || mask & (1 << r) != 0)
+                .map(|r| (r, ALPHABET[loads[r] as usize]))
+                .collect();
+            for &(r, tokens) in &sampled {
+                dense.record(r, at, tokens);
+            }
+            runs.record_dispatch(at, sampled);
+        }
+    }
+
+    fn assert_lossless(runs: &ReplicaLoadSeries, dense: &DenseSeries) {
+        assert_eq!(runs.samples().collect::<Vec<_>>(), dense.samples);
+        assert_eq!(runs.replica_count(), dense.replica_count);
+        assert_eq!(runs.is_empty(), dense.samples.is_empty());
+        for r in 0..=dense.replica_count {
+            assert_eq!(runs.peak(r), dense.peak(r), "peak of replica {r}");
+            assert_eq!(runs.mean(r).to_bits(), dense.mean(r).to_bits(), "mean of replica {r}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn run_length_series_is_lossless(a in script(), b in script(), tail in script()) {
+            let (mut runs, mut dense) = (ReplicaLoadSeries::new(), DenseSeries::default());
+            replay(&a, 0.0, &mut runs, &mut dense);
+            assert_lossless(&runs, &dense);
+            let (mut runs_b, mut dense_b) = (ReplicaLoadSeries::new(), DenseSeries::default());
+            replay(&b, 100.0, &mut runs_b, &mut dense_b);
+            assert_lossless(&runs_b, &dense_b);
+            runs.absorb(runs_b);
+            dense.absorb(dense_b);
+            assert_lossless(&runs, &dense);
+            // Recording continues after an absorb.
+            replay(&tail, 200.0, &mut runs, &mut dense);
+            assert_lossless(&runs, &dense);
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Opt-in per-phase wall-clock profiling (`SP_PROFILE=1`).
 //!
 //! The simulator's hot loop has a handful of broad phases — batch
-//! build, iteration pricing, window merge, admission scans, and
-//! shape-stable window detection — and knowing
+//! build, iteration pricing, window merge, admission scans,
+//! shape-stable window detection and request dispatch — and knowing
 //! where wall time goes is the first question of every perf PR. Setting
 //! `SP_PROFILE=1` makes the instrumented call sites accumulate
 //! wall-clock nanoseconds per phase into process-wide atomics;
@@ -34,10 +34,14 @@ pub enum Phase {
     /// `Engine::step_run` shape-stable window detection: composition
     /// scan + admission-gate validity check.
     WindowDetect,
+    /// `Fleet::dispatch`: lifecycle work (warmups, retires, scale
+    /// decisions), routing and enqueue of one request.
+    Dispatch,
 }
 
-const PHASES: usize = 5;
-const NAMES: [&str; PHASES] = ["batch build", "pricing", "merge", "admission", "window detect"];
+const PHASES: usize = 6;
+const NAMES: [&str; PHASES] =
+    ["batch build", "pricing", "merge", "admission", "window detect", "dispatch"];
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
@@ -112,7 +116,8 @@ mod tests {
     fn snapshot_reports_all_phases_and_reset_zeroes() {
         reset();
         let snap = snapshot();
-        assert_eq!(snap.len(), 5);
+        assert_eq!(snap.len(), 6);
+        assert_eq!(snap[5].0, "dispatch");
         assert!(snap.iter().all(|&(_, secs, calls)| secs == 0.0 && calls == 0));
         // Accumulate directly (the env-gated `start` may be off here).
         let t = Timer { phase: Phase::Pricing, start: Instant::now() };
