@@ -9,9 +9,7 @@ use crate::invariance::InvarianceCertificate;
 use crate::policy::{ShiftPolicy, DEFAULT_SHIFT_THRESHOLD};
 use crate::weights::{ShiftWeightPlan, WeightStrategy};
 use sp_cluster::NodeSpec;
-use sp_engine::{
-    DataParallelCluster, Engine, EngineConfig, EngineReport, RoutingKind, RunAdvance, SimNode,
-};
+use sp_engine::{ClusterSim, Engine, EngineConfig, EngineReport, RoutingKind, RunAdvance, SimNode};
 use sp_metrics::{Dur, SimTime};
 use sp_model::ModelConfig;
 use sp_parallel::{
@@ -367,19 +365,23 @@ impl DeploymentBuilder {
                         available: usable,
                     });
                 }
-                let cluster = DataParallelCluster::new(gpus, |_| {
-                    Engine::new(
-                        make_exec(replica_node),
-                        Box::new(StaticPolicy::new("DP", config)),
-                        engine_config(plan.kv_capacity_tokens),
-                    )
-                });
+                let replicas = (0..gpus)
+                    .map(|_| {
+                        Engine::new(
+                            make_exec(replica_node),
+                            Box::new(StaticPolicy::new("DP", config)),
+                            engine_config(plan.kv_capacity_tokens),
+                        )
+                    })
+                    .collect();
+                let cluster = ClusterSim::new(replicas, self.routing.policy())
+                    .throughput_bin(self.throughput_bin);
                 Ok(Deployment {
                     kind: self.kind,
                     kv_capacity_tokens: plan.kv_capacity_tokens * gpus as u64,
                     shift_policy: None,
                     routing: self.routing,
-                    inner: Inner::Cluster(cluster),
+                    inner: Inner::Cluster(Some(Box::new(cluster))),
                 })
             }
             DeploymentKind::Shift | DeploymentKind::ShiftWithBase { .. } => {
@@ -416,7 +418,9 @@ impl DeploymentBuilder {
 #[derive(Debug)]
 enum Inner {
     Single(Box<Engine>),
-    Cluster(DataParallelCluster),
+    /// DP: one engine per GPU behind the deployment's router. Empty only
+    /// while [`Deployment::run`] rebuilds it.
+    Cluster(Option<Box<ClusterSim<Engine>>>),
 }
 
 /// A built serving deployment, ready to run traces.
@@ -512,14 +516,42 @@ impl Deployment {
         self.routing
     }
 
-    /// Runs a trace to completion. Multi-replica (DP) deployments serve it
-    /// online: replicas advance together in simulated time and each request
-    /// is dispatched at its arrival instant by the configured
-    /// [`RoutingKind`] acting on live load.
+    /// Runs a trace to completion from simulated time zero. Multi-replica
+    /// (DP) deployments serve it online: replicas advance together in
+    /// simulated time and each request is dispatched at its arrival
+    /// instant by the configured [`RoutingKind`] acting on live load.
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
         match &mut self.inner {
             Inner::Single(engine) => engine.run(trace),
-            Inner::Cluster(cluster) => cluster.run_online(trace, self.routing.policy()),
+            Inner::Cluster(cluster) => {
+                let mut replicas = cluster.take().expect("DP cluster present").into_nodes();
+                let bin = replicas[0].config().throughput_bin;
+                // An empty `Engine::run` only rewinds the replica's clock
+                // to zero, so every call starts where a single engine's
+                // `run` starts — and a fresh router forgets the last run.
+                for engine in &mut replicas {
+                    engine.run(&Trace::default());
+                }
+                let sim = ClusterSim::new(replicas, self.routing.policy()).throughput_bin(bin);
+                cluster.insert(Box::new(sim)).run(trace)
+            }
+        }
+    }
+
+    /// The node the [`SimNode`] impl forwards to: the engine, or the DP
+    /// cluster (which steps one event at a time — [`ClusterSim`] does not
+    /// fast-forward as a nested node).
+    fn node(&self) -> &dyn SimNode {
+        match &self.inner {
+            Inner::Single(engine) => engine.as_ref(),
+            Inner::Cluster(cluster) => cluster.as_deref().expect("DP cluster present"),
+        }
+    }
+
+    fn node_mut(&mut self) -> &mut dyn SimNode {
+        match &mut self.inner {
+            Inner::Single(engine) => engine.as_mut(),
+            Inner::Cluster(cluster) => cluster.as_deref_mut().expect("DP cluster present"),
         }
     }
 }
@@ -528,66 +560,39 @@ impl Deployment {
 /// co-simulated behind an online router (see [`crate::fleet::Fleet`]).
 impl SimNode for Deployment {
     fn push_request(&mut self, req: sp_workload::Request) {
-        match &mut self.inner {
-            Inner::Single(engine) => engine.push_request(req),
-            Inner::Cluster(cluster) => SimNode::push_request(cluster, req),
-        }
+        self.node_mut().push_request(req);
     }
 
     fn step_once(&mut self) {
-        match &mut self.inner {
-            Inner::Single(engine) => engine.step_once(),
-            Inner::Cluster(cluster) => SimNode::step_once(cluster),
-        }
+        self.node_mut().step_once();
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Single(engine) => engine.next_event_time(),
-            Inner::Cluster(cluster) => SimNode::next_event_time(cluster),
-        }
+        self.node().next_event_time()
     }
 
     fn outstanding_tokens(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(engine) => engine.outstanding_tokens(),
-            Inner::Cluster(cluster) => SimNode::outstanding_tokens(cluster),
-        }
+        self.node().outstanding_tokens()
     }
 
     fn load(&self) -> sp_metrics::NodeLoad {
-        match &self.inner {
-            Inner::Single(engine) => engine.load(),
-            Inner::Cluster(cluster) => SimNode::load(cluster),
-        }
+        self.node().load()
     }
 
     fn take_report(&mut self) -> EngineReport {
-        match &mut self.inner {
-            Inner::Single(engine) => engine.take_report(),
-            Inner::Cluster(cluster) => SimNode::take_report(cluster),
-        }
+        self.node_mut().take_report()
     }
 
     fn take_unfinished(&mut self) -> sp_engine::SalvagedWork {
-        match &mut self.inner {
-            Inner::Single(engine) => engine.take_unfinished(),
-            Inner::Cluster(cluster) => SimNode::take_unfinished(cluster),
-        }
+        self.node_mut().take_unfinished()
     }
 
     fn set_slowdown(&mut self, factor: f64) {
-        match &mut self.inner {
-            Inner::Single(engine) => engine.set_slowdown(factor),
-            Inner::Cluster(cluster) => SimNode::set_slowdown(cluster, factor),
-        }
+        self.node_mut().set_slowdown(factor);
     }
 
     fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
-        match &mut self.inner {
-            Inner::Single(engine) => engine.step_run(cap),
-            Inner::Cluster(cluster) => SimNode::step_run(cluster, cap),
-        }
+        self.node_mut().step_run(cap)
     }
 }
 
@@ -726,5 +731,54 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("100") && msg.contains("50"));
+    }
+
+    #[test]
+    fn dp_deployment_as_a_node_honours_its_routing() {
+        // A DP deployment nested as one node of a cluster dispatches
+        // through its own router, so it must serve exactly what
+        // `Deployment::run` serves under each policy — and `run` starts
+        // every call from a fresh router, so repeating it repeats them.
+        let trace = sp_workload::bursty::BurstyConfig {
+            duration: Dur::from_secs(40.0),
+            base_rate: 2.0,
+            bursts: 2,
+            burst_size: 40,
+            ..sp_workload::bursty::BurstyConfig::default()
+        }
+        .generate();
+        for kind in [
+            RoutingKind::JoinShortestOutstanding,
+            RoutingKind::JsqByTtft,
+            RoutingKind::RoundRobin,
+            RoutingKind::StaticSplit,
+            RoutingKind::EarliestDeadlineFeasible(sp_metrics::ClassSlo::default()),
+        ] {
+            let dp = || {
+                Deployment::builder(node(), presets::qwen_32b())
+                    .kind(DeploymentKind::DataParallel)
+                    .routing(kind)
+                    .build()
+                    .unwrap()
+            };
+            let mut nested = ClusterSim::new(vec![dp()], kind.policy());
+            let as_node = nested.run(&trace);
+            let mut direct = dp();
+            let first = direct.run(&trace);
+            let again = direct.run(&trace);
+            assert_eq!(first.records().len() + first.rejected().len(), trace.len(), "{kind:?}");
+            assert_eq!(
+                format!("{:?}", as_node.records()),
+                format!("{:?}", first.records()),
+                "{kind:?}"
+            );
+            assert_eq!(as_node.rejected(), first.rejected(), "{kind:?}");
+            assert_eq!(
+                format!("{:?}", again.records()),
+                format!("{:?}", first.records()),
+                "{kind:?}"
+            );
+            assert_eq!(again.rejected(), first.rejected(), "{kind:?}");
+        }
     }
 }

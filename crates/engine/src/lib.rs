@@ -12,12 +12,11 @@
 //!   iteration (chunked prefill), max batched sequences, KV capacity.
 //! * [`report::EngineReport`] — per-request records plus aggregate
 //!   latency/throughput metrics.
-//! * [`cluster::DataParallelCluster`] — N independent replicas behind a
-//!   least-loaded router: the paper's throughput-optimized DP baseline.
 //! * [`routing::ClusterSim`] — event-driven multi-replica co-simulation:
 //!   replicas advance in global time order and each request is dispatched
 //!   at its arrival instant via a pluggable [`routing::RoutingPolicy`]
-//!   acting on live load.
+//!   acting on live load. Over one-GPU engines it is the paper's
+//!   throughput-optimized DP baseline.
 //! * [`autoscale::Autoscaler`] — load-signal autoscaling for the
 //!   co-simulation: a pluggable [`autoscale::ScalePolicy`] provisions
 //!   replicas (with a cold-start delay) and drains-then-retires them
@@ -40,7 +39,6 @@
 //! ```
 
 pub mod autoscale;
-pub mod cluster;
 pub mod disagg;
 pub mod engine;
 pub mod fault;
@@ -52,7 +50,6 @@ mod seq;
 pub use autoscale::{
     AutoscaleConfig, Autoscaler, FleetSignal, LoadBandPolicy, NeverScale, ScaleAction, ScalePolicy,
 };
-pub use cluster::DataParallelCluster;
 pub use engine::{AdmissionMode, Engine, EngineConfig, QueuePolicy, SpecDecode};
 pub use fault::{Fault, FaultEvent, FaultPlan, RetryPolicy, SalvagedWork};
 pub use report::{EngineReport, IterationEvent};

@@ -254,8 +254,8 @@ impl EngineReport {
     }
 
     /// Online routing decisions, in dispatch order (empty for single-node
-    /// runs and offline splits). Replica indices are local to the routing
-    /// tier that made the decision.
+    /// runs). Replica indices are local to the routing tier that made the
+    /// decision.
     pub fn routing_decisions(&self) -> &[RoutingDecision] {
         &self.routing
     }

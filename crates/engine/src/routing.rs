@@ -8,9 +8,8 @@
 //! event loop — it advances replicas in global simulated-time order and
 //! dispatches each request on arrival via a pluggable [`RoutingPolicy`] —
 //! and [`SimNode`] is the stepping interface replicas expose
-//! (implemented by [`Engine`] and by
-//! [`crate::cluster::DataParallelCluster`] so whole clusters nest as
-//! fleet nodes).
+//! (implemented by [`Engine`] and by [`ClusterSim`] itself, so whole
+//! clusters nest as fleet nodes).
 
 use crate::autoscale::{Autoscaler, FleetSignal, ScaleAction};
 use crate::engine::Engine;
@@ -129,10 +128,11 @@ impl RoutingPolicy for RoundRobin {
 }
 
 /// The offline static split, replayed online: each request goes to the
-/// replica with the least *cumulative assigned* tokens so far, ignoring
-/// live load. Produces exactly the same assignment as
-/// [`crate::cluster::DataParallelCluster::route`], so it serves as the
-/// pre-event-driven baseline in comparisons.
+/// replica with the least *cumulative assigned* tokens so far (ties to
+/// the lowest index), ignoring live load. Splitting a trace up front
+/// this way and running each share on its own replica gives the same
+/// records, so it serves as the pre-event-driven baseline in
+/// comparisons.
 #[derive(Debug, Clone, Default)]
 pub struct StaticSplit {
     assigned: Vec<u64>,
@@ -1697,13 +1697,19 @@ mod tests {
     }
 
     fn engines(n: usize) -> Vec<Engine> {
+        engines_with(n, EngineConfig::default())
+    }
+
+    /// `n` one-GPU Qwen-32B engines under `config`: a DP deployment's
+    /// replicas.
+    fn engines_with(n: usize, config: EngineConfig) -> Vec<Engine> {
         let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
         (0..n)
             .map(|_| {
                 Engine::new(
                     ExecutionModel::new(node, presets::qwen_32b()),
                     Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-                    EngineConfig::default(),
+                    config,
                 )
             })
             .collect()
@@ -1726,23 +1732,26 @@ mod tests {
     }
 
     #[test]
-    fn static_split_reproduces_offline_route() {
-        // The online StaticSplit policy must assign each request to the
-        // same replica the offline greedy router would.
-        let cluster = crate::cluster::DataParallelCluster::new(3, |_| engines(1).pop().unwrap());
-        let trace: Trace =
-            (0..30).map(|i| req(i, i as f64 * 0.1, 200 + (i as u32 % 7) * 800, 20)).collect();
-        let shards = cluster.route(&trace);
-
-        let mut policy = StaticSplit::default();
-        for r in trace.requests() {
-            let online = policy.pick(r, &loads(&[0, 0, 0]));
-            let offline = shards
-                .iter()
-                .position(|s| s.requests().iter().any(|q| q.id == r.id))
-                .expect("every request lands in a shard");
-            assert_eq!(online, offline, "request {}", r.id);
+    fn static_split_balances_uniform_load() {
+        let mut p = StaticSplit::default();
+        let mut counts = [0; 4];
+        for r in sp_workload::synthetic::uniform_batch(100, 1000, 100).requests() {
+            counts[p.pick(r, &loads(&[0; 4]))] += 1;
         }
+        assert_eq!(counts, [25; 4]);
+    }
+
+    #[test]
+    fn static_split_balances_skewed_sizes() {
+        // Alternating huge and tiny requests.
+        let mut p = StaticSplit::default();
+        let mut work = [0u64; 2];
+        for i in 0..40u64 {
+            let r = req(i, i as f64 * 0.01, if i % 2 == 0 { 8000 } else { 100 }, 10);
+            work[p.pick(&r, &loads(&[0; 2]))] += r.total_tokens();
+        }
+        let imbalance = work[0].max(work[1]) as f64 / work[0].min(work[1]) as f64;
+        assert!(imbalance < 1.2, "static split imbalance {imbalance}");
     }
 
     #[test]
@@ -1871,6 +1880,119 @@ mod tests {
         assert_eq!(report.records().len(), 9);
         assert_eq!(report.replica_loads().replica_count(), 2);
         assert!(report.replica_loads().peak(0) > 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn empty_cluster_rejected() {
+        let _ = ClusterSim::new(engines(0), RoutingKind::default().policy());
+    }
+
+    #[test]
+    fn dp_throughput_scales_with_replicas() {
+        let trace = sp_workload::synthetic::uniform_batch(64, 2048, 16);
+        let makespan = |n| {
+            let mut sim = ClusterSim::new(engines(n), RoutingKind::default().policy());
+            sim.run(&trace).makespan().as_secs()
+        };
+        let speedup = makespan(1) / makespan(8);
+        assert!(speedup > 4.0, "8-replica speedup only {speedup:.2}x");
+    }
+
+    #[test]
+    fn online_run_merges_exactly_the_per_replica_work() {
+        // Merge correctness: compare the merged report against
+        // independently-run replicas fed the per-decision shards.
+        let trace = sp_workload::synthetic::poisson(48, 30.0, 640, 12, 21);
+        let mut sim = ClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy());
+        let report = sim.run(&trace);
+
+        // Every request completed exactly once, with its original id.
+        let mut ids: Vec<u64> = report.records().iter().map(|r| r.request_id).collect();
+        ids.sort_unstable();
+        let mut expected: Vec<u64> = trace.requests().iter().map(|r| r.id).collect();
+        expected.sort_unstable();
+        assert_eq!(ids, expected, "merged ids must match the trace without collisions");
+
+        // Rebuild the per-replica shards from the decision trail and run
+        // them on fresh engines: merged totals must equal the sums.
+        let decisions = report.routing_decisions();
+        assert_eq!(decisions.len(), trace.len());
+        let mut shards: Vec<Vec<Request>> = vec![Vec::new(); 3];
+        for d in decisions {
+            let req = trace.requests().iter().find(|r| r.id == d.request_id).unwrap();
+            shards[d.replica].push(*req);
+        }
+        let mut replica_token_sum = 0u64;
+        let mut replica_iter_sum = 0u64;
+        for shard in shards {
+            let fresh = engines(1).pop().unwrap().run(&Trace::with_ids(shard));
+            replica_token_sum += fresh.metrics().total_tokens();
+            replica_iter_sum += fresh.iterations();
+        }
+        assert_eq!(report.metrics().total_tokens(), replica_token_sum);
+        assert_eq!(report.iterations(), replica_iter_sum);
+        assert_eq!(report.metrics().total_tokens(), trace.total_tokens());
+    }
+
+    /// A bursty Poisson trace with a handful of long-decode "agentic"
+    /// requests up front. The long decodes pin KV blocks on whichever
+    /// replica admits them for minutes of simulated time — an asymmetry
+    /// the static token-count split cannot see, so it keeps sending half
+    /// of every burst into the congested replica's admission queue.
+    fn bursty_trace_with_long_decodes(seed: u64) -> Trace {
+        let mut reqs: Vec<Request> = sp_workload::bursty::BurstyConfig {
+            duration: Dur::from_secs(300.0),
+            base_rate: 1.0,
+            bursts: 4,
+            burst_size: 12,
+            burst_window: Dur::from_secs(10.0),
+            seed,
+            ..sp_workload::bursty::BurstyConfig::default()
+        }
+        .generate()
+        .requests()
+        .to_vec();
+        // The lognormal sampler occasionally emits a request larger than
+        // the tight KV cap used here; such a request could never admit,
+        // so drop it to keep every request completable.
+        reqs.retain(|r| r.total_tokens() <= 15_000);
+        for (k, at) in [5.0, 9.0, 13.0, 17.0, 21.0].iter().enumerate() {
+            let mut long = req(10_000 + k as u64, *at, 500, 6_000);
+            long.class = RequestClass::Batch;
+            reqs.push(long);
+        }
+        Trace::new(reqs)
+    }
+
+    #[test]
+    fn jsq_beats_static_split_on_bursty_p99_ttft() {
+        // With KV-constrained replicas, requests that cannot admit wait
+        // in queue — exactly the load signal join-shortest-outstanding
+        // reacts to. The static split keeps feeding the replica whose
+        // cache the long decodes pinned, so its admission queue (and the
+        // TTFT tail) grows; JSQ diverts bursts to the replica that is
+        // actually draining.
+        let trace = bursty_trace_with_long_decodes(0xB5_257);
+        let run = |kind: RoutingKind| {
+            let tight = EngineConfig { kv_capacity_tokens: 20_000, ..EngineConfig::default() };
+            ClusterSim::new(engines_with(2, tight), kind.policy()).run(&trace)
+        };
+        let mut split = run(RoutingKind::StaticSplit);
+        let mut jsq = run(RoutingKind::JoinShortestOutstanding);
+
+        assert_eq!(jsq.records().len(), trace.len());
+        assert_eq!(split.records().len(), trace.len());
+        let p99 = |r: &mut EngineReport| r.metrics_mut().ttft().quantile(0.99).expect("non-empty");
+        let (split_p99, jsq_p99) = (p99(&mut split), p99(&mut jsq));
+        assert!(
+            jsq_p99 < split_p99,
+            "JSQ p99 TTFT {jsq_p99:.3}s must beat the static split {split_p99:.3}s"
+        );
+        // The decision trail shows the diversion: not a 50/50 split.
+        let to_first = jsq.routing_decisions().iter().filter(|d| d.replica == 0).count();
+        let total = jsq.routing_decisions().len();
+        assert!(to_first != total / 2 || total % 2 == 1, "expected a load-skewed split");
     }
 
     #[test]

@@ -191,7 +191,7 @@ pub mod collection {
         VecStrategy { elem, lo, hi }
     }
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait IntoSizeRange {
         /// Inclusive-lo, exclusive-hi bounds.
         fn bounds(&self) -> (usize, usize);
@@ -215,7 +215,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,

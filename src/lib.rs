@@ -57,10 +57,10 @@ pub mod prelude {
     pub use sp_accel::{FrameworkProfile, ProductionStack, SwiftKv};
     pub use sp_cluster::{CollectiveModel, GpuSpec, InterconnectSpec, NodeSpec, Roofline};
     pub use sp_engine::{
-        AdmissionMode, AutoscaleConfig, Autoscaler, ClusterSim, DataParallelCluster,
-        EarliestDeadlineFeasible, Engine, EngineConfig, EngineReport, Fault, FaultEvent, FaultPlan,
-        FleetSignal, LoadBandPolicy, NeverScale, QueuePolicy, ReferenceClusterSim, RetryPolicy,
-        RoutingKind, ScaleAction, ScalePolicy, SimNode, SpecDecode,
+        AdmissionMode, AutoscaleConfig, Autoscaler, ClusterSim, EarliestDeadlineFeasible, Engine,
+        EngineConfig, EngineReport, Fault, FaultEvent, FaultPlan, FleetSignal, LoadBandPolicy,
+        NeverScale, QueuePolicy, ReferenceClusterSim, RetryPolicy, RoutingKind, ScaleAction,
+        ScalePolicy, SimNode, SpecDecode,
     };
     pub use sp_metrics::{
         ClassSlo, ClassSloReport, Dur, FailedRequest, FleetTimeline, LatencyRecorder, NodeLoad,

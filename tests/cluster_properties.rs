@@ -3,11 +3,11 @@
 //!
 //! The load-bearing property: online dispatch through `ClusterSim` with
 //! the `StaticSplit` policy must be *observationally identical* to the
-//! offline path (split the trace up front with
-//! `DataParallelCluster::route`, run each shard on an isolated engine) —
-//! same per-request records, same rejections. That equivalence is what
-//! lets the event-driven simulator be trusted as a superset of the
-//! offline one.
+//! offline path (split the trace up front with the greedy
+//! least-assigned-tokens split, `offline_split` below, and run each
+//! shard on an isolated engine) — same per-request records, same
+//! rejections. That equivalence is what lets the event-driven simulator
+//! be trusted as a superset of the offline one.
 
 use proptest::prelude::*;
 use shift_parallelism::prelude::*;
@@ -117,6 +117,20 @@ fn canonical_records(report: &EngineReport) -> Vec<(u64, u64, u64, u64, u32, u32
     v
 }
 
+/// The offline oracle: splits `trace` across `n` replicas up front,
+/// each request (in arrival order) to the replica with the least total
+/// tokens assigned so far, ties to the lowest index.
+fn offline_split(trace: &Trace, n: usize) -> Vec<Trace> {
+    let mut assigned: Vec<Vec<Request>> = vec![Vec::new(); n];
+    let mut load = vec![0u64; n];
+    for r in trace.requests() {
+        let target = (0..n).min_by_key(|&i| load[i]).expect("at least one replica");
+        load[target] += r.total_tokens();
+        assigned[target].push(*r);
+    }
+    assigned.into_iter().map(Trace::with_ids).collect()
+}
+
 fn sorted_rejects(report: &EngineReport) -> Vec<u64> {
     let mut v = report.rejected().to_vec();
     v.sort_unstable();
@@ -139,8 +153,7 @@ proptest! {
         let mut online = ClusterSim::new(engines(n, kv), RoutingKind::StaticSplit.policy());
         let online_report = online.run(&trace);
 
-        let offline_cluster = DataParallelCluster::new(n, |_| engine(kv));
-        let shards = offline_cluster.route(&trace);
+        let shards = offline_split(&trace, n);
         prop_assert_eq!(shards.len(), n);
         let mut offline_merged = EngineReport::new(Dur::from_secs(1.0));
         for shard in &shards {
