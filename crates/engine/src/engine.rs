@@ -5,7 +5,6 @@ use crate::report::EngineReport;
 use crate::seq::RunningSeq;
 use sp_kvcache::KvCacheManager;
 use sp_metrics::{ClassSlo, Dur, NodeLoad, RequestClass, RequestRecord, SimTime};
-use sp_model::StepCost;
 use sp_parallel::BatchSummary;
 use sp_parallel::{
     BatchStats, BatchWork, ChunkWork, DecodeRunPricer, ExecPlan, ExecutionModel, ParallelConfig,
@@ -240,9 +239,8 @@ pub struct Engine {
     /// Cross-window continuation of the decode-run linear summary (see
     /// [`RunCache`]). Horizon-parallel windows are cut at every cluster
     /// coordination point (arrival dispatches, fault timers), so a
-    /// steady decode batch is re-entered many times; re-deriving the
-    /// summary's three real folds per window would dominate short
-    /// windows.
+    /// steady decode batch is re-entered many times; re-scanning the
+    /// batch per window would dominate short windows.
     run_cache: Option<RunCache>,
 }
 
@@ -288,13 +286,13 @@ struct AdmissionGate {
     epoch: u64,
 }
 
-/// Closed-form pricing input for a memo-off decode run (see
+/// Closed-form pricing input for a decode run (see
 /// [`Engine::linear_run_summary`]): the batch summary at run iteration
 /// `k` is `s0` plus `k` times the per-iteration deltas, bit-identical
-/// to the materialized chunk fold while the exactness guards hold.
+/// to the per-chunk fold of that iteration's batch.
 #[derive(Debug, Clone, Copy)]
 struct LinearRunSummary {
-    /// The real fold at run iteration 0.
+    /// The summary at run iteration 0.
     s0: BatchSummary,
     /// Attention-FLOP growth per iteration (every context +1 token).
     d_attn: f64,
@@ -302,60 +300,23 @@ struct LinearRunSummary {
     d_kv_read: u64,
 }
 
-/// A decode-run [`LinearRunSummary`] carried across windows: while
+/// A decode run's batch carried across windows: while
 /// [`Engine::batch_version`] is unchanged, every running context has
-/// advanced exactly `base_k` iterations since the summary was captured
-/// (windows advance all decode contexts uniformly), so the summary for
-/// a new window is the capture shifted by `base_k` — no folds needed.
-/// The shift is exact under the same integer-exactness guards the
-/// capture validated, re-checked against the new window's bounds; reuse
-/// past the capture's fold-verified endpoint (`valid_to`) recaptures
-/// from scratch instead of extrapolating on trust.
+/// advanced exactly `base_k` iterations since capture (windows advance
+/// all decode contexts uniformly), so the batch now attends
+/// `attended + base_k × n` positions and its earliest completion is
+/// `end - base_k` iterations away — no batch scan needed.
 #[derive(Debug, Clone, Copy)]
 struct RunCache {
     /// [`Engine::batch_version`] at capture.
     version: u64,
     /// Iterations advanced since capture.
     base_k: u64,
-    /// Largest capture-relative iteration the endpoint fold verified.
-    valid_to: u64,
-    /// The summary as captured (s0 = fold at the capture window's k=0).
-    lin: LinearRunSummary,
-}
-
-impl LinearRunSummary {
-    /// The summary re-based `base_k` iterations after its capture,
-    /// provided the endpoint of a further `run_limit` iterations stays
-    /// in the exact-integer regime (`None` otherwise). Every operand is
-    /// a nonnegative integer and every intermediate stays below 2^53,
-    /// so each float multiply and add is exact — the shifted `s0`
-    /// equals the real fold bit for bit.
-    fn shifted(&self, base_k: u64, run_limit: u32) -> Option<LinearRunSummary> {
-        /// Largest f64 below which integer addition is exact.
-        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        let last = base_k.checked_add(u64::from(run_limit) - 1)?;
-        let attn_last = self.s0.cost.attn_flops + last as f64 * self.d_attn;
-        if attn_last >= EXACT || last as f64 >= EXACT {
-            return None;
-        }
-        self.s0.cost.kv_read_bytes.checked_add(last.checked_mul(self.d_kv_read)?)?;
-        let kv0 = self.s0.cost.kv_read_bytes + base_k * self.d_kv_read;
-        Some(LinearRunSummary {
-            s0: BatchSummary {
-                cost: StepCost {
-                    linear_flops: self.s0.cost.linear_flops,
-                    attn_flops: self.s0.cost.attn_flops + base_k as f64 * self.d_attn,
-                    logit_flops: self.s0.cost.logit_flops,
-                    kv_read_bytes: kv0,
-                    kv_write_bytes: self.s0.cost.kv_write_bytes,
-                },
-                total_new_tokens: self.s0.total_new_tokens,
-                num_seqs: self.s0.num_seqs,
-            },
-            d_attn: self.d_attn,
-            d_kv_read: self.d_kv_read,
-        })
-    }
+    /// The capture's run length: iterations until its earliest
+    /// completion.
+    end: u64,
+    /// Summed attended positions (`context + 1`) at capture.
+    attended: u64,
 }
 
 impl Engine {
@@ -609,10 +570,14 @@ impl Engine {
         // many horizon windows O(1) per window instead of O(n).
         let hit = match self.run_cache {
             Some(cache) if cache.version == self.batch_version && n > 0 => {
-                let remaining = (cache.valid_to + 1).saturating_sub(cache.base_k);
+                let remaining = cache.end.saturating_sub(cache.base_k);
                 debug_assert!(remaining >= 1, "a consumed cache implies a retirement bump");
                 let limit = remaining.min(u64::from(u32::MAX)) as u32;
-                cache.lin.shifted(cache.base_k, limit).map(|l| (limit, l))
+                (n as u64)
+                    .checked_mul(cache.base_k)
+                    .and_then(|grown| grown.checked_add(cache.attended))
+                    .and_then(|attended| self.linear_run_summary(n, attended, limit))
+                    .map(|l| (limit, l))
             }
             _ => None,
         };
@@ -629,26 +594,21 @@ impl Engine {
                         "cache-hit batch must be all mid-stream decodes"
                     );
                     rl = rl.min(seq.decode_remaining());
-                    base_pasts.push(seq.context_len());
                 }
                 assert_eq!(rl, run_limit, "cached completion bound diverged from the scan");
-                assert_eq!(
-                    self.fold_run_summary(&base_pasts, 0),
-                    l.s0,
-                    "cached run summary diverged from the real fold"
-                );
-                base_pasts.clear();
             }
         } else {
             // One pass over the batch (in base decode order — the
             // per-iteration scan starts at the cursor, so at run
             // iteration k the chunk order is this base rotated left by k
-            // with every context k tokens longer; the rotation matters:
-            // the pricing fold over chunks is order-sensitive in f64):
+            // with every context k tokens longer; the rotation matters
+            // when the exactness guard declines and each iteration's
+            // chunks are folded in f64):
             // validate that every sequence is a mid-stream decode, bound
             // the run by the earliest completion, and collect the base
-            // contexts.
+            // contexts and their summed attended positions.
             let mut limit = u32::MAX;
+            let mut attended = 0u64;
             for k in 0..n {
                 let seq = &self.running[(self.decode_cursor + k) % n];
                 if !seq.in_decode() || seq.first_token.is_none() || seq.finished() {
@@ -657,15 +617,15 @@ impl Engine {
                 }
                 limit = limit.min(seq.decode_remaining());
                 base_pasts.push(seq.context_len());
+                attended = attended.saturating_add(seq.context_len().saturating_add(1));
             }
             debug_assert!(limit >= 1);
             run_limit = limit;
-            // Every rotation is re-priced; when the chunk-cost fold is
-            // provably exact integer arithmetic, replace the O(n) fold
-            // per iteration with a closed-form summary (cached
-            // across the horizon windows that repeatedly re-enter the
-            // same steady batch; fresh captures pay three real folds).
-            lin = self.capture_run_summary(&base_pasts, run_limit);
+            // Price every iteration from the closed-form summary when
+            // its exactness guard holds (cached across the horizon
+            // windows that repeatedly re-enter the same steady batch);
+            // otherwise each rotation is materialized and folded.
+            lin = self.capture_run_summary(n, attended, run_limit);
         }
 
         // A pure-decode batch's stats are constant across the run.
@@ -853,101 +813,58 @@ impl Engine {
         dur
     }
 
-    /// Captures a fresh closed-form pricing summary for this window, if
-    /// one can be proven: three real folds pin and verify the line, so
-    /// the capture is worth it only for longer windows. The capture is
-    /// cached on the engine; pure continuations of the same batch hit it
-    /// in [`Engine::decode_run`] with zero folds (cache bookkeeping —
+    /// Captures the closed-form pricing summary of a fresh run over `n`
+    /// decodes attending `attended` positions in total, and caches the
+    /// batch on the engine: pure continuations of the same batch hit it
+    /// in [`Engine::decode_run`] without rescanning (cache bookkeeping —
     /// advancing `base_k`, invalidating on retirement — happens at the
-    /// window's end there).
+    /// window's end there). `None` when the exactness guard declines.
     fn capture_run_summary(
         &mut self,
-        base_pasts: &[u64],
+        n: usize,
+        attended: u64,
         run_limit: u32,
     ) -> Option<LinearRunSummary> {
-        if run_limit < 4 {
-            return None;
-        }
-        let lin = self.linear_run_summary(base_pasts, run_limit)?;
+        let lin = self.linear_run_summary(n, attended, run_limit)?;
         self.run_cache = Some(RunCache {
             version: self.batch_version,
             base_k: 0,
-            valid_to: u64::from(run_limit) - 1,
-            lin,
+            end: u64::from(run_limit),
+            attended,
         });
         Some(lin)
     }
 
-    /// Attempts to prove the run's summarize fold is closed-form: for a
-    /// pure-decode batch every chunk-cost field is a product and sum of
-    /// integers (FLOP counts from integer model constants and context
-    /// lengths, KV bytes in `u64`), and integer f64 arithmetic below
-    /// 2^53 is exact — hence order-insensitive and linear in the run
-    /// iteration `k` (each context grows by exactly one token per
-    /// iteration). Three real folds (k = 0, 1, last) pin the line and
-    /// verify it end to end; any field that is fractional, non-constant
-    /// where it should be, at risk of crossing 2^53, or off the line at
-    /// the last iteration disqualifies the run (`None` → the caller
-    /// materializes every rotation as before). Debug builds additionally
-    /// re-assert every extrapolated iteration against the real fold.
+    /// The closed-form summary of a `run_limit`-iteration decode run
+    /// over `n` sequences whose attended positions sum to `attended` at
+    /// iteration 0. Each iteration grows every context by one token, so
+    /// iteration `k` attends `attended + k·n` positions and
+    /// [`ModelConfig::decode_batch_cost`] prices it exactly. Its guard
+    /// only tightens as the sum grows, so passing it one iteration past
+    /// the run's end proves every iteration and both deltas exact
+    /// integers below 2^53: `s0 + k·delta` then equals the per-chunk fold
+    /// of iteration `k`'s batch bit for bit, in any chunk rotation.
+    /// `None` when the guard declines (the caller then materializes and
+    /// folds every rotation).
+    ///
+    /// [`ModelConfig::decode_batch_cost`]: sp_model::ModelConfig::decode_batch_cost
     fn linear_run_summary(
-        &mut self,
-        base_pasts: &[u64],
+        &self,
+        n: usize,
+        attended: u64,
         run_limit: u32,
     ) -> Option<LinearRunSummary> {
-        /// Largest f64 below which integer addition is exact.
-        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        let s0 = self.fold_run_summary(base_pasts, 0);
-        let s1 = self.fold_run_summary(base_pasts, 1);
-        let c0 = &s0.cost;
-        let c1 = &s1.cost;
-        if c1.linear_flops != c0.linear_flops
-            || c1.logit_flops != c0.logit_flops
-            || c1.kv_write_bytes != c0.kv_write_bytes
-            || c0.linear_flops.fract() != 0.0
-            || c0.logit_flops.fract() != 0.0
-            || c0.attn_flops.fract() != 0.0
-            || c1.attn_flops.fract() != 0.0
-        {
-            return None;
-        }
-        let d_attn = c1.attn_flops - c0.attn_flops;
-        if d_attn < 0.0 || d_attn.fract() != 0.0 {
-            return None;
-        }
-        let d_kv_read = c1.kv_read_bytes.checked_sub(c0.kv_read_bytes)?;
-        let last_k = u64::from(run_limit - 1);
-        let attn_last = c0.attn_flops + last_k as f64 * d_attn;
-        if attn_last >= EXACT {
-            return None;
-        }
-        let kv_read_last = c0.kv_read_bytes.checked_add(last_k.checked_mul(d_kv_read)?)?;
-        let s_last = self.fold_run_summary(base_pasts, run_limit as usize - 1);
-        if s_last.cost.attn_flops != attn_last
-            || s_last.cost.kv_read_bytes != kv_read_last
-            || s_last.cost.linear_flops != c0.linear_flops
-            || s_last.cost.logit_flops != c0.logit_flops
-            || s_last.cost.kv_write_bytes != c0.kv_write_bytes
-        {
-            return None;
-        }
-        Some(LinearRunSummary { s0, d_attn, d_kv_read })
-    }
-
-    /// The real chunk-cost fold of run iteration `k`: materializes the
-    /// rotated decode batch and summarizes it, exactly as
-    /// [`Engine::price_run_iteration`] would before pricing.
-    fn fold_run_summary(&mut self, base_pasts: &[u64], k: usize) -> BatchSummary {
-        let n = base_pasts.len();
-        let mut chunks = std::mem::take(&mut self.scratch_chunks);
-        chunks.clear();
-        for j in 0..n {
-            chunks.push(ChunkWork::decode(base_pasts[(j + k) % n] + k as u64));
-        }
-        let work = BatchWork::new(chunks);
-        let summary = self.exec.summarize(&work);
-        self.scratch_chunks = work.into_chunks();
-        summary
+        let model = self.exec.model();
+        let seqs = n as u64;
+        let end = attended.checked_add(seqs.checked_mul(u64::from(run_limit))?)?;
+        model.decode_batch_cost(seqs, end)?;
+        let c0 = model.decode_batch_cost(seqs, attended)?;
+        let c1 = model.decode_batch_cost(seqs, attended + seqs)?;
+        Some(LinearRunSummary {
+            s0: BatchSummary { cost: c0, total_new_tokens: seqs, num_seqs: n },
+            d_attn: c1.attn_flops - c0.attn_flops,
+            d_kv_read: c1.kv_read_bytes - c0.kv_read_bytes,
+        })
     }
 
     /// Prices run iteration `k` from the closed-form summary — the fast
@@ -986,11 +903,19 @@ impl Engine {
         };
         #[cfg(debug_assertions)]
         {
+            // Against the per-chunk reference walk, never the closed
+            // form `summarize` would also use.
             let pasts = self.running_base_pasts();
+            let n = pasts.len();
+            let work = BatchWork::new(
+                (0..n)
+                    .map(|j| ChunkWork::decode(pasts[(j + k as usize) % n] + u64::from(k)))
+                    .collect(),
+            );
             assert_eq!(
                 dur,
-                self.price_run_iteration(config, k as usize, &pasts),
-                "linear summary extrapolation diverged from the materialized fold"
+                self.exec.iteration(config, &work).total(),
+                "closed-form run pricing diverged from try_iteration"
             );
         }
         dur
@@ -1588,9 +1513,9 @@ impl Engine {
         // *every* sequence to have emitted 1. The unchanged batch size
         // rules out retirement, shedding, and preemption (an admission
         // offsetting one of those would have left prefill work or a
-        // larger outstanding drop). A cached run summary is a fold of
-        // per-context costs — order-insensitive under its exactness
-        // guards — so it stays live, shifted one iteration forward.
+        // larger outstanding drop). A cached run depends only on the
+        // batch size and its summed context, not on chunk order, so it
+        // stays live, shifted one iteration forward.
         if self.config.spec_decode.is_none()
             && pre_prefill == 0
             && self.running_prefill_tokens == 0

@@ -170,6 +170,38 @@ impl ModelConfig {
     pub fn decode_cost(&self, context: u64) -> StepCost {
         self.chunk_cost(1, context, 1)
     }
+
+    /// Summed cost of `n` one-token decode chunks (`chunk_cost(1, c, 1)`
+    /// each) whose attended positions `c + 1` add up to `attended_sum`,
+    /// in O(1).
+    ///
+    /// Every field of a decode chunk is a product of integer model
+    /// constants and its attended count, so the batch total depends only
+    /// on `n` and `attended_sum`. The closed form is returned only when
+    /// each field total is an integer below 2^53 (checked, without
+    /// overflow); every per-chunk term and every partial sum is then an
+    /// exactly representable integer too, so any fold order of the
+    /// per-chunk costs produces these same bits. `None` means the
+    /// totals leave that range and the caller must fold chunk by chunk.
+    pub fn decode_batch_cost(&self, n: u64, attended_sum: u64) -> Option<StepCost> {
+        /// Integers below 2^53 are exact in f64.
+        const EXACT: u64 = 1 << 53;
+        let exact = |v: Option<u64>| v.filter(|&v| v < EXACT);
+        let kv = self.kv_bytes_per_token();
+        let attn_per_position =
+            4 * u64::from(self.q_heads) * u64::from(self.head_dim) * u64::from(self.num_layers);
+        let logit_per_chunk = 2 * u64::from(self.hidden_size) * u64::from(self.vocab_size);
+        let linear_flops = exact(self.linear_params_active().checked_mul(2)?.checked_mul(n))?;
+        let attn_flops = exact(attended_sum.checked_mul(attn_per_position))?;
+        let logit_flops = exact(logit_per_chunk.checked_mul(n))?;
+        Some(StepCost {
+            linear_flops: linear_flops as f64,
+            attn_flops: attn_flops as f64,
+            logit_flops: logit_flops as f64,
+            kv_read_bytes: exact(attended_sum.checked_mul(kv))?,
+            kv_write_bytes: exact(n.checked_mul(kv))?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -273,7 +305,61 @@ mod tests {
         assert_eq!(prev, m.weight_bytes());
     }
 
+    /// Bit-level equality, so `-0.0 != 0.0` and float fields are never
+    /// compared approximately.
+    fn same_bits(a: &StepCost, b: &StepCost) -> bool {
+        a.linear_flops.to_bits() == b.linear_flops.to_bits()
+            && a.attn_flops.to_bits() == b.attn_flops.to_bits()
+            && a.logit_flops.to_bits() == b.logit_flops.to_bits()
+            && a.kv_read_bytes == b.kv_read_bytes
+            && a.kv_write_bytes == b.kv_write_bytes
+    }
+
+    #[test]
+    fn empty_decode_batch_is_free() {
+        let cost = presets::qwen_32b().decode_batch_cost(0, 0).unwrap();
+        assert!(same_bits(&cost, &StepCost::default()));
+    }
+
+    #[test]
+    fn decode_batch_guard_declines_exactly_at_2_pow_53() {
+        // Llama-70B attention charges 4·64·128·80 FLOPs per attended
+        // position, the first field to cross 2^53 as contexts grow: the
+        // boundary sits near 3.4e9 attended positions, i.e. two
+        // sequences at 2^31 context.
+        let m = presets::llama_70b();
+        let per_position = 4 * 64 * 128 * 80;
+        let last_exact = ((1u64 << 53) - 1) / per_position;
+        let at = m.decode_batch_cost(2, last_exact).expect("below 2^53 is exact");
+        assert!(at.attn_flops < 9_007_199_254_740_992.0);
+        assert!(m.decode_batch_cost(2, last_exact + 1).is_none());
+        let ctx = 1u64 << 31;
+        assert!(m.decode_batch_cost(1, ctx + 1).is_some());
+        assert!(m.decode_batch_cost(2, 2 * (ctx + 1)).is_none());
+        // Overflowing products decline rather than wrap.
+        assert!(m.decode_batch_cost(u64::MAX, u64::MAX).is_none());
+    }
+
     proptest! {
+        #[test]
+        fn decode_batch_cost_matches_chunk_fold(
+            preset in 0usize..4,
+            contexts in prop::collection::vec(0u64..(1 << 20), 1..512),
+        ) {
+            let m = match preset {
+                0 => presets::llama_70b(),
+                1 => presets::qwen_32b(),
+                2 => presets::qwen_30b_a3b(),
+                _ => presets::llama_17b_16e(),
+            };
+            let folded: StepCost = contexts.iter().map(|&c| m.chunk_cost(1, c, 1)).sum();
+            let attended: u64 = contexts.iter().map(|&c| c + 1).sum();
+            let closed = m
+                .decode_batch_cost(contexts.len() as u64, attended)
+                .expect("contexts below 2^20 stay exact");
+            prop_assert!(same_bits(&closed, &folded), "{closed:?} vs {folded:?}");
+        }
+
         #[test]
         fn chunk_cost_additive_in_sequence(
             n1 in 1u64..2000, n2 in 1u64..2000, past in 0u64..10_000,

@@ -10,9 +10,11 @@
 //!
 //! This module splits the evaluation:
 //!
-//! * [`ExecutionModel::summarize`] folds a [`BatchWork`] into a
-//!   [`BatchSummary`] once — the only O(chunks) work, shared by every
-//!   config;
+//! * [`ExecutionModel::summarize`] reduces a [`BatchWork`] to a
+//!   [`BatchSummary`] once, shared by every config: the leading decode
+//!   chunks are priced in closed form from their count and summed
+//!   context ([`ModelConfig::decode_batch_cost`]), and only the chunks
+//!   after them (prefills, speculative verifies) are folded one by one;
 //! * [`ExecPlan`] (built once per config by [`ExecutionModel::compile`])
 //!   holds the validated [`KvShardLayout`] and every config- and
 //!   model-derived constant of the Table 2 cost terms: padding divisors,
@@ -41,12 +43,12 @@ use sp_kvcache::KvShardLayout;
 use sp_metrics::Dur;
 use sp_model::{ModelConfig, StepCost};
 
-/// Config-independent statistics of one batch: the single O(chunks) fold
-/// shared by every plan evaluation.
+/// Config-independent statistics of one batch, shared by every plan
+/// evaluation.
 ///
-/// Produced by [`ExecutionModel::summarize`]; the chunk costs are summed
-/// in chunk order with the prefill-linear-scale already applied, exactly
-/// as `try_iteration` folds them.
+/// Produced by [`ExecutionModel::summarize`]; the chunk costs equal, bit
+/// for bit, their sum in chunk order with the prefill-linear-scale
+/// already applied, exactly as `try_iteration` folds them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSummary {
     /// Summed per-chunk costs (prefill linear FLOPs pre-scaled).
@@ -318,9 +320,30 @@ impl ExecutionModel {
     /// evaluation consumes — the chunk-cost sum (with the
     /// prefill-linear-scale applied per chunk, in chunk order, matching
     /// `try_iteration`), total new tokens, and sequence count.
+    ///
+    /// The batch's leading run of plain one-token decode chunks (where
+    /// the scheduler puts every decode) is priced in closed form by
+    /// [`ModelConfig::decode_batch_cost`]; the remaining chunks fold on
+    /// top in order. Under that formula's exactness guard the run's
+    /// per-chunk fold is integer arithmetic below 2^53, so the result is
+    /// bit-identical to folding every chunk; when the guard declines,
+    /// the whole batch folds chunk by chunk.
     pub fn summarize(&self, batch: &BatchWork) -> BatchSummary {
-        let cost: StepCost = batch
-            .chunks()
+        let chunks = batch.chunks();
+        let mut run = 0;
+        let mut attended = 0u64;
+        for c in chunks {
+            if c.kind != ChunkKind::Decode || c.new_tokens != 1 || !c.emits_logit {
+                break;
+            }
+            run += 1;
+            attended = attended.saturating_add(c.past.saturating_add(1));
+        }
+        let (lead, rest) = match self.model.decode_batch_cost(run as u64, attended) {
+            Some(cost) => (cost, &chunks[run..]),
+            None => (StepCost::default(), chunks),
+        };
+        let cost = rest
             .iter()
             .map(|c| {
                 let mut cc = self.model.chunk_cost(c.new_tokens, c.past, u64::from(c.emits_logit));
@@ -329,7 +352,7 @@ impl ExecutionModel {
                 }
                 cc
             })
-            .sum();
+            .fold(lead, |acc, cc| acc + cc);
         BatchSummary {
             cost,
             total_new_tokens: batch.total_new_tokens(),
@@ -456,11 +479,66 @@ mod tests {
         );
     }
 
+    /// Asserts `summarize`'s cost equals, bit for bit, the plain
+    /// in-order fold of every chunk that `try_iteration` performs. The
+    /// price alone can hide a drifted summary (the roofline `max` often
+    /// masks attention FLOPs), so the summary is compared directly.
+    fn assert_summary_is_plain_fold(e: &ExecutionModel, batch: &BatchWork) {
+        let plain: StepCost = batch
+            .chunks()
+            .iter()
+            .map(|c| {
+                let mut cc = e.model().chunk_cost(c.new_tokens, c.past, u64::from(c.emits_logit));
+                if c.kind == ChunkKind::Prefill {
+                    cc.linear_flops *= e.prefill_linear_scale;
+                }
+                cc
+            })
+            .sum();
+        let got = e.summarize(batch).cost;
+        assert_eq!(got.attn_flops.to_bits(), plain.attn_flops.to_bits());
+        assert_eq!(got.linear_flops.to_bits(), plain.linear_flops.to_bits());
+        assert_eq!(got.logit_flops.to_bits(), plain.logit_flops.to_bits());
+        assert_eq!(got.kv_read_bytes, plain.kv_read_bytes);
+        assert_eq!(got.kv_write_bytes, plain.kv_write_bytes);
+    }
+
+    #[test]
+    fn summarize_falls_back_past_the_guard() {
+        // Three Llama-70B decodes near 2^31 context attend more than
+        // 2^53 FLOPs' worth of positions: the closed form declines and
+        // the summary must still be the plain in-order fold.
+        let mut e = exec(presets::llama_70b());
+        e.set_prefill_flops_scale(0.6);
+        let ctx = 1u64 << 31;
+        let batch = BatchWork::new(vec![
+            ChunkWork::decode(ctx),
+            ChunkWork::decode(ctx + 7),
+            ChunkWork::decode(ctx + 3),
+            ChunkWork::prefill(777, 5, true),
+        ]);
+        assert!(e.model().decode_batch_cost(3, 3 * ctx + 13).is_none());
+        assert_summary_is_plain_fold(&e, &batch);
+        let config = ParallelConfig::tensor(8);
+        assert_eq!(
+            e.compile(&config).unwrap().price(&e.summarize(&batch)),
+            e.iteration(&config, &batch)
+        );
+    }
+
+    fn arb_prefill() -> impl Strategy<Value = ChunkWork> {
+        (1u64..3000, 0u64..60_000, any::<bool>())
+            .prop_map(|(new_tokens, past, emits)| ChunkWork::prefill(new_tokens, past, emits))
+    }
+
     /// Random batches spanning the edge cases the plan must preserve:
     /// empty batches, SP padding (`n_pad > n` whenever the token total
-    /// is not a multiple of SP), logit-emitting and silent chunks.
+    /// is not a multiple of SP), logit-emitting and silent chunks, and
+    /// decode-led batches as large as the engine builds (up to 300
+    /// decodes, then up to 3 prefills) whose contexts reach 2^34, so
+    /// both the closed-form decode pricing and its fallback fold run.
     fn arb_batch() -> impl Strategy<Value = BatchWork> {
-        prop::collection::vec(
+        let mixed = prop::collection::vec(
             (any::<bool>(), 1u64..3000, 0u64..60_000, any::<bool>()).prop_map(
                 |(is_prefill, new_tokens, past, emits)| {
                     if is_prefill {
@@ -472,7 +550,19 @@ mod tests {
             ),
             0..6,
         )
-        .prop_map(BatchWork::new)
+        .prop_map(BatchWork::new);
+        // `shift` scales every context of a batch down together, so
+        // batches land on both sides of the exactness guard.
+        let decode_led = (
+            prop::collection::vec(0u64..(1 << 34), 1..301),
+            0u32..35,
+            prop::collection::vec(arb_prefill(), 0..4),
+        )
+            .prop_map(|(raw, shift, prefills)| {
+                let decodes = raw.into_iter().map(|r| ChunkWork::decode(r >> shift));
+                BatchWork::new(decodes.chain(prefills).collect())
+            });
+        prop_oneof![mixed, decode_led]
     }
 
     proptest! {
@@ -502,6 +592,7 @@ mod tests {
                 (Ok(plan), Ok(direct)) => {
                     // Bit-identical, not approximately equal: the plan
                     // replays the direct path's float ops in order.
+                    assert_summary_is_plain_fold(&e, &batch);
                     let summary = e.summarize(&batch);
                     prop_assert_eq!(plan.price(&summary), direct);
                     // And the asserting wrappers agree with themselves.

@@ -58,6 +58,9 @@ fn build_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
     let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
     let requests: usize = get("requests", "100").parse().map_err(|e| format!("--requests: {e}"))?;
     let rate: f64 = get("rate", "2.0").parse().map_err(|e| format!("--rate: {e}"))?;
+    if !(rate.is_finite() && rate > 0.0) {
+        return Err(format!("--rate: must be finite and positive, got {rate}"));
+    }
     let input: u32 = get("input", "4096").parse().map_err(|e| format!("--input: {e}"))?;
     let output: u32 = get("output", "250").parse().map_err(|e| format!("--output: {e}"))?;
     let seed: u64 = get("seed", "0").parse().map_err(|e| format!("--seed: {e}"))?;
