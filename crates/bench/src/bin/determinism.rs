@@ -9,7 +9,9 @@
 //! surface of the reports to the file named by the first argument:
 //! routing decisions, completion records, terminal failures, rejects,
 //! the fleet timeline (replica events and request-fault events), and
-//! the iteration count.
+//! the iteration count — then, appended after those sections, each
+//! report's dense per-replica load samples and its per-configuration
+//! iteration counts.
 //!
 //! ```text
 //! SP_THREADS=1 cargo run --release -p sp-bench --bin determinism -- /tmp/t1.txt
@@ -148,22 +150,43 @@ fn serialize(label: &str, report: &EngineReport, out: &mut String) {
     writeln!(out, "request_faults: {:?}", tl.request_faults()).unwrap();
 }
 
+/// The load series and per-configuration iteration counts, appended
+/// after every report's [`serialize`] section so those sections keep
+/// their bytes. Config usage is sorted: the report keeps it in a hash
+/// map.
+fn serialize_loads(label: &str, report: &EngineReport, out: &mut String) {
+    writeln!(out, "== {label} loads ==").unwrap();
+    let samples: Vec<_> = report.replica_loads().samples().collect();
+    writeln!(out, "load_samples: {samples:?}").unwrap();
+    let mut usage: Vec<_> = report.config_usage().iter().collect();
+    usage.sort_by_key(|&(c, _)| (c.sp(), c.tp()));
+    writeln!(out, "config_usage: {usage:?}").unwrap();
+}
+
 fn main() {
     let path = std::env::args().nth(1).expect("usage: determinism <output-path>");
     let threads = sp_core::default_threads();
     let trace = bursty_trace();
     let slo = ClassSlo::default();
 
-    let mut out = String::new();
-    serialize("no-fault", &run_with(FaultPlan::empty(), &trace, slo), &mut out);
     let plan = FaultPlan::crashes_poisson(
         CRASH_SEED,
         Dur::from_secs(120.0),
         Dur::from_secs(HORIZON_SECS),
         PEAK_REPLICAS,
     );
-    serialize("poisson-crashes", &run_with(plan, &trace, slo), &mut out);
-    serialize("steadyshape", &run_steadyshape(), &mut out);
+    let reports = [
+        ("no-fault", run_with(FaultPlan::empty(), &trace, slo)),
+        ("poisson-crashes", run_with(plan, &trace, slo)),
+        ("steadyshape", run_steadyshape()),
+    ];
+    let mut out = String::new();
+    for (label, report) in &reports {
+        serialize(label, report, &mut out);
+    }
+    for (label, report) in &reports {
+        serialize_loads(label, report, &mut out);
+    }
 
     std::fs::write(&path, &out).expect("write determinism output");
     println!("determinism: ran at {threads} thread(s), {} bytes -> {path}", out.len());

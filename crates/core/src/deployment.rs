@@ -92,6 +92,9 @@ impl ParallelismPolicy for SharedPolicy {
     fn choose(&self, stats: &BatchStats) -> ParallelConfig {
         self.0.choose(stats)
     }
+    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
+        self.0.choose_repeated(stats, n)
+    }
     fn configurations(&self) -> Vec<ParallelConfig> {
         self.0.configurations()
     }

@@ -97,29 +97,41 @@ impl ShiftPolicy {
         self.switches.load(Ordering::Relaxed)
     }
 
-    fn record(&self, to_base: bool) {
+    /// Records `n` consecutive iterations in one configuration: at
+    /// most one switch (into it), then `n` iterations.
+    fn record(&self, to_base: bool, n: u64) {
         let tag = if to_base { 1 } else { 2 };
         let prev = self.last.swap(tag, Ordering::Relaxed);
         if prev != 0 && prev != tag {
             self.switches.fetch_add(1, Ordering::Relaxed);
         }
         if to_base {
-            self.base_iterations.fetch_add(1, Ordering::Relaxed);
+            self.base_iterations.fetch_add(n, Ordering::Relaxed);
         } else {
-            self.shift_iterations.fetch_add(1, Ordering::Relaxed);
+            self.shift_iterations.fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// Algorithm 2's decision for `stats`, recorded `n` times.
+    fn decide(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
+        let to_base = stats.total_new_tokens > self.threshold;
+        self.record(to_base, n);
+        if to_base {
+            self.base
+        } else {
+            self.shift
         }
     }
 }
 
 impl ParallelismPolicy for ShiftPolicy {
     fn choose(&self, stats: &BatchStats) -> ParallelConfig {
-        let to_base = stats.total_new_tokens > self.threshold;
-        self.record(to_base);
-        if to_base {
-            self.base
-        } else {
-            self.shift
-        }
+        self.decide(stats, 1)
+    }
+
+    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
+        assert!(n > 0, "a repeated choice records at least one iteration");
+        self.decide(stats, n)
     }
 
     fn configurations(&self) -> Vec<ParallelConfig> {
@@ -187,6 +199,26 @@ mod tests {
             let p = ShiftPolicy::new(ParallelConfig::sequence(8), thr);
             let expected = if tokens > thr { p.base() } else { p.shift() };
             prop_assert_eq!(p.choose(&stats(tokens)), expected);
+        }
+
+        /// `choose` then `choose_repeated(n)` records exactly what
+        /// `1 + n` plain `choose` calls do, in all three counters.
+        #[test]
+        fn repeated_choice_equals_repeated_calls(
+            runs in prop::collection::vec((0u64..600, 1u64..50), 0..40),
+        ) {
+            let once = ShiftPolicy::new(ParallelConfig::sequence(8), 256);
+            let each = ShiftPolicy::new(ParallelConfig::sequence(8), 256);
+            for &(tokens, n) in &runs {
+                let first = once.choose(&stats(tokens));
+                prop_assert_eq!(once.choose_repeated(&stats(tokens), n), first);
+                for _ in 0..=n {
+                    prop_assert_eq!(each.choose(&stats(tokens)), first);
+                }
+                prop_assert_eq!(once.base_iterations(), each.base_iterations());
+                prop_assert_eq!(once.shift_iterations(), each.shift_iterations());
+                prop_assert_eq!(once.switches(), each.switches());
+            }
         }
 
         #[test]

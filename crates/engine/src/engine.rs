@@ -300,12 +300,13 @@ struct LinearRunSummary {
     d_kv_read: u64,
 }
 
-/// A decode run's batch carried across windows: while
-/// [`Engine::batch_version`] is unchanged, every running context has
-/// advanced exactly `base_k` iterations since capture (windows advance
-/// all decode contexts uniformly), so the batch now attends
-/// `attended + base_k × n` positions and its earliest completion is
-/// `end - base_k` iterations away — no batch scan needed.
+/// A decode run carried across windows: while [`Engine::batch_version`]
+/// is unchanged, every running context has advanced exactly `base_k`
+/// iterations since capture (windows advance all decode contexts
+/// uniformly), so the batch is at iteration `base_k` of the captured
+/// run — priced by `lin` at `base_k + k` — and its earliest completion
+/// is `end - base_k` iterations away. A resumed window needs no batch
+/// scan, no summary and no plan evaluation.
 #[derive(Debug, Clone, Copy)]
 struct RunCache {
     /// [`Engine::batch_version`] at capture.
@@ -313,10 +314,28 @@ struct RunCache {
     /// Iterations advanced since capture.
     base_k: u64,
     /// The capture's run length: iterations until its earliest
-    /// completion.
+    /// completion. `lin`'s exactness guard covers all of them.
     end: u64,
-    /// Summed attended positions (`context + 1`) at capture.
-    attended: u64,
+    /// The captured run's closed-form summary, from iteration 0.
+    lin: LinearRunSummary,
+    /// The run's plan, partially evaluated for the configuration its
+    /// iterations last ran under.
+    pricer: Option<(ParallelConfig, DecodeRunPricer)>,
+}
+
+impl RunCache {
+    /// Prices window iteration `k` — run iteration `base_k + k` — from
+    /// the closed-form summary: the fast path that skips materializing
+    /// and folding the rotated batch. `pricer` re-times only the
+    /// attention kernel (the one cost term that moves along a
+    /// pure-decode run), bit-identical to pricing the full summary.
+    fn price(&self, pricer: &DecodeRunPricer, k: u32) -> Dur {
+        let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
+        let i = self.base_k + u64::from(k);
+        let attn_flops = self.lin.s0.cost.attn_flops + i as f64 * self.lin.d_attn;
+        let kv_read = self.lin.s0.cost.kv_read_bytes + i * self.lin.d_kv_read;
+        pricer.price(attn_flops, kv_read)
+    }
 }
 
 impl Engine {
@@ -534,11 +553,36 @@ impl Engine {
         advanced
     }
 
-    /// The fast-forward loop itself. Every observable effect — policy
-    /// `choose` calls, clock advances, report accumulation, retirement —
-    /// happens at the same iteration and in the same order as
-    /// `run_limit` calls of [`Engine::step`] would produce; see
-    /// DESIGN.md decision 13 for the equivalence argument.
+    /// Whether a run stops before an iteration starting at `t` (run
+    /// iteration `k`): the window stop rule `!(t < cap)` — the same one
+    /// the cluster's per-event window loop applies, and NaN-safe, which
+    /// `t >= cap` would not be — then the gate's EDF expiry, past which
+    /// the admission candidate itself can change, and from the second
+    /// iteration on an arrival due by `t`, which the next step ingests
+    /// (and may admit).
+    fn run_stops_at(
+        &self,
+        t: SimTime,
+        k: u32,
+        cap: Option<f64>,
+        admit_bound: Option<SimTime>,
+    ) -> bool {
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let capped = cap.is_some_and(|c| !(t.as_secs() < c));
+        capped
+            || admit_bound.is_some_and(|bound| t > bound)
+            || (k > 0 && self.arrivals.front().is_some_and(|front| front.arrival <= t))
+    }
+
+    /// The fast-forward loop itself. Every observable effect — clock
+    /// advances, report accumulation, retirement — happens at the same
+    /// iteration and in the same order as `run_limit` calls of
+    /// [`Engine::step`] would produce; see DESIGN.md decision 13 for the
+    /// equivalence argument. The batch stats are constant across the
+    /// run, so the policy is asked once and the remaining iterations
+    /// are recorded with one [`ParallelismPolicy::choose_repeated`],
+    /// which leaves the policy as per-iteration calls would (decision
+    /// 15).
     fn decode_run(
         &mut self,
         cap: Option<f64>,
@@ -554,10 +598,13 @@ impl Engine {
                 return None; // this step ingests (and may admit)
             }
         }
+        if self.run_stops_at(self.clock, 0, cap, admit_bound) {
+            // The cap closed the window before the first iteration (the
+            // per-event loop would not have stepped either).
+            return None;
+        }
         let mut base_pasts = std::mem::take(&mut self.scratch_run_pasts);
         base_pasts.clear();
-        let run_limit: u32;
-        let lin: Option<LinearRunSummary>;
 
         // Cache-hit fast path: a `batch_version` match proves the batch
         // composition is exactly the capture's (any admission, retire,
@@ -568,78 +615,79 @@ impl Engine {
         // `base_k` iterations closer than at capture. Skipping the O(n)
         // scan is what makes re-entering the same steady batch across
         // many horizon windows O(1) per window instead of O(n).
-        let hit = match self.run_cache {
-            Some(cache) if cache.version == self.batch_version && n > 0 => {
-                let remaining = cache.end.saturating_sub(cache.base_k);
-                debug_assert!(remaining >= 1, "a consumed cache implies a retirement bump");
-                let limit = remaining.min(u64::from(u32::MAX)) as u32;
-                (n as u64)
-                    .checked_mul(cache.base_k)
-                    .and_then(|grown| grown.checked_add(cache.attended))
-                    .and_then(|attended| self.linear_run_summary(n, attended, limit))
-                    .map(|l| (limit, l))
+        let cached = self.run_cache.filter(|c| c.version == self.batch_version);
+        let run_limit = match cached {
+            Some(cache) => {
+                assert!(cache.base_k < cache.end, "a consumed run cache implies a retirement bump");
+                let limit = (cache.end - cache.base_k).min(u64::from(u32::MAX)) as u32;
+                #[cfg(debug_assertions)]
+                {
+                    let mut rl = u32::MAX;
+                    for k in 0..n {
+                        let seq = &self.running[(self.decode_cursor + k) % n];
+                        assert!(
+                            seq.in_decode() && seq.first_token.is_some() && !seq.finished(),
+                            "cache-hit batch must be all mid-stream decodes"
+                        );
+                        rl = rl.min(seq.decode_remaining());
+                    }
+                    assert_eq!(rl, limit, "cached completion bound diverged from the scan");
+                }
+                limit
             }
-            _ => None,
-        };
-        if let Some((limit, l)) = hit {
-            run_limit = limit;
-            lin = Some(l);
-            #[cfg(debug_assertions)]
-            {
-                let mut rl = u32::MAX;
+            None => {
+                // One pass over the batch (in base decode order — the
+                // per-iteration scan starts at the cursor, so at run
+                // iteration k the chunk order is this base rotated left
+                // by k with every context k tokens longer; the rotation
+                // matters when the exactness guard declines and each
+                // iteration's chunks are folded in f64): validate that
+                // every sequence is a mid-stream decode, bound the run
+                // by the earliest completion, and collect the base
+                // contexts and their summed attended positions.
+                let mut limit = u32::MAX;
+                let mut attended = 0u64;
                 for k in 0..n {
                     let seq = &self.running[(self.decode_cursor + k) % n];
-                    assert!(
-                        seq.in_decode() && seq.first_token.is_some() && !seq.finished(),
-                        "cache-hit batch must be all mid-stream decodes"
-                    );
-                    rl = rl.min(seq.decode_remaining());
+                    if !seq.in_decode() || seq.first_token.is_none() || seq.finished() {
+                        self.scratch_run_pasts = base_pasts;
+                        return None;
+                    }
+                    limit = limit.min(seq.decode_remaining());
+                    base_pasts.push(seq.context_len());
+                    attended = attended.saturating_add(seq.context_len().saturating_add(1));
                 }
-                assert_eq!(rl, run_limit, "cached completion bound diverged from the scan");
-            }
-        } else {
-            // One pass over the batch (in base decode order — the
-            // per-iteration scan starts at the cursor, so at run
-            // iteration k the chunk order is this base rotated left by k
-            // with every context k tokens longer; the rotation matters
-            // when the exactness guard declines and each iteration's
-            // chunks are folded in f64):
-            // validate that every sequence is a mid-stream decode, bound
-            // the run by the earliest completion, and collect the base
-            // contexts and their summed attended positions.
-            let mut limit = u32::MAX;
-            let mut attended = 0u64;
-            for k in 0..n {
-                let seq = &self.running[(self.decode_cursor + k) % n];
-                if !seq.in_decode() || seq.first_token.is_none() || seq.finished() {
-                    self.scratch_run_pasts = base_pasts;
-                    return None;
+                debug_assert!(limit >= 1);
+                // Price every iteration from the closed-form summary
+                // when its exactness guard holds, and keep it for the
+                // windows that re-enter the same steady batch;
+                // otherwise each rotation is materialized and folded.
+                if let Some(lin) = self.linear_run_summary(n, attended, limit) {
+                    self.run_cache = Some(RunCache {
+                        version: self.batch_version,
+                        base_k: 0,
+                        end: u64::from(limit),
+                        lin,
+                        pricer: None,
+                    });
                 }
-                limit = limit.min(seq.decode_remaining());
-                base_pasts.push(seq.context_len());
-                attended = attended.saturating_add(seq.context_len().saturating_add(1));
+                limit
             }
-            debug_assert!(limit >= 1);
-            run_limit = limit;
-            // Price every iteration from the closed-form summary when
-            // its exactness guard holds (cached across the horizon
-            // windows that repeatedly re-enter the same steady batch);
-            // otherwise each rotation is materialized and folded.
-            lin = self.capture_run_summary(n, attended, run_limit);
-        }
+        };
 
         // A pure-decode batch's stats are constant across the run.
         let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
+        let config = self.policy.choose(&stats);
+        let linear = self.run_pricer(&config);
+        if linear.is_none() && base_pasts.is_empty() {
+            // A cache hit skipped the scan, yet this config prices
+            // through materialized rotations.
+            base_pasts.extend(self.running_base_pasts());
+        }
         let bin_w = self.config.throughput_bin.as_secs();
         let timeline = report.timeline_enabled();
         let kv_util = self.kv.utilization();
 
-        // Closed-form runs price through a partially evaluated plan:
-        // built on first use (and on config change), it re-times only
-        // the attention kernel per iteration.
-        let mut pricer: Option<(ParallelConfig, DecodeRunPricer)> = None;
-        let mut cur_config: Option<ParallelConfig> = None;
-        let mut config_count = 0u64;
         // Throughput segment: iterations sharing a bin flush closed-form.
         let mut seg_bin = usize::MAX;
         let mut seg_count = 0u64;
@@ -650,46 +698,16 @@ impl Engine {
 
         for k in 0..run_limit {
             let t = self.clock;
-            if let Some(c) = cap {
-                // The window stop rule `!(t < cap)`, the same one the
-                // cluster's per-event window loop applies. The negated
-                // operator is the point: `t >= c` would step past a NaN
-                // cap.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(t.as_secs() < c) {
-                    break;
-                }
+            if self.run_stops_at(t, k, cap, admit_bound) {
+                break;
             }
-            if let Some(bound) = admit_bound {
-                // Past the gate's EDF expiry the admission candidate
-                // itself can change: hand back to the per-iteration
-                // path (which re-scans) from this instant on.
-                if t > bound {
-                    break;
+            let base = match &linear {
+                Some((run, pricer)) => {
+                    let dur = run.price(pricer, k);
+                    #[cfg(debug_assertions)]
+                    self.check_linear_price(&config, k, dur);
+                    dur
                 }
-            }
-            if k > 0 {
-                // An arrival due now means the next step ingests (and
-                // may admit): the steady state ends here.
-                if let Some(front) = self.arrivals.front() {
-                    if front.arrival <= t {
-                        break;
-                    }
-                }
-            }
-
-            let config = self.policy.choose(&stats);
-            if cur_config != Some(config) {
-                if let Some(prev) = cur_config {
-                    report.note_config_usage(prev, config_count);
-                }
-                cur_config = Some(config);
-                config_count = 0;
-            }
-            config_count += 1;
-
-            let base = match &lin {
-                Some(l) => self.price_linear_iteration(&config, k, l, &mut pricer),
                 None => self.price_run_iteration(&config, k as usize, &base_pasts),
             };
             let duration = self.slowed(base);
@@ -722,11 +740,8 @@ impl Engine {
             }
         }
         self.scratch_run_pasts = base_pasts;
-        if done == 0 {
-            // The cap closed the window before the first iteration (the
-            // per-event loop would not have stepped either).
-            return None;
-        }
+        debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
+        self.record_repeated_choice(&stats, config, done);
 
         // Flush the closed-form accumulators. Ends are monotone and the
         // folds are exact (see the report/metrics helpers), so this is
@@ -734,9 +749,7 @@ impl Engine {
         if seg_count > 0 {
             report.observe_tokens_run(seg_t, n as f64, seg_count);
         }
-        if let Some(cfg) = cur_config {
-            report.note_config_usage(cfg, config_count);
-        }
+        report.note_config_usage(config, u64::from(done));
         report.note_kv_utilization(kv_util);
         report.note_run(u64::from(done), self.clock, run_max);
 
@@ -813,26 +826,33 @@ impl Engine {
         dur
     }
 
-    /// Captures the closed-form pricing summary of a fresh run over `n`
-    /// decodes attending `attended` positions in total, and caches the
-    /// batch on the engine: pure continuations of the same batch hit it
-    /// in [`Engine::decode_run`] without rescanning (cache bookkeeping —
-    /// advancing `base_k`, invalidating on retirement — happens at the
-    /// window's end there). `None` when the exactness guard declines.
-    fn capture_run_summary(
-        &mut self,
-        n: usize,
-        attended: u64,
-        run_limit: u32,
-    ) -> Option<LinearRunSummary> {
-        let lin = self.linear_run_summary(n, attended, run_limit)?;
-        self.run_cache = Some(RunCache {
-            version: self.batch_version,
-            base_k: 0,
-            end: u64::from(run_limit),
-            attended,
-        });
-        Some(lin)
+    /// Records run iterations `1..done` — the policy was asked for
+    /// iteration 0 — as repeated choices on the run's constant `stats`.
+    /// Debug builds check the policy contract: the repeated choice is
+    /// the run's configuration.
+    fn record_repeated_choice(&self, stats: &BatchStats, config: ParallelConfig, done: u32) {
+        if done > 1 {
+            let again = self.policy.choose_repeated(stats, u64::from(done - 1));
+            debug_assert_eq!(again, config, "policy choice changed on constant batch stats");
+        }
+    }
+
+    /// The cached run and its plan partially evaluated for `config`,
+    /// when the current batch continues a captured decode run and
+    /// `config` is in the compiled plan set: the pricer is built on the
+    /// run's first window under `config` and carried with the run.
+    fn run_pricer(&mut self, config: &ParallelConfig) -> Option<(RunCache, DecodeRunPricer)> {
+        let cache = self.run_cache.as_mut().filter(|c| c.version == self.batch_version)?;
+        let pricer = match cache.pricer {
+            Some((c, p)) if c == *config => p,
+            _ => {
+                let plan = self.plans.iter().find(|p| p.config() == *config)?;
+                let p = plan.decode_run_pricer(&cache.lin.s0);
+                cache.pricer = Some((*config, p));
+                p
+            }
+        };
+        Some((*cache, pricer))
     }
 
     /// The closed-form summary of a `run_limit`-iteration decode run
@@ -867,58 +887,21 @@ impl Engine {
         })
     }
 
-    /// Prices run iteration `k` from the closed-form summary — the fast
-    /// path that skips materializing and folding the rotated batch. The
-    /// window's plan is partially evaluated once per
-    /// `(window, config)` into `pricer`; each iteration then re-times
-    /// only the attention kernel (the one cost term that moves along a
-    /// pure-decode run), bit-identical to pricing the full summary.
-    /// Falls back to the materialized path for configs outside the
-    /// compiled plan set (whose direct pricing consumes the chunks
-    /// themselves).
-    fn price_linear_iteration(
-        &mut self,
-        config: &ParallelConfig,
-        k: u32,
-        lin: &LinearRunSummary,
-        pricer: &mut Option<(ParallelConfig, DecodeRunPricer)>,
-    ) -> Dur {
-        if !matches!(pricer, Some((pc, _)) if pc == config) {
-            let Some(pi) = self.plans.iter().position(|p| p.config() == *config) else {
-                // Out-of-set config: materialize the rotation from live
-                // batch state (closed-form windows may not have built
-                // the base contexts) and price directly, as the slow
-                // path would.
-                let pasts = self.running_base_pasts();
-                return self.price_run_iteration(config, k as usize, &pasts);
-            };
-            *pricer = Some((*config, self.plans[pi].decode_run_pricer(&lin.s0)));
-        }
-        let (_, p) = pricer.as_ref().expect("pricer built above");
-        let dur = {
-            let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-            let attn_flops = lin.s0.cost.attn_flops + f64::from(k) * lin.d_attn;
-            let kv_read = lin.s0.cost.kv_read_bytes + u64::from(k) * lin.d_kv_read;
-            p.price(attn_flops, kv_read)
-        };
-        #[cfg(debug_assertions)]
-        {
-            // Against the per-chunk reference walk, never the closed
-            // form `summarize` would also use.
-            let pasts = self.running_base_pasts();
-            let n = pasts.len();
-            let work = BatchWork::new(
-                (0..n)
-                    .map(|j| ChunkWork::decode(pasts[(j + k as usize) % n] + u64::from(k)))
-                    .collect(),
-            );
-            assert_eq!(
-                dur,
-                self.exec.iteration(config, &work).total(),
-                "closed-form run pricing diverged from try_iteration"
-            );
-        }
-        dur
+    /// Checks a closed-form run price against the per-chunk reference
+    /// walk of window iteration `k`'s materialized batch — never
+    /// against the closed form `summarize` would also use.
+    #[cfg(debug_assertions)]
+    fn check_linear_price(&self, config: &ParallelConfig, k: u32, dur: Dur) {
+        let pasts = self.running_base_pasts();
+        let n = pasts.len();
+        let work = BatchWork::new(
+            (0..n).map(|j| ChunkWork::decode(pasts[(j + k as usize) % n] + u64::from(k))).collect(),
+        );
+        assert_eq!(
+            dur,
+            self.exec.iteration(config, &work).total(),
+            "closed-form run pricing diverged from try_iteration"
+        );
     }
 
     /// The live batch's base decode contexts in cursor order (the shape
@@ -994,6 +977,9 @@ impl Engine {
                 return None; // this step ingests (and may admit)
             }
         }
+        if self.run_stops_at(self.clock, 0, cap, admit_bound) {
+            return None;
+        }
         let mut run_limit = u32::try_from(prefill_iters).unwrap_or(u32::MAX);
         for seq in &self.running {
             if seq.in_decode() {
@@ -1018,12 +1004,11 @@ impl Engine {
         // emit one token each and the leader always takes `pb`.
         let ledger = decode_count + pb;
         let stats = BatchStats { total_new_tokens: ledger, num_seqs: n };
+        let config = self.policy.choose(&stats);
         let bin_w = self.config.throughput_bin.as_secs();
         let timeline = report.timeline_enabled();
         let kv_util = self.kv.utilization();
 
-        let mut cur_config: Option<ParallelConfig> = None;
-        let mut config_count = 0u64;
         let mut seg_bin = usize::MAX;
         let mut seg_count = 0u64;
         let mut seg_t = SimTime::ZERO;
@@ -1033,36 +1018,9 @@ impl Engine {
 
         for k in 0..run_limit {
             let t = self.clock;
-            if let Some(c) = cap {
-                // NaN-safe, exactly as in `decode_run`.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(t.as_secs() < c) {
-                    break;
-                }
+            if self.run_stops_at(t, k, cap, admit_bound) {
+                break;
             }
-            if let Some(bound) = admit_bound {
-                if t > bound {
-                    break;
-                }
-            }
-            if k > 0 {
-                if let Some(front) = self.arrivals.front() {
-                    if front.arrival <= t {
-                        break;
-                    }
-                }
-            }
-
-            let config = self.policy.choose(&stats);
-            if cur_config != Some(config) {
-                if let Some(prev) = cur_config {
-                    report.note_config_usage(prev, config_count);
-                }
-                cur_config = Some(config);
-                config_count = 0;
-            }
-            config_count += 1;
-
             let base = self.price_mixed_iteration(&config, k, &slots, done0, pb);
             let duration = self.slowed(base);
             self.clock += duration;
@@ -1094,16 +1052,13 @@ impl Engine {
             }
         }
         self.scratch_run_slots = slots;
-        if done == 0 {
-            return None;
-        }
+        debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
+        self.record_repeated_choice(&stats, config, done);
 
         if seg_count > 0 {
             report.observe_tokens_run(seg_t, ledger as f64, seg_count);
         }
-        if let Some(cfg) = cur_config {
-            report.note_config_usage(cfg, config_count);
-        }
+        report.note_config_usage(config, u64::from(done));
         report.note_kv_utilization(kv_util);
         report.note_run(u64::from(done), self.clock, run_max);
 
@@ -1910,7 +1865,10 @@ impl Engine {
                         .iter()
                         .any(|r| r.class == RequestClass::Interactive && self.ttft_at_risk(r, &slo))
                 } else {
-                    self.waiting.iter_interactive().any(|r| self.ttft_at_risk(r, &slo))
+                    // Only a salvageable request can be at risk.
+                    self.waiting
+                        .salvageable_interactive(self.clock)
+                        .any(|r| self.ttft_at_risk(r, &slo))
                 };
                 let prefill_order = self.running.iter().enumerate().filter(|(_, s)| !s.in_decode());
                 let mut ordered = std::mem::take(&mut self.scratch_order);

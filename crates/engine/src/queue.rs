@@ -33,7 +33,8 @@ fn time_bits(t: SimTime) -> u64 {
 }
 
 /// Indexed waiting queue: deque-ordered storage plus an EDF index on
-/// TTFT deadlines and a position index of interactive-class entries.
+/// TTFT deadlines, a position index of interactive-class entries and a
+/// deadline index of interactive-class entries.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
     /// The queue proper, keyed by position token.
@@ -48,6 +49,10 @@ pub(crate) struct WaitQueue {
     edf: BTreeSet<(u64, QueuePos)>,
     /// Positions of interactive-class entries (InteractiveFirst lookup).
     interactive: BTreeSet<QueuePos>,
+    /// Interactive-class entries by `(TTFT-deadline bits, position)`:
+    /// the salvageable ones — deadline not yet passed — are a suffix.
+    /// Maintained only when `slo` is set.
+    interactive_edf: BTreeSet<(u64, QueuePos)>,
     /// Deadline source for the EDF index.
     slo: Option<ClassSlo>,
     /// Mutation counter, bumped on every push and removal. The engine's
@@ -66,6 +71,7 @@ impl WaitQueue {
             next_back: 0,
             edf: BTreeSet::new(),
             interactive: BTreeSet::new(),
+            interactive_edf: BTreeSet::new(),
             slo,
             epoch: 0,
         }
@@ -92,12 +98,21 @@ impl WaitQueue {
         self.by_pos.iter().map(|(&p, r)| (p, r))
     }
 
+    /// `req`'s TTFT-deadline key, when the deadline index is kept.
+    fn deadline_key(&self, pos: QueuePos, req: &Request) -> Option<(u64, QueuePos)> {
+        self.slo.map(|slo| (time_bits(slo.ttft_deadline(req.arrival, req.class)), pos))
+    }
+
     fn index_insert(&mut self, pos: QueuePos, req: &Request) {
-        if let Some(slo) = self.slo {
-            self.edf.insert((time_bits(slo.ttft_deadline(req.arrival, req.class)), pos));
+        let key = self.deadline_key(pos, req);
+        if let Some(key) = key {
+            self.edf.insert(key);
         }
         if req.class == RequestClass::Interactive {
             self.interactive.insert(pos);
+            if let Some(key) = key {
+                self.interactive_edf.insert(key);
+            }
         }
     }
 
@@ -142,11 +157,15 @@ impl WaitQueue {
     pub fn remove(&mut self, pos: QueuePos) -> Request {
         let req = self.by_pos.remove(&pos).expect("position is queued");
         self.epoch += 1;
-        if let Some(slo) = self.slo {
-            self.edf.remove(&(time_bits(slo.ttft_deadline(req.arrival, req.class)), pos));
+        let key = self.deadline_key(pos, &req);
+        if let Some(key) = key {
+            self.edf.remove(&key);
         }
         if req.class == RequestClass::Interactive {
             self.interactive.remove(&pos);
+            if let Some(key) = key {
+                self.interactive_edf.remove(&key);
+            }
         }
         req
     }
@@ -157,11 +176,14 @@ impl WaitQueue {
         self.interactive.iter().next().copied()
     }
 
-    /// The interactive-class waiting requests in queue order, via the
-    /// position index — O(I log W) for I interactive entries, instead of
-    /// scanning past every batch-class entry in between.
-    pub fn iter_interactive(&self) -> impl Iterator<Item = &Request> {
-        self.interactive.iter().map(|pos| self.by_pos.get(pos).expect("indexed position is queued"))
+    /// The interactive-class requests whose TTFT deadline has not passed
+    /// at `clock` (`deadline >= clock`), in deadline order — O(S log W)
+    /// for S of them, skipping the expired ones a backlog piles up.
+    /// Empty unless the queue keeps deadlines (`slo` set).
+    pub fn salvageable_interactive(&self, clock: SimTime) -> impl Iterator<Item = &Request> {
+        self.interactive_edf
+            .range((time_bits(clock), QueuePos::MIN)..)
+            .map(|(_, pos)| self.by_pos.get(pos).expect("indexed position is queued"))
     }
 
     /// Goodput-first EDF candidate at instant `clock`: the earliest
@@ -184,6 +206,7 @@ impl WaitQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sp_metrics::{Dur, SloTarget};
 
     fn req(id: u64, at: f64, class: RequestClass) -> Request {
@@ -261,6 +284,50 @@ mod tests {
         // Once everything is expired, the earliest deadline wins again.
         let pick = q.edf_candidate(SimTime::from_secs(100.0)).unwrap();
         assert_eq!(q.get(pick).id, 0);
+    }
+
+    proptest! {
+        /// The interactive deadline index returns exactly the
+        /// interactive entries a full walk finds unexpired, across
+        /// random pushes, removals and clocks — including clocks equal
+        /// to a queued deadline, where the entry still counts.
+        #[test]
+        fn salvageable_interactive_equals_full_walk(
+            ops in prop::collection::vec((0u8..3, 0.0f64..20.0, any::<bool>()), 0..60),
+            clocks in prop::collection::vec(0.0f64..25.0, 1..8),
+        ) {
+            let slo = slo(1.0, 30.0);
+            let mut q = WaitQueue::new(Some(slo));
+            for (id, &(op, at, interactive)) in ops.iter().enumerate() {
+                let class =
+                    if interactive { RequestClass::Interactive } else { RequestClass::Batch };
+                match op {
+                    0 => q.push_back(req(id as u64, at, class)),
+                    1 => q.push_front(req(id as u64, at, class)),
+                    _ => {
+                        let nth = q.iter_with_pos().map(|(p, _)| p).nth(id % 5);
+                        if let Some(pos) = nth {
+                            q.remove(pos);
+                        }
+                    }
+                }
+                let deadlines: Vec<SimTime> =
+                    q.iter().map(|r| slo.ttft_deadline(r.arrival, r.class)).collect();
+                for clock in clocks.iter().map(|&c| SimTime::from_secs(c)).chain(deadlines) {
+                    let mut indexed: Vec<u64> =
+                        q.salvageable_interactive(clock).map(|r| r.id).collect();
+                    let mut walked: Vec<u64> = q
+                        .iter()
+                        .filter(|r| r.class == RequestClass::Interactive)
+                        .filter(|r| slo.ttft_deadline(r.arrival, r.class) >= clock)
+                        .map(|r| r.id)
+                        .collect();
+                    indexed.sort_unstable();
+                    walked.sort_unstable();
+                    prop_assert_eq!(indexed, walked);
+                }
+            }
+        }
     }
 
     #[test]

@@ -400,11 +400,11 @@ enum SlotState {
 /// A slot caches its node's `next_event_time()` and `load()`. A node's
 /// state changes only through `&mut` access, and every such access goes
 /// through [`Slot::with_node`], which refreshes the cache afterwards —
-/// so the cache always equals what the node would report, and the
-/// per-dispatch scans (window stepping, autoscaler and router
-/// snapshots) read it instead of calling into every node. Debug builds
-/// check every cached read against the live node. The node sits behind
-/// a `Box` so the slot vector the scans walk stays dense.
+/// so the cache always equals what the node would report, and window
+/// stepping and the fleet's [`Routable`] snapshot read it instead of
+/// calling into every node. Debug builds check every cached read
+/// against the live node. The node sits behind a `Box` so the slot
+/// vector the window loop walks stays dense.
 #[derive(Debug)]
 struct Slot<N> {
     node: Option<Box<N>>,
@@ -413,12 +413,20 @@ struct Slot<N> {
     next: Option<SimTime>,
     /// The node's load snapshot (default when empty).
     load: NodeLoad,
+    /// Listed in [`Fleet::touched`]: reached through `with_node` since
+    /// the last load sample.
+    touched: bool,
 }
 
 impl<N: SimNode> Slot<N> {
     fn new(node: Option<N>, state: SlotState) -> Slot<N> {
-        let mut slot =
-            Slot { node: node.map(Box::new), state, next: None, load: NodeLoad::default() };
+        let mut slot = Slot {
+            node: node.map(Box::new),
+            state,
+            next: None,
+            load: NodeLoad::default(),
+            touched: false,
+        };
         slot.refresh();
         slot
     }
@@ -433,6 +441,8 @@ impl<N: SimNode> Slot<N> {
 
     /// Runs `f` on the node, then refreshes the cache: the only way to
     /// reach a slotted node mutably. `None` when the slot is empty.
+    /// Callers list the slot in [`Fleet::touched`] (see
+    /// [`Fleet::with_node`]).
     fn with_node<R>(&mut self, f: impl FnOnce(&mut N) -> R) -> Option<R> {
         let out = f(self.node.as_deref_mut()?);
         self.refresh();
@@ -623,10 +633,74 @@ struct Fleet<N> {
     /// Fault-injection machinery, if attached. `None` leaves every
     /// dispatch and event-loop path exactly as the fault-free build.
     faults: Option<FaultState>,
-    /// Scratch for the per-dispatch load snapshot and its position→slot
-    /// map, reused to keep the dispatch hot path allocation-free.
-    scratch_loads: Vec<NodeLoad>,
-    scratch_slots: Vec<usize>,
+    /// The routable set the router and the autoscaler read.
+    routable: Routable,
+    /// Slots reached through [`Slot::with_node`] since the last load
+    /// sample (each listed once, flagged by [`Slot::touched`]): the only
+    /// slots whose load can have changed since.
+    touched: Vec<usize>,
+    /// The next load sample must be a full
+    /// [`ReplicaLoadSeries::record_dispatch`]: the routable set changed
+    /// (or the series was taken) since the last one.
+    sample_all: bool,
+    /// Record every load sample in full: the reference loop's dense
+    /// recorder, against which the properties check the change-only
+    /// one.
+    dense_samples: bool,
+}
+
+/// The fleet's persistent routing snapshot: the routable slots'
+/// loads, the position↔slot map and the lifecycle counts, kept across
+/// dispatches. A dispatch refreshes only the entries of slots listed in
+/// [`Fleet::touched`], so routing and autoscaling pay for what changed
+/// since the last dispatch, not for the fleet's size. Any membership
+/// change (spawn, warm-up, drain, retire, crash) marks it stale and
+/// the next read rebuilds it with one scan. Debug builds check it
+/// against a fresh scan at every read.
+#[derive(Debug, Default, PartialEq)]
+struct Routable {
+    /// Routable slot indices, ascending: position → slot.
+    slots: Vec<usize>,
+    /// Each routable slot's load, by position.
+    loads: Vec<NodeLoad>,
+    /// Slot → position in `slots` (`None`: not routable).
+    pos: Vec<Option<usize>>,
+    /// Provisioned slots inside their cold-start delay.
+    warming: usize,
+    /// Provisioned slots draining toward retirement.
+    draining: usize,
+    /// The lowest empty slot, which the next spawn reuses.
+    first_free: Option<usize>,
+    /// A membership change happened since the last rebuild.
+    stale: bool,
+}
+
+impl Routable {
+    /// The snapshot of `slots`, by one scan.
+    fn scan<N: SimNode>(slots: &[Slot<N>]) -> Routable {
+        let mut r = Routable { pos: vec![None; slots.len()], ..Routable::default() };
+        for (i, s) in slots.iter().enumerate() {
+            if s.node.is_none() {
+                r.first_free.get_or_insert(i);
+                continue;
+            }
+            match s.state {
+                SlotState::Active => {
+                    r.pos[i] = Some(r.slots.len());
+                    r.slots.push(i);
+                    r.loads.push(s.load());
+                }
+                SlotState::Warming { .. } => r.warming += 1,
+                SlotState::Draining => r.draining += 1,
+            }
+        }
+        r
+    }
+
+    /// Provisioned replicas: routable, warming or draining.
+    fn live(&self) -> usize {
+        self.slots.len() + self.warming + self.draining
+    }
 }
 
 impl<N: SimNode> Fleet<N> {
@@ -652,9 +726,51 @@ impl<N: SimNode> Fleet<N> {
             retired: Vec::new(),
             autoscaler: None,
             faults: None,
-            scratch_loads: Vec::new(),
-            scratch_slots: Vec::new(),
+            routable: Routable { stale: true, ..Routable::default() },
+            touched: Vec::new(),
+            sample_all: true,
+            dense_samples: false,
         }
+    }
+
+    /// Runs `f` on slot `i`'s node (see [`Slot::with_node`]) and lists
+    /// the slot as touched.
+    fn with_node<R>(&mut self, i: usize, f: impl FnOnce(&mut N) -> R) -> Option<R> {
+        let out = self.slots[i].with_node(f)?;
+        self.touch(i);
+        Some(out)
+    }
+
+    /// Lists slot `i` in [`Fleet::touched`] (once).
+    fn touch(&mut self, i: usize) {
+        if !self.slots[i].touched {
+            self.slots[i].touched = true;
+            self.touched.push(i);
+        }
+    }
+
+    /// Brings the routable snapshot up to date: a rebuild after a
+    /// membership change, otherwise a refresh of the touched slots'
+    /// entries only.
+    fn sync_routable(&mut self) {
+        if self.routable.stale {
+            self.routable = Routable::scan(&self.slots);
+            for &i in &self.touched {
+                self.slots[i].touched = false;
+            }
+            self.touched.clear();
+            self.sample_all = true;
+        } else {
+            for &i in &self.touched {
+                if let Some(p) = self.routable.pos[i] {
+                    self.routable.loads[p] = self.slots[i].load();
+                }
+            }
+        }
+        debug_assert!(
+            self.routable == Routable::scan(&self.slots),
+            "stale routable snapshot: a slot changed without being touched"
+        );
     }
 
     /// Provisioned replicas: slots currently holding a node (routable,
@@ -718,7 +834,7 @@ impl<N: SimNode> Fleet<N> {
     /// advances to it.
     fn step_node(&mut self, i: usize) {
         let Some(t) = self.next_event_of(i) else { return };
-        self.slots[i].with_node(|n| n.step_once()).expect("a pending event implies a node");
+        self.with_node(i, |n| n.step_once()).expect("a pending event implies a node");
         if let Some(f) = self.faults.as_mut() {
             f.now = f.now.max(t);
         }
@@ -736,6 +852,7 @@ impl<N: SimNode> Fleet<N> {
             return false;
         }
         let mut node = self.slots[i].take_node().expect("draining slot holds a node");
+        self.routable.stale = true;
         self.retired.push(node.take_report());
         self.timeline.record(i, at, ReplicaEventKind::Retired);
         true
@@ -751,7 +868,8 @@ impl<N: SimNode> Fleet<N> {
             f.crash_deficit = f.crash_deficit.saturating_sub(1);
         }
         let config = self.autoscaler.as_ref().expect("spawn requires an autoscaler").config;
-        if self.live_count() >= config.max_replicas {
+        self.sync_routable();
+        if self.routable.live() >= config.max_replicas {
             return;
         }
         let node = {
@@ -760,7 +878,7 @@ impl<N: SimNode> Fleet<N> {
             scaler.spawned += 1;
             node
         };
-        let i = match self.slots.iter().position(|s| s.node.is_none()) {
+        let i = match self.routable.first_free {
             Some(i) => i,
             None => {
                 self.slots.push(Slot::new(None, SlotState::Active));
@@ -768,6 +886,7 @@ impl<N: SimNode> Fleet<N> {
             }
         };
         self.timeline.record(i, now, ReplicaEventKind::Spawned);
+        self.routable.stale = true;
         let ready_at = now + config.cold_start;
         if ready_at <= now {
             self.slots[i].install(node, SlotState::Active);
@@ -786,10 +905,12 @@ impl<N: SimNode> Fleet<N> {
         if self.slots[i].node.is_none() || self.slots[i].state != SlotState::Active {
             return;
         }
-        if self.routable_count() <= config.min_replicas {
+        self.sync_routable();
+        if self.routable.slots.len() <= config.min_replicas {
             return;
         }
         self.slots[i].state = SlotState::Draining;
+        self.routable.stale = true;
         self.timeline.record(i, now, ReplicaEventKind::DrainStarted);
         self.maybe_retire(i, now);
     }
@@ -798,101 +919,113 @@ impl<N: SimNode> Fleet<N> {
     /// replicas join the routable set, idle draining slots retire, and
     /// the scale policy observes the routable loads and acts. A fleet
     /// without an autoscaler skips all of it — no slot ever leaves
-    /// `Active`, so the fixed-fleet dispatch path is unchanged.
+    /// `Active`, so the fixed-fleet dispatch path is unchanged. The
+    /// warm-up and retire scans run only while some slot is warming or
+    /// draining.
     fn pre_dispatch(&mut self, now: SimTime) {
         if self.autoscaler.is_none() {
             return;
         }
-        for i in 0..self.slots.len() {
-            if let SlotState::Warming { ready_at } = self.slots[i].state {
-                if ready_at <= now && self.slots[i].node.is_some() {
-                    self.slots[i].state = SlotState::Active;
-                    self.timeline.record(i, ready_at, ReplicaEventKind::Ready);
+        self.sync_routable();
+        if self.routable.warming > 0 {
+            for i in 0..self.slots.len() {
+                if let SlotState::Warming { ready_at } = self.slots[i].state {
+                    if ready_at <= now && self.slots[i].node.is_some() {
+                        self.slots[i].state = SlotState::Active;
+                        self.routable.stale = true;
+                        self.timeline.record(i, ready_at, ReplicaEventKind::Ready);
+                    }
                 }
             }
         }
-        for i in 0..self.slots.len() {
-            self.maybe_retire(i, now);
+        if self.routable.draining > 0 {
+            for i in 0..self.slots.len() {
+                self.maybe_retire(i, now);
+            }
         }
 
-        // Snapshot the routable loads for the scale policy — the same
-        // signal (and sampling cadence) the router acts on.
-        let mut loads = std::mem::take(&mut self.scratch_loads);
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        loads.clear();
-        slots.clear();
-        let mut warming = 0usize;
-        let mut draining = 0usize;
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.node.is_none() {
-                continue;
-            }
-            match s.state {
-                SlotState::Active => {
-                    loads.push(s.load());
-                    slots.push(i);
-                }
-                SlotState::Warming { .. } => warming += 1,
-                SlotState::Draining => draining += 1,
-            }
-        }
+        // The scale policy sees the routable loads — the same signal
+        // (and sampling cadence) the router acts on.
+        self.sync_routable();
         let mut actions = {
             let scaler = self.autoscaler.as_mut().expect("checked above");
             let mut actions = std::mem::take(&mut scaler.actions);
             actions.clear();
             let crash_deficit = self.faults.as_ref().map_or(0, |f| f.crash_deficit);
-            let signal = FleetSignal { now, loads: &loads, warming, draining, crash_deficit };
+            let signal = FleetSignal {
+                now,
+                loads: &self.routable.loads,
+                warming: self.routable.warming,
+                draining: self.routable.draining,
+                crash_deficit,
+            };
             scaler.policy.decide(&signal, &mut actions);
             actions
         };
-        for action in actions.drain(..) {
-            match action {
-                ScaleAction::Spawn => self.spawn(now),
-                ScaleAction::Drain { replica } => {
-                    if let Some(&slot) = slots.get(replica) {
-                        self.drain(slot, now);
+        if !actions.is_empty() {
+            // Drain targets name positions in the snapshot the policy
+            // saw; resolve them before any action changes membership.
+            let targets: Vec<Option<usize>> = actions
+                .iter()
+                .filter_map(|a| match *a {
+                    ScaleAction::Drain { replica } => {
+                        Some(self.routable.slots.get(replica).copied())
+                    }
+                    ScaleAction::Spawn => None,
+                })
+                .collect();
+            let mut targets = targets.into_iter();
+            for action in actions.drain(..) {
+                match action {
+                    ScaleAction::Spawn => self.spawn(now),
+                    ScaleAction::Drain { .. } => {
+                        if let Some(slot) = targets.next().flatten() {
+                            self.drain(slot, now);
+                        }
                     }
                 }
             }
         }
         self.autoscaler.as_mut().expect("checked above").actions = actions;
-        self.scratch_loads = loads;
-        self.scratch_slots = slots;
     }
 
     /// Samples the routable loads, records the load series, and routes
-    /// `req`, returning the chosen slot index.
+    /// `req`, returning the chosen slot index. Only the touched slots'
+    /// samples are recorded, unless the routable set changed since the
+    /// last sample.
     fn route(&mut self, req: &Request) -> usize {
-        let mut loads = std::mem::take(&mut self.scratch_loads);
-        let mut slots = std::mem::take(&mut self.scratch_slots);
-        loads.clear();
-        slots.clear();
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.node.is_some() && matches!(s.state, SlotState::Active) {
-                loads.push(s.load());
-                slots.push(i);
-            }
+        self.sync_routable();
+        let r = &self.routable;
+        assert!(!r.slots.is_empty(), "no routable replica (min_replicas >= 1 guards this)");
+        if self.sample_all || self.dense_samples {
+            let samples = r.slots.iter().zip(&r.loads).map(|(&i, l)| (i, l.outstanding_tokens));
+            self.load_series.record_dispatch(req.arrival, samples);
+            self.sample_all = false;
+        } else {
+            self.touched.sort_unstable();
+            let changed = self
+                .touched
+                .iter()
+                .filter_map(|&i| r.pos[i].map(|p| (i, r.loads[p].outstanding_tokens)));
+            self.load_series.record_changes(req.arrival, changed);
         }
-        assert!(!loads.is_empty(), "no routable replica (min_replicas >= 1 guards this)");
-        self.load_series.record_dispatch(
-            req.arrival,
-            slots.iter().zip(&loads).map(|(&i, l)| (i, l.outstanding_tokens)),
-        );
-        let pick = self.policy.pick(req, &loads).min(loads.len() - 1);
-        let slot = slots[pick];
+        for &i in &self.touched {
+            self.slots[i].touched = false;
+        }
+        self.touched.clear();
+        let pick = self.policy.pick(req, &r.loads).min(r.loads.len() - 1);
+        let slot = r.slots[pick];
         self.decisions.push(RoutingDecision {
             request_id: req.id,
             replica: slot,
             at: req.arrival,
-            load_tokens: loads[pick].outstanding_tokens,
+            load_tokens: r.loads[pick].outstanding_tokens,
         });
-        self.scratch_loads = loads;
-        self.scratch_slots = slots;
         slot
     }
 
     fn push_to(&mut self, slot: usize, req: Request) {
-        self.slots[slot].with_node(|n| n.push_request(req)).expect("routed to a live slot");
+        self.with_node(slot, |n| n.push_request(req)).expect("routed to a live slot");
     }
 
     /// Dispatches one request at instant `now`: lifecycle work, then
@@ -923,7 +1056,8 @@ impl<N: SimNode> Fleet<N> {
                 return None;
             }
         }
-        if self.routable_count() == 0 {
+        self.sync_routable();
+        if self.routable.slots.is_empty() {
             // Every replica is dead (crashes ignore `min_replicas`).
             // The request waits out a backoff and tries again — by then
             // the autoscaler may have replaced the losses.
@@ -979,6 +1113,7 @@ impl<N: SimNode> Fleet<N> {
             return;
         }
         let mut node = self.slots[i].take_node().expect("checked above");
+        self.routable.stale = true;
         let salvage = node.take_unfinished();
         self.retired.push(node.take_report());
         self.timeline.record(i, at, ReplicaEventKind::Crashed);
@@ -1018,7 +1153,7 @@ impl<N: SimNode> Fleet<N> {
                     Fault::Crash { replica } => self.crash(replica, tt),
                     Fault::Slowdown { replica, factor, duration } => {
                         if replica < self.slots.len() {
-                            let slowed = self.slots[replica].with_node(|n| n.set_slowdown(factor));
+                            let slowed = self.with_node(replica, |n| n.set_slowdown(factor));
                             if slowed.is_some() {
                                 let f = self.faults.as_mut().expect("fault state");
                                 // A new window replaces any open one.
@@ -1032,7 +1167,7 @@ impl<N: SimNode> Fleet<N> {
             }
             TimerChoice::SlowEnd(j) => {
                 let (_, slot) = f.slow_until.remove(j);
-                self.slots[slot].with_node(|n| n.set_slowdown(1.0));
+                self.with_node(slot, |n| n.set_slowdown(1.0));
             }
             TimerChoice::Retry => {
                 let p = f.pending.remove(0);
@@ -1058,8 +1193,8 @@ impl<N: SimNode> Fleet<N> {
     /// crashed.
     fn take_unfinished_all(&mut self) -> SalvagedWork {
         let mut salvaged = SalvagedWork::default();
-        for slot in &mut self.slots {
-            if let Some(part) = slot.with_node(SimNode::take_unfinished) {
+        for i in 0..self.slots.len() {
+            if let Some(part) = self.with_node(i, SimNode::take_unfinished) {
                 salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
                 salvaged.requests.extend(part.requests);
             }
@@ -1074,8 +1209,8 @@ impl<N: SimNode> Fleet<N> {
     }
 
     fn set_slowdown_all(&mut self, factor: f64) {
-        for slot in &mut self.slots {
-            slot.with_node(|n| n.set_slowdown(factor));
+        for i in 0..self.slots.len() {
+            self.with_node(i, |n| n.set_slowdown(factor));
         }
     }
 
@@ -1116,8 +1251,8 @@ impl<N: SimNode> Fleet<N> {
         let mut merged = EngineReport::new(self.throughput_bin);
         let origin = self.faults.as_mut().map(|f| std::mem::take(&mut f.origin_arrival));
         let mut reports = std::mem::take(&mut self.retired);
-        for s in &mut self.slots {
-            reports.extend(s.with_node(SimNode::take_report));
+        for i in 0..self.slots.len() {
+            reports.extend(self.with_node(i, SimNode::take_report));
         }
         for mut report in reports {
             if let Some(origin) = &origin {
@@ -1133,10 +1268,8 @@ impl<N: SimNode> Fleet<N> {
             merged.note_failures(std::mem::take(&mut f.failed));
             f.attempts.clear();
         }
-        merged.set_routing(
-            std::mem::take(&mut self.decisions),
-            std::mem::take(&mut self.load_series),
-        );
+        merged.set_routing(std::mem::take(&mut self.decisions), self.load_series.take());
+        self.sample_all = true;
         merged.set_fleet_timeline(std::mem::take(&mut self.timeline));
         merged
     }
@@ -1392,11 +1525,11 @@ impl<N: SimNode> ClusterSim<N> {
         // anything to step; the rest are skipped without a node call.
         let due = |slot: &Slot<N>| slot.next().is_some_and(|t| cap.is_none_or(|c| t.as_secs() < c));
         if self.threads <= 1 {
-            for (i, slot) in self.fleet.slots.iter_mut().enumerate() {
-                if !due(slot) {
+            for i in 0..self.fleet.slots.len() {
+                if !due(&self.fleet.slots[i]) {
                     continue;
                 }
-                if let Some(o) = slot.with_node(|n| step_slot(n, cap)).flatten() {
+                if let Some(o) = self.fleet.with_node(i, |n| step_slot(n, cap)).flatten() {
                     outcomes.push(WindowOutcome { slot: i, ..o });
                 }
             }
@@ -1427,6 +1560,7 @@ impl<N: SimNode> ClusterSim<N> {
                 &mut results,
             );
             for (&i, o) in pending.iter().zip(&results) {
+                self.fleet.touch(i);
                 if let Some(o) = *o {
                     outcomes.push(WindowOutcome { slot: i, ..o });
                 }
@@ -1531,7 +1665,9 @@ impl<N: SimNode> ClusterSim<N> {
 /// The one-event-at-a-time cluster loop, kept as an executable
 /// specification: it advances by stepping the single globally earliest
 /// event — node event or fault timer — found by a linear rescan of every
-/// slot, and never fast-forwards through [`SimNode::step_run`].
+/// slot, never fast-forwards through [`SimNode::step_run`], and records
+/// every dispatch's load samples in full rather than only the changed
+/// ones.
 ///
 /// It exists for two consumers only — the byte-identity properties in
 /// `tests/cluster_properties.rs` and `tests/fastforward.rs` (windowed
@@ -1551,7 +1687,9 @@ impl<N: SimNode> ReferenceClusterSim<N> {
     ///
     /// Panics if `nodes` is empty.
     pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ReferenceClusterSim<N> {
-        ReferenceClusterSim { fleet: Fleet::new(nodes, policy) }
+        let mut fleet = Fleet::new(nodes, policy);
+        fleet.dense_samples = true;
+        ReferenceClusterSim { fleet }
     }
 
     /// Attaches an autoscaler (see [`ClusterSim::with_autoscaler`]). The

@@ -122,15 +122,23 @@ pub struct ReplicaLoadSample {
 /// between two dispatches most replicas neither leave the routable set
 /// nor change load. The series therefore keeps the dispatch instants
 /// once, plus *runs*: a replica's unchanged load over consecutive
-/// dispatches is one `(replica, from, to, tokens)` entry, extended in
-/// place while the replica stays routable with the same load. Storage
-/// grows with the number of load *changes*, not with dispatches ×
-/// replicas.
+/// dispatches is one `(replica, from, to, tokens)` entry. Storage grows
+/// with the number of load *changes*, not with dispatches × replicas.
+///
+/// Recording is incremental too. [`ReplicaLoadSeries::record_dispatch`]
+/// takes the full sample set and fixes the *members* (the replicas
+/// sampled there); [`ReplicaLoadSeries::record_changes`] records a
+/// dispatch with the same members from only the loads that changed.
+/// Every member's latest run stays *open* — it extends to the latest
+/// dispatch without being touched — until a full record, an
+/// [`ReplicaLoadSeries::absorb`] or [`ReplicaLoadSeries::take`] closes
+/// it.
 ///
 /// The encoding is lossless: [`ReplicaLoadSeries::samples`] yields the
 /// dense sequence — dispatch order, replica-ascending within a dispatch
 /// — and [`ReplicaLoadSeries::peak`] and [`ReplicaLoadSeries::mean`]
-/// equal the dense formulas bit for bit.
+/// equal the dense formulas bit for bit, however the dispatches were
+/// recorded.
 ///
 /// # Examples
 ///
@@ -139,13 +147,13 @@ pub struct ReplicaLoadSample {
 ///
 /// let mut s = ReplicaLoadSeries::new();
 /// s.record_dispatch(SimTime::from_secs(1.0), [(0, 500), (1, 0)]);
-/// s.record_dispatch(SimTime::from_secs(2.0), [(0, 500), (1, 40)]);
+/// s.record_changes(SimTime::from_secs(2.0), [(1, 40)]);
 /// assert_eq!(s.replica_count(), 2);
 /// assert_eq!(s.peak(0), 500);
 /// assert_eq!(s.mean(1), 20.0);
 /// assert_eq!(s.samples().count(), 4);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ReplicaLoadSeries {
     /// Instant of every recorded dispatch, in recording order.
     dispatches: Vec<SimTime>,
@@ -154,6 +162,9 @@ pub struct ReplicaLoadSeries {
     /// Per replica: index in `runs` of its latest run, the only one a
     /// later dispatch may extend.
     latest: Vec<Option<usize>>,
+    /// Replicas sampled at the latest dispatch, ascending. Their latest
+    /// runs are open (`to == OPEN`).
+    members: Vec<usize>,
     replica_count: usize,
 }
 
@@ -162,11 +173,17 @@ pub struct ReplicaLoadSeries {
 struct LoadRun {
     replica: usize,
     from: usize,
+    /// End dispatch (exclusive), or [`OPEN`]: the run extends to the
+    /// latest dispatch.
     to: usize,
     tokens: u64,
 }
 
+/// The `to` of a run that extends to the latest dispatch.
+const OPEN: usize = usize::MAX;
+
 impl LoadRun {
+    /// Number of dispatches a closed run covers.
     fn len(&self) -> u64 {
         (self.to - self.from) as u64
     }
@@ -178,20 +195,22 @@ impl ReplicaLoadSeries {
         ReplicaLoadSeries::default()
     }
 
-    /// Records one dispatch at `at`: the `(replica, outstanding tokens)`
-    /// of every replica sampled there, in ascending replica order. A
-    /// replica that was sampled at the previous dispatch with the same
-    /// load extends its run; any other sample opens a new run.
+    /// Records one dispatch at `at` with the full sample set: the
+    /// `(replica, outstanding tokens)` of every replica sampled there, in
+    /// ascending replica order. These replicas become the members that
+    /// [`ReplicaLoadSeries::record_changes`] assumes. A replica that was
+    /// sampled at the previous dispatch with the same load extends its
+    /// run; any other sample opens a new run.
     pub fn record_dispatch(&mut self, at: SimTime, loads: impl IntoIterator<Item = (usize, u64)>) {
+        self.close_runs();
         let d = self.dispatches.len();
         self.dispatches.push(at);
-        let mut prev: Option<usize> = None;
         for (replica, tokens) in loads {
             debug_assert!(
-                prev.is_none_or(|p| p < replica),
+                self.members.last().is_none_or(|&p| p < replica),
                 "dispatch samples must be replica-ascending"
             );
-            prev = Some(replica);
+            self.members.push(replica);
             if replica >= self.latest.len() {
                 self.latest.resize(replica + 1, None);
             }
@@ -199,13 +218,67 @@ impl ReplicaLoadSeries {
             if let Some(k) = self.latest[replica] {
                 let run = &mut self.runs[k];
                 if run.to == d && run.tokens == tokens {
-                    run.to = d + 1;
+                    run.to = OPEN;
                     continue;
                 }
             }
             self.latest[replica] = Some(self.runs.len());
-            self.runs.push(LoadRun { replica, from: d, to: d + 1, tokens });
+            self.runs.push(LoadRun { replica, from: d, to: OPEN, tokens });
         }
+    }
+
+    /// Records one dispatch at `at` whose sampled replicas are exactly
+    /// the previous dispatch's, from the loads that may have changed
+    /// since: `changed` lists `(replica, outstanding tokens)` in
+    /// ascending replica order, members only. A listed load equal to the
+    /// replica's previous one is no change; every unlisted member keeps
+    /// its previous load. Costs O(changes), and leaves the series exactly
+    /// as [`ReplicaLoadSeries::record_dispatch`] with every member's load
+    /// would.
+    pub fn record_changes(&mut self, at: SimTime, changed: impl IntoIterator<Item = (usize, u64)>) {
+        let d = self.dispatches.len();
+        self.dispatches.push(at);
+        let mut prev: Option<usize> = None;
+        for (replica, tokens) in changed {
+            debug_assert!(prev.is_none_or(|p| p < replica), "changes must be replica-ascending");
+            debug_assert!(
+                self.members.binary_search(&replica).is_ok(),
+                "changed replica {replica} is not a member"
+            );
+            prev = Some(replica);
+            let k = self.latest[replica].expect("a member has a latest run");
+            let run = &mut self.runs[k];
+            debug_assert_eq!(run.to, OPEN, "a member's latest run is open");
+            if run.tokens == tokens {
+                continue;
+            }
+            run.to = d;
+            self.latest[replica] = Some(self.runs.len());
+            self.runs.push(LoadRun { replica, from: d, to: OPEN, tokens });
+        }
+    }
+
+    /// Closes every open run at the latest dispatch and clears the
+    /// members.
+    fn close_runs(&mut self) {
+        let d = self.dispatches.len();
+        for &replica in &self.members {
+            let k = self.latest[replica].expect("a member has a latest run");
+            self.runs[k].to = d;
+        }
+        self.members.clear();
+    }
+
+    /// Closes the open runs and takes the series, leaving an empty one.
+    pub fn take(&mut self) -> ReplicaLoadSeries {
+        self.close_runs();
+        std::mem::take(self)
+    }
+
+    /// `run` with its end resolved: an open run ends at the latest
+    /// dispatch.
+    fn closed(&self, run: &LoadRun) -> LoadRun {
+        LoadRun { to: run.to.min(self.dispatches.len()), ..*run }
     }
 
     /// All samples in recording order: dispatch by dispatch, and within
@@ -231,8 +304,8 @@ impl ReplicaLoadSeries {
         self.runs.is_empty()
     }
 
-    fn runs_of(&self, replica: usize) -> impl Iterator<Item = &LoadRun> {
-        self.runs.iter().filter(move |r| r.replica == replica)
+    fn runs_of(&self, replica: usize) -> impl Iterator<Item = LoadRun> + '_ {
+        self.runs.iter().filter(move |r| r.replica == replica).map(|r| self.closed(r))
     }
 
     /// Peak outstanding tokens observed for `replica` (0 if never seen).
@@ -255,8 +328,12 @@ impl ReplicaLoadSeries {
 
     /// Absorbs `other`, shifting its replica indices past this series' —
     /// merged reports keep per-tier replica identities distinct. The
-    /// absorbed dispatches follow this series' own.
-    pub fn absorb(&mut self, other: ReplicaLoadSeries) {
+    /// absorbed dispatches follow this series' own. Closes both series'
+    /// open runs: the next record must be a full
+    /// [`ReplicaLoadSeries::record_dispatch`].
+    pub fn absorb(&mut self, mut other: ReplicaLoadSeries) {
+        self.close_runs();
+        other.close_runs();
         let offset = self.replica_count;
         let dispatch_base = self.dispatches.len();
         let run_base = self.runs.len();
@@ -269,6 +346,17 @@ impl ReplicaLoadSeries {
         }));
         self.latest.extend(other.latest.into_iter().map(|k| k.map(|k| k + run_base)));
         self.replica_count = offset + other.replica_count;
+    }
+}
+
+/// Series are equal when they record the same dispatches and runs —
+/// hence the same samples — whether or not their runs are still open.
+impl PartialEq for ReplicaLoadSeries {
+    fn eq(&self, other: &ReplicaLoadSeries) -> bool {
+        self.dispatches == other.dispatches
+            && self.replica_count == other.replica_count
+            && self.runs.len() == other.runs.len()
+            && self.runs.iter().zip(&other.runs).all(|(a, b)| self.closed(a) == other.closed(b))
     }
 }
 
@@ -968,7 +1056,103 @@ mod tests {
         }
     }
 
+    /// One dispatch of a generated delta script: `keep` re-samples the
+    /// previous dispatch's members (a delta record) and `listed` picks
+    /// the members whose load is re-read, possibly unchanged; otherwise
+    /// `mask` draws a new membership (join, leave, rejoin) sampled in
+    /// full.
+    type DeltaScript = Vec<(bool, u32, Vec<u64>, u32)>;
+
+    fn delta_script() -> impl Strategy<Value = DeltaScript> {
+        let step = (any::<bool>(), 0u32..96, prop::collection::vec(0u64..4, 6), 0u32..64);
+        prop::collection::vec(step, 0..40)
+    }
+
+    /// Replays `script` into `delta` through `record_changes` wherever
+    /// the membership is unchanged, and into `dense` through full
+    /// `record_dispatch` calls only. The first dispatch is always a
+    /// full record.
+    fn replay_delta(
+        script: &DeltaScript,
+        t0: f64,
+        delta: &mut ReplicaLoadSeries,
+        dense: &mut ReplicaLoadSeries,
+    ) {
+        const ALPHABET: [u64; 4] = [0, 100, 100, 7_000];
+        let mut members: Vec<usize> = Vec::new();
+        let mut loads = [0u64; 6];
+        for (d, (keep, mask, drawn, listed)) in script.iter().enumerate() {
+            let at = SimTime::from_secs(t0 + (d / 2) as f64);
+            if *keep && d > 0 {
+                let changed: Vec<(usize, u64)> = members
+                    .iter()
+                    .filter(|&&r| listed & (1 << r) != 0)
+                    .map(|&r| {
+                        loads[r] = ALPHABET[drawn[r] as usize];
+                        (r, loads[r])
+                    })
+                    .collect();
+                delta.record_changes(at, changed);
+            } else {
+                members = (0..6).filter(|&r| *mask >= 64 || mask & (1 << r) != 0).collect();
+                for &r in &members {
+                    loads[r] = ALPHABET[drawn[r] as usize];
+                }
+                delta.record_dispatch(at, members.iter().map(|&r| (r, loads[r])));
+            }
+            dense.record_dispatch(at, members.iter().map(|&r| (r, loads[r])));
+        }
+    }
+
+    fn assert_same_series(delta: &ReplicaLoadSeries, dense: &ReplicaLoadSeries) {
+        assert_eq!(delta.samples().collect::<Vec<_>>(), dense.samples().collect::<Vec<_>>());
+        assert_eq!(delta, dense);
+        assert_eq!(delta.replica_count(), dense.replica_count());
+        assert_eq!(delta.is_empty(), dense.is_empty());
+        for r in 0..=dense.replica_count() {
+            assert_eq!(delta.peak(r), dense.peak(r), "peak of replica {r}");
+            assert_eq!(delta.mean(r).to_bits(), dense.mean(r).to_bits(), "mean of replica {r}");
+        }
+    }
+
+    #[test]
+    fn unlisted_members_keep_their_load() {
+        let mut s = ReplicaLoadSeries::new();
+        s.record_dispatch(SimTime::from_secs(0.0), [(0, 7), (3, 9)]);
+        for i in 1..100 {
+            s.record_changes(SimTime::from_secs(f64::from(i)), []);
+        }
+        s.record_changes(SimTime::from_secs(100.0), [(0, 7), (3, 10)]);
+        assert_eq!(s.runs.len(), 3, "an unchanged or re-listed equal load opens no run");
+        assert_eq!(s.samples().count(), 202);
+        assert_eq!(s.mean(0), 7.0);
+        let taken = s.take();
+        assert!(s.is_empty());
+        assert!(taken.runs.iter().all(|r| r.to != OPEN), "taking closes every run");
+        assert_eq!(taken.mean(3), (100.0 * 9.0 + 10.0) / 101.0);
+    }
+
     proptest! {
+        #[test]
+        fn delta_recording_equals_dense_recording(
+            a in delta_script(),
+            b in delta_script(),
+            tail in delta_script(),
+        ) {
+            let (mut delta, mut dense) = (ReplicaLoadSeries::new(), ReplicaLoadSeries::new());
+            replay_delta(&a, 0.0, &mut delta, &mut dense);
+            assert_same_series(&delta, &dense);
+            let (mut delta_b, mut dense_b) = (ReplicaLoadSeries::new(), ReplicaLoadSeries::new());
+            replay_delta(&b, 100.0, &mut delta_b, &mut dense_b);
+            delta.absorb(delta_b);
+            dense.absorb(dense_b);
+            assert_same_series(&delta, &dense);
+            // Recording continues after an absorb, from a full record.
+            replay_delta(&tail, 200.0, &mut delta, &mut dense);
+            assert_same_series(&delta, &dense);
+            assert_same_series(&delta.take(), &dense.take());
+        }
+
         #[test]
         fn run_length_series_is_lossless(a in script(), b in script(), tail in script()) {
             let (mut runs, mut dense) = (ReplicaLoadSeries::new(), DenseSeries::default());

@@ -2,7 +2,9 @@
 //!
 //! The engine consults a [`ParallelismPolicy`] before every iteration,
 //! passing the batch statistics (the paper's switching signal is the
-//! number of batched tokens, Algorithm 2). Static deployments always
+//! number of batched tokens, Algorithm 2); a macro-stepped run of
+//! iterations with constant statistics asks once and records the rest
+//! as repeated choices. Static deployments always
 //! return the same configuration; Shift Parallelism (in `shift-core`)
 //! switches between its base and shift configurations.
 
@@ -30,9 +32,35 @@ impl BatchStats {
 /// Implementations must be cheap: the decision happens on the critical
 /// scheduling path (the paper replays pre-captured CUDA graphs per
 /// configuration, so only registered configurations may be returned).
+///
+/// # Contract
+///
+/// [`ParallelismPolicy::choose`] returns a configuration that depends
+/// only on `stats`. It may count its calls (iteration statistics,
+/// switch counters), so each call stands for one iteration. The engine
+/// relies on this: a run of iterations with constant batch stats asks
+/// once with `choose` and records the rest with
+/// [`ParallelismPolicy::choose_repeated`].
 pub trait ParallelismPolicy: fmt::Debug + Send + Sync {
     /// The configuration to run the next iteration under.
     fn choose(&self, stats: &BatchStats) -> ParallelConfig;
+
+    /// Records `n` further choices on the same `stats` and returns the
+    /// choice: the same effect as `n` calls of
+    /// [`ParallelismPolicy::choose`], which the default makes. Policies
+    /// that count calls override it to record all `n` at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
+        assert!(n > 0, "a repeated choice records at least one iteration");
+        let config = self.choose(stats);
+        for _ in 1..n {
+            self.choose(stats);
+        }
+        config
+    }
 
     /// Every configuration this policy may ever return (for weight loading
     /// and graph capture at startup).
@@ -76,6 +104,11 @@ impl ParallelismPolicy for StaticPolicy {
         self.config
     }
 
+    fn choose_repeated(&self, _stats: &BatchStats, n: u64) -> ParallelConfig {
+        assert!(n > 0, "a repeated choice records at least one iteration");
+        self.config
+    }
+
     fn configurations(&self) -> Vec<ParallelConfig> {
         vec![self.config]
     }
@@ -107,6 +140,40 @@ mod tests {
         }
         assert_eq!(p.configurations(), vec![ParallelConfig::sequence(8)]);
         assert_eq!(p.name(), "SP");
+    }
+
+    /// A policy that counts its calls, relying on the default
+    /// `choose_repeated`.
+    #[derive(Debug, Default)]
+    struct Counting(std::sync::atomic::AtomicU64);
+
+    impl ParallelismPolicy for Counting {
+        fn choose(&self, _stats: &BatchStats) -> ParallelConfig {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            ParallelConfig::tensor(2)
+        }
+        fn configurations(&self) -> Vec<ParallelConfig> {
+            vec![ParallelConfig::tensor(2)]
+        }
+        fn name(&self) -> &str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn default_repeated_choice_calls_choose_n_times() {
+        let p = Counting::default();
+        let stats = BatchStats { total_new_tokens: 3, num_seqs: 3 };
+        assert_eq!(p.choose_repeated(&stats, 5), ParallelConfig::tensor(2));
+        assert_eq!(p.0.load(std::sync::atomic::Ordering::Relaxed), 5);
+        let fixed = StaticPolicy::new("TP", ParallelConfig::tensor(4));
+        assert_eq!(fixed.choose_repeated(&stats, 7), ParallelConfig::tensor(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn repeated_choice_of_zero_iterations_panics() {
+        Counting::default().choose_repeated(&BatchStats { total_new_tokens: 1, num_seqs: 1 }, 0);
     }
 
     #[test]

@@ -4,34 +4,78 @@
 //! spsim plan                      # capacity-plan all Table 4 models
 //! spsim run   [options]           # run one deployment over a workload
 //! spsim compare [options]         # run TP/DP/SP/Shift over a workload
-//! spsim trace <name> [--out F]    # emit a workload as JSON lines
+//! spsim trace <name> [--out F] [workload numbers]   # emit a workload as JSON lines
 //!
 //! options:
 //!   --model  llama-70b|qwen-32b|llama-17b-16e|qwen-30b-a3b   (default llama-70b)
-//!   --kind   tp|dp|sp|shift                                  (default shift)
+//!   --kind   tp|dp|sp|shift          run only                (default shift)
 //!   --trace  bursty|azure|mooncake|poisson|batch             (default poisson)
 //!   --file   trace.jsonl      replay a saved trace instead of generating
-//!   --requests N   --rate R   --input I   --output O   --seed S
+//! workload numbers:
+//!   --requests N (1..=1000000)   --rate R (finite, > 0)
+//!   --input I (>= 1)   --output O   --seed S
 //! ```
+//!
+//! Each subcommand accepts only its own flags, each once, and each with
+//! a value. An unknown flag, a missing value or a bad number is an error
+//! (exit code 1) naming the flag.
 
 use shift_parallelism::prelude::*;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            if i + 1 < args.len() {
-                flags.insert(key.to_string(), args[i + 1].clone());
-                i += 2;
-                continue;
-            }
+/// The flags every workload-generating subcommand accepts.
+const WORKLOAD_FLAGS: [&str; 5] = ["requests", "rate", "input", "output", "seed"];
+
+/// Largest `--requests`: bounds the trace a command line can allocate.
+const MAX_REQUESTS: usize = 1_000_000;
+
+type Flags = HashMap<String, String>;
+
+/// Parses `--flag value` pairs, accepting only the flags in `own` and
+/// [`WORKLOAD_FLAGS`] (or none at all when `own` is `None`).
+fn parse_flags(args: &[String], own: Option<&[&str]>) -> Result<Flags, String> {
+    let mut flags = Flags::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(format!("unexpected argument '{arg}'"));
+        };
+        let known = own.is_some_and(|own| own.contains(&key) || WORKLOAD_FLAGS.contains(&key));
+        if !known {
+            return Err(format!("unknown flag --{key}"));
         }
-        i += 1;
+        let Some(value) = args.next() else {
+            return Err(format!("--{key}: missing value"));
+        };
+        if flags.insert(key.to_string(), value.clone()).is_some() {
+            return Err(format!("--{key}: given more than once"));
+        }
     }
-    flags
+    Ok(flags)
+}
+
+/// The number given for `--key` (or `default`), which must parse and
+/// satisfy `valid`; `range` describes the valid values.
+fn number<T>(
+    flags: &Flags,
+    key: &str,
+    default: T,
+    valid: impl Fn(T) -> bool,
+    range: &str,
+) -> Result<T, String>
+where
+    T: FromStr + Copy,
+    T::Err: Display,
+{
+    let Some(raw) = flags.get(key) else { return Ok(default) };
+    let value: T = raw.parse().map_err(|e| format!("--{key}: {e} (got '{raw}')"))?;
+    if !valid(value) {
+        return Err(format!("--{key}: must be {range}, got {raw}"));
+    }
+    Ok(value)
 }
 
 fn model_by_name(name: &str) -> Option<ModelConfig> {
@@ -54,16 +98,15 @@ fn kind_by_name(name: &str) -> Option<DeploymentKind> {
     }
 }
 
-fn build_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
+fn build_trace(flags: &Flags) -> Result<Trace, String> {
     let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let requests: usize = get("requests", "100").parse().map_err(|e| format!("--requests: {e}"))?;
-    let rate: f64 = get("rate", "2.0").parse().map_err(|e| format!("--rate: {e}"))?;
-    if !(rate.is_finite() && rate > 0.0) {
-        return Err(format!("--rate: must be finite and positive, got {rate}"));
-    }
-    let input: u32 = get("input", "4096").parse().map_err(|e| format!("--input: {e}"))?;
-    let output: u32 = get("output", "250").parse().map_err(|e| format!("--output: {e}"))?;
-    let seed: u64 = get("seed", "0").parse().map_err(|e| format!("--seed: {e}"))?;
+    let requests: usize =
+        number(flags, "requests", 100, |n| (1..=MAX_REQUESTS).contains(&n), "in 1..=1000000")?;
+    let rate: f64 =
+        number(flags, "rate", 2.0, |r: f64| r.is_finite() && r > 0.0, "finite and positive")?;
+    let input: u32 = number(flags, "input", 4096, |n| n >= 1, "at least 1")?;
+    let output: u32 = number(flags, "output", 250, |_| true, "an unsigned 32-bit integer")?;
+    let seed: u64 = number(flags, "seed", 0, |_| true, "an unsigned integer")?;
 
     if let Some(path) = flags.get("file") {
         return Trace::load(path).map_err(|e| format!("cannot load {path}: {e}"));
@@ -102,7 +145,7 @@ fn summarize(name: &str, report: &mut EngineReport) {
     );
 }
 
-fn cmd_plan() -> ExitCode {
+fn cmd_plan() {
     let node = NodeSpec::p5en_48xlarge();
     for model in presets::all_table4() {
         match Deployment::auto_base(&node, &model, 0.9) {
@@ -119,22 +162,12 @@ fn cmd_plan() -> ExitCode {
             Err(e) => println!("{:16} no viable base: {e}", model.name),
         }
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_run(flags: &HashMap<String, String>, kinds: &[(&str, DeploymentKind)]) -> ExitCode {
+fn cmd_run(flags: &Flags, kinds: &[(&str, DeploymentKind)]) -> Result<(), String> {
     let model_name = flags.get("model").cloned().unwrap_or_else(|| "llama-70b".to_string());
-    let Some(model) = model_by_name(&model_name) else {
-        eprintln!("unknown model '{model_name}'");
-        return ExitCode::FAILURE;
-    };
-    let trace = match build_trace(flags) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let model = model_by_name(&model_name).ok_or(format!("unknown model '{model_name}'"))?;
+    let trace = build_trace(flags)?;
     println!(
         "workload: {} requests, {:.2}M tokens, span {:.0}s | model {}",
         trace.len(),
@@ -143,15 +176,10 @@ fn cmd_run(flags: &HashMap<String, String>, kinds: &[(&str, DeploymentKind)]) ->
         model.name
     );
     for (name, kind) in kinds {
-        let mut dep =
-            match Deployment::builder(NodeSpec::p5en_48xlarge(), model.clone()).kind(*kind).build()
-            {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("{name}: cannot deploy: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        let mut dep = Deployment::builder(NodeSpec::p5en_48xlarge(), model.clone())
+            .kind(*kind)
+            .build()
+            .map_err(|e| format!("{name}: cannot deploy: {e}"))?;
         let mut report = dep.run(&trace);
         summarize(name, &mut report);
         if let Some((base, shift, switches)) = dep.shift_stats() {
@@ -161,49 +189,45 @@ fn cmd_run(flags: &HashMap<String, String>, kinds: &[(&str, DeploymentKind)]) ->
             );
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(args: &[String]) -> Result<(), String> {
     let Some(name) = args.first() else {
-        eprintln!("usage: spsim trace <bursty|azure|mooncake> [--out FILE]");
-        return ExitCode::FAILURE;
+        return Err("usage: spsim trace <bursty|azure|mooncake|poisson|batch> [--out FILE]".into());
     };
-    let flags = parse_flags(&args[1..]);
-    let mut with_name = flags.clone();
-    with_name.insert("trace".into(), name.clone());
-    let trace = match build_trace(&with_name) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut flags = parse_flags(&args[1..], Some(&["out"]))?;
+    let out = flags.remove("out");
+    flags.insert("trace".into(), name.clone());
+    let trace = build_trace(&flags)?;
     let jsonl = trace.to_jsonl();
-    match flags.get("out") {
+    match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, jsonl) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(&path, jsonl).map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote {} requests to {path}", trace.len());
         }
         None => println!("{jsonl}"),
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The flags `spsim run` and `spsim compare` accept beside
+/// [`WORKLOAD_FLAGS`].
+const RUN_FLAGS: [&str; 4] = ["model", "kind", "trace", "file"];
+const COMPARE_FLAGS: [&str; 3] = ["model", "trace", "file"];
+
+fn run_command(args: &[String]) -> Result<(), String> {
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("plan") => cmd_plan(),
+        Some("plan") => {
+            parse_flags(rest, None)?;
+            cmd_plan();
+            Ok(())
+        }
         Some("run") => {
-            let flags = parse_flags(&args[1..]);
+            let flags = parse_flags(rest, Some(&RUN_FLAGS))?;
             let kind_name = flags.get("kind").cloned().unwrap_or_else(|| "shift".to_string());
-            let Some(kind) = kind_by_name(&kind_name) else {
-                eprintln!("unknown kind '{kind_name}'");
-                return ExitCode::FAILURE;
-            };
+            let kind = kind_by_name(&kind_name).ok_or(format!("unknown kind '{kind_name}'"))?;
             let label: &str = match kind_name.as_str() {
                 "tp" => "TP",
                 "dp" => "DP",
@@ -213,7 +237,7 @@ fn main() -> ExitCode {
             cmd_run(&flags, &[(label, kind)])
         }
         Some("compare") => {
-            let flags = parse_flags(&args[1..]);
+            let flags = parse_flags(rest, Some(&COMPARE_FLAGS))?;
             cmd_run(
                 &flags,
                 &[
@@ -224,12 +248,19 @@ fn main() -> ExitCode {
                 ],
             )
         }
-        Some("trace") => cmd_trace(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: spsim <plan|run|compare|trace> [options]\n\
-                 see `src/bin/spsim.rs` header for the full option list"
-            );
+        Some("trace") => cmd_trace(rest),
+        _ => Err("usage: spsim <plan|run|compare|trace> [options]\n\
+                  see `src/bin/spsim.rs` header for the full option list"
+            .into()),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match run_command(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }

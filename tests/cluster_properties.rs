@@ -12,6 +12,9 @@
 use proptest::prelude::*;
 use shift_parallelism::prelude::*;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
+use sp_metrics::ReplicaLoadSample;
+use sp_parallel::BatchStats;
+use std::sync::Arc;
 
 fn engine(kv: u64) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
@@ -38,6 +41,53 @@ fn engine_with(kv: u64, slo: Option<ClassSlo>, reference: bool) -> Engine {
 
 fn engines(n: usize, kv: u64) -> Vec<Engine> {
     (0..n).map(|_| engine(kv)).collect()
+}
+
+/// A `ShiftPolicy` the test keeps a handle on, so its counters can be
+/// read after the run. Forwards `choose_repeated`, so the policy's own
+/// O(1) override is what macro-steps exercise.
+#[derive(Debug)]
+struct SharedShift(Arc<ShiftPolicy>);
+
+impl ParallelismPolicy for SharedShift {
+    fn choose(&self, stats: &BatchStats) -> ParallelConfig {
+        self.0.choose(stats)
+    }
+    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
+        self.0.choose_repeated(stats, n)
+    }
+    fn configurations(&self) -> Vec<ParallelConfig> {
+        self.0.configurations()
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// `n` Qwen-32B engines on an 8-GPU node under Shift Parallelism, and
+/// handles on their policies.
+fn shift_engines(n: usize, kv: u64) -> (Vec<Engine>, Vec<Arc<ShiftPolicy>>) {
+    (0..n)
+        .map(|_| {
+            let policy = Arc::new(ShiftPolicy::with_default_threshold(ParallelConfig::sequence(8)));
+            let engine = Engine::new(
+                ExecutionModel::new(NodeSpec::p5en_48xlarge(), presets::qwen_32b()),
+                Box::new(SharedShift(Arc::clone(&policy))),
+                EngineConfig { kv_capacity_tokens: kv, ..EngineConfig::default() },
+            );
+            (engine, policy)
+        })
+        .unzip()
+}
+
+/// Each policy's `(base, shift, switches)` counters.
+fn shift_counts(policies: &[Arc<ShiftPolicy>]) -> Vec<(u64, u64, u64)> {
+    policies.iter().map(|p| (p.base_iterations(), p.shift_iterations(), p.switches())).collect()
+}
+
+/// The dense load series: every sample of every dispatch.
+fn load_samples(report: &EngineReport) -> Vec<ReplicaLoadSample> {
+    report.replica_loads().samples().collect()
 }
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
@@ -251,6 +301,7 @@ proptest! {
         prop_assert_eq!(sorted_rejects(&a), sorted_rejects(&b));
         prop_assert_eq!(a.iterations(), b.iterations());
         prop_assert_eq!(format!("{:?}", a.records()), format!("{:?}", b.records()));
+        prop_assert_eq!(load_samples(&a), load_samples(&b));
     }
 
     /// An attached autoscaler whose policy never fires must leave the
@@ -355,6 +406,7 @@ proptest! {
         prop_assert_eq!(sorted_rejects(&a), sorted_rejects(&b));
         prop_assert_eq!(a.fleet_timeline().events(), b.fleet_timeline().events());
         prop_assert_eq!(format!("{:?}", a.records()), format!("{:?}", b.records()));
+        prop_assert_eq!(load_samples(&a), load_samples(&b));
     }
 
     /// Drain-then-retire conservation: under an aggressive autoscaler no
@@ -589,15 +641,19 @@ proptest! {
         );
         prop_assert_eq!(a.fleet_timeline().events(), b.fleet_timeline().events());
         prop_assert_eq!(format!("{:?}", a.records()), format!("{:?}", b.records()));
+        prop_assert_eq!(load_samples(&a), load_samples(&b));
     }
 }
 
 /// Everything the byte-identity properties compare, in owned form: the
 /// decision trail, bit-exact record fields, reject/failure lists, the
-/// lifecycle timeline, the fault trail, and the debug rendering of the
+/// lifecycle timeline, the fault trail, the debug rendering of the
 /// full record set (which captures every remaining field bit-exactly —
-/// f64 debug formatting is shortest-roundtrip).
-type Fingerprint = (String, Vec<(u64, u64, u64, u64, u32, u32)>, Vec<u64>, u64);
+/// f64 debug formatting is shortest-roundtrip) and the dense load
+/// series (the reference loop records it in full, the window loop only
+/// its changes).
+type Fingerprint =
+    (String, Vec<(u64, u64, u64, u64, u32, u32)>, Vec<u64>, u64, Vec<ReplicaLoadSample>);
 
 fn full_fingerprint(r: &EngineReport) -> Fingerprint {
     (
@@ -612,6 +668,7 @@ fn full_fingerprint(r: &EngineReport) -> Fingerprint {
         canonical_records(r),
         sorted_rejects(r),
         r.iterations(),
+        load_samples(r),
     )
 }
 
@@ -647,6 +704,28 @@ proptest! {
         let policy = || RoutingKind::JoinShortestOutstanding.policy();
         let spec = ReferenceClusterSim::new(engines(n, kv), policy()).run(&trace);
         assert_windows_match(&spec, &trace, || ClusterSim::new(engines(n, kv), policy()));
+    }
+
+    /// The same contract on Shift engines, whose macro-steps ask the
+    /// policy once per run and record the rest as repeated choices: the
+    /// reports and every replica's `(base, shift, switches)` counters
+    /// must match the reference loop, which asks once per iteration.
+    #[test]
+    fn horizon_parallel_matches_sequential_on_shift_engines(
+        trace in arb_trace(),
+        n in 1usize..4,
+        kv in prop_oneof![Just(30_000u64), Just(200_000)],
+    ) {
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let (nodes, spec_policies) = shift_engines(n, kv);
+        let spec = full_fingerprint(&ReferenceClusterSim::new(nodes, policy()).run(&trace));
+        let spec_counts = shift_counts(&spec_policies);
+        for threads in [1usize, 2, 8] {
+            let (nodes, policies) = shift_engines(n, kv);
+            let windowed = ClusterSim::new(nodes, policy()).with_threads(threads).run(&trace);
+            prop_assert_eq!(&full_fingerprint(&windowed), &spec, "divergence at {} threads", threads);
+            prop_assert_eq!(shift_counts(&policies), spec_counts.clone());
+        }
     }
 
     /// Byte-identity under fault injection: crash salvage, retry

@@ -17,6 +17,9 @@
 use proptest::prelude::*;
 use shift_parallelism::prelude::*;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
+use sp_metrics::ReplicaLoadSample;
+use sp_parallel::BatchStats;
+use std::sync::Arc;
 
 /// An engine with the decode fast-forward either live or forced off,
 /// optional SLO admission, and timeline capture (so the fingerprint
@@ -41,6 +44,60 @@ fn engines_ff(n: usize, kv: u64, fast_forward: bool) -> Vec<Engine> {
     (0..n).map(|_| engine_ff(kv, None, fast_forward)).collect()
 }
 
+/// A `ShiftPolicy` the test keeps a handle on, so its counters can be
+/// read after the run. Forwards `choose_repeated`, so the policy's own
+/// O(1) override is what macro-steps exercise.
+#[derive(Debug)]
+struct SharedShift(Arc<ShiftPolicy>);
+
+impl ParallelismPolicy for SharedShift {
+    fn choose(&self, stats: &BatchStats) -> ParallelConfig {
+        self.0.choose(stats)
+    }
+    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
+        self.0.choose_repeated(stats, n)
+    }
+    fn configurations(&self) -> Vec<ParallelConfig> {
+        self.0.configurations()
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+}
+
+/// `n` Qwen-32B engines on an 8-GPU node under Shift Parallelism, with
+/// timeline capture and the fast-forward live or forced off, and
+/// handles on their policies.
+fn shift_engines_ff(
+    n: usize,
+    kv: u64,
+    slo: Option<ClassSlo>,
+    fast_forward: bool,
+) -> (Vec<Engine>, Vec<Arc<ShiftPolicy>>) {
+    (0..n)
+        .map(|_| {
+            let policy = Arc::new(ShiftPolicy::with_default_threshold(ParallelConfig::sequence(8)));
+            let mut engine = Engine::new(
+                ExecutionModel::new(NodeSpec::p5en_48xlarge(), presets::qwen_32b()),
+                Box::new(SharedShift(Arc::clone(&policy))),
+                EngineConfig {
+                    kv_capacity_tokens: kv,
+                    class_slo: slo,
+                    record_timeline: true,
+                    ..EngineConfig::default()
+                },
+            );
+            engine.set_fast_forward(fast_forward);
+            (engine, policy)
+        })
+        .unzip()
+}
+
+/// Each policy's `(base, shift, switches)` counters.
+fn shift_counts(policies: &[Arc<ShiftPolicy>]) -> Vec<(u64, u64, u64)> {
+    policies.iter().map(|p| (p.base_iterations(), p.shift_iterations(), p.switches())).collect()
+}
+
 /// The KV-pressure regime the shape-stable windows and the admission
 /// gate target: a tight cache, a small chunk budget (so prompts prefill
 /// across many iterations and windows mix a chunked-prefill leader with
@@ -63,15 +120,16 @@ fn pressure_engine(kv: u64, fast_forward: bool) -> Engine {
     e
 }
 
-type Fingerprint = (String, String, Vec<(u64, u64)>, u64);
+type Fingerprint = (String, String, Vec<(u64, u64)>, u64, Vec<ReplicaLoadSample>);
 
 /// Everything observable about a report, in owned, bit-exact form. This
 /// deliberately goes beyond the routing-equivalence fingerprint in
 /// `cluster_properties.rs`: the fast-forward path recomputes iteration
 /// counters, throughput bins, duration folds, and config usage in
 /// closed form, so exactly those aggregates are what the comparison
-/// must pin. f64s are compared via `to_bits` or their Debug rendering
-/// (shortest-roundtrip, hence bit-exact).
+/// must pin, and the dense load series, which the window loop records
+/// from changes only. f64s are compared via `to_bits` or their Debug
+/// rendering (shortest-roundtrip, hence bit-exact).
 fn deep_fingerprint(r: &EngineReport) -> Fingerprint {
     let m = r.metrics();
     let bins: Vec<(u64, u64)> =
@@ -102,7 +160,7 @@ fn deep_fingerprint(r: &EngineReport) -> Fingerprint {
         r.batch_sheds(),
         r.batch_deferrals(),
     );
-    (head, aggregates, bins, r.iterations())
+    (head, aggregates, bins, r.iterations(), r.replica_loads().samples().collect())
 }
 
 fn request(id: u64, at: f64, input: u32, output: u32) -> Request {
@@ -193,6 +251,25 @@ proptest! {
         prop_assert_eq!(&fast, &slow, "fast-forward diverged from the per-iteration engine");
     }
 
+    /// The same equivalence on Shift engines: a macro-step asks the
+    /// policy once and records the rest of the run as repeated choices,
+    /// so besides the report the policy's `(base, shift, switches)`
+    /// counters must equal the per-iteration engine's, which asks once
+    /// per iteration.
+    #[test]
+    fn fastforward_shift_engine_matches_per_iteration(
+        trace in arb_trace(),
+        use_slo in any::<bool>(),
+        kv in prop_oneof![Just(30_000u64), Just(200_000)],
+    ) {
+        let slo = use_slo.then(ClassSlo::default);
+        let run = |ff: bool| {
+            let (mut engines, policies) = shift_engines_ff(1, kv, slo, ff);
+            (deep_fingerprint(&engines[0].run(&trace)), shift_counts(&policies))
+        };
+        prop_assert_eq!(run(true), run(false), "fast-forward diverged on a Shift engine");
+    }
+
     /// Cluster-level equivalence, no faults: fast-forward windows at
     /// widths {1, 2, 8} must match the per-iteration reference loop
     /// bit-for-bit. Runs here are cut by dispatch horizons, so the
@@ -208,6 +285,27 @@ proptest! {
             &ReferenceClusterSim::new(engines_ff(n, kv, false), policy()).run(&trace),
         );
         assert_windows_match(&spec, &trace, || ClusterSim::new(engines_ff(n, kv, true), policy()));
+    }
+
+    /// Cluster-level equivalence on Shift engines: reports and every
+    /// replica's shift-policy counters match the per-iteration
+    /// reference loop at widths {1, 2, 8}.
+    #[test]
+    fn fastforward_shift_cluster_matches_per_iteration(
+        trace in arb_trace(),
+        n in 1usize..4,
+        kv in prop_oneof![Just(30_000u64), Just(200_000)],
+    ) {
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let (nodes, spec_policies) = shift_engines_ff(n, kv, None, false);
+        let spec = deep_fingerprint(&ReferenceClusterSim::new(nodes, policy()).run(&trace));
+        let spec_counts = shift_counts(&spec_policies);
+        for threads in [1usize, 2, 8] {
+            let (nodes, policies) = shift_engines_ff(n, kv, None, true);
+            let windowed = ClusterSim::new(nodes, policy()).with_threads(threads).run(&trace);
+            prop_assert_eq!(&deep_fingerprint(&windowed), &spec, "divergence at {} threads", threads);
+            prop_assert_eq!(shift_counts(&policies), spec_counts.clone());
+        }
     }
 
     /// Cluster-level equivalence under seeded fault plans: crashes,
