@@ -41,26 +41,33 @@
 //! count — and the baseline gate skips `parallel_r64_t8` on
 //! single-core hosts, where thread fan-out cannot win by construction.
 //!
+//! Every engine pair is two rungs of the engine's one optimization
+//! ladder (`Engine::set_fast_paths`): the window-vs-reference headline
+//! runs `FastPaths::MacroSteps` against `FastPaths::Reference`, the
+//! cluster direct-pricing scenario runs `FastPaths::Indexed`, and the
+//! two macro-step pairs run `FastPaths::MacroSteps` against
+//! `FastPaths::Compiled`, the per-iteration loop with every other layer
+//! on.
+//!
 //! The `fastforward_r64` pair measures the decode fast-forward path:
 //! the decode-heavy 64-replica shift cluster with steady-state
-//! macro-stepping live versus the same fleet forced onto the
-//! per-iteration loop (`Engine::set_fast_forward(false)`). Reports are
-//! byte-identical across the pair (pinned by the fast-forward property
-//! suite); event counts are asserted equal here, and in smoke mode the
-//! measured speedup is hard-gated at >=3x.
+//! macro-stepping live versus the same fleet on the per-iteration loop.
+//! Reports are byte-identical across the pair (pinned by the
+//! fast-forward property suite); event counts are asserted equal here,
+//! and in smoke mode the measured speedup is hard-gated at >=3x.
 //!
-//! The `steadyshape_r64` pair measures the generalized shape-stable
-//! fast-forward — mixed prefill+decode windows plus the KV-blocked
-//! admission gate — on a KV-bound trace whose prefills chunk across
-//! several iterations, against the same fleet forced per-iteration. In
-//! smoke mode the measured speedup is hard-gated at >=2x.
+//! The `steadyshape_r64` pair measures the same macro-steps plus the
+//! KV-blocked admission gate on a KV-bound trace whose prefills chunk
+//! across several iterations, against the same fleet on the
+//! per-iteration loop. In smoke mode the measured speedup is hard-gated
+//! at >=2x.
 
 use shift_core::ShiftPolicy;
 use sp_bench::harness::parallel_sweep;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_engine::{
-    AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, FaultPlan, LoadBandPolicy,
-    ReferenceClusterSim, RetryPolicy, RoutingKind,
+    AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, FastPaths, FaultPlan,
+    LoadBandPolicy, ReferenceClusterSim, RetryPolicy, RoutingKind,
 };
 use sp_metrics::{ClassSlo, Dur};
 use sp_model::presets;
@@ -90,7 +97,7 @@ struct Scenario {
     peak_rss_kb: u64,
 }
 
-fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, reference_mode: bool) -> Vec<Engine> {
+fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, paths: FastPaths) -> Vec<Engine> {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     (0..n)
         .map(|_| {
@@ -104,7 +111,7 @@ fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, reference_mode: bo
                 Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
                 config,
             );
-            engine.set_reference_mode(reference_mode);
+            engine.set_fast_paths(paths);
             engine
         })
         .collect()
@@ -112,10 +119,13 @@ fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, reference_mode: bo
 
 /// Engines for the decode-heavy shift clusters: 8-GPU paper nodes
 /// running the two-config Shift policy, so every scheduling iteration
-/// prices both the base and the shifted layout. `direct` forces pricing
-/// back onto the `try_iteration` fold while keeping every scheduler
-/// fast path, isolating pricing cost.
-fn pricing_engines(n: usize, direct: bool) -> Vec<Engine> {
+/// prices both the base and the shifted layout. `FastPaths::Indexed`
+/// forces pricing back onto the `try_iteration` fold while keeping
+/// every scheduler fast path, isolating pricing cost;
+/// `FastPaths::Compiled` keeps exact compiled pricing but walks every
+/// decode iteration through the per-iteration scheduler, isolating
+/// macro-stepping.
+fn shift_engines(n: usize, paths: FastPaths) -> Vec<Engine> {
     let node = NodeSpec::p5en_48xlarge();
     (0..n)
         .map(|_| {
@@ -125,24 +135,10 @@ fn pricing_engines(n: usize, direct: bool) -> Vec<Engine> {
                 Box::new(ShiftPolicy::with_default_threshold(ParallelConfig::new(4, 2))),
                 config,
             );
-            engine.set_direct_pricing(direct);
+            engine.set_fast_paths(paths);
             engine
         })
         .collect()
-}
-
-/// Engines for the fast-forward pair: the decode-heavy shift cluster
-/// with exact compiled pricing, with the steady-state decode
-/// fast-forward either live (the engine default) or disabled so every
-/// decode iteration walks the per-iteration scheduler. Both sides share
-/// the window loop and the pricing stack, so the ratio isolates
-/// macro-stepping.
-fn fastforward_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
-    let mut engines = pricing_engines(n, false);
-    for e in &mut engines {
-        e.set_fast_forward(fast_forward);
-    }
-    engines
 }
 
 /// A bursty trace whose offered load scales with the replica count, so
@@ -222,11 +218,11 @@ fn fastforward_trace(replicas: usize, smoke: bool) -> Trace {
 
 /// Trace for the shape-stable-window pair: a KV-bound steady state
 /// threaded with chunked prefills. Inputs run ~3x the engines' token
-/// budget, so each admission prefills across several iterations — the
-/// mixed prefill+decode windows this path macro-steps — while long,
-/// low-variance outputs hold the decode plateau between arrivals and
-/// the bounded KV keeps a deep blocked wait queue parked on the
-/// admission gate instead of being rescanned every iteration.
+/// budget, so each admission prefills across several per-iteration
+/// steps, while long, low-variance outputs hold the decode plateau
+/// between arrivals — the runs this path macro-steps — and the bounded
+/// KV keeps a deep blocked wait queue parked on the admission gate
+/// instead of being rescanned every iteration.
 fn steadyshape_trace(replicas: usize, smoke: bool) -> Trace {
     let r = replicas as f64;
     let (duration, burst_depth, out_median) =
@@ -249,9 +245,8 @@ fn steadyshape_trace(replicas: usize, smoke: bool) -> Trace {
 /// Engines for the shape-stable pair: single-GPU DP replicas with a
 /// small token budget (so the trace's inputs chunk across iterations),
 /// bounded KV (so the admission gate engages), and SLO classes (so the
-/// gate's EDF expiry bound is live), with the shape-stable fast-forward
-/// either on (the default) or forced off.
-fn steadyshape_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
+/// gate's EDF expiry bound is live), on the given ladder rung.
+fn steadyshape_engines(n: usize, paths: FastPaths) -> Vec<Engine> {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     (0..n)
         .map(|_| {
@@ -266,7 +261,7 @@ fn steadyshape_engines(n: usize, fast_forward: bool) -> Vec<Engine> {
                 Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
                 config,
             );
-            engine.set_fast_forward(fast_forward);
+            engine.set_fast_paths(paths);
             engine
         })
         .collect()
@@ -323,7 +318,7 @@ fn measure_cluster(
     trace: &Trace,
 ) -> Scenario {
     let mut sim = ClusterSim::new(
-        engines(replicas, slo, kv_capacity, false),
+        engines(replicas, slo, kv_capacity, FastPaths::MacroSteps),
         RoutingKind::default().policy(),
     )
     .with_threads(1);
@@ -375,10 +370,12 @@ fn measure_autoscaled(
         Box::new(LoadBandPolicy::new(600.0, 80.0).smoothing(0.7).cooldown(Dur::from_secs(1.0))),
         spawn,
     );
-    let mut sim =
-        ClusterSim::new(engines(1, slo, kv_capacity, false), RoutingKind::default().policy())
-            .with_threads(1)
-            .with_autoscaler(scaler);
+    let mut sim = ClusterSim::new(
+        engines(1, slo, kv_capacity, FastPaths::MacroSteps),
+        RoutingKind::default().policy(),
+    )
+    .with_threads(1)
+    .with_autoscaler(scaler);
     reset_peak_rss();
     let start = Instant::now();
     let report = sim.run(trace);
@@ -417,7 +414,7 @@ fn measure_reference(
     trace: &Trace,
 ) -> Scenario {
     let mut sim = ReferenceClusterSim::new(
-        engines(replicas, slo, kv_capacity, true),
+        engines(replicas, slo, kv_capacity, FastPaths::Reference),
         RoutingKind::default().policy(),
     );
     reset_peak_rss();
@@ -508,11 +505,13 @@ fn measure_chaos(
     // exercising salvage, backoff redelivery, and deficit respawn.
     let plan = FaultPlan::crashes_poisson(0xC4A5, horizon * 0.25, horizon, peak);
     let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.25) };
-    let mut sim =
-        ClusterSim::new(engines(1, slo, kv_capacity, false), RoutingKind::default().policy())
-            .with_threads(1)
-            .with_autoscaler(scaler)
-            .with_faults(plan, retry);
+    let mut sim = ClusterSim::new(
+        engines(1, slo, kv_capacity, FastPaths::MacroSteps),
+        RoutingKind::default().policy(),
+    )
+    .with_threads(1)
+    .with_autoscaler(scaler)
+    .with_faults(plan, retry);
     reset_peak_rss();
     let start = Instant::now();
     let report = sim.run(trace);
@@ -551,7 +550,7 @@ fn measure_parallel(
     trace: &Trace,
 ) -> Scenario {
     let mut sim = ClusterSim::new(
-        engines(replicas, slo, kv_capacity, false),
+        engines(replicas, slo, kv_capacity, FastPaths::MacroSteps),
         RoutingKind::default().policy(),
     )
     .with_threads(threads);
@@ -746,7 +745,7 @@ fn main() {
         // larger points stay cold in full mode (one run each).
         let point_runs = if r == 1 { runs.max(3) } else { runs };
         best_of(point_runs, || {
-            measure_cluster(&format!("calendar_r{r}"), r, None, DEFAULT_KV, &trace)
+            measure_cluster(&format!("window_r{r}"), r, None, DEFAULT_KV, &trace)
         })
     });
 
@@ -761,9 +760,9 @@ fn main() {
     let headline_r = *replica_counts.last().expect("sweep is non-empty");
     let slo = Some(ClassSlo::default());
     let trace = bursty_trace(headline_r, smoke, if smoke { 40 } else { 300 });
-    let cal = best_of(runs, || {
+    let window = best_of(runs, || {
         measure_cluster(
-            &format!("calendar_headline_r{headline_r}"),
+            &format!("window_headline_r{headline_r}"),
             headline_r,
             slo,
             BOUND_KV,
@@ -773,9 +772,9 @@ fn main() {
     let reference = best_of(runs, || {
         measure_reference(&format!("reference_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
     });
-    assert_eq!(cal.events, reference.events, "loops must execute identical event counts");
-    let speedup = cal.events_per_sec / reference.events_per_sec.max(1e-9);
-    scenarios.push(cal);
+    assert_eq!(window.events, reference.events, "loops must execute identical event counts");
+    let speedup = window.events_per_sec / reference.events_per_sec.max(1e-9);
+    scenarios.push(window);
     scenarios.push(reference);
 
     // Autoscaled fleet: the same deep-burst SLO trace driven through a
@@ -875,7 +874,7 @@ fn main() {
         measure_with_engines(
             &format!("cluster_directprice_r{pricing_r}"),
             pricing_r,
-            pricing_engines(pricing_r, true),
+            shift_engines(pricing_r, FastPaths::Indexed),
             &cluster_trace,
         )
     }));
@@ -893,7 +892,7 @@ fn main() {
         measure_with_engines(
             &format!("fastforward_r{ff_r}"),
             ff_r,
-            fastforward_engines(ff_r, true),
+            shift_engines(ff_r, FastPaths::MacroSteps),
             &ff_trace,
         )
     });
@@ -901,7 +900,7 @@ fn main() {
         measure_with_engines(
             &format!("fastforward_periter_r{ff_r}"),
             ff_r,
-            fastforward_engines(ff_r, false),
+            shift_engines(ff_r, FastPaths::Compiled),
             &ff_trace,
         )
     });
@@ -920,10 +919,10 @@ fn main() {
     scenarios.push(ff);
     scenarios.push(periter);
 
-    // Shape-stable window pair: the same engines with the generalized
-    // fast-forward (mixed prefill+decode windows plus the KV-blocked
-    // admission gate) against the forced per-iteration loop, on a
-    // KV-bound trace whose prefills chunk across iterations. Reports
+    // Shape-stable window pair: the same engines with macro-steps (and
+    // the KV-blocked admission gate parking their blocked queues)
+    // against the per-iteration loop, on a KV-bound trace whose
+    // prefills chunk across iterations. Reports
     // are byte-identical across the pair (pinned by the fast-forward
     // property suite); event counts are asserted equal here, and smoke
     // hard-gates the ratio so the generalized path cannot silently
@@ -934,7 +933,7 @@ fn main() {
         measure_with_engines(
             &format!("steadyshape_r{ss_r}"),
             ss_r,
-            steadyshape_engines(ss_r, true),
+            steadyshape_engines(ss_r, FastPaths::MacroSteps),
             &ss_trace,
         )
     });
@@ -942,7 +941,7 @@ fn main() {
         measure_with_engines(
             &format!("steadyshape_periter_r{ss_r}"),
             ss_r,
-            steadyshape_engines(ss_r, false),
+            steadyshape_engines(ss_r, FastPaths::Compiled),
             &ss_trace,
         )
     });

@@ -131,6 +131,37 @@ impl Default for EngineConfig {
     }
 }
 
+/// The engine's optimization ladder: which fast paths are live, ordered
+/// from the executable specification up to the default. Each rung keeps
+/// every layer below it and adds one; scheduling decisions and reports
+/// are bit-identical on every rung — only the cost differs. Set with
+/// [`Engine::set_fast_paths`]; consumed by the `simperf` bench to
+/// measure each layer and by equivalence tests. Not part of the
+/// supported API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum FastPaths {
+    /// The pre-optimization reference implementations, preserved as
+    /// executable specifications of what the fast paths replaced: EDF
+    /// admission is the linear `min_by` rescan (O(W) per candidate, two
+    /// deadline evaluations per comparison), the `urgent` deferral
+    /// check walks the whole queue, load snapshots fold over every
+    /// queued and running request, no KV-blocked admission gate, direct
+    /// `try_iteration` pricing, and one iteration per step.
+    Reference,
+    /// The indexed scheduler: O(log W) wait-queue candidate
+    /// selection, O(1) load counters and the KV-blocked admission gate,
+    /// with iteration pricing still on the direct `try_iteration` walk.
+    Indexed,
+    /// Plus compiled pricing: iterations evaluate the configuration's
+    /// precompiled [`ExecPlan`] (bit-identical to the direct walk).
+    Compiled,
+    /// Plus macro-steps: [`Engine::step_run`] advances shape-stable
+    /// pure-decode runs in one window (the default).
+    #[default]
+    MacroSteps,
+}
+
 /// One serving engine over one attention-parallel GPU group.
 ///
 /// Advances simulated time one iteration at a time: the scheduler builds a
@@ -188,15 +219,9 @@ pub struct Engine {
     /// Reusable index buffer for the class-aware prefill ordering in
     /// [`Engine::build_batch`].
     scratch_order: Vec<usize>,
-    /// When set, the scheduler's hot paths run their pre-optimization
-    /// reference implementations — linear EDF admission rescans and
-    /// fold-over-state load snapshots — instead of the indexed/counter
-    /// fast paths (see [`Engine::set_reference_mode`]).
-    reference_mode: bool,
-    /// When set, iteration pricing alone runs the direct `try_iteration`
-    /// walk (see [`Engine::set_direct_pricing`]); the scheduler fast
-    /// paths stay on.
-    direct_pricing: bool,
+    /// Which optimization layers are live (see [`FastPaths`]); the
+    /// default runs them all.
+    fast_paths: FastPaths,
     /// Σ `total_tokens` over `arrivals` + `waiting` — incremental load
     /// counter; see [`Engine::load`].
     queued_total_tokens: u64,
@@ -215,25 +240,17 @@ pub struct Engine {
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
-    /// Enables the decode fast-forward macro-step (see
-    /// [`Engine::step_run`]). On by default; benches and equivalence
-    /// tests turn it off to measure the per-iteration path.
-    fast_forward: bool,
     /// Reusable base-context buffer for [`Engine::step_run`]: the
     /// running batch's context lengths in decode-scan order at run
     /// start, from which every rotated iteration shape is derived.
     scratch_run_pasts: Vec<u64>,
-    /// Reusable context ring for [`Engine::mixed_run`], in running-index
-    /// order with `None` marking the prefill leader's slot.
-    scratch_run_slots: Vec<Option<u64>>,
     /// KV-blocked admission fast path (see [`AdmissionGate`]).
     admission_gate: Option<AdmissionGate>,
     /// Monotone version of the running batch's composition and
     /// contexts, bumped by anything that mutates them outside a decode
     /// window's uniform advance: every per-iteration [`Engine::step`]
     /// (which may admit, shed, preempt, retire, or just grow contexts
-    /// non-uniformly), a mixed window (its prefill leader advances at a
-    /// different rate), any window retirement, and crash salvage.
+    /// non-uniformly), any window retirement, and crash salvage.
     /// Guards [`RunCache`] reuse.
     batch_version: u64,
     /// Cross-window continuation of the decode-run linear summary (see
@@ -401,17 +418,14 @@ impl Engine {
             scratch_assignments: Vec::new(),
             scratch_chunks: Vec::new(),
             scratch_order: Vec::new(),
-            reference_mode: false,
-            direct_pricing: false,
+            fast_paths: FastPaths::default(),
             queued_total_tokens: 0,
             queued_input_tokens: 0,
             running_outstanding_tokens: 0,
             running_prefill_tokens: 0,
             plans,
             slowdown: 1.0,
-            fast_forward: true,
             scratch_run_pasts: Vec::new(),
-            scratch_run_slots: Vec::new(),
             admission_gate: None,
             batch_version: 0,
             run_cache: None,
@@ -435,14 +449,15 @@ impl Engine {
     ///
     /// Fast path: evaluate the config's compiled [`ExecPlan`] from one
     /// shared batch fold — bit-identical to the direct walk (debug builds
-    /// assert so on every call). Reference mode prices through
-    /// `try_iteration` directly, preserving the pre-compilation path as
-    /// an executable specification, as does a config outside
-    /// `configurations()` (the plan set cannot be trusted for it).
+    /// assert so on every call). Rungs below [`FastPaths::Compiled`]
+    /// price through `try_iteration` directly, preserving the
+    /// pre-compilation path as an executable specification, as does a
+    /// config outside `configurations()` (the plan set cannot be
+    /// trusted for it).
     fn price_iteration(&self, config: &ParallelConfig, work: &BatchWork) -> Dur {
         let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
         match self.plans.iter().find(|p| p.config() == *config) {
-            Some(plan) if !self.reference_mode && !self.direct_pricing => {
+            Some(plan) if self.fast_paths >= FastPaths::Compiled => {
                 self.exec.price_planned(plan, work).total()
             }
             _ => self.exec.iteration(config, work).total(),
@@ -458,74 +473,50 @@ impl Engine {
         }
     }
 
-    /// Switches the scheduler's hot paths to their pre-optimization
-    /// reference implementations, preserved as executable specifications
-    /// of what the fast paths replaced: EDF admission becomes the linear
-    /// `min_by` rescan (O(W) per candidate with two deadline evaluations
-    /// per comparison, versus O(log W) on the [`WaitQueue`] index) and
-    /// load snapshots become the fold over every queued and running
-    /// request (O(queue + batch) per call, versus O(1) on the
-    /// incremental counters), and iteration pricing calls
-    /// `try_iteration` per iteration instead of evaluating the compiled
-    /// per-config plan. Scheduling decisions are identical either way —
-    /// only the cost differs (plan evaluation is bit-identical to the
-    /// direct walk). Consumed by the `simperf` bench to measure the win
-    /// and by equivalence tests; not part of the supported API.
+    /// Selects the rung of the optimization ladder the engine runs on
+    /// (see [`FastPaths`]). Scheduling and reports are bit-identical on
+    /// every rung — only the cost differs. Drops the admission gate and
+    /// the run cache, so the new rung starts from a clean slate. Not
+    /// part of the supported API.
     #[doc(hidden)]
-    pub fn set_reference_mode(&mut self, reference: bool) {
-        self.reference_mode = reference;
+    pub fn set_fast_paths(&mut self, paths: FastPaths) {
+        self.fast_paths = paths;
         self.admission_gate = None;
         self.run_cache = None;
-    }
-
-    /// Switches *only* iteration pricing to the direct `try_iteration`
-    /// walk (per-call layout planning, chunk fold per candidate config,
-    /// no plan evaluation), leaving every other scheduler fast path in
-    /// place. Unlike [`Engine::set_reference_mode`] this isolates the
-    /// pricing cost, so the `simperf` pricing pair measures
-    /// compiled-vs-direct pricing and nothing else. Not part of the
-    /// supported API.
-    #[doc(hidden)]
-    pub fn set_direct_pricing(&mut self, direct: bool) {
-        self.direct_pricing = direct;
-    }
-
-    /// Disables (or re-enables) the decode fast-forward macro-step, so
-    /// benches and equivalence tests can force every iteration through
-    /// the per-iteration scheduler. Scheduling and reports are
-    /// bit-identical either way — only the cost differs. Not part of
-    /// the supported API.
-    #[doc(hidden)]
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
     }
 
     /// Attempts a shape-stable fast-forward: when the batch composition
     /// is provably invariant — admission impossible (nothing waiting,
     /// no free sequence slot, or the KV-blocked gate holds), every
-    /// running sequence mid-decode or at most one mid-prefill, no
-    /// spec-decode or preemption machinery armed — advances up to the
-    /// *run length* (the iteration count until the next schedulable
-    /// change: earliest completion, the prefill leader's final chunk,
+    /// running sequence mid-decode, no spec-decode or preemption
+    /// machinery armed — advances up to the *run length* (the iteration
+    /// count until the next schedulable change: earliest completion,
     /// the gate's EDF expiry, the caller cap, or the next arrival) in
     /// one tight loop that skips batch rebuilding and queue scans,
     /// accumulating time and metrics in the exact same float-op order
-    /// as the per-iteration path.
+    /// as the per-iteration path. Every observable effect — clock
+    /// advances, report accumulation, retirement — happens at the same
+    /// iteration and in the same order as that many per-iteration
+    /// steps would produce; see DESIGN.md decision 13 for the
+    /// equivalence argument. The batch stats are constant across
+    /// the run, so the policy is asked once and the remaining
+    /// iterations are recorded with one
+    /// [`ParallelismPolicy::choose_repeated`], which leaves the policy
+    /// as per-iteration calls would (decision 15).
     ///
     /// `cap` is the caller's window bound: the run stops before any
     /// iteration whose event instant is not strictly below it, exactly
     /// as the per-event window loop would. Returns `None` — with zero
-    /// state change — whenever the shape-stability gates fail or the
-    /// first iteration is already outside the cap, so callers fall back
-    /// to [`Engine::step_once`].
+    /// state change — whenever the shape-stability gates fail (any
+    /// prefill in flight among them) or the first iteration is already
+    /// outside the cap, so callers fall back to [`Engine::step_once`].
     pub fn step_run(&mut self, cap: Option<f64>) -> Option<crate::routing::RunAdvance> {
         // Cheap gates first; the O(batch) scans only run once they pass.
-        if !self.fast_forward
-            || self.reference_mode
-            || self.direct_pricing
+        if self.fast_paths < FastPaths::MacroSteps
             || self.config.spec_decode.is_some()
             || self.config.admission == AdmissionMode::PreemptRestart
             || self.running.is_empty()
+            || self.running_prefill_tokens != 0
         {
             return None;
         }
@@ -543,52 +534,6 @@ impl Engine {
                 return None;
             }
         };
-        let mut report = self.report.take().unwrap_or_else(|| self.fresh_report());
-        let advanced = if self.running_prefill_tokens == 0 {
-            self.decode_run(cap, admit_bound, &mut report)
-        } else {
-            self.mixed_run(cap, admit_bound, &mut report)
-        };
-        self.report = Some(report);
-        advanced
-    }
-
-    /// Whether a run stops before an iteration starting at `t` (run
-    /// iteration `k`): the window stop rule `!(t < cap)` — the same one
-    /// the cluster's per-event window loop applies, and NaN-safe, which
-    /// `t >= cap` would not be — then the gate's EDF expiry, past which
-    /// the admission candidate itself can change, and from the second
-    /// iteration on an arrival due by `t`, which the next step ingests
-    /// (and may admit).
-    fn run_stops_at(
-        &self,
-        t: SimTime,
-        k: u32,
-        cap: Option<f64>,
-        admit_bound: Option<SimTime>,
-    ) -> bool {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let capped = cap.is_some_and(|c| !(t.as_secs() < c));
-        capped
-            || admit_bound.is_some_and(|bound| t > bound)
-            || (k > 0 && self.arrivals.front().is_some_and(|front| front.arrival <= t))
-    }
-
-    /// The fast-forward loop itself. Every observable effect — clock
-    /// advances, report accumulation, retirement — happens at the same
-    /// iteration and in the same order as `run_limit` calls of
-    /// [`Engine::step`] would produce; see DESIGN.md decision 13 for the
-    /// equivalence argument. The batch stats are constant across the
-    /// run, so the policy is asked once and the remaining iterations
-    /// are recorded with one [`ParallelismPolicy::choose_repeated`],
-    /// which leaves the policy as per-iteration calls would (decision
-    /// 15).
-    fn decode_run(
-        &mut self,
-        cap: Option<f64>,
-        admit_bound: Option<SimTime>,
-        report: &mut EngineReport,
-    ) -> Option<crate::routing::RunAdvance> {
         let n = self.running.len();
         if n as u64 > self.config.max_batched_tokens {
             return None; // budget-starved decode rotates batch membership per step
@@ -684,6 +629,7 @@ impl Engine {
             // through materialized rotations.
             base_pasts.extend(self.running_base_pasts());
         }
+        let mut report = self.report.take().unwrap_or_else(|| self.fresh_report());
         let bin_w = self.config.throughput_bin.as_secs();
         let timeline = report.timeline_enabled();
         let kv_util = self.kv.utilization();
@@ -768,28 +714,11 @@ impl Engine {
         // cannot have finished anything (`run_limit` is the minimum of
         // `decode_remaining`), so the retire scan is skipped entirely.
         if done == run_limit {
-            let clock = self.clock;
-            let kv = &mut self.kv;
-            self.running.retain(|seq| {
-                if seq.finished() {
-                    kv.release(seq.request.id);
-                    report.note_completion(RequestRecord {
-                        request_id: seq.request.id,
-                        class: seq.request.class,
-                        arrival: seq.request.arrival,
-                        first_token: seq.first_token.expect("finished implies first token"),
-                        finish: clock,
-                        input_tokens: seq.request.input_tokens,
-                        output_tokens: seq.request.output_tokens,
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
+            self.retire_finished(&mut report);
         } else {
             debug_assert!(self.running.iter().all(|seq| !seq.finished()));
         }
+        self.report = Some(report);
 
         // Cache bookkeeping: retirement changes the batch (stale
         // summary); an intact batch advanced every context by exactly
@@ -803,6 +732,27 @@ impl Engine {
         }
 
         Some(crate::routing::RunAdvance { events: u64::from(done), last: last_t })
+    }
+
+    /// Whether a run stops before an iteration starting at `t` (run
+    /// iteration `k`): the window stop rule `!(t < cap)` — the same one
+    /// the cluster's per-event window loop applies, and NaN-safe, which
+    /// `t >= cap` would not be — then the gate's EDF expiry, past which
+    /// the admission candidate itself can change, and from the second
+    /// iteration on an arrival due by `t`, which the next step ingests
+    /// (and may admit).
+    fn run_stops_at(
+        &self,
+        t: SimTime,
+        k: u32,
+        cap: Option<f64>,
+        admit_bound: Option<SimTime>,
+    ) -> bool {
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let capped = cap.is_some_and(|c| !(t.as_secs() < c));
+        capped
+            || admit_bound.is_some_and(|bound| t > bound)
+            || (k > 0 && self.arrivals.front().is_some_and(|front| front.arrival <= t))
     }
 
     /// Prices run iteration `k` by materializing the rotated decode
@@ -905,232 +855,12 @@ impl Engine {
     }
 
     /// The live batch's base decode contexts in cursor order (the shape
-    /// [`Engine::decode_run`]'s slow path scans out) — for the rare
+    /// [`Engine::step_run`]'s slow path scans out) — for the rare
     /// paths that must materialize a rotation after the closed-form
     /// window skipped the scan.
     fn running_base_pasts(&self) -> Vec<u64> {
         let n = self.running.len();
         (0..n).map(|k| self.running[(self.decode_cursor + k) % n].context_len()).collect()
-    }
-
-    /// The mixed-window fast-forward: exactly one running sequence
-    /// mid-prefill (the chunked-prefill leader) advancing `pb` tokens
-    /// per iteration alongside pure decodes. Engages only where every
-    /// scheduling decision is provably clock-independent: the leader's
-    /// chunk size is pinned at the full prefill budget until its final
-    /// chunk (which flips it to decode and ends the window), and under
-    /// SLO scheduling a batch-class leader only runs while no
-    /// interactive request waits (the `urgent` deferral flag is
-    /// clock-dependent otherwise). Every observable effect lands at the
-    /// same iteration, in the same float-op order, as the per-iteration
-    /// path; see DESIGN.md decision 14.
-    fn mixed_run(
-        &mut self,
-        cap: Option<f64>,
-        admit_bound: Option<SimTime>,
-        report: &mut EngineReport,
-    ) -> Option<crate::routing::RunAdvance> {
-        let n = self.running.len();
-        let mut leader = None;
-        for (i, seq) in self.running.iter().enumerate() {
-            if seq.in_decode() {
-                if seq.first_token.is_none() || seq.finished() {
-                    return None;
-                }
-            } else if leader.is_some() {
-                // Two concurrent prefills: their chunk split depends on
-                // queue order and budget interplay; stay per-iteration.
-                return None;
-            } else {
-                leader = Some(i);
-            }
-        }
-        let leader_idx = leader?;
-        let decode_count = (n - 1) as u64;
-        if decode_count > self.config.max_batched_tokens {
-            return None; // budget-starved decode rotates batch membership
-        }
-        let budget_left = self.config.max_batched_tokens - decode_count;
-        let pb = budget_left.min(self.config.max_prefill_tokens.unwrap_or(u64::MAX));
-        if pb == 0 {
-            return None; // frozen leader: rare, stay per-iteration
-        }
-        let rem0 = self.running[leader_idx].prefill_remaining();
-        debug_assert!(rem0 > 0, "a non-decode sequence has prefill work");
-        // Only non-final chunks are shape-stable: the final chunk emits
-        // the first token and flips the leader to decode.
-        let prefill_iters = (rem0 - 1) / pb;
-        if prefill_iters == 0 {
-            return None;
-        }
-        if self.config.class_slo.is_some()
-            && self.running[leader_idx].request.class == RequestClass::Batch
-            && self.waiting.first_interactive_pos().is_some()
-        {
-            // A waiting interactive request can turn TTFT-at-risk at a
-            // clock-dependent instant, deferring the batch leader (and
-            // possibly shedding it for the gate candidate).
-            return None;
-        }
-        if let Some(front) = self.arrivals.front() {
-            if front.arrival <= self.clock {
-                return None; // this step ingests (and may admit)
-            }
-        }
-        if self.run_stops_at(self.clock, 0, cap, admit_bound) {
-            return None;
-        }
-        let mut run_limit = u32::try_from(prefill_iters).unwrap_or(u32::MAX);
-        for seq in &self.running {
-            if seq.in_decode() {
-                run_limit = run_limit.min(seq.decode_remaining());
-            }
-        }
-        debug_assert!(run_limit >= 1);
-
-        // Context ring in running-index order; the per-iteration decode
-        // scan starts at the rotating cursor, so iteration k materializes
-        // slot (cursor + k + j) % n for j = 0..n, skipping the leader's
-        // `None` slot, then appends the leader's prefill chunk — the
-        // exact assignment order `build_batch` produces.
-        let mut slots = std::mem::take(&mut self.scratch_run_slots);
-        slots.clear();
-        for (i, seq) in self.running.iter().enumerate() {
-            slots.push(if i == leader_idx { None } else { Some(seq.context_len()) });
-        }
-        let done0 = self.running[leader_idx].prefill_done;
-
-        // Mixed-batch stats are constant across the run: the decodes
-        // emit one token each and the leader always takes `pb`.
-        let ledger = decode_count + pb;
-        let stats = BatchStats { total_new_tokens: ledger, num_seqs: n };
-        let config = self.policy.choose(&stats);
-        let bin_w = self.config.throughput_bin.as_secs();
-        let timeline = report.timeline_enabled();
-        let kv_util = self.kv.utilization();
-
-        let mut seg_bin = usize::MAX;
-        let mut seg_count = 0u64;
-        let mut seg_t = SimTime::ZERO;
-        let mut run_max = Dur::ZERO;
-        let mut last_t = SimTime::ZERO;
-        let mut done = 0u32;
-
-        for k in 0..run_limit {
-            let t = self.clock;
-            if self.run_stops_at(t, k, cap, admit_bound) {
-                break;
-            }
-            let base = self.price_mixed_iteration(&config, k, &slots, done0, pb);
-            let duration = self.slowed(base);
-            self.clock += duration;
-            run_max = run_max.max(duration);
-            last_t = t;
-            done = k + 1;
-
-            let idx = (self.clock.as_secs() / bin_w) as usize;
-            if idx == seg_bin {
-                seg_count += 1;
-                seg_t = self.clock;
-            } else {
-                if seg_count > 0 {
-                    report.observe_tokens_run(seg_t, ledger as f64, seg_count);
-                }
-                seg_bin = idx;
-                seg_count = 1;
-                seg_t = self.clock;
-            }
-            if timeline {
-                report.note_event(crate::report::IterationEvent {
-                    end: self.clock,
-                    duration,
-                    config,
-                    tokens: ledger,
-                    num_seqs: n,
-                    kv_utilization: kv_util,
-                });
-            }
-        }
-        self.scratch_run_slots = slots;
-        debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
-        self.record_repeated_choice(&stats, config, done);
-
-        if seg_count > 0 {
-            report.observe_tokens_run(seg_t, ledger as f64, seg_count);
-        }
-        report.note_config_usage(config, u64::from(done));
-        report.note_kv_utilization(kv_util);
-        report.note_run(u64::from(done), self.clock, run_max);
-
-        // Apply the run: each decode emitted one token per iteration;
-        // the leader prefilled `pb` tokens per iteration.
-        let done_u = u64::from(done);
-        for (i, seq) in self.running.iter_mut().enumerate() {
-            if i == leader_idx {
-                seq.prefill_done += done_u * pb;
-            } else {
-                seq.generated += done;
-            }
-        }
-        self.running_outstanding_tokens -= done_u * ledger;
-        self.running_prefill_tokens -= done_u * pb;
-        self.decode_cursor = self.decode_cursor.wrapping_add(done as usize);
-
-        // A mixed window advances the leader at a different rate than
-        // the decodes: any cached decode-run summary is stale.
-        self.batch_version = self.batch_version.wrapping_add(1);
-
-        // Retire finished decodes (possible only on the run's final
-        // iteration; the leader cannot finish mid-window).
-        let clock = self.clock;
-        let kv = &mut self.kv;
-        self.running.retain(|seq| {
-            if seq.finished() {
-                kv.release(seq.request.id);
-                report.note_completion(RequestRecord {
-                    request_id: seq.request.id,
-                    class: seq.request.class,
-                    arrival: seq.request.arrival,
-                    first_token: seq.first_token.expect("finished implies first token"),
-                    finish: clock,
-                    input_tokens: seq.request.input_tokens,
-                    output_tokens: seq.request.output_tokens,
-                });
-                false
-            } else {
-                true
-            }
-        });
-
-        Some(crate::routing::RunAdvance { events: u64::from(done), last: last_t })
-    }
-
-    /// Prices mixed-window iteration `k` by materializing the rotated
-    /// decode chunks plus the leader's `k`-th prefill chunk and pricing
-    /// it exactly as the per-iteration path would
-    /// ([`Engine::price_iteration`]).
-    fn price_mixed_iteration(
-        &mut self,
-        config: &ParallelConfig,
-        k: u32,
-        slots: &[Option<u64>],
-        done0: u64,
-        pb: u64,
-    ) -> Dur {
-        let n = slots.len();
-        let ku = u64::from(k);
-        let mut chunks = std::mem::take(&mut self.scratch_chunks);
-        chunks.clear();
-        for j in 0..n {
-            if let Some(ctx) = slots[(self.decode_cursor + k as usize + j) % n] {
-                chunks.push(ChunkWork::decode(ctx + ku));
-            }
-        }
-        chunks.push(ChunkWork::prefill(pb, done0 + ku * pb, false));
-        let work = BatchWork::new(chunks);
-        let dur = self.price_iteration(config, &work);
-        self.scratch_chunks = work.into_chunks();
-        dur
     }
 
     /// Recomputes the incremental load counters from the actual queue
@@ -1170,7 +900,7 @@ impl Engine {
     /// queue transition (routers poll every replica per dispatch, so a
     /// fold over live state here made dispatch O(R × state)).
     pub fn outstanding_tokens(&self) -> u64 {
-        if self.reference_mode {
+        if self.fast_paths == FastPaths::Reference {
             return self.outstanding_tokens_fold();
         }
         let fast = self.queued_total_tokens + self.running_outstanding_tokens;
@@ -1193,7 +923,7 @@ impl Engine {
     /// queued prefill work, KV headroom, and this engine's prefill rate.
     /// O(1), like [`Engine::outstanding_tokens`].
     pub fn load(&self) -> NodeLoad {
-        if self.reference_mode {
+        if self.fast_paths == FastPaths::Reference {
             return self.load_fold();
         }
         let load = NodeLoad {
@@ -1438,27 +1168,7 @@ impl Engine {
             kv_utilization: self.kv.utilization(),
         });
         self.scratch_chunks = work.into_chunks();
-
-        // Retire finished sequences.
-        let clock = self.clock;
-        let kv = &mut self.kv;
-        self.running.retain(|seq| {
-            if seq.finished() {
-                kv.release(seq.request.id);
-                report.note_completion(RequestRecord {
-                    request_id: seq.request.id,
-                    class: seq.request.class,
-                    arrival: seq.request.arrival,
-                    first_token: seq.first_token.expect("finished implies first token"),
-                    finish: clock,
-                    input_tokens: seq.request.input_tokens,
-                    output_tokens: seq.request.output_tokens,
-                });
-                false
-            } else {
-                true
-            }
-        });
+        self.retire_finished(report);
 
         // Cache re-validation: these invariants prove the step was a
         // uniform +1 decode advance, i.e. exactly one window iteration.
@@ -1487,6 +1197,30 @@ impl Engine {
         }
     }
 
+    /// Retires every finished sequence at the current clock: releases
+    /// its KV reservation and records its completion, in running order.
+    fn retire_finished(&mut self, report: &mut EngineReport) {
+        let clock = self.clock;
+        let kv = &mut self.kv;
+        self.running.retain(|seq| {
+            if seq.finished() {
+                kv.release(seq.request.id);
+                report.note_completion(RequestRecord {
+                    request_id: seq.request.id,
+                    class: seq.request.class,
+                    arrival: seq.request.arrival,
+                    first_token: seq.first_token.expect("finished implies first token"),
+                    finish: clock,
+                    input_tokens: seq.request.input_tokens,
+                    output_tokens: seq.request.output_tokens,
+                });
+                false
+            } else {
+                true
+            }
+        });
+    }
+
     /// Moves arrived requests into the waiting queue.
     fn ingest_arrivals(&mut self) {
         while let Some(front) = self.arrivals.front() {
@@ -1508,7 +1242,7 @@ impl Engine {
             // any) stays armed for when a slot or a candidate appears.
             return;
         }
-        if !self.reference_mode && self.gate_blocks_admission() {
+        if self.fast_paths >= FastPaths::Indexed && self.gate_blocks_admission() {
             // KV-blocked fast path: the armed gate proves the scan would
             // end in the same blocked break it was armed on.
             return;
@@ -1573,7 +1307,7 @@ impl Engine {
                 // on every admit pass) until the cache wedges.
                 if let Some((group, prior)) = group_rollback {
                     self.kv.shrink_group(group, prior);
-                } else if !self.reference_mode {
+                } else if self.fast_paths >= FastPaths::Indexed {
                     // KV-blocked on a plain (non-shared) candidate: arm
                     // the gate so later passes skip the rescan until the
                     // headroom (or the candidate) can actually change.
@@ -1688,7 +1422,7 @@ impl Engine {
             return None;
         }
         if let Some(slo) = self.config.class_slo {
-            if self.reference_mode {
+            if self.fast_paths == FastPaths::Reference {
                 return self.naive_admission_candidate(slo);
             }
             return self.waiting.edf_candidate(self.clock);
@@ -1859,7 +1593,7 @@ impl Engine {
                 // prefill is *deferred*, not dropped: it runs once the risk
                 // clears. To guarantee progress, a batch prefill is never
                 // skipped when it would be the only work in the batch.
-                let urgent = if self.reference_mode {
+                let urgent = if self.fast_paths == FastPaths::Reference {
                     // Pre-index scan: walks every queued entry.
                     self.waiting
                         .iter()
@@ -2375,6 +2109,44 @@ mod tests {
             assert_eq!(a.request_id, b.request_id);
             assert!((a.finish.as_secs() - b.finish.as_secs()).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn step_run_declines_while_a_prefill_is_in_flight() {
+        // A short prompt and a long one arrive together under a small
+        // chunk budget: after the first iteration the short request
+        // decodes while the long one is still mid-prefill. Any prefill
+        // in flight sends the batch through `step_once`, so `step_run`
+        // must decline without touching clock, report, batch version,
+        // or decode cursor.
+        let config = EngineConfig { max_batched_tokens: 2048, ..EngineConfig::default() };
+        let mut e = engine_with(config, ParallelConfig::tensor(8));
+        let req = |id, input, output| sp_workload::Request {
+            id,
+            arrival: SimTime::ZERO,
+            input_tokens: input,
+            output_tokens: output,
+            class: RequestClass::Interactive,
+            cached_prefix: 0,
+            prefix_group: None,
+        };
+        e.push_request(req(0, 64, 100));
+        e.push_request(req(1, 10_000, 10));
+        e.step_once();
+        assert!(e.running.iter().any(|s| s.in_decode() && !s.finished()));
+        assert!(e.running_prefill_tokens > 2048, "the long prompt needs several more chunks");
+
+        let snapshot =
+            |e: &Engine| (e.clock, format!("{:?}", e.report), e.batch_version, e.decode_cursor);
+        let before = snapshot(&e);
+        assert!(e.step_run(None).is_none());
+        assert_eq!(snapshot(&e), before);
+
+        // Once the prefill lands, the pure-decode batch macro-steps.
+        while e.running_prefill_tokens != 0 {
+            e.step_once();
+        }
+        assert!(e.step_run(None).is_some());
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod seq;
 pub use autoscale::{
     AutoscaleConfig, Autoscaler, FleetSignal, LoadBandPolicy, NeverScale, ScaleAction, ScalePolicy,
 };
-pub use engine::{AdmissionMode, Engine, EngineConfig, QueuePolicy, SpecDecode};
+pub use engine::{AdmissionMode, Engine, EngineConfig, FastPaths, QueuePolicy, SpecDecode};
 pub use fault::{Fault, FaultEvent, FaultPlan, RetryPolicy, SalvagedWork};
 pub use report::{EngineReport, IterationEvent};
 pub use routing::{

@@ -378,6 +378,7 @@ impl FromIterator<Request> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn req(at: f64, inp: u32, out: u32) -> Request {
         Request {
@@ -522,5 +523,75 @@ mod tests {
     #[test]
     fn load_missing_file_errors() {
         assert!(Trace::load("/nonexistent/sp_trace.jsonl").is_err());
+    }
+
+    /// Bytes a mutation may insert: JSON structure, number syntax, and
+    /// whitespace that can split or join lines.
+    const INSERTS: &[u8] = b"{}[]\",:-.eE0123456789 \n";
+    /// Non-ASCII text a mutation may insert (multi-byte UTF-8, a NUL, a
+    /// lone replacement character).
+    const NON_ASCII: &[&str] = &["\u{e9}", "\u{20ac}", "\u{1f600}", "\u{0}", "\u{fffd}"];
+
+    /// Applies one mutation to `bytes`: `op` picks a byte flip, an
+    /// insert from [`INSERTS`], a deletion, a truncation, or a
+    /// non-ASCII insert; `pos` and `pick` choose where and what.
+    fn mutate(bytes: &mut Vec<u8>, op: u8, pos: usize, pick: u8) {
+        let at = if bytes.is_empty() { 0 } else { pos % bytes.len() };
+        match op % 5 {
+            0 if !bytes.is_empty() => bytes[at] ^= 1 << (pick % 8),
+            1 => bytes.insert(at, INSERTS[usize::from(pick) % INSERTS.len()]),
+            2 if !bytes.is_empty() => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            4 => {
+                let text = NON_ASCII[usize::from(pick) % NON_ASCII.len()].as_bytes();
+                bytes.splice(at..at, text.iter().copied());
+            }
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Mutated trace files never panic the hand-rolled JSONL reader:
+        /// `from_jsonl` returns `Ok` or `Err`, and whatever it accepts
+        /// holds `from_json`'s own bounds — one request per non-empty
+        /// line, every arrival finite in `0..=MAX_ARRIVAL_SECS`.
+        #[test]
+        fn mutated_jsonl_never_panics(
+            reqs in prop::collection::vec(
+                (0.0f64..1.2e6, any::<u32>(), any::<u32>(), any::<bool>()),
+                1..4,
+            ),
+            mutations in prop::collection::vec((any::<u8>(), any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let trace = Trace::new(
+                reqs.into_iter()
+                    .map(|(at, input, output, batch)| Request {
+                        class: if batch { RequestClass::Batch } else { RequestClass::Interactive },
+                        prefix_group: batch.then_some(u64::from(input)),
+                        ..req(at, input, output)
+                    })
+                    .collect(),
+            );
+            let mut bytes = trace.to_jsonl().into_bytes();
+            for (op, pos, pick) in mutations {
+                mutate(&mut bytes, op, pos, pick);
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(parsed) = Trace::from_jsonl(&text) {
+                let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
+                prop_assert_eq!(parsed.len(), lines);
+                for r in parsed.requests() {
+                    let secs = r.arrival.as_secs();
+                    prop_assert!(
+                        secs.is_finite() && (0.0..=MAX_ARRIVAL_SECS).contains(&secs),
+                        "accepted arrival {secs} outside the trace bounds"
+                    );
+                }
+            }
+        }
     }
 }

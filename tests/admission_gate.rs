@@ -3,8 +3,8 @@
 //! The gate (`Engine::arm_admission_gate` / `gate_blocks_admission`)
 //! lets the scheduler skip wait-queue admission scans while the head
 //! candidate's KV reservation provably cannot succeed. It is an
-//! *optimization*, never a behavior change: with
-//! `set_reference_mode(true)` the engine runs the pre-gate linear
+//! *optimization*, never a behavior change: on the
+//! `FastPaths::Reference` rung the engine runs the pre-gate linear
 //! rescan on every iteration, and the gated engine must reproduce that
 //! report bit-for-bit. The deterministic tests here pin the two disarm
 //! paths that are easiest to get wrong — KV freed by an SLO batch-shed
@@ -14,15 +14,17 @@
 //! admission modes.
 
 use proptest::prelude::*;
+use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 
 /// A KV-bound engine in the regime the gate targets: tight cache, a
 /// small token budget (so big prefills chunk across iterations and stay
 /// sheddable for a while), SLO-aware EDF admission, and timeline
-/// capture so the fingerprint pins every iteration. `reference` selects
-/// the pre-gate linear-rescan twin.
-fn gate_engine(kv: u64, admission: AdmissionMode, reference: bool) -> Engine {
+/// capture so the fingerprint pins every iteration. `paths` selects the
+/// ladder rung: `FastPaths::Reference` is the pre-gate linear-rescan
+/// twin.
+fn gate_engine(kv: u64, admission: AdmissionMode, paths: FastPaths) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
@@ -36,7 +38,7 @@ fn gate_engine(kv: u64, admission: AdmissionMode, reference: bool) -> Engine {
             ..EngineConfig::default()
         },
     );
-    e.set_reference_mode(reference);
+    e.set_fast_paths(paths);
     e
 }
 
@@ -103,14 +105,15 @@ fn shed_freed_kv_unblocks_gate_like_full_rescan() {
         request(2, 0.01, 11_000, 500, RequestClass::Batch),
         request(3, 0.05, 3_000, 64, RequestClass::Interactive),
     ]);
-    let gated_report = gate_engine(KV, AdmissionMode::ReserveFull, false).run(&trace);
+    let gated_report =
+        gate_engine(KV, AdmissionMode::ReserveFull, FastPaths::MacroSteps).run(&trace);
     assert!(
         gated_report.batch_sheds() > 0,
         "trace must exercise the SLO shed path (got {} sheds)",
         gated_report.batch_sheds()
     );
     assert_eq!(gated_report.records().len(), 4, "every request must eventually complete");
-    let reference = gate_engine(KV, AdmissionMode::ReserveFull, true).run(&trace);
+    let reference = gate_engine(KV, AdmissionMode::ReserveFull, FastPaths::Reference).run(&trace);
     assert_eq!(
         deep_fingerprint(&gated_report),
         deep_fingerprint(&reference),
@@ -133,13 +136,15 @@ fn preemption_freed_kv_unblocks_gate_like_full_rescan() {
     reqs.push(request(14, 0.02, 1_800, 2_500, RequestClass::Batch));
     reqs.push(request(15, 0.30, 1_200, 64, RequestClass::Interactive));
     let trace = Trace::with_ids(reqs);
-    let gated_report = gate_engine(KV, AdmissionMode::PreemptRestart, false).run(&trace);
+    let gated_report =
+        gate_engine(KV, AdmissionMode::PreemptRestart, FastPaths::MacroSteps).run(&trace);
     assert!(
         gated_report.preemptions() > 0,
         "trace must exercise decode-append preemption (got {} preemptions)",
         gated_report.preemptions()
     );
-    let reference = gate_engine(KV, AdmissionMode::PreemptRestart, true).run(&trace);
+    let reference =
+        gate_engine(KV, AdmissionMode::PreemptRestart, FastPaths::Reference).run(&trace);
     assert_eq!(
         deep_fingerprint(&gated_report),
         deep_fingerprint(&reference),
@@ -178,8 +183,9 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let gated = deep_fingerprint(&gate_engine(kv, admission, false).run(&trace));
-        let naive = deep_fingerprint(&gate_engine(kv, admission, true).run(&trace));
+        let run = |paths| deep_fingerprint(&gate_engine(kv, admission, paths).run(&trace));
+        let gated = run(FastPaths::MacroSteps);
+        let naive = run(FastPaths::Reference);
         prop_assert_eq!(&gated, &naive, "gated admission diverged from the linear rescan");
     }
 }
@@ -199,8 +205,9 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let gated = deep_fingerprint(&gate_engine(kv, admission, false).run(&trace));
-        let naive = deep_fingerprint(&gate_engine(kv, admission, true).run(&trace));
+        let run = |paths| deep_fingerprint(&gate_engine(kv, admission, paths).run(&trace));
+        let gated = run(FastPaths::MacroSteps);
+        let naive = run(FastPaths::Reference);
         prop_assert_eq!(&gated, &naive, "gated admission diverged from the linear rescan");
     }
 }

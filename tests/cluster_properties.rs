@@ -10,6 +10,7 @@
 //! be trusted as a superset of the offline one.
 
 use proptest::prelude::*;
+use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_metrics::ReplicaLoadSample;
@@ -25,17 +26,18 @@ fn engine(kv: u64) -> Engine {
     )
 }
 
-/// An engine with optional SLO admission, optionally running its
-/// pre-optimization reference scheduling paths (linear admission scan,
+/// An engine with optional SLO admission on the given rung of the
+/// optimization ladder (`FastPaths::Reference` runs the
+/// pre-optimization scheduling paths: linear admission scan,
 /// fold-based load snapshots).
-fn engine_with(kv: u64, slo: Option<ClassSlo>, reference: bool) -> Engine {
+fn engine_with(kv: u64, slo: Option<ClassSlo>, paths: FastPaths) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
         Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
         EngineConfig { kv_capacity_tokens: kv, class_slo: slo, ..EngineConfig::default() },
     );
-    e.set_reference_mode(reference);
+    e.set_fast_paths(paths);
     e
 }
 
@@ -249,7 +251,7 @@ proptest! {
     /// over randomized traces and randomized push/step interleavings,
     /// `ClusterSim` (horizon windows, indexed EDF admission, incremental
     /// load counters) must stay in lockstep with `ReferenceClusterSim`
-    /// (the one-event linear-rescan loop over reference-mode engines) —
+    /// (the one-event linear-rescan loop over `Reference`-rung engines) —
     /// same next-event instant at every step, and byte-identical reports
     /// at the end.
     #[test]
@@ -262,11 +264,10 @@ proptest! {
     ) {
         let slo = use_slo.then(ClassSlo::default);
         let build =
-            |reference: bool| (0..n).map(|_| engine_with(kv, slo, reference)).collect::<Vec<_>>();
-        let mut windowed =
-            ClusterSim::new(build(false), RoutingKind::JoinShortestOutstanding.policy());
-        let mut naive =
-            ReferenceClusterSim::new(build(true), RoutingKind::JoinShortestOutstanding.policy());
+            |paths: FastPaths| (0..n).map(|_| engine_with(kv, slo, paths)).collect::<Vec<_>>();
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let mut windowed = ClusterSim::new(build(FastPaths::MacroSteps), policy());
+        let mut naive = ReferenceClusterSim::new(build(FastPaths::Reference), policy());
 
         let next_bits = |cal: &ClusterSim<Engine>, naive: &ReferenceClusterSim<Engine>| {
             (
@@ -352,8 +353,8 @@ proptest! {
         steps_between in prop::collection::vec(0usize..5, 0..32),
     ) {
         let build =
-            |reference: bool| (0..n).map(|_| engine_with(kv, None, reference)).collect::<Vec<_>>();
-        let scaler = |reference: bool| {
+            |paths: FastPaths| (0..n).map(|_| engine_with(kv, None, paths)).collect::<Vec<_>>();
+        let scaler = |paths: FastPaths| {
             Autoscaler::new(
                 AutoscaleConfig {
                     cold_start: Dur::from_secs(cold),
@@ -363,15 +364,14 @@ proptest! {
                 Box::new(
                     LoadBandPolicy::new(hi, lo).smoothing(0.5).cooldown(Dur::from_secs(2.0)),
                 ),
-                move |_| engine_with(kv, None, reference),
+                move |_| engine_with(kv, None, paths),
             )
         };
-        let mut windowed =
-            ClusterSim::new(build(false), RoutingKind::JoinShortestOutstanding.policy())
-                .with_autoscaler(scaler(false));
-        let mut naive =
-            ReferenceClusterSim::new(build(true), RoutingKind::JoinShortestOutstanding.policy())
-                .with_autoscaler(scaler(true));
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let mut windowed = ClusterSim::new(build(FastPaths::MacroSteps), policy())
+            .with_autoscaler(scaler(FastPaths::MacroSteps));
+        let mut naive = ReferenceClusterSim::new(build(FastPaths::Reference), policy())
+            .with_autoscaler(scaler(FastPaths::Reference));
 
         let next_bits = |cal: &ClusterSim<Engine>, naive: &ReferenceClusterSim<Engine>| {
             (
@@ -598,7 +598,7 @@ proptest! {
             ClusterSim::new(engines(n, 60_000), RoutingKind::JoinShortestOutstanding.policy())
                 .with_faults(plan.clone(), retry);
         let mut naive = ReferenceClusterSim::new(
-            (0..n).map(|_| engine_with(60_000, None, true)).collect::<Vec<_>>(),
+            (0..n).map(|_| engine_with(60_000, None, FastPaths::Reference)).collect::<Vec<_>>(),
             RoutingKind::JoinShortestOutstanding.policy(),
         )
         .with_faults(plan, retry);

@@ -1,8 +1,8 @@
 //! Byte-identity properties and edge cases for the decode fast-forward
 //! path (`Engine::step_run` macro-stepping steady-state decode runs).
 //!
-//! The fast path is an *optimization*, never a behavior change: with
-//! `set_fast_forward(false)` every engine walks the per-iteration
+//! The fast path is an *optimization*, never a behavior change: on the
+//! `FastPaths::Compiled` rung every engine walks the per-iteration
 //! scheduler (build batch, price, advance one iteration), and the
 //! fast-forwarded run must reproduce that loop's report bit-for-bit —
 //! not just records and rejects, but throughput bins, makespan,
@@ -11,20 +11,24 @@
 //! fingerprint of windowed `ClusterSim` runs with fast-forward live, at
 //! widths {1, 2, 8}, against the one-event `ReferenceClusterSim` spec
 //! over per-iteration engines, under no faults, seeded fault plans, and
-//! autoscaler churn; the edge-case tests pin the run-length boundaries
-//! (length-1 runs, caps landing mid-run) individually.
+//! autoscaler churn, and under KV pressure against the full reference
+//! spec on every rung of the optimization ladder; the edge-case tests
+//! pin the run-length boundaries (length-1 runs, caps landing mid-run)
+//! individually.
 
 use proptest::prelude::*;
+use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_metrics::ReplicaLoadSample;
 use sp_parallel::BatchStats;
 use std::sync::Arc;
 
-/// An engine with the decode fast-forward either live or forced off,
-/// optional SLO admission, and timeline capture (so the fingerprint
-/// pins per-iteration events bit-exactly).
-fn engine_ff(kv: u64, slo: Option<ClassSlo>, fast_forward: bool) -> Engine {
+/// An engine on the given rung of the optimization ladder (the decode
+/// fast-forward is live only on `MacroSteps`), with optional SLO
+/// admission and timeline capture (so the fingerprint pins
+/// per-iteration events bit-exactly).
+fn engine_ff(kv: u64, slo: Option<ClassSlo>, paths: FastPaths) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
@@ -36,12 +40,12 @@ fn engine_ff(kv: u64, slo: Option<ClassSlo>, fast_forward: bool) -> Engine {
             ..EngineConfig::default()
         },
     );
-    e.set_fast_forward(fast_forward);
+    e.set_fast_paths(paths);
     e
 }
 
-fn engines_ff(n: usize, kv: u64, fast_forward: bool) -> Vec<Engine> {
-    (0..n).map(|_| engine_ff(kv, None, fast_forward)).collect()
+fn engines_ff(n: usize, kv: u64, paths: FastPaths) -> Vec<Engine> {
+    (0..n).map(|_| engine_ff(kv, None, paths)).collect()
 }
 
 /// A `ShiftPolicy` the test keeps a handle on, so its counters can be
@@ -66,13 +70,13 @@ impl ParallelismPolicy for SharedShift {
 }
 
 /// `n` Qwen-32B engines on an 8-GPU node under Shift Parallelism, with
-/// timeline capture and the fast-forward live or forced off, and
-/// handles on their policies.
+/// timeline capture, on the given ladder rung, and handles on their
+/// policies.
 fn shift_engines_ff(
     n: usize,
     kv: u64,
     slo: Option<ClassSlo>,
-    fast_forward: bool,
+    paths: FastPaths,
 ) -> (Vec<Engine>, Vec<Arc<ShiftPolicy>>) {
     (0..n)
         .map(|_| {
@@ -87,7 +91,7 @@ fn shift_engines_ff(
                     ..EngineConfig::default()
                 },
             );
-            engine.set_fast_forward(fast_forward);
+            engine.set_fast_paths(paths);
             (engine, policy)
         })
         .unzip()
@@ -100,10 +104,10 @@ fn shift_counts(policies: &[Arc<ShiftPolicy>]) -> Vec<(u64, u64, u64)> {
 
 /// The KV-pressure regime the shape-stable windows and the admission
 /// gate target: a tight cache, a small chunk budget (so prompts prefill
-/// across many iterations and windows mix a chunked-prefill leader with
-/// steady decodes), and SLO-aware EDF admission (so the gate arms with
-/// an expiry and the shed path fires).
-fn pressure_engine(kv: u64, fast_forward: bool) -> Engine {
+/// across many iterations, with decode runs between them), and
+/// SLO-aware EDF admission (so the gate arms with an expiry and the
+/// shed path fires).
+fn pressure_engine(kv: u64, paths: FastPaths) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     let mut e = Engine::new(
         ExecutionModel::new(node, presets::qwen_32b()),
@@ -116,7 +120,7 @@ fn pressure_engine(kv: u64, fast_forward: bool) -> Engine {
             ..EngineConfig::default()
         },
     );
-    e.set_fast_forward(fast_forward);
+    e.set_fast_paths(paths);
     e
 }
 
@@ -246,8 +250,8 @@ proptest! {
         kv in prop_oneof![Just(30_000u64), Just(200_000)],
     ) {
         let slo = use_slo.then(ClassSlo::default);
-        let fast = deep_fingerprint(&engine_ff(kv, slo, true).run(&trace));
-        let slow = deep_fingerprint(&engine_ff(kv, slo, false).run(&trace));
+        let fast = deep_fingerprint(&engine_ff(kv, slo, FastPaths::MacroSteps).run(&trace));
+        let slow = deep_fingerprint(&engine_ff(kv, slo, FastPaths::Compiled).run(&trace));
         prop_assert_eq!(&fast, &slow, "fast-forward diverged from the per-iteration engine");
     }
 
@@ -263,11 +267,15 @@ proptest! {
         kv in prop_oneof![Just(30_000u64), Just(200_000)],
     ) {
         let slo = use_slo.then(ClassSlo::default);
-        let run = |ff: bool| {
-            let (mut engines, policies) = shift_engines_ff(1, kv, slo, ff);
+        let run = |paths: FastPaths| {
+            let (mut engines, policies) = shift_engines_ff(1, kv, slo, paths);
             (deep_fingerprint(&engines[0].run(&trace)), shift_counts(&policies))
         };
-        prop_assert_eq!(run(true), run(false), "fast-forward diverged on a Shift engine");
+        prop_assert_eq!(
+            run(FastPaths::MacroSteps),
+            run(FastPaths::Compiled),
+            "fast-forward diverged on a Shift engine"
+        );
     }
 
     /// Cluster-level equivalence, no faults: fast-forward windows at
@@ -282,9 +290,11 @@ proptest! {
     ) {
         let policy = || RoutingKind::JoinShortestOutstanding.policy();
         let spec = deep_fingerprint(
-            &ReferenceClusterSim::new(engines_ff(n, kv, false), policy()).run(&trace),
+            &ReferenceClusterSim::new(engines_ff(n, kv, FastPaths::Compiled), policy()).run(&trace),
         );
-        assert_windows_match(&spec, &trace, || ClusterSim::new(engines_ff(n, kv, true), policy()));
+        assert_windows_match(&spec, &trace, || {
+            ClusterSim::new(engines_ff(n, kv, FastPaths::MacroSteps), policy())
+        });
     }
 
     /// Cluster-level equivalence on Shift engines: reports and every
@@ -297,11 +307,11 @@ proptest! {
         kv in prop_oneof![Just(30_000u64), Just(200_000)],
     ) {
         let policy = || RoutingKind::JoinShortestOutstanding.policy();
-        let (nodes, spec_policies) = shift_engines_ff(n, kv, None, false);
+        let (nodes, spec_policies) = shift_engines_ff(n, kv, None, FastPaths::Compiled);
         let spec = deep_fingerprint(&ReferenceClusterSim::new(nodes, policy()).run(&trace));
         let spec_counts = shift_counts(&spec_policies);
         for threads in [1usize, 2, 8] {
-            let (nodes, policies) = shift_engines_ff(n, kv, None, true);
+            let (nodes, policies) = shift_engines_ff(n, kv, None, FastPaths::MacroSteps);
             let windowed = ClusterSim::new(nodes, policy()).with_threads(threads).run(&trace);
             prop_assert_eq!(&deep_fingerprint(&windowed), &spec, "divergence at {} threads", threads);
             prop_assert_eq!(shift_counts(&policies), spec_counts.clone());
@@ -323,24 +333,26 @@ proptest! {
         let retry = RetryPolicy { max_retries: budget, base_backoff: Dur::from_secs(0.25) };
         let policy = || RoutingKind::JoinShortestOutstanding.policy();
         let spec = deep_fingerprint(
-            &ReferenceClusterSim::new(engines_ff(n, 60_000, false), policy())
+            &ReferenceClusterSim::new(engines_ff(n, 60_000, FastPaths::Compiled), policy())
                 .with_faults(plan.clone(), retry)
                 .run(&trace),
         );
         assert_windows_match(&spec, &trace, || {
-            ClusterSim::new(engines_ff(n, 60_000, true), policy()).with_faults(plan.clone(), retry)
+            ClusterSim::new(engines_ff(n, 60_000, FastPaths::MacroSteps), policy())
+                .with_faults(plan.clone(), retry)
         });
     }
 
-    /// Cluster-level equivalence under KV pressure: prompts comparable
-    /// to the cache with a 2048-token chunk budget, so windows carry
-    /// mixed prefill+decode shapes, arrivals land mid-window, the
-    /// KV-blocked admission gate arms (with EDF expiries and shed-path
+    /// Cluster-level equivalence under KV pressure, on every rung of
+    /// the optimization ladder: prompts comparable to the cache with a
+    /// 2048-token chunk budget, so prefills chunk across iterations
+    /// between decode runs, arrivals land mid-window, the KV-blocked
+    /// admission gate arms (with EDF expiries and shed-path
     /// re-entries), and retirements re-open admission mid-horizon. The
-    /// generalized shape-stable fast-forward must reproduce the
-    /// per-iteration reference loop bit-for-bit at every horizon width,
-    /// with and without a fault plan cutting the windows at timer
-    /// instants.
+    /// spec is the reference loop over engines on the `Reference` rung;
+    /// windowed runs on each rung must reproduce it bit-for-bit at
+    /// every horizon width, with and without a fault plan cutting the
+    /// windows at timer instants.
     #[test]
     fn fastforward_cluster_matches_per_iteration_under_kv_pressure(
         trace in arb_trace(),
@@ -350,15 +362,23 @@ proptest! {
     ) {
         let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
         let policy = || RoutingKind::JoinShortestOutstanding.policy();
-        let engines = |ff: bool| (0..n).map(|_| pressure_engine(kv, ff)).collect::<Vec<_>>();
+        let engines =
+            |paths: FastPaths| (0..n).map(|_| pressure_engine(kv, paths)).collect::<Vec<_>>();
         let spec = deep_fingerprint(
-            &ReferenceClusterSim::new(engines(false), policy())
+            &ReferenceClusterSim::new(engines(FastPaths::Reference), policy())
                 .with_faults(plan.clone(), retry)
                 .run(&trace),
         );
-        assert_windows_match(&spec, &trace, || {
-            ClusterSim::new(engines(true), policy()).with_faults(plan.clone(), retry)
-        });
+        for paths in [
+            FastPaths::Reference,
+            FastPaths::Indexed,
+            FastPaths::Compiled,
+            FastPaths::MacroSteps,
+        ] {
+            assert_windows_match(&spec, &trace, || {
+                ClusterSim::new(engines(paths), policy()).with_faults(plan.clone(), retry)
+            });
+        }
     }
 }
 
@@ -384,7 +404,7 @@ proptest! {
         );
         let kv = 60_000u64;
         let policy = || RoutingKind::JoinShortestOutstanding.policy();
-        let scaler = |ff: bool| {
+        let scaler = |paths: FastPaths| {
             Autoscaler::new(
                 AutoscaleConfig {
                     cold_start: Dur::from_secs(2.5),
@@ -392,16 +412,17 @@ proptest! {
                     max_replicas: 4,
                 },
                 Box::new(LoadBandPolicy::new(hi, lo).smoothing(0.5).cooldown(Dur::from_secs(2.0))),
-                move |_| engine_ff(kv, None, ff),
+                move |_| engine_ff(kv, None, paths),
             )
         };
         let spec = deep_fingerprint(
-            &ReferenceClusterSim::new(engines_ff(n, kv, false), policy())
-                .with_autoscaler(scaler(false))
+            &ReferenceClusterSim::new(engines_ff(n, kv, FastPaths::Compiled), policy())
+                .with_autoscaler(scaler(FastPaths::Compiled))
                 .run(&trace),
         );
         assert_windows_match(&spec, &trace, || {
-            ClusterSim::new(engines_ff(n, kv, true), policy()).with_autoscaler(scaler(true))
+            ClusterSim::new(engines_ff(n, kv, FastPaths::MacroSteps), policy())
+                .with_autoscaler(scaler(FastPaths::MacroSteps))
         });
     }
 }
@@ -415,9 +436,9 @@ proptest! {
 #[test]
 fn run_length_one_is_byte_identical() {
     let trace = Trace::with_ids((0..6).map(|i| request(i, 0.0, 64, 3 + i as u32)).collect());
-    let fast_report = engine_ff(100_000, None, true).run(&trace);
+    let fast_report = engine_ff(100_000, None, FastPaths::MacroSteps).run(&trace);
     let fast = deep_fingerprint(&fast_report);
-    let slow = deep_fingerprint(&engine_ff(100_000, None, false).run(&trace));
+    let slow = deep_fingerprint(&engine_ff(100_000, None, FastPaths::Compiled).run(&trace));
     assert_eq!(fast, slow, "length-1 runs diverged from per-iteration stepping");
     assert_eq!(fast_report.records().len(), 6, "all staggered sequences must complete");
 }
@@ -427,13 +448,19 @@ fn run_length_one_is_byte_identical() {
 fn assert_faulted_windows_match(n: usize, plan: FaultPlan, trace: &Trace) {
     let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
     let spec = deep_fingerprint(
-        &ReferenceClusterSim::new(engines_ff(n, 100_000, false), RoutingKind::default().policy())
-            .with_faults(plan.clone(), retry)
-            .run(trace),
+        &ReferenceClusterSim::new(
+            engines_ff(n, 100_000, FastPaths::Compiled),
+            RoutingKind::default().policy(),
+        )
+        .with_faults(plan.clone(), retry)
+        .run(trace),
     );
     assert_windows_match(&spec, trace, || {
-        ClusterSim::new(engines_ff(n, 100_000, true), RoutingKind::default().policy())
-            .with_faults(plan.clone(), retry)
+        ClusterSim::new(
+            engines_ff(n, 100_000, FastPaths::MacroSteps),
+            RoutingKind::default().policy(),
+        )
+        .with_faults(plan.clone(), retry)
     });
 }
 
