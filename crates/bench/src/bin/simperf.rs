@@ -66,8 +66,8 @@ use shift_core::ShiftPolicy;
 use sp_bench::harness::parallel_sweep;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_engine::{
-    AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, FastPaths, FaultPlan,
-    LoadBandPolicy, ReferenceClusterSim, RetryPolicy, RoutingKind,
+    AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, EngineReport, FastPaths,
+    FaultPlan, LoadBandPolicy, ReferenceClusterSim, RetryPolicy, RoutingKind,
 };
 use sp_metrics::{ClassSlo, Dur};
 use sp_model::presets;
@@ -97,24 +97,22 @@ struct Scenario {
     peak_rss_kb: u64,
 }
 
-fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, paths: FastPaths) -> Vec<Engine> {
+/// One single-GPU DP replica on the given ladder rung.
+fn dp_engine(slo: Option<ClassSlo>, kv_capacity: u64, paths: FastPaths) -> Engine {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    (0..n)
-        .map(|_| {
-            let config = EngineConfig {
-                class_slo: slo,
-                kv_capacity_tokens: kv_capacity,
-                ..EngineConfig::default()
-            };
-            let mut engine = Engine::new(
-                ExecutionModel::new(node, presets::qwen_32b()),
-                Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-                config,
-            );
-            engine.set_fast_paths(paths);
-            engine
-        })
-        .collect()
+    let config =
+        EngineConfig { class_slo: slo, kv_capacity_tokens: kv_capacity, ..EngineConfig::default() };
+    let mut engine = Engine::new(
+        ExecutionModel::new(node, presets::qwen_32b()),
+        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
+        config,
+    );
+    engine.set_fast_paths(paths);
+    engine
+}
+
+fn engines(n: usize, slo: Option<ClassSlo>, kv_capacity: u64, paths: FastPaths) -> Vec<Engine> {
+    (0..n).map(|_| dp_engine(slo, kv_capacity, paths)).collect()
 }
 
 /// Engines for the decode-heavy shift clusters: 8-GPU paper nodes
@@ -273,13 +271,13 @@ fn steadyshape_engines(n: usize, paths: FastPaths) -> Vec<Engine> {
 /// warmup pays one-time costs (page faults, frequency ramp) and the max
 /// keeps the least-contended repeat. `runs == 1` measures once, cold —
 /// full mode keeps the old behavior.
-fn best_of(runs: usize, mut measure: impl FnMut() -> Scenario) -> Scenario {
+fn best_of(runs: usize, mut run: impl FnMut() -> Scenario) -> Scenario {
     if runs <= 1 {
-        return measure();
+        return run();
     }
-    let _warmup = measure();
+    let _warmup = run();
     (0..runs)
-        .map(|_| measure())
+        .map(|_| run())
         .max_by(|a, b| a.events_per_sec.total_cmp(&b.events_per_sec))
         .expect("runs >= 1")
 }
@@ -307,131 +305,71 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
-/// Runs `trace` through a width-1 window-loop cluster of `replicas`
-/// engines and measures events/sec (events = engine scheduling
-/// iterations).
-fn measure_cluster(
+/// Times one run — peak-RSS watermark reset, wall clock — as scenario
+/// `name`; `run` returns its event count and whatever the caller checks
+/// afterwards. Everything `run` needs is built before the call, outside
+/// the timed region.
+fn timed<R>(
     name: &str,
     replicas: usize,
-    slo: Option<ClassSlo>,
-    kv_capacity: u64,
-    trace: &Trace,
-) -> Scenario {
-    let mut sim = ClusterSim::new(
-        engines(replicas, slo, kv_capacity, FastPaths::MacroSteps),
-        RoutingKind::default().policy(),
-    )
-    .with_threads(1);
+    threads: usize,
+    requests: usize,
+    run: impl FnOnce() -> (u64, R),
+) -> (Scenario, R) {
     reset_peak_rss();
     let start = Instant::now();
-    let report = sim.run(trace);
+    let (events, out) = run();
     let wall_s = start.elapsed().as_secs_f64();
-    let events = report.iterations();
-    assert_eq!(
-        report.records().len() + report.rejected().len(),
-        trace.len(),
-        "every request must complete or be rejected"
-    );
-    Scenario {
+    let scenario = Scenario {
         name: name.to_string(),
         replicas,
-        threads: sim.threads(),
-        requests: trace.len(),
+        threads,
+        requests,
         events,
         wall_s,
         events_per_sec: events as f64 / wall_s.max(1e-9),
         peak_rss_kb: peak_rss_kb(),
-    }
+    };
+    (scenario, out)
 }
 
-/// Cluster measurement with the load-band autoscaler in the loop: the
-/// fleet starts at one replica and grows toward `peak` on the load
-/// signal, so every dispatch pays the `pre_dispatch` lifecycle sweep
-/// and the window loop absorbs spawn/retire churn. The gated
-/// events/sec number keeps the autoscaling overhead on the regression
-/// radar alongside the plain cluster scenarios.
-fn measure_autoscaled(
+/// Times one run of a pre-built simulation over `trace` (events =
+/// engine scheduling iterations) and asserts conservation: every
+/// request completes, is rejected, or fails terminally.
+fn measure(
     name: &str,
-    peak: usize,
-    slo: Option<ClassSlo>,
-    kv_capacity: u64,
+    replicas: usize,
+    threads: usize,
     trace: &Trace,
-) -> Scenario {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    let spawn = move |_: usize| {
-        Engine::new(
-            ExecutionModel::new(node, presets::qwen_32b()),
-            Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-            EngineConfig { class_slo: slo, kv_capacity_tokens: kv_capacity, ..Default::default() },
-        )
-    };
+    run: impl FnOnce(&Trace) -> EngineReport,
+) -> (Scenario, EngineReport) {
+    let (scenario, report) = timed(name, replicas, threads, trace.len(), || {
+        let report = run(trace);
+        (report.iterations(), report)
+    });
+    assert_eq!(
+        report.records().len() + report.rejected().len() + report.failed().len(),
+        trace.len(),
+        "{name}: every request must complete, be rejected, or fail terminally"
+    );
+    (scenario, report)
+}
+
+/// A window-loop cluster over `engines` at fan-out width `threads`.
+fn cluster(engines: Vec<Engine>, threads: usize) -> ClusterSim<Engine> {
+    ClusterSim::new(engines, RoutingKind::default().policy()).with_threads(threads)
+}
+
+/// A width-1 fleet that starts at one replica and grows toward `peak`
+/// on the load signal, so every dispatch pays the `pre_dispatch`
+/// lifecycle sweep and the window loop absorbs spawn/retire churn.
+fn autoscaled_fleet(peak: usize, slo: Option<ClassSlo>, kv_capacity: u64) -> ClusterSim<Engine> {
     let scaler = Autoscaler::new(
         AutoscaleConfig { cold_start: Dur::from_secs(2.0), min_replicas: 1, max_replicas: peak },
         Box::new(LoadBandPolicy::new(600.0, 80.0).smoothing(0.7).cooldown(Dur::from_secs(1.0))),
-        spawn,
+        move |_: usize| dp_engine(slo, kv_capacity, FastPaths::MacroSteps),
     );
-    let mut sim = ClusterSim::new(
-        engines(1, slo, kv_capacity, FastPaths::MacroSteps),
-        RoutingKind::default().policy(),
-    )
-    .with_threads(1)
-    .with_autoscaler(scaler);
-    reset_peak_rss();
-    let start = Instant::now();
-    let report = sim.run(trace);
-    let wall_s = start.elapsed().as_secs_f64();
-    let events = report.iterations();
-    assert_eq!(
-        report.records().len() + report.rejected().len(),
-        trace.len(),
-        "every request must complete or be rejected"
-    );
-    assert!(
-        report.fleet_timeline().peak_provisioned() > 1,
-        "autoscale scenario must actually exercise replica churn"
-    );
-    Scenario {
-        name: name.to_string(),
-        replicas: peak,
-        threads: sim.threads(),
-        requests: trace.len(),
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
-/// Same measurement through the executable specification: the
-/// one-event linear-rescan cluster loop (`ReferenceClusterSim`) over
-/// engines running the pre-index linear admission scan. Scheduling
-/// decisions are identical to the window loop — only the cost differs.
-fn measure_reference(
-    name: &str,
-    replicas: usize,
-    slo: Option<ClassSlo>,
-    kv_capacity: u64,
-    trace: &Trace,
-) -> Scenario {
-    let mut sim = ReferenceClusterSim::new(
-        engines(replicas, slo, kv_capacity, FastPaths::Reference),
-        RoutingKind::default().policy(),
-    );
-    reset_peak_rss();
-    let start = Instant::now();
-    let report = sim.run(trace);
-    let wall_s = start.elapsed().as_secs_f64();
-    let events = report.iterations();
-    Scenario {
-        name: name.to_string(),
-        replicas,
-        threads: 1,
-        requests: trace.len(),
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    }
+    cluster(engines(1, slo, kv_capacity, FastPaths::MacroSteps), 1).with_autoscaler(scaler)
 }
 
 /// Every power-of-two `(sp, tp)` layout that fits an 8-GPU node and
@@ -475,107 +413,6 @@ fn pricing_batch_window() -> Vec<BatchWork> {
         .collect()
 }
 
-/// Cluster measurement with fault injection in the loop: a seeded
-/// Poisson crash schedule plus the crash-deficit autoscaler respawning
-/// lost replicas, so windows are cut at every fault timer (`peek_timer`,
-/// salvage, retry redelivery). Gated like the other cluster scenarios
-/// to keep the chaos machinery's overhead on the regression radar.
-fn measure_chaos(
-    name: &str,
-    peak: usize,
-    slo: Option<ClassSlo>,
-    kv_capacity: u64,
-    trace: &Trace,
-    horizon: Dur,
-) -> Scenario {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    let spawn = move |_: usize| {
-        Engine::new(
-            ExecutionModel::new(node, presets::qwen_32b()),
-            Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-            EngineConfig { class_slo: slo, kv_capacity_tokens: kv_capacity, ..Default::default() },
-        )
-    };
-    let scaler = Autoscaler::new(
-        AutoscaleConfig { cold_start: Dur::from_secs(2.0), min_replicas: 1, max_replicas: peak },
-        Box::new(LoadBandPolicy::new(600.0, 80.0).smoothing(0.7).cooldown(Dur::from_secs(1.0))),
-        spawn,
-    );
-    // MTTF of a quarter horizon: a handful of crashes per run, each
-    // exercising salvage, backoff redelivery, and deficit respawn.
-    let plan = FaultPlan::crashes_poisson(0xC4A5, horizon * 0.25, horizon, peak);
-    let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.25) };
-    let mut sim = ClusterSim::new(
-        engines(1, slo, kv_capacity, FastPaths::MacroSteps),
-        RoutingKind::default().policy(),
-    )
-    .with_threads(1)
-    .with_autoscaler(scaler)
-    .with_faults(plan, retry);
-    reset_peak_rss();
-    let start = Instant::now();
-    let report = sim.run(trace);
-    let wall_s = start.elapsed().as_secs_f64();
-    let events = report.iterations();
-    assert_eq!(
-        report.records().len() + report.rejected().len() + report.failed().len(),
-        trace.len(),
-        "every request must complete, be rejected, or fail terminally"
-    );
-    assert!(report.fleet_timeline().crash_count() > 0, "chaos scenario must actually crash");
-    Scenario {
-        name: name.to_string(),
-        replicas: peak,
-        threads: sim.threads(),
-        requests: trace.len(),
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
-/// Cluster measurement at an explicit horizon-window fan-out width.
-/// The `parallel_r*_t*` scenarios run the same replica fleet and trace
-/// at widths 1, 2, and 8, so the JSON carries an events/sec column per
-/// thread count and the t8 point can be gated in CI. Reports are
-/// byte-identical across widths by construction (the horizon-parallel
-/// property suite pins this); only wall-clock differs.
-fn measure_parallel(
-    name: &str,
-    replicas: usize,
-    threads: usize,
-    slo: Option<ClassSlo>,
-    kv_capacity: u64,
-    trace: &Trace,
-) -> Scenario {
-    let mut sim = ClusterSim::new(
-        engines(replicas, slo, kv_capacity, FastPaths::MacroSteps),
-        RoutingKind::default().policy(),
-    )
-    .with_threads(threads);
-    reset_peak_rss();
-    let start = Instant::now();
-    let report = sim.run(trace);
-    let wall_s = start.elapsed().as_secs_f64();
-    let events = report.iterations();
-    assert_eq!(
-        report.records().len() + report.rejected().len(),
-        trace.len(),
-        "every request must complete or be rejected"
-    );
-    Scenario {
-        name: name.to_string(),
-        replicas,
-        threads,
-        requests: trace.len(),
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
 /// Pricing-layer throughput: every candidate shift layout priced over a
 /// stream of realistic batches. For these scenarios an *event is one
 /// config evaluation* (batches × configurations), not a scheduling
@@ -594,60 +431,24 @@ fn measure_pricing_evals(
     let plans = shift_candidate_plans(exec);
     let configs: Vec<ParallelConfig> = plans.iter().map(|p| p.config()).collect();
     let rounds = if smoke { 300 * replicas } else { 1500 * replicas };
-    let mut evals = 0u64;
-    reset_peak_rss();
-    let start = Instant::now();
-    for r in 0..rounds {
-        let batch = &window[r % window.len()];
-        if compiled {
-            let priced = exec.price_all(&plans, batch);
-            evals += priced.len() as u64;
-            std::hint::black_box(&priced);
-        } else {
-            for c in &configs {
-                std::hint::black_box(exec.iteration(c, batch).total());
+    let (scenario, ()) = timed(name, replicas, 1, rounds, || {
+        let mut evals = 0u64;
+        for r in 0..rounds {
+            let batch = &window[r % window.len()];
+            if compiled {
+                let priced = exec.price_all(&plans, batch);
+                evals += priced.len() as u64;
+                std::hint::black_box(&priced);
+            } else {
+                for c in &configs {
+                    std::hint::black_box(exec.iteration(c, batch).total());
+                }
+                evals += configs.len() as u64;
             }
-            evals += configs.len() as u64;
         }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    Scenario {
-        name: name.to_string(),
-        replicas,
-        threads: 1,
-        requests: rounds,
-        events: evals,
-        wall_s,
-        events_per_sec: evals as f64 / wall_s.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
-/// Runs `trace` through a width-1 window-loop cluster built from the
-/// given engines; callers that pair two runs assert equal event counts
-/// themselves.
-fn measure_with_engines(
-    name: &str,
-    replicas: usize,
-    engines: Vec<Engine>,
-    trace: &Trace,
-) -> Scenario {
-    let mut sim = ClusterSim::new(engines, RoutingKind::default().policy()).with_threads(1);
-    reset_peak_rss();
-    let start = Instant::now();
-    let report = sim.run(trace);
-    let wall_s = start.elapsed().as_secs_f64();
-    let events = report.iterations();
-    Scenario {
-        name: name.to_string(),
-        replicas,
-        threads: sim.threads(),
-        requests: trace.len(),
-        events,
-        wall_s,
-        events_per_sec: events as f64 / wall_s.max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    }
+        (evals, ())
+    });
+    scenario
 }
 
 /// Host core count as reported by the standard library; 1 when the
@@ -745,7 +546,8 @@ fn main() {
         // larger points stay cold in full mode (one run each).
         let point_runs = if r == 1 { runs.max(3) } else { runs };
         best_of(point_runs, || {
-            measure_cluster(&format!("window_r{r}"), r, None, DEFAULT_KV, &trace)
+            let mut sim = cluster(engines(r, None, DEFAULT_KV, FastPaths::MacroSteps), 1);
+            measure(&format!("window_r{r}"), r, 1, &trace, |t| sim.run(t)).0
         })
     });
 
@@ -761,16 +563,17 @@ fn main() {
     let slo = Some(ClassSlo::default());
     let trace = bursty_trace(headline_r, smoke, if smoke { 40 } else { 300 });
     let window = best_of(runs, || {
-        measure_cluster(
-            &format!("window_headline_r{headline_r}"),
-            headline_r,
-            slo,
-            BOUND_KV,
-            &trace,
-        )
+        let mut sim = cluster(engines(headline_r, slo, BOUND_KV, FastPaths::MacroSteps), 1);
+        measure(&format!("window_headline_r{headline_r}"), headline_r, 1, &trace, |t| sim.run(t)).0
     });
+    // The executable specification: the one-event linear-rescan loop
+    // over engines running the pre-index linear admission scan.
     let reference = best_of(runs, || {
-        measure_reference(&format!("reference_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
+        let mut sim = ReferenceClusterSim::new(
+            engines(headline_r, slo, BOUND_KV, FastPaths::Reference),
+            RoutingKind::default().policy(),
+        );
+        measure(&format!("reference_r{headline_r}"), headline_r, 1, &trace, |t| sim.run(t)).0
     });
     assert_eq!(window.events, reference.events, "loops must execute identical event counts");
     let speedup = window.events_per_sec / reference.events_per_sec.max(1e-9);
@@ -783,7 +586,14 @@ fn main() {
     // scenarios so the per-dispatch lifecycle sweep and the
     // spawn/retire churn stay on the regression radar.
     scenarios.push(best_of(runs, || {
-        measure_autoscaled(&format!("autoscale_r{headline_r}"), headline_r, slo, BOUND_KV, &trace)
+        let mut sim = autoscaled_fleet(headline_r, slo, BOUND_KV);
+        let (scenario, report) =
+            measure(&format!("autoscale_r{headline_r}"), headline_r, 1, &trace, |t| sim.run(t));
+        assert!(
+            report.fleet_timeline().peak_provisioned() > 1,
+            "autoscale scenario must actually exercise replica churn"
+        );
+        scenario
     }));
 
     // Chaos fleet: the same autoscaled fleet under a seeded Poisson
@@ -792,14 +602,16 @@ fn main() {
     // only tested.
     let chaos_horizon = Dur::from_secs(if smoke { 30.0 } else { 120.0 });
     scenarios.push(best_of(runs, || {
-        measure_chaos(
-            &format!("chaos_r{headline_r}"),
-            headline_r,
-            slo,
-            BOUND_KV,
-            &trace,
-            chaos_horizon,
-        )
+        // MTTF of a quarter horizon: a handful of crashes per run, each
+        // exercising salvage, backoff redelivery, and deficit respawn.
+        let plan =
+            FaultPlan::crashes_poisson(0xC4A5, chaos_horizon * 0.25, chaos_horizon, headline_r);
+        let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.25) };
+        let mut sim = autoscaled_fleet(headline_r, slo, BOUND_KV).with_faults(plan, retry);
+        let (scenario, report) =
+            measure(&format!("chaos_r{headline_r}"), headline_r, 1, &trace, |t| sim.run(t));
+        assert!(report.fleet_timeline().crash_count() > 0, "chaos scenario must actually crash");
+        scenario
     }));
 
     // Thread-scaling sweep: the 64-replica deep-burst headline fleet
@@ -815,14 +627,8 @@ fn main() {
     let mut t8_eps = 0.0f64;
     for &t in &[1usize, 2, 8] {
         let s = best_of(runs, || {
-            measure_parallel(
-                &format!("parallel_r{par_r}_t{t}"),
-                par_r,
-                t,
-                None,
-                DEFAULT_KV,
-                &par_trace,
-            )
+            let mut sim = cluster(engines(par_r, None, DEFAULT_KV, FastPaths::MacroSteps), t);
+            measure(&format!("parallel_r{par_r}_t{t}"), par_r, t, &par_trace, |tr| sim.run(tr)).0
         });
         if t == 1 {
             t1_eps = s.events_per_sec;
@@ -871,12 +677,9 @@ fn main() {
     // run the pricing layer is worth.
     let cluster_trace = decode_heavy_trace(pricing_r, smoke);
     scenarios.push(best_of(runs, || {
-        measure_with_engines(
-            &format!("cluster_directprice_r{pricing_r}"),
-            pricing_r,
-            shift_engines(pricing_r, FastPaths::Indexed),
-            &cluster_trace,
-        )
+        let mut sim = cluster(shift_engines(pricing_r, FastPaths::Indexed), 1);
+        let name = format!("cluster_directprice_r{pricing_r}");
+        measure(&name, pricing_r, 1, &cluster_trace, |t| sim.run(t)).0
     }));
 
     // Fast-forward pair: the decode-heavy shift cluster macro-stepped
@@ -889,20 +692,12 @@ fn main() {
     let ff_r = 64;
     let ff_trace = fastforward_trace(ff_r, smoke);
     let ff = best_of(runs, || {
-        measure_with_engines(
-            &format!("fastforward_r{ff_r}"),
-            ff_r,
-            shift_engines(ff_r, FastPaths::MacroSteps),
-            &ff_trace,
-        )
+        let mut sim = cluster(shift_engines(ff_r, FastPaths::MacroSteps), 1);
+        measure(&format!("fastforward_r{ff_r}"), ff_r, 1, &ff_trace, |t| sim.run(t)).0
     });
     let periter = best_of(runs, || {
-        measure_with_engines(
-            &format!("fastforward_periter_r{ff_r}"),
-            ff_r,
-            shift_engines(ff_r, FastPaths::Compiled),
-            &ff_trace,
-        )
+        let mut sim = cluster(shift_engines(ff_r, FastPaths::Compiled), 1);
+        measure(&format!("fastforward_periter_r{ff_r}"), ff_r, 1, &ff_trace, |t| sim.run(t)).0
     });
     assert_eq!(
         ff.events, periter.events,
@@ -930,20 +725,12 @@ fn main() {
     let ss_r = 64;
     let ss_trace = steadyshape_trace(ss_r, smoke);
     let ss = best_of(runs, || {
-        measure_with_engines(
-            &format!("steadyshape_r{ss_r}"),
-            ss_r,
-            steadyshape_engines(ss_r, FastPaths::MacroSteps),
-            &ss_trace,
-        )
+        let mut sim = cluster(steadyshape_engines(ss_r, FastPaths::MacroSteps), 1);
+        measure(&format!("steadyshape_r{ss_r}"), ss_r, 1, &ss_trace, |t| sim.run(t)).0
     });
     let ss_periter = best_of(runs, || {
-        measure_with_engines(
-            &format!("steadyshape_periter_r{ss_r}"),
-            ss_r,
-            steadyshape_engines(ss_r, FastPaths::Compiled),
-            &ss_trace,
-        )
+        let mut sim = cluster(steadyshape_engines(ss_r, FastPaths::Compiled), 1);
+        measure(&format!("steadyshape_periter_r{ss_r}"), ss_r, 1, &ss_trace, |t| sim.run(t)).0
     });
     assert_eq!(
         ss.events, ss_periter.events,

@@ -111,20 +111,12 @@ pub struct DeploymentBuilder {
     kind: DeploymentKind,
     overhead: EngineOverhead,
     weight_strategy: WeightStrategy,
-    max_batched_tokens: u64,
-    max_seqs: usize,
-    block_tokens: u32,
-    throughput_bin: Dur,
     mem_fraction: f64,
-    spec_decode: Option<sp_engine::SpecDecode>,
     prefill_flops_scale: f64,
-    admission: sp_engine::AdmissionMode,
-    max_prefill_tokens: Option<u64>,
-    queue_policy: sp_engine::QueuePolicy,
-    record_timeline: bool,
-    prefix_caching: bool,
     routing: RoutingKind,
-    class_slo: Option<sp_metrics::ClassSlo>,
+    /// Every engine's scheduler knobs; `build` fills in the KV capacity
+    /// from the memory plan.
+    engine: EngineConfig,
 }
 
 impl DeploymentBuilder {
@@ -135,20 +127,10 @@ impl DeploymentBuilder {
             kind: DeploymentKind::Shift,
             overhead: EngineOverhead::default(),
             weight_strategy: WeightStrategy::SeparateModels,
-            max_batched_tokens: 8192,
-            max_seqs: 256,
-            block_tokens: 16,
-            throughput_bin: Dur::from_secs(1.0),
             mem_fraction: sp_parallel::memory::DEFAULT_MEM_FRACTION,
-            spec_decode: None,
             prefill_flops_scale: 1.0,
-            admission: sp_engine::AdmissionMode::ReserveFull,
-            max_prefill_tokens: None,
-            queue_policy: sp_engine::QueuePolicy::Fcfs,
-            record_timeline: false,
-            prefix_caching: false,
             routing: RoutingKind::default(),
-            class_slo: None,
+            engine: EngineConfig::default(),
         }
     }
 
@@ -158,7 +140,7 @@ impl DeploymentBuilder {
     /// [`RoutingKind::EarliestDeadlineFeasible`] for deadline-aware
     /// dispatch across replicas.
     pub fn class_slo(mut self, slo: sp_metrics::ClassSlo) -> DeploymentBuilder {
-        self.class_slo = Some(slo);
+        self.engine.class_slo = Some(slo);
         self
     }
 
@@ -172,39 +154,39 @@ impl DeploymentBuilder {
 
     /// Honors requests' cached prefixes (automatic prefix caching).
     pub fn prefix_caching(mut self, on: bool) -> DeploymentBuilder {
-        self.prefix_caching = on;
+        self.engine.prefix_caching = on;
         self
     }
 
     /// Records a per-iteration timeline in reports (default off).
     pub fn record_timeline(mut self, on: bool) -> DeploymentBuilder {
-        self.record_timeline = on;
+        self.engine.record_timeline = on;
         self
     }
 
     /// Caps prefill tokens per iteration (Sarathi-Serve-style decode
     /// protection; default: uncapped).
     pub fn max_prefill_tokens(mut self, cap: u64) -> DeploymentBuilder {
-        self.max_prefill_tokens = Some(cap);
+        self.engine.max_prefill_tokens = Some(cap);
         self
     }
 
     /// Selects the waiting-queue admission order (default: FCFS).
     pub fn queue_policy(mut self, policy: sp_engine::QueuePolicy) -> DeploymentBuilder {
-        self.queue_policy = policy;
+        self.engine.queue_policy = policy;
         self
     }
 
     /// Selects the KV admission mode (default: reserve-full; see
     /// [`sp_engine::AdmissionMode`]).
     pub fn admission(mut self, mode: sp_engine::AdmissionMode) -> DeploymentBuilder {
-        self.admission = mode;
+        self.engine.admission = mode;
         self
     }
 
     /// Enables speculative decoding (§4.5 composition).
     pub fn spec_decode(mut self, sd: sp_engine::SpecDecode) -> DeploymentBuilder {
-        self.spec_decode = Some(sd);
+        self.engine.spec_decode = Some(sd);
         self
     }
 
@@ -234,19 +216,19 @@ impl DeploymentBuilder {
 
     /// Sets the chunked-prefill token budget per iteration.
     pub fn max_batched_tokens(mut self, budget: u64) -> DeploymentBuilder {
-        self.max_batched_tokens = budget;
+        self.engine.max_batched_tokens = budget;
         self
     }
 
     /// Sets the maximum concurrent sequences.
     pub fn max_seqs(mut self, max: usize) -> DeploymentBuilder {
-        self.max_seqs = max;
+        self.engine.max_seqs = max;
         self
     }
 
     /// Sets the throughput time-series bin width for reports.
     pub fn throughput_bin(mut self, bin: Dur) -> DeploymentBuilder {
-        self.throughput_bin = bin;
+        self.engine.throughput_bin = bin;
         self
     }
 
@@ -254,6 +236,45 @@ impl DeploymentBuilder {
     pub fn mem_fraction(mut self, fraction: f64) -> DeploymentBuilder {
         self.mem_fraction = fraction;
         self
+    }
+
+    /// The memory plan of `config` on `node` with `extra` weight bytes
+    /// per GPU, or why the weights do not fit.
+    fn check_fit(
+        &self,
+        node: &NodeSpec,
+        config: ParallelConfig,
+        extra: u64,
+    ) -> Result<MemoryPlan, DeploymentError> {
+        let plan =
+            MemoryPlan::plan_with_extra(node, &self.model, &config, extra, self.mem_fraction)
+                .map_err(|e| DeploymentError::Layout(e.to_string()))?;
+        if !plan.fits {
+            return Err(DeploymentError::DoesNotFit {
+                config,
+                needed: plan.weight_bytes_per_gpu,
+                available: (node.gpu.mem_bytes as f64 * self.mem_fraction) as u64,
+            });
+        }
+        Ok(plan)
+    }
+
+    /// One engine on `node` under `policy`, with `plan`'s KV capacity.
+    fn engine(
+        &self,
+        node: NodeSpec,
+        policy: Box<dyn ParallelismPolicy>,
+        plan: &MemoryPlan,
+    ) -> Engine {
+        let mut exec = ExecutionModel::with_overhead(node, self.model.clone(), self.overhead);
+        if self.prefill_flops_scale < 1.0 {
+            exec.set_prefill_flops_scale(self.prefill_flops_scale);
+        }
+        Engine::new(
+            exec,
+            policy,
+            EngineConfig { kv_capacity_tokens: plan.kv_capacity_tokens, ..self.engine },
+        )
     }
 
     /// Builds the deployment.
@@ -264,128 +285,33 @@ impl DeploymentBuilder {
     /// be laid out, or (for shift deployments) invariance fails.
     pub fn build(self) -> Result<Deployment, DeploymentError> {
         let gpus = self.node.gpu_count;
-        let usable = (self.node.gpu.mem_bytes as f64 * self.mem_fraction) as u64;
-
-        let check_fit =
-            |config: ParallelConfig, extra: u64| -> Result<MemoryPlan, DeploymentError> {
-                let plan = MemoryPlan::plan_with_extra(
-                    &self.node,
-                    &self.model,
-                    &config,
-                    extra,
-                    self.mem_fraction,
-                )
-                .map_err(|e| DeploymentError::Layout(e.to_string()))?;
-                if !plan.fits {
-                    return Err(DeploymentError::DoesNotFit {
-                        config,
-                        needed: plan.weight_bytes_per_gpu,
-                        available: usable,
-                    });
-                }
-                Ok(plan)
-            };
-
-        let engine_config = |kv_capacity_tokens: u64| EngineConfig {
-            max_batched_tokens: self.max_batched_tokens,
-            max_seqs: self.max_seqs,
+        let deployment = |kv_capacity_tokens, shift_policy, inner| Deployment {
+            kind: self.kind,
             kv_capacity_tokens,
-            block_tokens: self.block_tokens,
-            throughput_bin: self.throughput_bin,
-            spec_decode: self.spec_decode,
-            admission: self.admission,
-            record_timeline: self.record_timeline,
-            prefix_caching: self.prefix_caching,
-            max_prefill_tokens: self.max_prefill_tokens,
-            queue_policy: self.queue_policy,
-            class_slo: self.class_slo,
+            shift_policy,
+            routing: self.routing,
+            inner,
         };
-
-        let make_exec = |node: NodeSpec| -> ExecutionModel {
-            let mut exec = ExecutionModel::with_overhead(node, self.model.clone(), self.overhead);
-            if self.prefill_flops_scale < 1.0 {
-                exec.set_prefill_flops_scale(self.prefill_flops_scale);
-            }
-            exec
-        };
-
-        let make_static = |config: ParallelConfig, name: &str, plan: MemoryPlan| -> Engine {
-            Engine::new(
-                make_exec(self.node),
-                Box::new(StaticPolicy::new(name, config)),
-                engine_config(plan.kv_capacity_tokens),
-            )
-        };
-
-        match self.kind {
-            DeploymentKind::TensorParallel => {
-                let config = ParallelConfig::tensor(gpus);
-                let plan = check_fit(config, 0)?;
-                Ok(Deployment {
-                    kind: self.kind,
-                    kv_capacity_tokens: plan.kv_capacity_tokens,
-                    shift_policy: None,
-                    routing: self.routing,
-                    inner: Inner::Single(Box::new(make_static(config, "TP", plan))),
-                })
-            }
-            DeploymentKind::SequenceParallel => {
-                let config = ParallelConfig::sequence(gpus);
-                let plan = check_fit(config, 0)?;
-                Ok(Deployment {
-                    kind: self.kind,
-                    kv_capacity_tokens: plan.kv_capacity_tokens,
-                    shift_policy: None,
-                    routing: self.routing,
-                    inner: Inner::Single(Box::new(make_static(config, "SP", plan))),
-                })
-            }
-            DeploymentKind::Static(config) => {
-                let plan = check_fit(config, 0)?;
-                Ok(Deployment {
-                    kind: self.kind,
-                    kv_capacity_tokens: plan.kv_capacity_tokens,
-                    shift_policy: None,
-                    routing: self.routing,
-                    inner: Inner::Single(Box::new(make_static(config, "static", plan))),
-                })
-            }
+        let (config, name) = match self.kind {
+            DeploymentKind::TensorParallel => (ParallelConfig::tensor(gpus), "TP"),
+            DeploymentKind::SequenceParallel => (ParallelConfig::sequence(gpus), "SP"),
+            DeploymentKind::Static(config) => (config, "static"),
             DeploymentKind::DataParallel => {
                 let replica_node = NodeSpec { gpu_count: 1, ..self.node };
                 let config = ParallelConfig::single();
-                let plan = MemoryPlan::plan_with_extra(
-                    &replica_node,
-                    &self.model,
-                    &config,
-                    0,
-                    self.mem_fraction,
-                )
-                .map_err(|e| DeploymentError::Layout(e.to_string()))?;
-                if !plan.fits {
-                    return Err(DeploymentError::DoesNotFit {
-                        config,
-                        needed: plan.weight_bytes_per_gpu,
-                        available: usable,
-                    });
-                }
+                let plan = self.check_fit(&replica_node, config, 0)?;
                 let replicas = (0..gpus)
                     .map(|_| {
-                        Engine::new(
-                            make_exec(replica_node),
-                            Box::new(StaticPolicy::new("DP", config)),
-                            engine_config(plan.kv_capacity_tokens),
-                        )
+                        self.engine(replica_node, Box::new(StaticPolicy::new("DP", config)), &plan)
                     })
                     .collect();
                 let cluster = ClusterSim::new(replicas, self.routing.policy())
-                    .throughput_bin(self.throughput_bin);
-                Ok(Deployment {
-                    kind: self.kind,
-                    kv_capacity_tokens: plan.kv_capacity_tokens * gpus as u64,
-                    shift_policy: None,
-                    routing: self.routing,
-                    inner: Inner::Cluster(Some(Box::new(cluster))),
-                })
+                    .throughput_bin(self.engine.throughput_bin);
+                return Ok(deployment(
+                    plan.kv_capacity_tokens * gpus as u64,
+                    None,
+                    Inner::Cluster(Some(Box::new(cluster))),
+                ));
             }
             DeploymentKind::Shift | DeploymentKind::ShiftWithBase { .. } => {
                 let (base, threshold) = match self.kind {
@@ -399,22 +325,20 @@ impl DeploymentBuilder {
                 InvarianceCertificate::verify(&self.model, base)
                     .map_err(|e| DeploymentError::Invariance(e.to_string()))?;
                 let weight_plan = ShiftWeightPlan::new(&self.model, base, self.weight_strategy);
-                let plan = check_fit(base, weight_plan.shift_extra_bytes_per_gpu())?;
+                let plan =
+                    self.check_fit(&self.node, base, weight_plan.shift_extra_bytes_per_gpu())?;
                 let policy = Arc::new(ShiftPolicy::new(base, threshold));
-                let engine = Engine::new(
-                    make_exec(self.node),
-                    Box::new(SharedPolicy(policy.clone())),
-                    engine_config(plan.kv_capacity_tokens),
-                );
-                Ok(Deployment {
-                    kind: self.kind,
-                    kv_capacity_tokens: plan.kv_capacity_tokens,
-                    shift_policy: Some(policy),
-                    routing: self.routing,
-                    inner: Inner::Single(Box::new(engine)),
-                })
+                let engine = self.engine(self.node, Box::new(SharedPolicy(policy.clone())), &plan);
+                return Ok(deployment(
+                    plan.kv_capacity_tokens,
+                    Some(policy),
+                    Inner::Single(Box::new(engine)),
+                ));
             }
-        }
+        };
+        let plan = self.check_fit(&self.node, config, 0)?;
+        let engine = self.engine(self.node, Box::new(StaticPolicy::new(name, config)), &plan);
+        Ok(deployment(plan.kv_capacity_tokens, None, Inner::Single(Box::new(engine))))
     }
 }
 

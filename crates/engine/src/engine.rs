@@ -240,10 +240,6 @@ pub struct Engine {
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
-    /// Reusable base-context buffer for [`Engine::step_run`]: the
-    /// running batch's context lengths in decode-scan order at run
-    /// start, from which every rotated iteration shape is derived.
-    scratch_run_pasts: Vec<u64>,
     /// KV-blocked admission fast path (see [`AdmissionGate`]).
     admission_gate: Option<AdmissionGate>,
     /// Monotone version of the running batch's composition and
@@ -322,8 +318,12 @@ struct LinearRunSummary {
 /// iterations since capture (windows advance all decode contexts
 /// uniformly), so the batch is at iteration `base_k` of the captured
 /// run — priced by `lin` at `base_k + k` — and its earliest completion
-/// is `end - base_k` iterations away. A resumed window needs no batch
-/// scan, no summary and no plan evaluation.
+/// is `end - base_k` iterations away. Everything is built once, at
+/// capture, right after the run's one `choose`: the batch stats are
+/// constant over the run and a choice depends only on them, so
+/// `config` and `pricer` hold for every window that resumes it. A
+/// resumed window needs no batch scan, no summary and no plan
+/// evaluation.
 #[derive(Debug, Clone, Copy)]
 struct RunCache {
     /// [`Engine::batch_version`] at capture.
@@ -335,23 +335,24 @@ struct RunCache {
     end: u64,
     /// The captured run's closed-form summary, from iteration 0.
     lin: LinearRunSummary,
-    /// The run's plan, partially evaluated for the configuration its
-    /// iterations last ran under.
-    pricer: Option<(ParallelConfig, DecodeRunPricer)>,
+    /// The configuration every iteration of the run executes under.
+    config: ParallelConfig,
+    /// `config`'s plan, partially evaluated for the run.
+    pricer: DecodeRunPricer,
 }
 
 impl RunCache {
     /// Prices window iteration `k` — run iteration `base_k + k` — from
-    /// the closed-form summary: the fast path that skips materializing
-    /// and folding the rotated batch. `pricer` re-times only the
-    /// attention kernel (the one cost term that moves along a
-    /// pure-decode run), bit-identical to pricing the full summary.
-    fn price(&self, pricer: &DecodeRunPricer, k: u32) -> Dur {
+    /// the closed-form summary without materializing the batch.
+    /// `pricer` re-times only the attention kernel (the one cost term
+    /// that moves along a pure-decode run), bit-identical to pricing
+    /// the full summary.
+    fn price(&self, k: u32) -> Dur {
         let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
         let i = self.base_k + u64::from(k);
         let attn_flops = self.lin.s0.cost.attn_flops + i as f64 * self.lin.d_attn;
         let kv_read = self.lin.s0.cost.kv_read_bytes + i * self.lin.d_kv_read;
-        pricer.price(attn_flops, kv_read)
+        self.pricer.price(attn_flops, kv_read)
     }
 }
 
@@ -425,7 +426,6 @@ impl Engine {
             running_prefill_tokens: 0,
             plans,
             slowdown: 1.0,
-            scratch_run_pasts: Vec::new(),
             admission_gate: None,
             batch_version: 0,
             run_cache: None,
@@ -443,24 +443,37 @@ impl Engine {
         self.slowdown = factor;
     }
 
-    /// Prices one iteration of `work` under `config` on healthy
-    /// hardware — the one pricing path of the per-iteration step and the
-    /// fast-forward windows alike.
+    /// The compiled plan of `config`.
     ///
-    /// Fast path: evaluate the config's compiled [`ExecPlan`] from one
-    /// shared batch fold — bit-identical to the direct walk (debug builds
-    /// assert so on every call). Rungs below [`FastPaths::Compiled`]
-    /// price through `try_iteration` directly, preserving the
-    /// pre-compilation path as an executable specification, as does a
-    /// config outside `configurations()` (the plan set cannot be
-    /// trusted for it).
+    /// # Panics
+    ///
+    /// Panics if `config` is not among the policy's `configurations()`:
+    /// a policy may only return a registered configuration (the
+    /// [`ParallelismPolicy`] contract).
+    fn plan(&self, config: &ParallelConfig) -> &ExecPlan {
+        self.plans.iter().find(|p| p.config() == *config).unwrap_or_else(|| {
+            panic!(
+                "policy {} chose {config}, which is not among its configurations()",
+                self.policy.name()
+            )
+        })
+    }
+
+    /// Prices one step iteration of `work` under `config` on healthy
+    /// hardware ([`Engine::step_run`] prices its runs from
+    /// [`RunCache`]). Rungs at [`FastPaths::Compiled`] and above
+    /// evaluate the config's compiled [`ExecPlan`] from one shared batch
+    /// fold — bit-identical to the direct walk (debug builds assert so
+    /// on every call); lower rungs price through `try_iteration`
+    /// directly, the executable specification. Every rung looks the
+    /// plan up, so an unregistered `config` panics on each of them.
     fn price_iteration(&self, config: &ParallelConfig, work: &BatchWork) -> Dur {
         let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-        match self.plans.iter().find(|p| p.config() == *config) {
-            Some(plan) if self.fast_paths >= FastPaths::Compiled => {
-                self.exec.price_planned(plan, work).total()
-            }
-            _ => self.exec.iteration(config, work).total(),
+        let plan = self.plan(config);
+        if self.fast_paths >= FastPaths::Compiled {
+            self.exec.price_planned(plan, work).total()
+        } else {
+            self.exec.iteration(config, work).total()
         }
     }
 
@@ -502,14 +515,16 @@ impl Engine {
     /// the run, so the policy is asked once and the remaining
     /// iterations are recorded with one
     /// [`ParallelismPolicy::choose_repeated`], which leaves the policy
-    /// as per-iteration calls would (decision 15).
+    /// as per-iteration calls would (decision 15). Every iteration is
+    /// priced one way: from the run's closed-form `RunCache`.
     ///
     /// `cap` is the caller's window bound: the run stops before any
     /// iteration whose event instant is not strictly below it, exactly
     /// as the per-event window loop would. Returns `None` — with zero
     /// state change — whenever the shape-stability gates fail (any
-    /// prefill in flight among them) or the first iteration is already
-    /// outside the cap, so callers fall back to [`Engine::step_once`].
+    /// prefill in flight among them), the closed form's exactness guard
+    /// declines the run, or the first iteration is already outside the
+    /// cap, so callers fall back to [`Engine::step_once`].
     pub fn step_run(&mut self, cap: Option<f64>) -> Option<crate::routing::RunAdvance> {
         // Cheap gates first; the O(batch) scans only run once they pass.
         if self.fast_paths < FastPaths::MacroSteps
@@ -548,9 +563,9 @@ impl Engine {
             // per-event loop would not have stepped either).
             return None;
         }
-        let mut base_pasts = std::mem::take(&mut self.scratch_run_pasts);
-        base_pasts.clear();
 
+        // A pure-decode batch's stats are constant across the run.
+        let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
         // Cache-hit fast path: a `batch_version` match proves the batch
         // composition is exactly the capture's (any admission, retire,
         // shed, preemption, or prefill bumps the version) and that every
@@ -560,75 +575,64 @@ impl Engine {
         // `base_k` iterations closer than at capture. Skipping the O(n)
         // scan is what makes re-entering the same steady batch across
         // many horizon windows O(1) per window instead of O(n).
-        let cached = self.run_cache.filter(|c| c.version == self.batch_version);
-        let run_limit = match cached {
+        let run = match self.run_cache.filter(|c| c.version == self.batch_version) {
             Some(cache) => {
-                assert!(cache.base_k < cache.end, "a consumed run cache implies a retirement bump");
-                let limit = (cache.end - cache.base_k).min(u64::from(u32::MAX)) as u32;
                 #[cfg(debug_assertions)]
                 {
                     let mut rl = u32::MAX;
-                    for k in 0..n {
-                        let seq = &self.running[(self.decode_cursor + k) % n];
+                    for seq in &self.running {
                         assert!(
                             seq.in_decode() && seq.first_token.is_some() && !seq.finished(),
                             "cache-hit batch must be all mid-stream decodes"
                         );
                         rl = rl.min(seq.decode_remaining());
                     }
-                    assert_eq!(rl, limit, "cached completion bound diverged from the scan");
+                    assert_eq!(
+                        u64::from(rl),
+                        cache.end.saturating_sub(cache.base_k),
+                        "cached completion bound diverged from the scan"
+                    );
                 }
-                limit
+                let config = self.policy.choose(&stats);
+                debug_assert_eq!(
+                    config, cache.config,
+                    "policy choice changed on constant batch stats"
+                );
+                cache
             }
             None => {
-                // One pass over the batch (in base decode order — the
-                // per-iteration scan starts at the cursor, so at run
-                // iteration k the chunk order is this base rotated left
-                // by k with every context k tokens longer; the rotation
-                // matters when the exactness guard declines and each
-                // iteration's chunks are folded in f64): validate that
-                // every sequence is a mid-stream decode, bound the run
-                // by the earliest completion, and collect the base
-                // contexts and their summed attended positions.
+                // One pass over the batch: validate that every sequence
+                // is a mid-stream decode, bound the run by the earliest
+                // completion, and sum the attended positions.
                 let mut limit = u32::MAX;
                 let mut attended = 0u64;
-                for k in 0..n {
-                    let seq = &self.running[(self.decode_cursor + k) % n];
+                for seq in &self.running {
                     if !seq.in_decode() || seq.first_token.is_none() || seq.finished() {
-                        self.scratch_run_pasts = base_pasts;
                         return None;
                     }
                     limit = limit.min(seq.decode_remaining());
-                    base_pasts.push(seq.context_len());
                     attended = attended.saturating_add(seq.context_len().saturating_add(1));
                 }
-                debug_assert!(limit >= 1);
-                // Price every iteration from the closed-form summary
-                // when its exactness guard holds, and keep it for the
-                // windows that re-enter the same steady batch;
-                // otherwise each rotation is materialized and folded.
-                if let Some(lin) = self.linear_run_summary(n, attended, limit) {
-                    self.run_cache = Some(RunCache {
-                        version: self.batch_version,
-                        base_k: 0,
-                        end: u64::from(limit),
-                        lin,
-                        pricer: None,
-                    });
-                }
-                limit
+                // A run past the closed form's exactness guard goes
+                // through `step_once` — declined before the policy is
+                // asked, since choices are counted.
+                let lin = self.linear_run_summary(n, attended, limit)?;
+                let config = self.policy.choose(&stats);
+                let cache = RunCache {
+                    version: self.batch_version,
+                    base_k: 0,
+                    end: u64::from(limit),
+                    lin,
+                    config,
+                    pricer: self.plan(&config).decode_run_pricer(&lin.s0),
+                };
+                self.run_cache = Some(cache);
+                cache
             }
         };
-
-        // A pure-decode batch's stats are constant across the run.
-        let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
-        let config = self.policy.choose(&stats);
-        let linear = self.run_pricer(&config);
-        if linear.is_none() && base_pasts.is_empty() {
-            // A cache hit skipped the scan, yet this config prices
-            // through materialized rotations.
-            base_pasts.extend(self.running_base_pasts());
-        }
+        assert!(run.base_k < run.end, "a consumed run cache implies a retirement bump");
+        let run_limit = (run.end - run.base_k).min(u64::from(u32::MAX)) as u32;
+        let config = run.config;
         let mut report = self.report.take().unwrap_or_else(|| self.fresh_report());
         let bin_w = self.config.throughput_bin.as_secs();
         let timeline = report.timeline_enabled();
@@ -647,15 +651,9 @@ impl Engine {
             if self.run_stops_at(t, k, cap, admit_bound) {
                 break;
             }
-            let base = match &linear {
-                Some((run, pricer)) => {
-                    let dur = run.price(pricer, k);
-                    #[cfg(debug_assertions)]
-                    self.check_linear_price(&config, k, dur);
-                    dur
-                }
-                None => self.price_run_iteration(&config, k as usize, &base_pasts),
-            };
+            let base = run.price(k);
+            #[cfg(debug_assertions)]
+            self.check_linear_price(&config, k, base);
             let duration = self.slowed(base);
             self.clock += duration;
             run_max = run_max.max(duration);
@@ -685,7 +683,6 @@ impl Engine {
                 });
             }
         }
-        self.scratch_run_pasts = base_pasts;
         debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
         self.record_repeated_choice(&stats, config, done);
 
@@ -755,27 +752,6 @@ impl Engine {
             || (k > 0 && self.arrivals.front().is_some_and(|front| front.arrival <= t))
     }
 
-    /// Prices run iteration `k` by materializing the rotated decode
-    /// batch and pricing it exactly as the per-iteration path would
-    /// ([`Engine::price_iteration`]).
-    fn price_run_iteration(
-        &mut self,
-        config: &ParallelConfig,
-        k: usize,
-        base_pasts: &[u64],
-    ) -> Dur {
-        let n = base_pasts.len();
-        let mut chunks = std::mem::take(&mut self.scratch_chunks);
-        chunks.clear();
-        for j in 0..n {
-            chunks.push(ChunkWork::decode(base_pasts[(j + k) % n] + k as u64));
-        }
-        let work = BatchWork::new(chunks);
-        let dur = self.price_iteration(config, &work);
-        self.scratch_chunks = work.into_chunks();
-        dur
-    }
-
     /// Records run iterations `1..done` — the policy was asked for
     /// iteration 0 — as repeated choices on the run's constant `stats`.
     /// Debug builds check the policy contract: the repeated choice is
@@ -787,24 +763,6 @@ impl Engine {
         }
     }
 
-    /// The cached run and its plan partially evaluated for `config`,
-    /// when the current batch continues a captured decode run and
-    /// `config` is in the compiled plan set: the pricer is built on the
-    /// run's first window under `config` and carried with the run.
-    fn run_pricer(&mut self, config: &ParallelConfig) -> Option<(RunCache, DecodeRunPricer)> {
-        let cache = self.run_cache.as_mut().filter(|c| c.version == self.batch_version)?;
-        let pricer = match cache.pricer {
-            Some((c, p)) if c == *config => p,
-            _ => {
-                let plan = self.plans.iter().find(|p| p.config() == *config)?;
-                let p = plan.decode_run_pricer(&cache.lin.s0);
-                cache.pricer = Some((*config, p));
-                p
-            }
-        };
-        Some((*cache, pricer))
-    }
-
     /// The closed-form summary of a `run_limit`-iteration decode run
     /// over `n` sequences whose attended positions sum to `attended` at
     /// iteration 0. Each iteration grows every context by one token, so
@@ -814,8 +772,8 @@ impl Engine {
     /// the run's end proves every iteration and both deltas exact
     /// integers below 2^53: `s0 + k·delta` then equals the per-chunk fold
     /// of iteration `k`'s batch bit for bit, in any chunk rotation.
-    /// `None` when the guard declines (the caller then materializes and
-    /// folds every rotation).
+    /// `None` when the guard declines; [`Engine::step_run`] then leaves
+    /// the run to [`Engine::step_once`].
     ///
     /// [`ModelConfig::decode_batch_cost`]: sp_model::ModelConfig::decode_batch_cost
     fn linear_run_summary(
@@ -842,25 +800,22 @@ impl Engine {
     /// against the closed form `summarize` would also use.
     #[cfg(debug_assertions)]
     fn check_linear_price(&self, config: &ParallelConfig, k: u32, dur: Dur) {
-        let pasts = self.running_base_pasts();
-        let n = pasts.len();
+        // Window iteration `k`'s scan starts `k` past the cursor, with
+        // every context `k` tokens longer.
+        let n = self.running.len();
         let work = BatchWork::new(
-            (0..n).map(|j| ChunkWork::decode(pasts[(j + k as usize) % n] + u64::from(k))).collect(),
+            (0..n)
+                .map(|j| {
+                    let seq = &self.running[(self.decode_cursor + j + k as usize) % n];
+                    ChunkWork::decode(seq.context_len() + u64::from(k))
+                })
+                .collect(),
         );
         assert_eq!(
             dur,
             self.exec.iteration(config, &work).total(),
             "closed-form run pricing diverged from try_iteration"
         );
-    }
-
-    /// The live batch's base decode contexts in cursor order (the shape
-    /// [`Engine::step_run`]'s slow path scans out) — for the rare
-    /// paths that must materialize a rotation after the closed-form
-    /// window skipped the scan.
-    fn running_base_pasts(&self) -> Vec<u64> {
-        let n = self.running.len();
-        (0..n).map(|k| self.running[(self.decode_cursor + k) % n].context_len()).collect()
     }
 
     /// Recomputes the incremental load counters from the actual queue
@@ -1661,6 +1616,8 @@ mod tests {
     use sp_model::presets;
     use sp_parallel::{ParallelConfig, StaticPolicy};
     use sp_workload::{synthetic, RequestClass};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn engine_with(config: EngineConfig, parallel: ParallelConfig) -> Engine {
         let exec = ExecutionModel::new(NodeSpec::p5en_48xlarge(), presets::qwen_32b());
@@ -2147,6 +2104,107 @@ mod tests {
             e.step_once();
         }
         assert!(e.step_run(None).is_some());
+    }
+
+    /// A policy registered for `registered` that counts its choices
+    /// and answers `chosen`, which may lie outside its registered set.
+    #[derive(Debug)]
+    struct ProbePolicy {
+        registered: ParallelConfig,
+        chosen: ParallelConfig,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl ParallelismPolicy for ProbePolicy {
+        fn choose(&self, _stats: &BatchStats) -> ParallelConfig {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.chosen
+        }
+        fn configurations(&self) -> Vec<ParallelConfig> {
+            vec![self.registered]
+        }
+        fn name(&self) -> &str {
+            "probe"
+        }
+    }
+
+    /// An engine over `model` under a [`ProbePolicy`], and its call
+    /// counter.
+    fn probe_engine(
+        model: sp_model::ModelConfig,
+        chosen: ParallelConfig,
+        paths: FastPaths,
+    ) -> (Engine, Arc<AtomicU64>) {
+        let calls = Arc::default();
+        let policy = ProbePolicy {
+            registered: ParallelConfig::tensor(8),
+            chosen,
+            calls: Arc::clone(&calls),
+        };
+        let exec = ExecutionModel::new(NodeSpec::p5en_48xlarge(), model);
+        let mut e = Engine::new(exec, Box::new(policy), EngineConfig::default());
+        e.set_fast_paths(paths);
+        (e, calls)
+    }
+
+    #[test]
+    fn step_run_declines_a_run_past_the_closed_form_guard() {
+        // Enough layers that even a two-sequence decode batch's linear
+        // FLOPs leave the exact-integer range of the closed form.
+        let mut model = presets::qwen_32b();
+        model.num_layers = 1 << 24;
+        assert!(model.decode_batch_cost(2, 2).is_none(), "the closed form must decline");
+        let trace = synthetic::uniform_batch(2, 64, 40);
+        let calls = |c: &Arc<AtomicU64>| c.load(Ordering::Relaxed);
+
+        let (mut e, probe) =
+            probe_engine(model.clone(), ParallelConfig::tensor(8), FastPaths::default());
+        for &req in trace.requests() {
+            e.push_request(req);
+        }
+        e.step_once();
+        while e.running_prefill_tokens != 0 {
+            e.step_once();
+        }
+        assert_eq!(e.running.len(), 2, "a pure-decode batch of both requests");
+        let snapshot =
+            |e: &Engine| (e.clock, format!("{:?}", e.report), e.batch_version, e.decode_cursor);
+        let before = (snapshot(&e), calls(&probe));
+        assert!(e.step_run(None).is_none());
+        assert_eq!((snapshot(&e), calls(&probe)), before, "a declined run changes nothing");
+
+        // Every iteration goes through `step_once`, so the default rung
+        // reports exactly what the per-iteration rung does.
+        let run = |paths| {
+            let (mut e, probe) = probe_engine(model.clone(), ParallelConfig::tensor(8), paths);
+            let report = e.run(&trace);
+            (format!("{report:?}"), calls(&probe))
+        };
+        assert_eq!(run(FastPaths::MacroSteps), run(FastPaths::Compiled));
+    }
+
+    #[test]
+    fn unregistered_config_panics_on_every_rung() {
+        let trace = synthetic::uniform_batch(2, 64, 8);
+        for paths in
+            [FastPaths::Reference, FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps]
+        {
+            let outcome = std::panic::catch_unwind(|| {
+                let (mut e, _) =
+                    probe_engine(presets::qwen_32b(), ParallelConfig::sequence(8), paths);
+                e.run(&trace)
+            });
+            let payload = outcome.expect_err("an unregistered configuration must not be priced");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("policy probe") && message.contains("configurations()"),
+                "unexpected panic message on {paths:?}: {message:?}"
+            );
+        }
     }
 
     #[test]

@@ -41,6 +41,11 @@ impl BatchStats {
 /// relies on this: a run of iterations with constant batch stats asks
 /// once with `choose` and records the rest with
 /// [`ParallelismPolicy::choose_repeated`].
+///
+/// Every configuration `choose` returns is one of
+/// [`ParallelismPolicy::configurations`]; the engine compiles a plan
+/// for each at startup and panics, naming the policy, when a choice
+/// has none.
 pub trait ParallelismPolicy: fmt::Debug + Send + Sync {
     /// The configuration to run the next iteration under.
     fn choose(&self, stats: &BatchStats) -> ParallelConfig;
