@@ -5,13 +5,9 @@
 //! free and once under the seeded Poisson crash schedule — at whatever
 //! fan-out width `SP_THREADS` selects — plus the shape-stable-window
 //! scenario (KV-bound chunked-prefill fleet, the `steadyshape` simperf
-//! regime) — and serializes every observable
-//! surface of the reports to the file named by the first argument:
-//! routing decisions, completion records, terminal failures, rejects,
-//! the fleet timeline (replica events and request-fault events), and
-//! the iteration count — then, appended after those sections, each
-//! report's dense per-replica load samples and its per-configuration
-//! iteration counts.
+//! regime) — and writes each report's [`EngineReport::dump`] (every
+//! observable surface, one `key: value` line each) under an
+//! `== label ==` header to the file named by the first argument.
 //!
 //! ```text
 //! SP_THREADS=1 cargo run --release -p sp-bench --bin determinism -- /tmp/t1.txt
@@ -34,7 +30,6 @@ use sp_model::presets;
 use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
 use sp_workload::bursty::BurstyConfig;
 use sp_workload::{Request, Trace};
-use std::fmt::Write as _;
 
 const KV_TOKENS: u64 = 60_000;
 const PEAK_REPLICAS: usize = 4;
@@ -134,34 +129,6 @@ fn run_steadyshape() -> EngineReport {
     sim.run(&trace)
 }
 
-/// Every observable surface of a report, in a stable text form. Uses
-/// `Debug` formatting throughout: the point is byte-stability across
-/// thread counts within one build, not a versioned schema.
-fn serialize(label: &str, report: &EngineReport, out: &mut String) {
-    writeln!(out, "== {label} ==").unwrap();
-    writeln!(out, "iterations: {}", report.iterations()).unwrap();
-    writeln!(out, "decisions: {:?}", report.routing_decisions()).unwrap();
-    writeln!(out, "records: {:?}", report.records()).unwrap();
-    writeln!(out, "failed: {:?}", report.failed()).unwrap();
-    writeln!(out, "rejected: {:?}", report.rejected()).unwrap();
-    let tl = report.fleet_timeline();
-    writeln!(out, "timeline: {:?}", tl.events()).unwrap();
-    writeln!(out, "request_faults: {:?}", tl.request_faults()).unwrap();
-}
-
-/// The load series and per-configuration iteration counts, appended
-/// after every report's [`serialize`] section so those sections keep
-/// their bytes. Config usage is sorted: the report keeps it in a hash
-/// map.
-fn serialize_loads(label: &str, report: &EngineReport, out: &mut String) {
-    writeln!(out, "== {label} loads ==").unwrap();
-    let samples: Vec<_> = report.replica_loads().samples().collect();
-    writeln!(out, "load_samples: {samples:?}").unwrap();
-    let mut usage: Vec<_> = report.config_usage().iter().collect();
-    usage.sort_by_key(|&(c, _)| (c.sp(), c.tp()));
-    writeln!(out, "config_usage: {usage:?}").unwrap();
-}
-
 fn main() {
     let path = std::env::args().nth(1).expect("usage: determinism <output-path>");
     let threads = sp_core::default_threads();
@@ -181,10 +148,8 @@ fn main() {
     ];
     let mut out = String::new();
     for (label, report) in &reports {
-        serialize(label, report, &mut out);
-    }
-    for (label, report) in &reports {
-        serialize_loads(label, report, &mut out);
+        out.push_str(&format!("== {label} ==\n"));
+        out.push_str(&report.dump());
     }
 
     std::fs::write(&path, &out).expect("write determinism output");

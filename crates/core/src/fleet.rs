@@ -197,32 +197,6 @@ mod tests {
         }
     }
 
-    /// Every report surface in a form two runs compare bit-exactly
-    /// (config usage sorted: its map iterates in hash order).
-    fn full_fingerprint(r: &EngineReport) -> String {
-        let mut usage: Vec<String> =
-            r.config_usage().iter().map(|(c, n)| format!("{c:?}={n}")).collect();
-        usage.sort();
-        format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{usage:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}",
-            r.records(),
-            r.metrics(),
-            r.routing_decisions(),
-            r.replica_loads(),
-            r.rejected(),
-            r.failed(),
-            r.timeline(),
-            r.iterations(),
-            r.preemptions(),
-            r.batch_sheds(),
-            r.batch_deferrals(),
-            r.peak_kv_utilization(),
-            r.makespan(),
-            r.max_iteration_time(),
-            r.fleet_timeline(),
-        )
-    }
-
     #[test]
     fn fast_forwarded_deployments_match_per_event_stepping() {
         // Shift deployments with class-SLO admission forward `step_run`
@@ -255,7 +229,7 @@ mod tests {
         });
 
         assert_eq!(fast.records().len() + fast.rejected().len(), trace.len());
-        assert_eq!(full_fingerprint(&fast), full_fingerprint(&slow));
+        assert_eq!(fast.dump(), slow.dump());
         assert_eq!(fleet.shift_stats(), slow_stats);
         let (base, shift, switches) = slow_stats.expect("shift deployments");
         assert!(base > 0 && shift > 0 && switches > 0, "both configs must run");

@@ -2060,12 +2060,7 @@ mod tests {
         }
         let stepped = e.take_report();
 
-        assert_eq!(stepped.records().len(), batch.records().len());
-        assert_eq!(stepped.iterations(), batch.iterations());
-        for (a, b) in stepped.records().iter().zip(batch.records()) {
-            assert_eq!(a.request_id, b.request_id);
-            assert!((a.finish.as_secs() - b.finish.as_secs()).abs() < 1e-9);
-        }
+        assert_eq!(stepped.dump(), batch.dump());
     }
 
     #[test]
@@ -2093,8 +2088,9 @@ mod tests {
         assert!(e.running.iter().any(|s| s.in_decode() && !s.finished()));
         assert!(e.running_prefill_tokens > 2048, "the long prompt needs several more chunks");
 
-        let snapshot =
-            |e: &Engine| (e.clock, format!("{:?}", e.report), e.batch_version, e.decode_cursor);
+        let snapshot = |e: &Engine| {
+            (e.clock, e.report.as_ref().map(EngineReport::dump), e.batch_version, e.decode_cursor)
+        };
         let before = snapshot(&e);
         assert!(e.step_run(None).is_none());
         assert_eq!(snapshot(&e), before);
@@ -2167,8 +2163,9 @@ mod tests {
             e.step_once();
         }
         assert_eq!(e.running.len(), 2, "a pure-decode batch of both requests");
-        let snapshot =
-            |e: &Engine| (e.clock, format!("{:?}", e.report), e.batch_version, e.decode_cursor);
+        let snapshot = |e: &Engine| {
+            (e.clock, e.report.as_ref().map(EngineReport::dump), e.batch_version, e.decode_cursor)
+        };
         let before = (snapshot(&e), calls(&probe));
         assert!(e.step_run(None).is_none());
         assert_eq!((snapshot(&e), calls(&probe)), before, "a declined run changes nothing");
@@ -2178,7 +2175,7 @@ mod tests {
         let run = |paths| {
             let (mut e, probe) = probe_engine(model.clone(), ParallelConfig::tensor(8), paths);
             let report = e.run(&trace);
-            (format!("{report:?}"), calls(&probe))
+            (report.dump(), calls(&probe))
         };
         assert_eq!(run(FastPaths::MacroSteps), run(FastPaths::Compiled));
     }

@@ -282,6 +282,65 @@ impl EngineReport {
         }
     }
 
+    /// Every observable surface of the report as text, one `key: value`
+    /// line per surface: iterations, routing decisions, records,
+    /// failures, rejects, the fleet timeline (`timeline:`), request
+    /// faults and fleet fault counters, the per-iteration timeline,
+    /// config usage, makespan, longest iteration, peak KV, the
+    /// preemption/shed/deferral counters, latency aggregates, throughput
+    /// bins and the dense per-replica load samples.
+    ///
+    /// Two runs are equivalent exactly when their dumps are equal; the
+    /// equivalence tests and the `determinism` bin compare nothing
+    /// else. f64s print in Rust's shortest round-trip form, so equal
+    /// text means equal bits. Config usage is sorted by `(sp, tp)`, and
+    /// the load series prints its samples, not its run encoding. The
+    /// format is stable within a build, not a versioned schema.
+    pub fn dump(&self) -> String {
+        let tl = &self.fleet;
+        let m = &self.recorder;
+        let mut usage: Vec<_> = self.config_usage.iter().collect();
+        usage.sort_by_key(|&(c, _)| (c.sp(), c.tp()));
+        let bins: Vec<(f64, f64)> =
+            m.throughput().totals().map(|(t, v)| (t.as_secs(), v)).collect();
+        let samples: Vec<_> = self.replica_loads.samples().collect();
+        let lines = [
+            format!("iterations: {}", self.iterations),
+            format!("decisions: {:?}", self.routing),
+            format!("records: {:?}", self.records),
+            format!("failed: {:?}", self.failed),
+            format!("rejected: {:?}", self.rejected),
+            format!("timeline: {:?}", tl.events()),
+            format!("request_faults: {:?}", tl.request_faults()),
+            format!(
+                "fleet_faults: wasted_prefill_tokens={} recoveries={} mean_recovery_secs={:?}",
+                tl.wasted_prefill_tokens(),
+                tl.recoveries(),
+                tl.mean_recovery_secs()
+            ),
+            format!("iteration_timeline: {:?}", self.timeline),
+            format!("config_usage: {usage:?}"),
+            format!("makespan: {:?}", self.makespan.as_secs()),
+            format!("max_iteration: {:?}", self.max_iteration.as_secs()),
+            format!("peak_kv: {:?}", self.peak_kv_utilization),
+            format!(
+                "scheduler: preemptions={} sheds={} deferrals={}",
+                self.preemptions, self.sheds, self.deferrals
+            ),
+            format!(
+                "latency: completed={} total_tokens={} last_finish={:?}",
+                m.completed(),
+                m.total_tokens(),
+                m.last_finish().as_secs()
+            ),
+            format!("throughput_bins: width={:?} {bins:?}", m.throughput().bin_width().as_secs()),
+            format!("load_samples: {samples:?}"),
+        ];
+        let mut out = lines.join("\n");
+        out.push('\n');
+        out
+    }
+
     /// Merges another report (for data-parallel clusters). Iteration counts
     /// and config usage add; the makespan takes the maximum.
     pub fn merge(&mut self, other: EngineReport) {
@@ -400,5 +459,47 @@ mod tests {
         assert_eq!(a.makespan(), SimTime::from_secs(3.0));
         assert_eq!(a.max_iteration_time(), Dur::from_millis(50.0));
         assert_eq!(a.iterations(), 2);
+    }
+
+    #[test]
+    fn dump_ignores_lazy_quantile_sorting() {
+        // TTFTs recorded out of order: the first quantile query sorts
+        // them in place, which changes the recorder's internal state
+        // but nothing a run observes.
+        let mut r = EngineReport::new(Dur::from_secs(1.0));
+        for (id, ttft) in [(0, 0.3), (1, 0.1), (2, 0.2)] {
+            r.note_completion(RequestRecord {
+                request_id: id,
+                class: sp_metrics::RequestClass::Batch,
+                arrival: SimTime::ZERO,
+                first_token: SimTime::from_secs(ttft),
+                finish: SimTime::from_secs(1.0),
+                input_tokens: 8,
+                output_tokens: 4,
+            });
+        }
+        let before = r.dump();
+        assert_eq!(r.metrics_mut().ttft().median(), Some(0.2));
+        assert_eq!(r.dump(), before);
+    }
+
+    #[test]
+    fn dump_renders_load_samples_not_their_encoding() {
+        // The same two dispatches, recorded in full and closed by `take`
+        // (as the reference loop does), and from changes only and left
+        // open: different run encodings, the same samples.
+        let at = |t| SimTime::from_secs(t);
+        let mut dense = ReplicaLoadSeries::new();
+        dense.record_dispatch(at(1.0), [(0, 500), (1, 0)]);
+        dense.record_dispatch(at(2.0), [(0, 500), (1, 40)]);
+        let mut delta = ReplicaLoadSeries::new();
+        delta.record_dispatch(at(1.0), [(0, 500), (1, 0)]);
+        delta.record_changes(at(2.0), [(1, 40)]);
+        let report = |loads| {
+            let mut r = EngineReport::new(Dur::from_secs(1.0));
+            r.set_routing(Vec::new(), loads);
+            r.dump()
+        };
+        assert_eq!(report(dense.take()), report(delta));
     }
 }

@@ -2250,16 +2250,6 @@ mod tests {
         Trace::with_ids((0..n).map(|i| req(i, i as f64 * gap, 512, 8)).collect::<Vec<_>>())
     }
 
-    fn record_bits(report: &EngineReport) -> Vec<(u64, u64, u64)> {
-        report
-            .records()
-            .iter()
-            .map(|r| {
-                (r.request_id, r.first_token.as_secs().to_bits(), r.finish.as_secs().to_bits())
-            })
-            .collect()
-    }
-
     #[test]
     fn never_firing_autoscaler_is_byte_identical_to_fixed_fleet() {
         use crate::autoscale::{AutoscaleConfig, NeverScale};
@@ -2271,8 +2261,7 @@ mod tests {
         let auto = ClusterSim::new(engines(2), RoutingKind::JsqByTtft.policy())
             .with_autoscaler(scaler)
             .run(&trace);
-        assert_eq!(fixed.routing_decisions(), auto.routing_decisions());
-        assert_eq!(record_bits(&fixed), record_bits(&auto));
+        assert_eq!(fixed.dump(), auto.dump());
     }
 
     #[test]
@@ -2339,8 +2328,7 @@ mod tests {
                 .with_autoscaler(scripted_scaler(config, script()))
                 .run(&trace);
 
-        assert_eq!(windowed.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&windowed), record_bits(&reference));
+        assert_eq!(windowed.dump(), reference.dump());
 
         // The respawn reused slot 1: two Spawned events on the same
         // stable replica index, one Retired between them.
@@ -2383,8 +2371,7 @@ mod tests {
         let clamped = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
             .with_autoscaler(scripted_scaler(config, script))
             .run(&trace);
-        assert_eq!(fixed.routing_decisions(), clamped.routing_decisions());
-        assert_eq!(record_bits(&fixed), record_bits(&clamped));
+        assert_eq!(fixed.dump(), clamped.dump());
         let tl = clamped.fleet_timeline();
         assert_eq!(tl.peak_provisioned(), 2);
         assert!(tl.events().iter().all(
@@ -2576,16 +2563,14 @@ mod tests {
         let faulted = ClusterSim::new(engines(2), RoutingKind::JsqByTtft.policy())
             .with_faults(FaultPlan::empty(), RetryPolicy::default())
             .run(&trace);
-        assert_eq!(plain.routing_decisions(), faulted.routing_decisions());
-        assert_eq!(record_bits(&plain), record_bits(&faulted));
+        assert_eq!(plain.dump(), faulted.dump());
         assert!(faulted.failed().is_empty());
         assert_eq!(faulted.fleet_timeline().crash_count(), 0);
 
         let reference = ReferenceClusterSim::new(engines(2), RoutingKind::JsqByTtft.policy())
             .with_faults(FaultPlan::empty(), RetryPolicy::default())
             .run(&trace);
-        assert_eq!(plain.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&plain), record_bits(&reference));
+        assert_eq!(plain.dump(), reference.dump());
     }
 
     #[test]
@@ -2615,13 +2600,7 @@ mod tests {
                 .with_faults(plan(), retry)
                 .run(&trace);
 
-        assert_eq!(windowed.routing_decisions(), reference.routing_decisions());
-        assert_eq!(record_bits(&windowed), record_bits(&reference));
-        assert_eq!(windowed.failed(), reference.failed());
-        assert_eq!(
-            windowed.fleet_timeline().request_faults(),
-            reference.fleet_timeline().request_faults()
-        );
+        assert_eq!(windowed.dump(), reference.dump());
         assert_eq!(windowed.fleet_timeline().crash_count(), 2);
         // Conservation: completed + failed covers the whole trace.
         assert_eq!(windowed.records().len() + windowed.failed().len(), 60);
@@ -2832,11 +2811,7 @@ mod tests {
             }
             let got = [sim.take_report(), sim.run(&tail)];
             for (got, want) in got.iter().zip(&expected) {
-                assert_eq!(got.routing_decisions(), want.routing_decisions(), "width {threads}");
-                assert_eq!(record_bits(got), record_bits(want), "width {threads}");
-                assert_eq!(got.failed(), want.failed(), "width {threads}");
-                assert_eq!(got.replica_loads(), want.replica_loads(), "width {threads}");
-                assert_eq!(got.fleet_timeline(), want.fleet_timeline(), "width {threads}");
+                assert_eq!(got.dump(), want.dump(), "width {threads}");
             }
         }
         let crashes = expected.iter().map(|r| r.fleet_timeline().crash_count()).sum::<usize>();

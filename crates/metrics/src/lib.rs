@@ -8,7 +8,6 @@
 //! * [`units`] — strongly-typed simulation time ([`SimTime`], [`Dur`]).
 //! * [`summary`] — Welford-style [`StreamingSummary`] (mean/var/min/max).
 //! * [`percentile`] — exact [`Quantiles`] over recorded samples.
-//! * [`histogram`] — log-bucketed [`LogHistogram`] for latency spectra.
 //! * [`timeseries`] — [`BinnedSeries`] for throughput-over-time plots.
 //! * [`latency`] — [`LatencyRecorder`], the per-request metric sink.
 //! * [`routing`] — [`RoutingDecision`] and [`ReplicaLoadSeries`], the
@@ -29,7 +28,6 @@
 //! assert_eq!(q.quantile(0.5), Some(2.5));
 //! ```
 
-pub mod histogram;
 pub mod latency;
 pub mod percentile;
 pub mod routing;
@@ -38,7 +36,6 @@ pub mod summary;
 pub mod timeseries;
 pub mod units;
 
-pub use histogram::LogHistogram;
 pub use latency::{LatencyRecorder, RequestRecord};
 pub use percentile::Quantiles;
 pub use routing::{

@@ -13,80 +13,27 @@
 //! the property test sweeps randomized KV-pressure traces over both
 //! admission modes.
 
+mod support;
+
 use proptest::prelude::*;
 use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
+use support::*;
 
 /// A KV-bound engine in the regime the gate targets: tight cache, a
 /// small token budget (so big prefills chunk across iterations and stay
 /// sheddable for a while), SLO-aware EDF admission, and timeline
-/// capture so the fingerprint pins every iteration. `paths` selects the
+/// capture so the dump pins every iteration. `paths` selects the
 /// ladder rung: `FastPaths::Reference` is the pre-gate linear-rescan
 /// twin.
 fn gate_engine(kv: u64, admission: AdmissionMode, paths: FastPaths) -> Engine {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    let mut e = Engine::new(
-        ExecutionModel::new(node, presets::qwen_32b()),
-        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-        EngineConfig {
-            kv_capacity_tokens: kv,
-            max_batched_tokens: 2048,
-            class_slo: Some(ClassSlo::default()),
-            admission,
-            record_timeline: true,
-            ..EngineConfig::default()
-        },
-    );
-    e.set_fast_paths(paths);
-    e
-}
-
-/// Everything observable about a report, in owned, bit-exact form (the
-/// same surface `tests/fastforward.rs` compares): records, decisions,
-/// timeline, throughput bins, and the shed/preemption/deferral counters
-/// the gate's disarm paths feed.
-fn deep_fingerprint(r: &EngineReport) -> (String, String, Vec<(u64, u64)>, u64) {
-    let m = r.metrics();
-    let bins: Vec<(u64, u64)> =
-        m.throughput().totals().map(|(t, w)| (t.as_secs().to_bits(), w.to_bits())).collect();
-    let mut usage: Vec<(String, u64)> =
-        r.config_usage().iter().map(|(c, n)| (format!("{c:?}"), *n)).collect();
-    usage.sort();
-    let head = format!(
-        "records={:?}|decisions={:?}|rejected={:?}|failed={:?}|timeline={:?}",
-        r.records(),
-        r.routing_decisions(),
-        r.rejected(),
-        r.failed(),
-        r.timeline(),
-    );
-    let aggregates = format!(
-        "iters={}|usage={usage:?}|makespan={}|max_iter={}|peak_kv={}|completed={}|tokens={}|last={}|preempt={}|sheds={}|defer={}",
-        r.iterations(),
-        r.makespan().as_secs().to_bits(),
-        r.max_iteration_time().as_secs().to_bits(),
-        r.peak_kv_utilization().to_bits(),
-        m.completed(),
-        m.total_tokens(),
-        m.last_finish().as_secs().to_bits(),
-        r.preemptions(),
-        r.batch_sheds(),
-        r.batch_deferrals(),
-    );
-    (head, aggregates, bins, r.iterations())
-}
-
-fn request(id: u64, at: f64, input: u32, output: u32, class: RequestClass) -> Request {
-    Request {
-        id,
-        arrival: SimTime::from_secs(at),
-        input_tokens: input,
-        output_tokens: output,
-        class,
-        cached_prefix: 0,
-        prefix_group: None,
-    }
+    let config = EngineConfig {
+        max_batched_tokens: 2048,
+        class_slo: Some(ClassSlo::default()),
+        admission,
+        ..config(kv)
+    };
+    dp_engine(config, paths)
 }
 
 /// Shed-freed KV must unblock the gate on the same iteration as a full
@@ -114,10 +61,10 @@ fn shed_freed_kv_unblocks_gate_like_full_rescan() {
     );
     assert_eq!(gated_report.records().len(), 4, "every request must eventually complete");
     let reference = gate_engine(KV, AdmissionMode::ReserveFull, FastPaths::Reference).run(&trace);
-    assert_eq!(
-        deep_fingerprint(&gated_report),
-        deep_fingerprint(&reference),
-        "gated admission diverged from the linear rescan across a batch shed"
+    assert_dumps_eq(
+        &gated_report.dump(),
+        &reference.dump(),
+        "gated admission vs the linear rescan across a batch shed",
     );
 }
 
@@ -145,10 +92,10 @@ fn preemption_freed_kv_unblocks_gate_like_full_rescan() {
     );
     let reference =
         gate_engine(KV, AdmissionMode::PreemptRestart, FastPaths::Reference).run(&trace);
-    assert_eq!(
-        deep_fingerprint(&gated_report),
-        deep_fingerprint(&reference),
-        "gated admission diverged from the linear rescan across preemptions"
+    assert_dumps_eq(
+        &gated_report.dump(),
+        &reference.dump(),
+        "gated admission vs the linear rescan across preemptions",
     );
 }
 
@@ -183,10 +130,12 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let run = |paths| deep_fingerprint(&gate_engine(kv, admission, paths).run(&trace));
-        let gated = run(FastPaths::MacroSteps);
-        let naive = run(FastPaths::Reference);
-        prop_assert_eq!(&gated, &naive, "gated admission diverged from the linear rescan");
+        let run = |paths| gate_engine(kv, admission, paths).run(&trace).dump();
+        assert_dumps_eq(
+            &run(FastPaths::MacroSteps),
+            &run(FastPaths::Reference),
+            "gated admission vs the linear rescan",
+        );
     }
 }
 
@@ -205,9 +154,11 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let run = |paths| deep_fingerprint(&gate_engine(kv, admission, paths).run(&trace));
-        let gated = run(FastPaths::MacroSteps);
-        let naive = run(FastPaths::Reference);
-        prop_assert_eq!(&gated, &naive, "gated admission diverged from the linear rescan");
+        let run = |paths| gate_engine(kv, admission, paths).run(&trace).dump();
+        assert_dumps_eq(
+            &run(FastPaths::MacroSteps),
+            &run(FastPaths::Reference),
+            "gated admission vs the linear rescan",
+        );
     }
 }
