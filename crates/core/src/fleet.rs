@@ -78,13 +78,20 @@ impl Fleet {
         self.nodes.len()
     }
 
-    /// Runs `trace` across the fleet with online routing: nodes advance
-    /// together in simulated time and each request is dispatched at its
-    /// arrival instant by the configured policy acting on live
-    /// outstanding load. The merged report carries the routing decision
-    /// trail and per-node load series.
+    /// Runs `trace` across the fleet from simulated time zero with online
+    /// routing: nodes advance together in simulated time and each
+    /// request is dispatched at its arrival instant by the configured
+    /// policy acting on live outstanding load. The merged report carries
+    /// the routing decision trail, each decision with the chosen node's
+    /// load at dispatch. Every run starts from rewound nodes, so
+    /// repeated runs of one trace repeat their reports.
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        let nodes = std::mem::take(&mut self.nodes);
+        let mut nodes = std::mem::take(&mut self.nodes);
+        // An empty `Deployment::run` only rewinds the node's clocks,
+        // as `Deployment::run` does for its own DP replicas.
+        for node in &mut nodes {
+            node.run(&Trace::default());
+        }
         let mut sim =
             ClusterSim::new(nodes, self.routing.policy()).throughput_bin(Dur::from_secs(1.0));
         if let Some((plan, retry)) = self.faults.clone() {
@@ -149,6 +156,21 @@ mod tests {
         let _ = fleet.run(&synthetic::uniform_batch(8, 2048, 16));
         let (base, shift, _) = fleet.shift_stats().unwrap();
         assert!(base + shift > 0);
+    }
+
+    #[test]
+    fn repeated_runs_repeat_their_reports() {
+        // A second run must start from rewound clocks, not from where
+        // the first run's nodes stopped.
+        let mut fleet = Fleet::new(2, || {
+            Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b())
+                .kind(DeploymentKind::TensorParallel)
+        })
+        .unwrap();
+        let trace = synthetic::poisson(20, 4.0, 1024, 16, 7);
+        let first = fleet.run(&trace);
+        assert_eq!(first.records().len(), 20);
+        assert_eq!(fleet.run(&trace).dump(), first.dump());
     }
 
     #[test]

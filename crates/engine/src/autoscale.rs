@@ -63,9 +63,9 @@ impl AutoscaleConfig {
 
 /// What the scale policy sees at a decision instant: the load snapshot
 /// of every *routable* replica plus the fleet's in-flight lifecycle
-/// state. Decisions are evaluated at dispatch instants — the same
-/// cadence at which the router samples loads and the load series
-/// records, so the policy watches exactly the signal the reports show.
+/// state. Decisions are evaluated at dispatch instants, on the same
+/// snapshot the router then picks from, so the policy watches exactly
+/// the loads the routing decisions record.
 #[derive(Debug)]
 pub struct FleetSignal<'a> {
     /// The decision instant (the arriving request's timestamp).

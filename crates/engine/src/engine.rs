@@ -818,22 +818,6 @@ impl Engine {
         );
     }
 
-    /// Recomputes the incremental load counters from the actual queue
-    /// and batch state — used when [`Engine::run`] replaces the arrival
-    /// queue wholesale.
-    fn recount_load_counters(&mut self) {
-        self.queued_total_tokens =
-            self.arrivals.iter().chain(self.waiting.iter()).map(Request::total_tokens).sum();
-        self.queued_input_tokens = self
-            .arrivals
-            .iter()
-            .chain(self.waiting.iter())
-            .map(|r| u64::from(r.input_tokens))
-            .sum();
-        self.running_outstanding_tokens = self.running.iter().map(seq_outstanding).sum();
-        self.running_prefill_tokens = self.running.iter().map(RunningSeq::prefill_remaining).sum();
-    }
-
     /// The current simulated time.
     pub fn clock(&self) -> SimTime {
         self.clock
@@ -911,7 +895,10 @@ impl Engine {
         }
     }
 
-    /// Runs a whole trace to completion and reports.
+    /// Runs a whole trace to completion from simulated time zero and
+    /// reports. The trace enters through [`Engine::push_request`], like
+    /// any online arrival; an empty trace only rewinds the clock and
+    /// resets the report.
     ///
     /// # Panics
     ///
@@ -919,9 +906,10 @@ impl Engine {
     /// guard).
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
         self.report = Some(self.fresh_report());
-        self.arrivals = trace.requests().to_vec().into();
-        self.recount_load_counters();
         self.clock = SimTime::ZERO;
+        for &req in trace.requests() {
+            self.push_request(req);
+        }
 
         let mut guard: u64 = 0;
         let max_iterations = 200_000_000;

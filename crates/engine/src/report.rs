@@ -1,8 +1,8 @@
 //! Run reports.
 
 use sp_metrics::{
-    ClassSlo, ClassSloReport, Dur, FailedRequest, FleetTimeline, LatencyRecorder,
-    ReplicaLoadSeries, RequestRecord, RoutingDecision, SimTime,
+    ClassSlo, ClassSloReport, Dur, FailedRequest, FleetTimeline, LatencyRecorder, RequestRecord,
+    RoutingDecision, SimTime,
 };
 use sp_parallel::ParallelConfig;
 use std::collections::HashMap;
@@ -41,7 +41,6 @@ pub struct EngineReport {
     max_iteration: Dur,
     timeline: Option<Vec<IterationEvent>>,
     routing: Vec<RoutingDecision>,
-    replica_loads: ReplicaLoadSeries,
     fleet: FleetTimeline,
 }
 
@@ -64,16 +63,14 @@ impl EngineReport {
             max_iteration: Dur::ZERO,
             timeline: None,
             routing: Vec::new(),
-            replica_loads: ReplicaLoadSeries::new(),
             fleet: FleetTimeline::new(),
         }
     }
 
-    /// Attaches an online-routing decision trail and the replica load
-    /// series sampled at each dispatch (set by the cluster simulation).
-    pub fn set_routing(&mut self, decisions: Vec<RoutingDecision>, loads: ReplicaLoadSeries) {
+    /// Attaches an online-routing decision trail (set by the cluster
+    /// simulation).
+    pub fn set_routing(&mut self, decisions: Vec<RoutingDecision>) {
         self.routing = decisions;
-        self.replica_loads = loads;
     }
 
     /// Attaches the replica lifecycle timeline (set by the cluster
@@ -260,11 +257,6 @@ impl EngineReport {
         &self.routing
     }
 
-    /// Per-replica load time series sampled at every dispatch instant.
-    pub fn replica_loads(&self) -> &ReplicaLoadSeries {
-        &self.replica_loads
-    }
-
     /// Replica lifecycle timeline (spawn / ready / drain / retire
     /// events) with replica-seconds accounting. For a fixed fleet every
     /// replica spawns ready at time zero and never retires, so
@@ -287,14 +279,13 @@ impl EngineReport {
     /// failures, rejects, the fleet timeline (`timeline:`), request
     /// faults and fleet fault counters, the per-iteration timeline,
     /// config usage, makespan, longest iteration, peak KV, the
-    /// preemption/shed/deferral counters, latency aggregates, throughput
-    /// bins and the dense per-replica load samples.
+    /// preemption/shed/deferral counters, latency aggregates and
+    /// throughput bins.
     ///
     /// Two runs are equivalent exactly when their dumps are equal; the
     /// equivalence tests and the `determinism` bin compare nothing
     /// else. f64s print in Rust's shortest round-trip form, so equal
-    /// text means equal bits. Config usage is sorted by `(sp, tp)`, and
-    /// the load series prints its samples, not its run encoding. The
+    /// text means equal bits. Config usage is sorted by `(sp, tp)`. The
     /// format is stable within a build, not a versioned schema.
     pub fn dump(&self) -> String {
         let tl = &self.fleet;
@@ -303,7 +294,6 @@ impl EngineReport {
         usage.sort_by_key(|&(c, _)| (c.sp(), c.tp()));
         let bins: Vec<(f64, f64)> =
             m.throughput().totals().map(|(t, v)| (t.as_secs(), v)).collect();
-        let samples: Vec<_> = self.replica_loads.samples().collect();
         let lines = [
             format!("iterations: {}", self.iterations),
             format!("decisions: {:?}", self.routing),
@@ -334,7 +324,6 @@ impl EngineReport {
                 m.last_finish().as_secs()
             ),
             format!("throughput_bins: width={:?} {bins:?}", m.throughput().bin_width().as_secs()),
-            format!("load_samples: {samples:?}"),
         ];
         let mut out = lines.join("\n");
         out.push('\n');
@@ -367,7 +356,6 @@ impl EngineReport {
         self.max_iteration = self.max_iteration.max(other.max_iteration);
         self.makespan = self.makespan.max(other.makespan);
         self.routing.extend(other.routing);
-        self.replica_loads.absorb(other.replica_loads);
         self.fleet.absorb(other.fleet);
         if let (Some(mine), Some(theirs)) = (&mut self.timeline, other.timeline) {
             mine.extend(theirs);
@@ -481,25 +469,5 @@ mod tests {
         let before = r.dump();
         assert_eq!(r.metrics_mut().ttft().median(), Some(0.2));
         assert_eq!(r.dump(), before);
-    }
-
-    #[test]
-    fn dump_renders_load_samples_not_their_encoding() {
-        // The same two dispatches, recorded in full and closed by `take`
-        // (as the reference loop does), and from changes only and left
-        // open: different run encodings, the same samples.
-        let at = |t| SimTime::from_secs(t);
-        let mut dense = ReplicaLoadSeries::new();
-        dense.record_dispatch(at(1.0), [(0, 500), (1, 0)]);
-        dense.record_dispatch(at(2.0), [(0, 500), (1, 40)]);
-        let mut delta = ReplicaLoadSeries::new();
-        delta.record_dispatch(at(1.0), [(0, 500), (1, 0)]);
-        delta.record_changes(at(2.0), [(1, 40)]);
-        let report = |loads| {
-            let mut r = EngineReport::new(Dur::from_secs(1.0));
-            r.set_routing(Vec::new(), loads);
-            r.dump()
-        };
-        assert_eq!(report(dense.take()), report(delta));
     }
 }

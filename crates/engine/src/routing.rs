@@ -16,8 +16,8 @@ use crate::engine::Engine;
 use crate::fault::{Fault, FaultEvent, FaultPlan, RetryPolicy, SalvagedWork};
 use crate::report::EngineReport;
 use sp_metrics::{
-    ClassSlo, Dur, FailedRequest, FleetTimeline, NodeLoad, ReplicaEventKind, ReplicaLoadSeries,
-    RequestClass, RequestFaultKind, RoutingDecision, SimTime,
+    ClassSlo, Dur, FailedRequest, FleetTimeline, NodeLoad, ReplicaEventKind, RequestClass,
+    RequestFaultKind, RoutingDecision, SimTime,
 };
 use sp_workload::{Request, Trace};
 use std::collections::HashMap;
@@ -414,7 +414,7 @@ struct Slot<N> {
     /// The node's load snapshot (default when empty).
     load: NodeLoad,
     /// Listed in [`Fleet::touched`]: reached through `with_node` since
-    /// the last load sample.
+    /// the last [`Fleet::sync_routable`].
     touched: bool,
 }
 
@@ -622,8 +622,6 @@ struct Fleet<N> {
     /// Decision trail accumulated across dispatches; taken with the
     /// report. `RoutingDecision::replica` holds the stable slot index.
     decisions: Vec<RoutingDecision>,
-    /// Per-slot loads sampled at each dispatch; taken with the report.
-    load_series: ReplicaLoadSeries,
     /// Replica lifecycle events + replica-seconds accounting.
     timeline: FleetTimeline,
     /// Reports of retired replicas, merged into the final report.
@@ -635,18 +633,11 @@ struct Fleet<N> {
     faults: Option<FaultState>,
     /// The routable set the router and the autoscaler read.
     routable: Routable,
-    /// Slots reached through [`Slot::with_node`] since the last load
-    /// sample (each listed once, flagged by [`Slot::touched`]): the only
-    /// slots whose load can have changed since.
+    /// Slots reached through [`Slot::with_node`] since the last
+    /// [`Fleet::sync_routable`] (each listed once, flagged by
+    /// [`Slot::touched`]): the only slots whose load can have changed
+    /// since.
     touched: Vec<usize>,
-    /// The next load sample must be a full
-    /// [`ReplicaLoadSeries::record_dispatch`]: the routable set changed
-    /// (or the series was taken) since the last one.
-    sample_all: bool,
-    /// Record every load sample in full: the reference loop's dense
-    /// recorder, against which the properties check the change-only
-    /// one.
-    dense_samples: bool,
 }
 
 /// The fleet's persistent routing snapshot: the routable slots'
@@ -721,15 +712,12 @@ impl<N: SimNode> Fleet<N> {
             policy,
             throughput_bin: Dur::from_secs(1.0),
             decisions: Vec::new(),
-            load_series: ReplicaLoadSeries::new(),
             timeline,
             retired: Vec::new(),
             autoscaler: None,
             faults: None,
             routable: Routable { stale: true, ..Routable::default() },
             touched: Vec::new(),
-            sample_all: true,
-            dense_samples: false,
         }
     }
 
@@ -751,22 +739,18 @@ impl<N: SimNode> Fleet<N> {
 
     /// Brings the routable snapshot up to date: a rebuild after a
     /// membership change, otherwise a refresh of the touched slots'
-    /// entries only.
+    /// entries only. Either way the touched list starts over.
     fn sync_routable(&mut self) {
         if self.routable.stale {
             self.routable = Routable::scan(&self.slots);
-            for &i in &self.touched {
-                self.slots[i].touched = false;
-            }
-            self.touched.clear();
-            self.sample_all = true;
-        } else {
-            for &i in &self.touched {
-                if let Some(p) = self.routable.pos[i] {
-                    self.routable.loads[p] = self.slots[i].load();
-                }
-            }
         }
+        for &i in &self.touched {
+            if let Some(p) = self.routable.pos[i] {
+                self.routable.loads[p] = self.slots[i].load();
+            }
+            self.slots[i].touched = false;
+        }
+        self.touched.clear();
         debug_assert!(
             self.routable == Routable::scan(&self.slots),
             "stale routable snapshot: a slot changed without being touched"
@@ -989,30 +973,12 @@ impl<N: SimNode> Fleet<N> {
         self.autoscaler.as_mut().expect("checked above").actions = actions;
     }
 
-    /// Samples the routable loads, records the load series, and routes
-    /// `req`, returning the chosen slot index. Only the touched slots'
-    /// samples are recorded, unless the routable set changed since the
-    /// last sample.
+    /// Routes `req` on the routable loads, returning the chosen slot
+    /// index.
     fn route(&mut self, req: &Request) -> usize {
         self.sync_routable();
         let r = &self.routable;
         assert!(!r.slots.is_empty(), "no routable replica (min_replicas >= 1 guards this)");
-        if self.sample_all || self.dense_samples {
-            let samples = r.slots.iter().zip(&r.loads).map(|(&i, l)| (i, l.outstanding_tokens));
-            self.load_series.record_dispatch(req.arrival, samples);
-            self.sample_all = false;
-        } else {
-            self.touched.sort_unstable();
-            let changed = self
-                .touched
-                .iter()
-                .filter_map(|&i| r.pos[i].map(|p| (i, r.loads[p].outstanding_tokens)));
-            self.load_series.record_changes(req.arrival, changed);
-        }
-        for &i in &self.touched {
-            self.slots[i].touched = false;
-        }
-        self.touched.clear();
         let pick = self.policy.pick(req, &r.loads).min(r.loads.len() - 1);
         let slot = r.slots[pick];
         self.decisions.push(RoutingDecision {
@@ -1240,8 +1206,8 @@ impl<N: SimNode> Fleet<N> {
     }
 
     /// Finalizes an incremental run: merges retired and live per-node
-    /// reports and attaches the accumulated decision trail, load samples
-    /// and lifecycle timeline (all reset). With faults attached, every
+    /// reports and attaches the accumulated decision trail and lifecycle
+    /// timeline (both reset). With faults attached, every
     /// record whose `arrival` was rewritten (dispatch clamp or retry
     /// redelivery) is patched back to its true arrival *before* the
     /// merge replays it into the latency metrics, so TTFT and E2E count
@@ -1268,8 +1234,7 @@ impl<N: SimNode> Fleet<N> {
             merged.note_failures(std::mem::take(&mut f.failed));
             f.attempts.clear();
         }
-        merged.set_routing(std::mem::take(&mut self.decisions), self.load_series.take());
-        self.sample_all = true;
+        merged.set_routing(std::mem::take(&mut self.decisions));
         merged.set_fleet_timeline(std::mem::take(&mut self.timeline));
         merged
     }
@@ -1284,8 +1249,8 @@ impl<N: SimNode> Fleet<N> {
 /// Replicas advance in global simulated-time order; each request is
 /// dispatched *at its arrival instant* to the replica the
 /// [`RoutingPolicy`] picks from live `outstanding_tokens`. The merged
-/// report carries the routing decision trail and a per-replica load time
-/// series sampled at every dispatch.
+/// report carries the routing decision trail, each decision with the
+/// chosen replica's load at dispatch.
 ///
 /// Only coordination events — dispatch arrivals and fault timers — read
 /// or write cross-replica state, so the simulation advances in *horizon
@@ -1594,10 +1559,10 @@ impl<N: SimNode> ClusterSim<N> {
 
     /// Dispatches one request at its arrival instant: advances every
     /// node up to the arrival, runs autoscaler lifecycle work (warmups,
-    /// retires, scale decisions), samples routable loads, routes, and
+    /// retires, scale decisions), reads the routable loads, routes, and
     /// enqueues. Requests must be pushed in nondecreasing arrival order
-    /// (as [`ClusterSim::run`] does for a trace). The routing decision
-    /// and load samples accumulate until [`ClusterSim::take_report`].
+    /// (as [`ClusterSim::run`] does for a trace). Routing decisions
+    /// accumulate until [`ClusterSim::take_report`].
     pub fn push_request(&mut self, req: Request) {
         // Bring every node's local clock up to this arrival so the load
         // signal reflects work actually still outstanding now.
@@ -1636,8 +1601,8 @@ impl<N: SimNode> ClusterSim<N> {
     }
 
     /// Finalizes an incremental run: merges per-node reports (retired
-    /// replicas included) and attaches the accumulated decision trail,
-    /// load samples and replica lifecycle timeline (all reset).
+    /// replicas included) and attaches the accumulated decision trail
+    /// and replica lifecycle timeline (both reset).
     pub fn take_report(&mut self) -> EngineReport {
         self.fleet.take_report()
     }
@@ -1665,9 +1630,7 @@ impl<N: SimNode> ClusterSim<N> {
 /// The one-event-at-a-time cluster loop, kept as an executable
 /// specification: it advances by stepping the single globally earliest
 /// event — node event or fault timer — found by a linear rescan of every
-/// slot, never fast-forwards through [`SimNode::step_run`], and records
-/// every dispatch's load samples in full rather than only the changed
-/// ones.
+/// slot, and never fast-forwards through [`SimNode::step_run`].
 ///
 /// It exists for two consumers only — the byte-identity properties in
 /// `tests/cluster_properties.rs` and `tests/fastforward.rs` (windowed
@@ -1687,9 +1650,7 @@ impl<N: SimNode> ReferenceClusterSim<N> {
     ///
     /// Panics if `nodes` is empty.
     pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ReferenceClusterSim<N> {
-        let mut fleet = Fleet::new(nodes, policy);
-        fleet.dense_samples = true;
-        ReferenceClusterSim { fleet }
+        ReferenceClusterSim { fleet: Fleet::new(nodes, policy) }
     }
 
     /// Attaches an autoscaler (see [`ClusterSim::with_autoscaler`]). The
@@ -2016,8 +1977,6 @@ mod tests {
             );
         }
         assert_eq!(report.records().len(), 9);
-        assert_eq!(report.replica_loads().replica_count(), 2);
-        assert!(report.replica_loads().peak(0) > 100_000);
     }
 
     #[test]
@@ -2160,8 +2119,6 @@ mod tests {
         let mut sim = ClusterSim::new(engines(4), RoutingKind::RoundRobin.policy());
         let report = sim.run(&trace);
         assert_eq!(report.routing_decisions().len(), 40);
-        // One load sample per replica per dispatch.
-        assert_eq!(report.replica_loads().samples().count(), 40 * 4);
         assert_eq!(report.records().len(), 40);
     }
 

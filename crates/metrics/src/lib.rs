@@ -10,8 +10,8 @@
 //! * [`percentile`] — exact [`Quantiles`] over recorded samples.
 //! * [`timeseries`] — [`BinnedSeries`] for throughput-over-time plots.
 //! * [`latency`] — [`LatencyRecorder`], the per-request metric sink.
-//! * [`routing`] — [`RoutingDecision`] and [`ReplicaLoadSeries`], the
-//!   cluster router's decision trail and per-replica load time series.
+//! * [`routing`] — [`RoutingDecision`] and [`FleetTimeline`], the
+//!   cluster router's decision trail and the fleet's replica lifecycle.
 //!
 //! # Examples
 //!
@@ -40,7 +40,7 @@ pub use latency::{LatencyRecorder, RequestRecord};
 pub use percentile::Quantiles;
 pub use routing::{
     window_event_order, FailedRequest, FleetTimeline, NodeLoad, ReplicaEvent, ReplicaEventKind,
-    ReplicaLoadSample, ReplicaLoadSeries, RequestFaultEvent, RequestFaultKind, RoutingDecision,
+    RequestFaultEvent, RequestFaultKind, RoutingDecision,
 };
 pub use slo::{ClassSlo, ClassSloReport, RequestClass, SloReport, SloTarget};
 pub use summary::StreamingSummary;

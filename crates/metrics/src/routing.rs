@@ -1,11 +1,12 @@
-//! Cluster-routing records: which replica served each request, and how
-//! loaded every replica was when the router decided.
+//! Cluster-routing records: the load signals the router reads, which
+//! replica served each request, and the fleet's replica lifecycle.
 //!
 //! The event-driven cluster simulation (`sp-engine`'s `ClusterSim`)
-//! dispatches each request at its arrival instant using live load
-//! signals. These types preserve that decision trail in reports so the
-//! Figure 16 production analyses can correlate tail latencies with
-//! routing behaviour.
+//! dispatches each request at its arrival instant from live [`NodeLoad`]
+//! snapshots. Reports keep the decision trail ([`RoutingDecision`]: the
+//! chosen replica and its outstanding tokens at dispatch) and the
+//! [`FleetTimeline`] of spawns, drains, retires, crashes and request
+//! faults, from which the replica-seconds cost metric is derived.
 
 use crate::timeseries::BinnedSeries;
 use crate::units::{Dur, SimTime};
@@ -102,333 +103,6 @@ pub struct RoutingDecision {
     pub at: SimTime,
     /// The chosen replica's outstanding tokens at dispatch.
     pub load_tokens: u64,
-}
-
-/// One load observation of one replica.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaLoadSample {
-    /// Replica index.
-    pub replica: usize,
-    /// Observation instant.
-    pub at: SimTime,
-    /// Outstanding work in tokens (queued + admitted but unfinished).
-    pub outstanding_tokens: u64,
-}
-
-/// A per-replica load time series, sampled at routing instants.
-///
-/// Every dispatch samples each routable replica's outstanding tokens.
-/// Stored densely that is one sample per replica per dispatch, yet
-/// between two dispatches most replicas neither leave the routable set
-/// nor change load. The series therefore keeps the dispatch instants
-/// once, plus *runs*: a replica's unchanged load over consecutive
-/// dispatches is one `(replica, from, to, tokens)` entry. Storage grows
-/// with the number of load *changes*, not with dispatches × replicas.
-///
-/// Recording is incremental too. [`ReplicaLoadSeries::record_dispatch`]
-/// takes the full sample set and fixes the *members* (the replicas
-/// sampled there); [`ReplicaLoadSeries::record_changes`] records a
-/// dispatch with the same members from only the loads that changed.
-/// Every member's latest run stays *open* — it extends to the latest
-/// dispatch without being touched — until a full record, an
-/// [`ReplicaLoadSeries::absorb`] or [`ReplicaLoadSeries::take`] closes
-/// it.
-///
-/// The encoding is lossless: [`ReplicaLoadSeries::samples`] yields the
-/// dense sequence — dispatch order, replica-ascending within a dispatch
-/// — and [`ReplicaLoadSeries::peak`] and [`ReplicaLoadSeries::mean`]
-/// equal the dense formulas bit for bit, however the dispatches were
-/// recorded.
-///
-/// # Examples
-///
-/// ```
-/// use sp_metrics::{ReplicaLoadSeries, SimTime};
-///
-/// let mut s = ReplicaLoadSeries::new();
-/// s.record_dispatch(SimTime::from_secs(1.0), [(0, 500), (1, 0)]);
-/// s.record_changes(SimTime::from_secs(2.0), [(1, 40)]);
-/// assert_eq!(s.replica_count(), 2);
-/// assert_eq!(s.peak(0), 500);
-/// assert_eq!(s.mean(1), 20.0);
-/// assert_eq!(s.samples().count(), 4);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ReplicaLoadSeries {
-    /// Instant of every recorded dispatch, in recording order.
-    dispatches: Vec<SimTime>,
-    /// Runs ordered by `(from, replica)` — the order they were opened in.
-    runs: Vec<LoadRun>,
-    /// Per replica: index in `runs` of its latest run, the only one a
-    /// later dispatch may extend.
-    latest: Vec<Option<usize>>,
-    /// Replicas sampled at the latest dispatch, ascending. Their latest
-    /// runs are open (`to == OPEN`).
-    members: Vec<usize>,
-    replica_count: usize,
-}
-
-/// One replica's unchanged load over the dispatches `from..to`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LoadRun {
-    replica: usize,
-    from: usize,
-    /// End dispatch (exclusive), or [`OPEN`]: the run extends to the
-    /// latest dispatch.
-    to: usize,
-    tokens: u64,
-}
-
-/// The `to` of a run that extends to the latest dispatch.
-const OPEN: usize = usize::MAX;
-
-impl LoadRun {
-    /// Number of dispatches a closed run covers.
-    fn len(&self) -> u64 {
-        (self.to - self.from) as u64
-    }
-}
-
-impl ReplicaLoadSeries {
-    /// Creates an empty series.
-    pub fn new() -> ReplicaLoadSeries {
-        ReplicaLoadSeries::default()
-    }
-
-    /// Records one dispatch at `at` with the full sample set: the
-    /// `(replica, outstanding tokens)` of every replica sampled there, in
-    /// ascending replica order. These replicas become the members that
-    /// [`ReplicaLoadSeries::record_changes`] assumes. A replica that was
-    /// sampled at the previous dispatch with the same load extends its
-    /// run; any other sample opens a new run.
-    pub fn record_dispatch(&mut self, at: SimTime, loads: impl IntoIterator<Item = (usize, u64)>) {
-        self.close_runs();
-        let d = self.dispatches.len();
-        self.dispatches.push(at);
-        for (replica, tokens) in loads {
-            debug_assert!(
-                self.members.last().is_none_or(|&p| p < replica),
-                "dispatch samples must be replica-ascending"
-            );
-            self.members.push(replica);
-            if replica >= self.latest.len() {
-                self.latest.resize(replica + 1, None);
-            }
-            self.replica_count = self.replica_count.max(replica + 1);
-            if let Some(k) = self.latest[replica] {
-                let run = &mut self.runs[k];
-                if run.to == d && run.tokens == tokens {
-                    run.to = OPEN;
-                    continue;
-                }
-            }
-            self.latest[replica] = Some(self.runs.len());
-            self.runs.push(LoadRun { replica, from: d, to: OPEN, tokens });
-        }
-    }
-
-    /// Records one dispatch at `at` whose sampled replicas are exactly
-    /// the previous dispatch's, from the loads that may have changed
-    /// since: `changed` lists `(replica, outstanding tokens)` in
-    /// ascending replica order, members only. A listed load equal to the
-    /// replica's previous one is no change; every unlisted member keeps
-    /// its previous load. Costs O(changes), and leaves the series exactly
-    /// as [`ReplicaLoadSeries::record_dispatch`] with every member's load
-    /// would.
-    pub fn record_changes(&mut self, at: SimTime, changed: impl IntoIterator<Item = (usize, u64)>) {
-        let d = self.dispatches.len();
-        self.dispatches.push(at);
-        let mut prev: Option<usize> = None;
-        for (replica, tokens) in changed {
-            debug_assert!(prev.is_none_or(|p| p < replica), "changes must be replica-ascending");
-            debug_assert!(
-                self.members.binary_search(&replica).is_ok(),
-                "changed replica {replica} is not a member"
-            );
-            prev = Some(replica);
-            let k = self.latest[replica].expect("a member has a latest run");
-            let run = &mut self.runs[k];
-            debug_assert_eq!(run.to, OPEN, "a member's latest run is open");
-            if run.tokens == tokens {
-                continue;
-            }
-            run.to = d;
-            self.latest[replica] = Some(self.runs.len());
-            self.runs.push(LoadRun { replica, from: d, to: OPEN, tokens });
-        }
-    }
-
-    /// Closes every open run at the latest dispatch and clears the
-    /// members.
-    fn close_runs(&mut self) {
-        let d = self.dispatches.len();
-        for &replica in &self.members {
-            let k = self.latest[replica].expect("a member has a latest run");
-            self.runs[k].to = d;
-        }
-        self.members.clear();
-    }
-
-    /// Closes the open runs and takes the series, leaving an empty one.
-    pub fn take(&mut self) -> ReplicaLoadSeries {
-        self.close_runs();
-        std::mem::take(self)
-    }
-
-    /// `run` with its end resolved: an open run ends at the latest
-    /// dispatch.
-    fn closed(&self, run: &LoadRun) -> LoadRun {
-        LoadRun { to: run.to.min(self.dispatches.len()), ..*run }
-    }
-
-    /// All samples in recording order: dispatch by dispatch, and within
-    /// a dispatch by ascending replica.
-    pub fn samples(&self) -> LoadSamples<'_> {
-        LoadSamples {
-            series: self,
-            next_dispatch: 0,
-            opened: 0,
-            active: Vec::new(),
-            merged: Vec::new(),
-            cursor: 0,
-        }
-    }
-
-    /// Number of distinct replicas observed (max index + 1).
-    pub fn replica_count(&self) -> usize {
-        self.replica_count
-    }
-
-    /// True if no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    fn runs_of(&self, replica: usize) -> impl Iterator<Item = LoadRun> + '_ {
-        self.runs.iter().filter(move |r| r.replica == replica).map(|r| self.closed(r))
-    }
-
-    /// Peak outstanding tokens observed for `replica` (0 if never seen).
-    pub fn peak(&self, replica: usize) -> u64 {
-        self.runs_of(replica).map(|r| r.tokens).max().unwrap_or(0)
-    }
-
-    /// Mean outstanding tokens over `replica`'s samples (0.0 if never
-    /// seen).
-    pub fn mean(&self, replica: usize) -> f64 {
-        let (sum, count) = self
-            .runs_of(replica)
-            .fold((0u64, 0u64), |(s, n), r| (s + r.tokens * r.len(), n + r.len()));
-        if count == 0 {
-            0.0
-        } else {
-            sum as f64 / count as f64
-        }
-    }
-
-    /// Absorbs `other`, shifting its replica indices past this series' —
-    /// merged reports keep per-tier replica identities distinct. The
-    /// absorbed dispatches follow this series' own. Closes both series'
-    /// open runs: the next record must be a full
-    /// [`ReplicaLoadSeries::record_dispatch`].
-    pub fn absorb(&mut self, mut other: ReplicaLoadSeries) {
-        self.close_runs();
-        other.close_runs();
-        let offset = self.replica_count;
-        let dispatch_base = self.dispatches.len();
-        let run_base = self.runs.len();
-        self.dispatches.extend(other.dispatches);
-        self.runs.extend(other.runs.into_iter().map(|r| LoadRun {
-            replica: r.replica + offset,
-            from: r.from + dispatch_base,
-            to: r.to + dispatch_base,
-            ..r
-        }));
-        self.latest.extend(other.latest.into_iter().map(|k| k.map(|k| k + run_base)));
-        self.replica_count = offset + other.replica_count;
-    }
-}
-
-/// Series are equal when they record the same dispatches and runs —
-/// hence the same samples — whether or not their runs are still open.
-impl PartialEq for ReplicaLoadSeries {
-    fn eq(&self, other: &ReplicaLoadSeries) -> bool {
-        self.dispatches == other.dispatches
-            && self.replica_count == other.replica_count
-            && self.runs.len() == other.runs.len()
-            && self.runs.iter().zip(&other.runs).all(|(a, b)| self.closed(a) == other.closed(b))
-    }
-}
-
-/// The dense sample sequence of a [`ReplicaLoadSeries`] (see
-/// [`ReplicaLoadSeries::samples`]).
-///
-/// Sweeps the dispatches in order, keeping the runs that cover the
-/// current dispatch sorted by replica: runs that ended drop out, runs
-/// opening there merge in. Each sample costs O(1) amortized.
-#[derive(Debug, Clone)]
-pub struct LoadSamples<'a> {
-    series: &'a ReplicaLoadSeries,
-    /// The next dispatch to sweep to; the one being yielded is the one
-    /// before it.
-    next_dispatch: usize,
-    /// Runs `..opened` have joined the sweep.
-    opened: usize,
-    /// Indices of the runs covering the current dispatch,
-    /// replica-ascending.
-    active: Vec<usize>,
-    /// Scratch for the next dispatch's `active`.
-    merged: Vec<usize>,
-    /// Next position in `active` to yield.
-    cursor: usize,
-}
-
-impl LoadSamples<'_> {
-    /// Sweeps to dispatch `next_dispatch`.
-    fn sweep(&mut self) {
-        let runs = &self.series.runs;
-        let d = self.next_dispatch;
-        self.next_dispatch += 1;
-        let end = self.opened + runs[self.opened..].partition_point(|r| r.from <= d);
-        self.merged.clear();
-        let mut live = self.active.iter().copied().filter(|&k| runs[k].to > d).peekable();
-        let mut fresh = (self.opened..end).peekable();
-        loop {
-            let next = match (live.peek(), fresh.peek()) {
-                (Some(&a), Some(&b)) if runs[a].replica < runs[b].replica => live.next(),
-                (_, Some(_)) => fresh.next(),
-                (Some(_), None) => live.next(),
-                (None, None) => break,
-            };
-            self.merged.extend(next);
-        }
-        self.opened = end;
-        std::mem::swap(&mut self.active, &mut self.merged);
-        self.cursor = 0;
-    }
-}
-
-impl Iterator for LoadSamples<'_> {
-    type Item = ReplicaLoadSample;
-
-    fn next(&mut self) -> Option<ReplicaLoadSample> {
-        let series = self.series;
-        loop {
-            if let Some(&k) = self.active.get(self.cursor) {
-                self.cursor += 1;
-                let run = series.runs[k];
-                return Some(ReplicaLoadSample {
-                    replica: run.replica,
-                    at: series.dispatches[self.next_dispatch - 1],
-                    outstanding_tokens: run.tokens,
-                });
-            }
-            if self.next_dispatch >= series.dispatches.len() {
-                return None;
-            }
-            self.sweep();
-        }
-    }
 }
 
 /// A replica lifecycle transition (autoscaling).
@@ -710,8 +384,8 @@ impl FleetTimeline {
     }
 
     /// Absorbs `other`, shifting its replica indices past this
-    /// timeline's, mirroring [`ReplicaLoadSeries::absorb`] so merged
-    /// reports keep the two views' replica identities aligned.
+    /// timeline's, so merged reports keep per-tier replica identities
+    /// distinct.
     pub fn absorb(&mut self, other: FleetTimeline) {
         let offset = self.replica_count;
         for mut e in other.events {
@@ -729,7 +403,6 @@ impl FleetTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn window_event_order_sorts_by_instant_then_slot_with_nan_last() {
@@ -760,26 +433,6 @@ mod tests {
         ];
         merged.record_batch(&mut batch);
         assert_eq!(merged, sequential);
-    }
-
-    #[test]
-    fn empty_series_reports_zero() {
-        let s = ReplicaLoadSeries::new();
-        assert!(s.is_empty());
-        assert_eq!(s.replica_count(), 0);
-        assert_eq!(s.peak(3), 0);
-        assert_eq!(s.mean(3), 0.0);
-    }
-
-    #[test]
-    fn peak_and_mean_are_per_replica() {
-        let mut s = ReplicaLoadSeries::new();
-        s.record_dispatch(SimTime::from_secs(0.0), [(0, 100)]);
-        s.record_dispatch(SimTime::from_secs(1.0), [(0, 300), (1, 50)]);
-        assert_eq!(s.replica_count(), 2);
-        assert_eq!(s.peak(0), 300);
-        assert_eq!(s.mean(0), 200.0);
-        assert_eq!(s.peak(1), 50);
     }
 
     #[test]
@@ -949,224 +602,5 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.replica_count(), 3);
         assert_eq!(a.events().last().unwrap().replica, 2);
-    }
-
-    #[test]
-    fn absorb_offsets_replica_indices() {
-        let mut a = ReplicaLoadSeries::new();
-        a.record_dispatch(SimTime::from_secs(0.0), [(0, 10), (1, 20)]);
-        let mut b = ReplicaLoadSeries::new();
-        b.record_dispatch(SimTime::from_secs(1.0), [(0, 30)]);
-        a.absorb(b);
-        assert_eq!(a.replica_count(), 3);
-        assert_eq!(a.peak(2), 30);
-        assert_eq!(a.samples().count(), 3);
-    }
-
-    #[test]
-    fn unchanged_loads_extend_one_run() {
-        let mut s = ReplicaLoadSeries::new();
-        for i in 0..100 {
-            s.record_dispatch(SimTime::from_secs(f64::from(i)), [(0, 7), (3, 9)]);
-        }
-        assert_eq!(s.runs.len(), 2, "an unchanged load is one run per replica");
-        // Leaving the routable set ends the run even at an equal load.
-        s.record_dispatch(SimTime::from_secs(100.0), [(3, 9)]);
-        s.record_dispatch(SimTime::from_secs(101.0), [(0, 7), (3, 9)]);
-        assert_eq!(s.runs.len(), 3);
-        assert_eq!(s.samples().count(), 203);
-        assert_eq!(s.mean(0), 7.0);
-    }
-
-    /// The dense one-sample-per-entry series the run-length encoding
-    /// must reproduce.
-    #[derive(Debug, Default)]
-    struct DenseSeries {
-        samples: Vec<ReplicaLoadSample>,
-        replica_count: usize,
-    }
-
-    impl DenseSeries {
-        fn record(&mut self, replica: usize, at: SimTime, outstanding_tokens: u64) {
-            self.replica_count = self.replica_count.max(replica + 1);
-            self.samples.push(ReplicaLoadSample { replica, at, outstanding_tokens });
-        }
-
-        fn peak(&self, replica: usize) -> u64 {
-            let of = self.samples.iter().filter(|s| s.replica == replica);
-            of.map(|s| s.outstanding_tokens).max().unwrap_or(0)
-        }
-
-        fn mean(&self, replica: usize) -> f64 {
-            let xs: Vec<u64> = self
-                .samples
-                .iter()
-                .filter(|s| s.replica == replica)
-                .map(|s| s.outstanding_tokens)
-                .collect();
-            if xs.is_empty() {
-                0.0
-            } else {
-                xs.iter().sum::<u64>() as f64 / xs.len() as f64
-            }
-        }
-
-        fn absorb(&mut self, other: DenseSeries) {
-            let offset = self.replica_count;
-            for mut s in other.samples {
-                s.replica += offset;
-                self.replica_count = self.replica_count.max(s.replica + 1);
-                self.samples.push(s);
-            }
-        }
-    }
-
-    /// One dispatch of a generated script: a routable mask over six
-    /// replicas (values of 64 and up mean "all routable", so long runs
-    /// occur) and each replica's load, drawn from a small alphabet so
-    /// loads repeat often.
-    type Script = Vec<(u32, Vec<u64>)>;
-
-    fn script() -> impl Strategy<Value = Script> {
-        prop::collection::vec((0u32..96, prop::collection::vec(0u64..4, 6)), 0..40)
-    }
-
-    fn replay(script: &Script, t0: f64, runs: &mut ReplicaLoadSeries, dense: &mut DenseSeries) {
-        const ALPHABET: [u64; 4] = [0, 100, 100, 7_000];
-        for (d, (mask, loads)) in script.iter().enumerate() {
-            let at = SimTime::from_secs(t0 + (d / 2) as f64);
-            let sampled: Vec<(usize, u64)> = (0..6)
-                .filter(|&r| *mask >= 64 || mask & (1 << r) != 0)
-                .map(|r| (r, ALPHABET[loads[r] as usize]))
-                .collect();
-            for &(r, tokens) in &sampled {
-                dense.record(r, at, tokens);
-            }
-            runs.record_dispatch(at, sampled);
-        }
-    }
-
-    fn assert_lossless(runs: &ReplicaLoadSeries, dense: &DenseSeries) {
-        assert_eq!(runs.samples().collect::<Vec<_>>(), dense.samples);
-        assert_eq!(runs.replica_count(), dense.replica_count);
-        assert_eq!(runs.is_empty(), dense.samples.is_empty());
-        for r in 0..=dense.replica_count {
-            assert_eq!(runs.peak(r), dense.peak(r), "peak of replica {r}");
-            assert_eq!(runs.mean(r).to_bits(), dense.mean(r).to_bits(), "mean of replica {r}");
-        }
-    }
-
-    /// One dispatch of a generated delta script: `keep` re-samples the
-    /// previous dispatch's members (a delta record) and `listed` picks
-    /// the members whose load is re-read, possibly unchanged; otherwise
-    /// `mask` draws a new membership (join, leave, rejoin) sampled in
-    /// full.
-    type DeltaScript = Vec<(bool, u32, Vec<u64>, u32)>;
-
-    fn delta_script() -> impl Strategy<Value = DeltaScript> {
-        let step = (any::<bool>(), 0u32..96, prop::collection::vec(0u64..4, 6), 0u32..64);
-        prop::collection::vec(step, 0..40)
-    }
-
-    /// Replays `script` into `delta` through `record_changes` wherever
-    /// the membership is unchanged, and into `dense` through full
-    /// `record_dispatch` calls only. The first dispatch is always a
-    /// full record.
-    fn replay_delta(
-        script: &DeltaScript,
-        t0: f64,
-        delta: &mut ReplicaLoadSeries,
-        dense: &mut ReplicaLoadSeries,
-    ) {
-        const ALPHABET: [u64; 4] = [0, 100, 100, 7_000];
-        let mut members: Vec<usize> = Vec::new();
-        let mut loads = [0u64; 6];
-        for (d, (keep, mask, drawn, listed)) in script.iter().enumerate() {
-            let at = SimTime::from_secs(t0 + (d / 2) as f64);
-            if *keep && d > 0 {
-                let changed: Vec<(usize, u64)> = members
-                    .iter()
-                    .filter(|&&r| listed & (1 << r) != 0)
-                    .map(|&r| {
-                        loads[r] = ALPHABET[drawn[r] as usize];
-                        (r, loads[r])
-                    })
-                    .collect();
-                delta.record_changes(at, changed);
-            } else {
-                members = (0..6).filter(|&r| *mask >= 64 || mask & (1 << r) != 0).collect();
-                for &r in &members {
-                    loads[r] = ALPHABET[drawn[r] as usize];
-                }
-                delta.record_dispatch(at, members.iter().map(|&r| (r, loads[r])));
-            }
-            dense.record_dispatch(at, members.iter().map(|&r| (r, loads[r])));
-        }
-    }
-
-    fn assert_same_series(delta: &ReplicaLoadSeries, dense: &ReplicaLoadSeries) {
-        assert_eq!(delta.samples().collect::<Vec<_>>(), dense.samples().collect::<Vec<_>>());
-        assert_eq!(delta, dense);
-        assert_eq!(delta.replica_count(), dense.replica_count());
-        assert_eq!(delta.is_empty(), dense.is_empty());
-        for r in 0..=dense.replica_count() {
-            assert_eq!(delta.peak(r), dense.peak(r), "peak of replica {r}");
-            assert_eq!(delta.mean(r).to_bits(), dense.mean(r).to_bits(), "mean of replica {r}");
-        }
-    }
-
-    #[test]
-    fn unlisted_members_keep_their_load() {
-        let mut s = ReplicaLoadSeries::new();
-        s.record_dispatch(SimTime::from_secs(0.0), [(0, 7), (3, 9)]);
-        for i in 1..100 {
-            s.record_changes(SimTime::from_secs(f64::from(i)), []);
-        }
-        s.record_changes(SimTime::from_secs(100.0), [(0, 7), (3, 10)]);
-        assert_eq!(s.runs.len(), 3, "an unchanged or re-listed equal load opens no run");
-        assert_eq!(s.samples().count(), 202);
-        assert_eq!(s.mean(0), 7.0);
-        let taken = s.take();
-        assert!(s.is_empty());
-        assert!(taken.runs.iter().all(|r| r.to != OPEN), "taking closes every run");
-        assert_eq!(taken.mean(3), (100.0 * 9.0 + 10.0) / 101.0);
-    }
-
-    proptest! {
-        #[test]
-        fn delta_recording_equals_dense_recording(
-            a in delta_script(),
-            b in delta_script(),
-            tail in delta_script(),
-        ) {
-            let (mut delta, mut dense) = (ReplicaLoadSeries::new(), ReplicaLoadSeries::new());
-            replay_delta(&a, 0.0, &mut delta, &mut dense);
-            assert_same_series(&delta, &dense);
-            let (mut delta_b, mut dense_b) = (ReplicaLoadSeries::new(), ReplicaLoadSeries::new());
-            replay_delta(&b, 100.0, &mut delta_b, &mut dense_b);
-            delta.absorb(delta_b);
-            dense.absorb(dense_b);
-            assert_same_series(&delta, &dense);
-            // Recording continues after an absorb, from a full record.
-            replay_delta(&tail, 200.0, &mut delta, &mut dense);
-            assert_same_series(&delta, &dense);
-            assert_same_series(&delta.take(), &dense.take());
-        }
-
-        #[test]
-        fn run_length_series_is_lossless(a in script(), b in script(), tail in script()) {
-            let (mut runs, mut dense) = (ReplicaLoadSeries::new(), DenseSeries::default());
-            replay(&a, 0.0, &mut runs, &mut dense);
-            assert_lossless(&runs, &dense);
-            let (mut runs_b, mut dense_b) = (ReplicaLoadSeries::new(), DenseSeries::default());
-            replay(&b, 100.0, &mut runs_b, &mut dense_b);
-            assert_lossless(&runs_b, &dense_b);
-            runs.absorb(runs_b);
-            dense.absorb(dense_b);
-            assert_lossless(&runs, &dense);
-            // Recording continues after an absorb.
-            replay(&tail, 200.0, &mut runs, &mut dense);
-            assert_lossless(&runs, &dense);
-        }
     }
 }

@@ -171,7 +171,7 @@ proptest! {
         // Extra step_once calls injected between dispatches.
         steps in prop::collection::vec(0usize..6, 40),
     ) {
-        drive_interleaved(&trace, replicas, kind, &steps, None, EnginePressure::default());
+        drive_interleaved(&trace, replicas, kind, &steps, None, None, EnginePressure::default());
     }
 
     #[test]
@@ -188,7 +188,7 @@ proptest! {
         lo in 20f64..120.0,
         cold in prop_oneof![Just(0.0f64), Just(5.0)],
     ) {
-        drive_interleaved(&trace, replicas, kind, &steps, Some((hi, lo, cold)), EnginePressure::default());
+        drive_interleaved(&trace, replicas, kind, &steps, Some((hi, lo, cold)), None, EnginePressure::default());
     }
 
     #[test]
@@ -206,7 +206,7 @@ proptest! {
         scale in any::<bool>(),
     ) {
         let scale = scale.then_some((400.0, 60.0, 5.0));
-        drive_interleaved_faulty(&trace, replicas, kind, &steps, scale, plan, budget, EnginePressure::default());
+        drive_interleaved(&trace, replicas, kind, &steps, scale, Some((plan, budget)), EnginePressure::default());
     }
 }
 
@@ -230,7 +230,7 @@ proptest! {
         ],
         steps in prop::collection::vec(0usize..12, 60),
     ) {
-        drive_interleaved(&trace, replicas, kind, &steps, None, EnginePressure::default());
+        drive_interleaved(&trace, replicas, kind, &steps, None, None, EnginePressure::default());
     }
 
     #[test]
@@ -248,7 +248,7 @@ proptest! {
         lo in 20f64..120.0,
         cold in prop_oneof![Just(0.0f64), Just(2.5), Just(10.0)],
     ) {
-        drive_interleaved(&trace, replicas, kind, &steps, Some((hi, lo, cold)), EnginePressure::default());
+        drive_interleaved(&trace, replicas, kind, &steps, Some((hi, lo, cold)), None, EnginePressure::default());
     }
 
     #[test]
@@ -269,7 +269,7 @@ proptest! {
         cold in prop_oneof![Just(0.0f64), Just(2.5), Just(10.0)],
     ) {
         let scale = scale.then_some((400.0, 60.0, cold));
-        drive_interleaved_faulty(&trace, replicas, kind, &steps, scale, plan, budget, EnginePressure::default());
+        drive_interleaved(&trace, replicas, kind, &steps, scale, Some((plan, budget)), EnginePressure::default());
     }
 
     /// KV-pressure variant: a 20k-token cache against 16k-token prompts
@@ -296,14 +296,13 @@ proptest! {
         scale in any::<bool>(),
     ) {
         let scale = scale.then_some((400.0, 60.0, 2.5));
-        drive_interleaved_faulty(
+        drive_interleaved(
             &trace,
             replicas,
             kind,
             &steps,
             scale,
-            plan,
-            budget,
+            Some((plan, budget)),
             EnginePressure::tight(preempt),
         );
     }
@@ -349,12 +348,20 @@ impl EnginePressure {
 /// drained cluster holds no outstanding work. With `scale` set, a
 /// load-band autoscaler spawns and drains replicas mid-run, so the same
 /// invariants are checked across replica lifecycle churn.
+///
+/// With `faults` set, a `FaultPlan` fires crashes, slowdown windows and
+/// route timeouts between (and during) dispatches under a retry policy
+/// with the given budget. Conservation then counts three terminal
+/// outcomes — completed, rejected, or `Failed` with exactly the retry
+/// budget in spent attempts. Without it, nothing fails and every
+/// request is routed exactly once.
 fn drive_interleaved(
     trace: &Trace,
     replicas: usize,
     kind: RoutingKind,
     steps: &[usize],
     scale: Option<(f64, f64, f64)>,
+    faults: Option<(FaultPlan, u32)>,
     pressure: EnginePressure,
 ) {
     let node = sp_cluster::NodeSpec::new(
@@ -378,6 +385,11 @@ fn drive_interleaved(
     };
     let engines: Vec<Engine> = (0..replicas).map(|_| build()).collect();
     let mut sim = ClusterSim::new(engines, kind.policy());
+    let budget = faults.as_ref().map(|&(_, budget)| budget);
+    if let Some((plan, budget)) = faults {
+        let retry = RetryPolicy { max_retries: budget, base_backoff: Dur::from_secs(0.5) };
+        sim = sim.with_faults(plan, retry);
+    }
     if let Some((hi, lo, cold)) = scale {
         sim = sim.with_autoscaler(Autoscaler::new(
             AutoscaleConfig { cold_start: Dur::from_secs(cold), min_replicas: 1, max_replicas: 5 },
@@ -416,102 +428,10 @@ fn drive_interleaved(
     assert_eq!(sim.outstanding_tokens(), 0, "drained cluster still holds work");
 
     let report = sim.take_report();
-    assert_eq!(report.routing_decisions().len(), trace.len());
-    assert_eq!(
-        report.records().len() + report.rejected().len(),
-        trace.len(),
-        "requests lost or duplicated under interleaving"
-    );
-    let mut ids: Vec<u64> = report
-        .records()
-        .iter()
-        .map(|r| r.request_id)
-        .chain(report.rejected().iter().copied())
-        .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), trace.len());
-    for r in report.records() {
-        assert!(r.first_token >= r.arrival);
-        assert!(r.finish >= r.first_token);
-    }
-}
-
-/// The fault-injected cousin of [`drive_interleaved`]: the same explicit
-/// push/step interleaving with a `FaultPlan` firing crashes, slowdown
-/// windows and route timeouts between (and during) dispatches. The
-/// invariants shift accordingly: event times still never run backwards,
-/// but conservation now counts three terminal outcomes — completed,
-/// rejected, or `Failed` with exactly the retry budget in spent attempts.
-#[allow(clippy::too_many_arguments)] // test driver: each knob is an independent proptest dimension
-fn drive_interleaved_faulty(
-    trace: &Trace,
-    replicas: usize,
-    kind: RoutingKind,
-    steps: &[usize],
-    scale: Option<(f64, f64, f64)>,
-    plan: FaultPlan,
-    budget: u32,
-    pressure: EnginePressure,
-) {
-    let node = sp_cluster::NodeSpec::new(
-        sp_cluster::GpuSpec::h200(),
-        1,
-        sp_cluster::InterconnectSpec::nvswitch(),
-    );
-    let build = move || {
-        Engine::new(
-            ExecutionModel::new(node, presets::qwen_32b()),
-            Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-            EngineConfig {
-                kv_capacity_tokens: pressure.kv,
-                max_batched_tokens: pressure.max_batched,
-                admission: pressure.admission,
-                class_slo: matches!(kind, RoutingKind::EarliestDeadlineFeasible(_))
-                    .then(ClassSlo::default),
-                ..EngineConfig::default()
-            },
-        )
-    };
-    let retry = RetryPolicy { max_retries: budget, base_backoff: Dur::from_secs(0.5) };
-    let engines: Vec<Engine> = (0..replicas).map(|_| build()).collect();
-    let mut sim = ClusterSim::new(engines, kind.policy()).with_faults(plan, retry);
-    if let Some((hi, lo, cold)) = scale {
-        sim = sim.with_autoscaler(Autoscaler::new(
-            AutoscaleConfig { cold_start: Dur::from_secs(cold), min_replicas: 1, max_replicas: 5 },
-            Box::new(LoadBandPolicy::new(hi, lo).smoothing(1.0).cooldown(Dur::from_secs(1.0))),
-            move |_| build(),
-        ));
-    }
-
-    for (i, &req) in trace.requests().iter().enumerate() {
-        for _ in 0..steps[i % steps.len()] {
-            sim.step_once();
-        }
-        sim.push_request(req);
-    }
-
-    let mut guard = 0u64;
-    let mut last_event = SimTime::ZERO;
-    while let Some(t) = sim.next_event_time() {
-        assert!(
-            t.as_secs() >= last_event.as_secs(),
-            "event time ran backwards during faulted drain: {} < {}",
-            t.as_secs(),
-            last_event.as_secs()
-        );
-        last_event = t;
-        sim.step_once();
-        guard += 1;
-        assert!(guard < 100_000_000, "faulted interleaved drive failed to drain");
-    }
-    assert_eq!(sim.outstanding_tokens(), 0, "drained cluster still holds work");
-
-    let report = sim.take_report();
     assert_eq!(
         report.records().len() + report.rejected().len() + report.failed().len(),
         trace.len(),
-        "requests lost or duplicated under fault injection"
+        "requests lost or duplicated under interleaving"
     );
     let mut ids: Vec<u64> = report
         .records()
@@ -523,15 +443,24 @@ fn drive_interleaved_faulty(
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), trace.len());
-    for f in report.failed() {
-        assert_eq!(
-            f.attempts, budget,
-            "request {} abandoned after {} attempts with budget {}",
-            f.request_id, f.attempts, budget
-        );
+    match budget {
+        None => {
+            assert!(report.failed().is_empty(), "a request failed without faults");
+            assert_eq!(report.routing_decisions().len(), trace.len());
+        }
+        Some(budget) => {
+            for f in report.failed() {
+                assert_eq!(
+                    f.attempts, budget,
+                    "request {} abandoned after {} attempts with budget {}",
+                    f.request_id, f.attempts, budget
+                );
+            }
+            // Every completed or rejected request was routed at least
+            // once.
+            assert!(report.routing_decisions().len() >= report.records().len());
+        }
     }
-    // Every completed or rejected request was routed at least once.
-    assert!(report.routing_decisions().len() >= report.records().len());
     for r in report.records() {
         assert!(r.first_token >= r.arrival);
         assert!(r.finish >= r.first_token);
