@@ -149,8 +149,9 @@ pub enum FastPaths {
     /// queued and running request, no KV-blocked admission gate, direct
     /// `try_iteration` pricing, and one iteration per step.
     Reference,
-    /// The indexed scheduler: O(log W) wait-queue candidate
-    /// selection, O(1) load counters and the KV-blocked admission gate,
+    /// The indexed scheduler: wait-queue candidate selection from
+    /// sorted deque indexes (at worst a binary search), O(1) load
+    /// counters and the KV-blocked admission gate,
     /// with iteration pricing still on the direct `try_iteration` walk.
     Indexed,
     /// Plus compiled pricing: iterations evaluate the configuration's
@@ -192,10 +193,10 @@ pub struct Engine {
     kv: KvCacheManager,
     clock: SimTime,
     arrivals: VecDeque<Request>,
-    /// Waiting requests in an indexed queue: candidate selection and
-    /// removal are O(log W) under every admission policy (the plain
-    /// `VecDeque` this replaces rescanned and shifted O(W) per admit —
-    /// quadratic under backlog).
+    /// Waiting requests in an indexed queue: candidate selection is at
+    /// worst a binary search and removing the candidate O(1) amortized
+    /// under every admission policy (a plain `VecDeque` rescans and
+    /// shifts O(W) per admit — quadratic under backlog).
     waiting: WaitQueue,
     running: Vec<RunningSeq>,
     live_groups: std::collections::HashSet<u64>,
@@ -207,8 +208,9 @@ pub struct Engine {
     /// of [`Engine::load`] and the deadline-risk tests.
     prefill_rate: f64,
     /// Accumulates measurements across incremental [`Engine::step_once`]
-    /// calls; taken (and reset) by [`Engine::take_report`].
-    report: Option<EngineReport>,
+    /// calls; taken (and reset) by [`Engine::take_report`]. An open
+    /// decode run's totals wait in its [`RunCache`] until settled.
+    report: EngineReport,
     /// Reusable `(running index, chunk)` buffer for
     /// [`Engine::build_batch`]; lives on the engine so the per-iteration
     /// batch build allocates nothing in steady state.
@@ -264,15 +266,24 @@ fn seq_outstanding(seq: &RunningSeq) -> u64 {
     seq.prefill_remaining() + u64::from(seq.request.output_tokens.saturating_sub(seq.generated))
 }
 
-/// Armed when a full admission scan ends KV-blocked: records the head
-/// candidate and the free-token level that would unblock it, so
+/// The window stop rule `!(t < cap)`: the same one the cluster's
+/// per-event window loop applies, and NaN-safe, which `t >= cap` would
+/// not be.
+fn capped(t: SimTime, cap: Option<f64>) -> bool {
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    cap.is_some_and(|c| !(t.as_secs() < c))
+}
+
+/// Armed when a full admission scan ends KV-blocked (or
+/// [`Engine::step_run`]'s admission probe finds it would): records the
+/// head candidate and the free-token level that would unblock it, so
 /// subsequent admission passes (and shape-stable windows) can prove the
 /// scan would reach the same blocked break without re-running it.
 ///
 /// The cached verdict is only trusted while every input it depends on
 /// is provably unchanged: the queue epoch pins the candidate choice
-/// (queued entries are immutable and position tokens are never reused,
-/// so an unchanged epoch means the same entries at the same positions),
+/// (queued entries are immutable, so an unchanged epoch means the same
+/// entries at the same positions),
 /// the free-token threshold pins the reservation outcome, and `expires`
 /// pins EDF candidate stability — a salvageable-deadline candidate is
 /// the minimum deadline at or after the arming clock, so no other entry
@@ -339,6 +350,31 @@ struct RunCache {
     config: ParallelConfig,
     /// `config`'s plan, partially evaluated for the run.
     pricer: DecodeRunPricer,
+    /// Report totals of the run's windows not yet written to the
+    /// report (see `Engine::settle_run`).
+    tally: RunTally,
+}
+
+/// The report totals a decode run accumulates across its windows, all
+/// under the run's one configuration and batch size. Each is an integer
+/// count, an integer token sum or a maximum, so writing them once when
+/// the run is settled equals writing them per iteration bit for bit.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunTally {
+    /// Iterations run (also the configuration's usage count).
+    iterations: u64,
+    /// End of the latest iteration (the makespan candidate).
+    end: SimTime,
+    /// Longest iteration.
+    max_iteration: Dur,
+    /// Highest KV utilization seen at a window start.
+    kv_peak: f64,
+    /// Throughput bin of the open segment.
+    seg_bin: usize,
+    /// Iterations in the open segment, each of the batch's token count.
+    seg_count: u64,
+    /// End of the open segment's latest iteration.
+    seg_t: SimTime,
 }
 
 impl RunCache {
@@ -415,7 +451,7 @@ impl Engine {
             live_groups: std::collections::HashSet::new(),
             decode_cursor: 0,
             prefill_rate,
-            report: None,
+            report: Engine::fresh_report(&config),
             scratch_assignments: Vec::new(),
             scratch_chunks: Vec::new(),
             scratch_order: Vec::new(),
@@ -493,38 +529,51 @@ impl Engine {
     /// part of the supported API.
     #[doc(hidden)]
     pub fn set_fast_paths(&mut self, paths: FastPaths) {
+        self.settle_run();
         self.fast_paths = paths;
         self.admission_gate = None;
         self.run_cache = None;
     }
 
     /// Attempts a shape-stable fast-forward: when the batch composition
-    /// is provably invariant — admission impossible (nothing waiting,
-    /// no free sequence slot, or the KV-blocked gate holds), every
-    /// running sequence mid-decode, no spec-decode or preemption
-    /// machinery armed — advances up to the *run length* (the iteration
-    /// count until the next schedulable change: earliest completion,
-    /// the gate's EDF expiry, the caller cap, or the next arrival) in
-    /// one tight loop that skips batch rebuilding and queue scans,
-    /// accumulating time and metrics in the exact same float-op order
-    /// as the per-iteration path. Every observable effect — clock
-    /// advances, report accumulation, retirement — happens at the same
-    /// iteration and in the same order as that many per-iteration
-    /// steps would produce; see DESIGN.md decision 13 for the
-    /// equivalence argument. The batch stats are constant across
-    /// the run, so the policy is asked once and the remaining
-    /// iterations are recorded with one
+    /// is provably invariant — every running sequence mid-decode, no
+    /// spec-decode or preemption machinery armed, and admission
+    /// impossible — advances up to the *run length* (the iteration
+    /// count until the earliest completion, the caller cap, or an
+    /// admission probe that fails) in one tight loop that skips batch
+    /// rebuilding and queue scans, accumulating time and metrics in the
+    /// exact same float-op order as the per-iteration path. Every
+    /// observable effect — clock advances, report accumulation,
+    /// retirement — happens at the same iteration and in the same order
+    /// as that many per-iteration steps would produce; see DESIGN.md
+    /// decision 13 for the equivalence argument. The batch stats are
+    /// constant across the run, so the policy is asked once per run
+    /// (a run resumed from its `RunCache` not at all) and the window's
+    /// other iterations are recorded with one
     /// [`ParallelismPolicy::choose_repeated`], which leaves the policy
     /// as per-iteration calls would (decision 15). Every iteration is
-    /// priced one way: from the run's closed-form `RunCache`.
+    /// priced one way: from the run's closed-form `RunCache`, which also
+    /// holds the run's report totals until they are settled (see
+    /// `Engine::settle_run`).
+    ///
+    /// Admission is probed where a step would find it changed: at run
+    /// start, and at each iteration boundary where an arrival is due or
+    /// the gate's EDF expiry has passed. The probe does what that step
+    /// would do first — ingests the due arrivals and runs the first step
+    /// of the admission scan — and, when admission is still impossible,
+    /// re-arms the KV-blocked gate exactly as the scan would and keeps
+    /// going (decision 14).
     ///
     /// `cap` is the caller's window bound: the run stops before any
     /// iteration whose event instant is not strictly below it, exactly
-    /// as the per-event window loop would. Returns `None` — with zero
-    /// state change — whenever the shape-stability gates fail (any
-    /// prefill in flight among them), the closed form's exactness guard
-    /// declines the run, or the first iteration is already outside the
-    /// cap, so callers fall back to [`Engine::step_once`].
+    /// as the per-event window loop would. Returns `None` whenever the
+    /// shape-stability gates fail (any prefill in flight among them),
+    /// the closed form's exactness guard declines the run, the first
+    /// iteration is already outside the cap, or the probe at run start
+    /// finds that a step would admit, reject or shed. Callers then run
+    /// [`Engine::step_once`] at the same instant. A `None` changes
+    /// nothing except, possibly, the probe's ingest and re-armed gate:
+    /// the first effects of that very `step_once`.
     pub fn step_run(&mut self, cap: Option<f64>) -> Option<crate::routing::RunAdvance> {
         // Cheap gates first; the O(batch) scans only run once they pass.
         if self.fast_paths < FastPaths::MacroSteps
@@ -535,34 +584,24 @@ impl Engine {
         {
             return None;
         }
-        // Admission must stay impossible across the whole window. With
-        // requests waiting, only a full batch or a valid KV-blocked
-        // gate proves that; a gated window additionally stops at the
-        // gate's EDF expiry, where the candidate itself could change.
-        let admit_bound: Option<SimTime> = {
-            let _detect_span = sp_core::profile::start(sp_core::profile::Phase::WindowDetect);
-            if self.waiting.is_empty() || self.running.len() >= self.config.max_seqs {
-                None
-            } else if self.gate_blocks_admission() {
-                self.admission_gate.as_ref().expect("gate verified").expires
-            } else {
-                return None;
-            }
-        };
         let n = self.running.len();
         if n as u64 > self.config.max_batched_tokens {
             return None; // budget-starved decode rotates batch membership per step
         }
-        if let Some(front) = self.arrivals.front() {
-            if front.arrival <= self.clock {
-                return None; // this step ingests (and may admit)
-            }
-        }
-        if self.run_stops_at(self.clock, 0, cap, admit_bound) {
+        if capped(self.clock, cap) {
             // The cap closed the window before the first iteration (the
             // per-event loop would not have stepped either).
             return None;
         }
+        // Admission must be impossible before the first iteration; the
+        // probe is re-run wherever its proof could lapse.
+        {
+            let _detect_span = sp_core::profile::start(sp_core::profile::Phase::WindowDetect);
+            if !self.probe_admission() {
+                return None;
+            }
+        }
+        let mut admit_bound = self.admission_bound();
 
         // A pure-decode batch's stats are constant across the run.
         let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
@@ -575,7 +614,7 @@ impl Engine {
         // `base_k` iterations closer than at capture. Skipping the O(n)
         // scan is what makes re-entering the same steady batch across
         // many horizon windows O(1) per window instead of O(n).
-        let run = match self.run_cache.filter(|c| c.version == self.batch_version) {
+        let (run, asked) = match self.run_cache.filter(|c| c.version == self.batch_version) {
             Some(cache) => {
                 #[cfg(debug_assertions)]
                 {
@@ -593,12 +632,7 @@ impl Engine {
                         "cached completion bound diverged from the scan"
                     );
                 }
-                let config = self.policy.choose(&stats);
-                debug_assert_eq!(
-                    config, cache.config,
-                    "policy choice changed on constant batch stats"
-                );
-                cache
+                (cache, false)
             }
             None => {
                 // One pass over the batch: validate that every sequence
@@ -625,55 +659,59 @@ impl Engine {
                     lin,
                     config,
                     pricer: self.plan(&config).decode_run_pricer(&lin.s0),
+                    tally: RunTally::default(),
                 };
                 self.run_cache = Some(cache);
-                cache
+                (cache, true)
             }
         };
         assert!(run.base_k < run.end, "a consumed run cache implies a retirement bump");
         let run_limit = (run.end - run.base_k).min(u64::from(u32::MAX)) as u32;
         let config = run.config;
-        let mut report = self.report.take().unwrap_or_else(|| self.fresh_report());
+        let mut tally = run.tally;
         let bin_w = self.config.throughput_bin.as_secs();
-        let timeline = report.timeline_enabled();
+        let timeline = self.report.timeline_enabled();
         let kv_util = self.kv.utilization();
-
-        // Throughput segment: iterations sharing a bin flush closed-form.
-        let mut seg_bin = usize::MAX;
-        let mut seg_count = 0u64;
-        let mut seg_t = SimTime::ZERO;
-        let mut run_max = Dur::ZERO;
         let mut last_t = SimTime::ZERO;
         let mut done = 0u32;
 
         for k in 0..run_limit {
             let t = self.clock;
-            if self.run_stops_at(t, k, cap, admit_bound) {
-                break;
+            if k > 0 {
+                if capped(t, cap) {
+                    break;
+                }
+                let arrival_due = self.arrivals.front().is_some_and(|front| front.arrival <= t);
+                if arrival_due || admit_bound.is_some_and(|bound| t > bound) {
+                    if !self.probe_admission() {
+                        break; // this step admits, rejects or sheds
+                    }
+                    admit_bound = self.admission_bound();
+                }
             }
             let base = run.price(k);
             #[cfg(debug_assertions)]
             self.check_linear_price(&config, k, base);
             let duration = self.slowed(base);
             self.clock += duration;
-            run_max = run_max.max(duration);
+            tally.max_iteration = tally.max_iteration.max(duration);
             last_t = t;
             done = k + 1;
 
+            // Throughput segment: iterations sharing a bin flush
+            // closed-form; the open segment stays in the tally.
             let idx = (self.clock.as_secs() / bin_w) as usize;
-            if idx == seg_bin {
-                seg_count += 1;
-                seg_t = self.clock;
-            } else {
-                if seg_count > 0 {
-                    report.observe_tokens_run(seg_t, n as f64, seg_count);
+            if idx != tally.seg_bin {
+                if tally.seg_count > 0 {
+                    self.report.observe_tokens_run(tally.seg_t, n as f64, tally.seg_count);
                 }
-                seg_bin = idx;
-                seg_count = 1;
-                seg_t = self.clock;
+                tally.seg_bin = idx;
+                tally.seg_count = 0;
             }
+            tally.seg_count += 1;
+            tally.seg_t = self.clock;
             if timeline {
-                report.note_event(crate::report::IterationEvent {
+                self.report.note_event(crate::report::IterationEvent {
                     end: self.clock,
                     duration,
                     config,
@@ -684,17 +722,17 @@ impl Engine {
             }
         }
         debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
-        self.record_repeated_choice(&stats, config, done);
-
-        // Flush the closed-form accumulators. Ends are monotone and the
-        // folds are exact (see the report/metrics helpers), so this is
-        // bit-identical to `done` per-iteration notes.
-        if seg_count > 0 {
-            report.observe_tokens_run(seg_t, n as f64, seg_count);
+        let repeats = done - u32::from(asked);
+        if repeats > 0 {
+            let again = self.policy.choose_repeated(&stats, u64::from(repeats));
+            debug_assert_eq!(again, config, "policy choice changed on constant batch stats");
         }
-        report.note_config_usage(config, u64::from(done));
-        report.note_kv_utilization(kv_util);
-        report.note_run(u64::from(done), self.clock, run_max);
+        tally.iterations += u64::from(done);
+        tally.end = self.clock;
+        tally.kv_peak = tally.kv_peak.max(kv_util);
+        let cache = self.run_cache.as_mut().expect("the run's cache is stored");
+        cache.base_k += u64::from(done);
+        cache.tally = tally;
 
         // Apply the run to scheduler state: each sequence emitted one
         // token per iteration.
@@ -707,60 +745,88 @@ impl Engine {
         // Retire finished sequences exactly as the per-iteration step
         // does (completions can only land on the run's final iteration,
         // after all of its token attribution — same order as the slow
-        // path). A window cut before the earliest-completion bound
+        // path), settling the run's totals first: retirement ends the
+        // run. A window cut before the earliest-completion bound
         // cannot have finished anything (`run_limit` is the minimum of
         // `decode_remaining`), so the retire scan is skipped entirely.
         if done == run_limit {
-            self.retire_finished(&mut report);
+            self.settle_run();
+            self.retire_finished();
         } else {
             debug_assert!(self.running.iter().all(|seq| !seq.finished()));
         }
-        self.report = Some(report);
-
-        // Cache bookkeeping: retirement changes the batch (stale
-        // summary); an intact batch advanced every context by exactly
-        // `done` more iterations.
+        // Retirement changes the batch: the cached summary is stale.
         if self.running.len() != n {
             self.batch_version = self.batch_version.wrapping_add(1);
-        } else if let Some(cache) = &mut self.run_cache {
-            if cache.version == self.batch_version {
-                cache.base_k += u64::from(done);
-            }
         }
 
         Some(crate::routing::RunAdvance { events: u64::from(done), last: last_t })
     }
 
-    /// Whether a run stops before an iteration starting at `t` (run
-    /// iteration `k`): the window stop rule `!(t < cap)` — the same one
-    /// the cluster's per-event window loop applies, and NaN-safe, which
-    /// `t >= cap` would not be — then the gate's EDF expiry, past which
-    /// the admission candidate itself can change, and from the second
-    /// iteration on an arrival due by `t`, which the next step ingests
-    /// (and may admit).
-    fn run_stops_at(
-        &self,
-        t: SimTime,
-        k: u32,
-        cap: Option<f64>,
-        admit_bound: Option<SimTime>,
-    ) -> bool {
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        let capped = cap.is_some_and(|c| !(t.as_secs() < c));
-        capped
-            || admit_bound.is_some_and(|bound| t > bound)
-            || (k > 0 && self.arrivals.front().is_some_and(|front| front.arrival <= t))
+    /// Writes the run's accumulated report totals (see [`RunTally`])
+    /// into the report, once per run rather than once per window. The
+    /// totals are integer counts, integer token sums or maxima, so one
+    /// late write equals the per-iteration writes bit for bit — provided
+    /// nothing else writes the same throughput bin in between, which is
+    /// why every path that writes the report outside a run, or ends a
+    /// run, settles first: the start of [`Engine::step`], a run's final
+    /// iteration before retirement, and [`Engine::take_report`],
+    /// [`Engine::take_unfinished`], [`Engine::set_fast_paths`] and
+    /// [`Engine::run`]. A new capture needs no settle: the batch version
+    /// only changes on those paths, so a stale cache's tally is empty.
+    fn settle_run(&mut self) {
+        let Some(cache) = &mut self.run_cache else { return };
+        let tally = std::mem::take(&mut cache.tally);
+        if tally.iterations == 0 {
+            return;
+        }
+        let tokens = cache.lin.s0.total_new_tokens as f64;
+        if tally.seg_count > 0 {
+            self.report.observe_tokens_run(tally.seg_t, tokens, tally.seg_count);
+        }
+        self.report.note_config_usage(cache.config, tally.iterations);
+        self.report.note_kv_utilization(tally.kv_peak);
+        self.report.note_run(tally.iterations, tally.end, tally.max_iteration);
     }
 
-    /// Records run iterations `1..done` — the policy was asked for
-    /// iteration 0 — as repeated choices on the run's constant `stats`.
-    /// Debug builds check the policy contract: the repeated choice is
-    /// the run's configuration.
-    fn record_repeated_choice(&self, stats: &BatchStats, config: ParallelConfig, done: u32) {
-        if done > 1 {
-            let again = self.policy.choose_repeated(stats, u64::from(done - 1));
-            debug_assert_eq!(again, config, "policy choice changed on constant batch stats");
+    /// The admission probe [`Engine::step_run`] runs where a step would
+    /// admit. Does what that step's [`Engine::ingest_arrivals`] and
+    /// [`Engine::admit`] would do first — ingests the due arrivals, then
+    /// returns early, trusts a valid gate, or runs the scan's first
+    /// step: the candidate, the reject check, the shared-prefix check,
+    /// the reservation and the shed check. True when admission is
+    /// impossible at the current clock, with the gate re-armed exactly
+    /// as the scan would arm it; false when the step would admit,
+    /// reject or shed (or take the shared-prefix path, which the gate
+    /// never covers).
+    fn probe_admission(&mut self) -> bool {
+        self.ingest_arrivals();
+        if self.running.len() >= self.config.max_seqs
+            || self.waiting.is_empty()
+            || self.gate_blocks_admission()
+        {
+            return true;
         }
+        let Some(pos) = self.next_admission_candidate() else { return false };
+        let head = *self.waiting.get(pos);
+        if self.must_reject(&head) || self.shares_prefix(&head) {
+            return false;
+        }
+        let footprint = self.footprint(&head, false);
+        if self.kv.can_reserve(head.id, footprint) || self.shed_could_admit(&head) {
+            return false;
+        }
+        self.arm_admission_gate(pos, head, footprint);
+        true
+    }
+
+    /// The instant past which a passed admission probe lapses: the
+    /// gate's EDF expiry, when the probe rested on the gate.
+    fn admission_bound(&self) -> Option<SimTime> {
+        if self.waiting.is_empty() || self.running.len() >= self.config.max_seqs {
+            return None;
+        }
+        self.admission_gate.and_then(|gate| gate.expires)
     }
 
     /// The closed-form summary of a `run_limit`-iteration decode run
@@ -905,7 +971,8 @@ impl Engine {
     /// Panics if the simulation fails to make progress (internal bug
     /// guard).
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        self.report = Some(self.fresh_report());
+        self.settle_run();
+        self.report = Engine::fresh_report(&self.config);
         self.clock = SimTime::ZERO;
         for &req in trace.requests() {
             self.push_request(req);
@@ -925,9 +992,9 @@ impl Engine {
         self.take_report()
     }
 
-    fn fresh_report(&self) -> EngineReport {
-        let mut report = EngineReport::new(self.config.throughput_bin);
-        if self.config.record_timeline {
+    fn fresh_report(config: &EngineConfig) -> EngineReport {
+        let mut report = EngineReport::new(config.throughput_bin);
+        if config.record_timeline {
             report.enable_timeline();
         }
         report
@@ -976,18 +1043,17 @@ impl Engine {
         if self.is_idle() {
             return;
         }
-        let mut report = self.report.take().unwrap_or_else(|| self.fresh_report());
-        self.step(&mut report);
-        self.report = Some(report);
+        self.step();
     }
 
     /// Finalizes an incremental run: releases shared-prefix groups and
     /// returns (and resets) the accumulated report.
     pub fn take_report(&mut self) -> EngineReport {
+        self.settle_run();
         for group in std::mem::take(&mut self.live_groups) {
             self.kv.release_group(group);
         }
-        self.report.take().unwrap_or_else(|| self.fresh_report())
+        std::mem::replace(&mut self.report, Engine::fresh_report(&self.config))
     }
 
     /// Rips every unfinished request out of the engine, as a crash would:
@@ -998,12 +1064,11 @@ impl Engine {
     /// KV cache died with the replica. Completed work already in the
     /// report is untouched.
     pub fn take_unfinished(&mut self) -> crate::fault::SalvagedWork {
+        self.settle_run();
         self.batch_version = self.batch_version.wrapping_add(1);
         let mut salvaged = crate::fault::SalvagedWork::default();
         salvaged.requests.extend(std::mem::take(&mut self.arrivals));
-        while let Some(pos) = self.waiting.front_pos() {
-            salvaged.requests.push(self.waiting.remove(pos));
-        }
+        salvaged.requests.extend(self.waiting.drain());
         for seq in self.running.drain(..) {
             salvaged.wasted_prefill_tokens += seq.prefill_done;
             self.kv.release(seq.request.id);
@@ -1020,7 +1085,10 @@ impl Engine {
     }
 
     /// Executes one scheduling step: admit, batch, price, apply.
-    fn step(&mut self, report: &mut EngineReport) {
+    fn step(&mut self) {
+        // The step writes the report directly: the open run's totals go
+        // first, so every throughput bin sees its adds in event order.
+        self.settle_run();
         // A per-iteration step can mutate the batch arbitrarily (admit,
         // shed, preempt, retire, non-uniform context growth): any
         // cached run summary is stale. Presume staleness up front; the
@@ -1033,11 +1101,11 @@ impl Engine {
         let pre_outstanding = self.running_outstanding_tokens;
         self.batch_version = self.batch_version.wrapping_add(1);
         self.ingest_arrivals();
-        self.admit(report);
+        self.admit();
         if self.config.admission == AdmissionMode::PreemptRestart {
-            self.reserve_decode_appends(report);
+            self.reserve_decode_appends();
         }
-        report.note_kv_utilization(self.kv.utilization());
+        self.report.note_kv_utilization(self.kv.utilization());
 
         let Some((work, deferred)) = self.build_batch() else {
             // Nothing runnable now: jump to the next arrival.
@@ -1052,7 +1120,7 @@ impl Engine {
             );
             return;
         };
-        report.note_deferrals(deferred);
+        self.report.note_deferrals(deferred);
         let stats = BatchStats::of(&work);
         let config = self.policy.choose(&stats);
         let duration = self.slowed(self.price_iteration(&config, &work));
@@ -1101,8 +1169,8 @@ impl Engine {
             }
         }
         self.scratch_assignments = assignments;
-        report.note_iteration(config, self.clock, ledger_tokens, duration);
-        report.note_event(crate::report::IterationEvent {
+        self.report.note_iteration(config, self.clock, ledger_tokens, duration);
+        self.report.note_event(crate::report::IterationEvent {
             end: self.clock,
             duration,
             config,
@@ -1111,7 +1179,7 @@ impl Engine {
             kv_utilization: self.kv.utilization(),
         });
         self.scratch_chunks = work.into_chunks();
-        self.retire_finished(report);
+        self.retire_finished();
 
         // Cache re-validation: these invariants prove the step was a
         // uniform +1 decode advance, i.e. exactly one window iteration.
@@ -1142,9 +1210,10 @@ impl Engine {
 
     /// Retires every finished sequence at the current clock: releases
     /// its KV reservation and records its completion, in running order.
-    fn retire_finished(&mut self, report: &mut EngineReport) {
+    fn retire_finished(&mut self) {
         let clock = self.clock;
         let kv = &mut self.kv;
+        let report = &mut self.report;
         self.running.retain(|seq| {
             if seq.finished() {
                 kv.release(seq.request.id);
@@ -1179,7 +1248,7 @@ impl Engine {
     /// up-front, so decode can never overflow mid-flight. Head-of-line
     /// blocking is intentional — it reproduces the growing wait times of
     /// Figure 10 when the cache saturates.
-    fn admit(&mut self, report: &mut EngineReport) {
+    fn admit(&mut self) {
         if self.running.len() >= self.config.max_seqs || self.waiting.is_empty() {
             // The scan below could not admit anything; an armed gate (if
             // any) stays armed for when a slot or a candidate appears.
@@ -1195,22 +1264,14 @@ impl Engine {
         while self.running.len() < self.config.max_seqs {
             let Some(pos) = self.next_admission_candidate() else { break };
             let head = *self.waiting.get(pos);
-            if head.total_tokens() > self.kv.capacity_tokens() || head.input_tokens == 0 {
-                // Can never fit, or has no prompt to prefill (no prefill
-                // chunk would ever emit its first token): reject rather
-                // than deadlock.
+            if self.must_reject(&head) {
                 self.waiting.remove(pos);
                 self.queued_total_tokens -= head.total_tokens();
                 self.queued_input_tokens -= u64::from(head.input_tokens);
-                report.note_rejection(head.id);
+                self.report.note_rejection(head.id);
                 continue;
             }
-            // Shared-prefix memory: with prefix caching and a group id,
-            // the cached tokens live in the group's shared allocation and
-            // this request only reserves its fresh tokens + output.
-            let shared = self.config.prefix_caching
-                && self.config.admission == AdmissionMode::ReserveFull
-                && head.prefix_group.is_some();
+            let shared = self.shares_prefix(&head);
             // Watermark to restore if this admission attempt fails after
             // extending the shared-prefix group.
             let mut group_rollback = None;
@@ -1222,13 +1283,7 @@ impl Engine {
                 }
                 group_rollback = Some((group, prior));
             }
-            let footprint = match self.config.admission {
-                AdmissionMode::ReserveFull if shared => {
-                    head.total_tokens() - u64::from(head.cached_prefix.min(head.input_tokens))
-                }
-                AdmissionMode::ReserveFull => head.total_tokens(),
-                AdmissionMode::PreemptRestart => u64::from(head.input_tokens),
-            };
+            let footprint = self.footprint(&head, shared);
             let mut reserved = self.kv.try_reserve(head.id, footprint);
             // SLO-aware shedding: an at-risk interactive admission may
             // evict batch-class sequences that have not yet emitted a
@@ -1238,7 +1293,7 @@ impl Engine {
             if !reserved {
                 if let Some(slo) = self.config.class_slo {
                     if head.class == RequestClass::Interactive && self.ttft_at_risk(&head, &slo) {
-                        while !reserved && self.shed_one_batch_prefill(report) {
+                        while !reserved && self.shed_one_batch_prefill() {
                             reserved = self.kv.try_reserve(head.id, footprint);
                         }
                     }
@@ -1276,6 +1331,46 @@ impl Engine {
             self.running_prefill_tokens += seq.prefill_remaining();
             self.running.push(seq);
         }
+    }
+
+    /// True when `head` can never be admitted: it can never fit, or has
+    /// no prompt to prefill (no prefill chunk would ever emit its first
+    /// token). Admission rejects it rather than deadlock.
+    fn must_reject(&self, head: &Request) -> bool {
+        head.total_tokens() > self.kv.capacity_tokens() || head.input_tokens == 0
+    }
+
+    /// Shared-prefix memory: with prefix caching and a group id, the
+    /// cached tokens live in the group's shared allocation and `head`
+    /// only reserves its fresh tokens + output.
+    fn shares_prefix(&self, head: &Request) -> bool {
+        self.config.prefix_caching
+            && self.config.admission == AdmissionMode::ReserveFull
+            && head.prefix_group.is_some()
+    }
+
+    /// KV tokens `head`'s reservation asks for under the admission mode.
+    fn footprint(&self, head: &Request, shared: bool) -> u64 {
+        match self.config.admission {
+            AdmissionMode::ReserveFull if shared => {
+                head.total_tokens() - u64::from(head.cached_prefix.min(head.input_tokens))
+            }
+            AdmissionMode::ReserveFull => head.total_tokens(),
+            AdmissionMode::PreemptRestart => u64::from(head.input_tokens),
+        }
+    }
+
+    /// True when the SLO shed path could free KV for `head`: an at-risk
+    /// interactive candidate with a batch-class prefill in the batch.
+    fn shed_could_admit(&self, head: &Request) -> bool {
+        self.config.class_slo.is_some_and(|slo| {
+            head.class == RequestClass::Interactive
+                && self.ttft_at_risk(head, &slo)
+                && self
+                    .running
+                    .iter()
+                    .any(|s| s.request.class == RequestClass::Batch && s.first_token.is_none())
+        })
     }
 
     /// Arms the KV-blocked admission gate for the head candidate at
@@ -1326,17 +1421,9 @@ impl Engine {
             self.admission_gate = None;
             return false;
         }
-        if let Some(slo) = self.config.class_slo {
-            if gate.head.class == RequestClass::Interactive
-                && self.ttft_at_risk(&gate.head, &slo)
-                && self
-                    .running
-                    .iter()
-                    .any(|s| s.request.class == RequestClass::Batch && s.first_token.is_none())
-            {
-                self.admission_gate = None;
-                return false;
-            }
+        if self.shed_could_admit(&gate.head) {
+            self.admission_gate = None;
+            return false;
         }
         debug_assert_eq!(
             self.next_admission_candidate(),
@@ -1351,7 +1438,7 @@ impl Engine {
     }
 
     /// Queue position of the next request to admit under the admission
-    /// policy, O(log W) via the [`WaitQueue`] indexes.
+    /// policy, from the [`WaitQueue`] indexes.
     ///
     /// With [`EngineConfig::class_slo`] set, admission is goodput-first
     /// EDF: earliest TTFT deadline first among requests whose deadline has
@@ -1416,7 +1503,7 @@ impl Engine {
     /// releases its KV reservation and requeues the request (prefill
     /// restarts from scratch on readmission). Returns false when no
     /// sheddable sequence exists.
-    fn shed_one_batch_prefill(&mut self, report: &mut EngineReport) -> bool {
+    fn shed_one_batch_prefill(&mut self) -> bool {
         let Some(victim_idx) = self
             .running
             .iter()
@@ -1430,7 +1517,7 @@ impl Engine {
         self.queued_total_tokens += victim.request.total_tokens();
         self.queued_input_tokens += u64::from(victim.request.input_tokens);
         self.kv.release(victim.request.id);
-        report.note_shed(victim.request.id);
+        self.report.note_shed(victim.request.id);
         self.waiting.push_back(victim.request);
         true
     }
@@ -1439,7 +1526,7 @@ impl Engine {
     /// upcoming iteration will take; when the cache cannot supply them,
     /// preempt the most recently admitted sequence (recompute preemption)
     /// and restart it from the waiting queue.
-    fn reserve_decode_appends(&mut self, report: &mut EngineReport) {
+    fn reserve_decode_appends(&mut self) {
         let mut idx = 0;
         while idx < self.running.len() {
             let seq = &self.running[idx];
@@ -1463,7 +1550,7 @@ impl Engine {
             self.queued_total_tokens += victim.request.total_tokens();
             self.queued_input_tokens += u64::from(victim.request.input_tokens);
             self.kv.release(victim.request.id);
-            report.note_preemption(victim.request.id);
+            self.report.note_preemption(victim.request.id);
             self.waiting.push_front(victim.request);
             // Do not advance: retry the reservation for `idx` (now
             // possibly out of bounds if we preempted ourselves, which the
@@ -2051,6 +2138,125 @@ mod tests {
         assert_eq!(stepped.dump(), batch.dump());
     }
 
+    /// Two long batch decodes fill an 8k-token cache, a third batch
+    /// request parks the KV-blocked gate, and a `late` request arrives
+    /// at 0.5 s, mid-run.
+    fn blocked_trace(late: RequestClass) -> Trace {
+        let req = |id, at, input, output, class| sp_workload::Request {
+            id,
+            arrival: SimTime::from_secs(at),
+            input_tokens: input,
+            output_tokens: output,
+            class,
+            cached_prefix: 0,
+            prefix_group: None,
+        };
+        Trace::with_ids(vec![
+            req(0, 0.0, 1_000, 2_000, RequestClass::Batch),
+            req(1, 0.0, 1_000, 2_000, RequestClass::Batch),
+            req(2, 0.0, 2_500, 100, RequestClass::Batch),
+            req(3, 0.5, 500, 100, late),
+        ])
+    }
+
+    /// An EDF engine for [`blocked_trace`] on `paths`, timeline on so
+    /// dumps pin every iteration.
+    fn blocked_engine(paths: FastPaths) -> Engine {
+        let config = EngineConfig {
+            kv_capacity_tokens: 8_000,
+            class_slo: Some(ClassSlo::default()),
+            record_timeline: true,
+            ..EngineConfig::default()
+        };
+        let mut e = engine_with(config, ParallelConfig::tensor(8));
+        e.set_fast_paths(paths);
+        e
+    }
+
+    /// Pushes `trace` and steps until both prompts are prefilled, with
+    /// the gate armed on request 2 and request 3 not yet arrived.
+    fn prefill_blocked(e: &mut Engine, trace: &Trace) {
+        for &req in trace.requests() {
+            e.push_request(req);
+        }
+        while e.running.is_empty() || e.running_prefill_tokens != 0 {
+            e.step_once();
+        }
+        assert_eq!(e.running.len(), 2);
+        assert_eq!(e.admission_gate.map(|g| g.head.id), Some(2), "request 2 is KV-blocked");
+        assert!(e.clock() < SimTime::from_secs(0.5));
+    }
+
+    /// Runs `e` to idle the way [`Engine::run`] does.
+    fn finish(e: &mut Engine) -> String {
+        while !e.is_idle() {
+            if e.step_run(None).is_none() {
+                e.step_once();
+            }
+        }
+        e.take_report().dump()
+    }
+
+    #[test]
+    fn blocked_run_ingests_an_arrival_that_cannot_be_admitted() {
+        // The batch arrival's deadline falls after the gate head's, so
+        // it cannot displace the candidate: the run ingests it at its
+        // boundary, re-arms the gate on the same head and keeps going.
+        let trace = blocked_trace(RequestClass::Batch);
+        let mut e = blocked_engine(FastPaths::MacroSteps);
+        prefill_blocked(&mut e, &trace);
+        let run = e.step_run(None).expect("a KV-blocked decode batch runs");
+        assert!(run.last >= SimTime::from_secs(0.5), "one run covers the arrival's iteration");
+        assert!(e.arrivals.is_empty(), "the run ingested the arrival");
+        assert_eq!(e.waiting.iter().map(|r| r.id).collect::<Vec<_>>(), [2, 3]);
+        assert_eq!(e.admission_gate.map(|g| g.head.id), Some(2), "re-armed on the same head");
+        let reference = blocked_engine(FastPaths::Reference).run(&trace).dump();
+        assert_eq!(finish(&mut e), reference);
+    }
+
+    #[test]
+    fn displacing_arrival_stops_the_run() {
+        // An interactive arrival's deadline beats the gate head's and it
+        // fits the free KV: the run stops at its boundary, and the step
+        // at that instant admits it.
+        let trace = blocked_trace(RequestClass::Interactive);
+        let mut e = blocked_engine(FastPaths::MacroSteps);
+        prefill_blocked(&mut e, &trace);
+        let run = e.step_run(None).expect("a KV-blocked decode batch runs");
+        assert!(run.last < SimTime::from_secs(0.5) && e.clock() >= SimTime::from_secs(0.5));
+        assert!(e.step_run(None).is_none(), "admission is possible at this instant");
+        e.step_once();
+        assert!(e.running.iter().any(|s| s.request.id == 3), "the step admitted the arrival");
+        let reference = blocked_engine(FastPaths::Reference).run(&trace).dump();
+        assert_eq!(finish(&mut e), reference);
+    }
+
+    #[test]
+    fn declined_run_then_step_equals_the_step_alone() {
+        // A `None` may leave the probe's ingest behind; the `step_once`
+        // every caller runs next must end where it alone would.
+        let trace = blocked_trace(RequestClass::Interactive);
+        let mut engines = [0, 1].map(|_| {
+            let mut e = blocked_engine(FastPaths::MacroSteps);
+            prefill_blocked(&mut e, &trace);
+            while e.arrivals.front().is_some_and(|r| r.arrival > e.clock) {
+                e.step_once();
+            }
+            e
+        });
+        let [declined, alone] = &mut engines;
+        assert!(declined.step_run(None).is_none());
+        assert!(declined.arrivals.is_empty(), "the declined run left its ingest behind");
+        declined.step_once();
+        alone.step_once();
+        let state = |e: &Engine| {
+            let waiting: Vec<u64> = e.waiting.iter().map(|r| r.id).collect();
+            (e.report.dump(), e.clock, format!("{:?}", e.admission_gate), waiting)
+        };
+        assert_eq!(state(declined), state(alone));
+        assert_eq!(finish(declined), finish(alone));
+    }
+
     #[test]
     fn step_run_declines_while_a_prefill_is_in_flight() {
         // A short prompt and a long one arrive together under a small
@@ -2076,9 +2282,7 @@ mod tests {
         assert!(e.running.iter().any(|s| s.in_decode() && !s.finished()));
         assert!(e.running_prefill_tokens > 2048, "the long prompt needs several more chunks");
 
-        let snapshot = |e: &Engine| {
-            (e.clock, e.report.as_ref().map(EngineReport::dump), e.batch_version, e.decode_cursor)
-        };
+        let snapshot = |e: &Engine| (e.clock, e.report.dump(), e.batch_version, e.decode_cursor);
         let before = snapshot(&e);
         assert!(e.step_run(None).is_none());
         assert_eq!(snapshot(&e), before);
@@ -2151,9 +2355,7 @@ mod tests {
             e.step_once();
         }
         assert_eq!(e.running.len(), 2, "a pure-decode batch of both requests");
-        let snapshot = |e: &Engine| {
-            (e.clock, e.report.as_ref().map(EngineReport::dump), e.batch_version, e.decode_cursor)
-        };
+        let snapshot = |e: &Engine| (e.clock, e.report.dump(), e.batch_version, e.decode_cursor);
         let before = (snapshot(&e), calls(&probe));
         assert!(e.step_run(None).is_none());
         assert_eq!((snapshot(&e), calls(&probe)), before, "a declined run changes nothing");

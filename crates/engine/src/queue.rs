@@ -4,24 +4,40 @@
 //! every admission pass rescanned it for the next candidate (O(W)) and
 //! evicted the winner with `VecDeque::remove` (O(W) shifting) — O(W²)
 //! behaviour exactly when it hurts, under backlog. [`WaitQueue`] keeps
-//! the same queue *order* but adds ordered indexes so candidate
-//! selection and removal are O(log W) for FCFS, InteractiveFirst, and
-//! EDF admission alike, with admission order unchanged.
+//! the same queue *order* but adds sorted indexes, so candidate
+//! selection is at worst a binary search under FCFS, InteractiveFirst
+//! and EDF admission alike, with admission order unchanged.
 //!
-//! Ordering model: each entry gets a stable integer *position token*.
-//! Back-pushes take increasing tokens, front-pushes decreasing ones, so
-//! iterating tokens in ascending order replays the deque order exactly,
-//! surviving arbitrary interleavings of `push_front` (preemption
-//! requeues), `push_back` (arrivals, sheds) and mid-queue removals
-//! (admissions, rejections).
+//! Ordering model: each entry gets a stable integer *position*, its
+//! offset in a deque of slots. Back-pushes take the next position past
+//! the back, front-pushes the one before the front, so ascending
+//! position order replays the deque order exactly, surviving arbitrary
+//! interleavings of `push_front` (preemption requeues), `push_back`
+//! (arrivals, sheds) and mid-queue removals (admissions, rejections).
+//! A removed entry leaves a tombstone slot so later positions stay put;
+//! tombstones at either end are trimmed, so an empty queue holds no
+//! slots. Everything lives in contiguous ring buffers: a steady stream
+//! of pushes and removals allocates nothing once the buffers have grown.
+//!
+//! The EDF index is one sorted deque of `(deadline, position)` keys per
+//! request class. A class's TTFT budget is constant, so arrivals (pushed
+//! in arrival order) append in deadline order; only out-of-order pushes
+//! (shed requeues, `push_front`) insert by binary search. Each class
+//! deque is split in two at the last removed candidate: under a
+//! monotone clock the keys before it have expired, the next salvageable
+//! candidate sits at the front of the upper half, and removing it is a
+//! `pop_front`.
 
 use sp_metrics::{ClassSlo, SimTime};
 use sp_workload::{Request, RequestClass};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::VecDeque;
 
-/// Stable position token of a queued request. Ascending token order is
+/// Stable position of a queued request. Ascending position order is
 /// queue (front-to-back) order.
 pub(crate) type QueuePos = i64;
+
+/// An EDF key: `(TTFT-deadline bits, position)`.
+type EdfKey = (u64, QueuePos);
 
 /// Total-order bit encoding of a non-negative simulated instant:
 /// for non-negative finite floats, `to_bits` is monotonic, so deadline
@@ -32,28 +48,106 @@ fn time_bits(t: SimTime) -> u64 {
     (t.as_secs() + 0.0).to_bits()
 }
 
-/// Indexed waiting queue: deque-ordered storage plus an EDF index on
-/// TTFT deadlines, a position index of interactive-class entries and a
-/// deadline index of interactive-class entries.
+/// Index of a request class in per-class tables.
+fn class_index(class: RequestClass) -> usize {
+    match class {
+        RequestClass::Interactive => 0,
+        RequestClass::Batch => 1,
+    }
+}
+
+/// One class's EDF keys in ascending order, stored as `low ++ high`:
+/// every key in `low` sorts below every key in `high`. Where the split
+/// falls never changes a query's answer, only its cost; removing a key
+/// from `high` moves the keys before it into `low`, so each key crosses
+/// at most once.
+#[derive(Debug, Default)]
+struct EdfIndex {
+    low: VecDeque<EdfKey>,
+    high: VecDeque<EdfKey>,
+}
+
+impl EdfIndex {
+    /// True when `key` belongs in `low` (sorts at or below its back).
+    fn in_low(&self, key: EdfKey) -> bool {
+        self.low.back().is_some_and(|&back| key <= back)
+    }
+
+    fn insert(&mut self, key: EdfKey) {
+        let half = if self.in_low(key) { &mut self.low } else { &mut self.high };
+        if half.back().is_none_or(|&back| back < key) {
+            half.push_back(key); // the common case: an arrival
+        } else {
+            let i = half.partition_point(|&k| k < key);
+            half.insert(i, key);
+        }
+    }
+
+    /// Removes `key`. In `low` this shifts at most the keys between it
+    /// and the nearer end; in `high` the keys before it cross into `low`
+    /// (each key crosses once), which leaves the next salvageable
+    /// candidate at the front of `high`.
+    fn remove(&mut self, key: EdfKey) {
+        if self.in_low(key) {
+            let i = self.low.binary_search(&key).expect("key is indexed");
+            self.low.remove(i);
+        } else {
+            let i = self.high.binary_search(&key).expect("key is indexed");
+            self.low.extend(self.high.drain(..i));
+            self.high.pop_front();
+        }
+    }
+
+    /// The indexes into `low` and `high` from which every key sorts at
+    /// or above `from`.
+    fn split_at(&self, from: EdfKey) -> (usize, usize) {
+        if self.low.back().is_some_and(|&back| back >= from) {
+            (self.low.partition_point(|&k| k < from), 0)
+        } else if self.high.front().is_some_and(|&front| front >= from) {
+            (self.low.len(), 0)
+        } else {
+            (self.low.len(), self.high.partition_point(|&k| k < from))
+        }
+    }
+
+    /// The keys at or above `from`, ascending.
+    fn iter_from(&self, from: EdfKey) -> impl Iterator<Item = &EdfKey> {
+        let (lo, hi) = self.split_at(from);
+        self.low.range(lo..).chain(self.high.range(hi..))
+    }
+
+    /// The smallest key.
+    fn first(&self) -> Option<EdfKey> {
+        self.low.front().or_else(|| self.high.front()).copied()
+    }
+
+    fn clear(&mut self) {
+        self.low.clear();
+        self.high.clear();
+    }
+}
+
+/// Indexed waiting queue: deque-ordered slots plus per-class EDF
+/// indexes on TTFT deadlines and an ascending deque of interactive-class
+/// positions.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
-    /// The queue proper, keyed by position token.
-    by_pos: BTreeMap<QueuePos, Request>,
-    /// Next token handed to a front push (decreasing).
-    next_front: QueuePos,
-    /// Next token handed to a back push (increasing).
-    next_back: QueuePos,
-    /// EDF index: `(TTFT-deadline bits, position)`. Deadlines are fixed
-    /// per request (`arrival + class budget`), so entries never need
-    /// rekeying. Maintained only when `slo` is set.
-    edf: BTreeSet<(u64, QueuePos)>,
-    /// Positions of interactive-class entries (InteractiveFirst lookup).
-    interactive: BTreeSet<QueuePos>,
-    /// Interactive-class entries by `(TTFT-deadline bits, position)`:
-    /// the salvageable ones — deadline not yet passed — are a suffix.
-    /// Maintained only when `slo` is set.
-    interactive_edf: BTreeSet<(u64, QueuePos)>,
-    /// Deadline source for the EDF index.
+    /// The queue proper: the entry at position `head + i` is
+    /// `slots[i]`, `None` once removed. The front and back slots are
+    /// always live (tombstones there are trimmed).
+    slots: VecDeque<Option<Request>>,
+    /// Position of `slots[0]`.
+    head: QueuePos,
+    /// Live entries.
+    len: usize,
+    /// EDF indexes, one per request class (see [`class_index`]).
+    /// Deadlines are fixed per request (`arrival + class budget`), so
+    /// keys never need rekeying. Maintained only when `slo` is set.
+    edf: [EdfIndex; 2],
+    /// Positions of interactive-class entries, ascending
+    /// (InteractiveFirst lookup).
+    interactive: VecDeque<QueuePos>,
+    /// Deadline source for the EDF indexes.
     slo: Option<ClassSlo>,
     /// Mutation counter, bumped on every push and removal. The engine's
     /// KV-blocked admission gate records the epoch it was armed under and
@@ -63,15 +157,14 @@ pub(crate) struct WaitQueue {
 }
 
 impl WaitQueue {
-    /// Creates an empty queue. `slo` enables the EDF deadline index.
+    /// Creates an empty queue. `slo` enables the EDF deadline indexes.
     pub fn new(slo: Option<ClassSlo>) -> WaitQueue {
         WaitQueue {
-            by_pos: BTreeMap::new(),
-            next_front: -1,
-            next_back: 0,
-            edf: BTreeSet::new(),
-            interactive: BTreeSet::new(),
-            interactive_edf: BTreeSet::new(),
+            slots: VecDeque::new(),
+            head: 0,
+            len: 0,
+            edf: Default::default(),
+            interactive: VecDeque::new(),
             slo,
             epoch: 0,
         }
@@ -84,60 +177,66 @@ impl WaitQueue {
 
     /// True when nothing waits.
     pub fn is_empty(&self) -> bool {
-        self.by_pos.is_empty()
+        self.len == 0
     }
 
     /// The waiting requests in queue (front-to-back) order.
     pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.by_pos.values()
+        self.slots.iter().flatten()
     }
 
-    /// Queue-order iteration with position tokens — the reference
-    /// (pre-index) admission scan needs positions to hand back.
+    /// Queue-order iteration with positions — the reference (pre-index)
+    /// admission scan needs positions to hand back.
     pub fn iter_with_pos(&self) -> impl Iterator<Item = (QueuePos, &Request)> {
-        self.by_pos.iter().map(|(&p, r)| (p, r))
+        (self.head..).zip(&self.slots).filter_map(|(pos, slot)| slot.as_ref().map(|r| (pos, r)))
     }
 
-    /// `req`'s TTFT-deadline key, when the deadline index is kept.
-    fn deadline_key(&self, pos: QueuePos, req: &Request) -> Option<(u64, QueuePos)> {
+    /// `req`'s EDF key, when the deadline indexes are kept.
+    fn edf_key(&self, pos: QueuePos, req: &Request) -> Option<EdfKey> {
         self.slo.map(|slo| (time_bits(slo.ttft_deadline(req.arrival, req.class)), pos))
     }
 
-    fn index_insert(&mut self, pos: QueuePos, req: &Request) {
-        let key = self.deadline_key(pos, req);
-        if let Some(key) = key {
-            self.edf.insert(key);
+    /// Indexes a new entry at `pos`. The interactive deque stays
+    /// ascending because a new position is past the back or before the
+    /// front of every queued one.
+    fn index_insert(&mut self, pos: QueuePos, req: &Request, at_front: bool) {
+        self.len += 1;
+        self.epoch += 1;
+        if let Some(key) = self.edf_key(pos, req) {
+            self.edf[class_index(req.class)].insert(key);
         }
         if req.class == RequestClass::Interactive {
-            self.interactive.insert(pos);
-            if let Some(key) = key {
-                self.interactive_edf.insert(key);
+            if at_front {
+                self.interactive.push_front(pos);
+            } else {
+                self.interactive.push_back(pos);
             }
         }
     }
 
-    /// Appends at the back of the queue.
+    /// Appends at the back of the queue. O(1) amortized.
     pub fn push_back(&mut self, req: Request) {
-        let pos = self.next_back;
-        self.next_back += 1;
-        self.epoch += 1;
-        self.index_insert(pos, &req);
-        self.by_pos.insert(pos, req);
+        let pos = self.head + self.slots.len() as QueuePos;
+        self.slots.push_back(Some(req));
+        self.index_insert(pos, &req, false);
     }
 
     /// Prepends at the front of the queue (preemption requeues retry
     /// first).
     pub fn push_front(&mut self, req: Request) {
-        let pos = self.next_front;
-        self.next_front -= 1;
-        self.epoch += 1;
-        self.index_insert(pos, &req);
-        self.by_pos.insert(pos, req);
+        self.head -= 1;
+        self.slots.push_front(Some(req));
+        self.index_insert(self.head, &req, true);
     }
 
     /// The front entry's position, if any.
     pub fn front_pos(&self) -> Option<QueuePos> {
-        self.by_pos.keys().next().copied()
+        (self.len > 0).then_some(self.head)
+    }
+
+    /// The slot index of `pos`, if `pos` is inside the slot range.
+    fn slot(&self, pos: QueuePos) -> Option<usize> {
+        usize::try_from(pos - self.head).ok().filter(|&i| i < self.slots.len())
     }
 
     /// The queued request at `pos`.
@@ -146,60 +245,83 @@ impl WaitQueue {
     ///
     /// Panics if `pos` is not in the queue.
     pub fn get(&self, pos: QueuePos) -> &Request {
-        self.by_pos.get(&pos).expect("position is queued")
+        self.slot(pos).and_then(|i| self.slots[i].as_ref()).expect("position is queued")
     }
 
-    /// Removes and returns the request at `pos`, O(log W).
+    /// Removes and returns the request at `pos`. Index upkeep shifts at
+    /// most the keys between the entry and the nearer end of each index
+    /// deque, which is none for the candidate of any admission policy.
     ///
     /// # Panics
     ///
     /// Panics if `pos` is not in the queue.
     pub fn remove(&mut self, pos: QueuePos) -> Request {
-        let req = self.by_pos.remove(&pos).expect("position is queued");
+        let req = self.slot(pos).and_then(|i| self.slots[i].take()).expect("position is queued");
+        self.len -= 1;
         self.epoch += 1;
-        let key = self.deadline_key(pos, &req);
-        if let Some(key) = key {
-            self.edf.remove(&key);
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.head += 1;
+        }
+        while self.slots.back().is_some_and(Option::is_none) {
+            self.slots.pop_back();
+        }
+        if let Some(key) = self.edf_key(pos, &req) {
+            self.edf[class_index(req.class)].remove(key);
         }
         if req.class == RequestClass::Interactive {
-            self.interactive.remove(&pos);
-            if let Some(key) = key {
-                self.interactive_edf.remove(&key);
-            }
+            let i = self.interactive.binary_search(&pos).expect("interactive position is indexed");
+            self.interactive.remove(i);
         }
         req
+    }
+
+    /// Removes every entry, yielding them in queue order.
+    pub fn drain(&mut self) -> impl Iterator<Item = Request> + '_ {
+        self.epoch += 1;
+        self.len = 0;
+        self.interactive.clear();
+        for index in &mut self.edf {
+            index.clear();
+        }
+        self.slots.drain(..).flatten()
     }
 
     /// Position of the first interactive-class entry in queue order, if
     /// any.
     pub fn first_interactive_pos(&self) -> Option<QueuePos> {
-        self.interactive.iter().next().copied()
+        self.interactive.front().copied()
     }
 
     /// The interactive-class requests whose TTFT deadline has not passed
-    /// at `clock` (`deadline >= clock`), in deadline order — O(S log W)
-    /// for S of them, skipping the expired ones a backlog piles up.
-    /// Empty unless the queue keeps deadlines (`slo` set).
+    /// at `clock` (`deadline >= clock`), in deadline order — one binary
+    /// search, then only the S of them, skipping the expired ones a
+    /// backlog piles up. Empty unless the queue keeps deadlines (`slo`
+    /// set).
     pub fn salvageable_interactive(&self, clock: SimTime) -> impl Iterator<Item = &Request> {
-        self.interactive_edf
-            .range((time_bits(clock), QueuePos::MIN)..)
-            .map(|(_, pos)| self.by_pos.get(pos).expect("indexed position is queued"))
+        self.edf[class_index(RequestClass::Interactive)]
+            .iter_from((time_bits(clock), QueuePos::MIN))
+            .map(|&(_, pos)| self.get(pos))
     }
 
     /// Goodput-first EDF candidate at instant `clock`: the earliest
     /// deadline among *salvageable* entries (deadline not yet passed,
     /// i.e. `deadline >= clock`), falling back to the earliest deadline
     /// overall when every deadline is blown. Equal deadlines resolve to
-    /// the earlier queue position. O(log W).
+    /// the earlier queue position. One binary search per class.
     ///
     /// This reproduces the old linear scan's `min_by` over the key
     /// `(deadline < clock, deadline)` with first-minimum (queue-order)
     /// tie-break: expired entries are exactly those whose deadline sorts
-    /// below `clock`, so they form a prefix of the deadline-ordered
-    /// index and a single successor query skips them.
+    /// below `clock`, so they form a prefix of each class's index and
+    /// one successor query per class skips them.
     pub fn edf_candidate(&self, clock: SimTime) -> Option<QueuePos> {
-        let salvageable = (time_bits(clock), QueuePos::MIN);
-        self.edf.range(salvageable..).next().or_else(|| self.edf.iter().next()).map(|&(_, pos)| pos)
+        let from = (time_bits(clock), QueuePos::MIN);
+        let salvageable = self.edf.iter().filter_map(|index| index.iter_from(from).next()).min();
+        salvageable
+            .copied()
+            .or_else(|| self.edf.iter().filter_map(EdfIndex::first).min())
+            .map(|(_, pos)| pos)
     }
 }
 
@@ -228,6 +350,14 @@ mod tests {
                 tpot: Dur::from_secs(1.0),
             },
             batch: SloTarget { ttft: Dur::from_secs(batch_ttft), tpot: Dur::from_secs(1.0) },
+        }
+    }
+
+    fn class(interactive: bool) -> RequestClass {
+        if interactive {
+            RequestClass::Interactive
+        } else {
+            RequestClass::Batch
         }
     }
 
@@ -337,5 +467,156 @@ mod tests {
         q.push_back(req(8, 2.0, RequestClass::Interactive));
         let pick = q.edf_candidate(SimTime::ZERO).unwrap();
         assert_eq!(q.get(pick).id, 7, "equal deadlines must pick the earlier position");
+    }
+
+    /// One step of the model-based property below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        PushBack {
+            at: f64,
+            interactive: bool,
+        },
+        PushFront {
+            at: f64,
+            interactive: bool,
+        },
+        /// Removes the `nth % len` live entry in queue order.
+        Remove {
+            nth: usize,
+        },
+        /// Removes the EDF candidate at `clock` (the admission path).
+        RemoveCandidate {
+            clock: f64,
+        },
+        Drain,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Arrivals and clocks on a coarse grid, so equal deadlines and
+        // clocks equal to a deadline are common. Pushes outweigh
+        // removals so the queue grows a backlog.
+        (0u8..11, 0u8..16, any::<bool>(), 0usize..64, 0u8..24).prop_map(
+            |(kind, at, interactive, nth, clock)| {
+                let at = f64::from(at) * 0.5;
+                match kind {
+                    0..=3 => Op::PushBack { at, interactive },
+                    4 | 5 => Op::PushFront { at, interactive },
+                    6 | 7 => Op::Remove { nth },
+                    8 | 9 => Op::RemoveCandidate { clock: f64::from(clock) * 0.5 },
+                    _ => Op::Drain,
+                }
+            },
+        )
+    }
+
+    proptest! {
+        /// The queue against a naive model — a `Vec` in queue order,
+        /// scanned linearly for every answer — across random pushes at
+        /// both ends, removals anywhere (the EDF candidate among them)
+        /// and drains, with and without deadline indexes. After every
+        /// operation, at non-monotone clocks, at clocks equal to a
+        /// queued deadline and over many equal deadlines, the queue
+        /// order and each admission policy's candidate must agree:
+        /// FCFS's front, InteractiveFirst's first interactive entry,
+        /// the salvageable interactive entries in deadline order, and
+        /// EDF's `min_by` over `(deadline < clock, deadline)` with the
+        /// first minimum winning. Every mutation bumps the epoch.
+        #[test]
+        fn wait_queue_matches_naive_model(
+            ops in prop::collection::vec(arb_op(), 0..80),
+            clocks in prop::collection::vec((0u8..24).prop_map(|k| f64::from(k) * 0.5), 1..6),
+            with_slo in any::<bool>(),
+        ) {
+            let slo = slo(1.0, 4.0);
+            let mut q = WaitQueue::new(with_slo.then_some(slo));
+            let mut model: Vec<Request> = Vec::new();
+            let deadline = |r: &Request| slo.ttft_deadline(r.arrival, r.class);
+            let naive_edf = |model: &[Request], clock: SimTime| {
+                let key = |r: &Request| (deadline(r) < clock, deadline(r).as_secs());
+                model
+                    .iter()
+                    .min_by(|a, b| key(a).partial_cmp(&key(b)).expect("finite"))
+                    .map(|r| r.id)
+            };
+            for (id, op) in ops.into_iter().enumerate() {
+                let id = id as u64;
+                let epoch = q.epoch();
+                let mutated = match op {
+                    Op::PushBack { at, interactive } => {
+                        let r = req(id, at, class(interactive));
+                        q.push_back(r);
+                        model.push(r);
+                        true
+                    }
+                    Op::PushFront { at, interactive } => {
+                        let r = req(id, at, class(interactive));
+                        q.push_front(r);
+                        model.insert(0, r);
+                        true
+                    }
+                    Op::Remove { nth } if !model.is_empty() => {
+                        let nth = nth % model.len();
+                        let pos = q.iter_with_pos().nth(nth).expect("live entry").0;
+                        prop_assert_eq!(q.remove(pos).id, model.remove(nth).id);
+                        true
+                    }
+                    Op::RemoveCandidate { clock } if with_slo && !model.is_empty() => {
+                        let clock = SimTime::from_secs(clock);
+                        let pos = q.edf_candidate(clock).expect("non-empty queue");
+                        let want = naive_edf(&model, clock).expect("non-empty model");
+                        prop_assert_eq!(q.remove(pos).id, want);
+                        model.retain(|r| r.id != want);
+                        true
+                    }
+                    Op::Drain => {
+                        let drained: Vec<u64> = q.drain().map(|r| r.id).collect();
+                        let want: Vec<u64> = model.drain(..).map(|r| r.id).collect();
+                        prop_assert_eq!(drained, want);
+                        true
+                    }
+                    Op::Remove { .. } | Op::RemoveCandidate { .. } => false,
+                };
+                if mutated {
+                    prop_assert!(q.epoch() != epoch, "every mutation bumps the epoch");
+                }
+
+                let ids: Vec<u64> = q.iter().map(|r| r.id).collect();
+                let want: Vec<u64> = model.iter().map(|r| r.id).collect();
+                prop_assert_eq!(&ids, &want);
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                let with_pos: Vec<u64> = q.iter_with_pos().map(|(p, r)| {
+                    assert_eq!(q.get(p).id, r.id);
+                    r.id
+                }).collect();
+                prop_assert_eq!(&with_pos, &want);
+                prop_assert_eq!(q.front_pos().map(|p| q.get(p).id), model.first().map(|r| r.id));
+                prop_assert_eq!(
+                    q.first_interactive_pos().map(|p| q.get(p).id),
+                    model.iter().find(|r| r.class == RequestClass::Interactive).map(|r| r.id)
+                );
+                let queued_deadlines = model.iter().map(deadline);
+                for clock in clocks.iter().map(|&c| SimTime::from_secs(c)).chain(queued_deadlines) {
+                    let got = q.edf_candidate(clock).map(|p| q.get(p).id);
+                    let salvageable: Vec<u64> =
+                        q.salvageable_interactive(clock).map(|r| r.id).collect();
+                    if with_slo {
+                        prop_assert_eq!(got, naive_edf(&model, clock));
+                        let mut walked: Vec<&Request> = model
+                            .iter()
+                            .filter(|r| r.class == RequestClass::Interactive)
+                            .filter(|r| deadline(r) >= clock)
+                            .collect();
+                        walked.sort_by(|a, b| {
+                            deadline(a).as_secs().partial_cmp(&deadline(b).as_secs()).expect("finite")
+                        });
+                        let walked: Vec<u64> = walked.iter().map(|r| r.id).collect();
+                        prop_assert_eq!(salvageable, walked);
+                    } else {
+                        prop_assert_eq!(got, None);
+                        prop_assert!(salvageable.is_empty());
+                    }
+                }
+            }
+        }
     }
 }

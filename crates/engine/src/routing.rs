@@ -307,9 +307,11 @@ pub trait SimNode: Send {
     /// call — the decode fast-forward. `cap` bounds the run: no event
     /// at an instant not strictly below it may be stepped (`None` is
     /// unbounded, for drain loops). Implementations must either advance
-    /// at least one event and return its summary, or return `None`
-    /// having changed nothing, so callers can fall back to
-    /// [`SimNode::step_once`]. The default never fast-forwards.
+    /// at least one event and return its summary, or return `None`, and
+    /// callers then run [`SimNode::step_once`] at the same instant. A
+    /// `None` may change only what that `step_once` would change first
+    /// ([`Engine::step_run`] may leave its admission probe's ingest and
+    /// re-armed gate behind). The default never fast-forwards.
     fn step_run(&mut self, _cap: Option<f64>) -> Option<RunAdvance> {
         None
     }

@@ -421,7 +421,62 @@ mod tests {
         assert_eq!(it.communication, Dur::ZERO);
     }
 
+    /// A prefill chunk, a plain decode or a speculative verification, at
+    /// any context up to 100k tokens.
+    fn arb_chunk() -> impl Strategy<Value = ChunkWork> {
+        (0u8..3, 1u64..8192, 0u64..100_000, any::<bool>(), 1u32..8).prop_map(
+            |(kind, tokens, past, last, draft)| match kind {
+                0 => ChunkWork::prefill(tokens, past, last),
+                1 => ChunkWork::decode(past),
+                _ => ChunkWork::speculative_decode(past, draft),
+            },
+        )
+    }
+
     proptest! {
+        /// Adding a chunk to a batch, at any position, never lowers
+        /// `try_iteration`'s total: for every preset, under every
+        /// configuration a deployment registers (DP, TP, SP, Shift's
+        /// bases and its shift configuration, a static combination).
+        /// Lower bounds on a request's latency from the price of its
+        /// own work alone rest on this.
+        #[test]
+        fn adding_a_chunk_never_lowers_the_price(
+            chunks in prop::collection::vec(arb_chunk(), 0..8),
+            extra in arb_chunk(),
+            at in 0usize..8,
+        ) {
+            let mut grown = chunks.clone();
+            grown.insert(at.min(chunks.len()), extra);
+            let (batch, grown) = (BatchWork::new(chunks), BatchWork::new(grown));
+            let mut priced = 0;
+            for model in presets::all_table4().into_iter().chain([presets::llama_8b()]) {
+                let e = exec(model);
+                for config in [
+                    ParallelConfig::single(),
+                    ParallelConfig::tensor(8),
+                    ParallelConfig::sequence(8),
+                    ParallelConfig::new(4, 2),
+                    ParallelConfig::new(2, 4),
+                ] {
+                    let (Ok(small), Ok(large)) =
+                        (e.try_iteration(&config, &batch), e.try_iteration(&config, &grown))
+                    else {
+                        continue;
+                    };
+                    prop_assert!(
+                        large.total() >= small.total(),
+                        "{} under {config}: {:?} < {:?}",
+                        e.model().name,
+                        large.total(),
+                        small.total()
+                    );
+                    priced += 1;
+                }
+            }
+            prop_assert!(priced >= 20, "only {priced} model/config pairs priced");
+        }
+
         #[test]
         fn iteration_time_monotone_in_batch(
             small in 1u64..2000, extra in 1u64..2000,

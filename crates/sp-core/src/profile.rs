@@ -31,8 +31,9 @@ pub enum Phase {
     Merge,
     /// `Engine::admit`: wait-queue candidate scans + KV reservation.
     Admission,
-    /// `Engine::step_run` shape-stable window detection: composition
-    /// scan + admission-gate validity check.
+    /// `Engine::step_run`'s admission probe at run start: arrival
+    /// ingest, gate validity check and, when the gate lapsed, the first
+    /// step of the admission scan.
     WindowDetect,
     /// `Fleet::dispatch`: lifecycle work (warmups, retires, scale
     /// decisions), routing and enqueue of one request.
