@@ -90,10 +90,10 @@ fn run_with(plan: FaultPlan, trace: &Trace, slo: ClassSlo) -> EngineReport {
 /// The shape-stable-window regime (the `steadyshape` simperf pair at a
 /// CI-friendly scale): KV-bound DP replicas with a token budget small
 /// enough that prefills chunk across several per-iteration steps
-/// between macro-stepped decode runs, and the blocked wait queue parks
-/// on the KV admission gate. Byte-comparing this report across fan-out
-/// widths pins the fast-forward (gate arming/expiry, closed-form decode
-/// runs) to the sequential order.
+/// between macro-stepped decode runs, which keep going over a
+/// KV-blocked wait queue. Byte-comparing this report across fan-out
+/// widths pins the fast-forward (admission probes and their deadline
+/// lapses, closed-form decode runs) to the sequential order.
 fn run_steadyshape() -> EngineReport {
     const SS_KV: u64 = 24_576;
     const SS_REPLICAS: usize = 16;

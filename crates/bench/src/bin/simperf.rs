@@ -56,8 +56,8 @@
 //! fast-forward property suite); event counts are asserted equal here,
 //! and in smoke mode the measured speedup is hard-gated at >=3x.
 //!
-//! The `steadyshape_r64` pair measures the same macro-steps plus the
-//! KV-blocked admission gate on a KV-bound trace whose prefills chunk
+//! The `steadyshape_r64` pair measures the same macro-steps over
+//! KV-blocked wait queues on a KV-bound trace whose prefills chunk
 //! across several iterations, against the same fleet on the
 //! per-iteration loop. In smoke mode the measured speedup is hard-gated
 //! at >=2x.
@@ -219,8 +219,8 @@ fn fastforward_trace(replicas: usize, smoke: bool) -> Trace {
 /// budget, so each admission prefills across several per-iteration
 /// steps, while long, low-variance outputs hold the decode plateau
 /// between arrivals — the runs this path macro-steps — and the bounded
-/// KV keeps a deep blocked wait queue parked on the admission gate
-/// instead of being rescanned every iteration.
+/// KV keeps a deep wait queue blocked, which a decode run probes only
+/// at arrivals and deadline lapses instead of every iteration.
 fn steadyshape_trace(replicas: usize, smoke: bool) -> Trace {
     let r = replicas as f64;
     let (duration, burst_depth, out_median) =
@@ -242,8 +242,8 @@ fn steadyshape_trace(replicas: usize, smoke: bool) -> Trace {
 
 /// Engines for the shape-stable pair: single-GPU DP replicas with a
 /// small token budget (so the trace's inputs chunk across iterations),
-/// bounded KV (so the admission gate engages), and SLO classes (so the
-/// gate's EDF expiry bound is live), on the given ladder rung.
+/// bounded KV (so admission blocks), and SLO classes (so the run
+/// probe's EDF deadline lapse is live), on the given ladder rung.
 fn steadyshape_engines(n: usize, paths: FastPaths) -> Vec<Engine> {
     let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
     (0..n)
@@ -714,9 +714,9 @@ fn main() {
     scenarios.push(ff);
     scenarios.push(periter);
 
-    // Shape-stable window pair: the same engines with macro-steps (and
-    // the KV-blocked admission gate parking their blocked queues)
-    // against the per-iteration loop, on a KV-bound trace whose
+    // Shape-stable window pair: the same engines with macro-steps
+    // (running over their KV-blocked queues) against the per-iteration
+    // loop, on a KV-bound trace whose
     // prefills chunk across iterations. Reports
     // are byte-identical across the pair (pinned by the fast-forward
     // property suite); event counts are asserted equal here, and smoke

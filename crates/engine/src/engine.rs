@@ -146,13 +146,13 @@ pub enum FastPaths {
     /// admission is the linear `min_by` rescan (O(W) per candidate, two
     /// deadline evaluations per comparison), the `urgent` deferral
     /// check walks the whole queue, load snapshots fold over every
-    /// queued and running request, no KV-blocked admission gate, direct
-    /// `try_iteration` pricing, and one iteration per step.
+    /// queued and running request, direct `try_iteration` pricing, and
+    /// one iteration per step.
     Reference,
     /// The indexed scheduler: wait-queue candidate selection from
-    /// sorted deque indexes (at worst a binary search), O(1) load
-    /// counters and the KV-blocked admission gate,
-    /// with iteration pricing still on the direct `try_iteration` walk.
+    /// sorted deque indexes (O(1) amortized under a monotone clock) and
+    /// O(1) load counters, with iteration pricing still on the direct
+    /// `try_iteration` walk.
     Indexed,
     /// Plus compiled pricing: iterations evaluate the configuration's
     /// precompiled [`ExecPlan`] (bit-identical to the direct walk).
@@ -242,8 +242,6 @@ pub struct Engine {
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
-    /// KV-blocked admission fast path (see [`AdmissionGate`]).
-    admission_gate: Option<AdmissionGate>,
     /// Monotone version of the running batch's composition and
     /// contexts, bumped by anything that mutates them outside a decode
     /// window's uniform advance: every per-iteration [`Engine::step`]
@@ -272,42 +270,6 @@ fn seq_outstanding(seq: &RunningSeq) -> u64 {
 fn capped(t: SimTime, cap: Option<f64>) -> bool {
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     cap.is_some_and(|c| !(t.as_secs() < c))
-}
-
-/// Armed when a full admission scan ends KV-blocked (or
-/// [`Engine::step_run`]'s admission probe finds it would): records the
-/// head candidate and the free-token level that would unblock it, so
-/// subsequent admission passes (and shape-stable windows) can prove the
-/// scan would reach the same blocked break without re-running it.
-///
-/// The cached verdict is only trusted while every input it depends on
-/// is provably unchanged: the queue epoch pins the candidate choice
-/// (queued entries are immutable, so an unchanged epoch means the same
-/// entries at the same positions),
-/// the free-token threshold pins the reservation outcome, and `expires`
-/// pins EDF candidate stability — a salvageable-deadline candidate is
-/// the minimum deadline at or after the arming clock, so no other entry
-/// can displace it until the clock passes that very deadline. Debug
-/// builds re-derive the candidate from scratch on every gate hit.
-#[derive(Debug, Clone, Copy)]
-struct AdmissionGate {
-    /// Queue position of the blocked head candidate.
-    pos: QueuePos,
-    /// The candidate itself (queued entries are immutable, so the copy
-    /// cannot go stale while the epoch check holds).
-    head: Request,
-    /// KV tokens the candidate's reservation asks for (mode-dependent).
-    footprint: u64,
-    /// Block-rounded unblock level: the reservation fails exactly while
-    /// `kv.free_tokens() < required_free_tokens`.
-    required_free_tokens: u64,
-    /// EDF stability horizon: a salvageable candidate stops being the
-    /// candidate once the clock passes its own TTFT deadline. `None`
-    /// for deadline-free policies and already-expired candidates, whose
-    /// choice is stable until the queue mutates.
-    expires: Option<SimTime>,
-    /// [`WaitQueue::epoch`] at arming; any push or removal invalidates.
-    epoch: u64,
 }
 
 /// Closed-form pricing input for a decode run (see
@@ -462,7 +424,6 @@ impl Engine {
             running_prefill_tokens: 0,
             plans,
             slowdown: 1.0,
-            admission_gate: None,
             batch_version: 0,
             run_cache: None,
         }
@@ -524,14 +485,13 @@ impl Engine {
 
     /// Selects the rung of the optimization ladder the engine runs on
     /// (see [`FastPaths`]). Scheduling and reports are bit-identical on
-    /// every rung — only the cost differs. Drops the admission gate and
-    /// the run cache, so the new rung starts from a clean slate. Not
-    /// part of the supported API.
+    /// every rung — only the cost differs. Drops the run cache, so the
+    /// new rung starts from a clean slate. Not part of the supported
+    /// API.
     #[doc(hidden)]
     pub fn set_fast_paths(&mut self, paths: FastPaths) {
         self.settle_run();
         self.fast_paths = paths;
-        self.admission_gate = None;
         self.run_cache = None;
     }
 
@@ -558,11 +518,10 @@ impl Engine {
     ///
     /// Admission is probed where a step would find it changed: at run
     /// start, and at each iteration boundary where an arrival is due or
-    /// the gate's EDF expiry has passed. The probe does what that step
-    /// would do first — ingests the due arrivals and runs the first step
-    /// of the admission scan — and, when admission is still impossible,
-    /// re-arms the KV-blocked gate exactly as the scan would and keeps
-    /// going (decision 14).
+    /// the clock has passed the last probe's lapse instant. The probe
+    /// does what that step would do first — ingests the due arrivals and
+    /// checks the first step of the admission scan — and, when admission
+    /// is still impossible, keeps going (decision 14).
     ///
     /// `cap` is the caller's window bound: the run stops before any
     /// iteration whose event instant is not strictly below it, exactly
@@ -572,8 +531,8 @@ impl Engine {
     /// iteration is already outside the cap, or the probe at run start
     /// finds that a step would admit, reject or shed. Callers then run
     /// [`Engine::step_once`] at the same instant. A `None` changes
-    /// nothing except, possibly, the probe's ingest and re-armed gate:
-    /// the first effects of that very `step_once`.
+    /// nothing except, possibly, the probe's ingest: the first effect of
+    /// that very `step_once`.
     pub fn step_run(&mut self, cap: Option<f64>) -> Option<crate::routing::RunAdvance> {
         // Cheap gates first; the O(batch) scans only run once they pass.
         if self.fast_paths < FastPaths::MacroSteps
@@ -595,13 +554,10 @@ impl Engine {
         }
         // Admission must be impossible before the first iteration; the
         // probe is re-run wherever its proof could lapse.
-        {
+        let mut admit_bound = {
             let _detect_span = sp_core::profile::start(sp_core::profile::Phase::WindowDetect);
-            if !self.probe_admission() {
-                return None;
-            }
-        }
-        let mut admit_bound = self.admission_bound();
+            self.probe_admission()?
+        };
 
         // A pure-decode batch's stats are constant across the run.
         let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
@@ -683,10 +639,20 @@ impl Engine {
                 }
                 let arrival_due = self.arrivals.front().is_some_and(|front| front.arrival <= t);
                 if arrival_due || admit_bound.is_some_and(|bound| t > bound) {
-                    if !self.probe_admission() {
+                    let Some(bound) = self.probe_admission() else {
                         break; // this step admits, rejects or sheds
+                    };
+                    admit_bound = bound;
+                } else {
+                    #[cfg(debug_assertions)]
+                    {
+                        let candidate = self.next_admission_candidate();
+                        assert_eq!(
+                            self.admission_blocked(candidate),
+                            Some(admit_bound),
+                            "admission unblocked before its probe's lapse instant"
+                        );
                     }
-                    admit_bound = self.admission_bound();
                 }
             }
             let base = run.price(k);
@@ -790,43 +756,45 @@ impl Engine {
     }
 
     /// The admission probe [`Engine::step_run`] runs where a step would
-    /// admit. Does what that step's [`Engine::ingest_arrivals`] and
-    /// [`Engine::admit`] would do first — ingests the due arrivals, then
-    /// returns early, trusts a valid gate, or runs the scan's first
-    /// step: the candidate, the reject check, the shared-prefix check,
-    /// the reservation and the shed check. True when admission is
-    /// impossible at the current clock, with the gate re-armed exactly
-    /// as the scan would arm it; false when the step would admit,
-    /// reject or shed (or take the shared-prefix path, which the gate
-    /// never covers).
-    fn probe_admission(&mut self) -> bool {
+    /// admit: ingests the due arrivals, as that step's
+    /// [`Engine::ingest_arrivals`] would first, then checks its
+    /// [`Engine::admit`]'s first step with [`Engine::admission_blocked`].
+    fn probe_admission(&mut self) -> Option<Option<SimTime>> {
         self.ingest_arrivals();
-        if self.running.len() >= self.config.max_seqs
-            || self.waiting.is_empty()
-            || self.gate_blocks_admission()
-        {
-            return true;
-        }
-        let Some(pos) = self.next_admission_candidate() else { return false };
-        let head = *self.waiting.get(pos);
-        if self.must_reject(&head) || self.shares_prefix(&head) {
-            return false;
-        }
-        let footprint = self.footprint(&head, false);
-        if self.kv.can_reserve(head.id, footprint) || self.shed_could_admit(&head) {
-            return false;
-        }
-        self.arm_admission_gate(pos, head, footprint);
-        true
+        let candidate = self.next_admission_candidate();
+        self.admission_blocked(candidate)
     }
 
-    /// The instant past which a passed admission probe lapses: the
-    /// gate's EDF expiry, when the probe rested on the gate.
-    fn admission_bound(&self) -> Option<SimTime> {
-        if self.waiting.is_empty() || self.running.len() >= self.config.max_seqs {
+    /// [`Engine::admit`]'s first step at the current clock, without its
+    /// effects: the candidate (`candidate`, from
+    /// [`Engine::next_admission_candidate`]), the reject check, the
+    /// shared-prefix check, the reservation and the shed check. `None`
+    /// when the step would admit, reject or shed (or take the
+    /// shared-prefix path, which this check does not follow).
+    ///
+    /// Otherwise admission is impossible, and `Some(bound)` says how
+    /// long that lasts while the queue and the batch stay unchanged: a
+    /// candidate chosen as the earliest salvageable EDF deadline stays
+    /// the candidate until the clock passes that very deadline, so
+    /// `bound` is the deadline. An expired EDF candidate (every deadline
+    /// blown) and the deadline-free policies' candidates hold until the
+    /// queue changes: `bound` is `None`.
+    fn admission_blocked(&self, candidate: Option<QueuePos>) -> Option<Option<SimTime>> {
+        if self.running.len() >= self.config.max_seqs || self.waiting.is_empty() {
+            return Some(None);
+        }
+        let head = self.waiting.get(candidate?);
+        if self.must_reject(head) || self.shares_prefix(head) {
             return None;
         }
-        self.admission_gate.and_then(|gate| gate.expires)
+        let footprint = self.footprint(head, false);
+        if self.kv.can_reserve(head.id, footprint) || self.shed_could_admit(head) {
+            return None;
+        }
+        Some(self.config.class_slo.and_then(|slo| {
+            let deadline = slo.ttft_deadline(head.arrival, head.class);
+            (deadline >= self.clock).then_some(deadline)
+        }))
     }
 
     /// The closed-form summary of a `run_limit`-iteration decode run
@@ -1091,14 +1059,7 @@ impl Engine {
         self.settle_run();
         // A per-iteration step can mutate the batch arbitrarily (admit,
         // shed, preempt, retire, non-uniform context growth): any
-        // cached run summary is stale. Presume staleness up front; the
-        // end of the step re-validates the cache for the common
-        // arrival-driven step that turns out to be a pure uniform
-        // decode advance.
-        let prev_version = self.batch_version;
-        let pre_seqs = self.running.len();
-        let pre_prefill = self.running_prefill_tokens;
-        let pre_outstanding = self.running_outstanding_tokens;
+        // cached run summary is stale.
         self.batch_version = self.batch_version.wrapping_add(1);
         self.ingest_arrivals();
         self.admit();
@@ -1180,32 +1141,6 @@ impl Engine {
         });
         self.scratch_chunks = work.into_chunks();
         self.retire_finished();
-
-        // Cache re-validation: these invariants prove the step was a
-        // uniform +1 decode advance, i.e. exactly one window iteration.
-        // No prefill work existed before or after, so every chunk was a
-        // 1-token decode and each sequence emitted 0 or 1 tokens; the
-        // outstanding-token drop of exactly `pre_seqs` then forces
-        // *every* sequence to have emitted 1. The unchanged batch size
-        // rules out retirement, shedding, and preemption (an admission
-        // offsetting one of those would have left prefill work or a
-        // larger outstanding drop). A cached run depends only on the
-        // batch size and its summed context, not on chunk order, so it
-        // stays live, shifted one iteration forward.
-        if self.config.spec_decode.is_none()
-            && pre_prefill == 0
-            && self.running_prefill_tokens == 0
-            && pre_seqs > 0
-            && self.running.len() == pre_seqs
-            && self.running_outstanding_tokens == pre_outstanding - pre_seqs as u64
-        {
-            self.batch_version = prev_version;
-            if let Some(cache) = &mut self.run_cache {
-                if cache.version == prev_version {
-                    cache.base_k += 1;
-                }
-            }
-        }
     }
 
     /// Retires every finished sequence at the current clock: releases
@@ -1250,16 +1185,8 @@ impl Engine {
     /// Figure 10 when the cache saturates.
     fn admit(&mut self) {
         if self.running.len() >= self.config.max_seqs || self.waiting.is_empty() {
-            // The scan below could not admit anything; an armed gate (if
-            // any) stays armed for when a slot or a candidate appears.
             return;
         }
-        if self.fast_paths >= FastPaths::Indexed && self.gate_blocks_admission() {
-            // KV-blocked fast path: the armed gate proves the scan would
-            // end in the same blocked break it was armed on.
-            return;
-        }
-        self.admission_gate = None;
         let _admit_span = sp_core::profile::start(sp_core::profile::Phase::Admission);
         while self.running.len() < self.config.max_seqs {
             let Some(pos) = self.next_admission_candidate() else { break };
@@ -1305,11 +1232,6 @@ impl Engine {
                 // on every admit pass) until the cache wedges.
                 if let Some((group, prior)) = group_rollback {
                     self.kv.shrink_group(group, prior);
-                } else if self.fast_paths >= FastPaths::Indexed {
-                    // KV-blocked on a plain (non-shared) candidate: arm
-                    // the gate so later passes skip the rescan until the
-                    // headroom (or the candidate) can actually change.
-                    self.arm_admission_gate(pos, head, footprint);
                 }
                 break;
             }
@@ -1373,70 +1295,6 @@ impl Engine {
         })
     }
 
-    /// Arms the KV-blocked admission gate for the head candidate at
-    /// `pos`, whose `footprint`-token reservation just failed.
-    ///
-    /// `required_free_tokens` is the block-rounded footprint: with no
-    /// existing allocation (waiting requests never hold one — sheds,
-    /// preemptions, and crashes all release first), the reservation
-    /// succeeds exactly when `free_tokens >= ceil(footprint / block) ×
-    /// block`. The EDF expiry captures candidate stability: a candidate
-    /// chosen as the minimum salvageable deadline at or after the
-    /// arming clock stays the candidate until the clock passes that
-    /// deadline (no smaller salvageable deadline can exist without a
-    /// queue mutation); an already-expired candidate (every deadline
-    /// blown) and the deadline-free policies are stable outright.
-    fn arm_admission_gate(&mut self, pos: QueuePos, head: Request, footprint: u64) {
-        let block = u64::from(self.config.block_tokens);
-        let required_free_tokens = footprint.div_ceil(block) * block;
-        let expires = self.config.class_slo.and_then(|slo| {
-            let deadline = slo.ttft_deadline(head.arrival, head.class);
-            (deadline >= self.clock).then_some(deadline)
-        });
-        self.admission_gate = Some(AdmissionGate {
-            pos,
-            head,
-            footprint,
-            required_free_tokens,
-            expires,
-            epoch: self.waiting.epoch(),
-        });
-    }
-
-    /// True when the armed admission gate proves a full admission scan
-    /// would end in the same KV-blocked break it was armed on: the
-    /// queue epoch is unchanged (same candidate), free KV is still
-    /// short of the candidate's requirement (same reservation failure),
-    /// the EDF stability horizon has not passed, and the SLO shedding
-    /// path could not free KV for it (an at-risk interactive head with
-    /// a sheddable batch prefill in the batch re-enters the scan).
-    /// Invalid gates are disarmed on the way out; debug builds check
-    /// the cached candidate against a full rescan on every hit.
-    fn gate_blocks_admission(&mut self) -> bool {
-        let Some(gate) = self.admission_gate else { return false };
-        if gate.epoch != self.waiting.epoch()
-            || self.kv.free_tokens() >= gate.required_free_tokens
-            || gate.expires.is_some_and(|deadline| self.clock > deadline)
-        {
-            self.admission_gate = None;
-            return false;
-        }
-        if self.shed_could_admit(&gate.head) {
-            self.admission_gate = None;
-            return false;
-        }
-        debug_assert_eq!(
-            self.next_admission_candidate(),
-            Some(gate.pos),
-            "admission gate candidate diverged from a full rescan"
-        );
-        debug_assert!(
-            !self.kv.can_reserve(gate.head.id, gate.footprint),
-            "admission gate held but the candidate's reservation would succeed"
-        );
-        true
-    }
-
     /// Queue position of the next request to admit under the admission
     /// policy, from the [`WaitQueue`] indexes.
     ///
@@ -1446,8 +1304,9 @@ impl Engine {
     /// behind the salvageable ones (serving them first would burn
     /// capacity a salvageable deadline still needs). Ties break to the
     /// earlier queue position, so the order matches the linear scan this
-    /// replaces exactly.
-    fn next_admission_candidate(&self) -> Option<QueuePos> {
+    /// replaces exactly. Mutable only for the index's upkeep (see
+    /// [`WaitQueue::edf_candidate`]).
+    fn next_admission_candidate(&mut self) -> Option<QueuePos> {
         if self.waiting.is_empty() {
             return None;
         }
@@ -2138,11 +1997,15 @@ mod tests {
         assert_eq!(stepped.dump(), batch.dump());
     }
 
-    /// Two long batch decodes fill an 8k-token cache, a third batch
-    /// request parks the KV-blocked gate, and a `late` request arrives
-    /// at 0.5 s, mid-run.
-    fn blocked_trace(late: RequestClass) -> Trace {
-        let req = |id, at, input, output, class| sp_workload::Request {
+    /// A request for the KV-blocked traces below.
+    fn blocked_req(
+        id: u64,
+        at: f64,
+        input: u32,
+        output: u32,
+        class: RequestClass,
+    ) -> sp_workload::Request {
+        sp_workload::Request {
             id,
             arrival: SimTime::from_secs(at),
             input_tokens: input,
@@ -2150,12 +2013,18 @@ mod tests {
             class,
             cached_prefix: 0,
             prefix_group: None,
-        };
+        }
+    }
+
+    /// Two long batch decodes fill an 8k-token cache, a third batch
+    /// request is KV-blocked behind them, and a `late` request arrives
+    /// at 0.5 s, mid-run.
+    fn blocked_trace(late: RequestClass) -> Trace {
         Trace::with_ids(vec![
-            req(0, 0.0, 1_000, 2_000, RequestClass::Batch),
-            req(1, 0.0, 1_000, 2_000, RequestClass::Batch),
-            req(2, 0.0, 2_500, 100, RequestClass::Batch),
-            req(3, 0.5, 500, 100, late),
+            blocked_req(0, 0.0, 1_000, 2_000, RequestClass::Batch),
+            blocked_req(1, 0.0, 1_000, 2_000, RequestClass::Batch),
+            blocked_req(2, 0.0, 2_500, 100, RequestClass::Batch),
+            blocked_req(3, 0.5, 500, 100, late),
         ])
     }
 
@@ -2173,8 +2042,17 @@ mod tests {
         e
     }
 
+    /// The run probe's verdict at `e`'s clock, without its ingest: when
+    /// admission is blocked, the candidate's id and the verdict's lapse
+    /// instant; `None` when a step would admit, reject or shed.
+    fn verdict(e: &mut Engine) -> Option<(Option<u64>, Option<SimTime>)> {
+        let candidate = e.next_admission_candidate();
+        let bound = e.admission_blocked(candidate)?;
+        Some((candidate.map(|pos| e.waiting.get(pos).id), bound))
+    }
+
     /// Pushes `trace` and steps until both prompts are prefilled, with
-    /// the gate armed on request 2 and request 3 not yet arrived.
+    /// admission blocked on request 2 and request 3 not yet arrived.
     fn prefill_blocked(e: &mut Engine, trace: &Trace) {
         for &req in trace.requests() {
             e.push_request(req);
@@ -2183,7 +2061,8 @@ mod tests {
             e.step_once();
         }
         assert_eq!(e.running.len(), 2);
-        assert_eq!(e.admission_gate.map(|g| g.head.id), Some(2), "request 2 is KV-blocked");
+        let deadline = ClassSlo::default().ttft_deadline(SimTime::ZERO, RequestClass::Batch);
+        assert_eq!(verdict(e), Some((Some(2), Some(deadline))), "request 2 is KV-blocked");
         assert!(e.clock() < SimTime::from_secs(0.5));
     }
 
@@ -2199,24 +2078,26 @@ mod tests {
 
     #[test]
     fn blocked_run_ingests_an_arrival_that_cannot_be_admitted() {
-        // The batch arrival's deadline falls after the gate head's, so
-        // it cannot displace the candidate: the run ingests it at its
-        // boundary, re-arms the gate on the same head and keeps going.
+        // The batch arrival's deadline falls after the blocked head's,
+        // so it cannot displace the candidate: the run ingests it at its
+        // boundary, finds admission still blocked on the same head and
+        // keeps going. The cap ends the run long before the batch
+        // finishes, so the blocked state is still there to inspect.
         let trace = blocked_trace(RequestClass::Batch);
         let mut e = blocked_engine(FastPaths::MacroSteps);
         prefill_blocked(&mut e, &trace);
-        let run = e.step_run(None).expect("a KV-blocked decode batch runs");
+        let run = e.step_run(Some(1.0)).expect("a KV-blocked decode batch runs");
         assert!(run.last >= SimTime::from_secs(0.5), "one run covers the arrival's iteration");
         assert!(e.arrivals.is_empty(), "the run ingested the arrival");
         assert_eq!(e.waiting.iter().map(|r| r.id).collect::<Vec<_>>(), [2, 3]);
-        assert_eq!(e.admission_gate.map(|g| g.head.id), Some(2), "re-armed on the same head");
+        assert_eq!(verdict(&mut e).map(|v| v.0), Some(Some(2)), "blocked on the same head");
         let reference = blocked_engine(FastPaths::Reference).run(&trace).dump();
         assert_eq!(finish(&mut e), reference);
     }
 
     #[test]
     fn displacing_arrival_stops_the_run() {
-        // An interactive arrival's deadline beats the gate head's and it
+        // An interactive arrival's deadline beats the blocked head's and it
         // fits the free KV: the run stops at its boundary, and the step
         // at that instant admits it.
         let trace = blocked_trace(RequestClass::Interactive);
@@ -2249,12 +2130,49 @@ mod tests {
         assert!(declined.arrivals.is_empty(), "the declined run left its ingest behind");
         declined.step_once();
         alone.step_once();
-        let state = |e: &Engine| {
+        let state = |e: &mut Engine| {
             let waiting: Vec<u64> = e.waiting.iter().map(|r| r.id).collect();
-            (e.report.dump(), e.clock, format!("{:?}", e.admission_gate), waiting)
+            (e.report.dump(), e.clock, verdict(e), waiting)
         };
         assert_eq!(state(declined), state(alone));
         assert_eq!(finish(declined), finish(alone));
+    }
+
+    #[test]
+    fn blocked_run_stops_when_the_head_deadline_lapses() {
+        // An interactive head too large for the free KV blocks a batch
+        // request that fits. Its TTFT deadline passes mid-run: from
+        // there the batch request is the EDF candidate, so the run
+        // stops at the first boundary past the deadline and the step at
+        // that instant admits it.
+        let trace = Trace::with_ids(vec![
+            blocked_req(0, 0.0, 1_000, 2_000, RequestClass::Batch),
+            blocked_req(1, 0.0, 1_000, 2_000, RequestClass::Batch),
+            blocked_req(2, 0.01, 2_500, 100, RequestClass::Interactive),
+            blocked_req(3, 0.01, 500, 100, RequestClass::Batch),
+        ]);
+        let deadline =
+            ClassSlo::default().ttft_deadline(SimTime::from_secs(0.01), RequestClass::Interactive);
+        let mut e = blocked_engine(FastPaths::MacroSteps);
+        for &req in trace.requests() {
+            e.push_request(req);
+        }
+        while e.running.is_empty() || e.running_prefill_tokens != 0 || !e.arrivals.is_empty() {
+            e.step_once();
+        }
+        assert_eq!(e.running.len(), 2);
+        assert_eq!(verdict(&mut e), Some((Some(2), Some(deadline))), "blocked until the deadline");
+        let run = e.step_run(None).expect("a KV-blocked decode batch runs");
+        assert!(
+            run.last <= deadline && e.clock() > deadline,
+            "stops at the first boundary past it"
+        );
+        assert_eq!(verdict(&mut e), None, "request 3 fits now that it is the candidate");
+        assert!(e.step_run(None).is_none(), "admission is possible at this instant");
+        e.step_once();
+        assert!(e.running.iter().any(|s| s.request.id == 3), "the step admitted request 3");
+        let reference = blocked_engine(FastPaths::Reference).run(&trace).dump();
+        assert_eq!(finish(&mut e), reference);
     }
 
     #[test]

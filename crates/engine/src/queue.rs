@@ -23,10 +23,13 @@
 //! request class. A class's TTFT budget is constant, so arrivals (pushed
 //! in arrival order) append in deadline order; only out-of-order pushes
 //! (shed requeues, `push_front`) insert by binary search. Each class
-//! deque is split in two at the last removed candidate: under a
-//! monotone clock the keys before it have expired, the next salvageable
-//! candidate sits at the front of the upper half, and removing it is a
-//! `pop_front`.
+//! deque is split in two, and every candidate query first moves the
+//! keys that expired at its clock from the front of the upper half to
+//! the back of the lower one. Under a monotone clock each key crosses
+//! once, the next salvageable candidate sits at the front of the upper
+//! half, and both finding and removing it are O(1) amortized — so
+//! asking again at every admission pass costs no more than remembering
+//! the last answer would.
 
 use sp_metrics::{ClassSlo, SimTime};
 use sp_workload::{Request, RequestClass};
@@ -58,9 +61,9 @@ fn class_index(class: RequestClass) -> usize {
 
 /// One class's EDF keys in ascending order, stored as `low ++ high`:
 /// every key in `low` sorts below every key in `high`. Where the split
-/// falls never changes a query's answer, only its cost; removing a key
-/// from `high` moves the keys before it into `low`, so each key crosses
-/// at most once.
+/// falls never changes a query's answer, only its cost; skipping
+/// expired keys and removing a key from `high` both move keys from the
+/// front of `high` into `low`, so each key crosses at most once.
 #[derive(Debug, Default)]
 struct EdfIndex {
     low: VecDeque<EdfKey>,
@@ -98,6 +101,23 @@ impl EdfIndex {
         }
     }
 
+    /// The smallest key at or above `from`. First moves the keys of
+    /// `high` below `from` to the back of `low`; the answer is then the
+    /// front of `high` unless `low` still holds keys at or above `from`
+    /// (an out-of-order push, or a clock that went back), which one
+    /// binary search finds.
+    fn first_from(&mut self, from: EdfKey) -> Option<EdfKey> {
+        while let Some(&key) = self.high.front().filter(|&&key| key < from) {
+            self.high.pop_front();
+            self.low.push_back(key);
+        }
+        if self.low.back().is_some_and(|&back| back >= from) {
+            Some(self.low[self.low.partition_point(|&k| k < from)])
+        } else {
+            self.high.front().copied()
+        }
+    }
+
     /// The indexes into `low` and `high` from which every key sorts at
     /// or above `from`.
     fn split_at(&self, from: EdfKey) -> (usize, usize) {
@@ -129,7 +149,9 @@ impl EdfIndex {
 
 /// Indexed waiting queue: deque-ordered slots plus per-class EDF
 /// indexes on TTFT deadlines and an ascending deque of interactive-class
-/// positions.
+/// positions. Queued entries are immutable; the engine re-asks for its
+/// admission candidate at every pass rather than caching an answer, and
+/// the indexes keep that O(1) amortized.
 #[derive(Debug)]
 pub(crate) struct WaitQueue {
     /// The queue proper: the entry at position `head + i` is
@@ -149,11 +171,6 @@ pub(crate) struct WaitQueue {
     interactive: VecDeque<QueuePos>,
     /// Deadline source for the EDF indexes.
     slo: Option<ClassSlo>,
-    /// Mutation counter, bumped on every push and removal. The engine's
-    /// KV-blocked admission gate records the epoch it was armed under and
-    /// treats any mutation as invalidating: a changed queue can change
-    /// the admission candidate, so the gate's cached verdict is stale.
-    epoch: u64,
 }
 
 impl WaitQueue {
@@ -166,13 +183,7 @@ impl WaitQueue {
             edf: Default::default(),
             interactive: VecDeque::new(),
             slo,
-            epoch: 0,
         }
-    }
-
-    /// Mutation epoch: changes whenever an entry is pushed or removed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// True when nothing waits.
@@ -201,7 +212,6 @@ impl WaitQueue {
     /// front of every queued one.
     fn index_insert(&mut self, pos: QueuePos, req: &Request, at_front: bool) {
         self.len += 1;
-        self.epoch += 1;
         if let Some(key) = self.edf_key(pos, req) {
             self.edf[class_index(req.class)].insert(key);
         }
@@ -258,7 +268,6 @@ impl WaitQueue {
     pub fn remove(&mut self, pos: QueuePos) -> Request {
         let req = self.slot(pos).and_then(|i| self.slots[i].take()).expect("position is queued");
         self.len -= 1;
-        self.epoch += 1;
         while self.slots.front().is_some_and(Option::is_none) {
             self.slots.pop_front();
             self.head += 1;
@@ -278,7 +287,6 @@ impl WaitQueue {
 
     /// Removes every entry, yielding them in queue order.
     pub fn drain(&mut self) -> impl Iterator<Item = Request> + '_ {
-        self.epoch += 1;
         self.len = 0;
         self.interactive.clear();
         for index in &mut self.edf {
@@ -308,18 +316,20 @@ impl WaitQueue {
     /// deadline among *salvageable* entries (deadline not yet passed,
     /// i.e. `deadline >= clock`), falling back to the earliest deadline
     /// overall when every deadline is blown. Equal deadlines resolve to
-    /// the earlier queue position. One binary search per class.
+    /// the earlier queue position. Mutable only to move the keys that
+    /// expired at `clock` below each index's split: the answer does not
+    /// depend on the split, and under a monotone clock the lookup is
+    /// then O(1) amortized (at worst one binary search per class).
     ///
     /// This reproduces the old linear scan's `min_by` over the key
     /// `(deadline < clock, deadline)` with first-minimum (queue-order)
     /// tie-break: expired entries are exactly those whose deadline sorts
     /// below `clock`, so they form a prefix of each class's index and
     /// one successor query per class skips them.
-    pub fn edf_candidate(&self, clock: SimTime) -> Option<QueuePos> {
+    pub fn edf_candidate(&mut self, clock: SimTime) -> Option<QueuePos> {
         let from = (time_bits(clock), QueuePos::MIN);
-        let salvageable = self.edf.iter().filter_map(|index| index.iter_from(from).next()).min();
+        let salvageable = self.edf.iter_mut().filter_map(|index| index.first_from(from)).min();
         salvageable
-            .copied()
             .or_else(|| self.edf.iter().filter_map(EdfIndex::first).min())
             .map(|(_, pos)| pos)
     }
@@ -520,7 +530,7 @@ mod tests {
         /// FCFS's front, InteractiveFirst's first interactive entry,
         /// the salvageable interactive entries in deadline order, and
         /// EDF's `min_by` over `(deadline < clock, deadline)` with the
-        /// first minimum winning. Every mutation bumps the epoch.
+        /// first minimum winning.
         #[test]
         fn wait_queue_matches_naive_model(
             ops in prop::collection::vec(arb_op(), 0..80),
@@ -540,25 +550,21 @@ mod tests {
             };
             for (id, op) in ops.into_iter().enumerate() {
                 let id = id as u64;
-                let epoch = q.epoch();
-                let mutated = match op {
+                match op {
                     Op::PushBack { at, interactive } => {
                         let r = req(id, at, class(interactive));
                         q.push_back(r);
                         model.push(r);
-                        true
                     }
                     Op::PushFront { at, interactive } => {
                         let r = req(id, at, class(interactive));
                         q.push_front(r);
                         model.insert(0, r);
-                        true
                     }
                     Op::Remove { nth } if !model.is_empty() => {
                         let nth = nth % model.len();
                         let pos = q.iter_with_pos().nth(nth).expect("live entry").0;
                         prop_assert_eq!(q.remove(pos).id, model.remove(nth).id);
-                        true
                     }
                     Op::RemoveCandidate { clock } if with_slo && !model.is_empty() => {
                         let clock = SimTime::from_secs(clock);
@@ -566,18 +572,13 @@ mod tests {
                         let want = naive_edf(&model, clock).expect("non-empty model");
                         prop_assert_eq!(q.remove(pos).id, want);
                         model.retain(|r| r.id != want);
-                        true
                     }
                     Op::Drain => {
                         let drained: Vec<u64> = q.drain().map(|r| r.id).collect();
                         let want: Vec<u64> = model.drain(..).map(|r| r.id).collect();
                         prop_assert_eq!(drained, want);
-                        true
                     }
-                    Op::Remove { .. } | Op::RemoveCandidate { .. } => false,
-                };
-                if mutated {
-                    prop_assert!(q.epoch() != epoch, "every mutation bumps the epoch");
+                    Op::Remove { .. } | Op::RemoveCandidate { .. } => {}
                 }
 
                 let ids: Vec<u64> = q.iter().map(|r| r.id).collect();

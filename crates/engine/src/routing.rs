@@ -310,8 +310,8 @@ pub trait SimNode: Send {
     /// at least one event and return its summary, or return `None`, and
     /// callers then run [`SimNode::step_once`] at the same instant. A
     /// `None` may change only what that `step_once` would change first
-    /// ([`Engine::step_run`] may leave its admission probe's ingest and
-    /// re-armed gate behind). The default never fast-forwards.
+    /// ([`Engine::step_run`] may leave its admission probe's ingest
+    /// behind). The default never fast-forwards.
     fn step_run(&mut self, _cap: Option<f64>) -> Option<RunAdvance> {
         None
     }

@@ -32,8 +32,8 @@ pub enum Phase {
     /// `Engine::admit`: wait-queue candidate scans + KV reservation.
     Admission,
     /// `Engine::step_run`'s admission probe at run start: arrival
-    /// ingest, gate validity check and, when the gate lapsed, the first
-    /// step of the admission scan.
+    /// ingest and the side-effect-free check of the admission scan's
+    /// first step.
     WindowDetect,
     /// `Fleet::dispatch`: lifecycle work (warmups, retires, scale
     /// decisions), routing and enqueue of one request.

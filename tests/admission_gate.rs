@@ -1,17 +1,18 @@
-//! Regression and equivalence tests for the KV-blocked admission gate.
+//! Regression and equivalence tests for KV-blocked admission.
 //!
-//! The gate (`Engine::arm_admission_gate` / `gate_blocks_admission`)
-//! lets the scheduler skip wait-queue admission scans while the head
-//! candidate's KV reservation provably cannot succeed. It is an
-//! *optimization*, never a behavior change: on the
-//! `FastPaths::Reference` rung the engine runs the pre-gate linear
-//! rescan on every iteration, and the gated engine must reproduce that
-//! report bit-for-bit. The deterministic tests here pin the two disarm
-//! paths that are easiest to get wrong — KV freed by an SLO batch-shed
-//! and by a decode-append preemption must unblock admission on the
-//! *same iteration* as a full rescan would, not an iteration late — and
-//! the property test sweeps randomized KV-pressure traces over both
-//! admission modes.
+//! When the head candidate's KV reservation cannot succeed, the default
+//! rung answers the candidate from the wait queue's indexes, and
+//! `Engine::step_run` keeps decoding on its admission probe's verdict
+//! until an arrival or the verdict's lapse instant. Both are
+//! *optimizations*, never behavior changes: on the
+//! `FastPaths::Reference` rung the engine runs the linear rescan on
+//! every iteration, one iteration per step, and the default rung must
+//! reproduce that report bit-for-bit. The deterministic tests here pin
+//! the two unblocking paths that are easiest to get wrong — KV freed by
+//! an SLO batch-shed and by a decode-append preemption must unblock
+//! admission on the *same iteration* as a full rescan would, not an
+//! iteration late — and the property test sweeps randomized KV-pressure
+//! traces over both admission modes.
 
 mod support;
 
@@ -20,13 +21,12 @@ use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
 use support::*;
 
-/// A KV-bound engine in the regime the gate targets: tight cache, a
-/// small token budget (so big prefills chunk across iterations and stay
+/// A KV-bound engine in the KV-blocked regime: tight cache, a small
+/// token budget (so big prefills chunk across iterations and stay
 /// sheddable for a while), SLO-aware EDF admission, and timeline
 /// capture so the dump pins every iteration. `paths` selects the
-/// ladder rung: `FastPaths::Reference` is the pre-gate linear-rescan
-/// twin.
-fn gate_engine(kv: u64, admission: AdmissionMode, paths: FastPaths) -> Engine {
+/// ladder rung: `FastPaths::Reference` is the linear-rescan twin.
+fn kv_bound_engine(kv: u64, admission: AdmissionMode, paths: FastPaths) -> Engine {
     let config = EngineConfig {
         max_batched_tokens: 2048,
         class_slo: Some(ClassSlo::default()),
@@ -36,12 +36,12 @@ fn gate_engine(kv: u64, admission: AdmissionMode, paths: FastPaths) -> Engine {
     dp_engine(config, paths)
 }
 
-/// Shed-freed KV must unblock the gate on the same iteration as a full
-/// rescan. Two big batch prefills fill the cache and a third parks the
-/// gate; an interactive request then becomes the EDF candidate, goes
-/// TTFT-at-risk mid-prefill, and the SLO shed path evicts a batch
-/// prefill to admit it. A gate that missed the shed-path disarm (or the
-/// freed-KV headroom check afterwards) would hold admission closed past
+/// Shed-freed KV must unblock admission on the same iteration as a
+/// full rescan. Two big batch prefills fill the cache and a third is
+/// KV-blocked; an interactive request then becomes the EDF candidate,
+/// goes TTFT-at-risk mid-prefill, and the SLO shed path evicts a batch
+/// prefill to admit it. A blocked verdict that missed the shed path (or
+/// the freed-KV headroom afterwards) would hold admission closed past
 /// the shed opportunity and diverge from the linear-rescan twin.
 #[test]
 fn shed_freed_kv_unblocks_gate_like_full_rescan() {
@@ -52,29 +52,28 @@ fn shed_freed_kv_unblocks_gate_like_full_rescan() {
         request(2, 0.01, 11_000, 500, RequestClass::Batch),
         request(3, 0.05, 3_000, 64, RequestClass::Interactive),
     ]);
-    let gated_report =
-        gate_engine(KV, AdmissionMode::ReserveFull, FastPaths::MacroSteps).run(&trace);
+    let report = kv_bound_engine(KV, AdmissionMode::ReserveFull, FastPaths::MacroSteps).run(&trace);
     assert!(
-        gated_report.batch_sheds() > 0,
+        report.batch_sheds() > 0,
         "trace must exercise the SLO shed path (got {} sheds)",
-        gated_report.batch_sheds()
+        report.batch_sheds()
     );
-    assert_eq!(gated_report.records().len(), 4, "every request must eventually complete");
-    let reference = gate_engine(KV, AdmissionMode::ReserveFull, FastPaths::Reference).run(&trace);
+    assert_eq!(report.records().len(), 4, "every request must eventually complete");
+    let reference =
+        kv_bound_engine(KV, AdmissionMode::ReserveFull, FastPaths::Reference).run(&trace);
     assert_dumps_eq(
-        &gated_report.dump(),
+        &report.dump(),
         &reference.dump(),
-        "gated admission vs the linear rescan across a batch shed",
+        "default-rung admission vs the linear rescan across a batch shed",
     );
 }
 
 /// Preemption-freed KV (and the queue mutation it implies) must unblock
-/// the gate like a full rescan. Under `PreemptRestart` only prompts are
-/// reserved up-front; decode appends reserve per-iteration, and when
-/// the cache runs dry the youngest sequence is preempted back to the
-/// *front* of the wait queue. That push bumps the queue epoch, so an
-/// armed gate must disarm immediately — its cached candidate is stale —
-/// and the rescan must see both the new head and the freed blocks.
+/// admission like a full rescan. Under `PreemptRestart` only prompts
+/// are reserved up-front; decode appends reserve per-iteration, and
+/// when the cache runs dry the youngest sequence is preempted back to
+/// the *front* of the wait queue. The next admission pass must see both
+/// the new head and the freed blocks.
 #[test]
 fn preemption_freed_kv_unblocks_gate_like_full_rescan() {
     const KV: u64 = 24_576;
@@ -83,28 +82,28 @@ fn preemption_freed_kv_unblocks_gate_like_full_rescan() {
     reqs.push(request(14, 0.02, 1_800, 2_500, RequestClass::Batch));
     reqs.push(request(15, 0.30, 1_200, 64, RequestClass::Interactive));
     let trace = Trace::with_ids(reqs);
-    let gated_report =
-        gate_engine(KV, AdmissionMode::PreemptRestart, FastPaths::MacroSteps).run(&trace);
+    let report =
+        kv_bound_engine(KV, AdmissionMode::PreemptRestart, FastPaths::MacroSteps).run(&trace);
     assert!(
-        gated_report.preemptions() > 0,
+        report.preemptions() > 0,
         "trace must exercise decode-append preemption (got {} preemptions)",
-        gated_report.preemptions()
+        report.preemptions()
     );
     let reference =
-        gate_engine(KV, AdmissionMode::PreemptRestart, FastPaths::Reference).run(&trace);
+        kv_bound_engine(KV, AdmissionMode::PreemptRestart, FastPaths::Reference).run(&trace);
     assert_dumps_eq(
-        &gated_report.dump(),
+        &report.dump(),
         &reference.dump(),
-        "gated admission vs the linear rescan across preemptions",
+        "default-rung admission vs the linear rescan across preemptions",
     );
 }
 
 /// Randomized KV-pressure traces: a mix of prompts comparable to the
 /// cache size, both admission modes, interactive and batch classes.
-/// Most iterations in this regime have a blocked wait queue, so the
-/// gate arms and disarms constantly — across retirements, sheds,
-/// preemptions, EDF expiry, and arrivals — and every trace must leave
-/// the report bit-identical to the linear-rescan twin.
+/// Most iterations in this regime have a blocked wait queue, so
+/// admission blocks and unblocks constantly — across retirements,
+/// sheds, preemptions, EDF expiry, and arrivals — and every trace must
+/// leave the report bit-identical to the linear-rescan twin.
 fn arb_pressure_trace() -> impl Strategy<Value = Trace> {
     (prop::collection::vec((1u32..10_000, 1u32..400, 0.0f64..10.0, any::<bool>()), 1..32),)
         .prop_map(|(reqs,)| {
@@ -130,11 +129,11 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let run = |paths| gate_engine(kv, admission, paths).run(&trace).dump();
+        let run = |paths| kv_bound_engine(kv, admission, paths).run(&trace).dump();
         assert_dumps_eq(
             &run(FastPaths::MacroSteps),
             &run(FastPaths::Reference),
-            "gated admission vs the linear rescan",
+            "default-rung admission vs the linear rescan",
         );
     }
 }
@@ -154,11 +153,11 @@ proptest! {
     ) {
         let admission =
             if preempt { AdmissionMode::PreemptRestart } else { AdmissionMode::ReserveFull };
-        let run = |paths| gate_engine(kv, admission, paths).run(&trace).dump();
+        let run = |paths| kv_bound_engine(kv, admission, paths).run(&trace).dump();
         assert_dumps_eq(
             &run(FastPaths::MacroSteps),
             &run(FastPaths::Reference),
-            "gated admission vs the linear rescan",
+            "default-rung admission vs the linear rescan",
         );
     }
 }

@@ -274,12 +274,13 @@ proptest! {
 
     /// KV-pressure variant: a 20k-token cache against 16k-token prompts
     /// with a 2048-token chunk budget keeps the wait queue blocked on
-    /// most iterations, so the KV-blocked admission gate arms and
-    /// disarms across retirements, SLO sheds, preemptions, crashes, and
-    /// arrivals. The conservation and monotonic-time invariants must
-    /// survive the gate exactly as they do the full rescan; a gate that
-    /// wedges (never disarms) fails the drain guard, and one that
-    /// double-admits fails conservation.
+    /// most iterations, so admission blocks and unblocks across
+    /// retirements, SLO sheds, preemptions, crashes, and arrivals, and
+    /// decode runs keep going on the run probe's blocked verdict. The
+    /// conservation and monotonic-time invariants must survive that
+    /// exactly as they do the full rescan; a verdict that never lapses
+    /// fails the drain guard, and one that double-admits fails
+    /// conservation.
     #[test]
     #[ignore = "tier-2 long fuzz; run with --ignored"]
     fn kv_pressure_cluster_sim_survives_arbitrary_interleavings_long(
@@ -311,9 +312,9 @@ proptest! {
 /// Engine sizing for the interleaving drivers. The default reproduces
 /// the historical regime (roomy cache, full-prompt chunks); `tight()`
 /// is the KV-pressure regime where most iterations leave the wait
-/// queue blocked, prefills chunk across many iterations, and the
-/// KV-blocked admission gate arms and disarms constantly across
-/// retirements, sheds, preemptions, and arrivals.
+/// queue blocked, prefills chunk across many iterations, and admission
+/// blocks and unblocks constantly across retirements, sheds,
+/// preemptions, and arrivals.
 #[derive(Clone, Copy)]
 struct EnginePressure {
     kv: u64,

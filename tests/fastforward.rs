@@ -21,10 +21,10 @@ use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
 use support::*;
 
-/// The KV-pressure regime the admission gate targets: a tight cache, a
-/// small chunk budget (so prompts prefill across many iterations, with
-/// decode runs between them), and SLO-aware EDF admission (so the gate
-/// arms with an expiry and the shed path fires).
+/// The KV-blocked regime: a tight cache, a small chunk budget (so
+/// prompts prefill across many iterations, with decode runs between
+/// them), and SLO-aware EDF admission (so the run probe's blocked
+/// verdict lapses at a deadline and the shed path fires).
 fn pressure_config(kv: u64) -> EngineConfig {
     EngineConfig { max_batched_tokens: 2048, class_slo: Some(ClassSlo::default()), ..config(kv) }
 }
@@ -123,8 +123,8 @@ proptest! {
     /// Cluster-level equivalence under KV pressure: prompts comparable
     /// to the cache with a 2048-token chunk budget, so prefills chunk
     /// across iterations between decode runs, arrivals land mid-window,
-    /// the KV-blocked admission gate arms (with EDF expiries and
-    /// shed-path re-entries), and retirements re-open admission
+    /// admission blocks (with EDF deadline lapses and shed-path
+    /// re-entries), and retirements re-open admission
     /// mid-horizon — with and without a fault plan cutting the windows
     /// at timer instants.
     #[test]

@@ -9,7 +9,8 @@
 //! [`assert_widths_match`] checks the window loop alone (the reference
 //! loop over the same default-rung engines) at every width, and
 //! [`assert_lockstep`] checks the window loop against the spec event by
-//! event.
+//! event. Both also check the spec itself with [`assert_conserved`],
+//! which needs no second simulator.
 
 // Each test crate uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -300,6 +301,26 @@ pub fn assert_dumps_eq(got: &str, want: &str, what: &str) {
     );
 }
 
+/// Panics unless `report` accounts for every request of `trace` exactly
+/// once — completed, rejected or failed — and its KV utilization never
+/// exceeded the cache. A report whose dump matches this one's passes
+/// too, so the equivalence helpers check the spec's report alone.
+pub fn assert_conserved(report: &EngineReport, trace: &Trace, what: &str) {
+    let mut outcomes: Vec<u64> = report
+        .records()
+        .iter()
+        .map(|r| r.request_id)
+        .chain(report.rejected().iter().copied())
+        .chain(report.failed().iter().map(|f| f.request_id))
+        .collect();
+    outcomes.sort_unstable();
+    let mut pushed: Vec<u64> = trace.requests().iter().map(|r| r.id).collect();
+    pushed.sort_unstable();
+    assert_eq!(outcomes, pushed, "{what}: every request ends exactly once");
+    let peak = report.peak_kv_utilization();
+    assert!(peak <= 1.0, "{what}: KV utilization peaked at {peak}");
+}
+
 /// Asserts that windowed `ClusterSim` runs of `cluster` reproduce the
 /// executable spec, the reference loop over `Reference`-rung engines:
 /// every rung at width 1, and the default `MacroSteps` rung at every
@@ -330,7 +351,9 @@ fn assert_windows_match(
     runs: impl Iterator<Item = (FastPaths, usize)>,
 ) {
     let (mut spec_sim, spec_policies) = cluster.reference(spec_paths);
-    let spec = spec_sim.run(trace).dump();
+    let spec_report = spec_sim.run(trace);
+    assert_conserved(&spec_report, trace, &format!("the {spec_paths:?}-rung reference loop"));
+    let spec = spec_report.dump();
     let spec_counts = shift_counts(&spec_policies);
     for (paths, width) in runs {
         let (sim, policies) = cluster.windowed(paths);
@@ -373,6 +396,8 @@ pub fn assert_lockstep(cluster: &Cluster, trace: &Trace, steps_between: &[usize]
         assert!(guard < 2_000_000, "drain failed to terminate");
     }
     let what = "window loop vs the reference loop in lockstep";
-    assert_dumps_eq(&windowed.take_report().dump(), &spec.take_report().dump(), what);
+    let spec_report = spec.take_report();
+    assert_conserved(&spec_report, trace, what);
+    assert_dumps_eq(&windowed.take_report().dump(), &spec_report.dump(), what);
     assert_eq!(shift_counts(&policies), shift_counts(&spec_policies), "{what}: policy counters");
 }
