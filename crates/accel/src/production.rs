@@ -63,12 +63,6 @@ impl ProductionStack {
         self
     }
 
-    /// Adds speculative decoding.
-    pub fn with_spec_decode(mut self, sd: SpecDecode) -> ProductionStack {
-        self.spec_decode = Some(sd);
-        self
-    }
-
     /// Builds the deployment on `node` for `model`.
     ///
     /// # Errors

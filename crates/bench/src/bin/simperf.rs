@@ -3,8 +3,8 @@
 //! Measures wall-clock scheduling events per second and peak RSS of the
 //! horizon-window cluster loop ([`ClusterSim`]) on bursty traces at 1,
 //! 4, 16, and 64 replicas, plus its speedup over the one-event-at-a-time
-//! linear-rescan loop (`ReferenceClusterSim`, kept as an executable
-//! specification). Results land in `BENCH_simperf.json`.
+//! linear-rescan loop (`ClusterSim::reference`, the reference mode kept
+//! as an executable specification). Results land in `BENCH_simperf.json`.
 //!
 //! Every cluster scenario runs at fan-out width 1 — the width that has
 //! won on every host measured so far — except the
@@ -67,7 +67,7 @@ use sp_bench::harness::parallel_sweep;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_engine::{
     AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, EngineReport, FastPaths,
-    FaultPlan, LoadBandPolicy, ReferenceClusterSim, RetryPolicy, RoutingKind,
+    FaultPlan, LoadBandPolicy, RetryPolicy, RoutingKind,
 };
 use sp_metrics::{ClassSlo, Dur};
 use sp_model::presets;
@@ -569,7 +569,7 @@ fn main() {
     // The executable specification: the one-event linear-rescan loop
     // over engines running the pre-index linear admission scan.
     let reference = best_of(runs, || {
-        let mut sim = ReferenceClusterSim::new(
+        let mut sim = ClusterSim::reference(
             engines(headline_r, slo, BOUND_KV, FastPaths::Reference),
             RoutingKind::default().policy(),
         );

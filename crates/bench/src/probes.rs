@@ -1,6 +1,6 @@
 //! Latency and throughput probes (§4.3.1 methodology).
 
-use crate::harness::{node, run_kind};
+use crate::harness::run_kind;
 use shift_core::DeploymentKind;
 use sp_model::ModelConfig;
 use sp_workload::synthetic;
@@ -47,12 +47,6 @@ pub fn peak_throughput_probe(
     let count = if count == 0 { (2_000_000 / input as usize).clamp(8, 4_000) } else { count };
     let report = run_kind(kind, model, &synthetic::uniform_batch(count, input, output));
     report.combined_throughput()
-}
-
-/// Probes the throughput of the deployment on `node()` — convenience
-/// reexport of the node used by all probes.
-pub fn probe_node() -> sp_cluster::NodeSpec {
-    node()
 }
 
 /// Prints the per-phase wall breakdown accumulated by

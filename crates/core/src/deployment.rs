@@ -438,11 +438,6 @@ impl Deployment {
             .map(|p| (p.base_iterations(), p.shift_iterations(), p.switches()))
     }
 
-    /// The online routing policy multi-replica deployments dispatch with.
-    pub fn routing_kind(&self) -> RoutingKind {
-        self.routing
-    }
-
     /// Runs a trace to completion from simulated time zero. Multi-replica
     /// (DP) deployments serve it online: replicas advance together in
     /// simulated time and each request is dispatched at its arrival

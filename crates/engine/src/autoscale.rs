@@ -186,12 +186,6 @@ impl LoadBandPolicy {
         self.cooldown = cooldown;
         self
     }
-
-    /// The current smoothed per-replica load, if any signal has been
-    /// observed.
-    pub fn smoothed_load(&self) -> Option<f64> {
-        self.smoothed
-    }
 }
 
 impl ScalePolicy for LoadBandPolicy {

@@ -242,18 +242,16 @@ pub struct Engine {
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
-    /// Monotone version of the running batch's composition and
-    /// contexts, bumped by anything that mutates them outside a decode
-    /// window's uniform advance: every per-iteration [`Engine::step`]
-    /// (which may admit, shed, preempt, retire, or just grow contexts
-    /// non-uniformly), any window retirement, and crash salvage.
-    /// Guards [`RunCache`] reuse.
-    batch_version: u64,
     /// Cross-window continuation of the decode-run linear summary (see
     /// [`RunCache`]). Horizon-parallel windows are cut at every cluster
     /// coordination point (arrival dispatches, fault timers), so a
     /// steady decode batch is re-entered many times; re-scanning the
-    /// batch per window would dominate short windows.
+    /// batch per window would dominate short windows. Dropped by
+    /// anything that mutates the running batch outside a decode
+    /// window's uniform advance: every per-iteration [`Engine::step`]
+    /// (which may admit, shed, preempt, retire, or just grow contexts
+    /// non-uniformly), a run whose retirement shrinks the batch, and
+    /// crash salvage — each right after settling the run.
     run_cache: Option<RunCache>,
 }
 
@@ -286,9 +284,9 @@ struct LinearRunSummary {
     d_kv_read: u64,
 }
 
-/// A decode run carried across windows: while [`Engine::batch_version`]
-/// is unchanged, every running context has advanced exactly `base_k`
-/// iterations since capture (windows advance all decode contexts
+/// A decode run carried across windows: while it is cached, every
+/// running context has advanced exactly `base_k` iterations since
+/// capture (windows advance all decode contexts
 /// uniformly), so the batch is at iteration `base_k` of the captured
 /// run — priced by `lin` at `base_k + k` — and its earliest completion
 /// is `end - base_k` iterations away. Everything is built once, at
@@ -299,8 +297,6 @@ struct LinearRunSummary {
 /// evaluation.
 #[derive(Debug, Clone, Copy)]
 struct RunCache {
-    /// [`Engine::batch_version`] at capture.
-    version: u64,
     /// Iterations advanced since capture.
     base_k: u64,
     /// The capture's run length: iterations until its earliest
@@ -424,7 +420,6 @@ impl Engine {
             running_prefill_tokens: 0,
             plans,
             slowdown: 1.0,
-            batch_version: 0,
             run_cache: None,
         }
     }
@@ -561,16 +556,16 @@ impl Engine {
 
         // A pure-decode batch's stats are constant across the run.
         let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
-        // Cache-hit fast path: a `batch_version` match proves the batch
+        // Cache-hit fast path: a cached run proves the batch
         // composition is exactly the capture's (any admission, retire,
-        // shed, preemption, or prefill bumps the version) and that every
+        // shed, preemption, or prefill drops the cache) and that every
         // sequence has advanced uniformly since capture — so the
         // validity scan below is already decided (all mid-stream
         // decodes, none finished) and the earliest completion sits
         // `base_k` iterations closer than at capture. Skipping the O(n)
         // scan is what makes re-entering the same steady batch across
         // many horizon windows O(1) per window instead of O(n).
-        let (run, asked) = match self.run_cache.filter(|c| c.version == self.batch_version) {
+        let (run, asked) = match self.run_cache {
             Some(cache) => {
                 #[cfg(debug_assertions)]
                 {
@@ -609,7 +604,6 @@ impl Engine {
                 let lin = self.linear_run_summary(n, attended, limit)?;
                 let config = self.policy.choose(&stats);
                 let cache = RunCache {
-                    version: self.batch_version,
                     base_k: 0,
                     end: u64::from(limit),
                     lin,
@@ -621,7 +615,7 @@ impl Engine {
                 (cache, true)
             }
         };
-        assert!(run.base_k < run.end, "a consumed run cache implies a retirement bump");
+        assert!(run.base_k < run.end, "a consumed run cache implies a retirement drop");
         let run_limit = (run.end - run.base_k).min(u64::from(u32::MAX)) as u32;
         let config = run.config;
         let mut tally = run.tally;
@@ -723,7 +717,7 @@ impl Engine {
         }
         // Retirement changes the batch: the cached summary is stale.
         if self.running.len() != n {
-            self.batch_version = self.batch_version.wrapping_add(1);
+            self.run_cache = None;
         }
 
         Some(crate::routing::RunAdvance { events: u64::from(done), last: last_t })
@@ -738,8 +732,8 @@ impl Engine {
     /// run, settles first: the start of [`Engine::step`], a run's final
     /// iteration before retirement, and [`Engine::take_report`],
     /// [`Engine::take_unfinished`], [`Engine::set_fast_paths`] and
-    /// [`Engine::run`]. A new capture needs no settle: the batch version
-    /// only changes on those paths, so a stale cache's tally is empty.
+    /// [`Engine::run`]. A new capture needs no settle: the cache is only
+    /// dropped on those paths, right after they settle it.
     fn settle_run(&mut self) {
         let Some(cache) = &mut self.run_cache else { return };
         let tally = std::mem::take(&mut cache.tally);
@@ -903,7 +897,6 @@ impl Engine {
             outstanding_tokens: self.queued_total_tokens + self.running_outstanding_tokens,
             queued_prefill_tokens: self.queued_input_tokens + self.running_prefill_tokens,
             kv_free_tokens: self.kv.free_tokens(),
-            min_kv_free_tokens: self.kv.free_tokens(),
             prefill_tokens_per_sec: self.prefill_rate,
         };
         debug_assert_eq!(load, self.load_fold(), "load counters drifted");
@@ -924,7 +917,6 @@ impl Engine {
             outstanding_tokens: self.outstanding_tokens_fold(),
             queued_prefill_tokens: queued_prefill,
             kv_free_tokens: self.kv.free_tokens(),
-            min_kv_free_tokens: self.kv.free_tokens(),
             prefill_tokens_per_sec: self.prefill_rate,
         }
     }
@@ -1033,7 +1025,7 @@ impl Engine {
     /// report is untouched.
     pub fn take_unfinished(&mut self) -> crate::fault::SalvagedWork {
         self.settle_run();
-        self.batch_version = self.batch_version.wrapping_add(1);
+        self.run_cache = None;
         let mut salvaged = crate::fault::SalvagedWork::default();
         salvaged.requests.extend(std::mem::take(&mut self.arrivals));
         salvaged.requests.extend(self.waiting.drain());
@@ -1060,7 +1052,7 @@ impl Engine {
         // A per-iteration step can mutate the batch arbitrarily (admit,
         // shed, preempt, retire, non-uniform context growth): any
         // cached run summary is stale.
-        self.batch_version = self.batch_version.wrapping_add(1);
+        self.run_cache = None;
         self.ingest_arrivals();
         self.admit();
         if self.config.admission == AdmissionMode::PreemptRestart {
@@ -2181,8 +2173,8 @@ mod tests {
         // chunk budget: after the first iteration the short request
         // decodes while the long one is still mid-prefill. Any prefill
         // in flight sends the batch through `step_once`, so `step_run`
-        // must decline without touching clock, report, batch version,
-        // or decode cursor.
+        // must decline without touching clock, report, run cache, or
+        // decode cursor.
         let config = EngineConfig { max_batched_tokens: 2048, ..EngineConfig::default() };
         let mut e = engine_with(config, ParallelConfig::tensor(8));
         let req = |id, input, output| sp_workload::Request {
@@ -2200,7 +2192,8 @@ mod tests {
         assert!(e.running.iter().any(|s| s.in_decode() && !s.finished()));
         assert!(e.running_prefill_tokens > 2048, "the long prompt needs several more chunks");
 
-        let snapshot = |e: &Engine| (e.clock, e.report.dump(), e.batch_version, e.decode_cursor);
+        let snapshot =
+            |e: &Engine| (e.clock, e.report.dump(), e.run_cache.is_some(), e.decode_cursor);
         let before = snapshot(&e);
         assert!(e.step_run(None).is_none());
         assert_eq!(snapshot(&e), before);
@@ -2273,7 +2266,8 @@ mod tests {
             e.step_once();
         }
         assert_eq!(e.running.len(), 2, "a pure-decode batch of both requests");
-        let snapshot = |e: &Engine| (e.clock, e.report.dump(), e.batch_version, e.decode_cursor);
+        let snapshot =
+            |e: &Engine| (e.clock, e.report.dump(), e.run_cache.is_some(), e.decode_cursor);
         let before = (snapshot(&e), calls(&probe));
         assert!(e.step_run(None).is_none());
         assert_eq!((snapshot(&e), calls(&probe)), before, "a declined run changes nothing");

@@ -2,11 +2,9 @@
 //!
 //! A [`FaultPlan`] is a seeded, time-ordered schedule of failures —
 //! replica crashes, transient slowdown windows, and routing timeouts —
-//! injected into [`crate::routing::ClusterSim`] and
-//! [`crate::routing::ReferenceClusterSim`] through their shared fleet
-//! core. Faults fire as ordinary timers in the global event order, so the
-//! window and reference loops stay byte-identical under the same
-//! plan.
+//! injected into [`crate::routing::ClusterSim`]. Faults fire as ordinary
+//! timers in the global event order, so its window mode and its
+//! one-event reference mode stay byte-identical under the same plan.
 //!
 //! The recovery model follows production inference fleets: a crash
 //! destroys the replica's KV cache, so every salvaged request re-enters

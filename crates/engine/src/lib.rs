@@ -54,6 +54,6 @@ pub use engine::{AdmissionMode, Engine, EngineConfig, FastPaths, QueuePolicy, Sp
 pub use fault::{Fault, FaultEvent, FaultPlan, RetryPolicy, SalvagedWork};
 pub use report::{EngineReport, IterationEvent};
 pub use routing::{
-    ClusterSim, EarliestDeadlineFeasible, JoinShortestOutstanding, ReferenceClusterSim, RoundRobin,
-    RoutingKind, RoutingPolicy, RunAdvance, SimNode, StaticSplit,
+    ClusterSim, EarliestDeadlineFeasible, JoinShortestOutstanding, RoundRobin, RoutingKind,
+    RoutingPolicy, RunAdvance, SimNode, StaticSplit,
 };

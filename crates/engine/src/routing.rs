@@ -262,7 +262,10 @@ impl RoutingKind {
 /// What [`SimNode::next_event_time`] and [`SimNode::load`] report may
 /// change only through the `&mut self` methods: the cluster caches both
 /// per node and refreshes them after each `&mut` call (debug builds
-/// check the cache on every read).
+/// check the cache on every read). `load().outstanding_tokens` must
+/// equal [`SimNode::outstanding_tokens`]: the cluster reads outstanding
+/// work off the cached load (debug builds check the two agree at every
+/// refresh).
 pub trait SimNode: Send {
     /// Enqueues a request (dispatch) — requests arrive in nondecreasing
     /// arrival order.
@@ -273,8 +276,7 @@ pub trait SimNode: Send {
 
     /// Instant of this node's next event, or `None` when idle. Never
     /// NaN: a NaN instant has no place in the global event order, and
-    /// debug builds of [`ClusterSim`] and [`ReferenceClusterSim`] panic
-    /// on one.
+    /// debug builds of [`ClusterSim`] panic on one, in either mode.
     fn next_event_time(&self) -> Option<SimTime>;
 
     /// Live outstanding work in tokens — the routing load signal.
@@ -415,8 +417,8 @@ struct Slot<N> {
     next: Option<SimTime>,
     /// The node's load snapshot (default when empty).
     load: NodeLoad,
-    /// Listed in [`Fleet::touched`]: reached through `with_node` since
-    /// the last [`Fleet::sync_routable`].
+    /// Listed in [`ClusterSim::touched`]: reached through `with_node`
+    /// since the last [`ClusterSim::sync_routable`].
     touched: bool,
 }
 
@@ -436,15 +438,23 @@ impl<N: SimNode> Slot<N> {
     /// Re-reads the cached values from the node.
     fn refresh(&mut self) {
         (self.next, self.load) = match self.node.as_deref() {
-            Some(node) => (next_event(node), node.load()),
+            Some(node) => {
+                let load = node.load();
+                debug_assert_eq!(
+                    load.outstanding_tokens,
+                    node.outstanding_tokens(),
+                    "SimNode contract violation: load disagrees with outstanding_tokens"
+                );
+                (next_event(node), load)
+            }
             None => (None, NodeLoad::default()),
         };
     }
 
     /// Runs `f` on the node, then refreshes the cache: the only way to
     /// reach a slotted node mutably. `None` when the slot is empty.
-    /// Callers list the slot in [`Fleet::touched`] (see
-    /// [`Fleet::with_node`]).
+    /// Callers list the slot in [`ClusterSim::touched`] (see
+    /// [`ClusterSim::with_node`]).
     fn with_node<R>(&mut self, f: impl FnOnce(&mut N) -> R) -> Option<R> {
         let out = f(self.node.as_deref_mut()?);
         self.refresh();
@@ -513,12 +523,11 @@ enum TimerChoice {
     Retry,
 }
 
-/// Fault-injection state carried by the shared fleet core. Fault timers
-/// are coordination events in the global event order: [`ClusterSim`]
-/// cuts its horizon windows at each pending timer and fires it between
-/// windows, and [`ReferenceClusterSim`] interleaves timers with node
-/// events one at a time, so both loops stay byte-identical under the
-/// same plan.
+/// Fault-injection state of a [`ClusterSim`]. Fault timers are
+/// coordination events in the global event order: the window mode cuts
+/// its horizon windows at each pending timer and fires it between
+/// windows, and the reference mode interleaves timers with node events
+/// one at a time, so both modes stay byte-identical under the same plan.
 #[derive(Debug)]
 struct FaultState {
     /// The schedule, in firing order; `cursor` is the next unfired event.
@@ -608,45 +617,11 @@ impl FaultState {
     }
 }
 
-/// The lifecycle-aware fleet core shared by [`ClusterSim`] and
-/// [`ReferenceClusterSim`]: slots, routing, autoscaling decisions,
-/// lifecycle bookkeeping, report assembly, and the single-event step
-/// (a linear rescan for the globally earliest node event or fault
-/// timer). The two simulations differ *only* in how they advance to a
-/// dispatch instant — horizon windows vs. one event at a time — so the
-/// byte-identity property between them pins exactly the window loop,
-/// scale events and faults included.
-#[derive(Debug)]
-struct Fleet<N> {
-    slots: Vec<Slot<N>>,
-    policy: Box<dyn RoutingPolicy>,
-    throughput_bin: Dur,
-    /// Decision trail accumulated across dispatches; taken with the
-    /// report. `RoutingDecision::replica` holds the stable slot index.
-    decisions: Vec<RoutingDecision>,
-    /// Replica lifecycle events + replica-seconds accounting.
-    timeline: FleetTimeline,
-    /// Reports of retired replicas, merged into the final report.
-    retired: Vec<EngineReport>,
-    /// Scale-out / drain-then-retire decision machinery, if attached.
-    autoscaler: Option<Autoscaler<N>>,
-    /// Fault-injection machinery, if attached. `None` leaves every
-    /// dispatch and event-loop path exactly as the fault-free build.
-    faults: Option<FaultState>,
-    /// The routable set the router and the autoscaler read.
-    routable: Routable,
-    /// Slots reached through [`Slot::with_node`] since the last
-    /// [`Fleet::sync_routable`] (each listed once, flagged by
-    /// [`Slot::touched`]): the only slots whose load can have changed
-    /// since.
-    touched: Vec<usize>,
-}
-
 /// The fleet's persistent routing snapshot: the routable slots'
 /// loads, the position↔slot map and the lifecycle counts, kept across
 /// dispatches. A dispatch refreshes only the entries of slots listed in
-/// [`Fleet::touched`], so routing and autoscaling pay for what changed
-/// since the last dispatch, not for the fleet's size. Any membership
+/// [`ClusterSim::touched`], so routing and autoscaling pay for what
+/// changed since the last dispatch, not for the fleet's size. Any membership
 /// change (spawn, warm-up, drain, retire, crash) marks it stale and
 /// the next read rebuilds it with one scan. Debug builds check it
 /// against a fresh scan at every read.
@@ -696,33 +671,7 @@ impl Routable {
     }
 }
 
-impl<N: SimNode> Fleet<N> {
-    fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> Fleet<N> {
-        assert!(!nodes.is_empty(), "cluster simulation needs at least one node");
-        let mut timeline = FleetTimeline::new();
-        let slots: Vec<Slot<N>> = nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, n)| {
-                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Spawned);
-                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Ready);
-                Slot::new(Some(n), SlotState::Active)
-            })
-            .collect();
-        Fleet {
-            slots,
-            policy,
-            throughput_bin: Dur::from_secs(1.0),
-            decisions: Vec::new(),
-            timeline,
-            retired: Vec::new(),
-            autoscaler: None,
-            faults: None,
-            routable: Routable { stale: true, ..Routable::default() },
-            touched: Vec::new(),
-        }
-    }
-
+impl<N: SimNode> ClusterSim<N> {
     /// Runs `f` on slot `i`'s node (see [`Slot::with_node`]) and lists
     /// the slot as touched.
     fn with_node<R>(&mut self, i: usize, f: impl FnOnce(&mut N) -> R) -> Option<R> {
@@ -731,7 +680,7 @@ impl<N: SimNode> Fleet<N> {
         Some(out)
     }
 
-    /// Lists slot `i` in [`Fleet::touched`] (once).
+    /// Lists slot `i` in [`ClusterSim::touched`] (once).
     fn touch(&mut self, i: usize) {
         if !self.slots[i].touched {
             self.slots[i].touched = true;
@@ -759,22 +708,28 @@ impl<N: SimNode> Fleet<N> {
         );
     }
 
-    /// Provisioned replicas: slots currently holding a node (routable,
-    /// warming or draining).
-    fn live_count(&self) -> usize {
+    /// Number of provisioned nodes (routable, warming or draining).
+    pub fn node_count(&self) -> usize {
         self.slots.iter().filter(|s| s.node.is_some()).count()
     }
 
-    /// Routable replicas: provisioned and in the `Active` state.
-    fn routable_count(&self) -> usize {
+    /// Number of routable nodes (provisioned and past warmup, not
+    /// draining). Equals [`ClusterSim::node_count`] without an
+    /// autoscaler.
+    pub fn routable_count(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| s.node.is_some() && matches!(s.state, SlotState::Active))
             .count()
     }
 
+    /// The routing policy's name.
+    pub fn policy_name(&self) -> &str {
+        self.policy.name()
+    }
+
     /// Slot `i`'s next event, read from the node itself rather than the
-    /// slot cache: the spec loop's path.
+    /// slot cache: the reference mode's path.
     fn next_event_of(&self, i: usize) -> Option<SimTime> {
         self.slots[i].node.as_deref().and_then(next_event)
     }
@@ -784,8 +739,8 @@ impl<N: SimNode> Fleet<N> {
     /// win ties, so a crash scheduled exactly at an arrival instant
     /// lands before that dispatch; node ties break to the lowest slot
     /// index (`min_by` keeps the first minimum). O(R) per call — the
-    /// spec loop's whole advance, and the single-event step of both
-    /// simulations.
+    /// reference mode's whole advance, and the single-event step of both
+    /// modes.
     fn earliest_event(&self) -> Option<(SimTime, Option<usize>)> {
         let node = (0..self.slots.len())
             .filter_map(|i| self.next_event_of(i).map(|t| (t, Some(i))))
@@ -799,20 +754,21 @@ impl<N: SimNode> Fleet<N> {
         }
     }
 
-    fn next_event_time(&self) -> Option<SimTime> {
+    /// Instant of the cluster's next event (the earliest node event or
+    /// fault timer), or `None` when all idle.
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.earliest_event().map(|(t, _)| t)
     }
 
-    /// Steps the single globally earliest event (see
-    /// [`Fleet::earliest_event`]). Returns `false` when nothing is
-    /// pending.
-    fn step_event(&mut self) -> bool {
+    /// Advances the cluster by one event — the globally earliest node
+    /// event or fault timer (see [`ClusterSim::next_event_time`]). No-op
+    /// when every node is idle and no timer is pending.
+    pub fn step_once(&mut self) {
         match self.earliest_event() {
-            None => return false,
+            None => {}
             Some((_, None)) => self.fire_next_timer(),
             Some((_, Some(i))) => self.step_node(i),
         }
-        true
     }
 
     /// Steps slot `i` by one event. A draining slot whose final event
@@ -1155,54 +1111,26 @@ impl<N: SimNode> Fleet<N> {
         }
     }
 
-    /// Salvages every unfinished request in the fleet — live nodes'
-    /// queues plus the fault-retry queue — so a faulted fleet nested as
-    /// a node inside a larger simulation loses nothing when *it* is
-    /// crashed.
-    fn take_unfinished_all(&mut self) -> SalvagedWork {
-        let mut salvaged = SalvagedWork::default();
-        for i in 0..self.slots.len() {
-            if let Some(part) = self.with_node(i, SimNode::take_unfinished) {
-                salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
-                salvaged.requests.extend(part.requests);
-            }
-        }
-        if let Some(f) = self.faults.as_mut() {
-            for p in f.pending.drain(..) {
-                salvaged.requests.push(p.req);
-            }
-            f.pending_tokens = 0;
-        }
-        salvaged
+    /// Total outstanding work in tokens: every live node's, plus the
+    /// requests parked behind a retry backoff. Read off the slot caches;
+    /// equals `load().outstanding_tokens`, as [`SimNode`] requires.
+    pub fn outstanding_tokens(&self) -> u64 {
+        self.load().outstanding_tokens
     }
 
-    fn set_slowdown_all(&mut self, factor: f64) {
-        for i in 0..self.slots.len() {
-            self.with_node(i, |n| n.set_slowdown(factor));
-        }
-    }
-
-    /// Total outstanding work. Reads each node's `outstanding_tokens()`
-    /// rather than the cached load: a node may count work there (a
-    /// nested fleet's parked retries) that its load snapshot leaves out.
-    fn outstanding(&self) -> u64 {
+    /// Aggregate load: sums across live nodes (capacity-style signals
+    /// add, so `kv_free_tokens` overstates what a single request can
+    /// use; the prefill rate adds because replicas prefill
+    /// concurrently). Tokens parked behind a retry backoff count as
+    /// outstanding work, so a router over a nested cluster sees them.
+    pub fn load(&self) -> NodeLoad {
         let parked = self.faults.as_ref().map_or(0, |f| f.pending_tokens);
-        self.slots
-            .iter()
-            .filter_map(|s| s.node.as_deref())
-            .map(SimNode::outstanding_tokens)
-            .sum::<u64>()
-            + parked
-    }
-
-    fn aggregate_load(&self) -> NodeLoad {
-        let seed = NodeLoad { min_kv_free_tokens: u64::MAX, ..NodeLoad::default() };
+        let seed = NodeLoad { outstanding_tokens: parked, ..NodeLoad::default() };
         let live = self.slots.iter().filter(|s| s.node.is_some());
         live.map(Slot::load).fold(seed, |acc, l| NodeLoad {
             outstanding_tokens: acc.outstanding_tokens + l.outstanding_tokens,
             queued_prefill_tokens: acc.queued_prefill_tokens + l.queued_prefill_tokens,
             kv_free_tokens: acc.kv_free_tokens + l.kv_free_tokens,
-            min_kv_free_tokens: acc.min_kv_free_tokens.min(l.min_kv_free_tokens),
             prefill_tokens_per_sec: acc.prefill_tokens_per_sec + l.prefill_tokens_per_sec,
         })
     }
@@ -1215,7 +1143,7 @@ impl<N: SimNode> Fleet<N> {
     /// merge replays it into the latency metrics, so TTFT and E2E count
     /// the backoff the user actually waited; terminal failures ride
     /// along via [`EngineReport::failed`].
-    fn take_report(&mut self) -> EngineReport {
+    pub fn take_report(&mut self) -> EngineReport {
         let mut merged = EngineReport::new(self.throughput_bin);
         let origin = self.faults.as_mut().map(|f| std::mem::take(&mut f.origin_arrival));
         let mut reports = std::mem::take(&mut self.retired);
@@ -1241,7 +1169,8 @@ impl<N: SimNode> Fleet<N> {
         merged
     }
 
-    fn into_nodes(self) -> Vec<N> {
+    /// Consumes the simulation, returning its live nodes.
+    pub fn into_nodes(self) -> Vec<N> {
         self.slots.into_iter().filter_map(|s| s.node.map(|n| *n)).collect()
     }
 }
@@ -1260,8 +1189,9 @@ impl<N: SimNode> Fleet<N> {
 /// own (fast-forwarding steady-state runs through [`SimNode::step_run`],
 /// fanned out across threads when [`ClusterSim::set_threads`] allows),
 /// and the per-slot results merge back in canonical order. Reports are
-/// byte-identical to [`ReferenceClusterSim`], the one-event-at-a-time
-/// specification, at every thread width.
+/// byte-identical, at every thread width, to the one-event-at-a-time
+/// reference mode that `ClusterSim::reference` builds: the executable
+/// specification.
 ///
 /// Attach an [`Autoscaler`] with [`ClusterSim::with_autoscaler`] to let
 /// a [`crate::autoscale::ScalePolicy`] grow and shrink the fleet
@@ -1296,7 +1226,31 @@ impl<N: SimNode> Fleet<N> {
 /// ```
 #[derive(Debug)]
 pub struct ClusterSim<N: SimNode> {
-    fleet: Fleet<N>,
+    slots: Vec<Slot<N>>,
+    policy: Box<dyn RoutingPolicy>,
+    throughput_bin: Dur,
+    /// Decision trail accumulated across dispatches; taken with the
+    /// report. `RoutingDecision::replica` holds the stable slot index.
+    decisions: Vec<RoutingDecision>,
+    /// Replica lifecycle events + replica-seconds accounting.
+    timeline: FleetTimeline,
+    /// Reports of retired replicas, merged into the final report.
+    retired: Vec<EngineReport>,
+    /// Scale-out / drain-then-retire decision machinery, if attached.
+    autoscaler: Option<Autoscaler<N>>,
+    /// Fault-injection machinery, if attached. `None` leaves every
+    /// dispatch and event-loop path exactly as the fault-free build.
+    faults: Option<FaultState>,
+    /// The routable set the router and the autoscaler read.
+    routable: Routable,
+    /// Slots reached through [`Slot::with_node`] since the last
+    /// [`ClusterSim::sync_routable`] (each listed once, flagged by
+    /// [`Slot::touched`]): the only slots whose load can have changed
+    /// since.
+    touched: Vec<usize>,
+    /// The one-event reference mode (see [`ClusterSim::reference`]),
+    /// fixed at construction.
+    reference: bool,
     /// Fan-out width for horizon windows (see
     /// [`ClusterSim::set_threads`]); `1` steps windows inline.
     threads: usize,
@@ -1375,14 +1329,59 @@ impl<N: SimNode> ClusterSim<N> {
     ///
     /// Panics if `nodes` is empty.
     pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ClusterSim<N> {
+        assert!(!nodes.is_empty(), "cluster simulation needs at least one node");
+        let mut timeline = FleetTimeline::new();
+        let slots: Vec<Slot<N>> = nodes
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| {
+                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Spawned);
+                timeline.record(i, SimTime::ZERO, ReplicaEventKind::Ready);
+                Slot::new(Some(n), SlotState::Active)
+            })
+            .collect();
         ClusterSim {
-            fleet: Fleet::new(nodes, policy),
+            slots,
+            policy,
+            throughput_bin: Dur::from_secs(1.0),
+            decisions: Vec::new(),
+            timeline,
+            retired: Vec::new(),
+            autoscaler: None,
+            faults: None,
+            routable: Routable { stale: true, ..Routable::default() },
+            touched: Vec::new(),
+            reference: false,
             threads: sp_core::default_threads(),
             window_pending: Vec::new(),
             window_outcomes: Vec::new(),
             window_retires: Vec::new(),
             window_results: Vec::new(),
         }
+    }
+
+    /// Creates the co-simulation in its reference mode, kept as an
+    /// executable specification: it advances by stepping the single
+    /// globally earliest event — node event or fault timer — found by a
+    /// linear rescan of every slot, and never fast-forwards through
+    /// [`SimNode::step_run`], steps horizon windows or fans out across
+    /// threads, at any [`ClusterSim::set_threads`] width. The mode is
+    /// fixed for the simulation's lifetime; everything else (builders,
+    /// dispatch, lifecycle, faults, report assembly) is shared with the
+    /// window mode, so the byte-identity properties between the two pin
+    /// exactly the window loop.
+    ///
+    /// It exists for two consumers only — the byte-identity properties
+    /// in `tests/` (window-mode runs must match it exactly) and the
+    /// `simperf` bench bin (which measures the window loop's speedup
+    /// against it). It is not part of the supported API.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is empty.
+    #[doc(hidden)]
+    pub fn reference(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ClusterSim<N> {
+        ClusterSim { reference: true, ..ClusterSim::new(nodes, policy) }
     }
 
     /// Sets the fan-out width for horizon windows (clamped to at least
@@ -1411,7 +1410,7 @@ impl<N: SimNode> ClusterSim<N> {
     /// delay) or drain-then-retire them. Without this, the fleet is
     /// fixed and dispatch behaves exactly as before.
     pub fn with_autoscaler(mut self, scaler: Autoscaler<N>) -> ClusterSim<N> {
-        self.fleet.autoscaler = Some(scaler);
+        self.autoscaler = Some(scaler);
         self
     }
 
@@ -1421,58 +1420,48 @@ impl<N: SimNode> ClusterSim<N> {
     /// crash/redispatch/failure accounting. Injecting
     /// [`FaultPlan::empty`] is byte-identical to no injection.
     pub fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> ClusterSim<N> {
-        self.fleet.faults = Some(FaultState::new(plan, retry));
+        self.faults = Some(FaultState::new(plan, retry));
         self
     }
 
     /// Sets the merged report's throughput bin width (default 1 s).
     pub fn throughput_bin(mut self, bin: Dur) -> ClusterSim<N> {
-        self.fleet.throughput_bin = bin;
+        self.throughput_bin = bin;
         self
     }
 
-    /// Number of provisioned nodes (routable, warming or draining).
-    pub fn node_count(&self) -> usize {
-        self.fleet.live_count()
-    }
-
-    /// Number of routable nodes (provisioned and past warmup, not
-    /// draining). Equals [`ClusterSim::node_count`] without an
-    /// autoscaler.
-    pub fn routable_count(&self) -> usize {
-        self.fleet.routable_count()
-    }
-
-    /// The routing policy's name.
-    pub fn policy_name(&self) -> &str {
-        self.fleet.policy.name()
-    }
-
-    /// Consumes the simulation, returning its live nodes.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.fleet.into_nodes()
-    }
-
-    /// Steps every slot up to `horizon` (`None`: until idle): node
-    /// events strictly before it, plus every fault timer at or before
-    /// it. Each timer cuts the window and fires between windows on the
-    /// coordinator, so a timer wins a tie with a node event and a crash
-    /// scheduled exactly at an arrival instant lands before that
-    /// dispatch — the order [`ReferenceClusterSim`] steps in.
+    /// Steps every node event strictly before `horizon` and every fault
+    /// timer at or before it (`None`: until idle), so a timer wins a tie
+    /// with a node event and a crash scheduled exactly at an arrival
+    /// instant lands before that dispatch.
     ///
-    /// One timer query per window suffices: plan cursors, slowdown ends
-    /// and retry redeliveries only change when a timer fires or a
-    /// dispatch runs, and the clamped redelivery instant `max(at,
-    /// f.now)` cannot move while every stepped event is earlier than it.
+    /// The reference mode steps the globally earliest event one at a
+    /// time. The window mode cuts a horizon window at each timer and
+    /// fires the timer between windows on the coordinator. One timer
+    /// query per window suffices: plan cursors, slowdown ends and retry
+    /// redeliveries only change when a timer fires or a dispatch runs,
+    /// and the clamped redelivery instant `max(at, f.now)` cannot move
+    /// while every stepped event is earlier than it.
     fn advance_to(&mut self, horizon: Option<SimTime>) {
         let mut guard: u64 = 0;
-        while let Some(tt) = self
-            .fleet
-            .next_timer_time()
-            .filter(|tt| horizon.is_none_or(|h| tt.as_secs() <= h.as_secs()))
+        if self.reference {
+            let h = horizon.map(SimTime::as_secs);
+            while let Some((t, next)) = self.earliest_event() {
+                match next {
+                    None if h.is_none_or(|h| t.as_secs() <= h) => self.fire_next_timer(),
+                    Some(i) if h.is_none_or(|h| t.as_secs() < h) => self.step_node(i),
+                    _ => break,
+                }
+                guard += 1;
+                assert!(guard < 400_000_000, "cluster simulation failed to terminate");
+            }
+            return;
+        }
+        while let Some(tt) =
+            self.next_timer_time().filter(|tt| horizon.is_none_or(|h| tt.as_secs() <= h.as_secs()))
         {
             self.step_window(Some(tt.as_secs()));
-            self.fleet.fire_next_timer();
+            self.fire_next_timer();
             guard += 1;
             assert!(guard < 400_000_000, "cluster simulation failed to terminate");
         }
@@ -1492,19 +1481,19 @@ impl<N: SimNode> ClusterSim<N> {
         // anything to step; the rest are skipped without a node call.
         let due = |slot: &Slot<N>| slot.next().is_some_and(|t| cap.is_none_or(|c| t.as_secs() < c));
         if self.threads <= 1 {
-            for i in 0..self.fleet.slots.len() {
-                if !due(&self.fleet.slots[i]) {
+            for i in 0..self.slots.len() {
+                if !due(&self.slots[i]) {
                     continue;
                 }
-                if let Some(o) = self.fleet.with_node(i, |n| step_slot(n, cap)).flatten() {
+                if let Some(o) = self.with_node(i, |n| step_slot(n, cap)).flatten() {
                     outcomes.push(WindowOutcome { slot: i, ..o });
                 }
             }
         } else {
             let mut pending = std::mem::take(&mut self.window_pending);
             pending.clear();
-            pending.extend((0..self.fleet.slots.len()).filter(|&i| due(&self.fleet.slots[i])));
-            let base = SlotsPtr(self.fleet.slots.as_mut_ptr());
+            pending.extend((0..self.slots.len()).filter(|&i| due(&self.slots[i])));
+            let base = SlotsPtr(self.slots.as_mut_ptr());
             let mut results = std::mem::take(&mut self.window_results);
             sp_core::map_into(
                 self.threads,
@@ -1527,7 +1516,7 @@ impl<N: SimNode> ClusterSim<N> {
                 &mut results,
             );
             for (&i, o) in pending.iter().zip(&results) {
-                self.fleet.touch(i);
+                self.touch(i);
                 if let Some(o) = *o {
                     outcomes.push(WindowOutcome { slot: i, ..o });
                 }
@@ -1540,7 +1529,7 @@ impl<N: SimNode> ClusterSim<N> {
         // then retires in (instant, slot) order.
         let _merge_span = sp_core::profile::start(sp_core::profile::Phase::Merge);
         let hi = outcomes.iter().map(|o| o.hi).reduce(SimTime::max);
-        if let (Some(f), Some(hi)) = (self.fleet.faults.as_mut(), hi) {
+        if let (Some(f), Some(hi)) = (self.faults.as_mut(), hi) {
             f.now = f.now.max(hi);
         }
         let mut retires = std::mem::take(&mut self.window_retires);
@@ -1548,12 +1537,12 @@ impl<N: SimNode> ClusterSim<N> {
         retires.extend(
             outcomes
                 .iter()
-                .filter(|o| self.fleet.slots[o.slot].state == SlotState::Draining)
+                .filter(|o| self.slots[o.slot].state == SlotState::Draining)
                 .map(|o| (o.last, o.slot)),
         );
         retires.sort_by(sp_metrics::window_event_order);
         for &(t, i) in &retires {
-            self.fleet.maybe_retire(i, t);
+            self.maybe_retire(i, t);
         }
         self.window_retires = retires;
         self.window_outcomes = outcomes;
@@ -1569,50 +1558,13 @@ impl<N: SimNode> ClusterSim<N> {
         // Bring every node's local clock up to this arrival so the load
         // signal reflects work actually still outstanding now.
         self.advance_to(Some(req.arrival));
-        self.fleet.dispatch(req, req.arrival);
-    }
-
-    /// Advances the cluster by one event — the globally earliest node
-    /// event or fault timer, found by the linear rescan shared with
-    /// [`ReferenceClusterSim`]. No-op when every node is idle and no
-    /// timer is pending.
-    pub fn step_once(&mut self) {
-        self.fleet.step_event();
-    }
-
-    /// Instant of the cluster's next event (the earliest node event or
-    /// fault timer), or `None` when all idle.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.fleet.next_event_time()
-    }
-
-    /// Total outstanding work across live nodes, in tokens.
-    pub fn outstanding_tokens(&self) -> u64 {
-        self.fleet.outstanding()
-    }
-
-    /// Aggregate load: sums across nodes (capacity-style signals add;
-    /// the prefill rate adds because replicas prefill concurrently),
-    /// except `min_kv_free_tokens`, which is the most-congested node's
-    /// headroom — the guaranteed admission room for a nested consumer
-    /// that sees this whole cluster as one node (the summed
-    /// `kv_free_tokens` overstates what a single request can use; see
-    /// [`NodeLoad`]'s aggregate-semantics docs).
-    pub fn load(&self) -> NodeLoad {
-        self.fleet.aggregate_load()
-    }
-
-    /// Finalizes an incremental run: merges per-node reports (retired
-    /// replicas included) and attaches the accumulated decision trail
-    /// and replica lifecycle timeline (both reset).
-    pub fn take_report(&mut self) -> EngineReport {
-        self.fleet.take_report()
+        self.dispatch(req, req.arrival);
     }
 
     /// Runs `trace` to completion: dispatch at arrival instants, then
     /// drain, then merge per-node reports (plus the decision trail).
-    /// Remaining fault timers (backoffs, trailing plan events) cut the
-    /// drain into windows too, so salvaged requests finish — or fail
+    /// Remaining fault timers (backoffs, trailing plan events) fire
+    /// during the drain too, so salvaged requests finish — or fail
     /// terminally — before the report is cut.
     ///
     /// # Panics
@@ -1620,117 +1572,11 @@ impl<N: SimNode> ClusterSim<N> {
     /// Panics if the co-simulation fails to make progress (internal bug
     /// guard).
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        self.fleet.decisions.reserve(trace.len());
+        self.decisions.reserve(trace.len());
         for &req in trace.requests() {
             self.push_request(req);
         }
         self.advance_to(None);
-        self.take_report()
-    }
-}
-
-/// The one-event-at-a-time cluster loop, kept as an executable
-/// specification: it advances by stepping the single globally earliest
-/// event — node event or fault timer — found by a linear rescan of every
-/// slot, and never fast-forwards through [`SimNode::step_run`].
-///
-/// It exists for two consumers only — the byte-identity properties in
-/// `tests/cluster_properties.rs` and `tests/fastforward.rs` (windowed
-/// [`ClusterSim`] runs must match this loop exactly) and the `simperf`
-/// bench bin (which measures the window loop's speedup against it). It
-/// is not part of the supported API.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct ReferenceClusterSim<N: SimNode> {
-    fleet: Fleet<N>,
-}
-
-impl<N: SimNode> ReferenceClusterSim<N> {
-    /// Creates the reference co-simulation over `nodes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty.
-    pub fn new(nodes: Vec<N>, policy: Box<dyn RoutingPolicy>) -> ReferenceClusterSim<N> {
-        ReferenceClusterSim { fleet: Fleet::new(nodes, policy) }
-    }
-
-    /// Attaches an autoscaler (see [`ClusterSim::with_autoscaler`]). The
-    /// lifecycle machinery is the shared [`Fleet`] core, so scale events
-    /// exercise the byte-identity property too.
-    pub fn with_autoscaler(mut self, scaler: Autoscaler<N>) -> ReferenceClusterSim<N> {
-        self.fleet.autoscaler = Some(scaler);
-        self
-    }
-
-    /// Attaches a fault-injection plan (see [`ClusterSim::with_faults`]).
-    /// The fault machinery lives in the shared [`Fleet`] core, so crash,
-    /// retry and slowdown scheduling exercise the byte-identity property
-    /// too.
-    pub fn with_faults(mut self, plan: FaultPlan, retry: RetryPolicy) -> ReferenceClusterSim<N> {
-        self.fleet.faults = Some(FaultState::new(plan, retry));
-        self
-    }
-
-    /// Sets the merged report's throughput bin width (default 1 s).
-    pub fn throughput_bin(mut self, bin: Dur) -> ReferenceClusterSim<N> {
-        self.fleet.throughput_bin = bin;
-        self
-    }
-
-    /// Steps events in global order until every pending node event is
-    /// at or after `horizon`. Fault timers fire *at* the horizon too, so
-    /// a crash scheduled exactly at an arrival instant lands before that
-    /// dispatch.
-    fn advance_to(&mut self, horizon: SimTime) {
-        let h = horizon.as_secs();
-        while let Some((t, next)) = self.fleet.earliest_event() {
-            match next {
-                None if t.as_secs() <= h => self.fleet.fire_next_timer(),
-                Some(i) if t.as_secs() < h => self.fleet.step_node(i),
-                _ => break,
-            }
-        }
-    }
-
-    /// Dispatches one request at its arrival instant (see
-    /// [`ClusterSim::push_request`]).
-    pub fn push_request(&mut self, req: Request) {
-        self.advance_to(req.arrival);
-        self.fleet.dispatch(req, req.arrival);
-    }
-
-    /// Advances the cluster by one event — node event or fault timer.
-    pub fn step_once(&mut self) {
-        self.fleet.step_event();
-    }
-
-    /// Instant of the cluster's next event, or `None` when all idle.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.fleet.next_event_time()
-    }
-
-    /// Finalizes an incremental run (see [`ClusterSim::take_report`]).
-    pub fn take_report(&mut self) -> EngineReport {
-        self.fleet.take_report()
-    }
-
-    /// Runs `trace` to completion (see [`ClusterSim::run`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the co-simulation fails to make progress (internal bug
-    /// guard).
-    pub fn run(&mut self, trace: &Trace) -> EngineReport {
-        self.fleet.decisions.reserve(trace.len());
-        for &req in trace.requests() {
-            self.push_request(req);
-        }
-        let mut guard: u64 = 0;
-        while self.fleet.step_event() {
-            guard += 1;
-            assert!(guard < 400_000_000, "cluster simulation failed to terminate");
-        }
         self.take_report()
     }
 }
@@ -1760,12 +1606,31 @@ impl<N: SimNode> SimNode for ClusterSim<N> {
         ClusterSim::take_report(self)
     }
 
+    /// Salvages every unfinished request in the fleet — live nodes'
+    /// queues plus the fault-retry queue — so a faulted fleet nested as
+    /// a node inside a larger simulation loses nothing when *it* is
+    /// crashed.
     fn take_unfinished(&mut self) -> SalvagedWork {
-        self.fleet.take_unfinished_all()
+        let mut salvaged = SalvagedWork::default();
+        for i in 0..self.slots.len() {
+            if let Some(part) = self.with_node(i, SimNode::take_unfinished) {
+                salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
+                salvaged.requests.extend(part.requests);
+            }
+        }
+        if let Some(f) = self.faults.as_mut() {
+            for p in f.pending.drain(..) {
+                salvaged.requests.push(p.req);
+            }
+            f.pending_tokens = 0;
+        }
+        salvaged
     }
 
     fn set_slowdown(&mut self, factor: f64) {
-        self.fleet.set_slowdown_all(factor);
+        for i in 0..self.slots.len() {
+            self.with_node(i, |n| n.set_slowdown(factor));
+        }
     }
 }
 
@@ -1866,14 +1731,12 @@ mod tests {
                 outstanding_tokens: 10_000,
                 queued_prefill_tokens: 40_000,
                 kv_free_tokens: 1_000_000,
-                min_kv_free_tokens: 1_000_000,
                 prefill_tokens_per_sec: 20_000.0,
             },
             NodeLoad {
                 outstanding_tokens: 15_000,
                 queued_prefill_tokens: 2_000,
                 kv_free_tokens: 1_000_000,
-                min_kv_free_tokens: 1_000_000,
                 prefill_tokens_per_sec: 20_000.0,
             },
         ];
@@ -1903,14 +1766,12 @@ mod tests {
                 outstanding_tokens: 50_000,
                 queued_prefill_tokens: 0,
                 kv_free_tokens: 1_000_000,
-                min_kv_free_tokens: 1_000_000,
                 prefill_tokens_per_sec: 20_000.0,
             },
             NodeLoad {
                 outstanding_tokens: 8_000,
                 queued_prefill_tokens: 30_000,
                 kv_free_tokens: 1_000_000,
-                min_kv_free_tokens: 1_000_000,
                 prefill_tokens_per_sec: 20_000.0,
             },
         ];
@@ -2148,14 +2009,12 @@ mod tests {
             outstanding_tokens: 30_000,
             queued_prefill_tokens: 10_000,
             kv_free_tokens: 1_000_000,
-            min_kv_free_tokens: 1_000_000,
             prefill_tokens_per_sec: 20_000.0,
         };
         let cold = NodeLoad {
             outstanding_tokens: 0,
             queued_prefill_tokens: 0,
             kv_free_tokens: 1_000_000,
-            min_kv_free_tokens: 1_000_000,
             prefill_tokens_per_sec: 0.0,
         };
         let r = req(0, 0.0, 500, 10);
@@ -2283,7 +2142,7 @@ mod tests {
             .with_autoscaler(scripted_scaler(config, script()))
             .run(&trace);
         let reference =
-            ReferenceClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
+            ClusterSim::reference(engines(2), RoutingKind::JoinShortestOutstanding.policy())
                 .with_autoscaler(scripted_scaler(config, script()))
                 .run(&trace);
 
@@ -2526,7 +2385,7 @@ mod tests {
         assert!(faulted.failed().is_empty());
         assert_eq!(faulted.fleet_timeline().crash_count(), 0);
 
-        let reference = ReferenceClusterSim::new(engines(2), RoutingKind::JsqByTtft.policy())
+        let reference = ClusterSim::reference(engines(2), RoutingKind::JsqByTtft.policy())
             .with_faults(FaultPlan::empty(), RetryPolicy::default())
             .run(&trace);
         assert_eq!(plain.dump(), reference.dump());
@@ -2555,7 +2414,7 @@ mod tests {
             .with_faults(plan(), retry)
             .run(&trace);
         let reference =
-            ReferenceClusterSim::new(engines(3), RoutingKind::JoinShortestOutstanding.policy())
+            ClusterSim::reference(engines(3), RoutingKind::JoinShortestOutstanding.policy())
                 .with_faults(plan(), retry)
                 .run(&trace);
 
@@ -2610,6 +2469,8 @@ mod tests {
         factor: f64,
         /// `&mut` calls so far.
         touches: u64,
+        /// `step_run` calls so far, declined ones included.
+        step_runs: u64,
         report: EngineReport,
     }
 
@@ -2620,6 +2481,7 @@ mod tests {
                 clock: SimTime::ZERO,
                 factor: 1.0,
                 touches: 0,
+                step_runs: 0,
                 report: EngineReport::new(Dur::from_secs(1.0)),
             }
         }
@@ -2671,7 +2533,6 @@ mod tests {
                 outstanding_tokens: self.outstanding_tokens(),
                 queued_prefill_tokens: queued_prefill,
                 kv_free_tokens: 1_000_000 - self.touches,
-                min_kv_free_tokens: 1_000_000 - self.touches,
                 prefill_tokens_per_sec: 20_000.0 / self.factor,
             }
         }
@@ -2695,6 +2556,7 @@ mod tests {
         /// declines, so both the run and the single-step paths run.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
         fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
+            self.step_runs += 1;
             if self.touches.is_multiple_of(2) {
                 return None;
             }
@@ -2753,7 +2615,7 @@ mod tests {
         let (head, tail) = trace.split_at(60);
         let tail = Trace::with_ids(tail.to_vec());
 
-        let mut reference = ReferenceClusterSim::new(stubs(), RoutingKind::JsqByTtft.policy())
+        let mut reference = ClusterSim::reference(stubs(), RoutingKind::JsqByTtft.policy())
             .with_autoscaler(scaler())
             .with_faults(plan(), retry);
         for &r in head {
@@ -2779,5 +2641,49 @@ mod tests {
         assert!(tl.events().iter().any(|e| e.kind == ReplicaEventKind::Retired));
         let served = expected.iter().map(|r| r.records().len() + r.failed().len()).sum::<usize>();
         assert_eq!(served, 120, "every request completes or fails exactly once");
+    }
+
+    #[test]
+    fn reference_mode_never_fast_forwards_at_any_width() {
+        // The spec stays independent of the fast path: a reference-mode
+        // cluster steps every event through `step_once` at any fan-out
+        // width, while the window mode tries `step_run` on the same
+        // trace. Both report the same.
+        let trace: Vec<Request> =
+            (0..40).map(|i| req(i, i as f64 * 0.05, 200 + (i as u32 % 4) * 300, 8)).collect();
+        let trace = Trace::with_ids(trace);
+        let run = |mut sim: ClusterSim<StubNode>| {
+            let dump = sim.run(&trace).dump();
+            (dump, sim.into_nodes().iter().map(|n| n.step_runs).sum::<u64>())
+        };
+        let stubs = || (0..3).map(|_| StubNode::new()).collect::<Vec<_>>();
+        let policy = || RoutingKind::JoinShortestOutstanding.policy();
+        let (windowed, window_runs) = run(ClusterSim::new(stubs(), policy()).with_threads(1));
+        assert!(window_runs > 0, "the window mode fast-forwards through step_run");
+        for threads in [1, 2, 8] {
+            let (spec, spec_runs) =
+                run(ClusterSim::reference(stubs(), policy()).with_threads(threads));
+            assert_eq!(spec_runs, 0, "the reference mode called step_run at width {threads}");
+            assert_eq!(spec, windowed, "width {threads}");
+        }
+    }
+
+    #[test]
+    fn cluster_load_counts_parked_retries() {
+        // A crash parks its salvage behind a retry backoff. A router
+        // over this cluster as a nested node reads `load()`, which must
+        // count that work exactly as `outstanding_tokens()` does.
+        let big = req(0, 0.0, 100_000, 64);
+        let plan = FaultPlan::new(vec![crash_at(0.5, 0)]);
+        let mut sim = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
+            .with_faults(plan, RetryPolicy::default());
+        sim.push_request(big);
+        // Dispatching at 0.6 fires the crash at 0.5 first; request 0
+        // then waits out its backoff until 1.5.
+        sim.push_request(req(1, 0.6, 256, 16));
+        assert!(sim.outstanding_tokens() > big.total_tokens(), "parked work is outstanding");
+        assert_eq!(sim.load().outstanding_tokens, sim.outstanding_tokens());
+        let report = sim.run(&Trace::default());
+        assert_eq!(report.records().len(), 2, "the parked request completes after its backoff");
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::percentile::Quantiles;
 use crate::slo::RequestClass;
-use crate::summary::StreamingSummary;
 use crate::timeseries::BinnedSeries;
 use crate::units::{Dur, SimTime};
 
@@ -69,8 +68,8 @@ impl RequestRecord {
 
 /// Aggregates [`RequestRecord`]s into the paper's three headline metrics.
 ///
-/// Tracks exact quantiles for TTFT / TPOT / completion time, streaming
-/// summaries, and a token-throughput time series for peak/mean throughput.
+/// Tracks exact quantiles for TTFT / TPOT / completion time and a
+/// token-throughput time series for peak/mean throughput.
 ///
 /// # Examples
 ///
@@ -95,8 +94,6 @@ pub struct LatencyRecorder {
     ttft: Quantiles,
     tpot: Quantiles,
     completion: Quantiles,
-    ttft_summary: StreamingSummary,
-    tpot_summary: StreamingSummary,
     throughput: BinnedSeries,
     completed: u64,
     total_tokens: u64,
@@ -110,8 +107,6 @@ impl LatencyRecorder {
             ttft: Quantiles::new(),
             tpot: Quantiles::new(),
             completion: Quantiles::new(),
-            ttft_summary: StreamingSummary::new(),
-            tpot_summary: StreamingSummary::new(),
             throughput: BinnedSeries::new(throughput_bin),
             completed: 0,
             total_tokens: 0,
@@ -124,8 +119,6 @@ impl LatencyRecorder {
         self.ttft.record(r.ttft().as_secs());
         self.tpot.record(r.tpot().as_secs());
         self.completion.record(r.completion_time().as_secs());
-        self.ttft_summary.record(r.ttft().as_secs());
-        self.tpot_summary.record(r.tpot().as_secs());
         // Tokens are attributed to the completion instant; fine-grained
         // engines may call `observe_tokens` per iteration instead.
         self.throughput.record(r.finish, r.total_tokens() as f64);
@@ -163,8 +156,6 @@ impl LatencyRecorder {
         self.ttft.record(r.ttft().as_secs());
         self.tpot.record(r.tpot().as_secs());
         self.completion.record(r.completion_time().as_secs());
-        self.ttft_summary.record(r.ttft().as_secs());
-        self.tpot_summary.record(r.tpot().as_secs());
         self.completed += 1;
         self.last_finish = self.last_finish.max(r.finish);
     }
@@ -192,16 +183,6 @@ impl LatencyRecorder {
     /// Completion-time quantiles in seconds.
     pub fn completion(&mut self) -> &mut Quantiles {
         &mut self.completion
-    }
-
-    /// Mean TTFT in seconds.
-    pub fn mean_ttft(&self) -> f64 {
-        self.ttft_summary.mean()
-    }
-
-    /// Mean TPOT in seconds.
-    pub fn mean_tpot(&self) -> f64 {
-        self.tpot_summary.mean()
     }
 
     /// The throughput time series (tokens per bin).

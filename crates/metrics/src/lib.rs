@@ -6,7 +6,6 @@
 //! primitives they share:
 //!
 //! * [`units`] — strongly-typed simulation time ([`SimTime`], [`Dur`]).
-//! * [`summary`] — Welford-style [`StreamingSummary`] (mean/var/min/max).
 //! * [`percentile`] — exact [`Quantiles`] over recorded samples.
 //! * [`timeseries`] — [`BinnedSeries`] for throughput-over-time plots.
 //! * [`latency`] — [`LatencyRecorder`], the per-request metric sink.
@@ -16,15 +15,12 @@
 //! # Examples
 //!
 //! ```
-//! use sp_metrics::{Quantiles, StreamingSummary};
+//! use sp_metrics::Quantiles;
 //!
-//! let mut s = StreamingSummary::new();
 //! let mut q = Quantiles::new();
 //! for v in [1.0, 2.0, 3.0, 4.0] {
-//!     s.record(v);
 //!     q.record(v);
 //! }
-//! assert_eq!(s.mean(), 2.5);
 //! assert_eq!(q.quantile(0.5), Some(2.5));
 //! ```
 
@@ -32,7 +28,6 @@ pub mod latency;
 pub mod percentile;
 pub mod routing;
 pub mod slo;
-pub mod summary;
 pub mod timeseries;
 pub mod units;
 
@@ -43,6 +38,5 @@ pub use routing::{
     RequestFaultEvent, RequestFaultKind, RoutingDecision,
 };
 pub use slo::{ClassSlo, ClassSloReport, RequestClass, SloReport, SloTarget};
-pub use summary::StreamingSummary;
 pub use timeseries::BinnedSeries;
 pub use units::{Dur, SimTime};

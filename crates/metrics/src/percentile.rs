@@ -120,12 +120,6 @@ impl Quantiles {
             })
             .collect()
     }
-
-    /// A sorted view of the recorded samples.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
-    }
 }
 
 impl Extend<f64> for Quantiles {

@@ -18,22 +18,6 @@ use crate::units::{Dur, SimTime};
 /// carries the ingredients of a *time-to-first-token* estimate: how much
 /// prefill work is queued ahead, how fast this replica retires prefill
 /// tokens, and how much KV headroom is left for admission.
-///
-/// # Aggregate semantics
-///
-/// A snapshot may describe a *group* of replicas (a nested cluster or a
-/// whole fleet tier exposed as one routing node). Aggregation folds
-/// capacity-style signals additively: `outstanding_tokens`,
-/// `queued_prefill_tokens` and `kv_free_tokens` are sums across members,
-/// and `prefill_tokens_per_sec` adds because members prefill
-/// concurrently. The summed `kv_free_tokens` is the group's total KV
-/// headroom — it deliberately *overstates* what any single request can
-/// use, because one request must fit a single member's cache.
-/// [`NodeLoad::min_kv_free_tokens`] carries the conservative
-/// complement: the headroom of the most-congested member, i.e. the
-/// admission room a consumer is guaranteed regardless of which member
-/// the group's internal router picks. For a single engine the two
-/// fields are equal.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeLoad {
     /// Queued + admitted-but-unfinished work in tokens (the classic JSQ
@@ -43,15 +27,11 @@ pub struct NodeLoad {
     /// prefill can finish: waiting prompts plus admitted-but-incomplete
     /// prefill remainders.
     pub queued_prefill_tokens: u64,
-    /// Unreserved KV-cache tokens — admission headroom. For aggregated
-    /// snapshots this is the *sum* across members (total group capacity,
-    /// an upper bound for any single request — see "Aggregate
-    /// semantics").
+    /// Unreserved KV-cache tokens — admission headroom. A snapshot of a
+    /// group of replicas (a nested cluster seen as one node) sums it
+    /// across members: total group capacity, an upper bound for any
+    /// single request.
     pub kv_free_tokens: u64,
-    /// Unreserved KV-cache tokens of the most-congested member — the
-    /// guaranteed per-request admission headroom of an aggregated
-    /// snapshot. Equals `kv_free_tokens` for a single engine.
-    pub min_kv_free_tokens: u64,
     /// Sustained prefill throughput estimate, tokens/second (from the
     /// replica's execution model at its full iteration budget).
     pub prefill_tokens_per_sec: f64,
@@ -445,14 +425,12 @@ mod tests {
             outstanding_tokens: 50_000,
             queued_prefill_tokens: 1_000,
             kv_free_tokens: 100_000,
-            min_kv_free_tokens: 100_000,
             prefill_tokens_per_sec: 10_000.0,
         };
         let b = NodeLoad {
             outstanding_tokens: 30_000,
             queued_prefill_tokens: 25_000,
             kv_free_tokens: 100_000,
-            min_kv_free_tokens: 100_000,
             prefill_tokens_per_sec: 10_000.0,
         };
         assert!(a.estimated_ttft(500, 600) < b.estimated_ttft(500, 600));
@@ -464,10 +442,9 @@ mod tests {
             outstanding_tokens: 0,
             queued_prefill_tokens: 0,
             kv_free_tokens: 10_000,
-            min_kv_free_tokens: 10_000,
             prefill_tokens_per_sec: 10_000.0,
         };
-        let full = NodeLoad { kv_free_tokens: 100, min_kv_free_tokens: 100, ..free };
+        let full = NodeLoad { kv_free_tokens: 100, ..free };
         assert!(full.estimated_ttft(500, 1_000) > free.estimated_ttft(500, 1_000));
         // Zero-rate snapshots (no throughput sample) are unbounded rather
         // than dividing by zero — and rather than the old `Dur::ZERO`,
@@ -487,14 +464,12 @@ mod tests {
             outstanding_tokens: 9_000,
             queued_prefill_tokens: 8_000,
             kv_free_tokens: 50_000,
-            min_kv_free_tokens: 50_000,
             prefill_tokens_per_sec: 0.0,
         };
         let warm = NodeLoad {
             outstanding_tokens: 60_000,
             queued_prefill_tokens: 45_000,
             kv_free_tokens: 1_000,
-            min_kv_free_tokens: 1_000,
             prefill_tokens_per_sec: 20_000.0,
         };
         assert!(cold.estimated_ttft(500, 600) > warm.estimated_ttft(500, 600));

@@ -76,11 +76,6 @@ impl ParallelConfig {
     pub fn is_pure_tp(&self) -> bool {
         self.sp == 1
     }
-
-    /// True if this is a pure-SP configuration.
-    pub fn is_pure_sp(&self) -> bool {
-        self.tp == 1
-    }
 }
 
 impl fmt::Display for ParallelConfig {

@@ -35,7 +35,7 @@ pub enum Phase {
     /// ingest and the side-effect-free check of the admission scan's
     /// first step.
     WindowDetect,
-    /// `Fleet::dispatch`: lifecycle work (warmups, retires, scale
+    /// `ClusterSim::dispatch`: lifecycle work (warmups, retires, scale
     /// decisions), routing and enqueue of one request.
     Dispatch,
 }

@@ -59,8 +59,8 @@ pub mod prelude {
     pub use sp_engine::{
         AdmissionMode, AutoscaleConfig, Autoscaler, ClusterSim, EarliestDeadlineFeasible, Engine,
         EngineConfig, EngineReport, Fault, FaultEvent, FaultPlan, FleetSignal, LoadBandPolicy,
-        NeverScale, QueuePolicy, ReferenceClusterSim, RetryPolicy, RoutingKind, ScaleAction,
-        ScalePolicy, SimNode, SpecDecode,
+        NeverScale, QueuePolicy, RetryPolicy, RoutingKind, ScaleAction, ScalePolicy, SimNode,
+        SpecDecode,
     };
     pub use sp_metrics::{
         ClassSlo, ClassSloReport, Dur, FailedRequest, FleetTimeline, LatencyRecorder, NodeLoad,

@@ -96,7 +96,7 @@ proptest! {
     fn cluster_runs_are_deterministic(sized in arb_trace(&[100_000]), n in 1usize..4) {
         let (kv, trace) = sized;
         let run = || {
-            let (mut sim, _) = Cluster::dp(n, config(kv)).windowed(FastPaths::default());
+            let (mut sim, _) = Cluster::dp(n, config(kv)).sim(false, FastPaths::default());
             sim.run(&trace).dump()
         };
         assert_dumps_eq(&run(), &run(), "rerun");
@@ -105,8 +105,8 @@ proptest! {
     /// The window loop is an *optimization*, never a behavior change:
     /// over randomized traces and randomized push/step interleavings,
     /// `ClusterSim` (horizon windows, indexed EDF admission, incremental
-    /// load counters) must stay in lockstep with `ReferenceClusterSim`
-    /// (the one-event linear-rescan loop over `Reference`-rung engines) —
+    /// load counters) must stay in lockstep with `ClusterSim::reference`
+    /// (the one-event linear-rescan mode over `Reference`-rung engines) —
     /// same next-event instant at every step, and byte-identical reports
     /// at the end.
     #[test]

@@ -7,7 +7,7 @@
 //! `FastPaths::Compiled` loop's report bit-for-bit. At cluster level,
 //! windowed `ClusterSim` runs on every rung, and on the default rung at
 //! every horizon width, must reproduce the executable spec — the
-//! one-event `ReferenceClusterSim` over `Reference`-rung engines — under
+//! one-event `ClusterSim::reference` mode over `Reference`-rung engines — under
 //! no faults, seeded fault plans, KV pressure and autoscaler churn, on
 //! DP and Shift engines. Every comparison is an `EngineReport::dump`
 //! (with timeline capture on, so it pins every iteration); the

@@ -3,11 +3,11 @@
 //!
 //! Every comparison goes through [`EngineReport::dump`]: two runs are
 //! equivalent exactly when their dumps are equal. The executable spec
-//! is the one-event `ReferenceClusterSim` over engines on the
-//! `FastPaths::Reference` rung. [`assert_rungs_match`] checks windowed
-//! `ClusterSim` runs against it on every rung and horizon width,
+//! is `ClusterSim`'s one-event reference mode over engines on the
+//! `FastPaths::Reference` rung. [`assert_rungs_match`] checks
+//! window-mode runs against it on every rung and horizon width,
 //! [`assert_widths_match`] checks the window loop alone (the reference
-//! loop over the same default-rung engines) at every width, and
+//! mode over the same default-rung engines) at every width, and
 //! [`assert_lockstep`] checks the window loop against the spec event by
 //! event. Both also check the spec itself with [`assert_conserved`],
 //! which needs no second simulator.
@@ -251,27 +251,17 @@ impl Cluster {
         })
     }
 
-    /// The one-event spec loop over engines on `paths`.
-    pub fn reference(
-        &self,
-        paths: FastPaths,
-    ) -> (ReferenceClusterSim<Engine>, Vec<Arc<ShiftPolicy>>) {
+    /// The cluster over engines on `paths`: the one-event spec loop
+    /// (`ClusterSim::reference`) when `spec`, else the horizon-window
+    /// loop.
+    pub fn sim(&self, spec: bool, paths: FastPaths) -> (ClusterSim<Engine>, Vec<Arc<ShiftPolicy>>) {
         let (nodes, policies) = self.nodes(paths);
-        let mut sim =
-            ReferenceClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy());
-        if let Some(scaler) = self.scaler(paths) {
-            sim = sim.with_autoscaler(scaler);
-        }
-        if let Some((plan, retry)) = &self.faults {
-            sim = sim.with_faults(plan.clone(), *retry);
-        }
-        (sim, policies)
-    }
-
-    /// The horizon-window loop over engines on `paths`.
-    pub fn windowed(&self, paths: FastPaths) -> (ClusterSim<Engine>, Vec<Arc<ShiftPolicy>>) {
-        let (nodes, policies) = self.nodes(paths);
-        let mut sim = ClusterSim::new(nodes, RoutingKind::JoinShortestOutstanding.policy());
+        let policy = RoutingKind::JoinShortestOutstanding.policy();
+        let mut sim = if spec {
+            ClusterSim::reference(nodes, policy)
+        } else {
+            ClusterSim::new(nodes, policy)
+        };
         if let Some(scaler) = self.scaler(paths) {
             sim = sim.with_autoscaler(scaler);
         }
@@ -350,13 +340,13 @@ fn assert_windows_match(
     spec_paths: FastPaths,
     runs: impl Iterator<Item = (FastPaths, usize)>,
 ) {
-    let (mut spec_sim, spec_policies) = cluster.reference(spec_paths);
+    let (mut spec_sim, spec_policies) = cluster.sim(true, spec_paths);
     let spec_report = spec_sim.run(trace);
     assert_conserved(&spec_report, trace, &format!("the {spec_paths:?}-rung reference loop"));
     let spec = spec_report.dump();
     let spec_counts = shift_counts(&spec_policies);
     for (paths, width) in runs {
-        let (sim, policies) = cluster.windowed(paths);
+        let (sim, policies) = cluster.sim(false, paths);
         let what =
             format!("{paths:?} windows at width {width} vs the {spec_paths:?}-rung reference loop");
         assert_dumps_eq(&sim.with_threads(width).run(trace).dump(), &spec, &what);
@@ -370,9 +360,9 @@ fn assert_windows_match(
 /// instants must agree bit-for-bit before every step, and their final
 /// dumps must match.
 pub fn assert_lockstep(cluster: &Cluster, trace: &Trace, steps_between: &[usize]) {
-    let (mut windowed, policies) = cluster.windowed(FastPaths::MacroSteps);
-    let (mut spec, spec_policies) = cluster.reference(FastPaths::Reference);
-    let step = |windowed: &mut ClusterSim<Engine>, spec: &mut ReferenceClusterSim<Engine>| {
+    let (mut windowed, policies) = cluster.sim(false, FastPaths::MacroSteps);
+    let (mut spec, spec_policies) = cluster.sim(true, FastPaths::Reference);
+    let step = |windowed: &mut ClusterSim<Engine>, spec: &mut ClusterSim<Engine>| {
         let bits = |t: Option<SimTime>| t.map(|t| t.as_secs().to_bits());
         assert_eq!(
             bits(windowed.next_event_time()),
