@@ -4,7 +4,9 @@
 //! horizon-window cluster loop ([`ClusterSim`]) on bursty traces at 1,
 //! 4, 16, and 64 replicas, plus its speedup over the one-event-at-a-time
 //! linear-rescan loop (`ClusterSim::reference`, the reference mode kept
-//! as an executable specification). Results land in `BENCH_simperf.json`.
+//! as an executable specification). Every run prints its results as
+//! JSON on stdout; a full run also writes them to `BENCH_simperf.json`,
+//! the committed record, which a smoke run leaves alone.
 //!
 //! Every cluster scenario runs at fan-out width 1 — the width that has
 //! won on every host measured so far — except the
@@ -756,7 +758,9 @@ fn main() {
         fastforward_speedup,
         steadyshape_speedup,
     );
-    std::fs::write("BENCH_simperf.json", &json).expect("write BENCH_simperf.json");
+    if !smoke {
+        std::fs::write("BENCH_simperf.json", &json).expect("write BENCH_simperf.json");
+    }
     println!("{json}");
     println!(
         "window loop vs linear-rescan reference at {headline_r} replicas: {speedup:.2}x events/sec"

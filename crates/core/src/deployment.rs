@@ -66,6 +66,10 @@ pub enum DeploymentError {
     Layout(String),
     /// The base/shift pair violates KV-cache invariance.
     Invariance(String),
+    /// A data-parallel deployment was asked to serve as one node of a
+    /// [`crate::fleet::Fleet`]. Its replicas sit behind their own router,
+    /// and a node is one engine: clusters do not nest.
+    NotANode,
 }
 
 impl fmt::Display for DeploymentError {
@@ -77,6 +81,11 @@ impl fmt::Display for DeploymentError {
             ),
             DeploymentError::Layout(e) => write!(f, "invalid KV layout: {e}"),
             DeploymentError::Invariance(e) => write!(f, "invariance violated: {e}"),
+            DeploymentError::NotANode => write!(
+                f,
+                "a data-parallel deployment is a cluster of replicas, not a single-engine \
+                 node; serve it with `Deployment::run`"
+            ),
         }
     }
 }
@@ -305,12 +314,10 @@ impl DeploymentBuilder {
                         self.engine(replica_node, Box::new(StaticPolicy::new("DP", config)), &plan)
                     })
                     .collect();
-                let cluster = ClusterSim::new(replicas, self.routing.policy())
-                    .throughput_bin(self.engine.throughput_bin);
                 return Ok(deployment(
                     plan.kv_capacity_tokens * gpus as u64,
                     None,
-                    Inner::Cluster(Some(Box::new(cluster))),
+                    Inner::Replicas(replicas),
                 ));
             }
             DeploymentKind::Shift | DeploymentKind::ShiftWithBase { .. } => {
@@ -345,9 +352,9 @@ impl DeploymentBuilder {
 #[derive(Debug)]
 enum Inner {
     Single(Box<Engine>),
-    /// DP: one engine per GPU behind the deployment's router. Empty only
-    /// while [`Deployment::run`] rebuilds it.
-    Cluster(Option<Box<ClusterSim<Engine>>>),
+    /// DP: one engine per GPU, which [`Deployment::run`] serves behind
+    /// the deployment's router.
+    Replicas(Vec<Engine>),
 }
 
 /// A built serving deployment, ready to run traces.
@@ -445,76 +452,85 @@ impl Deployment {
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
         match &mut self.inner {
             Inner::Single(engine) => engine.run(trace),
-            Inner::Cluster(cluster) => {
-                let mut replicas = cluster.take().expect("DP cluster present").into_nodes();
+            Inner::Replicas(replicas) => {
                 let bin = replicas[0].config().throughput_bin;
                 // An empty `Engine::run` only rewinds the replica's clock
                 // to zero, so every call starts where a single engine's
                 // `run` starts — and a fresh router forgets the last run.
-                for engine in &mut replicas {
+                for engine in replicas.iter_mut() {
                     engine.run(&Trace::default());
                 }
-                let sim = ClusterSim::new(replicas, self.routing.policy()).throughput_bin(bin);
-                cluster.insert(Box::new(sim)).run(trace)
+                let mut sim = ClusterSim::new(std::mem::take(replicas), self.routing.policy())
+                    .throughput_bin(bin);
+                let report = sim.run(trace);
+                *replicas = sim.into_nodes();
+                report
             }
         }
     }
 
-    /// The node the [`SimNode`] impl forwards to: the engine, or the DP
-    /// cluster (which steps one event at a time — [`ClusterSim`] does not
-    /// fast-forward as a nested node).
-    fn node(&self) -> &dyn SimNode {
+    /// The engine a single-engine deployment's [`SimNode`] impl forwards
+    /// to.
+    fn engine(&self) -> &Engine {
         match &self.inner {
-            Inner::Single(engine) => engine.as_ref(),
-            Inner::Cluster(cluster) => cluster.as_deref().expect("DP cluster present"),
+            Inner::Single(engine) => engine,
+            Inner::Replicas(_) => panic!("{}", DeploymentError::NotANode),
         }
     }
 
-    fn node_mut(&mut self) -> &mut dyn SimNode {
+    fn engine_mut(&mut self) -> &mut Engine {
         match &mut self.inner {
-            Inner::Single(engine) => engine.as_mut(),
-            Inner::Cluster(cluster) => cluster.as_deref_mut().expect("DP cluster present"),
+            Inner::Single(engine) => engine,
+            Inner::Replicas(_) => panic!("{}", DeploymentError::NotANode),
         }
     }
 }
 
-/// A deployment is itself a steppable node, so whole fleets of them can be
-/// co-simulated behind an online router (see [`crate::fleet::Fleet`]).
+/// A single-engine deployment is itself a steppable node, so whole
+/// fleets of them can be co-simulated behind an online router (see
+/// [`crate::fleet::Fleet`]). Every method forwards to the engine.
+///
+/// # Panics
+///
+/// Every method panics on a data-parallel deployment, whose replicas
+/// are served only by [`Deployment::run`] ([`DeploymentError::NotANode`]
+/// names why). [`crate::fleet::Fleet::new`] rejects such a deployment
+/// with that error before it can reach a cluster.
 impl SimNode for Deployment {
     fn push_request(&mut self, req: sp_workload::Request) {
-        self.node_mut().push_request(req);
+        self.engine_mut().push_request(req);
     }
 
     fn step_once(&mut self) {
-        self.node_mut().step_once();
+        self.engine_mut().step_once();
     }
 
     fn next_event_time(&self) -> Option<SimTime> {
-        self.node().next_event_time()
+        self.engine().next_event_time()
     }
 
     fn outstanding_tokens(&self) -> u64 {
-        self.node().outstanding_tokens()
+        self.engine().outstanding_tokens()
     }
 
     fn load(&self) -> sp_metrics::NodeLoad {
-        self.node().load()
+        self.engine().load()
     }
 
     fn take_report(&mut self) -> EngineReport {
-        self.node_mut().take_report()
+        self.engine_mut().take_report()
     }
 
     fn take_unfinished(&mut self) -> sp_engine::SalvagedWork {
-        self.node_mut().take_unfinished()
+        self.engine_mut().take_unfinished()
     }
 
     fn set_slowdown(&mut self, factor: f64) {
-        self.node_mut().set_slowdown(factor);
+        self.engine_mut().set_slowdown(factor);
     }
 
     fn step_run(&mut self, cap: Option<f64>) -> Option<RunAdvance> {
-        self.node_mut().step_run(cap)
+        self.engine_mut().step_run(cap)
     }
 }
 
@@ -656,11 +672,10 @@ mod tests {
     }
 
     #[test]
-    fn dp_deployment_as_a_node_honours_its_routing() {
-        // A DP deployment nested as one node of a cluster dispatches
-        // through its own router, so it must serve exactly what
-        // `Deployment::run` serves under each policy — and `run` starts
-        // every call from a fresh router, so repeating it repeats them.
+    fn dp_deployment_run_honours_its_routing() {
+        // Under each policy a DP deployment serves every request once,
+        // and `run` starts every call from rewound replicas and a fresh
+        // router, so repeating it repeats the report.
         let trace = sp_workload::bursty::BurstyConfig {
             duration: Dur::from_secs(40.0),
             base_rate: 2.0,
@@ -676,24 +691,22 @@ mod tests {
             RoutingKind::StaticSplit,
             RoutingKind::EarliestDeadlineFeasible(sp_metrics::ClassSlo::default()),
         ] {
-            let dp = || {
-                Deployment::builder(node(), presets::qwen_32b())
-                    .kind(DeploymentKind::DataParallel)
-                    .routing(kind)
-                    .build()
-                    .unwrap()
-            };
-            let mut nested = ClusterSim::new(vec![dp()], kind.policy());
-            let as_node = nested.run(&trace);
-            let mut direct = dp();
-            let first = direct.run(&trace);
-            let again = direct.run(&trace);
+            let mut dp = Deployment::builder(node(), presets::qwen_32b())
+                .kind(DeploymentKind::DataParallel)
+                .routing(kind)
+                .build()
+                .unwrap();
+            let first = dp.run(&trace);
             assert_eq!(first.records().len() + first.rejected().len(), trace.len(), "{kind:?}");
-            // The nested run's routing trail and fleet timeline are the
-            // outer tier's, so only what was served is compared.
-            assert_eq!(as_node.records(), first.records(), "{kind:?}");
-            assert_eq!(as_node.rejected(), first.rejected(), "{kind:?}");
-            assert_eq!(again.dump(), first.dump(), "{kind:?}");
+            assert_eq!(first.routing_decisions().len(), trace.len(), "{kind:?}");
+            assert_eq!(dp.run(&trace).dump(), first.dump(), "{kind:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a single-engine node")]
+    fn dp_deployment_is_not_a_node() {
+        let mut dp = build(DeploymentKind::DataParallel, presets::qwen_32b());
+        dp.push_request(synthetic::single(1024, 8).requests()[0]);
     }
 }

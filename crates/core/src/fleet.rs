@@ -8,13 +8,15 @@
 //! intra-request speedup from SP/TP inside the node, scale-out throughput
 //! across nodes.
 
-use crate::deployment::{Deployment, DeploymentBuilder, DeploymentError};
+use crate::deployment::{Deployment, DeploymentBuilder, DeploymentError, DeploymentKind};
 use sp_engine::{ClusterSim, EngineReport, FaultPlan, RetryPolicy, RoutingKind};
 use sp_metrics::Dur;
 use sp_workload::Trace;
 
-/// N single-node deployments behind an online router (see
-/// [`Fleet::routing`]).
+/// N single-engine deployments behind an online router (see
+/// [`Fleet::routing`]). A node is one engine (TP, SP, Shift or a static
+/// configuration); a data-parallel deployment already routes across its
+/// own replicas and cannot be a node.
 ///
 /// # Examples
 ///
@@ -44,7 +46,8 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`DeploymentError`].
+    /// Propagates the first [`DeploymentError`], and returns
+    /// [`DeploymentError::NotANode`] for a data-parallel builder.
     ///
     /// # Panics
     ///
@@ -54,7 +57,11 @@ impl Fleet {
         mut make: impl FnMut() -> DeploymentBuilder,
     ) -> Result<Fleet, DeploymentError> {
         assert!(node_count > 0, "fleet needs at least one node");
-        let nodes = (0..node_count).map(|_| make().build()).collect::<Result<Vec<_>, _>>()?;
+        let node = |builder: DeploymentBuilder| match builder.build()? {
+            d if d.kind() == DeploymentKind::DataParallel => Err(DeploymentError::NotANode),
+            d => Ok(d),
+        };
+        let nodes = (0..node_count).map(|_| node(make())).collect::<Result<Vec<_>, _>>()?;
         Ok(Fleet { nodes, routing: RoutingKind::default(), faults: None })
     }
 
@@ -114,12 +121,10 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::deployment::DeploymentKind;
     use sp_cluster::NodeSpec;
-    use sp_engine::{SalvagedWork, SimNode};
-    use sp_metrics::{ClassSlo, NodeLoad, SimTime};
+    use sp_metrics::ClassSlo;
     use sp_model::presets;
-    use sp_workload::{synthetic, Request};
+    use sp_workload::synthetic;
 
     fn make_fleet(nodes: usize) -> Fleet {
         Fleet::new(nodes, || {
@@ -174,49 +179,19 @@ mod tests {
     }
 
     #[test]
+    fn fleet_rejects_a_dp_builder() {
+        let err = Fleet::new(2, || {
+            Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b())
+                .kind(DeploymentKind::DataParallel)
+        })
+        .unwrap_err();
+        assert_eq!(err, DeploymentError::NotANode);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one node")]
     fn empty_fleet_rejected() {
         let _ = make_fleet(0);
-    }
-
-    /// A deployment behind a wrapper that forwards every [`SimNode`]
-    /// method except `step_run`, so the cluster loop steps it one event
-    /// at a time.
-    #[derive(Debug)]
-    struct PerEvent(Deployment);
-
-    impl SimNode for PerEvent {
-        fn push_request(&mut self, req: Request) {
-            self.0.push_request(req);
-        }
-
-        fn step_once(&mut self) {
-            self.0.step_once();
-        }
-
-        fn next_event_time(&self) -> Option<SimTime> {
-            self.0.next_event_time()
-        }
-
-        fn outstanding_tokens(&self) -> u64 {
-            self.0.outstanding_tokens()
-        }
-
-        fn load(&self) -> NodeLoad {
-            self.0.load()
-        }
-
-        fn take_report(&mut self) -> EngineReport {
-            self.0.take_report()
-        }
-
-        fn take_unfinished(&mut self) -> SalvagedWork {
-            self.0.take_unfinished()
-        }
-
-        fn set_slowdown(&mut self, factor: f64) {
-            self.0.set_slowdown(factor);
-        }
     }
 
     #[test]
@@ -242,12 +217,14 @@ mod tests {
 
         let mut fleet = Fleet::new(3, builder).unwrap();
         let fast = fleet.run(&trace);
-        let nodes = (0..3).map(|_| PerEvent(builder().build().unwrap())).collect();
-        let mut sim = ClusterSim::new(nodes, RoutingKind::default().policy())
+        // The reference mode steps one event at a time and never calls
+        // `step_run`.
+        let nodes = (0..3).map(|_| builder().build().unwrap()).collect();
+        let mut sim = ClusterSim::reference(nodes, RoutingKind::default().policy())
             .throughput_bin(Dur::from_secs(1.0));
         let slow = sim.run(&trace);
         let slow_stats = sim.into_nodes().iter().try_fold((0, 0, 0), |(a, b, c), n| {
-            n.0.shift_stats().map(|(x, y, z)| (a + x, b + y, c + z))
+            n.shift_stats().map(|(x, y, z)| (a + x, b + y, c + z))
         });
 
         assert_eq!(fast.records().len() + fast.rejected().len(), trace.len());

@@ -278,11 +278,6 @@ impl<N> Autoscaler<N> {
         self.config
     }
 
-    /// The decision policy's display name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
     /// How many replicas have been spawned so far.
     pub fn spawned(&self) -> usize {
         self.spawned

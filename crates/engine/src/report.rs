@@ -75,8 +75,8 @@ impl EngineReport {
 
     /// Attaches the replica lifecycle timeline (set by the cluster
     /// simulation). Like [`EngineReport::set_routing`], this *replaces*
-    /// the current timeline: the cluster tier that routed also owns the
-    /// fleet's lifecycle, and nested tiers' trails are tier-local.
+    /// the current timeline: the cluster that routed owns the fleet's
+    /// lifecycle.
     pub fn set_fleet_timeline(&mut self, timeline: FleetTimeline) {
         self.fleet = timeline;
     }
@@ -330,9 +330,16 @@ impl EngineReport {
         out
     }
 
-    /// Merges another report (for data-parallel clusters). Iteration counts
-    /// and config usage add; the makespan takes the maximum.
+    /// Merges one node's report into a cluster's (for data-parallel
+    /// clusters). Iteration counts and config usage add; the makespan
+    /// takes the maximum. A node's report carries no routing trail or
+    /// fleet timeline: the cluster attaches its own after merging
+    /// (debug builds check that `other` has neither).
     pub fn merge(&mut self, other: EngineReport) {
+        debug_assert!(
+            other.routing.is_empty() && other.fleet == FleetTimeline::default(),
+            "merged-in report carries routing decisions or lifecycle events"
+        );
         for r in &other.records {
             self.recorder.observe_latency_only(r);
         }
@@ -355,8 +362,6 @@ impl EngineReport {
         self.peak_kv_utilization = self.peak_kv_utilization.max(other.peak_kv_utilization);
         self.max_iteration = self.max_iteration.max(other.max_iteration);
         self.makespan = self.makespan.max(other.makespan);
-        self.routing.extend(other.routing);
-        self.fleet.absorb(other.fleet);
         if let (Some(mine), Some(theirs)) = (&mut self.timeline, other.timeline) {
             mine.extend(theirs);
             mine.sort_by(|a, b| a.end.as_secs().partial_cmp(&b.end.as_secs()).expect("finite"));

@@ -7,9 +7,10 @@
 //! replicas actually have at that moment. [`ClusterSim`] provides the
 //! event loop — it advances replicas in global simulated-time order and
 //! dispatches each request on arrival via a pluggable [`RoutingPolicy`] —
-//! and [`SimNode`] is the stepping interface replicas expose
-//! (implemented by [`Engine`] and by [`ClusterSim`] itself, so whole
-//! clusters nest as fleet nodes).
+//! and [`SimNode`] is the stepping interface replicas expose. A node is
+//! one replica: an [`Engine`], or a single-engine deployment built on
+//! one (`shift_core::Deployment`). There is one routing tier: a cluster
+//! is not itself a node, so clusters do not nest.
 
 use crate::autoscale::{Autoscaler, FleetSignal, ScaleAction};
 use crate::engine::Engine;
@@ -28,9 +29,8 @@ use std::collections::HashMap;
 /// dispatch instant — outstanding tokens (the classic JSQ signal) plus
 /// the ingredients of a TTFT estimate for deadline-aware policies.
 /// Policies may keep state (round-robin cursors, cumulative assignment
-/// ledgers), hence `&mut self`. Policies are `Send` so a whole
-/// [`ClusterSim`] can be stepped from a pool worker during
-/// horizon-parallel windows (see [`ClusterSim::set_threads`]).
+/// ledgers), hence `&mut self`. Policies are `Send`, so a whole
+/// [`ClusterSim`] is too.
 pub trait RoutingPolicy: std::fmt::Debug + Send {
     /// The policy's display name.
     fn name(&self) -> &str;
@@ -253,6 +253,12 @@ impl RoutingKind {
 
 /// The incremental stepping interface a cluster node exposes so
 /// [`ClusterSim`] can co-simulate many of them in global time order.
+///
+/// A node is one replica with its own queue and clock: an [`Engine`],
+/// or a wrapper that forwards to one (a single-engine
+/// `shift_core::Deployment`, a test stub). [`ClusterSim`] does not
+/// implement it, so a report's routing trail and fleet timeline always
+/// belong to the one cluster that cut it.
 ///
 /// Nodes are `Send`: between coordination events their states are
 /// disjoint, so [`ClusterSim`] steps them from pool worker threads
@@ -713,21 +719,6 @@ impl<N: SimNode> ClusterSim<N> {
         self.slots.iter().filter(|s| s.node.is_some()).count()
     }
 
-    /// Number of routable nodes (provisioned and past warmup, not
-    /// draining). Equals [`ClusterSim::node_count`] without an
-    /// autoscaler.
-    pub fn routable_count(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.node.is_some() && matches!(s.state, SlotState::Active))
-            .count()
-    }
-
-    /// The routing policy's name.
-    pub fn policy_name(&self) -> &str {
-        self.policy.name()
-    }
-
     /// Slot `i`'s next event, read from the node itself rather than the
     /// slot cache: the reference mode's path.
     fn next_event_of(&self, i: usize) -> Option<SimTime> {
@@ -1112,27 +1103,12 @@ impl<N: SimNode> ClusterSim<N> {
     }
 
     /// Total outstanding work in tokens: every live node's, plus the
-    /// requests parked behind a retry backoff. Read off the slot caches;
-    /// equals `load().outstanding_tokens`, as [`SimNode`] requires.
+    /// requests parked behind a retry backoff, so a driver waiting for
+    /// zero does not stop while a retry is pending. Read off the slot
+    /// caches.
     pub fn outstanding_tokens(&self) -> u64 {
-        self.load().outstanding_tokens
-    }
-
-    /// Aggregate load: sums across live nodes (capacity-style signals
-    /// add, so `kv_free_tokens` overstates what a single request can
-    /// use; the prefill rate adds because replicas prefill
-    /// concurrently). Tokens parked behind a retry backoff count as
-    /// outstanding work, so a router over a nested cluster sees them.
-    pub fn load(&self) -> NodeLoad {
         let parked = self.faults.as_ref().map_or(0, |f| f.pending_tokens);
-        let seed = NodeLoad { outstanding_tokens: parked, ..NodeLoad::default() };
-        let live = self.slots.iter().filter(|s| s.node.is_some());
-        live.map(Slot::load).fold(seed, |acc, l| NodeLoad {
-            outstanding_tokens: acc.outstanding_tokens + l.outstanding_tokens,
-            queued_prefill_tokens: acc.queued_prefill_tokens + l.queued_prefill_tokens,
-            kv_free_tokens: acc.kv_free_tokens + l.kv_free_tokens,
-            prefill_tokens_per_sec: acc.prefill_tokens_per_sec + l.prefill_tokens_per_sec,
-        })
+        parked + self.slots.iter().map(|s| s.load().outstanding_tokens).sum::<u64>()
     }
 
     /// Finalizes an incremental run: merges retired and live per-node
@@ -1371,8 +1347,8 @@ impl<N: SimNode> ClusterSim<N> {
     /// window mode, so the byte-identity properties between the two pin
     /// exactly the window loop.
     ///
-    /// It exists for two consumers only — the byte-identity properties
-    /// in `tests/` (window-mode runs must match it exactly) and the
+    /// It exists for two consumers only — the byte-identity tests
+    /// (window-mode runs must match it exactly) and the
     /// `simperf` bench bin (which measures the window loop's speedup
     /// against it). It is not part of the supported API.
     ///
@@ -1578,59 +1554,6 @@ impl<N: SimNode> ClusterSim<N> {
         }
         self.advance_to(None);
         self.take_report()
-    }
-}
-
-impl<N: SimNode> SimNode for ClusterSim<N> {
-    fn push_request(&mut self, req: Request) {
-        ClusterSim::push_request(self, req);
-    }
-
-    fn step_once(&mut self) {
-        ClusterSim::step_once(self);
-    }
-
-    fn next_event_time(&self) -> Option<SimTime> {
-        ClusterSim::next_event_time(self)
-    }
-
-    fn outstanding_tokens(&self) -> u64 {
-        ClusterSim::outstanding_tokens(self)
-    }
-
-    fn load(&self) -> NodeLoad {
-        ClusterSim::load(self)
-    }
-
-    fn take_report(&mut self) -> EngineReport {
-        ClusterSim::take_report(self)
-    }
-
-    /// Salvages every unfinished request in the fleet — live nodes'
-    /// queues plus the fault-retry queue — so a faulted fleet nested as
-    /// a node inside a larger simulation loses nothing when *it* is
-    /// crashed.
-    fn take_unfinished(&mut self) -> SalvagedWork {
-        let mut salvaged = SalvagedWork::default();
-        for i in 0..self.slots.len() {
-            if let Some(part) = self.with_node(i, SimNode::take_unfinished) {
-                salvaged.wasted_prefill_tokens += part.wasted_prefill_tokens;
-                salvaged.requests.extend(part.requests);
-            }
-        }
-        if let Some(f) = self.faults.as_mut() {
-            for p in f.pending.drain(..) {
-                salvaged.requests.push(p.req);
-            }
-            f.pending_tokens = 0;
-        }
-        salvaged
-    }
-
-    fn set_slowdown(&mut self, factor: f64) {
-        for i in 0..self.slots.len() {
-            self.with_node(i, |n| n.set_slowdown(factor));
-        }
     }
 }
 
@@ -2669,10 +2592,9 @@ mod tests {
     }
 
     #[test]
-    fn cluster_load_counts_parked_retries() {
-        // A crash parks its salvage behind a retry backoff. A router
-        // over this cluster as a nested node reads `load()`, which must
-        // count that work exactly as `outstanding_tokens()` does.
+    fn cluster_outstanding_tokens_count_parked_retries() {
+        // A crash parks its salvage behind a retry backoff. That work is
+        // still outstanding: a driver waiting for zero must not stop.
         let big = req(0, 0.0, 100_000, 64);
         let plan = FaultPlan::new(vec![crash_at(0.5, 0)]);
         let mut sim = ClusterSim::new(engines(2), RoutingKind::JoinShortestOutstanding.policy())
@@ -2682,7 +2604,6 @@ mod tests {
         // then waits out its backoff until 1.5.
         sim.push_request(req(1, 0.6, 256, 16));
         assert!(sim.outstanding_tokens() > big.total_tokens(), "parked work is outstanding");
-        assert_eq!(sim.load().outstanding_tokens, sim.outstanding_tokens());
         let report = sim.run(&Trace::default());
         assert_eq!(report.records().len(), 2, "the parked request completes after its backoff");
     }

@@ -27,10 +27,7 @@ pub struct NodeLoad {
     /// prefill can finish: waiting prompts plus admitted-but-incomplete
     /// prefill remainders.
     pub queued_prefill_tokens: u64,
-    /// Unreserved KV-cache tokens — admission headroom. A snapshot of a
-    /// group of replicas (a nested cluster seen as one node) sums it
-    /// across members: total group capacity, an upper bound for any
-    /// single request.
+    /// Unreserved KV-cache tokens — admission headroom.
     pub kv_free_tokens: u64,
     /// Sustained prefill throughput estimate, tokens/second (from the
     /// replica's execution model at its full iteration budget).
@@ -76,8 +73,7 @@ impl NodeLoad {
 pub struct RoutingDecision {
     /// The dispatched request.
     pub request_id: u64,
-    /// Index of the chosen replica (local to the routing tier that made
-    /// the decision).
+    /// Stable slot index of the chosen replica.
     pub replica: usize,
     /// Dispatch instant (the request's arrival time).
     pub at: SimTime,
@@ -207,18 +203,6 @@ impl FleetTimeline {
     pub fn record(&mut self, replica: usize, at: SimTime, kind: ReplicaEventKind) {
         self.replica_count = self.replica_count.max(replica + 1);
         self.events.push(ReplicaEvent { replica, at, kind });
-    }
-
-    /// Records a batch of same-window transitions in the canonical merge
-    /// order ([`window_event_order`]): a horizon-parallel simulation
-    /// collects events from concurrently-stepped replicas and must
-    /// append them exactly as the sequential event order would have, or
-    /// timelines stop being byte-identical across thread counts.
-    pub fn record_batch(&mut self, batch: &mut [(SimTime, usize, ReplicaEventKind)]) {
-        batch.sort_by(|a, b| window_event_order(&(a.0, a.1), &(b.0, b.1)));
-        for &(at, replica, kind) in batch.iter() {
-            self.record(replica, at, kind);
-        }
     }
 
     /// All events in recording (time) order.
@@ -362,22 +346,6 @@ impl FleetTimeline {
         }
         series
     }
-
-    /// Absorbs `other`, shifting its replica indices past this
-    /// timeline's, so merged reports keep per-tier replica identities
-    /// distinct.
-    pub fn absorb(&mut self, other: FleetTimeline) {
-        let offset = self.replica_count;
-        for mut e in other.events {
-            e.replica += offset;
-            self.replica_count = self.replica_count.max(e.replica + 1);
-            self.events.push(e);
-        }
-        self.request_faults.extend(other.request_faults);
-        self.wasted_prefill_tokens += other.wasted_prefill_tokens;
-        self.recovery_secs += other.recovery_secs;
-        self.recoveries += other.recoveries;
-    }
 }
 
 #[cfg(test)]
@@ -396,23 +364,6 @@ mod tests {
         // Positive NaN (total_cmp) sorts after every finite instant.
         let nan = SimTime::from_secs(0.0) + Dur::from_secs(1.0) * f64::NAN;
         assert!(window_event_order(&(t(1e12), 7), &(nan, 0)).is_lt());
-    }
-
-    #[test]
-    fn record_batch_appends_in_canonical_merge_order() {
-        let t = |s: f64| SimTime::from_secs(s);
-        let mut sequential = FleetTimeline::new();
-        sequential.record(1, t(1.0), ReplicaEventKind::Retired);
-        sequential.record(4, t(1.0), ReplicaEventKind::Retired);
-        sequential.record(0, t(3.0), ReplicaEventKind::Retired);
-        let mut merged = FleetTimeline::new();
-        let mut batch = vec![
-            (t(3.0), 0, ReplicaEventKind::Retired),
-            (t(1.0), 4, ReplicaEventKind::Retired),
-            (t(1.0), 1, ReplicaEventKind::Retired),
-        ];
-        merged.record_batch(&mut batch);
-        assert_eq!(merged, sequential);
     }
 
     #[test]
@@ -543,39 +494,25 @@ mod tests {
     }
 
     #[test]
-    fn fault_accounting_accumulates_and_absorbs() {
-        let mut a = FleetTimeline::new();
-        a.record_request_fault(
+    fn fault_accounting_accumulates() {
+        let mut t = FleetTimeline::new();
+        t.record_request_fault(
             7,
             SimTime::from_secs(1.0),
             RequestFaultKind::Redispatched { attempt: 1 },
         );
-        a.note_wasted_prefill(500);
-        a.note_recovery(Dur::from_secs(2.0));
-        let mut b = FleetTimeline::new();
-        b.record_request_fault(
+        t.record_request_fault(
             9,
             SimTime::from_secs(3.0),
             RequestFaultKind::Failed { attempts: 3 },
         );
-        b.note_wasted_prefill(250);
-        b.note_recovery(Dur::from_secs(4.0));
-        a.absorb(b);
-        assert_eq!(a.request_faults().len(), 2);
-        assert_eq!(a.wasted_prefill_tokens(), 750);
-        assert_eq!(a.recoveries(), 2);
-        assert!((a.mean_recovery_secs() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timeline_absorb_offsets_replica_indices() {
-        let mut a = FleetTimeline::new();
-        a.record(0, SimTime::ZERO, ReplicaEventKind::Spawned);
-        a.record(1, SimTime::ZERO, ReplicaEventKind::Spawned);
-        let mut b = FleetTimeline::new();
-        b.record(0, SimTime::from_secs(1.0), ReplicaEventKind::Spawned);
-        a.absorb(b);
-        assert_eq!(a.replica_count(), 3);
-        assert_eq!(a.events().last().unwrap().replica, 2);
+        t.note_wasted_prefill(500);
+        t.note_wasted_prefill(250);
+        t.note_recovery(Dur::from_secs(2.0));
+        t.note_recovery(Dur::from_secs(4.0));
+        assert_eq!(t.request_faults().len(), 2);
+        assert_eq!(t.wasted_prefill_tokens(), 750);
+        assert_eq!(t.recoveries(), 2);
+        assert!((t.mean_recovery_secs() - 3.0).abs() < 1e-12);
     }
 }

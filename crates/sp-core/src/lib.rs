@@ -12,10 +12,10 @@
 //!   no matter how indices were interleaved across threads, so callers
 //!   that demand byte-identical results at any thread count can use the
 //!   executor freely.
-//! * **Re-entrancy.** A task that itself calls [`map_with`] (a
-//!   `ClusterSim` nested as a fleet node inside another `ClusterSim`)
-//!   degrades to an inline sequential loop instead of deadlocking on the
-//!   pool.
+//! * **Re-entrancy.** A task that itself calls [`map_with`] (a sweep
+//!   point of `sp_bench::parallel_sweep` that builds and runs a
+//!   `ClusterSim`, whose horizon windows fan out in turn) degrades to an
+//!   inline sequential loop instead of deadlocking on the pool.
 //!
 //! The executor keeps a single lazily-grown, process-wide pool of parked
 //! worker threads; fan-outs are typically sub-millisecond windows, so

@@ -392,12 +392,15 @@ proptest! {
 
 /// Minimal hand-rolled node for exercising `ClusterSim` against
 /// pathological `next_event_time` values real engines never report.
+/// Built only with the debug-only test that uses it.
+#[cfg(debug_assertions)]
 #[derive(Debug)]
 struct StubNode {
     time: SimTime,
     remaining: u32,
 }
 
+#[cfg(debug_assertions)]
 impl SimNode for StubNode {
     fn push_request(&mut self, _req: Request) {}
 
