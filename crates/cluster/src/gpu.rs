@@ -66,11 +66,13 @@ impl GpuSpec {
     }
 
     /// Sustainable dense-GEMM throughput: `dense_flops * mfu`.
+    #[inline]
     pub fn effective_flops(&self) -> f64 {
         self.dense_flops * self.mfu
     }
 
     /// Sustainable HBM bandwidth: `mem_bw * mem_efficiency`.
+    #[inline]
     pub fn effective_mem_bw(&self) -> f64 {
         self.mem_bw * self.mem_efficiency
     }

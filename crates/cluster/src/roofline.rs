@@ -38,18 +38,21 @@ impl Roofline {
     }
 
     /// Pure compute time for `flops` floating-point operations.
+    #[inline]
     pub fn compute(&self, flops: f64) -> Dur {
         debug_assert!(flops >= 0.0);
         Dur::from_secs(flops / self.gpu.effective_flops())
     }
 
     /// Pure memory time for streaming `bytes` through HBM.
+    #[inline]
     pub fn memory(&self, bytes: u64) -> Dur {
         Dur::from_secs(bytes as f64 / self.gpu.effective_mem_bw())
     }
 
     /// Roofline time for a kernel doing `flops` work over `bytes` of unique
     /// HBM traffic: whichever resource binds.
+    #[inline]
     pub fn kernel(&self, flops: f64, bytes: u64) -> Dur {
         self.compute(flops).max(self.memory(bytes))
     }

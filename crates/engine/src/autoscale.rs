@@ -272,16 +272,6 @@ impl<N> Autoscaler<N> {
         config.validate();
         Autoscaler { config, policy, spawner: Box::new(spawner), spawned: 0, actions: Vec::new() }
     }
-
-    /// The configured bounds.
-    pub fn config(&self) -> AutoscaleConfig {
-        self.config
-    }
-
-    /// How many replicas have been spawned so far.
-    pub fn spawned(&self) -> usize {
-        self.spawned
-    }
 }
 
 impl<N> fmt::Debug for Autoscaler<N> {

@@ -4,6 +4,7 @@ use crate::queue::{QueuePos, WaitQueue};
 use crate::report::EngineReport;
 use crate::seq::RunningSeq;
 use sp_kvcache::KvCacheManager;
+use sp_metrics::timeseries::{bin_edge, bin_index};
 use sp_metrics::{ClassSlo, Dur, NodeLoad, RequestClass, RequestRecord, SimTime};
 use sp_parallel::BatchSummary;
 use sp_parallel::{
@@ -265,9 +266,20 @@ fn seq_outstanding(seq: &RunningSeq) -> u64 {
 /// The window stop rule `!(t < cap)`: the same one the cluster's
 /// per-event window loop applies, and NaN-safe, which `t >= cap` would
 /// not be.
+#[inline]
 fn capped(t: SimTime, cap: Option<f64>) -> bool {
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     cap.is_some_and(|c| !(t.as_secs() < c))
+}
+
+/// Scales a healthy-hardware price by the fault-injection `slowdown`.
+#[inline]
+fn slowed(base: Dur, slowdown: f64) -> Dur {
+    if slowdown == 1.0 {
+        base
+    } else {
+        base * slowdown
+    }
 }
 
 /// Closed-form pricing input for a decode run (see
@@ -288,26 +300,41 @@ struct LinearRunSummary {
 /// running context has advanced exactly `base_k` iterations since
 /// capture (windows advance all decode contexts
 /// uniformly), so the batch is at iteration `base_k` of the captured
-/// run — priced by `lin` at `base_k + k` — and its earliest completion
+/// run — priced by `pricer` at `base_k + k` — and its earliest completion
 /// is `end - base_k` iterations away. Everything is built once, at
 /// capture, right after the run's one `choose`: the batch stats are
 /// constant over the run and a choice depends only on them, so
 /// `config` and `pricer` hold for every window that resumes it. A
 /// resumed window needs no batch scan, no summary and no plan
-/// evaluation.
+/// evaluation — and, while `verdict` holds, no admission probe.
 #[derive(Debug, Clone, Copy)]
 struct RunCache {
     /// Iterations advanced since capture.
     base_k: u64,
     /// The capture's run length: iterations until its earliest
-    /// completion. `lin`'s exactness guard covers all of them.
+    /// completion. The closed form's exactness guard covers all of them.
     end: u64,
-    /// The captured run's closed-form summary, from iteration 0.
-    lin: LinearRunSummary,
+    /// Sequences in the batch, each emitting one token per iteration.
+    seqs: usize,
     /// The configuration every iteration of the run executes under.
     config: ParallelConfig,
-    /// `config`'s plan, partially evaluated for the run.
+    /// `config`'s plan, partially evaluated for the run's closed-form
+    /// summary line.
     pricer: DecodeRunPricer,
+    /// Whether `pricer` proved iterations `base_k..end` a memory-bound
+    /// stretch (see [`DecodeRunPricer::memory_bound`]). A stretch holds
+    /// from any later first iteration too, so a window that finds the
+    /// proof skips it; a window without it tries again from its own
+    /// first iteration.
+    memory_bound: bool,
+    /// The latest admission probe's blocked verdict: `Some(bound)` as
+    /// [`Engine::admission_blocked`] returned it, which a resumed window
+    /// reuses while no arrival is due and the clock has not passed
+    /// `bound`, exactly as an in-run boundary does. `None` makes the
+    /// next window probe first: a probe found admission possible, or
+    /// something outside the run's windows may have changed the queue
+    /// or the KV cache (see `Engine::settle_run`).
+    verdict: Option<Option<SimTime>>,
     /// Report totals of the run's windows not yet written to the
     /// report (see `Engine::settle_run`).
     tally: RunTally,
@@ -329,25 +356,14 @@ struct RunTally {
     kv_peak: f64,
     /// Throughput bin of the open segment.
     seg_bin: usize,
+    /// Upper edge of `seg_bin` (see [`bin_edge`]), or a lower bound of
+    /// it: an iteration ending before it stays in `seg_bin`. The default
+    /// 0.0 makes the next iteration divide.
+    seg_edge: f64,
     /// Iterations in the open segment, each of the batch's token count.
     seg_count: u64,
     /// End of the open segment's latest iteration.
     seg_t: SimTime,
-}
-
-impl RunCache {
-    /// Prices window iteration `k` — run iteration `base_k + k` — from
-    /// the closed-form summary without materializing the batch.
-    /// `pricer` re-times only the attention kernel (the one cost term
-    /// that moves along a pure-decode run), bit-identical to pricing
-    /// the full summary.
-    fn price(&self, k: u32) -> Dur {
-        let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-        let i = self.base_k + u64::from(k);
-        let attn_flops = self.lin.s0.cost.attn_flops + i as f64 * self.lin.d_attn;
-        let kv_read = self.lin.s0.cost.kv_read_bytes + i * self.lin.d_kv_read;
-        self.pricer.price(attn_flops, kv_read)
-    }
 }
 
 impl Engine {
@@ -469,15 +485,6 @@ impl Engine {
         }
     }
 
-    /// Scales a healthy-hardware price by the fault-injection slowdown.
-    fn slowed(&self, base: Dur) -> Dur {
-        if self.slowdown == 1.0 {
-            base
-        } else {
-            base * self.slowdown
-        }
-    }
-
     /// Selects the rung of the optimization ladder the engine runs on
     /// (see [`FastPaths`]). Scheduling and reports are bit-identical on
     /// every rung — only the cost differs. Drops the run cache, so the
@@ -511,12 +518,19 @@ impl Engine {
     /// holds the run's report totals until they are settled (see
     /// `Engine::settle_run`).
     ///
-    /// Admission is probed where a step would find it changed: at run
-    /// start, and at each iteration boundary where an arrival is due or
-    /// the clock has passed the last probe's lapse instant. The probe
-    /// does what that step would do first — ingests the due arrivals and
+    /// Admission is probed where a step would find it changed: at each
+    /// iteration boundary where an arrival is due or the clock has
+    /// passed the last probe's lapse instant, and at run start — except
+    /// where a run resumed from its `RunCache` still holds the verdict
+    /// its last window ended with, by that same rule. The probe does
+    /// what that step would do first — ingests the due arrivals and
     /// checks the first step of the admission scan — and, when admission
     /// is still impossible, keeps going (decision 14).
+    ///
+    /// A pure-decode iteration costs one division: within a proven
+    /// memory-bound stretch the attention kernel is priced by its memory
+    /// term alone, and the throughput bin is recomputed only when the
+    /// clock reaches the open bin's edge (decision 13).
     ///
     /// `cap` is the caller's window bound: the run stops before any
     /// iteration whose event instant is not strictly below it, exactly
@@ -547,11 +561,26 @@ impl Engine {
             // per-event loop would not have stepped either).
             return None;
         }
-        // Admission must be impossible before the first iteration; the
-        // probe is re-run wherever its proof could lapse.
-        let mut admit_bound = {
-            let _detect_span = sp_core::profile::start(sp_core::profile::Phase::WindowDetect);
-            self.probe_admission()?
+        // Admission must be impossible before the first iteration. A
+        // resumed run keeps its latest probe's verdict where an in-run
+        // boundary would (no arrival due, the clock not past the lapse
+        // instant); anywhere else the probe runs, as it does at capture.
+        // The verdict is taken out, so any early return leaves the next
+        // window to probe.
+        let proof = self.run_cache.as_mut().and_then(|cache| cache.verdict.take());
+        let mut admit_bound = match proof {
+            Some(bound)
+                if self.next_arrival_secs() > self.clock.as_secs()
+                    && !bound.is_some_and(|b| self.clock > b) =>
+            {
+                #[cfg(debug_assertions)]
+                self.check_verdict(bound);
+                bound
+            }
+            _ => {
+                let _detect_span = sp_core::profile::start(sp_core::profile::Phase::WindowDetect);
+                self.probe_admission()?
+            }
         };
 
         // A pure-decode batch's stats are constant across the run.
@@ -603,12 +632,16 @@ impl Engine {
                 // asked, since choices are counted.
                 let lin = self.linear_run_summary(n, attended, limit)?;
                 let config = self.policy.choose(&stats);
+                let pricer =
+                    self.plan(&config).decode_run_pricer(&lin.s0, lin.d_attn, lin.d_kv_read);
                 let cache = RunCache {
                     base_k: 0,
                     end: u64::from(limit),
-                    lin,
+                    seqs: n,
                     config,
-                    pricer: self.plan(&config).decode_run_pricer(&lin.s0),
+                    pricer,
+                    memory_bound: false,
+                    verdict: None,
                     tally: RunTally::default(),
                 };
                 self.run_cache = Some(cache);
@@ -618,61 +651,91 @@ impl Engine {
         assert!(run.base_k < run.end, "a consumed run cache implies a retirement drop");
         let run_limit = (run.end - run.base_k).min(u64::from(u32::MAX)) as u32;
         let config = run.config;
+        let pricer = run.pricer;
         let mut tally = run.tally;
         let bin_w = self.config.throughput_bin.as_secs();
         let timeline = self.report.timeline_enabled();
         let kv_util = self.kv.utilization();
+        // One proof covers the rest of the run: if the kernel is memory
+        // bound at both ends of it, every iteration is priced by its
+        // memory term alone.
+        let memory_bound = run.memory_bound || pricer.memory_bound(run.base_k, run.end - 1);
+        // The loop's state lives in locals, so an iteration calls
+        // nothing out of line; the clock is written back before any
+        // probe (which reads it) and after the loop.
+        let slowdown = self.slowdown;
+        let mut clock = self.clock;
+        let mut next_arrival = self.next_arrival_secs();
+        let mut lapse = admit_bound.map_or(f64::INFINITY, SimTime::as_secs);
+        let mut admissible = false;
         let mut last_t = SimTime::ZERO;
         let mut done = 0u32;
 
         for k in 0..run_limit {
-            let t = self.clock;
+            let t = clock;
             if k > 0 {
                 if capped(t, cap) {
                     break;
                 }
-                let arrival_due = self.arrivals.front().is_some_and(|front| front.arrival <= t);
-                if arrival_due || admit_bound.is_some_and(|bound| t > bound) {
+                if next_arrival <= t.as_secs() || t.as_secs() > lapse {
+                    self.clock = clock;
                     let Some(bound) = self.probe_admission() else {
+                        admissible = true;
                         break; // this step admits, rejects or sheds
                     };
                     admit_bound = bound;
+                    lapse = bound.map_or(f64::INFINITY, SimTime::as_secs);
+                    next_arrival = self.next_arrival_secs();
                 } else {
                     #[cfg(debug_assertions)]
                     {
-                        let candidate = self.next_admission_candidate();
-                        assert_eq!(
-                            self.admission_blocked(candidate),
-                            Some(admit_bound),
-                            "admission unblocked before its probe's lapse instant"
-                        );
+                        self.clock = clock;
+                        self.check_verdict(admit_bound);
                     }
                 }
             }
-            let base = run.price(k);
+            let i = run.base_k + u64::from(k);
+            let base = {
+                let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
+                if memory_bound {
+                    pricer.price_memory_bound(i)
+                } else {
+                    pricer.price(i)
+                }
+            };
             #[cfg(debug_assertions)]
             self.check_linear_price(&config, k, base);
-            let duration = self.slowed(base);
-            self.clock += duration;
+            let duration = slowed(base, slowdown);
+            clock += duration;
             tally.max_iteration = tally.max_iteration.max(duration);
             last_t = t;
             done = k + 1;
 
             // Throughput segment: iterations sharing a bin flush
-            // closed-form; the open segment stays in the tally.
-            let idx = (self.clock.as_secs() / bin_w) as usize;
-            if idx != tally.seg_bin {
-                if tally.seg_count > 0 {
-                    self.report.observe_tokens_run(tally.seg_t, n as f64, tally.seg_count);
+            // closed-form; the open segment stays in the tally. The
+            // clock only moves forward, so the bin can change only once
+            // it reaches the open bin's edge: only then does it divide.
+            if clock.as_secs() >= tally.seg_edge {
+                let idx = bin_index(clock.as_secs(), bin_w);
+                if idx != tally.seg_bin {
+                    if tally.seg_count > 0 {
+                        self.report.observe_tokens_run(tally.seg_t, n as f64, tally.seg_count);
+                    }
+                    tally.seg_bin = idx;
+                    tally.seg_count = 0;
                 }
-                tally.seg_bin = idx;
-                tally.seg_count = 0;
+                tally.seg_edge = bin_edge(idx, bin_w).unwrap_or(f64::INFINITY);
             }
+            debug_assert_eq!(
+                bin_index(clock.as_secs(), bin_w),
+                tally.seg_bin,
+                "an iteration before the bin edge left the bin"
+            );
             tally.seg_count += 1;
-            tally.seg_t = self.clock;
+            tally.seg_t = clock;
             if timeline {
                 self.report.note_event(crate::report::IterationEvent {
-                    end: self.clock,
+                    end: clock,
                     duration,
                     config,
                     tokens: n as u64,
@@ -681,6 +744,7 @@ impl Engine {
                 });
             }
         }
+        self.clock = clock;
         debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
         let repeats = done - u32::from(asked);
         if repeats > 0 {
@@ -693,6 +757,10 @@ impl Engine {
         let cache = self.run_cache.as_mut().expect("the run's cache is stored");
         cache.base_k += u64::from(done);
         cache.tally = tally;
+        // A run stopped by a probe that found admission possible leaves
+        // no proof behind: the next window probes again.
+        cache.verdict = (!admissible).then_some(admit_bound);
+        cache.memory_bound = memory_bound;
 
         // Apply the run to scheduler state: each sequence emitted one
         // token per iteration.
@@ -734,13 +802,19 @@ impl Engine {
     /// [`Engine::take_unfinished`], [`Engine::set_fast_paths`] and
     /// [`Engine::run`]. A new capture needs no settle: the cache is only
     /// dropped on those paths, right after they settle it.
+    ///
+    /// Settling also drops the run's admission verdict: the paths that
+    /// settle may change the queue or the KV cache (a step admits,
+    /// [`Engine::take_report`] releases shared prefixes), so the next
+    /// window probes first.
     fn settle_run(&mut self) {
         let Some(cache) = &mut self.run_cache else { return };
+        cache.verdict = None;
         let tally = std::mem::take(&mut cache.tally);
         if tally.iterations == 0 {
             return;
         }
-        let tokens = cache.lin.s0.total_new_tokens as f64;
+        let tokens = cache.seqs as f64;
         if tally.seg_count > 0 {
             self.report.observe_tokens_run(tally.seg_t, tokens, tally.seg_count);
         }
@@ -757,6 +831,24 @@ impl Engine {
         self.ingest_arrivals();
         let candidate = self.next_admission_candidate();
         self.admission_blocked(candidate)
+    }
+
+    /// The instant of the next queued arrival in seconds, infinite when
+    /// none is queued.
+    fn next_arrival_secs(&self) -> f64 {
+        self.arrivals.front().map_or(f64::INFINITY, |front| front.arrival.as_secs())
+    }
+
+    /// Checks a blocked verdict that a run keeps without probing against
+    /// [`Engine::admission_blocked`] at the current clock.
+    #[cfg(debug_assertions)]
+    fn check_verdict(&mut self, bound: Option<SimTime>) {
+        let candidate = self.next_admission_candidate();
+        assert_eq!(
+            self.admission_blocked(candidate),
+            Some(bound),
+            "admission unblocked before its probe's lapse instant"
+        );
     }
 
     /// [`Engine::admit`]'s first step at the current clock, without its
@@ -1076,7 +1168,7 @@ impl Engine {
         self.report.note_deferrals(deferred);
         let stats = BatchStats::of(&work);
         let config = self.policy.choose(&stats);
-        let duration = self.slowed(self.price_iteration(&config, &work));
+        let duration = slowed(self.price_iteration(&config, &work), self.slowdown);
         self.clock += duration;
         self.decode_cursor = self.decode_cursor.wrapping_add(1);
 
@@ -2102,6 +2194,40 @@ mod tests {
         assert!(e.running.iter().any(|s| s.request.id == 3), "the step admitted the arrival");
         let reference = blocked_engine(FastPaths::Reference).run(&trace).dump();
         assert_eq!(finish(&mut e), reference);
+    }
+
+    #[test]
+    fn run_stopped_by_a_probe_probes_again_on_resume() {
+        // Two decodes run with nothing queued: the run-start verdict is
+        // blocked until the queue changes. A third request arrives
+        // mid-run and fits, so the in-run probe at its boundary finds
+        // admission possible and stops the run. The verdict the run
+        // started with no longer holds, although no arrival is due any
+        // more and it has no lapse instant: the next window must probe
+        // again, and decline.
+        let trace = Trace::with_ids(vec![
+            blocked_req(0, 0.0, 64, 2_000, RequestClass::Batch),
+            blocked_req(1, 0.0, 64, 2_000, RequestClass::Batch),
+            blocked_req(2, 0.5, 64, 100, RequestClass::Batch),
+        ]);
+        let mut e = engine();
+        for &req in trace.requests() {
+            e.push_request(req);
+        }
+        while e.running.len() < 2 || e.running_prefill_tokens != 0 {
+            e.step_once();
+        }
+        assert_eq!(verdict(&mut e), Some((None, None)), "nothing queued: blocked for good");
+        let run = e.step_run(None).expect("a pure-decode batch runs");
+        assert!(run.last < SimTime::from_secs(0.5) && e.clock() >= SimTime::from_secs(0.5));
+        assert!(e.arrivals.is_empty(), "the in-run probe ingested the arrival");
+        assert_eq!(verdict(&mut e), None, "the arrival fits");
+        assert!(e.step_run(None).is_none(), "the resumed window probes and declines");
+        e.step_once();
+        assert_eq!(e.running.len(), 3, "the step admitted the arrival");
+        let mut reference = engine();
+        reference.set_fast_paths(FastPaths::Reference);
+        assert_eq!(finish(&mut e), reference.run(&trace).dump());
     }
 
     #[test]

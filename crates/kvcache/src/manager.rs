@@ -1,6 +1,39 @@
 //! Per-sequence KV accounting with admission control.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A multiplicative hasher for the manager's `u64` ids: one multiply in
+/// place of SipHash on every admission check, reservation and release.
+/// The maps are lookup-only, so nothing observable depends on their
+/// order. Their keys are the simulated trace's request and prefix-group
+/// ids; a trace crafted to collide could only slow its own simulation.
+/// The rotation moves the product's well-mixed high bits to the low
+/// end, which the table indexes by.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        // 2^64 / φ, odd: multiplying by it permutes the ids.
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by sequence or group id.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// Counts the KV blocks each live sequence holds and admits new work only
 /// if it fits.
@@ -35,11 +68,11 @@ pub struct KvCacheManager {
     total_blocks: u64,
     /// Blocks held by no sequence.
     free_blocks: u64,
-    seqs: HashMap<u64, SeqAlloc>,
+    seqs: IdMap<SeqAlloc>,
     /// Shared prefix allocations: one growing sequence per group,
     /// attached to by many requests (multi-turn sessions). Stored under
     /// a separate id namespace so they never collide with request ids.
-    groups: HashMap<u64, u64>,
+    groups: IdMap<u64>,
     used_tokens: u64,
     peak_used_tokens: u64,
 }
@@ -65,8 +98,8 @@ impl KvCacheManager {
             block_tokens,
             total_blocks,
             free_blocks: total_blocks,
-            seqs: HashMap::new(),
-            groups: HashMap::new(),
+            seqs: IdMap::default(),
+            groups: IdMap::default(),
             used_tokens: 0,
             peak_used_tokens: 0,
         }

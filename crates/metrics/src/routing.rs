@@ -8,7 +8,6 @@
 //! [`FleetTimeline`] of spawns, drains, retires, crashes and request
 //! faults, from which the replica-seconds cost metric is derived.
 
-use crate::timeseries::BinnedSeries;
 use crate::units::{Dur, SimTime};
 
 /// A replica's live load, snapshotted at a routing instant.
@@ -148,6 +147,17 @@ pub struct ReplicaEvent {
     pub kind: ReplicaEventKind,
 }
 
+/// The canonical total order for merging same-window fleet events back
+/// into the global event order: ascending instant (`total_cmp`, so NaN
+/// sorts last) with ties broken by replica slot index, matching the
+/// one-event cluster loop's lowest-slot-first tie-break. Horizon-parallel simulations sort
+/// concurrently-collected per-replica events with this order before
+/// folding them into reports, which is what keeps merged reports
+/// byte-identical across thread counts.
+pub fn window_event_order(a: &(SimTime, usize), b: &(SimTime, usize)) -> std::cmp::Ordering {
+    a.0.as_secs().total_cmp(&b.0.as_secs()).then(a.1.cmp(&b.1))
+}
+
 /// The fleet's replica lifecycle trail and its cost accounting.
 ///
 /// Records every spawn / ready / drain / retire transition in time order
@@ -171,17 +181,6 @@ pub struct ReplicaEvent {
 /// assert_eq!(t.replica_seconds(SimTime::from_secs(100.0)), 100.0 + 20.0);
 /// assert_eq!(t.peak_provisioned(), 2);
 /// ```
-/// The canonical total order for merging same-window fleet events back
-/// into the global event order: ascending instant (`total_cmp`, so NaN
-/// sorts last) with ties broken by replica slot index, matching the
-/// one-event cluster loop's lowest-slot-first tie-break. Horizon-parallel simulations sort
-/// concurrently-collected per-replica events with this order before
-/// folding them into reports, which is what keeps merged reports
-/// byte-identical across thread counts.
-pub fn window_event_order(a: &(SimTime, usize), b: &(SimTime, usize)) -> std::cmp::Ordering {
-    a.0.as_secs().total_cmp(&b.0.as_secs()).then(a.1.cmp(&b.1))
-}
-
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetTimeline {
     events: Vec<ReplicaEvent>,
@@ -220,10 +219,9 @@ impl FleetTimeline {
         self.replica_count
     }
 
-    /// Provisioned spans per slot: `(replica, spawned, retired)` with
-    /// `None` for spans still open. Slots retired and respawned yield
-    /// multiple spans.
-    fn spans(&self) -> Vec<(usize, SimTime, Option<SimTime>)> {
+    /// Provisioned spans: `(spawned, retired)` with `None` for spans
+    /// still open. Slots retired and respawned yield multiple spans.
+    fn spans(&self) -> Vec<(SimTime, Option<SimTime>)> {
         let mut open: Vec<Option<SimTime>> = vec![None; self.replica_count];
         let mut spans = Vec::new();
         for e in &self.events {
@@ -235,17 +233,13 @@ impl FleetTimeline {
                 // (spans never look at Ready at all).
                 ReplicaEventKind::Retired | ReplicaEventKind::Crashed => {
                     if let Some(from) = open[e.replica].take() {
-                        spans.push((e.replica, from, Some(e.at)));
+                        spans.push((from, Some(e.at)));
                     }
                 }
                 ReplicaEventKind::Ready | ReplicaEventKind::DrainStarted => {}
             }
         }
-        for (replica, o) in open.into_iter().enumerate() {
-            if let Some(from) = o {
-                spans.push((replica, from, None));
-            }
-        }
+        spans.extend(open.into_iter().flatten().map(|from| (from, None)));
         spans
     }
 
@@ -254,18 +248,10 @@ impl FleetTimeline {
     pub fn replica_seconds(&self, horizon: SimTime) -> f64 {
         self.spans()
             .into_iter()
-            .map(|(_, from, to)| {
+            .map(|(from, to)| {
                 to.map_or(horizon, |t| t.min(horizon)).since(from.min(horizon)).as_secs()
             })
             .sum()
-    }
-
-    /// Replicas provisioned (spawned, not yet retired) at instant `t`.
-    pub fn provisioned_at(&self, t: SimTime) -> usize {
-        self.spans()
-            .into_iter()
-            .filter(|&(_, from, to)| from <= t && to.is_none_or(|r| t < r))
-            .count()
     }
 
     /// Peak number of simultaneously provisioned replicas.
@@ -334,17 +320,6 @@ impl FleetTimeline {
     /// Number of replica crashes recorded.
     pub fn crash_count(&self) -> usize {
         self.events.iter().filter(|e| e.kind == ReplicaEventKind::Crashed).count()
-    }
-
-    /// The replica-seconds *cost series*: provisioned replica-seconds per
-    /// `bin` up to `horizon` — plot it against the latency series to see
-    /// what each burst's scale-out cost bought.
-    pub fn cost_series(&self, bin: Dur, horizon: SimTime) -> BinnedSeries {
-        let mut series = BinnedSeries::new(bin);
-        for (_, from, to) in self.spans() {
-            series.record_span(from.min(horizon), to.map_or(horizon, |t| t.min(horizon)), 1.0);
-        }
-        series
     }
 }
 
@@ -444,11 +419,6 @@ mod tests {
         let horizon = SimTime::from_secs(100.0);
         assert_eq!(t.replica_seconds(horizon), 100.0 + 30.0);
         assert_eq!(t.peak_provisioned(), 2);
-        assert_eq!(t.provisioned_at(SimTime::from_secs(20.0)), 2);
-        assert_eq!(t.provisioned_at(SimTime::from_secs(50.0)), 1);
-        // The cost series conserves the same total.
-        let series = t.cost_series(Dur::from_secs(10.0), horizon);
-        assert!((series.total() - 130.0).abs() < 1e-9);
     }
 
     #[test]
@@ -473,8 +443,6 @@ mod tests {
         t.record(0, SimTime::from_secs(10.0), ReplicaEventKind::Spawned);
         t.record(0, SimTime::from_secs(15.0), ReplicaEventKind::Crashed);
         assert_eq!(t.replica_seconds(SimTime::from_secs(100.0)), 5.0);
-        assert_eq!(t.provisioned_at(SimTime::from_secs(12.0)), 1);
-        assert_eq!(t.provisioned_at(SimTime::from_secs(18.0)), 0);
         assert_eq!(t.crash_count(), 1);
     }
 

@@ -2,6 +2,63 @@
 
 use crate::units::{Dur, SimTime};
 
+/// The bin that instant `t` (seconds) falls in under bins `width`
+/// seconds wide: `(t / width) as usize`, saturating at `usize::MAX`.
+/// [`BinnedSeries`] files every weight by this rule.
+#[inline]
+pub fn bin_index(t: f64, width: f64) -> usize {
+    (t / width) as usize
+}
+
+/// The exact upper edge of bin `bin` under [`bin_index`]: the least
+/// instant whose index is larger, or `None` when no finite instant has
+/// one (a saturated index, or bins so wide that `f64::MAX` still falls
+/// short). Every instant below the edge falls in `bin` or earlier, so a
+/// clock that only moves forward and has reached `bin` stays there
+/// until it reaches the edge: a loop can divide once per bin instead of
+/// once per instant.
+///
+/// Found by ulp steps from `(bin + 1) · width` and checked with the
+/// same division [`bin_index`] does, so the edge is exact whatever the
+/// rounding. That guess is within a few ulps of the edge (the product
+/// and the quotient each round by at most half an ulp), so the search
+/// takes a handful of steps.
+///
+/// `width` must be positive and finite, as a [`BinnedSeries`] width is.
+///
+/// # Examples
+///
+/// ```
+/// use sp_metrics::timeseries::{bin_edge, bin_index};
+///
+/// let edge = bin_edge(2, 0.1).unwrap();
+/// assert_eq!(bin_index(edge, 0.1), 3);
+/// assert_eq!(bin_index(edge.next_down(), 0.1), 2);
+/// assert_eq!(bin_edge(usize::MAX, 0.1), None);
+/// ```
+pub fn bin_edge(bin: usize, width: f64) -> Option<f64> {
+    debug_assert!(width > 0.0 && width.is_finite(), "bin width must be positive and finite");
+    if bin == usize::MAX {
+        return None;
+    }
+    let above = |t: f64| bin_index(t, width) > bin;
+    let mut edge = ((bin + 1) as f64 * width).min(f64::MAX);
+    if above(edge) {
+        // Bin 0 starts at 0, so the walk down stops above it.
+        while above(edge.next_down()) {
+            edge = edge.next_down();
+        }
+    } else {
+        while !above(edge) {
+            if edge == f64::MAX {
+                return None;
+            }
+            edge = edge.next_up();
+        }
+    }
+    Some(edge)
+}
+
 /// Accumulates `(time, weight)` events into fixed-width time bins.
 ///
 /// Used for the throughput panels of Figures 1 and 7: every processed token
@@ -40,7 +97,7 @@ impl BinnedSeries {
 
     /// Adds `weight` at instant `t`.
     pub fn record(&mut self, t: SimTime, weight: f64) {
-        let idx = (t.as_secs() / self.bin_width.as_secs()) as usize;
+        let idx = bin_index(t.as_secs(), self.bin_width.as_secs());
         if idx >= self.bins.len() {
             self.bins.resize(idx + 1, 0.0);
         }
@@ -64,7 +121,7 @@ impl BinnedSeries {
         if count == 0 {
             return;
         }
-        let idx = (t.as_secs() / self.bin_width.as_secs()) as usize;
+        let idx = bin_index(t.as_secs(), self.bin_width.as_secs());
         if idx >= self.bins.len() {
             self.bins.resize(idx + 1, 0.0);
         }
@@ -84,29 +141,6 @@ impl BinnedSeries {
             for _ in 0..count {
                 *bin += weight;
             }
-        }
-    }
-
-    /// Adds weight accruing at `rate` per second uniformly over the
-    /// half-open interval `[from, to)`, split across bins by overlap —
-    /// the span analogue of [`BinnedSeries::record`], used for cost
-    /// series where a resource is held over time (e.g. replica-seconds)
-    /// rather than delivered at an instant. No-op when `to <= from`.
-    pub fn record_span(&mut self, from: SimTime, to: SimTime, rate: f64) {
-        let (a, b) = (from.as_secs(), to.as_secs());
-        if b <= a {
-            return;
-        }
-        let w = self.bin_width.as_secs();
-        let last = (b / w).ceil().max(1.0) as usize;
-        if last > self.bins.len() {
-            self.bins.resize(last, 0.0);
-        }
-        let first = (a / w) as usize;
-        for (i, bin) in self.bins.iter_mut().enumerate().take(last).skip(first) {
-            let lo = i as f64 * w;
-            let overlap = (b.min(lo + w) - a.max(lo)).max(0.0);
-            *bin += overlap * rate;
         }
     }
 
@@ -192,24 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn record_span_splits_weight_by_bin_overlap() {
-        let mut s = BinnedSeries::new(Dur::from_secs(1.0));
-        // 1 unit/s over [0.5, 2.5): 0.5 in bin 0, 1.0 in bin 1, 0.5 in
-        // bin 2.
-        s.record_span(SimTime::from_secs(0.5), SimTime::from_secs(2.5), 1.0);
-        let totals: Vec<_> = s.totals().map(|(_, v)| v).collect();
-        assert_eq!(totals, vec![0.5, 1.0, 0.5]);
-        // A span ending exactly on a bin edge doesn't open the next bin.
-        let mut t = BinnedSeries::new(Dur::from_secs(1.0));
-        t.record_span(SimTime::from_secs(0.0), SimTime::from_secs(2.0), 2.0);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total(), 4.0);
-        // Empty spans are no-ops.
-        t.record_span(SimTime::from_secs(5.0), SimTime::from_secs(5.0), 9.0);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
     fn empty_series_rates_are_zero() {
         let s = BinnedSeries::new(Dur::from_secs(1.0));
         assert!(s.is_empty());
@@ -241,5 +257,51 @@ mod tests {
             }
             prop_assert!(s.peak_rate() >= s.mean_rate() - 1e-9);
         }
+
+        /// `bin_edge` is the exact least instant of the next bin: the
+        /// division puts the edge and the ulp above it past `bin`, and
+        /// the ulp below it (never below `t`) in `bin`. A guess of
+        /// `(bin + 1) · width` without the ulp walk fails this at
+        /// width 0.1 (`0.7 / 0.1` rounds below 7, for one).
+        #[test]
+        fn bin_edge_agrees_with_the_division(
+            width in prop_oneof![Just(0.1), Just(1.0 / 3.0), Just(1.0)],
+            t in prop_oneof![
+                0.0f64..1e4,
+                (0u32..100_000).prop_map(|k| f64::from(k) / 10.0),
+                (0u32..100_000).prop_map(|k| f64::from(k) / 3.0),
+                (0.0f64..308.0).prop_map(|e| 10f64.powf(e)),
+                (0.0f64..1.0).prop_map(|f| f * f64::MAX),
+            ],
+        ) {
+            let bin = bin_index(t, width);
+            match bin_edge(bin, width) {
+                Some(edge) => {
+                    prop_assert!(t < edge, "t {} lies past the edge {} of its bin", t, edge);
+                    prop_assert!(bin_index(edge, width) > bin);
+                    prop_assert!(bin_index(edge.next_up(), width) > bin);
+                    prop_assert_eq!(bin_index(edge.next_down(), width), bin);
+                }
+                None => prop_assert!(bin == usize::MAX || bin_index(f64::MAX, width) == bin),
+            }
+        }
+    }
+
+    #[test]
+    fn bin_edge_corrects_the_rounded_guess_both_ways() {
+        // 17 × 0.1 rounds to 1.7000000000000002, yet 1.7 already
+        // divides to 17: the edge of bin 16 lies below the guess.
+        // 43 × 0.1 rounds to 4.3, which divides to just under 43: the
+        // edge of bin 42 lies above it.
+        let edge = bin_edge(16, 0.1).unwrap();
+        assert_eq!(edge, 1.7);
+        assert!(edge < 17.0 * 0.1);
+        assert_eq!((bin_index(edge, 0.1), bin_index(edge.next_down(), 0.1)), (17, 16));
+        let edge = bin_edge(42, 0.1).unwrap();
+        assert!(edge > 43.0 * 0.1);
+        assert_eq!((bin_index(edge, 0.1), bin_index(edge.next_down(), 0.1)), (43, 42));
+        // Past 2^64 bins the index saturates: no edge.
+        assert_eq!(bin_index(1e300, 0.1), usize::MAX);
+        assert_eq!(bin_edge(usize::MAX, 0.1), None);
     }
 }

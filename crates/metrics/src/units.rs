@@ -50,6 +50,7 @@ impl SimTime {
     }
 
     /// Seconds since the epoch.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
@@ -98,6 +99,7 @@ impl Dur {
     /// # Panics
     ///
     /// Panics if `secs` is negative or not finite.
+    #[inline]
     pub fn from_secs(secs: f64) -> Dur {
         assert!(secs.is_finite() && secs >= 0.0, "Dur must be finite and non-negative");
         Dur(secs)
@@ -114,6 +116,7 @@ impl Dur {
     }
 
     /// Length in seconds.
+    #[inline]
     pub fn as_secs(self) -> f64 {
         self.0
     }
@@ -129,6 +132,7 @@ impl Dur {
     }
 
     /// The longer of two spans.
+    #[inline]
     pub fn max(self, other: Dur) -> Dur {
         if self.0 >= other.0 {
             self
@@ -160,6 +164,7 @@ impl Add<Dur> for SimTime {
 }
 
 impl AddAssign<Dur> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: Dur) {
         self.0 += rhs.0;
     }
@@ -174,6 +179,7 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for Dur {
     type Output = Dur;
+    #[inline]
     fn add(self, rhs: Dur) -> Dur {
         Dur(self.0 + rhs.0)
     }
@@ -194,6 +200,7 @@ impl Sub for Dur {
 
 impl Mul<f64> for Dur {
     type Output = Dur;
+    #[inline]
     fn mul(self, rhs: f64) -> Dur {
         Dur(self.0 * rhs)
     }

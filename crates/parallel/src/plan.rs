@@ -214,23 +214,34 @@ impl ExecPlan {
     }
 
     /// Partially evaluates [`ExecPlan::price`] for a run of pure-decode
-    /// iterations that share every summary field except `attn_flops`
-    /// and `kv_read_bytes`: the GEMM, communication, and overhead terms
-    /// depend only on the shared fields and are priced here once;
-    /// [`DecodeRunPricer::price`] then recomputes just the attention
-    /// kernel per iteration, with the identical float operations in the
-    /// identical order, so its totals are bit-equal to
-    /// `self.price(summary_k).total()` for any summary on the run's
-    /// line.
-    pub fn decode_run_pricer(&self, summary: &BatchSummary) -> DecodeRunPricer {
-        let priced = self.price(summary);
+    /// iterations. Run iteration `i` shares every summary field with
+    /// `s0` except two, which grow by a fixed step per iteration:
+    /// `attn_flops = s0.attn_flops + i·d_attn` and `kv_read_bytes =
+    /// s0.kv_read_bytes + i·d_kv_read`. The GEMM, communication, and
+    /// overhead terms depend only on the shared fields and are priced
+    /// here once; [`DecodeRunPricer::price`] then recomputes just the
+    /// attention kernel per iteration, with the identical float
+    /// operations in the identical order, so its totals are bit-equal
+    /// to `self.price(summary_i).total()` for every iteration's
+    /// summary.
+    pub fn decode_run_pricer(
+        &self,
+        s0: &BatchSummary,
+        d_attn: f64,
+        d_kv_read: u64,
+    ) -> DecodeRunPricer {
+        let priced = self.price(s0);
         DecodeRunPricer {
             gemm: priced.gemm,
             communication: priced.communication,
             overhead: priced.overhead,
+            attn0: s0.cost.attn_flops,
+            d_attn,
+            kv0: s0.cost.total_kv_bytes(),
+            d_kv: d_kv_read,
             attn_div: self.attn_div,
             kv_frac: self.kv_frac,
-            kv_write_bytes: summary.cost.kv_write_bytes,
+            mem_bw: self.roofline.gpu().effective_mem_bw(),
             roofline: self.roofline,
         }
     }
@@ -238,31 +249,104 @@ impl ExecPlan {
 
 /// The per-iteration residue of a partially evaluated decode-run plan
 /// (see [`ExecPlan::decode_run_pricer`]): the batch-constant breakdown
-/// terms plus exactly the constants the attention kernel needs.
+/// terms, the run's attention-load line, and exactly the constants the
+/// attention kernel needs.
+///
+/// Both attention inputs are non-decreasing in the run's iteration
+/// index, so once [`DecodeRunPricer::memory_bound`] has shown a stretch
+/// of iterations memory bound at its ends,
+/// [`DecodeRunPricer::price_memory_bound`] prices each of them with the
+/// memory term alone: one division per iteration instead of three.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeRunPricer {
     gemm: Dur,
     communication: Dur,
     overhead: Dur,
+    /// Attention FLOPs at run iteration 0.
+    attn0: f64,
+    /// Attention-FLOP growth per iteration.
+    d_attn: f64,
+    /// KV traffic (reads plus the run-constant writes) at iteration 0.
+    kv0: u64,
+    /// KV-read growth per iteration.
+    d_kv: u64,
     /// `degree as f64`, the attention FLOP divisor.
     attn_div: f64,
     /// Per-GPU share of KV traffic.
     kv_frac: f64,
-    /// The run-constant KV write traffic (one token per sequence).
-    kv_write_bytes: u64,
+    /// [`Roofline::memory`]'s divisor, the GPU's effective bandwidth.
+    mem_bw: f64,
     roofline: Roofline,
 }
 
 impl DecodeRunPricer {
-    /// Total iteration latency at the given attention load — the only
-    /// two summary fields that vary along a pure-decode run. Float-op
-    /// order matches `price(...).total()`: the same attention kernel
-    /// evaluation, then the same left-to-right component sum.
-    pub fn price(&self, attn_flops: f64, kv_read_bytes: u64) -> Dur {
-        let attn_flops_pg = attn_flops / self.attn_div;
-        let kv_bytes_pg = ((kv_read_bytes + self.kv_write_bytes) as f64 * self.kv_frac) as u64;
-        let attention = self.roofline.kernel(attn_flops_pg, kv_bytes_pg);
+    /// The attention kernel's per-GPU FLOPs and per-GPU bytes at run
+    /// iteration `i`, in `ExecPlan::price`'s float-op order.
+    #[inline]
+    fn attention_load(&self, i: u64) -> (f64, u64) {
+        let attn_flops = self.attn0 + i as f64 * self.d_attn;
+        let kv_bytes = self.kv0 + i * self.d_kv;
+        (attn_flops / self.attn_div, (kv_bytes as f64 * self.kv_frac) as u64)
+    }
+
+    /// The left-to-right component sum of `price(...).total()`.
+    #[inline]
+    fn total(&self, attention: Dur) -> Dur {
         self.gemm + attention + self.communication + self.overhead
+    }
+
+    /// Total latency of run iteration `i`: the attention kernel's full
+    /// roofline (both terms), then the same left-to-right component sum
+    /// as `price(...).total()`.
+    #[inline]
+    pub fn price(&self, i: u64) -> Dur {
+        let (flops, bytes) = self.attention_load(i);
+        self.total(self.roofline.kernel(flops, bytes))
+    }
+
+    /// Whether run iterations `i..=j` are a *memory-bound stretch*: the
+    /// attention kernel's compute term at `j` is at most its memory term
+    /// at `i`. Both terms are non-decreasing in the iteration index
+    /// (each is a chain of additions, multiplications by non-negative
+    /// constants, divisions by positive constants and conversions, all
+    /// of which round monotonically), so every iteration `k` between
+    /// them has `compute(k) ≤ compute(j) ≤ memory(i) ≤ memory(k)`, and
+    /// [`Roofline::kernel`]'s `max` returns the memory term bit for bit.
+    ///
+    /// Also proves [`DecodeRunPricer::price_memory_bound`]'s signed
+    /// conversions exact: the byte count and its per-GPU share stay
+    /// below 2^63 up to `j`. `false` when either proof fails (a
+    /// compute-bound GPU, say); [`DecodeRunPricer::price`] then prices
+    /// each iteration with both terms.
+    pub fn memory_bound(&self, i: u64, j: u64) -> bool {
+        /// 2^63, the first value an `i64` cannot hold.
+        const I64_END: f64 = 9_223_372_036_854_775_808.0;
+        debug_assert!(i <= j, "a stretch runs forward");
+        let Some(bytes_j) = self.d_kv.checked_mul(j).and_then(|b| b.checked_add(self.kv0)) else {
+            return false;
+        };
+        let monotone_and_signed =
+            bytes_j < 1 << 63 && bytes_j as f64 * self.kv_frac < I64_END && self.d_attn >= 0.0;
+        if !monotone_and_signed {
+            return false;
+        }
+        let (flops_j, _) = self.attention_load(j);
+        let (_, bytes_i) = self.attention_load(i);
+        self.roofline.compute(flops_j) <= self.roofline.memory(bytes_i)
+    }
+
+    /// Total latency of run iteration `i` inside a stretch that
+    /// [`DecodeRunPricer::memory_bound`] proved: [`Roofline::memory`]'s
+    /// formula on the iteration's per-GPU bytes, then the same component
+    /// sum as [`DecodeRunPricer::price`], so the two are bit-equal
+    /// there. The byte counts convert through `i64`, which rounds like
+    /// the `u64` conversions for every value below 2^63 and costs one
+    /// instruction where `u64` costs a branch sequence.
+    #[inline]
+    pub fn price_memory_bound(&self, i: u64) -> Dur {
+        let bytes = (self.kv0 + i * self.d_kv) as i64;
+        let bytes_pg = (bytes as f64 * self.kv_frac) as i64;
+        self.total(Dur::from_secs(bytes_pg as f64 / self.mem_bw))
     }
 }
 

@@ -53,6 +53,7 @@ static ENABLED: OnceLock<bool> = OnceLock::new();
 
 /// Whether profiling is on (`SP_PROFILE` set to anything but `0` or
 /// empty). Cached on first call.
+#[inline]
 pub fn enabled() -> bool {
     *ENABLED.get_or_init(|| {
         std::env::var("SP_PROFILE").map(|v| !v.is_empty() && v != "0").unwrap_or(false)

@@ -21,6 +21,7 @@
 //! (exit code 1) naming the flag.
 
 use shift_parallelism::prelude::*;
+use shift_parallelism::workload::request::MAX_ARRIVAL_SECS;
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::process::ExitCode;
@@ -123,7 +124,22 @@ fn build_trace(flags: &Flags) -> Result<Trace, String> {
             Ok(MooncakeConfig { seed: seed.wrapping_add(0x30), ..MooncakeConfig::default() }
                 .generate())
         }
-        "poisson" => Ok(synthetic::poisson(requests, rate, input, output, seed)),
+        "poisson" => {
+            // Each gap is an exponential draw, below 709, over the rate:
+            // under this floor a single gap could overflow.
+            if !(709.0 / rate).is_finite() {
+                return Err(format!("--rate: {rate:e} is too small to space arrivals"));
+            }
+            let trace = synthetic::poisson(requests, rate, input, output, seed);
+            let last = trace.requests().last().map_or(0.0, |r| r.arrival.as_secs());
+            if last > MAX_ARRIVAL_SECS {
+                return Err(format!(
+                    "--rate: {rate:e} puts the last of {requests} arrivals at {last:e} s, \
+                     past the {MAX_ARRIVAL_SECS:e} s limit"
+                ));
+            }
+            Ok(trace)
+        }
         "batch" => Ok(synthetic::uniform_batch(requests, input, output)),
         other => Err(format!("unknown trace '{other}'")),
     }

@@ -35,6 +35,17 @@ fn non_positive_or_non_finite_rate_is_an_error() {
 }
 
 #[test]
+fn rate_that_spreads_arrivals_past_the_cap_is_an_error() {
+    // Two arrivals at rate 1e-300 land near 1e300 s, far past
+    // `MAX_ARRIVAL_SECS`; at 1e-310 a single gap would overflow.
+    for cmd in WORKLOAD_COMMANDS {
+        for rate in ["1e-300", "1e-310"] {
+            assert_rejected(&[cmd, &["--requests", "2", "--rate", rate]].concat(), "--rate");
+        }
+    }
+}
+
+#[test]
 fn every_numeric_flag_rejects_bad_values() {
     let bad: [(&str, &[&str]); 5] = [
         ("--requests", &["0", "-1", "1.5", "x", "1000001", "99999999999999999999"]),

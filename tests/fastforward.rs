@@ -21,6 +21,27 @@ use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
 use support::*;
 
+/// An H200 derated to `mfu`. At the calibrated 0.55 decode attention is
+/// memory bound; near 0.01 its ridge point meets decode attention's
+/// arithmetic intensity, so a run's kernel can turn compute bound
+/// partway through; far below that it is compute bound throughout.
+fn derated_h200(mfu: f64) -> GpuSpec {
+    GpuSpec { mfu, ..GpuSpec::h200() }
+}
+
+/// A Qwen-32B data-parallel replica like `dp_engine`'s, on a GPU
+/// derated to `mfu`.
+fn derated_dp_engine(mfu: f64, config: EngineConfig, paths: FastPaths) -> Engine {
+    let node = NodeSpec::new(derated_h200(mfu), 1, InterconnectSpec::nvswitch());
+    let mut e = Engine::new(
+        ExecutionModel::new(node, presets::qwen_32b()),
+        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
+        config,
+    );
+    e.set_fast_paths(paths);
+    e
+}
+
 /// The KV-blocked regime: a tight cache, a small chunk budget (so
 /// prompts prefill across many iterations, with decode runs between
 /// them), and SLO-aware EDF admission (so the run probe's blocked
@@ -137,6 +158,119 @@ proptest! {
         let retry = RetryPolicy { max_retries: 2, base_backoff: Dur::from_secs(0.25) };
         let cluster = Cluster { faults: Some((plan, retry)), ..Cluster::dp(n, pressure_config(kv)) };
         assert_rungs_match(&cluster, &trace);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The decode-run pricer against the plan, iteration by iteration:
+    /// a random decode batch (each context its own length) advances
+    /// `len` iterations, and every iteration's `ExecPlan::price` total
+    /// must equal the pricer's two-term price bit for bit, and its
+    /// memory-only price wherever `memory_bound` proves a stretch —
+    /// the one from a random start to the run's end that the engine
+    /// asks for, and a random inner one. Covers the preset models and
+    /// both configurations a Shift policy registers, on three GPUs: the
+    /// calibrated H200 (memory bound), a heavily derated one (compute
+    /// bound), and one whose ridge point falls inside the run, so that
+    /// runs turn compute bound partway and only stretches that end
+    /// early are memory bound.
+    #[test]
+    fn decode_run_pricer_matches_the_plan_on_every_iteration(
+        preset in 0usize..4,
+        gpu in 0usize..3,
+        mix in 0.0f64..1.0,
+        contexts in prop_oneof![
+            prop::collection::vec(0u64..50_000, 1..48),
+            prop::collection::vec(0u64..64, 1..48),
+        ],
+        len in 1u64..400,
+        cut in (0.0f64..1.0, 0.0f64..1.0),
+    ) {
+        let model = match preset {
+            0 => presets::llama_70b(),
+            1 => presets::qwen_32b(),
+            2 => presets::qwen_30b_a3b(),
+            _ => presets::llama_17b_16e(),
+        };
+        let n = contexts.len() as u64;
+        let attended: u64 = contexts.iter().map(|c| c + 1).sum();
+        prop_assume!(model.decode_batch_cost(n, attended + n * len).is_some());
+        let h200 = GpuSpec::h200();
+        let mfu = match gpu {
+            0 => h200.mfu,
+            1 => 0.001 + 0.002 * mix,
+            _ => {
+                // The mfu whose ridge equals the attention kernel's
+                // FLOP/byte ratio at a point `mix` of the way between
+                // the run's first and last iterations: the ratio grows
+                // along a run (reads grow, the writes stay), so the
+                // kernel turns compute bound near there.
+                let intensity = |i: u64| {
+                    let cost = model.decode_batch_cost(n, attended + n * i).unwrap();
+                    cost.attn_flops / cost.total_kv_bytes() as f64
+                };
+                let (first, last) = (intensity(0), intensity(len - 1));
+                let ridge = first + mix * (last - first);
+                (ridge * h200.effective_mem_bw() / h200.dense_flops).min(1.0)
+            }
+        };
+        let exec = ExecutionModel::new(
+            NodeSpec::new(derated_h200(mfu), 8, InterconnectSpec::nvswitch()),
+            model,
+        );
+        let batch = |i: u64| {
+            BatchWork::new(contexts.iter().map(|c| ChunkWork::decode(c + i)).collect())
+        };
+        let s0 = exec.summarize(&batch(0));
+        let s1 = exec.summarize(&batch(1));
+        let (d_attn, d_kv) =
+            (s1.cost.attn_flops - s0.cost.attn_flops, s1.cost.kv_read_bytes - s0.cost.kv_read_bytes);
+        let bits = |d: Dur| d.as_secs().to_bits();
+        let policy = ShiftPolicy::with_default_threshold(ParallelConfig::sequence(8));
+        for config in policy.configurations() {
+            let plan = exec.compile(&config).expect("every preset shards at degree 8");
+            let pricer = plan.decode_run_pricer(&s0, d_attn, d_kv);
+            let want: Vec<u64> =
+                (0..len).map(|i| bits(plan.price(&exec.summarize(&batch(i))).total())).collect();
+            for (i, &w) in (0..len).zip(&want) {
+                prop_assert_eq!(bits(pricer.price(i)), w, "iteration {} under {}", i, config);
+            }
+            let start = (cut.0 * len as f64) as u64;
+            let inner_end = start + (cut.1 * (len - start) as f64) as u64;
+            for (from, to) in [(start, len - 1), (start, inner_end.min(len - 1))] {
+                if pricer.memory_bound(from, to) {
+                    for i in from..=to {
+                        prop_assert_eq!(
+                            bits(pricer.price_memory_bound(i)),
+                            want[i as usize],
+                            "iteration {} of the stretch {}..={} under {}", i, from, to, config
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The engine equivalence of `fastforward_engine_matches_per_iteration`
+    /// on GPUs derated around and below decode attention's ridge point,
+    /// so macro-stepped runs are priced with both roofline terms, or
+    /// prove memory-bound stretches that end before the run does.
+    #[test]
+    fn fastforward_engine_matches_per_iteration_on_a_compute_bound_gpu(
+        sized in arb_trace(&[30_000, 200_000]),
+        mfu in prop_oneof![Just(0.002), 0.005f64..0.03],
+        use_slo in any::<bool>(),
+    ) {
+        let (kv, trace) = sized;
+        let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(kv) };
+        let run = |paths| derated_dp_engine(mfu, config, paths).run(&trace).dump();
+        assert_dumps_eq(
+            &run(FastPaths::MacroSteps),
+            &run(FastPaths::Compiled),
+            "fast-forward vs the per-iteration engine on a compute-bound GPU",
+        );
     }
 }
 
