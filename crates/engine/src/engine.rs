@@ -219,8 +219,8 @@ pub struct Engine {
     /// Reusable chunk buffer recycled through [`BatchWork::into_chunks`]
     /// after each iteration is priced and applied.
     scratch_chunks: Vec<ChunkWork>,
-    /// Reusable index buffer for the class-aware prefill ordering in
-    /// [`Engine::build_batch`].
+    /// Reusable buffer of the prefilling sequences' indices for the
+    /// class-aware prefill pass in [`Engine::build_batch`].
     scratch_order: Vec<usize>,
     /// Which optimization layers are live (see [`FastPaths`]); the
     /// default runs them all.
@@ -340,20 +340,25 @@ struct RunCache {
     tally: RunTally,
 }
 
-/// The report totals a decode run accumulates across its windows, all
-/// under the run's one configuration and batch size. Each is an integer
+/// What a decode run's windows leave for its settle: report totals,
+/// all under the run's one configuration and batch size, and the
+/// tokens not yet added to the sequences. Each total is an integer
 /// count, an integer token sum or a maximum, so writing them once when
 /// the run is settled equals writing them per iteration bit for bit.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunTally {
-    /// Iterations run (also the configuration's usage count).
+    /// Iterations run (also the configuration's usage count). Each
+    /// emitted one token per sequence that no sequence's `generated`
+    /// counts yet: the settle adds them (see `Engine::settle_run`).
     iterations: u64,
     /// End of the latest iteration (the makespan candidate).
     end: SimTime,
     /// Longest iteration.
     max_iteration: Dur,
-    /// Highest KV utilization seen at a window start.
-    kv_peak: f64,
+    /// KV utilization, sampled at the first window. While a run is
+    /// cached no reservation changes (anything that reserves or
+    /// releases settles first), so the sample holds for every window.
+    kv_util: f64,
     /// Throughput bin of the open segment.
     seg_bin: usize,
     /// Upper edge of `seg_bin` (see [`bin_edge`]), or a lower bound of
@@ -607,7 +612,7 @@ impl Engine {
                         rl = rl.min(seq.decode_remaining());
                     }
                     assert_eq!(
-                        u64::from(rl),
+                        u64::from(rl) - cache.tally.iterations,
                         cache.end.saturating_sub(cache.base_k),
                         "cached completion bound diverged from the scan"
                     );
@@ -655,7 +660,14 @@ impl Engine {
         let mut tally = run.tally;
         let bin_w = self.config.throughput_bin.as_secs();
         let timeline = self.report.timeline_enabled();
-        let kv_util = self.kv.utilization();
+        if tally.iterations == 0 {
+            tally.kv_util = self.kv.utilization();
+        }
+        debug_assert_eq!(tally.kv_util, self.kv.utilization(), "KV changed inside a run");
+        let kv_util = tally.kv_util;
+        // Iterations whose tokens the sequences do not count yet.
+        #[cfg(debug_assertions)]
+        let unapplied = tally.iterations;
         // One proof covers the rest of the run: if the kernel is memory
         // bound at both ends of it, every iteration is priced by its
         // memory term alone.
@@ -671,6 +683,7 @@ impl Engine {
         let mut last_t = SimTime::ZERO;
         let mut done = 0u32;
 
+        let price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
         for k in 0..run_limit {
             let t = clock;
             if k > 0 {
@@ -695,16 +708,9 @@ impl Engine {
                 }
             }
             let i = run.base_k + u64::from(k);
-            let base = {
-                let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-                if memory_bound {
-                    pricer.price_memory_bound(i)
-                } else {
-                    pricer.price(i)
-                }
-            };
+            let base = if memory_bound { pricer.price_memory_bound(i) } else { pricer.price(i) };
             #[cfg(debug_assertions)]
-            self.check_linear_price(&config, k, base);
+            self.check_linear_price(&config, unapplied + u64::from(k), k, base);
             let duration = slowed(base, slowdown);
             clock += duration;
             tally.max_iteration = tally.max_iteration.max(duration);
@@ -744,6 +750,7 @@ impl Engine {
                 });
             }
         }
+        drop(price_span);
         self.clock = clock;
         debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
         let repeats = done - u32::from(asked);
@@ -753,7 +760,6 @@ impl Engine {
         }
         tally.iterations += u64::from(done);
         tally.end = self.clock;
-        tally.kv_peak = tally.kv_peak.max(kv_util);
         let cache = self.run_cache.as_mut().expect("the run's cache is stored");
         cache.base_k += u64::from(done);
         cache.tally = tally;
@@ -762,26 +768,27 @@ impl Engine {
         cache.verdict = (!admissible).then_some(admit_bound);
         cache.memory_bound = memory_bound;
 
-        // Apply the run to scheduler state: each sequence emitted one
-        // token per iteration.
-        for seq in &mut self.running {
-            seq.generated += done;
-        }
+        // Apply the run to the O(1) scheduler state. The tokens each
+        // sequence emitted stay in the tally until the run is settled.
         self.running_outstanding_tokens -= n as u64 * u64::from(done);
         self.decode_cursor = self.decode_cursor.wrapping_add(done as usize);
 
         // Retire finished sequences exactly as the per-iteration step
         // does (completions can only land on the run's final iteration,
         // after all of its token attribution — same order as the slow
-        // path), settling the run's totals first: retirement ends the
-        // run. A window cut before the earliest-completion bound
-        // cannot have finished anything (`run_limit` is the minimum of
-        // `decode_remaining`), so the retire scan is skipped entirely.
+        // path), settling the run first: retirement ends the run, and
+        // the settle adds the run's tokens. A window cut before the
+        // earliest-completion bound cannot have finished anything
+        // (`run_limit` is the minimum of `decode_remaining`), so it
+        // touches no sequence at all.
         if done == run_limit {
             self.settle_run();
             self.retire_finished();
         } else {
-            debug_assert!(self.running.iter().all(|seq| !seq.finished()));
+            debug_assert!(self
+                .running
+                .iter()
+                .all(|seq| u64::from(seq.decode_remaining()) > tally.iterations));
         }
         // Retirement changes the batch: the cached summary is stale.
         if self.running.len() != n {
@@ -803,6 +810,14 @@ impl Engine {
     /// [`Engine::run`]. A new capture needs no settle: the cache is only
     /// dropped on those paths, right after they settle it.
     ///
+    /// Settling also adds the run's tokens to the sequences, which no
+    /// window does: a window touches no sequence, so resuming a run
+    /// costs the same whatever the batch size. Nothing reads a running
+    /// sequence's token count between two settles except debug
+    /// cross-checks, which add the tally's iterations themselves. The
+    /// add stays a pass of its own where retirement follows (DESIGN.md
+    /// decision 15 says why it is not folded into the retire pass).
+    ///
     /// Settling also drops the run's admission verdict: the paths that
     /// settle may change the queue or the KV cache (a step admits,
     /// [`Engine::take_report`] releases shared prefixes), so the next
@@ -819,8 +834,12 @@ impl Engine {
             self.report.observe_tokens_run(tally.seg_t, tokens, tally.seg_count);
         }
         self.report.note_config_usage(cache.config, tally.iterations);
-        self.report.note_kv_utilization(tally.kv_peak);
+        self.report.note_kv_utilization(tally.kv_util);
         self.report.note_run(tally.iterations, tally.end, tally.max_iteration);
+        let unapplied = u32::try_from(tally.iterations).expect("a run fits u32 iterations");
+        for seq in &mut self.running {
+            seq.generated += unapplied;
+        }
     }
 
     /// The admission probe [`Engine::step_run`] runs where a step would
@@ -917,17 +936,18 @@ impl Engine {
 
     /// Checks a closed-form run price against the per-chunk reference
     /// walk of window iteration `k`'s materialized batch — never
-    /// against the closed form `summarize` would also use.
+    /// against the closed form `summarize` would also use. `grown` is
+    /// how many tokens every context has gained beyond what the
+    /// sequences count: the run's unapplied iterations plus `k`.
     #[cfg(debug_assertions)]
-    fn check_linear_price(&self, config: &ParallelConfig, k: u32, dur: Dur) {
-        // Window iteration `k`'s scan starts `k` past the cursor, with
-        // every context `k` tokens longer.
+    fn check_linear_price(&self, config: &ParallelConfig, grown: u64, k: u32, dur: Dur) {
+        // Window iteration `k`'s scan starts `k` past the cursor.
         let n = self.running.len();
         let work = BatchWork::new(
             (0..n)
                 .map(|j| {
                     let seq = &self.running[(self.decode_cursor + j + k as usize) % n];
-                    ChunkWork::decode(seq.context_len() + u64::from(k))
+                    ChunkWork::decode(seq.context_len() + grown)
                 })
                 .collect(),
         );
@@ -974,7 +994,9 @@ impl Engine {
         let queued: u64 =
             self.arrivals.iter().chain(self.waiting.iter()).map(Request::total_tokens).sum();
         let admitted: u64 = self.running.iter().map(seq_outstanding).sum();
-        queued + admitted
+        // A cached run's tokens not yet added to its sequences.
+        let unapplied = self.run_cache.map_or(0, |c| c.tally.iterations * c.seqs as u64);
+        queued + admitted - unapplied
     }
 
     /// Live load snapshot for deadline-aware routing: outstanding tokens
@@ -1176,6 +1198,7 @@ impl Engine {
         // client-visible tokens: prompt tokens, emitted output tokens, and
         // the first output token each final prefill chunk produces.
         let mut ledger_tokens = 0u64;
+        let mut finishing = false;
         let assignments = std::mem::take(&mut self.scratch_assignments);
         for &(seq_idx, chunk) in &assignments {
             let seq = &mut self.running[seq_idx];
@@ -1212,6 +1235,7 @@ impl Engine {
                     }
                 }
             }
+            finishing |= seq.finished();
         }
         self.scratch_assignments = assignments;
         self.report.note_iteration(config, self.clock, ledger_tokens, duration);
@@ -1224,7 +1248,14 @@ impl Engine {
             kv_utilization: self.kv.utilization(),
         });
         self.scratch_chunks = work.into_chunks();
-        self.retire_finished();
+        // Only a sequence this iteration advanced can have finished:
+        // every other path retires what it finishes. The `Reference`
+        // rung scans regardless.
+        if finishing || self.fast_paths == FastPaths::Reference {
+            self.retire_finished();
+        } else {
+            debug_assert!(self.running.iter().all(|seq| !seq.finished()));
+        }
     }
 
     /// Retires every finished sequence at the current clock: releases
@@ -1522,10 +1553,17 @@ impl Engine {
         let mut assignments = std::mem::take(&mut self.scratch_assignments);
         assignments.clear();
 
+        // Visit every sequence once, starting at the cursor's position:
+        // `(cursor + k) % n` for each `k`, with one modulo per batch.
         let n = self.running.len();
-        for k in 0..n {
-            let i = (self.decode_cursor + k) % n;
+        let mut i = if n == 0 { 0 } else { self.decode_cursor % n };
+        for _ in 0..n {
             let seq = &self.running[i];
+            let at = i;
+            i += 1;
+            if i == n {
+                i = 0;
+            }
             if seq.in_decode() && !seq.finished() {
                 let mut chunk = match self.config.spec_decode {
                     None => ChunkWork::decode(seq.context_len()),
@@ -1538,7 +1576,7 @@ impl Engine {
                     break;
                 }
                 budget -= chunk.new_tokens;
-                assignments.push((i, chunk));
+                assignments.push((at, chunk));
             }
         }
         let mut prefill_budget = budget.min(self.config.max_prefill_tokens.unwrap_or(u64::MAX));
@@ -1577,41 +1615,42 @@ impl Engine {
                         .salvageable_interactive(self.clock)
                         .any(|r| self.ttft_at_risk(r, &slo))
                 };
-                let prefill_order = self.running.iter().enumerate().filter(|(_, s)| !s.in_decode());
-                let mut ordered = std::mem::take(&mut self.scratch_order);
-                ordered.clear();
-                ordered.extend(
-                    prefill_order
-                        .clone()
-                        .filter(|(_, s)| s.request.class == RequestClass::Interactive)
-                        .chain(
-                            prefill_order.filter(|(_, s)| s.request.class == RequestClass::Batch),
-                        )
-                        .map(|(i, _)| i),
+                // Interactive prefills first, then batch ones, each in
+                // running order: one pass over the batch finds the
+                // prefills, and one per class over those visits them.
+                let mut prefills = std::mem::take(&mut self.scratch_order);
+                prefills.clear();
+                prefills.extend(
+                    self.running.iter().enumerate().filter(|(_, s)| !s.in_decode()).map(|(i, _)| i),
                 );
                 let mut scheduled_interactive = false;
-                for &i in &ordered {
-                    let seq = &self.running[i];
-                    let is_batch = seq.request.class == RequestClass::Batch;
-                    if is_batch && urgent && !assignments.is_empty() {
-                        deferred += 1;
-                        continue;
-                    }
-                    if prefill_budget == 0 {
-                        if is_batch && scheduled_interactive {
-                            deferred += 1;
+                for class in [RequestClass::Interactive, RequestClass::Batch] {
+                    let is_batch = class == RequestClass::Batch;
+                    for &i in &prefills {
+                        let seq = &self.running[i];
+                        if seq.request.class != class {
+                            continue;
                         }
-                        continue;
-                    }
-                    let take = seq.prefill_remaining().min(prefill_budget);
-                    let is_last = take == seq.prefill_remaining();
-                    assignments.push((i, ChunkWork::prefill(take, seq.prefill_done, is_last)));
-                    prefill_budget -= take;
-                    if !is_batch {
-                        scheduled_interactive = true;
+                        if is_batch && urgent && !assignments.is_empty() {
+                            deferred += 1;
+                            continue;
+                        }
+                        if prefill_budget == 0 {
+                            if is_batch && scheduled_interactive {
+                                deferred += 1;
+                            }
+                            continue;
+                        }
+                        let take = seq.prefill_remaining().min(prefill_budget);
+                        let is_last = take == seq.prefill_remaining();
+                        assignments.push((i, ChunkWork::prefill(take, seq.prefill_done, is_last)));
+                        prefill_budget -= take;
+                        if !is_batch {
+                            scheduled_interactive = true;
+                        }
                     }
                 }
-                self.scratch_order = ordered;
+                self.scratch_order = prefills;
             }
         }
 

@@ -24,6 +24,13 @@ pub fn bin_index(t: f64, width: f64) -> usize {
 /// and the quotient each round by at most half an ulp), so the search
 /// takes a handful of steps.
 ///
+/// Every candidate is positive and finite (the guess is at least
+/// `width`, and the walk down stops above 0), so a step is one integer
+/// add to its bits. `f64::next_down` would also handle 0, whose
+/// predecessor is the subnormal `-5e-324`; an optimizer may hoist that
+/// branch's division out of the walk into every caller, and a division
+/// with a subnormal operand is slow on common hardware.
+///
 /// `width` must be positive and finite, as a [`BinnedSeries`] width is.
 ///
 /// # Examples
@@ -42,18 +49,21 @@ pub fn bin_edge(bin: usize, width: f64) -> Option<f64> {
         return None;
     }
     let above = |t: f64| bin_index(t, width) > bin;
+    // Adjacent positive finite floats have adjacent bit patterns.
+    let down = |t: f64| f64::from_bits(t.to_bits() - 1);
+    let up = |t: f64| f64::from_bits(t.to_bits() + 1);
     let mut edge = ((bin + 1) as f64 * width).min(f64::MAX);
     if above(edge) {
         // Bin 0 starts at 0, so the walk down stops above it.
-        while above(edge.next_down()) {
-            edge = edge.next_down();
+        while above(down(edge)) {
+            edge = down(edge);
         }
     } else {
         while !above(edge) {
             if edge == f64::MAX {
                 return None;
             }
-            edge = edge.next_up();
+            edge = up(edge);
         }
     }
     Some(edge)
@@ -96,12 +106,31 @@ impl BinnedSeries {
     }
 
     /// Adds `weight` at instant `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `t` and the bin width, if `t`'s bin index
+    /// saturates at `usize::MAX` (an instant 2^64 or more bin widths
+    /// from 0): no series can extend to that bin.
     pub fn record(&mut self, t: SimTime, weight: f64) {
-        let idx = bin_index(t.as_secs(), self.bin_width.as_secs());
+        *self.bin_mut(t) += weight;
+    }
+
+    /// The bin of instant `t`, extending the series up to it.
+    fn bin_mut(&mut self, t: SimTime) -> &mut f64 {
+        let width = self.bin_width.as_secs();
+        let idx = bin_index(t.as_secs(), width);
         if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0.0);
+            let Some(len) = idx.checked_add(1) else {
+                panic!(
+                    "instant {:e} s lies past the last bin a series of {} s bins can hold",
+                    t.as_secs(),
+                    width
+                );
+            };
+            self.bins.resize(len, 0.0);
         }
-        self.bins[idx] += weight;
+        &mut self.bins[idx]
     }
 
     /// Adds `count` repetitions of weight `weight`, all landing in the
@@ -117,17 +146,17 @@ impl BinnedSeries {
     /// `weight × count` produces the same bits. Outside that regime
     /// (fractional weights, giant totals) the method falls back to the
     /// literal per-event loop rather than re-associate inexact sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`BinnedSeries::record`] does when `count` is positive.
     pub fn record_repeated(&mut self, t: SimTime, weight: f64, count: u64) {
         if count == 0 {
             return;
         }
-        let idx = bin_index(t.as_secs(), self.bin_width.as_secs());
-        if idx >= self.bins.len() {
-            self.bins.resize(idx + 1, 0.0);
-        }
         /// Largest integer up to which every f64 add of integers is exact.
         const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-        let bin = &mut self.bins[idx];
+        let bin = self.bin_mut(t);
         let total = weight * count as f64;
         let exact = weight >= 0.0
             && weight.fract() == 0.0
@@ -285,6 +314,23 @@ mod tests {
                 None => prop_assert!(bin == usize::MAX || bin_index(f64::MAX, width) == bin),
             }
         }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "instant 1e300 s lies past the last bin a series of 0.1 s bins can hold"
+    )]
+    fn record_past_the_last_bin_names_the_instant_and_the_width() {
+        BinnedSeries::new(Dur::from_secs(0.1)).record(SimTime::from_secs(1e300), 1.0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "instant 2e19 s lies past the last bin a series of 1 s bins can hold"
+    )]
+    fn record_repeated_past_the_last_bin_names_the_instant_and_the_width() {
+        // Past 2^64 s (about 1.8e19 s), where 1 s bins saturate the index.
+        BinnedSeries::new(Dur::from_secs(1.0)).record_repeated(SimTime::from_secs(2e19), 1.0, 3);
     }
 
     #[test]

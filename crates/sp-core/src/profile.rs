@@ -25,7 +25,11 @@ use std::time::Instant;
 pub enum Phase {
     /// `Engine::build_batch`: decode scan + chunked-prefill packing.
     BatchBuild,
-    /// `Engine::price_iteration`: plan evaluation.
+    /// `Engine::price_iteration`: plan evaluation for one step. Also
+    /// each `Engine::step_run` window's iteration loop, as one span:
+    /// its closed-form prices with the in-run admission probes,
+    /// throughput-bin flushes and timeline notes between them, so the
+    /// clock is read twice per window, not per iteration.
     Pricing,
     /// Horizon-window merge: fault-clock fold and retires.
     Merge,

@@ -274,6 +274,157 @@ proptest! {
     }
 }
 
+/// Up to 8 requests with prompts of at most 48 tokens and outputs of 64
+/// to 1,200, arriving in the first 3 s: decode runs whose contexts grow
+/// many times over from short starts, so the attention kernel's
+/// arithmetic intensity climbs along each run.
+fn arb_short_prompt_trace() -> impl Strategy<Value = Trace> {
+    let req = (1u32..48, 64u32..1_200, 0.0f64..3.0, any::<bool>());
+    prop::collection::vec(req, 1..=8).prop_map(|reqs| {
+        Trace::new(
+            reqs.into_iter()
+                .map(|(input, output, at, interactive)| {
+                    request(0, at, input, output, class(interactive))
+                })
+                .collect(),
+        )
+    })
+}
+
+/// The mfu at which an H200's ridge point equals the arithmetic
+/// intensity of Qwen-32B's decode attention at a mean context of
+/// `context` tokens (a decode batch's intensity depends on its mean
+/// context alone).
+fn ridge_mfu_at(context: u64) -> f64 {
+    let cost = presets::qwen_32b().decode_batch_cost(1, context + 1).expect("small batch");
+    let intensity = cost.attn_flops / cost.total_kv_bytes() as f64;
+    let h200 = GpuSpec::h200();
+    (intensity * h200.effective_mem_bw() / h200.dense_flops).min(1.0)
+}
+
+/// Steps `node` through one window: every event strictly below `cap`,
+/// by [`SimNode::step_run`] where `runs` allows it, as the cluster's
+/// window loop does, else one [`SimNode::step_once`] at a time.
+fn step_window<N: SimNode>(node: &mut N, cap: f64, runs: bool) {
+    while node.next_event_time().is_some_and(|t| t.as_secs() < cap) {
+        if !runs || node.step_run(Some(cap)).is_none() {
+            node.step_once();
+        }
+    }
+}
+
+/// Feeds `trace` to `cut` and `whole`, then steps both through windows
+/// whose widths cycle through `gaps` (0 puts the cap just above the
+/// next event, so the window holds one iteration): `cut` macro-steps
+/// its runs, which every cap cuts, and `whole` steps one iteration at a
+/// time. After every window both must agree on the next event, on
+/// `load()` and on `stats`; at the end their dumps must match.
+fn assert_window_cuts_invisible<N: SimNode>(
+    mut cut: N,
+    mut whole: N,
+    trace: &Trace,
+    gaps: &[f64],
+    stats: impl Fn(&N) -> Option<(u64, u64, u64)>,
+) {
+    for &req in trace.requests() {
+        cut.push_request(req);
+        whole.push_request(req);
+    }
+    let bits = |t: Option<SimTime>| t.map(|t| t.as_secs().to_bits());
+    for &gap in gaps.iter().cycle() {
+        let next = cut.next_event_time();
+        assert_eq!(bits(next), bits(whole.next_event_time()), "next-event divergence");
+        let Some(t) = next else { break };
+        let cap = if gap == 0.0 { t.as_secs().next_up() } else { t.as_secs() + gap };
+        step_window(&mut cut, cap, true);
+        step_window(&mut whole, cap, false);
+        assert_eq!(cut.load(), whole.load(), "load after the window capped at {cap}");
+        assert_eq!(stats(&cut), stats(&whole), "policy counters after the window capped at {cap}");
+    }
+    assert_dumps_eq(
+        &cut.take_report().dump(),
+        &whole.take_report().dump(),
+        "cut runs vs per-iteration stepping",
+    );
+}
+
+/// Widths of the windows [`assert_window_cuts_invisible`] cycles
+/// through: one-iteration windows, windows a few iterations wide and
+/// windows that span whole runs.
+fn arb_gaps() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(prop_oneof![Just(0.0), 1e-4f64..0.05, 0.05f64..4.0], 1..8)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// A run cut by any caps, however many and however close, leaves
+    /// the engine as if it had stepped each iteration: the same load
+    /// after every window (a cut run's tokens wait in its cache until
+    /// the run is settled, while the load counters move per window)
+    /// and the same report at the end.
+    #[test]
+    fn window_cuts_leave_an_engine_unchanged(
+        sized in arb_trace(&[30_000, 200_000]),
+        gaps in arb_gaps(),
+        use_slo in any::<bool>(),
+    ) {
+        let (kv, trace) = sized;
+        let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(kv) };
+        let engine = || dp_engine(config, FastPaths::MacroSteps);
+        assert_window_cuts_invisible(engine(), engine(), &trace, &gaps, |_| None);
+    }
+
+    /// The same on a Shift `Deployment`, whose policy counters
+    /// (`shift_stats`) must also match after every window: a cut run
+    /// records its window's repeated choices before it returns.
+    #[test]
+    fn window_cuts_leave_a_shift_deployment_unchanged(
+        sized in arb_trace(&[30_000]),
+        gaps in arb_gaps(),
+        use_slo in any::<bool>(),
+    ) {
+        let (_, trace) = sized;
+        let deployment = || {
+            let builder = Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b())
+                .kind(DeploymentKind::Shift)
+                .record_timeline(true);
+            let builder = if use_slo { builder.class_slo(ClassSlo::default()) } else { builder };
+            builder.build().expect("Qwen-32B deploys under Shift on 8 H200s")
+        };
+        assert_window_cuts_invisible(
+            deployment(),
+            deployment(),
+            &trace,
+            &gaps,
+            Deployment::shift_stats,
+        );
+    }
+
+    /// The engine equivalence on a GPU whose ridge point falls inside
+    /// short-prompt, long-output decode runs: a run's mean context, and
+    /// with it the attention kernel's intensity, grows along the run,
+    /// so runs that start memory bound turn compute bound partway. A
+    /// memory-bound stretch proof that checks the compute term at the
+    /// wrong end of the stretch prices their compute-bound tail by the
+    /// memory term, and fails here.
+    #[test]
+    fn fastforward_engine_matches_per_iteration_across_the_ridge(
+        trace in arb_short_prompt_trace(),
+        ridge_context in 4u64..600,
+        use_slo in any::<bool>(),
+    ) {
+        let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(30_000) };
+        let mfu = ridge_mfu_at(ridge_context);
+        let run = |paths| derated_dp_engine(mfu, config, paths).run(&trace).dump();
+        assert_dumps_eq(
+            &run(FastPaths::MacroSteps),
+            &run(FastPaths::Compiled),
+            "fast-forward vs the per-iteration engine across the ridge",
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
