@@ -219,7 +219,8 @@ impl DisaggregatedServer {
                 seq.context += 1;
                 emitted += 1;
             }
-            report.note_iteration(decode_tp, clock, emitted, dur);
+            report.note_iteration(clock, emitted, dur);
+            report.note_config_usage(decode_tp, 1);
 
             let clock_now = clock;
             active.retain(|seq| {
@@ -242,12 +243,11 @@ impl DisaggregatedServer {
 
         // Attribute prefill tokens to the throughput ledger at handoff.
         for &req in trace.requests() {
-            report.note_iteration(
-                ParallelConfig::tensor(self.config.prefill_tp),
-                report.makespan(),
-                u64::from(req.input_tokens),
-                Dur::ZERO,
-            );
+            report.note_iteration(report.makespan(), u64::from(req.input_tokens), Dur::ZERO);
+        }
+        if !trace.is_empty() {
+            let prefill_tp = ParallelConfig::tensor(self.config.prefill_tp);
+            report.note_config_usage(prefill_tp, trace.len() as u64);
         }
         report
     }

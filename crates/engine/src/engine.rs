@@ -156,7 +156,10 @@ pub enum FastPaths {
     /// `try_iteration` walk.
     Indexed,
     /// Plus compiled pricing: iterations evaluate the configuration's
-    /// precompiled [`ExecPlan`] (bit-identical to the direct walk).
+    /// precompiled [`ExecPlan`] (bit-identical to the direct walk), and
+    /// a step without speculative decoding whose decodes all fit the
+    /// budget prices them as one closed-form lead instead of building a
+    /// chunk per sequence.
     Compiled,
     /// Plus macro-steps: [`Engine::step_run`] advances shape-stable
     /// pure-decode runs in one window (the default).
@@ -220,7 +223,7 @@ pub struct Engine {
     /// after each iteration is priced and applied.
     scratch_chunks: Vec<ChunkWork>,
     /// Reusable buffer of the prefilling sequences' indices for the
-    /// class-aware prefill pass in [`Engine::build_batch`].
+    /// prefill passes in [`Engine::build_batch`].
     scratch_order: Vec<usize>,
     /// Which optimization layers are live (see [`FastPaths`]); the
     /// default runs them all.
@@ -240,6 +243,11 @@ pub struct Engine {
     /// per call. Bit-identical to the direct walk; debug builds assert so
     /// on every evaluation.
     plans: Vec<ExecPlan>,
+    /// Iterations run under each of `plans`' configurations since the
+    /// last [`Engine::take_report`], which writes them into the report's
+    /// config usage: counting by plan index hashes no configuration per
+    /// step.
+    plan_iterations: Vec<u64>,
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
@@ -296,6 +304,24 @@ struct LinearRunSummary {
     d_kv_read: u64,
 }
 
+/// One step's batch, as [`Engine::build_batch`] leaves it for pricing
+/// and application.
+#[derive(Debug)]
+struct StepBatch {
+    /// Plain one-token decodes priced as a closed-form lead
+    /// ([`ExecutionModel::summarize_after_decodes`]) rather than as
+    /// chunks: every sequence in decode and not finished. Zero when the
+    /// decodes are per-sequence chunks in `work`.
+    decodes: u64,
+    /// The lead's attended positions, `context + 1` summed over it.
+    attended: u64,
+    /// The per-sequence chunks in `scratch_assignments` order: the
+    /// prefills alone behind a decode lead, every chunk otherwise.
+    work: BatchWork,
+    /// Batch-class prefills the SLO rule deferred this step.
+    deferred: u64,
+}
+
 /// A decode run carried across windows: while it is cached, every
 /// running context has advanced exactly `base_k` iterations since
 /// capture (windows advance all decode contexts
@@ -318,6 +344,8 @@ struct RunCache {
     seqs: usize,
     /// The configuration every iteration of the run executes under.
     config: ParallelConfig,
+    /// `config`'s index in the engine's plans.
+    plan: usize,
     /// `config`'s plan, partially evaluated for the run's closed-form
     /// summary line.
     pricer: DecodeRunPricer,
@@ -439,6 +467,7 @@ impl Engine {
             queued_input_tokens: 0,
             running_outstanding_tokens: 0,
             running_prefill_tokens: 0,
+            plan_iterations: vec![0; plans.len()],
             plans,
             slowdown: 1.0,
             run_cache: None,
@@ -456,15 +485,15 @@ impl Engine {
         self.slowdown = factor;
     }
 
-    /// The compiled plan of `config`.
+    /// The index of `config`'s compiled plan in `plans`.
     ///
     /// # Panics
     ///
     /// Panics if `config` is not among the policy's `configurations()`:
     /// a policy may only return a registered configuration (the
     /// [`ParallelismPolicy`] contract).
-    fn plan(&self, config: &ParallelConfig) -> &ExecPlan {
-        self.plans.iter().find(|p| p.config() == *config).unwrap_or_else(|| {
+    fn plan_index(&self, config: &ParallelConfig) -> usize {
+        self.plans.iter().position(|p| p.config() == *config).unwrap_or_else(|| {
             panic!(
                 "policy {} chose {config}, which is not among its configurations()",
                 self.policy.name()
@@ -472,22 +501,59 @@ impl Engine {
         })
     }
 
-    /// Prices one step iteration of `work` under `config` on healthy
-    /// hardware ([`Engine::step_run`] prices its runs from
-    /// [`RunCache`]). Rungs at [`FastPaths::Compiled`] and above
-    /// evaluate the config's compiled [`ExecPlan`] from one shared batch
-    /// fold — bit-identical to the direct walk (debug builds assert so
-    /// on every call); lower rungs price through `try_iteration`
-    /// directly, the executable specification. Every rung looks the
-    /// plan up, so an unregistered `config` panics on each of them.
-    fn price_iteration(&self, config: &ParallelConfig, work: &BatchWork) -> Dur {
+    /// Prices a step's batch under plan `plan` on healthy hardware
+    /// ([`Engine::step_run`] prices its runs from [`RunCache`]). Rungs
+    /// at [`FastPaths::Compiled`] and above evaluate the compiled
+    /// [`ExecPlan`] from one shared batch summary, with a decode lead
+    /// priced in closed form and the prefill chunks folded on top —
+    /// bit-identical to the direct walk (debug builds assert so on every
+    /// call). When the closed form's exactness guard declines, the
+    /// decodes are materialized as chunks and the whole batch is
+    /// summarized chunk by chunk. Lower rungs price through
+    /// `try_iteration` directly, the executable specification.
+    fn price_step(&self, plan: usize, batch: &StepBatch) -> Dur {
         let _price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-        let plan = self.plan(config);
-        if self.fast_paths >= FastPaths::Compiled {
-            self.exec.price_planned(plan, work).total()
-        } else {
-            self.exec.iteration(config, work).total()
+        let plan = &self.plans[plan];
+        if self.fast_paths < FastPaths::Compiled {
+            return self.exec.iteration(&plan.config(), &batch.work).total();
         }
+        if batch.decodes == 0 {
+            return self.exec.price_planned(plan, &batch.work).total();
+        }
+        // The batch the lead stands for, as the per-sequence build
+        // makes it: the decodes in cursor order, then the prefills.
+        let full = || {
+            let mut chunks = self.cursor_decodes(0, 0);
+            debug_assert_eq!(chunks.len() as u64, batch.decodes, "the lead counts every decode");
+            chunks.extend_from_slice(batch.work.chunks());
+            BatchWork::new(chunks)
+        };
+        let lead =
+            self.exec.summarize_after_decodes(batch.decodes, batch.attended, batch.work.chunks());
+        let Some(summary) = lead else {
+            return self.exec.price_planned(plan, &full()).total();
+        };
+        let priced = plan.price(&summary);
+        debug_assert_eq!(
+            priced,
+            self.exec.iteration(&plan.config(), &full()),
+            "closed-form decode lead diverged from try_iteration under {}",
+            plan.config()
+        );
+        priced.total()
+    }
+
+    /// A decode chunk for every running sequence in decode and not
+    /// finished, at `grown` tokens past its context, in the order the
+    /// per-sequence build visits them `k` steps from now: from the
+    /// cursor's position `k` past the current one.
+    fn cursor_decodes(&self, k: usize, grown: u64) -> Vec<ChunkWork> {
+        let n = self.running.len();
+        (0..n)
+            .map(|j| &self.running[(self.decode_cursor + j + k) % n])
+            .filter(|seq| seq.in_decode() && !seq.finished())
+            .map(|seq| ChunkWork::decode(seq.context_len() + grown))
+            .collect()
     }
 
     /// Selects the rung of the optimization ladder the engine runs on
@@ -637,13 +703,14 @@ impl Engine {
                 // asked, since choices are counted.
                 let lin = self.linear_run_summary(n, attended, limit)?;
                 let config = self.policy.choose(&stats);
-                let pricer =
-                    self.plan(&config).decode_run_pricer(&lin.s0, lin.d_attn, lin.d_kv_read);
+                let plan = self.plan_index(&config);
+                let pricer = self.plans[plan].decode_run_pricer(&lin.s0, lin.d_attn, lin.d_kv_read);
                 let cache = RunCache {
                     base_k: 0,
                     end: u64::from(limit),
                     seqs: n,
                     config,
+                    plan,
                     pricer,
                     memory_bound: false,
                     verdict: None,
@@ -833,7 +900,7 @@ impl Engine {
         if tally.seg_count > 0 {
             self.report.observe_tokens_run(tally.seg_t, tokens, tally.seg_count);
         }
-        self.report.note_config_usage(cache.config, tally.iterations);
+        self.plan_iterations[cache.plan] += tally.iterations;
         self.report.note_kv_utilization(tally.kv_util);
         self.report.note_run(tally.iterations, tally.end, tally.max_iteration);
         let unapplied = u32::try_from(tally.iterations).expect("a run fits u32 iterations");
@@ -941,16 +1008,8 @@ impl Engine {
     /// sequences count: the run's unapplied iterations plus `k`.
     #[cfg(debug_assertions)]
     fn check_linear_price(&self, config: &ParallelConfig, grown: u64, k: u32, dur: Dur) {
-        // Window iteration `k`'s scan starts `k` past the cursor.
-        let n = self.running.len();
-        let work = BatchWork::new(
-            (0..n)
-                .map(|j| {
-                    let seq = &self.running[(self.decode_cursor + j + k as usize) % n];
-                    ChunkWork::decode(seq.context_len() + grown)
-                })
-                .collect(),
-        );
+        let work = BatchWork::new(self.cursor_decodes(k as usize, grown));
+        assert_eq!(work.num_seqs(), self.running.len(), "a run's batch is all decodes");
         assert_eq!(
             dur,
             self.exec.iteration(config, &work).total(),
@@ -1047,6 +1106,7 @@ impl Engine {
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
         self.settle_run();
         self.report = Engine::fresh_report(&self.config);
+        self.plan_iterations.fill(0);
         self.clock = SimTime::ZERO;
         for &req in trace.requests() {
             self.push_request(req);
@@ -1121,9 +1181,15 @@ impl Engine {
     }
 
     /// Finalizes an incremental run: releases shared-prefix groups and
-    /// returns (and resets) the accumulated report.
+    /// returns (and resets) the accumulated report, with the iterations
+    /// counted per configuration written into its config usage.
     pub fn take_report(&mut self) -> EngineReport {
         self.settle_run();
+        for (plan, count) in self.plans.iter().zip(&mut self.plan_iterations) {
+            if *count > 0 {
+                self.report.note_config_usage(plan.config(), std::mem::take(count));
+            }
+        }
         for group in std::mem::take(&mut self.live_groups) {
             self.kv.release_group(group);
         }
@@ -1174,7 +1240,7 @@ impl Engine {
         }
         self.report.note_kv_utilization(self.kv.utilization());
 
-        let Some((work, deferred)) = self.build_batch() else {
+        let Some(batch) = self.build_batch() else {
             // Nothing runnable now: jump to the next arrival.
             if let Some(next) = self.arrivals.front() {
                 self.clock = self.clock.max(next.arrival);
@@ -1187,18 +1253,35 @@ impl Engine {
             );
             return;
         };
-        self.report.note_deferrals(deferred);
-        let stats = BatchStats::of(&work);
+        self.report.note_deferrals(batch.deferred);
+        let stats = BatchStats {
+            total_new_tokens: batch.decodes + batch.work.total_new_tokens(),
+            num_seqs: batch.decodes as usize + batch.work.num_seqs(),
+        };
         let config = self.policy.choose(&stats);
-        let duration = slowed(self.price_iteration(&config, &work), self.slowdown);
+        let plan = self.plan_index(&config);
+        let duration = slowed(self.price_step(plan, &batch), self.slowdown);
         self.clock += duration;
         self.decode_cursor = self.decode_cursor.wrapping_add(1);
+        self.plan_iterations[plan] += 1;
 
         // Apply results at iteration end. The throughput ledger counts
         // client-visible tokens: prompt tokens, emitted output tokens, and
         // the first output token each final prefill chunk produces.
-        let mut ledger_tokens = 0u64;
+        let mut ledger_tokens = batch.decodes;
         let mut finishing = false;
+        if batch.decodes > 0 {
+            // The lead's decodes emit one token each. They go before any
+            // prefill chunk: a sequence whose final prefill chunk emits
+            // its first token now would otherwise look like a decode.
+            for seq in &mut self.running {
+                if seq.in_decode() && !seq.finished() {
+                    seq.generated += 1;
+                    finishing |= seq.finished();
+                }
+            }
+            self.running_outstanding_tokens -= batch.decodes;
+        }
         let assignments = std::mem::take(&mut self.scratch_assignments);
         for &(seq_idx, chunk) in &assignments {
             let seq = &mut self.running[seq_idx];
@@ -1238,16 +1321,16 @@ impl Engine {
             finishing |= seq.finished();
         }
         self.scratch_assignments = assignments;
-        self.report.note_iteration(config, self.clock, ledger_tokens, duration);
+        self.report.note_iteration(self.clock, ledger_tokens, duration);
         self.report.note_event(crate::report::IterationEvent {
             end: self.clock,
             duration,
             config,
             tokens: ledger_tokens,
-            num_seqs: work.num_seqs(),
+            num_seqs: stats.num_seqs,
             kv_utilization: self.kv.utilization(),
         });
-        self.scratch_chunks = work.into_chunks();
+        self.scratch_chunks = batch.work.into_chunks();
         // Only a sequence this iteration advanced can have finished:
         // every other path retires what it finishes. The `Reference`
         // rung scans regardless.
@@ -1535,64 +1618,94 @@ impl Engine {
     /// Builds the iteration batch: all runnable decodes first, then prefill
     /// chunks in admission order until the token budget is spent.
     ///
-    /// Every runnable decode gets at least one token of progress whenever
-    /// the budget allows: a speculative chunk (`draft_len + 1` tokens)
-    /// that no longer fits degrades to a plain 1-token decode instead of
-    /// dropping the sequence's step. If even 1-token decodes exhaust the
-    /// budget (more runnable decodes than `max_batched_tokens`), the scan
+    /// Without speculative decoding, on rungs from [`FastPaths::Compiled`]
+    /// up, every decode is one token: when they all fit the budget, one
+    /// pass counts them and sums their attended positions, and they
+    /// become the batch's closed-form decode lead (see
+    /// [`StepBatch::decodes`]), with no chunk per sequence. Everywhere
+    /// else each decode gets its own chunk: every runnable decode gets at
+    /// least one token of progress whenever the budget allows, a
+    /// speculative chunk (`draft_len + 1` tokens) that no longer fits
+    /// degrades to a plain 1-token decode instead of dropping the
+    /// sequence's step, and if even 1-token decodes exhaust the budget
+    /// (more runnable decodes than `max_batched_tokens`), the scan
     /// starts from a cursor that rotates every iteration, so leftover
     /// sequences are first in line next iteration rather than starved
     /// behind the same earlier-admitted ones forever.
+    ///
     /// On `Some`, the per-sequence assignments are left in
     /// `scratch_assignments` for the caller to apply (and hand back for
     /// reuse); all three scratch buffers are engine-owned so steady-state
     /// iterations allocate nothing here.
-    fn build_batch(&mut self) -> Option<(BatchWork, u64)> {
+    fn build_batch(&mut self) -> Option<StepBatch> {
         let _build_span = sp_core::profile::start(sp_core::profile::Phase::BatchBuild);
         let mut budget = self.config.max_batched_tokens;
         let mut assignments = std::mem::take(&mut self.scratch_assignments);
         assignments.clear();
+        let mut prefills = std::mem::take(&mut self.scratch_order);
+        prefills.clear();
 
-        // Visit every sequence once, starting at the cursor's position:
-        // `(cursor + k) % n` for each `k`, with one modulo per batch.
-        let n = self.running.len();
-        let mut i = if n == 0 { 0 } else { self.decode_cursor % n };
-        for _ in 0..n {
-            let seq = &self.running[i];
-            let at = i;
-            i += 1;
-            if i == n {
-                i = 0;
+        // One pass finds the prefills, counts the runnable decodes and
+        // sums their attended positions.
+        let mut decodes = 0u64;
+        let mut attended = 0u64;
+        for (i, seq) in self.running.iter().enumerate() {
+            if !seq.in_decode() {
+                prefills.push(i);
+            } else if !seq.finished() {
+                decodes += 1;
+                attended = attended.saturating_add(seq.context_len().saturating_add(1));
             }
-            if seq.in_decode() && !seq.finished() {
-                let mut chunk = match self.config.spec_decode {
-                    None => ChunkWork::decode(seq.context_len()),
-                    Some(sd) => ChunkWork::speculative_decode(seq.context_len(), sd.draft_len),
-                };
-                if budget < chunk.new_tokens {
-                    chunk = ChunkWork::decode(seq.context_len());
+        }
+        let lead = self.config.spec_decode.is_none()
+            && self.fast_paths >= FastPaths::Compiled
+            && decodes <= budget;
+        if lead {
+            budget -= decodes;
+        } else {
+            decodes = 0;
+            attended = 0;
+            // Visit every sequence once, starting at the cursor's
+            // position: `(cursor + k) % n` for each `k`, with one modulo
+            // per batch.
+            let n = self.running.len();
+            let mut i = if n == 0 { 0 } else { self.decode_cursor % n };
+            for _ in 0..n {
+                let seq = &self.running[i];
+                let at = i;
+                i += 1;
+                if i == n {
+                    i = 0;
                 }
-                if budget < chunk.new_tokens {
-                    break;
+                if seq.in_decode() && !seq.finished() {
+                    let mut chunk = match self.config.spec_decode {
+                        None => ChunkWork::decode(seq.context_len()),
+                        Some(sd) => ChunkWork::speculative_decode(seq.context_len(), sd.draft_len),
+                    };
+                    if budget < chunk.new_tokens {
+                        chunk = ChunkWork::decode(seq.context_len());
+                    }
+                    if budget < chunk.new_tokens {
+                        break;
+                    }
+                    budget -= chunk.new_tokens;
+                    assignments.push((at, chunk));
                 }
-                budget -= chunk.new_tokens;
-                assignments.push((at, chunk));
             }
         }
         let mut prefill_budget = budget.min(self.config.max_prefill_tokens.unwrap_or(u64::MAX));
         let mut deferred = 0u64;
         match self.config.class_slo {
             None => {
-                for (i, seq) in self.running.iter().enumerate() {
+                for &i in &prefills {
                     if prefill_budget == 0 {
                         break;
                     }
-                    if !seq.in_decode() {
-                        let take = seq.prefill_remaining().min(prefill_budget);
-                        let is_last = take == seq.prefill_remaining();
-                        assignments.push((i, ChunkWork::prefill(take, seq.prefill_done, is_last)));
-                        prefill_budget -= take;
-                    }
+                    let seq = &self.running[i];
+                    let take = seq.prefill_remaining().min(prefill_budget);
+                    let is_last = take == seq.prefill_remaining();
+                    assignments.push((i, ChunkWork::prefill(take, seq.prefill_done, is_last)));
+                    prefill_budget -= take;
                 }
             }
             Some(slo) => {
@@ -1603,26 +1716,19 @@ impl Engine {
                 // admitted) sooner in simulated wall-clock. A skipped batch
                 // prefill is *deferred*, not dropped: it runs once the risk
                 // clears. To guarantee progress, a batch prefill is never
-                // skipped when it would be the only work in the batch.
-                let urgent = if self.fast_paths == FastPaths::Reference {
-                    // Pre-index scan: walks every queued entry.
+                // skipped when it would be the only work in the batch (the
+                // decode lead counts as work).
+                //
+                // The risk test runs at the first batch prefill it could
+                // defer, and at most once; the `Reference` rung runs its
+                // pre-index scan of every queued entry up front.
+                let mut urgent = (self.fast_paths == FastPaths::Reference).then(|| {
                     self.waiting
                         .iter()
                         .any(|r| r.class == RequestClass::Interactive && self.ttft_at_risk(r, &slo))
-                } else {
-                    // Only a salvageable request can be at risk.
-                    self.waiting
-                        .salvageable_interactive(self.clock)
-                        .any(|r| self.ttft_at_risk(r, &slo))
-                };
+                });
                 // Interactive prefills first, then batch ones, each in
-                // running order: one pass over the batch finds the
-                // prefills, and one per class over those visits them.
-                let mut prefills = std::mem::take(&mut self.scratch_order);
-                prefills.clear();
-                prefills.extend(
-                    self.running.iter().enumerate().filter(|(_, s)| !s.in_decode()).map(|(i, _)| i),
-                );
+                // running order.
                 let mut scheduled_interactive = false;
                 for class in [RequestClass::Interactive, RequestClass::Batch] {
                     let is_batch = class == RequestClass::Batch;
@@ -1631,7 +1737,15 @@ impl Engine {
                         if seq.request.class != class {
                             continue;
                         }
-                        if is_batch && urgent && !assignments.is_empty() {
+                        if is_batch
+                            && (decodes > 0 || !assignments.is_empty())
+                            && *urgent.get_or_insert_with(|| {
+                                // Only a salvageable request can be at risk.
+                                self.waiting
+                                    .salvageable_interactive(self.clock)
+                                    .any(|r| self.ttft_at_risk(r, &slo))
+                            })
+                        {
                             deferred += 1;
                             continue;
                         }
@@ -1650,11 +1764,11 @@ impl Engine {
                         }
                     }
                 }
-                self.scratch_order = prefills;
             }
         }
+        self.scratch_order = prefills;
 
-        if assignments.is_empty() {
+        if decodes == 0 && assignments.is_empty() {
             self.scratch_assignments = assignments;
             return None;
         }
@@ -1662,7 +1776,7 @@ impl Engine {
         chunks.clear();
         chunks.extend(assignments.iter().map(|&(_, c)| c));
         self.scratch_assignments = assignments;
-        Some((BatchWork::new(chunks), deferred))
+        Some(StepBatch { decodes, attended, work: BatchWork::new(chunks), deferred })
     }
 }
 
@@ -2437,14 +2551,17 @@ mod tests {
         assert!(e.step_run(None).is_none());
         assert_eq!((snapshot(&e), calls(&probe)), before, "a declined run changes nothing");
 
-        // Every iteration goes through `step_once`, so the default rung
-        // reports exactly what the per-iteration rung does.
+        // Every iteration goes through `step_once`, whose decode lead
+        // the guard declines too: those steps price the materialized
+        // batch, so every rung reports exactly what the reference does.
         let run = |paths| {
             let (mut e, probe) = probe_engine(model.clone(), ParallelConfig::tensor(8), paths);
             let report = e.run(&trace);
             (report.dump(), calls(&probe))
         };
-        assert_eq!(run(FastPaths::MacroSteps), run(FastPaths::Compiled));
+        let reference = run(FastPaths::Reference);
+        assert_eq!(run(FastPaths::Compiled), reference);
+        assert_eq!(run(FastPaths::MacroSteps), reference);
     }
 
     #[test]
@@ -2603,5 +2720,58 @@ mod tests {
             spread < 1.3,
             "decode progress should be fair under budget pressure: spread {spread:.2}"
         );
+    }
+
+    /// A batch decode, a long batch prompt prefilling beside it, and an
+    /// interactive request held back by `max_seqs`. Once the interactive
+    /// request is at TTFT risk, each step defers the lone batch prefill
+    /// and runs the decode alone: the decode lead counts as work, though
+    /// the step builds no chunk for it.
+    #[test]
+    fn urgent_interactive_work_defers_a_lone_batch_prefill_beside_decodes() {
+        let config = EngineConfig {
+            max_batched_tokens: 128,
+            max_seqs: 2,
+            class_slo: Some(ClassSlo::default()),
+            record_timeline: true,
+            ..EngineConfig::default()
+        };
+        let trace = Trace::with_ids(vec![
+            blocked_req(0, 0.0, 64, 400, RequestClass::Batch),
+            blocked_req(1, 0.0, 20_000, 10, RequestClass::Batch),
+            blocked_req(2, 0.05, 100, 10, RequestClass::Interactive),
+        ]);
+        let mut e = engine_with(config, ParallelConfig::tensor(8));
+        for &req in trace.requests() {
+            e.push_request(req);
+        }
+        let progress = |e: &Engine| -> Vec<(u64, u64, u32)> {
+            e.running.iter().map(|s| (s.request.id, s.prefill_done, s.generated)).collect()
+        };
+        let mut deferring_steps = 0;
+        while !e.is_idle() {
+            let before = progress(&e);
+            let deferrals = e.report.batch_deferrals();
+            e.step_once();
+            if e.report.batch_deferrals() == deferrals {
+                continue;
+            }
+            deferring_steps += 1;
+            assert_eq!(e.report.batch_deferrals(), deferrals + 1);
+            let [(0, done0, gen0), (1, done1, gen1)] = before[..] else {
+                panic!("the decode and the batch prefill run: {before:?}")
+            };
+            assert_eq!(
+                progress(&e),
+                [(0, done0, gen0 + 1), (1, done1, gen1)],
+                "the decode advances alone"
+            );
+        }
+        assert!(deferring_steps > 0, "the at-risk interactive request deferred nothing");
+        let report = e.take_report();
+        assert_eq!(report.records().len(), 3);
+        let mut reference = engine_with(config, ParallelConfig::tensor(8));
+        reference.set_fast_paths(FastPaths::Reference);
+        assert_eq!(report.dump(), reference.run(&trace).dump());
     }
 }

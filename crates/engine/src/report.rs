@@ -91,15 +91,10 @@ impl EngineReport {
         }
     }
 
-    pub(crate) fn note_iteration(
-        &mut self,
-        config: ParallelConfig,
-        end: SimTime,
-        tokens: u64,
-        duration: Dur,
-    ) {
+    /// One iteration ending at `end`. Its configuration is counted
+    /// separately, by [`EngineReport::note_config_usage`].
+    pub(crate) fn note_iteration(&mut self, end: SimTime, tokens: u64, duration: Dur) {
         self.iterations += 1;
-        *self.config_usage.entry(config).or_default() += 1;
         self.recorder.observe_tokens(end, tokens as f64);
         self.makespan = self.makespan.max(end);
         self.max_iteration = self.max_iteration.max(duration);
@@ -111,14 +106,14 @@ impl EngineReport {
     /// final instant (and of the pre-folded duration max) is
     /// bit-identical to `count` per-iteration folds. Throughput is
     /// flushed separately per bin segment via
-    /// [`EngineReport::observe_tokens_run`], and config usage via
-    /// [`EngineReport::note_config_usage`].
+    /// [`EngineReport::observe_tokens_run`].
     pub(crate) fn note_run(&mut self, count: u64, end: SimTime, max_duration: Dur) {
         self.iterations += count;
         self.makespan = self.makespan.max(end);
         self.max_iteration = self.max_iteration.max(max_duration);
     }
 
+    /// Counts `count` iterations under `config`.
     pub(crate) fn note_config_usage(&mut self, config: ParallelConfig, count: u64) {
         *self.config_usage.entry(config).or_default() += count;
     }
@@ -397,18 +392,10 @@ mod tests {
     #[test]
     fn note_iteration_accumulates() {
         let mut r = EngineReport::new(Dur::from_secs(1.0));
-        r.note_iteration(
-            ParallelConfig::tensor(8),
-            SimTime::from_secs(1.0),
-            100,
-            Dur::from_millis(20.0),
-        );
-        r.note_iteration(
-            ParallelConfig::sequence(8),
-            SimTime::from_secs(2.0),
-            50,
-            Dur::from_millis(30.0),
-        );
+        r.note_iteration(SimTime::from_secs(1.0), 100, Dur::from_millis(20.0));
+        r.note_config_usage(ParallelConfig::tensor(8), 1);
+        r.note_iteration(SimTime::from_secs(2.0), 50, Dur::from_millis(30.0));
+        r.note_config_usage(ParallelConfig::sequence(8), 1);
         assert_eq!(r.iterations(), 2);
         assert_eq!(r.config_usage().len(), 2);
         assert_eq!(r.max_iteration_time(), Dur::from_millis(30.0));
@@ -433,20 +420,10 @@ mod tests {
     fn merge_takes_max_of_peaks() {
         let mut a = EngineReport::new(Dur::from_secs(1.0));
         a.note_kv_utilization(0.3);
-        a.note_iteration(
-            ParallelConfig::single(),
-            SimTime::from_secs(1.0),
-            5,
-            Dur::from_millis(5.0),
-        );
+        a.note_iteration(SimTime::from_secs(1.0), 5, Dur::from_millis(5.0));
         let mut b = EngineReport::new(Dur::from_secs(1.0));
         b.note_kv_utilization(0.9);
-        b.note_iteration(
-            ParallelConfig::single(),
-            SimTime::from_secs(3.0),
-            5,
-            Dur::from_millis(50.0),
-        );
+        b.note_iteration(SimTime::from_secs(3.0), 5, Dur::from_millis(50.0));
         a.merge(b);
         assert_eq!(a.peak_kv_utilization(), 0.9);
         assert_eq!(a.makespan(), SimTime::from_secs(3.0));

@@ -21,7 +21,7 @@ use sp_metrics::{
     RequestFaultKind, RoutingDecision, SimTime,
 };
 use sp_workload::{Request, Trace};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Picks a replica for each request as it arrives.
 ///
@@ -541,8 +541,8 @@ struct FaultState {
     cursor: usize,
     retry: RetryPolicy,
     /// Fault-displaced requests awaiting redelivery, sorted by
-    /// `(at, seq)`.
-    pending: Vec<PendingRetry>,
+    /// `(at, seq)`: redeliveries pop the front in O(1).
+    pending: VecDeque<PendingRetry>,
     /// Total tokens parked in `pending` (counted as outstanding work so
     /// drivers waiting on `outstanding_tokens == 0` don't stop early).
     pending_tokens: u64,
@@ -577,7 +577,7 @@ impl FaultState {
             plan: plan.events().to_vec(),
             cursor: 0,
             retry,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             pending_tokens: 0,
             next_seq: 0,
             origin_arrival: HashMap::new(),
@@ -616,7 +616,7 @@ impl FaultState {
         for (j, &(end, _)) in self.slow_until.iter().enumerate() {
             offer((end.max(self.now), 1, j, TimerChoice::SlowEnd(j)), &mut best);
         }
-        if let Some(p) = self.pending.first() {
+        if let Some(p) = self.pending.front() {
             offer((p.at.max(self.now), 2, 0, TimerChoice::Retry), &mut best);
         }
         best.map(|(t, _, _, c)| (t, c))
@@ -1085,7 +1085,7 @@ impl<N: SimNode> ClusterSim<N> {
                 self.with_node(slot, |n| n.set_slowdown(1.0));
             }
             TimerChoice::Retry => {
-                let p = f.pending.remove(0);
+                let p = f.pending.pop_front().expect("a retry timer implies a pending retry");
                 f.pending_tokens -= p.req.total_tokens();
                 // Full re-prefill: the cached prefix (and any prefix
                 // group sharing) died with the replica's KV cache.
@@ -2429,7 +2429,8 @@ mod tests {
             let Some(t) = self.next_event_time() else { return };
             let req = self.queue.pop_front().expect("a pending event implies a request");
             self.clock = t;
-            self.report.note_iteration(ParallelConfig::single(), t, req.total_tokens(), Dur::ZERO);
+            self.report.note_iteration(t, req.total_tokens(), Dur::ZERO);
+            self.report.note_config_usage(ParallelConfig::single(), 1);
             self.report.note_completion(sp_metrics::RequestRecord {
                 request_id: req.id,
                 class: req.class,

@@ -105,6 +105,17 @@ impl Dur {
         Dur(secs)
     }
 
+    /// Creates a span of `secs` seconds where the caller has proven
+    /// `secs` finite and non-negative: the check [`Dur::from_secs`]
+    /// makes runs in debug builds only. For hot loops whose operands are
+    /// bounded once, ahead of the loop; everything else uses
+    /// [`Dur::from_secs`].
+    #[inline]
+    pub fn from_secs_unchecked(secs: f64) -> Dur {
+        debug_assert!(secs.is_finite() && secs >= 0.0, "Dur must be finite and non-negative");
+        Dur(secs)
+    }
+
     /// Creates a span of `ms` milliseconds.
     pub fn from_millis(ms: f64) -> Dur {
         Dur::from_secs(ms * 1e-3)

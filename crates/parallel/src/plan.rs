@@ -14,7 +14,10 @@
 //!   [`BatchSummary`] once, shared by every config: the leading decode
 //!   chunks are priced in closed form from their count and summed
 //!   context ([`ModelConfig::decode_batch_cost`]), and only the chunks
-//!   after them (prefills, speculative verifies) are folded one by one;
+//!   after them (prefills, speculative verifies) are folded one by one.
+//!   [`ExecutionModel::summarize_after_decodes`] takes that count and
+//!   sum directly, so a scheduler that knows them never builds the
+//!   decode chunks;
 //! * [`ExecPlan`] (built once per config by [`ExecutionModel::compile`])
 //!   holds the validated [`KvShardLayout`] and every config- and
 //!   model-derived constant of the Table 2 cost terms: padding divisors,
@@ -35,7 +38,7 @@
 //! randomized models, configs, and batches.
 
 use crate::complexity::ACTIVATION_BYTES;
-use crate::config::{BatchWork, ChunkKind, ParallelConfig};
+use crate::config::{BatchWork, ChunkKind, ChunkWork, ParallelConfig};
 use crate::exec::{EngineOverhead, ExecutionModel, IterationBreakdown};
 use sp_cluster::{CollectiveModel, Roofline};
 use sp_kvcache::layout::LayoutError;
@@ -314,10 +317,12 @@ impl DecodeRunPricer {
     /// [`Roofline::kernel`]'s `max` returns the memory term bit for bit.
     ///
     /// Also proves [`DecodeRunPricer::price_memory_bound`]'s signed
-    /// conversions exact: the byte count and its per-GPU share stay
-    /// below 2^63 up to `j`. `false` when either proof fails (a
-    /// compute-bound GPU, say); [`DecodeRunPricer::price`] then prices
-    /// each iteration with both terms.
+    /// conversions exact, since the byte count and its per-GPU share
+    /// stay below 2^63 up to `j`, and its memory term a valid [`Dur`],
+    /// since the bandwidth is positive and the term at `j` finite.
+    /// `false` when a proof fails (a compute-bound GPU, say);
+    /// [`DecodeRunPricer::price`] then prices each iteration with both
+    /// terms.
     pub fn memory_bound(&self, i: u64, j: u64) -> bool {
         /// 2^63, the first value an `i64` cannot hold.
         const I64_END: f64 = 9_223_372_036_854_775_808.0;
@@ -330,7 +335,10 @@ impl DecodeRunPricer {
         if !monotone_and_signed {
             return false;
         }
-        let (flops_j, _) = self.attention_load(j);
+        let (flops_j, bytes_pg_j) = self.attention_load(j);
+        if !(self.mem_bw > 0.0 && (bytes_pg_j as f64 / self.mem_bw).is_finite()) {
+            return false;
+        }
         let (_, bytes_i) = self.attention_load(i);
         self.roofline.compute(flops_j) <= self.roofline.memory(bytes_i)
     }
@@ -346,7 +354,12 @@ impl DecodeRunPricer {
     pub fn price_memory_bound(&self, i: u64) -> Dur {
         let bytes = (self.kv0 + i * self.d_kv) as i64;
         let bytes_pg = (bytes as f64 * self.kv_frac) as i64;
-        self.total(Dur::from_secs(bytes_pg as f64 / self.mem_bw))
+        // The stretch's proof bounds the quotient: `bytes_pg` lies in
+        // `0..=` its value at the stretch's last iteration, below 2^63,
+        // and the bandwidth is positive with a finite quotient there, so
+        // it is finite and non-negative here too. `Dur::from_secs` would
+        // check that again on every iteration.
+        self.total(Dur::from_secs_unchecked(bytes_pg as f64 / self.mem_bw))
     }
 }
 
@@ -407,11 +420,8 @@ impl ExecutionModel {
     ///
     /// The batch's leading run of plain one-token decode chunks (where
     /// the scheduler puts every decode) is priced in closed form by
-    /// [`ModelConfig::decode_batch_cost`]; the remaining chunks fold on
-    /// top in order. Under that formula's exactness guard the run's
-    /// per-chunk fold is integer arithmetic below 2^53, so the result is
-    /// bit-identical to folding every chunk; when the guard declines,
-    /// the whole batch folds chunk by chunk.
+    /// [`ExecutionModel::summarize_after_decodes`]; when that formula's
+    /// exactness guard declines, the whole batch folds chunk by chunk.
     pub fn summarize(&self, batch: &BatchWork) -> BatchSummary {
         let chunks = batch.chunks();
         let mut run = 0;
@@ -423,25 +433,46 @@ impl ExecutionModel {
             run += 1;
             attended = attended.saturating_add(c.past.saturating_add(1));
         }
-        let (lead, rest) = match self.model.decode_batch_cost(run as u64, attended) {
-            Some(cost) => (cost, &chunks[run..]),
-            None => (StepCost::default(), chunks),
-        };
-        let cost = rest
-            .iter()
-            .map(|c| {
-                let mut cc = self.model.chunk_cost(c.new_tokens, c.past, u64::from(c.emits_logit));
-                if c.kind == ChunkKind::Prefill {
-                    cc.linear_flops *= self.prefill_linear_scale;
-                }
-                cc
-            })
-            .fold(lead, |acc, cc| acc + cc);
-        BatchSummary {
-            cost,
-            total_new_tokens: batch.total_new_tokens(),
-            num_seqs: batch.num_seqs(),
+        self.summarize_after_decodes(run as u64, attended, &chunks[run..])
+            .unwrap_or_else(|| self.fold_onto(StepCost::default(), 0, chunks))
+    }
+
+    /// The summary of a batch that leads with `n` plain one-token decode
+    /// chunks whose attended positions (`past + 1` each) sum to
+    /// `attended`, followed by the chunks of `rest`: the decodes are
+    /// priced in closed form by [`ModelConfig::decode_batch_cost`], and
+    /// `rest` folds on top in order. Under that formula's exactness
+    /// guard the decodes' per-chunk fold is integer arithmetic below
+    /// 2^53, so the result equals, bit for bit, [`summarize`] of the
+    /// materialized batch in any decode order. `None` when the guard
+    /// declines; the caller then folds the materialized batch.
+    ///
+    /// [`summarize`]: ExecutionModel::summarize
+    pub fn summarize_after_decodes(
+        &self,
+        n: u64,
+        attended: u64,
+        rest: &[ChunkWork],
+    ) -> Option<BatchSummary> {
+        let lead = self.model.decode_batch_cost(n, attended)?;
+        Some(self.fold_onto(lead, n, rest))
+    }
+
+    /// Folds `rest`'s chunk costs onto `lead`, the summed cost of `n`
+    /// one-token chunks, in chunk order (prefill linear FLOPs scaled
+    /// per chunk, as `try_iteration` folds them).
+    fn fold_onto(&self, lead: StepCost, n: u64, rest: &[ChunkWork]) -> BatchSummary {
+        let mut cost = lead;
+        let mut total_new_tokens = n;
+        for c in rest {
+            let mut cc = self.model.chunk_cost(c.new_tokens, c.past, u64::from(c.emits_logit));
+            if c.kind == ChunkKind::Prefill {
+                cc.linear_flops *= self.prefill_linear_scale;
+            }
+            cost = cost + cc;
+            total_new_tokens += c.new_tokens;
         }
+        BatchSummary { cost, total_new_tokens, num_seqs: n as usize + rest.len() }
     }
 
     /// Times one iteration through a compiled plan.
@@ -489,7 +520,6 @@ impl ExecutionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ChunkWork;
     use proptest::prelude::*;
     use sp_cluster::NodeSpec;
     use sp_model::presets;
@@ -568,7 +598,12 @@ mod tests {
     /// price alone can hide a drifted summary (the roofline `max` often
     /// masks attention FLOPs), so the summary is compared directly.
     fn assert_summary_is_plain_fold(e: &ExecutionModel, batch: &BatchWork) {
-        let plain: StepCost = batch
+        assert_eq!(summary_bits(&e.summarize(batch)), summary_bits(&plain_fold(e, batch)));
+    }
+
+    /// The summary `try_iteration` folds: every chunk's cost in order.
+    fn plain_fold(e: &ExecutionModel, batch: &BatchWork) -> BatchSummary {
+        let cost = batch
             .chunks()
             .iter()
             .map(|c| {
@@ -579,12 +614,25 @@ mod tests {
                 cc
             })
             .sum();
-        let got = e.summarize(batch).cost;
-        assert_eq!(got.attn_flops.to_bits(), plain.attn_flops.to_bits());
-        assert_eq!(got.linear_flops.to_bits(), plain.linear_flops.to_bits());
-        assert_eq!(got.logit_flops.to_bits(), plain.logit_flops.to_bits());
-        assert_eq!(got.kv_read_bytes, plain.kv_read_bytes);
-        assert_eq!(got.kv_write_bytes, plain.kv_write_bytes);
+        BatchSummary {
+            cost,
+            total_new_tokens: batch.total_new_tokens(),
+            num_seqs: batch.num_seqs(),
+        }
+    }
+
+    /// A summary's fields as bits, so equality is bit-for-bit.
+    fn summary_bits(s: &BatchSummary) -> [u64; 7] {
+        let c = &s.cost;
+        [
+            c.linear_flops.to_bits(),
+            c.attn_flops.to_bits(),
+            c.logit_flops.to_bits(),
+            c.kv_read_bytes,
+            c.kv_write_bytes,
+            s.total_new_tokens,
+            s.num_seqs as u64,
+        ]
     }
 
     #[test]
@@ -649,7 +697,53 @@ mod tests {
         prop_oneof![mixed, decode_led]
     }
 
+    /// What may follow a scheduler's decodes: prefill chunks,
+    /// speculative verifies and plain decodes.
+    fn arb_rest_chunk() -> impl Strategy<Value = ChunkWork> {
+        prop_oneof![
+            arb_prefill(),
+            (0u64..60_000, 1u32..8)
+                .prop_map(|(past, draft)| ChunkWork::speculative_decode(past, draft)),
+            (0u64..60_000).prop_map(ChunkWork::decode),
+        ]
+    }
+
     proptest! {
+        /// The closed-form decode lead a scheduler prices without
+        /// building its chunks equals the summary of the materialized
+        /// batch, bit for bit — `summarize`'s and the plain in-order fold
+        /// of every chunk — and declines exactly where the guard does.
+        #[test]
+        fn summarize_after_decodes_matches_summarize(
+            preset in 0usize..4,
+            scale_prefill in any::<bool>(),
+            contexts in prop::collection::vec(0u64..(1 << 34), 0..301),
+            shift in 0u32..35,
+            rest in prop::collection::vec(arb_rest_chunk(), 0..5),
+        ) {
+            let model = match preset {
+                0 => presets::llama_70b(),
+                1 => presets::qwen_32b(),
+                2 => presets::qwen_30b_a3b(),
+                _ => presets::llama_17b_16e(),
+            };
+            let mut e = exec(model);
+            if scale_prefill {
+                e.set_prefill_flops_scale(0.6);
+            }
+            let decodes: Vec<ChunkWork> =
+                contexts.iter().map(|&c| ChunkWork::decode(c >> shift)).collect();
+            let n = decodes.len() as u64;
+            let attended: u64 = decodes.iter().map(|c| c.past + 1).sum();
+            let full = BatchWork::new(decodes.into_iter().chain(rest.iter().copied()).collect());
+            let got = e.summarize_after_decodes(n, attended, &rest);
+            prop_assert_eq!(got.is_none(), e.model().decode_batch_cost(n, attended).is_none());
+            if let Some(got) = got {
+                prop_assert_eq!(summary_bits(&got), summary_bits(&e.summarize(&full)));
+                prop_assert_eq!(summary_bits(&got), summary_bits(&plain_fold(&e, &full)));
+            }
+        }
+
         #[test]
         fn compiled_pricing_matches_direct(
             preset in 0usize..4,

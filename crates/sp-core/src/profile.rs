@@ -25,7 +25,7 @@ use std::time::Instant;
 pub enum Phase {
     /// `Engine::build_batch`: decode scan + chunked-prefill packing.
     BatchBuild,
-    /// `Engine::price_iteration`: plan evaluation for one step. Also
+    /// `Engine::price_step`: plan evaluation for one step. Also
     /// each `Engine::step_run` window's iteration loop, as one span:
     /// its closed-form prices with the in-run admission probes,
     /// throughput-bin flushes and timeline notes between them, so the

@@ -161,6 +161,105 @@ proptest! {
     }
 }
 
+/// Up to 24 requests for [`arb_step_config`]'s engines: prompts below
+/// 800 tokens, so a budget of a few tokens still prefills them in a few
+/// hundred steps, outputs below 120, arrivals in [0, 4) s, and on half
+/// of them a cached prefix in one of three shared prefix groups.
+fn arb_step_trace() -> impl Strategy<Value = Trace> {
+    let req = (1u32..800, 1u32..120, 0.0f64..4.0, any::<bool>(), 0u8..6, 0.0f64..1.0);
+    prop::collection::vec(req, 1..=24).prop_map(|reqs| {
+        Trace::new(
+            reqs.into_iter()
+                .map(|(input, output, at, interactive, group, share)| {
+                    let mut r = request(0, at, input, output, class(interactive));
+                    if group < 3 {
+                        r.prefix_group = Some(u64::from(group));
+                        r.cached_prefix = (f64::from(input) * share) as u32;
+                    }
+                    r
+                })
+                .collect(),
+        )
+    })
+}
+
+/// Engine knobs that send a step down each of its two batch builds —
+/// decodes as one closed-form lead, or a chunk per sequence — and
+/// across the edge between them: speculative decoding, recompute
+/// preemption, token budgets from a few tokens (fewer than the running
+/// decodes, so the cursor rotates membership) up to the default, prefix
+/// caching, and SLO admission, which defers batch prefills — most often
+/// with a few sequences running and the rest queued behind `max_seqs`,
+/// where an at-risk interactive request cannot shed its way in.
+///
+/// A tight cache holds 1,000 tokens under recompute preemption, which
+/// then preempts, and 4,000 elsewhere: shared prefix groups keep their
+/// blocks until the report is taken, and [`arb_step_trace`]'s three
+/// groups plus any one of its requests fit in 4,000 tokens.
+fn arb_step_config() -> impl Strategy<Value = EngineConfig> {
+    (
+        0u8..3,
+        prop_oneof![2u64..12, Just(256), Just(2048), Just(8192)],
+        prop_oneof![2usize..5, Just(256)],
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (1u32..5, 0.0f64..0.9),
+    )
+        .prop_map(
+            |(mode, budget, max_seqs, (tight, prefix_caching, slo), (draft, acceptance))| {
+                let kv = match (tight, mode) {
+                    (false, _) => 30_000,
+                    (true, 2) => 1_000,
+                    (true, _) => 4_000,
+                };
+                EngineConfig {
+                    max_batched_tokens: budget,
+                    max_seqs,
+                    spec_decode: (mode == 1).then(|| SpecDecode::new(draft, acceptance)),
+                    admission: if mode == 2 {
+                        AdmissionMode::PreemptRestart
+                    } else {
+                        AdmissionMode::ReserveFull
+                    },
+                    prefix_caching,
+                    class_slo: slo.then(ClassSlo::default),
+                    ..config(kv)
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// A lone engine on every rung against the same engine on the
+    /// `Reference` rung, under [`arb_step_config`]'s knobs: steps that
+    /// price their decodes as a closed-form lead and steps that build a
+    /// chunk per sequence must report the same, bit for bit. Shift
+    /// engines price each step under one of two plans, and their policy
+    /// counters must match too.
+    #[test]
+    fn every_rung_matches_the_reference_engine(
+        trace in arb_step_trace(),
+        config in arb_step_config(),
+        shift in any::<bool>(),
+    ) {
+        let run = |paths| {
+            if shift {
+                let (mut engine, policy) = shift_engine(config, paths);
+                (engine.run(&trace).dump(), shift_counts(&[policy]))
+            } else {
+                (dp_engine(config, paths).run(&trace).dump(), Vec::new())
+            }
+        };
+        let (want, want_counts) = run(FastPaths::Reference);
+        for paths in [FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps] {
+            let (got, counts) = run(paths);
+            assert_dumps_eq(&got, &want, &format!("the {paths:?} engine vs the Reference engine"));
+            prop_assert_eq!(&counts, &want_counts);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
