@@ -14,59 +14,12 @@
 //! `tests/autoscale.rs` pins with hard thresholds.
 
 use sp_bench::harness::print_table;
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-use sp_engine::{
-    AdmissionMode, AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, EngineReport,
-    LoadBandPolicy, QueuePolicy, RoutingKind,
+use sp_bench::scenarios::{
+    agentic_autoscaled_fleet, agentic_fixed_fleet, agentic_trace, interactive_p99_ttft,
+    AGENTIC_MIN_REPLICAS, AGENTIC_PEAK_REPLICAS,
 };
-use sp_metrics::{ClassSlo, Dur, Quantiles, RequestClass};
-use sp_model::presets;
-use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
-use sp_workload::bursty::BurstyConfig;
-use sp_workload::{Request, Trace};
-
-const KV_TOKENS: u64 = 60_000;
-const PEAK_REPLICAS: usize = 4;
-const MIN_REPLICAS: usize = 2;
-
-fn engine() -> Engine {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    Engine::new(
-        ExecutionModel::new(node, presets::qwen_32b()),
-        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-        EngineConfig {
-            kv_capacity_tokens: KV_TOKENS,
-            class_slo: Some(ClassSlo::default()),
-            queue_policy: QueuePolicy::InteractiveFirst,
-            admission: AdmissionMode::PreemptRestart,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// Steady interactive stream with two agentic batch bursts and long
-/// valleys between them — the trace `tests/autoscale.rs` gates on.
-fn bursty_trace() -> Trace {
-    let trace = BurstyConfig {
-        duration: Dur::from_secs(240.0),
-        base_rate: 2.0,
-        bursts: 2,
-        burst_size: 60,
-        ..BurstyConfig::default()
-    }
-    .generate();
-    let fits: Vec<Request> =
-        trace.requests().iter().copied().filter(|r| r.total_tokens() <= KV_TOKENS).collect();
-    Trace::with_ids(fits)
-}
-
-fn interactive_p99_ttft(report: &EngineReport) -> f64 {
-    let mut q = Quantiles::new();
-    for r in report.records().iter().filter(|r| r.class == RequestClass::Interactive) {
-        q.record(r.ttft().as_secs());
-    }
-    q.quantile(0.99).unwrap_or(f64::NAN)
-}
+use sp_engine::EngineReport;
+use sp_metrics::ClassSlo;
 
 fn row(name: &str, report: &EngineReport, slo: &ClassSlo) -> Vec<String> {
     let tl = report.fleet_timeline();
@@ -82,31 +35,22 @@ fn row(name: &str, report: &EngineReport, slo: &ClassSlo) -> Vec<String> {
 }
 
 fn main() {
-    let trace = bursty_trace();
+    let trace = agentic_trace();
     let slo = ClassSlo::default();
-    let routing = || RoutingKind::EarliestDeadlineFeasible(slo).policy();
     let mut rows = Vec::new();
 
-    for n in MIN_REPLICAS..=PEAK_REPLICAS {
-        let mut sim = ClusterSim::new((0..n).map(|_| engine()).collect(), routing());
-        let report = sim.run(&trace);
+    for n in AGENTIC_MIN_REPLICAS..=AGENTIC_PEAK_REPLICAS {
+        let report = agentic_fixed_fleet(n, slo).run(&trace);
         rows.push(row(&format!("fixed x{n}"), &report, &slo));
     }
 
-    let scaler = Autoscaler::new(
-        AutoscaleConfig {
-            cold_start: Dur::from_secs(5.0),
-            min_replicas: MIN_REPLICAS,
-            max_replicas: PEAK_REPLICAS,
-        },
-        Box::new(LoadBandPolicy::new(2_000.0, 800.0).smoothing(1.0).cooldown(Dur::from_secs(1.0))),
-        |_| engine(),
-    );
-    let mut sim = ClusterSim::new((0..MIN_REPLICAS).map(|_| engine()).collect(), routing())
-        .with_autoscaler(scaler);
-    let report = sim.run(&trace);
+    let report = agentic_autoscaled_fleet(slo).run(&trace);
     let events = report.fleet_timeline().events().len();
-    rows.push(row(&format!("autoscaled {MIN_REPLICAS}..{PEAK_REPLICAS}"), &report, &slo));
+    rows.push(row(
+        &format!("autoscaled {AGENTIC_MIN_REPLICAS}..{AGENTIC_PEAK_REPLICAS}"),
+        &report,
+        &slo,
+    ));
 
     print_table(
         "Replica-seconds vs interactive latency — bursty agentic trace, Qwen-32B on 1x H200, \

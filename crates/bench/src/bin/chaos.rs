@@ -16,82 +16,11 @@
 //! of the no-fault interactive SLO attainment.
 
 use sp_bench::harness::print_table;
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-use sp_engine::{
-    AdmissionMode, AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, EngineReport,
-    FaultPlan, LoadBandPolicy, QueuePolicy, RetryPolicy, RoutingKind,
+use sp_bench::scenarios::{
+    agentic_crashes, agentic_trace, interactive_p99_ttft, run_agentic_chaos,
 };
-use sp_metrics::{ClassSlo, Dur, Quantiles, RequestClass};
-use sp_model::presets;
-use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
-use sp_workload::bursty::BurstyConfig;
-use sp_workload::{Request, Trace};
-
-const KV_TOKENS: u64 = 60_000;
-const PEAK_REPLICAS: usize = 4;
-const MIN_REPLICAS: usize = 2;
-const HORIZON_SECS: f64 = 240.0;
-const CRASH_SEED: u64 = 0xC4A5;
-
-fn engine() -> Engine {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    Engine::new(
-        ExecutionModel::new(node, presets::qwen_32b()),
-        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-        EngineConfig {
-            kv_capacity_tokens: KV_TOKENS,
-            class_slo: Some(ClassSlo::default()),
-            queue_policy: QueuePolicy::InteractiveFirst,
-            admission: AdmissionMode::PreemptRestart,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// The bursty agentic trace shared with the `autoscale` bench and the
-/// autoscale/chaos acceptance tests.
-fn bursty_trace() -> Trace {
-    let trace = BurstyConfig {
-        duration: Dur::from_secs(HORIZON_SECS),
-        base_rate: 2.0,
-        bursts: 2,
-        burst_size: 60,
-        ..BurstyConfig::default()
-    }
-    .generate();
-    let fits: Vec<Request> =
-        trace.requests().iter().copied().filter(|r| r.total_tokens() <= KV_TOKENS).collect();
-    Trace::with_ids(fits)
-}
-
-fn interactive_p99_ttft(report: &EngineReport) -> f64 {
-    let mut q = Quantiles::new();
-    for r in report.records().iter().filter(|r| r.class == RequestClass::Interactive) {
-        q.record(r.ttft().as_secs());
-    }
-    q.quantile(0.99).unwrap_or(f64::NAN)
-}
-
-/// One faulted run: the autoscaled fleet under a seeded crash schedule.
-fn run_with(plan: FaultPlan, trace: &Trace, slo: ClassSlo) -> EngineReport {
-    let scaler = Autoscaler::new(
-        AutoscaleConfig {
-            cold_start: Dur::from_secs(5.0),
-            min_replicas: MIN_REPLICAS,
-            max_replicas: PEAK_REPLICAS,
-        },
-        Box::new(LoadBandPolicy::new(2_000.0, 800.0).smoothing(1.0).cooldown(Dur::from_secs(1.0))),
-        |_| engine(),
-    );
-    let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.25) };
-    let mut sim = ClusterSim::new(
-        (0..MIN_REPLICAS).map(|_| engine()).collect(),
-        RoutingKind::EarliestDeadlineFeasible(slo).policy(),
-    )
-    .with_autoscaler(scaler)
-    .with_faults(plan, retry);
-    sim.run(trace)
-}
+use sp_engine::{EngineReport, FaultPlan};
+use sp_metrics::ClassSlo;
 
 fn row(name: &str, report: &EngineReport, slo: &ClassSlo, total: usize) -> Vec<String> {
     let tl = report.fleet_timeline();
@@ -113,21 +42,15 @@ fn row(name: &str, report: &EngineReport, slo: &ClassSlo, total: usize) -> Vec<S
 }
 
 fn main() {
-    let trace = bursty_trace();
+    let trace = agentic_trace();
     let slo = ClassSlo::default();
     let mut rows = Vec::new();
 
-    let baseline = run_with(FaultPlan::empty(), &trace, slo);
+    let baseline = run_agentic_chaos(FaultPlan::empty(), &trace, slo);
     rows.push(row("no faults", &baseline, &slo, trace.len()));
 
     for mttf in [120.0, 60.0, 24.0] {
-        let plan = FaultPlan::crashes_poisson(
-            CRASH_SEED,
-            Dur::from_secs(mttf),
-            Dur::from_secs(HORIZON_SECS),
-            PEAK_REPLICAS,
-        );
-        let report = run_with(plan, &trace, slo);
+        let report = run_agentic_chaos(agentic_crashes(mttf), &trace, slo);
         rows.push(row(&format!("MTTF {mttf:.0}s"), &report, &slo, trace.len()));
     }
 

@@ -77,30 +77,6 @@ pub fn summarize(name: &str, report: &mut EngineReport) -> RunSummary {
     }
 }
 
-/// Runs `f` over every sweep point concurrently on the shared
-/// [`sp_core`] executor and returns the results in point order.
-///
-/// Figure sweeps are embarrassingly parallel: each point is an
-/// independent full simulation, so fanning them out across cores cuts a
-/// sweep's wall-clock to roughly its slowest point. Results come back in
-/// input order regardless of completion order, so tables render
-/// identically to a sequential sweep. The fan-out width follows
-/// [`sp_core::default_threads`] (`SP_THREADS` or the machine's
-/// available parallelism) — the one threading code path the whole
-/// workspace shares.
-///
-/// # Panics
-///
-/// Panics if a sweep task panics (the panic payload is propagated).
-pub fn parallel_sweep<T, R, F>(points: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    sp_core::map(points, f)
-}
-
 /// Prints an aligned text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -183,14 +159,6 @@ mod tests {
         assert_eq!(s.completed, 1);
         assert!(s.median_ttft_ms > 0.0);
         assert!(s.peak_throughput > 0.0);
-    }
-
-    #[test]
-    fn parallel_sweep_preserves_point_order() {
-        let points: Vec<u64> = (0..32).collect();
-        let results = parallel_sweep(&points, |&p| p * p);
-        assert_eq!(results, points.iter().map(|p| p * p).collect::<Vec<_>>());
-        assert!(parallel_sweep::<u64, u64, _>(&[], |&p| p).is_empty());
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! ```
 //!
 //! This library hosts the shared harness: standard deployments, latency /
-//! throughput probes, and text-table rendering.
+//! throughput probes, text-table rendering, and the scenarios several
+//! bins and acceptance tests share.
 
 pub mod harness;
 pub mod probes;
+pub mod scenarios;
 
-pub use harness::{parallel_sweep, run_kind, standard_kinds, summarize, RunSummary};
+pub use harness::{run_kind, standard_kinds, summarize, RunSummary};
 pub use probes::{min_latency_probe, peak_throughput_probe, LatencyProbe};

@@ -203,7 +203,6 @@ pub struct Engine {
     /// shifts O(W) per admit — quadratic under backlog).
     waiting: WaitQueue,
     running: Vec<RunningSeq>,
-    live_groups: std::collections::HashSet<u64>,
     /// Rotating start index of the decode scan in
     /// [`Engine::build_batch`] — fairness under budget pressure.
     decode_cursor: usize,
@@ -455,7 +454,6 @@ impl Engine {
             arrivals: VecDeque::new(),
             waiting: WaitQueue::new(config.class_slo),
             running: Vec::new(),
-            live_groups: std::collections::HashSet::new(),
             decode_cursor: 0,
             prefill_rate,
             report: Engine::fresh_report(&config),
@@ -940,9 +938,8 @@ impl Engine {
     /// [`Engine::admit`]'s first step at the current clock, without its
     /// effects: the candidate (`candidate`, from
     /// [`Engine::next_admission_candidate`]), the reject check, the
-    /// shared-prefix check, the reservation and the shed check. `None`
-    /// when the step would admit, reject or shed (or take the
-    /// shared-prefix path, which this check does not follow).
+    /// reservation (a group join for a shared prefix) and the shed
+    /// check. `None` when the step would admit, reject or shed.
     ///
     /// Otherwise admission is impossible, and `Some(bound)` says how
     /// long that lasts while the queue and the batch stay unchanged: a
@@ -956,11 +953,7 @@ impl Engine {
             return Some(None);
         }
         let head = self.waiting.get(candidate?);
-        if self.must_reject(head) || self.shares_prefix(head) {
-            return None;
-        }
-        let footprint = self.footprint(head, false);
-        if self.kv.can_reserve(head.id, footprint) || self.shed_could_admit(head) {
+        if self.must_reject(head) || self.can_reserve_kv(head) || self.shed_could_admit(head) {
             return None;
         }
         Some(self.config.class_slo.and_then(|slo| {
@@ -1180,9 +1173,9 @@ impl Engine {
         self.step();
     }
 
-    /// Finalizes an incremental run: releases shared-prefix groups and
-    /// returns (and resets) the accumulated report, with the iterations
-    /// counted per configuration written into its config usage.
+    /// Finalizes an incremental run: returns (and resets) the accumulated
+    /// report, with the iterations counted per configuration written into
+    /// its config usage.
     pub fn take_report(&mut self) -> EngineReport {
         self.settle_run();
         for (plan, count) in self.plans.iter().zip(&mut self.plan_iterations) {
@@ -1190,19 +1183,16 @@ impl Engine {
                 self.report.note_config_usage(plan.config(), std::mem::take(count));
             }
         }
-        for group in std::mem::take(&mut self.live_groups) {
-            self.kv.release_group(group);
-        }
         std::mem::replace(&mut self.report, Engine::fresh_report(&self.config))
     }
 
     /// Rips every unfinished request out of the engine, as a crash would:
     /// queued arrivals, waiting requests, and running sequences all come
-    /// back (their KV reservations released, shared-prefix groups
-    /// dropped), with the prompt tokens already prefilled counted as
-    /// wasted — a re-dispatched request pays full re-prefill because its
-    /// KV cache died with the replica. Completed work already in the
-    /// report is untouched.
+    /// back (their KV reservations released, and with them the
+    /// shared-prefix groups they were the last members of), with the
+    /// prompt tokens already prefilled counted as wasted — a re-dispatched
+    /// request pays full re-prefill because its KV cache died with the
+    /// replica. Completed work already in the report is untouched.
     pub fn take_unfinished(&mut self) -> crate::fault::SalvagedWork {
         self.settle_run();
         self.run_cache = None;
@@ -1213,9 +1203,6 @@ impl Engine {
             salvaged.wasted_prefill_tokens += seq.prefill_done;
             self.kv.release(seq.request.id);
             salvaged.requests.push(seq.request);
-        }
-        for group in std::mem::take(&mut self.live_groups) {
-            self.kv.release_group(group);
         }
         self.queued_total_tokens = 0;
         self.queued_input_tokens = 0;
@@ -1396,20 +1383,7 @@ impl Engine {
                 self.report.note_rejection(head.id);
                 continue;
             }
-            let shared = self.shares_prefix(&head);
-            // Watermark to restore if this admission attempt fails after
-            // extending the shared-prefix group.
-            let mut group_rollback = None;
-            if shared {
-                let group = head.prefix_group.expect("checked");
-                let prior = self.kv.group_tokens(group);
-                if !self.kv.try_extend_group(group, u64::from(head.cached_prefix)) {
-                    break;
-                }
-                group_rollback = Some((group, prior));
-            }
-            let footprint = self.footprint(&head, shared);
-            let mut reserved = self.kv.try_reserve(head.id, footprint);
+            let mut reserved = self.try_reserve_kv(&head);
             // SLO-aware shedding: an at-risk interactive admission may
             // evict batch-class sequences that have not yet emitted a
             // first token (their prefill restarts later; their SLO budget
@@ -1419,22 +1393,13 @@ impl Engine {
                 if let Some(slo) = self.config.class_slo {
                     if head.class == RequestClass::Interactive && self.ttft_at_risk(&head, &slo) {
                         while !reserved && self.shed_one_batch_prefill() {
-                            reserved = self.kv.try_reserve(head.id, footprint);
+                            reserved = self.try_reserve_kv(&head);
                         }
                     }
                 }
             }
             if !reserved {
-                // The request was not admitted: undo its group extension,
-                // or the orphaned watermark occupies blocks (re-extended
-                // on every admit pass) until the cache wedges.
-                if let Some((group, prior)) = group_rollback {
-                    self.kv.shrink_group(group, prior);
-                }
                 break;
-            }
-            if let Some((group, _)) = group_rollback {
-                self.live_groups.insert(group);
             }
             let req = self.waiting.remove(pos);
             self.queued_total_tokens -= req.total_tokens();
@@ -1455,28 +1420,69 @@ impl Engine {
 
     /// True when `head` can never be admitted: it can never fit, or has
     /// no prompt to prefill (no prefill chunk would ever emit its first
-    /// token). Admission rejects it rather than deadlock.
+    /// token). Admission rejects it rather than deadlock. A shared head
+    /// never fits when its group's blocks plus its own exceed the pool,
+    /// as each rounds up to whole blocks on its own.
+    // This and the two KV reservation helpers below run once per
+    // admission candidate; kept out of line, they stay out of
+    // `step_run`'s body, whose run loop is the hot path.
+    #[inline(never)]
     fn must_reject(&self, head: &Request) -> bool {
-        head.total_tokens() > self.kv.capacity_tokens() || head.input_tokens == 0
+        let capacity = self.kv.capacity_tokens();
+        let never_fits = if self.shared_group(head).is_some() {
+            let block = u64::from(self.kv.block_tokens());
+            let blocks = u64::from(head.cached_prefix).div_ceil(block)
+                + self.footprint(head).div_ceil(block);
+            blocks * block > capacity
+        } else {
+            head.total_tokens() > capacity
+        };
+        never_fits || head.input_tokens == 0
     }
 
-    /// Shared-prefix memory: with prefix caching and a group id, the
-    /// cached tokens live in the group's shared allocation and `head`
-    /// only reserves its fresh tokens + output.
-    fn shares_prefix(&self, head: &Request) -> bool {
-        self.config.prefix_caching
-            && self.config.admission == AdmissionMode::ReserveFull
-            && head.prefix_group.is_some()
+    /// Shared-prefix memory: with prefix caching under full reservation,
+    /// a request with a group id joins the group, whose shared allocation
+    /// holds the cached tokens; `head` only reserves its fresh tokens +
+    /// output.
+    fn shared_group(&self, head: &Request) -> Option<u64> {
+        let shares =
+            self.config.prefix_caching && self.config.admission == AdmissionMode::ReserveFull;
+        head.prefix_group.filter(|_| shares)
     }
 
-    /// KV tokens `head`'s reservation asks for under the admission mode.
-    fn footprint(&self, head: &Request, shared: bool) -> u64 {
+    /// KV tokens `head`'s own reservation asks for under the admission
+    /// mode.
+    fn footprint(&self, head: &Request) -> u64 {
         match self.config.admission {
-            AdmissionMode::ReserveFull if shared => {
+            AdmissionMode::ReserveFull if self.shared_group(head).is_some() => {
                 head.total_tokens() - u64::from(head.cached_prefix.min(head.input_tokens))
             }
             AdmissionMode::ReserveFull => head.total_tokens(),
             AdmissionMode::PreemptRestart => u64::from(head.input_tokens),
+        }
+    }
+
+    /// True when `head`'s KV reservation (its group join, if it shares a
+    /// prefix) fits now.
+    #[inline(never)]
+    fn can_reserve_kv(&self, head: &Request) -> bool {
+        let footprint = self.footprint(head);
+        match self.shared_group(head) {
+            Some(group) => self.kv.can_join(group, u64::from(head.cached_prefix), footprint),
+            None => self.kv.can_reserve(head.id, footprint),
+        }
+    }
+
+    /// Makes `head`'s KV reservation, joining its group if it shares a
+    /// prefix; all or nothing.
+    #[inline(never)]
+    fn try_reserve_kv(&mut self, head: &Request) -> bool {
+        let footprint = self.footprint(head);
+        match self.shared_group(head) {
+            Some(group) => {
+                self.kv.try_join(group, u64::from(head.cached_prefix), head.id, footprint)
+            }
+            None => self.kv.try_reserve(head.id, footprint),
         }
     }
 
@@ -2128,6 +2134,63 @@ mod tests {
         let cold = ttft(false);
         let cached = ttft(true);
         assert!(cached < 0.4 * cold, "cached {cached:.4}s vs cold {cold:.4}s");
+    }
+
+    /// A request of `input` prompt tokens (`cached` of them a cached
+    /// prefix of `group`) and `output` generated tokens.
+    fn shared_request(
+        id: u64,
+        arrival_secs: f64,
+        (input, cached, output): (u32, u32, u32),
+        group: u64,
+    ) -> sp_workload::Request {
+        sp_workload::Request {
+            id,
+            arrival: SimTime::from_secs(arrival_secs),
+            input_tokens: input,
+            output_tokens: output,
+            class: RequestClass::Interactive,
+            cached_prefix: cached,
+            prefix_group: Some(group),
+        }
+    }
+
+    #[test]
+    fn a_shared_prefix_is_freed_with_its_last_member() {
+        // Group 0's 600-token prefix must leave the cache when request 0
+        // finishes: the cache cannot hold it next to group 1's prefix
+        // and request 1's own tokens.
+        let config = EngineConfig {
+            kv_capacity_tokens: 1_000,
+            prefix_caching: true,
+            ..EngineConfig::default()
+        };
+        let trace = Trace::with_ids(vec![
+            shared_request(0, 0.0, (700, 600, 50), 0),
+            shared_request(1, 5.0, (700, 600, 50), 1),
+        ]);
+        let report = engine_with(config, ParallelConfig::single()).run(&trace);
+        assert_eq!(report.records().len(), 2);
+        assert!(report.rejected().is_empty());
+    }
+
+    #[test]
+    fn a_shared_request_whose_group_and_own_blocks_overflow_the_pool_is_rejected() {
+        // 62 blocks of 16 tokens. The 490-token prefix takes 31 blocks
+        // and the 500 fresh and generated tokens 32: 63 in all, though
+        // the 990 tokens alone would fit in 62.
+        let config = EngineConfig {
+            kv_capacity_tokens: 1_000,
+            prefix_caching: true,
+            ..EngineConfig::default()
+        };
+        let trace = Trace::with_ids(vec![
+            shared_request(0, 0.0, (500, 490, 490), 0),
+            shared_request(1, 0.0, (500, 480, 400), 0),
+        ]);
+        let report = engine_with(config, ParallelConfig::single()).run(&trace);
+        assert_eq!(report.rejected(), &[0]);
+        assert_eq!(report.records().len(), 1);
     }
 
     #[test]

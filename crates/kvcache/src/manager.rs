@@ -47,9 +47,15 @@ type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 /// Blocks are *counted*, not named: any free block can serve any
 /// sequence (PagedAttention has no external fragmentation), so nothing
 /// observable depends on which block a sequence holds. A counted pool
-/// makes [`KvCacheManager::try_reserve`], [`KvCacheManager::release`]
-/// and [`KvCacheManager::shrink_group`] O(1) regardless of how many
-/// blocks move.
+/// makes [`KvCacheManager::try_reserve`], [`KvCacheManager::try_join`]
+/// and [`KvCacheManager::release`] O(1) regardless of how many blocks
+/// move.
+///
+/// A shared prefix (a multi-turn session's history) is owned by its
+/// members: a sequence joins its group with [`KvCacheManager::try_join`],
+/// which grows the group's allocation to the sequence's cached prefix,
+/// and the group's blocks return to the pool when its last member is
+/// released.
 ///
 /// # Examples
 ///
@@ -66,13 +72,15 @@ pub struct KvCacheManager {
     block_tokens: u32,
     /// Whole blocks in the pool.
     total_blocks: u64,
-    /// Blocks held by no sequence.
+    /// Blocks held by no sequence or group.
     free_blocks: u64,
     seqs: IdMap<SeqAlloc>,
-    /// Shared prefix allocations: one growing sequence per group,
-    /// attached to by many requests (multi-turn sessions). Stored under
-    /// a separate id namespace so they never collide with request ids.
-    groups: IdMap<u64>,
+    /// The shared prefix group each member sequence joined (kept apart
+    /// from `seqs`, whose entries every sequence pays for).
+    member_of: IdMap<u64>,
+    /// Shared prefix allocations of the groups with live members, keyed
+    /// by group id (a namespace of its own, apart from sequence ids).
+    groups: IdMap<GroupAlloc>,
     used_tokens: u64,
     peak_used_tokens: u64,
 }
@@ -82,6 +90,15 @@ struct SeqAlloc {
     tokens: u64,
     /// `ceil(tokens / block_tokens)`: the blocks charged to the sequence.
     blocks: u64,
+}
+
+#[derive(Debug, Clone)]
+struct GroupAlloc {
+    /// The longest cached prefix any live member joined with.
+    tokens: u64,
+    blocks: u64,
+    /// Live sequences that joined the group.
+    members: u32,
 }
 
 impl KvCacheManager {
@@ -99,74 +116,61 @@ impl KvCacheManager {
             total_blocks,
             free_blocks: total_blocks,
             seqs: IdMap::default(),
+            member_of: IdMap::default(),
             groups: IdMap::default(),
             used_tokens: 0,
             peak_used_tokens: 0,
         }
     }
 
-    /// Grows the shared prefix allocation of `group` to at least
-    /// `watermark` tokens (a no-op if already that large). Returns false
-    /// (and changes nothing) if the pool cannot supply the blocks.
+    /// Blocks a new sequence of `tokens` joining `group` with a cached
+    /// prefix of `shared` tokens takes from the pool: its own blocks plus
+    /// whatever growing the group's allocation to `shared` costs.
+    fn join_blocks(&self, group: u64, shared: u64, tokens: u64) -> u64 {
+        let block = u64::from(self.block_tokens);
+        let held = self.groups.get(&group).map_or(0, |g| g.blocks);
+        shared.div_ceil(block).saturating_sub(held) + tokens.div_ceil(block)
+    }
+
+    /// True if [`KvCacheManager::try_join`] of a new sequence of `tokens`
+    /// to `group` with a cached prefix of `shared` tokens would succeed.
+    pub fn can_join(&self, group: u64, shared: u64, tokens: u64) -> bool {
+        self.join_blocks(group, shared, tokens) <= self.free_blocks
+    }
+
+    /// Admits the new sequence `seq` as a member of the shared prefix
+    /// `group`, all or nothing: grows the group's allocation to at least
+    /// `shared` tokens (creating it if the group has no live member) and
+    /// reserves `tokens` for `seq` itself. Returns false (and changes
+    /// nothing) if the pool cannot supply both. The group is freed with
+    /// its last member (see [`KvCacheManager::release`]).
     ///
-    /// Group allocations are ref-free high-water marks: a session's
-    /// prefix only grows; [`KvCacheManager::release_group`] frees it when
-    /// the session ends.
-    pub fn try_extend_group(&mut self, group: u64, watermark: u64) -> bool {
-        let current = self.groups.get(&group).copied().unwrap_or(0);
-        if watermark <= current {
-            return true;
-        }
-        let seq_key = Self::group_key(group);
-        if !self.try_reserve(seq_key, watermark - current) {
+    /// # Panics
+    ///
+    /// Panics if `seq` is already live.
+    pub fn try_join(&mut self, group: u64, shared: u64, seq: u64, tokens: u64) -> bool {
+        assert!(!self.seqs.contains_key(&seq), "sequence {seq} is already live");
+        if !self.can_join(group, shared, tokens) {
             return false;
         }
-        self.groups.insert(group, watermark);
+        let block = u64::from(self.block_tokens);
+        let alloc =
+            self.groups.entry(group).or_insert(GroupAlloc { tokens: 0, blocks: 0, members: 0 });
+        if shared > alloc.tokens {
+            let blocks = shared.div_ceil(block);
+            self.free_blocks -= blocks - alloc.blocks;
+            self.used_tokens += shared - alloc.tokens;
+            alloc.tokens = shared;
+            alloc.blocks = blocks;
+        }
+        alloc.members += 1;
+        let blocks = tokens.div_ceil(block);
+        self.free_blocks -= blocks;
+        self.seqs.insert(seq, SeqAlloc { tokens, blocks });
+        self.member_of.insert(seq, group);
+        self.used_tokens += tokens;
+        self.peak_used_tokens = self.peak_used_tokens.max(self.used_tokens);
         true
-    }
-
-    /// Tokens held by the shared prefix of `group` (0 if absent).
-    pub fn group_tokens(&self, group: u64) -> u64 {
-        self.groups.get(&group).copied().unwrap_or(0)
-    }
-
-    /// Shrinks the shared prefix of `group` back to `watermark` tokens,
-    /// freeing whole blocks past it — the admission-failure undo for
-    /// [`KvCacheManager::try_extend_group`]. A watermark of zero drops the
-    /// group entirely. No-op if the group is absent or already at or
-    /// below the watermark.
-    pub fn shrink_group(&mut self, group: u64, watermark: u64) {
-        let Some(&current) = self.groups.get(&group) else { return };
-        if watermark >= current {
-            return;
-        }
-        if watermark == 0 {
-            self.release_group(group);
-            return;
-        }
-        let alloc = self
-            .seqs
-            .get_mut(&Self::group_key(group))
-            .expect("group watermark implies a live allocation");
-        let keep_blocks = watermark.div_ceil(u64::from(self.block_tokens));
-        self.free_blocks += alloc.blocks - keep_blocks;
-        alloc.blocks = keep_blocks;
-        self.used_tokens -= alloc.tokens - watermark;
-        alloc.tokens = watermark;
-        self.groups.insert(group, watermark);
-    }
-
-    /// Frees a session's shared prefix. No-op if absent.
-    pub fn release_group(&mut self, group: u64) {
-        if self.groups.remove(&group).is_some() {
-            self.release(Self::group_key(group));
-        }
-    }
-
-    fn group_key(group: u64) -> u64 {
-        // Request ids are trace indices (small); fold groups into the top
-        // half of the id space.
-        group | (1 << 63)
     }
 
     /// Tokens per block.
@@ -204,7 +208,7 @@ impl KvCacheManager {
         }
     }
 
-    /// Number of live sequences.
+    /// Number of live sequences (shared prefix groups not counted).
     pub fn live_sequences(&self) -> usize {
         self.seqs.len()
     }
@@ -242,12 +246,20 @@ impl KvCacheManager {
         self.seqs.get(&seq).map_or(0, |s| s.tokens)
     }
 
-    /// Releases all blocks of sequence `seq`. Releasing an absent sequence
+    /// Releases all blocks of sequence `seq`, and its shared prefix
+    /// group's with the group's last member. Releasing an absent sequence
     /// is a no-op (idempotent teardown).
     pub fn release(&mut self, seq: u64) {
-        if let Some(alloc) = self.seqs.remove(&seq) {
-            self.used_tokens -= alloc.tokens;
-            self.free_blocks += alloc.blocks;
+        let Some(alloc) = self.seqs.remove(&seq) else { return };
+        self.used_tokens -= alloc.tokens;
+        self.free_blocks += alloc.blocks;
+        let Some(group) = self.member_of.remove(&seq) else { return };
+        let shared = self.groups.get_mut(&group).expect("a member implies a live group");
+        shared.members -= 1;
+        if shared.members == 0 {
+            self.used_tokens -= shared.tokens;
+            self.free_blocks += shared.blocks;
+            self.groups.remove(&group);
         }
     }
 }
@@ -313,64 +325,49 @@ mod tests {
     #[test]
     fn group_extends_monotonically_and_shares() {
         let mut kv = KvCacheManager::new(160, 16);
-        assert!(kv.try_extend_group(1, 50));
-        assert_eq!(kv.group_tokens(1), 50);
+        assert!(kv.try_join(1, 50, 10, 0));
         let used_after_first = kv.used_tokens();
-        // Second turn with a larger watermark only pays the delta.
-        assert!(kv.try_extend_group(1, 80));
+        assert_eq!(used_after_first, 50);
+        // A member with a longer prefix only pays the delta.
+        assert!(kv.try_join(1, 80, 11, 0));
         assert_eq!(kv.used_tokens(), used_after_first + 30);
-        // Smaller watermark is free.
-        assert!(kv.try_extend_group(1, 10));
-        assert_eq!(kv.group_tokens(1), 80);
-        kv.release_group(1);
+        // A shorter prefix is already resident.
+        assert!(kv.try_join(1, 10, 12, 0));
+        assert_eq!(kv.used_tokens(), 80);
+        // The group outlives every member but its last.
+        kv.release(10);
+        kv.release(12);
+        assert_eq!(kv.used_tokens(), 80);
+        kv.release(11);
         assert_eq!(kv.used_tokens(), 0);
-        assert_eq!(kv.group_tokens(1), 0);
+        assert_eq!(kv.free_tokens(), 160);
     }
 
     #[test]
     fn group_extension_respects_capacity() {
         let mut kv = KvCacheManager::new(64, 16);
-        assert!(kv.try_extend_group(7, 48));
-        assert!(!kv.try_extend_group(7, 200));
-        assert_eq!(kv.group_tokens(7), 48, "failed extension must not corrupt");
+        assert!(kv.try_join(7, 48, 1, 0));
+        assert!(!kv.can_join(7, 200, 0));
+        assert!(!kv.try_join(7, 200, 2, 0));
+        // The group's share fits but the member's own tokens do not.
+        assert!(!kv.try_join(7, 48, 2, 17));
+        assert_eq!(kv.used_tokens(), 48, "failed join must not corrupt");
+        assert_eq!(kv.sequence_tokens(2), 0);
+        assert!(kv.try_join(7, 48, 2, 16));
+        assert_eq!(kv.free_tokens(), 0);
     }
 
     #[test]
     fn groups_do_not_collide_with_request_ids() {
         let mut kv = KvCacheManager::new(160, 16);
         assert!(kv.try_reserve(1, 32)); // request id 1
-        assert!(kv.try_extend_group(1, 32)); // group id 1
+        assert!(kv.try_join(1, 32, 2, 16)); // group id 1, request id 2
         assert_eq!(kv.sequence_tokens(1), 32);
-        assert_eq!(kv.group_tokens(1), 32);
+        assert_eq!(kv.used_tokens(), 80);
         kv.release(1);
-        assert_eq!(kv.group_tokens(1), 32, "request release must not free the group");
-    }
-
-    #[test]
-    fn shrink_group_rolls_back_an_extension() {
-        let mut kv = KvCacheManager::new(160, 16);
-        assert!(kv.try_extend_group(3, 48));
-        let used = kv.used_tokens();
-        assert!(kv.try_extend_group(3, 100));
-        kv.shrink_group(3, 48);
-        assert_eq!(kv.group_tokens(3), 48);
-        assert_eq!(kv.used_tokens(), used);
-        // Shrinking to zero drops the group entirely.
-        kv.shrink_group(3, 0);
-        assert_eq!(kv.group_tokens(3), 0);
+        assert_eq!(kv.used_tokens(), 48, "request release must not free the group");
+        kv.release(2);
         assert_eq!(kv.used_tokens(), 0);
-        assert_eq!(kv.free_tokens(), 160);
-    }
-
-    #[test]
-    fn shrink_group_is_noop_when_at_or_below_watermark() {
-        let mut kv = KvCacheManager::new(160, 16);
-        kv.shrink_group(9, 10); // absent group
-        assert_eq!(kv.used_tokens(), 0);
-        assert!(kv.try_extend_group(9, 32));
-        kv.shrink_group(9, 64); // larger watermark: no-op
-        assert_eq!(kv.group_tokens(9), 32);
-        assert_eq!(kv.free_tokens(), 128);
     }
 
     #[test]
@@ -391,7 +388,7 @@ mod tests {
         // A sequence's partially filled tail block still takes appends.
         assert!(kv.try_reserve(2, 15));
         assert!(!kv.try_reserve(2, 1));
-        assert!(!kv.try_extend_group(1, 1));
+        assert!(!kv.try_join(1, 1, 4, 0));
         kv.release(1);
         assert_eq!(kv.free_tokens(), 16);
         assert!(kv.try_reserve(3, 16));
@@ -406,10 +403,10 @@ mod tests {
             assert_eq!(kv.free_tokens(), 0);
             assert_eq!(kv.utilization(), 0.0);
             assert!(!kv.try_reserve(1, 1));
-            assert!(!kv.try_extend_group(1, 1));
+            assert!(!kv.try_join(1, 1, 3, 0));
             // Zero-token work needs no block.
             assert!(kv.try_reserve(2, 0));
-            assert!(kv.try_extend_group(2, 0));
+            assert!(kv.try_join(2, 0, 4, 0));
             assert_eq!(kv.used_tokens(), 0);
         }
     }
@@ -419,16 +416,15 @@ mod tests {
     enum Op {
         Reserve(u64, u64),
         Release(u64),
-        ExtendGroup(u64, u64),
-        ShrinkGroup(u64, u64),
+        /// `Join(group, shared, seq, tokens)`.
+        Join(u64, u64, u64, u64),
     }
 
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
             (0u64..8, 1u64..40).prop_map(|(s, t)| Op::Reserve(s, t)),
             (0u64..8).prop_map(Op::Release),
-            (0u64..4, 0u64..120).prop_map(|(g, w)| Op::ExtendGroup(g, w)),
-            (0u64..4, 0u64..120).prop_map(|(g, w)| Op::ShrinkGroup(g, w)),
+            (0u64..4, 0u64..120, 0u64..8, 0u64..60).prop_map(|(g, w, s, t)| Op::Join(g, w, s, t)),
         ]
     }
 
@@ -437,56 +433,71 @@ mod tests {
         fn accounting_invariants_hold(ops in prop::collection::vec(op(), 0..300)) {
             const BLOCK: u64 = 16;
             let mut kv = KvCacheManager::new(512, BLOCK as u32);
-            let mut shadow: HashMap<u64, u64> = HashMap::new();
-            let mut groups: HashMap<u64, u64> = HashMap::new();
+            // The naive model: each sequence's tokens and group, and each
+            // group's prefix and member count.
+            let mut seqs: HashMap<u64, (u64, Option<u64>)> = HashMap::new();
+            let mut groups: HashMap<u64, (u64, u32)> = HashMap::new();
             for op in ops {
                 match op {
                     Op::Reserve(seq, tokens) => {
                         if kv.try_reserve(seq, tokens) {
-                            *shadow.entry(seq).or_default() += tokens;
+                            seqs.entry(seq).or_insert((0, None)).0 += tokens;
                         }
                     }
                     Op::Release(seq) => {
                         kv.release(seq);
-                        shadow.remove(&seq);
-                    }
-                    Op::ExtendGroup(group, watermark) => {
-                        let current = groups.get(&group).copied().unwrap_or(0);
-                        if kv.try_extend_group(group, watermark) && watermark > current {
-                            groups.insert(group, watermark);
-                        }
-                    }
-                    Op::ShrinkGroup(group, watermark) => {
-                        kv.shrink_group(group, watermark);
-                        match groups.get(&group) {
-                            Some(_) if watermark == 0 => {
+                        if let Some((_, Some(group))) = seqs.remove(&seq) {
+                            let members = &mut groups.get_mut(&group).expect("live group").1;
+                            *members -= 1;
+                            if *members == 0 {
                                 groups.remove(&group);
                             }
-                            Some(&current) if watermark < current => {
-                                groups.insert(group, watermark);
-                            }
-                            _ => {}
+                        }
+                    }
+                    Op::Join(group, shared, seq, tokens) => {
+                        if seqs.contains_key(&seq) {
+                            continue;
+                        }
+                        let (used, free) = (kv.used_tokens(), kv.free_tokens());
+                        let predicted = kv.can_join(group, shared, tokens);
+                        let joined = kv.try_join(group, shared, seq, tokens);
+                        prop_assert_eq!(predicted, joined, "can_join disagrees with try_join");
+                        if joined {
+                            seqs.insert(seq, (tokens, Some(group)));
+                            let entry = groups.entry(group).or_insert((0, 0));
+                            *entry = (entry.0.max(shared), entry.1 + 1);
+                        } else {
+                            prop_assert_eq!(kv.used_tokens(), used, "a failed join changed usage");
+                            prop_assert_eq!(kv.free_tokens(), free, "a failed join moved blocks");
+                            prop_assert_eq!(kv.sequence_tokens(seq), 0);
                         }
                     }
                 }
-                let expected: u64 = shadow.values().chain(groups.values()).sum();
+                let expected: u64 =
+                    seqs.values().map(|s| s.0).chain(groups.values().map(|g| g.0)).sum();
                 prop_assert_eq!(kv.used_tokens(), expected);
                 prop_assert!(kv.used_tokens() <= kv.capacity_tokens());
-                for (&s, &t) in &shadow {
+                prop_assert_eq!(kv.live_sequences(), seqs.len());
+                for (&s, &(t, _)) in &seqs {
                     prop_assert_eq!(kv.sequence_tokens(s), t);
                 }
-                for (&g, &t) in &groups {
-                    prop_assert_eq!(kv.group_tokens(g), t);
-                }
                 // Block conservation: every block is free or charged to
-                // exactly one sequence, whole blocks per sequence.
-                let held: u64 = shadow
+                // exactly one sequence or live group, whole blocks each;
+                // a group with no member left holds none.
+                let held: u64 = seqs
                     .values()
-                    .chain(groups.values())
-                    .map(|&t| t.div_ceil(BLOCK) * BLOCK)
+                    .map(|s| s.0)
+                    .chain(groups.values().map(|g| g.0))
+                    .map(|t| t.div_ceil(BLOCK) * BLOCK)
                     .sum();
                 prop_assert_eq!(kv.free_tokens() + held, kv.capacity_tokens());
             }
+            // Releasing every sequence frees every group with it.
+            for seq in seqs.keys() {
+                kv.release(*seq);
+            }
+            prop_assert_eq!(kv.used_tokens(), 0);
+            prop_assert_eq!(kv.free_tokens(), kv.capacity_tokens());
         }
 
         #[test]

@@ -1,10 +1,9 @@
 //! Shared scoped fan-out executor for the workspace.
 //!
 //! There is exactly one threading code path in the simulator:
-//! [`map_with`] (and its [`map`] convenience wrapper, which sizes itself
-//! via [`default_threads`] / the `SP_THREADS` override). The horizon
-//! windows in `ClusterSim` and the sweep harness in `sp-bench` both fan
-//! out through it.
+//! [`map_into`], whose width callers take from [`default_threads`] (the
+//! `SP_THREADS` override) or set explicitly. The horizon windows in
+//! `ClusterSim` fan out through it.
 //!
 //! Two properties matter more than raw speed here:
 //!
@@ -12,10 +11,10 @@
 //!   no matter how indices were interleaved across threads, so callers
 //!   that demand byte-identical results at any thread count can use the
 //!   executor freely.
-//! * **Re-entrancy.** A task that itself calls [`map_with`] (a sweep
-//!   point of `sp_bench::parallel_sweep` that builds and runs a
-//!   `ClusterSim`, whose horizon windows fan out in turn) degrades to an
-//!   inline sequential loop instead of deadlocking on the pool.
+//! * **Re-entrancy.** A task that itself calls [`map_into`] (say, one
+//!   that builds and runs a `ClusterSim`, whose horizon windows fan out
+//!   in turn) degrades to an inline sequential loop instead of
+//!   deadlocking on the pool.
 //!
 //! The executor keeps a single lazily-grown, process-wide pool of parked
 //! worker threads; fan-outs are typically sub-millisecond windows, so
@@ -46,20 +45,12 @@ pub fn default_threads() -> usize {
     thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Applies `f` to every element of `items` using [`default_threads`]
-/// worker threads, returning results in input order.
-pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_with(default_threads(), items, f)
-}
-
 /// Applies `f` to every element of `items` across at most `threads`
-/// concurrent claimers (the calling thread is one of them), returning
-/// results in input order.
+/// concurrent claimers (the calling thread is one of them): `out` is
+/// cleared and filled with `f(&items[i])` in input order, reusing its
+/// existing capacity. Hot callers (the `ClusterSim` horizon windows fan
+/// out once per window) keep one buffer alive across calls so the
+/// steady state allocates nothing.
 ///
 /// Runs inline — same results, one thread — when `threads <= 1`, when
 /// called from inside a pool worker (re-entrant fan-out), or when
@@ -68,30 +59,10 @@ where
 /// # Panics
 ///
 /// If `f` panics for some element, the first such payload is re-raised
-/// on the calling thread once every claimed element has finished.
-pub fn map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let mut out = Vec::new();
-    map_into(threads, items, f, &mut out);
-    out
-}
-
-/// [`map_with`] into a caller-owned buffer: `out` is cleared and filled
-/// with `f(&items[i])` in input order, reusing its existing capacity.
-/// Hot callers (the `ClusterSim` horizon windows fan out once per
-/// window) keep one buffer alive across calls so the steady state
-/// allocates nothing.
-///
-/// # Panics
-///
-/// If `f` panics for some element, the first such payload is re-raised
-/// on the calling thread once every claimed element has finished; `out`
-/// is left empty (already-written results leak rather than risk a
-/// double drop — a fan-out panic is fatal to the run anyway).
+/// on the calling thread once every claimed element has finished. A
+/// pool fan-out leaves `out` empty (already-written results leak rather
+/// than risk a double drop — a fan-out panic is fatal to the run
+/// anyway); an inline one leaves the results before the panic.
 pub fn map_into<T, R, F>(threads: usize, items: &[T], f: F, out: &mut Vec<R>)
 where
     T: Sync,
@@ -221,7 +192,7 @@ impl<R> Clone for SendPtr<R> {
     }
 }
 impl<R> Copy for SendPtr<R> {}
-// SAFETY: distinct participants write disjoint slots (see `map_with`).
+// SAFETY: distinct participants write disjoint slots (see `map_into`).
 unsafe impl<R: Send> Send for SendPtr<R> {}
 unsafe impl<R: Send> Sync for SendPtr<R> {}
 
@@ -338,28 +309,36 @@ fn run_job(job: &Job) {
 mod tests {
     use super::*;
 
+    /// `map_into` into a fresh buffer.
+    fn map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let mut out = Vec::new();
+        map_into(threads, items, f, &mut out);
+        out
+    }
+
     #[test]
-    fn map_with_preserves_input_order_at_any_width() {
+    fn map_into_preserves_input_order_at_any_width() {
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 8, 64, 1000] {
-            let got = map_with(threads, &items, |&x| x * x);
+            let got = map(threads, &items, |&x| x * x);
             assert_eq!(got, expect, "order broke at {threads} threads");
         }
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = map_with(8, &[] as &[u32], |_| unreachable!());
+        let mut out = vec![7u32];
+        map_into(8, &[] as &[u32], |_| unreachable!(), &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn nested_fan_out_runs_inline_and_stays_correct() {
         let outer: Vec<u64> = (0..16).collect();
-        let got = map_with(4, &outer, |&x| {
+        let got = map(4, &outer, |&x| {
             let inner: Vec<u64> = (0..8).collect();
-            map_with(4, &inner, |&y| x * 100 + y).iter().sum::<u64>()
+            map(4, &inner, |&y| x * 100 + y).iter().sum::<u64>()
         });
         let expect: Vec<u64> = outer.iter().map(|&x| (0..8).map(|y| x * 100 + y).sum()).collect();
         assert_eq!(got, expect);
@@ -368,24 +347,30 @@ mod tests {
     #[test]
     fn task_panic_propagates_and_pool_survives() {
         let items: Vec<u32> = (0..64).collect();
+        let mut out = Vec::new();
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            map_with(4, &items, |&x| {
-                assert!(x != 40, "boom at 40");
-                x
-            })
+            map_into(
+                4,
+                &items,
+                |&x| {
+                    assert!(x != 40, "boom at 40");
+                    x
+                },
+                &mut out,
+            )
         }));
         assert!(caught.is_err(), "panic in task must reach the caller");
         // The pool must still be usable after a panicked job.
-        let got = map_with(4, &items, |&x| x + 1);
-        assert_eq!(got, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        map_into(4, &items, |&x| x + 1, &mut out);
+        assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
     }
 
     #[test]
     fn results_are_identical_across_thread_counts() {
         let items: Vec<u64> = (0..100).collect();
-        let seq = map_with(1, &items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
+        let seq = map(1, &items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
         for threads in [2, 8] {
-            let par = map_with(threads, &items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
+            let par = map(threads, &items, |&x| x.wrapping_mul(0x9E37_79B9).rotate_left(7));
             assert_eq!(par, seq);
         }
     }

@@ -6,83 +6,22 @@
 //! points and interactive p99 TTFT within 10% of the fixed fleet.
 
 use shift_parallelism::prelude::*;
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-use sp_workload::bursty::BurstyConfig;
-
-const KV_TOKENS: u64 = 60_000;
-/// The fixed baseline is provisioned for the burst peak.
-const PEAK_REPLICAS: usize = 4;
-/// The autoscaled fleet idles at this floor between bursts.
-const MIN_REPLICAS: usize = 2;
-
-fn engine() -> Engine {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    Engine::new(
-        ExecutionModel::new(node, presets::qwen_32b()),
-        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-        EngineConfig {
-            kv_capacity_tokens: KV_TOKENS,
-            class_slo: Some(ClassSlo::default()),
-            queue_policy: QueuePolicy::InteractiveFirst,
-            admission: AdmissionMode::PreemptRestart,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// Steady interactive stream with two agentic batch bursts and long
-/// valleys, with never-admittable requests dropped.
-fn bursty_trace() -> Trace {
-    let trace = BurstyConfig {
-        duration: Dur::from_secs(240.0),
-        base_rate: 2.0,
-        bursts: 2,
-        burst_size: 60,
-        ..BurstyConfig::default()
-    }
-    .generate();
-    let fits: Vec<Request> =
-        trace.requests().iter().copied().filter(|r| r.total_tokens() <= KV_TOKENS).collect();
-    Trace::with_ids(fits)
-}
-
-fn interactive_p99_ttft(report: &EngineReport) -> f64 {
-    let mut q = Quantiles::new();
-    for r in report.records().iter().filter(|r| r.class == RequestClass::Interactive) {
-        q.record(r.ttft().as_secs());
-    }
-    q.quantile(0.99).expect("interactive records present")
-}
+use sp_bench::scenarios::{
+    agentic_autoscaled_fleet, agentic_fixed_fleet, agentic_trace, interactive_p99_ttft,
+    AGENTIC_MIN_REPLICAS, AGENTIC_PEAK_REPLICAS,
+};
 
 #[test]
 fn autoscaled_fleet_saves_replica_seconds_within_interactive_slo() {
-    let trace = bursty_trace();
+    let trace = agentic_trace();
     let slo = ClassSlo::default();
 
     // Fixed baseline: peak-sized fleet, always on.
-    let mut fixed = ClusterSim::new(
-        (0..PEAK_REPLICAS).map(|_| engine()).collect(),
-        RoutingKind::EarliestDeadlineFeasible(slo).policy(),
-    );
-    let fixed_report = fixed.run(&trace);
+    let fixed_report = agentic_fixed_fleet(AGENTIC_PEAK_REPLICAS, slo).run(&trace);
 
     // Autoscaled: idles at the floor, grows toward the peak on the load
     // signal, drains back down in the valleys.
-    let scaler = Autoscaler::new(
-        AutoscaleConfig {
-            cold_start: Dur::from_secs(5.0),
-            min_replicas: MIN_REPLICAS,
-            max_replicas: PEAK_REPLICAS,
-        },
-        Box::new(LoadBandPolicy::new(2_000.0, 800.0).smoothing(1.0).cooldown(Dur::from_secs(1.0))),
-        |_| engine(),
-    );
-    let mut auto = ClusterSim::new(
-        (0..MIN_REPLICAS).map(|_| engine()).collect(),
-        RoutingKind::EarliestDeadlineFeasible(slo).policy(),
-    )
-    .with_autoscaler(scaler);
-    let auto_report = auto.run(&trace);
+    let auto_report = agentic_autoscaled_fleet(slo).run(&trace);
 
     // Neither stack may lose requests.
     assert_eq!(fixed_report.records().len(), trace.len());
@@ -111,7 +50,7 @@ fn autoscaled_fleet_saves_replica_seconds_within_interactive_slo() {
 
     // A fixed fleet bills exactly replicas × makespan.
     assert!(
-        (fixed_rs - PEAK_REPLICAS as f64 * fixed_report.makespan().as_secs()).abs() < 1e-6,
+        (fixed_rs - AGENTIC_PEAK_REPLICAS as f64 * fixed_report.makespan().as_secs()).abs() < 1e-6,
         "fixed fleet replica-seconds accounting drifted"
     );
 
@@ -137,7 +76,7 @@ fn autoscaled_fleet_saves_replica_seconds_within_interactive_slo() {
     // The autoscaler actually worked for its savings: it grew beyond the
     // floor during bursts and retired replicas afterwards.
     let tl = auto_report.fleet_timeline();
-    assert!(tl.peak_provisioned() > MIN_REPLICAS, "autoscaler never scaled out");
+    assert!(tl.peak_provisioned() > AGENTIC_MIN_REPLICAS, "autoscaler never scaled out");
     assert!(
         tl.events().iter().any(|e| e.kind == ReplicaEventKind::Retired),
         "autoscaler never drained a replica back down"

@@ -10,83 +10,20 @@
 //! bin sweeps the same setup across MTTF values.
 
 use shift_parallelism::prelude::*;
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-use sp_workload::bursty::BurstyConfig;
-
-const KV_TOKENS: u64 = 60_000;
-const PEAK_REPLICAS: usize = 4;
-const MIN_REPLICAS: usize = 2;
-const HORIZON_SECS: f64 = 240.0;
-/// Same seed as the `chaos` bench, so the table and the gate agree.
-const CRASH_SEED: u64 = 0xC4A5;
-
-fn engine() -> Engine {
-    let node = NodeSpec::new(GpuSpec::h200(), 1, InterconnectSpec::nvswitch());
-    Engine::new(
-        ExecutionModel::new(node, presets::qwen_32b()),
-        Box::new(StaticPolicy::new("DP", ParallelConfig::single())),
-        EngineConfig {
-            kv_capacity_tokens: KV_TOKENS,
-            class_slo: Some(ClassSlo::default()),
-            queue_policy: QueuePolicy::InteractiveFirst,
-            admission: AdmissionMode::PreemptRestart,
-            ..EngineConfig::default()
-        },
-    )
-}
-
-/// The bursty agentic trace shared with `tests/autoscale.rs` and the
-/// `autoscale`/`chaos` bench bins.
-fn bursty_trace() -> Trace {
-    let trace = BurstyConfig {
-        duration: Dur::from_secs(HORIZON_SECS),
-        base_rate: 2.0,
-        bursts: 2,
-        burst_size: 60,
-        ..BurstyConfig::default()
-    }
-    .generate();
-    let fits: Vec<Request> =
-        trace.requests().iter().copied().filter(|r| r.total_tokens() <= KV_TOKENS).collect();
-    Trace::with_ids(fits)
-}
-
-fn run_with(plan: FaultPlan, trace: &Trace, slo: ClassSlo) -> EngineReport {
-    let scaler = Autoscaler::new(
-        AutoscaleConfig {
-            cold_start: Dur::from_secs(5.0),
-            min_replicas: MIN_REPLICAS,
-            max_replicas: PEAK_REPLICAS,
-        },
-        Box::new(LoadBandPolicy::new(2_000.0, 800.0).smoothing(1.0).cooldown(Dur::from_secs(1.0))),
-        |_| engine(),
-    );
-    let retry = RetryPolicy { max_retries: 3, base_backoff: Dur::from_secs(0.25) };
-    let mut sim = ClusterSim::new(
-        (0..MIN_REPLICAS).map(|_| engine()).collect(),
-        RoutingKind::EarliestDeadlineFeasible(slo).policy(),
-    )
-    .with_autoscaler(scaler)
-    .with_faults(plan, retry);
-    sim.run(trace)
-}
+use sp_bench::scenarios::{
+    agentic_crashes, agentic_trace, run_agentic_chaos, AGENTIC_MIN_REPLICAS,
+};
 
 #[test]
 fn crashes_at_mttf_10x_burst_length_cost_under_5_points_of_attainment() {
-    let trace = bursty_trace();
+    let trace = agentic_trace();
     let slo = ClassSlo::default();
 
-    let baseline = run_with(FaultPlan::empty(), &trace, slo);
+    let baseline = run_agentic_chaos(FaultPlan::empty(), &trace, slo);
     assert_eq!(baseline.records().len(), trace.len(), "no-fault run must complete everything");
     let base_att = baseline.class_slo_report(&slo).interactive.attainment();
 
-    let plan = FaultPlan::crashes_poisson(
-        CRASH_SEED,
-        Dur::from_secs(120.0),
-        Dur::from_secs(HORIZON_SECS),
-        PEAK_REPLICAS,
-    );
-    let report = run_with(plan, &trace, slo);
+    let report = run_agentic_chaos(agentic_crashes(120.0), &trace, slo);
     let tl = report.fleet_timeline();
     let att = report.class_slo_report(&slo).interactive.attainment();
     eprintln!(
@@ -126,22 +63,16 @@ fn crashes_at_mttf_10x_burst_length_cost_under_5_points_of_attainment() {
 
 #[test]
 fn repeated_crashes_degrade_latency_before_goodput() {
-    let trace = bursty_trace();
+    let trace = agentic_trace();
     let slo = ClassSlo::default();
 
-    let baseline = run_with(FaultPlan::empty(), &trace, slo);
+    let baseline = run_agentic_chaos(FaultPlan::empty(), &trace, slo);
     let base_att = baseline.class_slo_report(&slo).interactive.attainment();
 
     // MTTF 60 s: multiple crashes across the horizon. Latency is allowed
     // to sag, but the retry/respawn machinery must still complete every
     // request.
-    let plan = FaultPlan::crashes_poisson(
-        CRASH_SEED,
-        Dur::from_secs(60.0),
-        Dur::from_secs(HORIZON_SECS),
-        PEAK_REPLICAS,
-    );
-    let report = run_with(plan, &trace, slo);
+    let report = run_agentic_chaos(agentic_crashes(60.0), &trace, slo);
     let tl = report.fleet_timeline();
     let att = report.class_slo_report(&slo).interactive.attainment();
     eprintln!(
@@ -160,5 +91,8 @@ fn repeated_crashes_degrade_latency_before_goodput() {
     // Every crash spawned a replacement: the fleet never shrinks for
     // long. Crashed + retired events pair with spawns.
     let spawns = tl.events().iter().filter(|e| e.kind == ReplicaEventKind::Spawned).count();
-    assert!(spawns > MIN_REPLICAS, "autoscaler never respawned after a crash (spawns {spawns})");
+    assert!(
+        spawns > AGENTIC_MIN_REPLICAS,
+        "autoscaler never respawned after a crash (spawns {spawns})"
+    );
 }

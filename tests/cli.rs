@@ -96,3 +96,39 @@ fn valid_flags_still_run() {
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(String::from_utf8_lossy(&out.stdout).lines().count(), 4);
 }
+
+/// Every request a saved trace holds is served or rejected when the
+/// file is replayed.
+#[test]
+fn every_trace_kind_round_trips_through_a_file() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for kind in ["poisson", "batch", "bursty", "azure", "mooncake"] {
+        let path = dir.join(format!("cli_round_trip_{kind}.jsonl"));
+        let path = path.to_str().expect("a UTF-8 path");
+        let out = spsim(&["trace", kind, "--out", path]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "trace {kind}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let written = std::fs::read_to_string(path).expect("the trace was written").lines().count();
+        assert!(written > 0, "trace {kind} wrote no requests");
+
+        let out = spsim(&["run", "--kind", "tp", "--model", "qwen-32b", "--file", path]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "run {kind}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let count = |label: &str| -> usize {
+            let at = stdout.find(label).unwrap_or_else(|| panic!("no `{label}` in {stdout}"));
+            let value = stdout[at + label.len()..].split_whitespace().next();
+            value.and_then(|n| n.parse().ok()).expect("a count")
+        };
+        assert_eq!(count(" done ") + count(" rej "), written, "run {kind}: {stdout}");
+        std::fs::remove_file(path).expect("remove the trace");
+    }
+}

@@ -191,11 +191,8 @@ fn arb_step_trace() -> impl Strategy<Value = Trace> {
 /// caching, and SLO admission, which defers batch prefills — most often
 /// with a few sequences running and the rest queued behind `max_seqs`,
 /// where an at-risk interactive request cannot shed its way in.
-///
-/// A tight cache holds 1,000 tokens under recompute preemption, which
-/// then preempts, and 4,000 elsewhere: shared prefix groups keep their
-/// blocks until the report is taken, and [`arb_step_trace`]'s three
-/// groups plus any one of its requests fit in 4,000 tokens.
+/// A tight cache holds 1,000 tokens, so recompute preemption preempts
+/// and shared prefix groups contend for blocks.
 fn arb_step_config() -> impl Strategy<Value = EngineConfig> {
     (
         0u8..3,
@@ -206,11 +203,7 @@ fn arb_step_config() -> impl Strategy<Value = EngineConfig> {
     )
         .prop_map(
             |(mode, budget, max_seqs, (tight, prefix_caching, slo), (draft, acceptance))| {
-                let kv = match (tight, mode) {
-                    (false, _) => 30_000,
-                    (true, 2) => 1_000,
-                    (true, _) => 4_000,
-                };
+                let kv = if tight { 1_000 } else { 30_000 };
                 EngineConfig {
                     max_batched_tokens: budget,
                     max_seqs,
