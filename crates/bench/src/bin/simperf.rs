@@ -10,7 +10,7 @@
 //!
 //! | ladder | fleet and trace | rungs |
 //! |---|---|---|
-//! | `dp_backlog` | 64 (smoke: 4) KV-bound SLO DP replicas, deep bursts | reference loop; window loop; `Indexed`; `Compiled`; `MacroSteps`; fan-out |
+//! | `dp_backlog` | 64 (smoke: 32) KV-bound SLO DP replicas, deep bursts | reference loop; window loop; `Indexed`; `Compiled`; `MacroSteps`; fan-out |
 //! | `shift_decode_drain` | 64 Qwen-32B Shift engines, one burst then drain | `Indexed`; `Compiled`; `MacroSteps`; fan-out |
 //! | `dp_chunked_kv_bound` | 64 DP replicas, chunked prefills, blocked queue | `Compiled`; `MacroSteps`; fan-out |
 //!
@@ -231,7 +231,7 @@ fn ladders(smoke: bool) -> Vec<Ladder> {
     use FastPaths::{Compiled, Indexed, MacroSteps, Reference};
     let macro_steps =
         |min_gain| Rung { min_gain, ..Rung::new("macro_steps", Loop::Window, MacroSteps) };
-    let backlog_replicas = if smoke { 4 } else { 64 };
+    let backlog_replicas = if smoke { 32 } else { 64 };
     vec![
         Ladder {
             name: "dp_backlog",

@@ -12,7 +12,8 @@ use sp_parallel::{
     ParallelismPolicy,
 };
 use sp_workload::{Request, Trace};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Speculative decoding (§4.5): a free draft source (e.g. SuffixDecoding)
 /// proposes `draft_len` tokens per decode step; the target model verifies
@@ -202,7 +203,29 @@ pub struct Engine {
     /// under every admission policy (a plain `VecDeque` rescans and
     /// shifts O(W) per admit — quadratic under backlog).
     waiting: WaitQueue,
+    /// The running batch in admission order (admission numbers strictly
+    /// increase along it).
     running: Vec<RunningSeq>,
+    /// The decode epoch: how many uniform decode advances (one token for
+    /// every decoding sequence) have run. A run iteration or a step's
+    /// decode lead increments it and touches no sequence; each decoding
+    /// sequence reads its progress off it (see [`RunningSeq::finish`]).
+    epoch: u64,
+    /// Admission numbers handed out so far.
+    admissions: u64,
+    /// `(finish epoch, admission number)` of every sequence in decode,
+    /// as a min-heap: its length is the decode count, its top the
+    /// earliest completion, and the entries at or below the epoch the
+    /// sequences to retire, in running order. Kept current by every
+    /// path that starts, advances unevenly or removes a decode (an
+    /// uneven advance rebuilds it). Like `attended_offset`, kept and
+    /// read only from [`FastPaths::Compiled`] up: lower rungs scan the
+    /// batch instead, and [`Engine::set_fast_paths`] rebuilds both.
+    finishes: BinaryHeap<Reverse<(u64, u64)>>,
+    /// Σ [`RunningSeq::attended_offset`] over the sequences in decode,
+    /// modulo 2^64: their attended positions sum to this plus the decode
+    /// count times the epoch.
+    attended_offset: u64,
     /// Rotating start index of the decode scan in
     /// [`Engine::build_batch`] — fairness under budget pressure.
     decode_cursor: usize,
@@ -266,8 +289,23 @@ pub struct Engine {
 /// A running sequence's contribution to the outstanding-token load
 /// signal: prompt tokens still to prefill plus output tokens still to
 /// generate.
-fn seq_outstanding(seq: &RunningSeq) -> u64 {
-    seq.prefill_remaining() + u64::from(seq.request.output_tokens.saturating_sub(seq.generated))
+fn seq_outstanding(seq: &RunningSeq, epoch: u64) -> u64 {
+    seq.prefill_remaining() + u64::from(seq.decode_remaining(epoch))
+}
+
+/// Releases a finished sequence's KV reservation and records its
+/// completion at `clock`.
+fn complete(kv: &mut KvCacheManager, report: &mut EngineReport, clock: SimTime, seq: &RunningSeq) {
+    kv.release(seq.request.id);
+    report.note_completion(RequestRecord {
+        request_id: seq.request.id,
+        class: seq.request.class,
+        arrival: seq.request.arrival,
+        first_token: seq.first_token.expect("finished implies first token"),
+        finish: clock,
+        input_tokens: seq.request.input_tokens,
+        output_tokens: seq.request.output_tokens,
+    });
 }
 
 /// The window stop rule `!(t < cap)`: the same one the cluster's
@@ -368,15 +406,13 @@ struct RunCache {
 }
 
 /// What a decode run's windows leave for its settle: report totals,
-/// all under the run's one configuration and batch size, and the
-/// tokens not yet added to the sequences. Each total is an integer
-/// count, an integer token sum or a maximum, so writing them once when
-/// the run is settled equals writing them per iteration bit for bit.
+/// all under the run's one configuration and batch size. Each total is
+/// an integer count, an integer token sum or a maximum, so writing them
+/// once when the run is settled equals writing them per iteration bit
+/// for bit.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunTally {
-    /// Iterations run (also the configuration's usage count). Each
-    /// emitted one token per sequence that no sequence's `generated`
-    /// counts yet: the settle adds them (see `Engine::settle_run`).
+    /// Iterations run (also the configuration's usage count).
     iterations: u64,
     /// End of the latest iteration (the makespan candidate).
     end: SimTime,
@@ -454,6 +490,10 @@ impl Engine {
             arrivals: VecDeque::new(),
             waiting: WaitQueue::new(config.class_slo),
             running: Vec::new(),
+            epoch: 0,
+            admissions: 0,
+            finishes: BinaryHeap::new(),
+            attended_offset: 0,
             decode_cursor: 0,
             prefill_rate,
             report: Engine::fresh_report(&config),
@@ -547,22 +587,25 @@ impl Engine {
     /// cursor's position `k` past the current one.
     fn cursor_decodes(&self, k: usize, grown: u64) -> Vec<ChunkWork> {
         let n = self.running.len();
+        let epoch = self.epoch;
         (0..n)
             .map(|j| &self.running[(self.decode_cursor + j + k) % n])
-            .filter(|seq| seq.in_decode() && !seq.finished())
-            .map(|seq| ChunkWork::decode(seq.context_len() + grown))
+            .filter(|seq| seq.in_decode() && !seq.finished(epoch))
+            .map(|seq| ChunkWork::decode(seq.context_len(epoch) + grown))
             .collect()
     }
 
     /// Selects the rung of the optimization ladder the engine runs on
     /// (see [`FastPaths`]). Scheduling and reports are bit-identical on
-    /// every rung — only the cost differs. Drops the run cache, so the
-    /// new rung starts from a clean slate. Not part of the supported
-    /// API.
+    /// every rung — only the cost differs. Drops the run cache and
+    /// rebuilds the decode aggregates, which only the rungs from
+    /// [`FastPaths::Compiled`] up keep, so the new rung starts from a
+    /// clean slate. Not part of the supported API.
     #[doc(hidden)]
     pub fn set_fast_paths(&mut self, paths: FastPaths) {
         self.settle_run();
         self.fast_paths = paths;
+        self.rebuild_decodes();
         self.run_cache = None;
     }
 
@@ -612,7 +655,7 @@ impl Engine {
     /// nothing except, possibly, the probe's ingest: the first effect of
     /// that very `step_once`.
     pub fn step_run(&mut self, cap: Option<f64>) -> Option<crate::routing::RunAdvance> {
-        // Cheap gates first; the O(batch) scans only run once they pass.
+        // Cheap gates first; the admission probe only runs once they pass.
         if self.fast_paths < FastPaths::MacroSteps
             || self.config.spec_decode.is_some()
             || self.config.admission == AdmissionMode::PreemptRestart
@@ -654,48 +697,27 @@ impl Engine {
 
         // A pure-decode batch's stats are constant across the run.
         let stats = BatchStats { total_new_tokens: n as u64, num_seqs: n };
-        // Cache-hit fast path: a cached run proves the batch
-        // composition is exactly the capture's (any admission, retire,
-        // shed, preemption, or prefill drops the cache) and that every
-        // sequence has advanced uniformly since capture — so the
-        // validity scan below is already decided (all mid-stream
-        // decodes, none finished) and the earliest completion sits
-        // `base_k` iterations closer than at capture. Skipping the O(n)
-        // scan is what makes re-entering the same steady batch across
-        // many horizon windows O(1) per window instead of O(n).
+        // No prefill is in flight and finished sequences retire at once,
+        // so every running sequence is a mid-stream decode: the decode
+        // aggregates describe the whole batch. A cached run proves more:
+        // the batch composition is exactly the capture's (any admission,
+        // retire, shed, preemption, or prefill drops the cache), so its
+        // pricer still holds and the earliest completion sits `base_k`
+        // iterations closer than at capture. Re-entering the same steady
+        // batch across many horizon windows is O(1) per window either way.
+        debug_assert_eq!(self.finishes.len(), n, "a prefill-free batch is all decodes");
         let (run, asked) = match self.run_cache {
             Some(cache) => {
-                #[cfg(debug_assertions)]
-                {
-                    let mut rl = u32::MAX;
-                    for seq in &self.running {
-                        assert!(
-                            seq.in_decode() && seq.first_token.is_some() && !seq.finished(),
-                            "cache-hit batch must be all mid-stream decodes"
-                        );
-                        rl = rl.min(seq.decode_remaining());
-                    }
-                    assert_eq!(
-                        u64::from(rl) - cache.tally.iterations,
-                        cache.end.saturating_sub(cache.base_k),
-                        "cached completion bound diverged from the scan"
-                    );
-                }
+                debug_assert_eq!(
+                    self.next_finish() - self.epoch,
+                    cache.end - cache.base_k,
+                    "cached completion bound diverged from the finish heap"
+                );
                 (cache, false)
             }
             None => {
-                // One pass over the batch: validate that every sequence
-                // is a mid-stream decode, bound the run by the earliest
-                // completion, and sum the attended positions.
-                let mut limit = u32::MAX;
-                let mut attended = 0u64;
-                for seq in &self.running {
-                    if !seq.in_decode() || seq.first_token.is_none() || seq.finished() {
-                        return None;
-                    }
-                    limit = limit.min(seq.decode_remaining());
-                    attended = attended.saturating_add(seq.context_len().saturating_add(1));
-                }
+                let (_, attended) = self.decode_aggregates();
+                let limit = (self.next_finish() - self.epoch) as u32;
                 // A run past the closed form's exactness guard goes
                 // through `step_once` — declined before the policy is
                 // asked, since choices are counted.
@@ -730,9 +752,6 @@ impl Engine {
         }
         debug_assert_eq!(tally.kv_util, self.kv.utilization(), "KV changed inside a run");
         let kv_util = tally.kv_util;
-        // Iterations whose tokens the sequences do not count yet.
-        #[cfg(debug_assertions)]
-        let unapplied = tally.iterations;
         // One proof covers the rest of the run: if the kernel is memory
         // bound at both ends of it, every iteration is priced by its
         // memory term alone.
@@ -775,7 +794,7 @@ impl Engine {
             let i = run.base_k + u64::from(k);
             let base = if memory_bound { pricer.price_memory_bound(i) } else { pricer.price(i) };
             #[cfg(debug_assertions)]
-            self.check_linear_price(&config, unapplied + u64::from(k), k, base);
+            self.check_linear_price(&config, k, base);
             let duration = slowed(base, slowdown);
             clock += duration;
             tally.max_iteration = tally.max_iteration.max(duration);
@@ -833,27 +852,23 @@ impl Engine {
         cache.verdict = (!admissible).then_some(admit_bound);
         cache.memory_bound = memory_bound;
 
-        // Apply the run to the O(1) scheduler state. The tokens each
-        // sequence emitted stay in the tally until the run is settled.
+        // Apply the run to the O(1) scheduler state: every sequence
+        // emitted one token per iteration, which the epoch counts.
+        self.epoch += u64::from(done);
         self.running_outstanding_tokens -= n as u64 * u64::from(done);
         self.decode_cursor = self.decode_cursor.wrapping_add(done as usize);
 
         // Retire finished sequences exactly as the per-iteration step
         // does (completions can only land on the run's final iteration,
         // after all of its token attribution — same order as the slow
-        // path), settling the run first: retirement ends the run, and
-        // the settle adds the run's tokens. A window cut before the
-        // earliest-completion bound cannot have finished anything
-        // (`run_limit` is the minimum of `decode_remaining`), so it
-        // touches no sequence at all.
+        // path), settling the run first: retirement ends the run. A
+        // window cut before the earliest-completion bound cannot have
+        // finished anything, so it touches no sequence at all.
         if done == run_limit {
             self.settle_run();
             self.retire_finished();
         } else {
-            debug_assert!(self
-                .running
-                .iter()
-                .all(|seq| u64::from(seq.decode_remaining()) > tally.iterations));
+            debug_assert!(self.next_finish() > self.epoch, "a cut run finished a sequence");
         }
         // Retirement changes the batch: the cached summary is stale.
         if self.running.len() != n {
@@ -873,15 +888,8 @@ impl Engine {
     /// iteration before retirement, and [`Engine::take_report`],
     /// [`Engine::take_unfinished`], [`Engine::set_fast_paths`] and
     /// [`Engine::run`]. A new capture needs no settle: the cache is only
-    /// dropped on those paths, right after they settle it.
-    ///
-    /// Settling also adds the run's tokens to the sequences, which no
-    /// window does: a window touches no sequence, so resuming a run
-    /// costs the same whatever the batch size. Nothing reads a running
-    /// sequence's token count between two settles except debug
-    /// cross-checks, which add the tally's iterations themselves. The
-    /// add stays a pass of its own where retirement follows (DESIGN.md
-    /// decision 15 says why it is not folded into the retire pass).
+    /// dropped on those paths, right after they settle it. Settling
+    /// touches no sequence: the windows already advanced the epoch.
     ///
     /// Settling also drops the run's admission verdict: the paths that
     /// settle may change the queue or the KV cache (a step admits,
@@ -901,10 +909,6 @@ impl Engine {
         self.plan_iterations[cache.plan] += tally.iterations;
         self.report.note_kv_utilization(tally.kv_util);
         self.report.note_run(tally.iterations, tally.end, tally.max_iteration);
-        let unapplied = u32::try_from(tally.iterations).expect("a run fits u32 iterations");
-        for seq in &mut self.running {
-            seq.generated += unapplied;
-        }
     }
 
     /// The admission probe [`Engine::step_run`] runs where a step would
@@ -996,12 +1000,12 @@ impl Engine {
 
     /// Checks a closed-form run price against the per-chunk reference
     /// walk of window iteration `k`'s materialized batch — never
-    /// against the closed form `summarize` would also use. `grown` is
-    /// how many tokens every context has gained beyond what the
-    /// sequences count: the run's unapplied iterations plus `k`.
+    /// against the closed form `summarize` would also use. The window
+    /// advances the epoch when it ends, so at iteration `k` every
+    /// context has grown `k` tokens past what the epoch says.
     #[cfg(debug_assertions)]
-    fn check_linear_price(&self, config: &ParallelConfig, grown: u64, k: u32, dur: Dur) {
-        let work = BatchWork::new(self.cursor_decodes(k as usize, grown));
+    fn check_linear_price(&self, config: &ParallelConfig, k: u32, dur: Dur) {
+        let work = BatchWork::new(self.cursor_decodes(k as usize, u64::from(k)));
         assert_eq!(work.num_seqs(), self.running.len(), "a run's batch is all decodes");
         assert_eq!(
             dur,
@@ -1045,10 +1049,8 @@ impl Engine {
     fn outstanding_tokens_fold(&self) -> u64 {
         let queued: u64 =
             self.arrivals.iter().chain(self.waiting.iter()).map(Request::total_tokens).sum();
-        let admitted: u64 = self.running.iter().map(seq_outstanding).sum();
-        // A cached run's tokens not yet added to its sequences.
-        let unapplied = self.run_cache.map_or(0, |c| c.tally.iterations * c.seqs as u64);
-        queued + admitted - unapplied
+        let admitted: u64 = self.running.iter().map(|seq| seq_outstanding(seq, self.epoch)).sum();
+        queued + admitted
     }
 
     /// Live load snapshot for deadline-aware routing: outstanding tokens
@@ -1208,6 +1210,8 @@ impl Engine {
         self.queued_input_tokens = 0;
         self.running_outstanding_tokens = 0;
         self.running_prefill_tokens = 0;
+        self.finishes.clear();
+        self.attended_offset = 0;
         salvaged
     }
 
@@ -1258,17 +1262,20 @@ impl Engine {
         let mut ledger_tokens = batch.decodes;
         let mut finishing = false;
         if batch.decodes > 0 {
-            // The lead's decodes emit one token each. They go before any
+            // The lead's decodes are every decode, and emit one token
+            // each: the epoch advances them all. It goes before any
             // prefill chunk: a sequence whose final prefill chunk emits
-            // its first token now would otherwise look like a decode.
-            for seq in &mut self.running {
-                if seq.in_decode() && !seq.finished() {
-                    seq.generated += 1;
-                    finishing |= seq.finished();
-                }
-            }
+            // its first token now starts from the advanced epoch.
+            self.epoch += 1;
             self.running_outstanding_tokens -= batch.decodes;
+            finishing = self.next_finish() <= self.epoch;
         }
+        // Decode chunks advance their sequences unevenly; the finish
+        // heap is rebuilt once they are applied. Below `Compiled` the
+        // decode aggregates are not kept (see `Engine::finishes`).
+        let mut uneven = false;
+        let keep = self.fast_paths >= FastPaths::Compiled;
+        let epoch = self.epoch;
         let assignments = std::mem::take(&mut self.scratch_assignments);
         for &(seq_idx, chunk) in &assignments {
             let seq = &mut self.running[seq_idx];
@@ -1287,8 +1294,9 @@ impl Engine {
                         }
                         _ => 1,
                     };
-                    let emitted = emitted.min(seq.decode_remaining());
-                    seq.generated += emitted;
+                    let emitted = emitted.min(seq.decode_remaining(epoch));
+                    seq.finish -= u64::from(emitted);
+                    uneven = true;
                     self.running_outstanding_tokens -= u64::from(emitted);
                     ledger_tokens += u64::from(emitted);
                 }
@@ -1298,16 +1306,23 @@ impl Engine {
                     self.running_prefill_tokens -= chunk.new_tokens;
                     ledger_tokens += chunk.new_tokens;
                     if chunk.emits_logit {
-                        seq.first_token = Some(self.clock);
-                        seq.generated = 1;
+                        seq.start_decode(self.clock, epoch);
+                        if keep {
+                            self.finishes.push(Reverse((seq.finish, seq.admitted)));
+                            self.attended_offset =
+                                self.attended_offset.wrapping_add(seq.attended_offset());
+                        }
                         self.running_outstanding_tokens -= 1;
                         ledger_tokens += 1;
                     }
                 }
             }
-            finishing |= seq.finished();
+            finishing |= seq.finished(epoch);
         }
         self.scratch_assignments = assignments;
+        if uneven && keep {
+            self.rebuild_decodes();
+        }
         self.report.note_iteration(self.clock, ledger_tokens, duration);
         self.report.note_event(crate::report::IterationEvent {
             end: self.clock,
@@ -1324,33 +1339,110 @@ impl Engine {
         if finishing || self.fast_paths == FastPaths::Reference {
             self.retire_finished();
         } else {
-            debug_assert!(self.running.iter().all(|seq| !seq.finished()));
+            debug_assert!(self.running.iter().all(|seq| !seq.finished(self.epoch)));
         }
     }
 
     /// Retires every finished sequence at the current clock: releases
     /// its KV reservation and records its completion, in running order.
+    ///
+    /// From [`FastPaths::Compiled`] up the finished sequences are the
+    /// finish heap's entries at the epoch, popped in admission order,
+    /// which is running order; each is found by binary search. Lower
+    /// rungs scan the batch, as the executable specification.
     fn retire_finished(&mut self) {
-        let clock = self.clock;
-        let kv = &mut self.kv;
-        let report = &mut self.report;
-        self.running.retain(|seq| {
-            if seq.finished() {
-                kv.release(seq.request.id);
-                report.note_completion(RequestRecord {
-                    request_id: seq.request.id,
-                    class: seq.request.class,
-                    arrival: seq.request.arrival,
-                    first_token: seq.first_token.expect("finished implies first token"),
-                    finish: clock,
-                    input_tokens: seq.request.input_tokens,
-                    output_tokens: seq.request.output_tokens,
-                });
-                false
-            } else {
-                true
+        let epoch = self.epoch;
+        if self.fast_paths < FastPaths::Compiled {
+            let (clock, kv, report) = (self.clock, &mut self.kv, &mut self.report);
+            self.running.retain(|seq| {
+                let done = seq.finished(epoch);
+                if done {
+                    complete(kv, report, clock, seq);
+                }
+                !done
+            });
+            return;
+        }
+        while let Some(&Reverse((finish, admitted))) = self.finishes.peek() {
+            if finish > epoch {
+                break;
             }
-        });
+            debug_assert_eq!(finish, epoch, "a sequence finished past its last token");
+            self.finishes.pop();
+            let at = self
+                .running
+                .binary_search_by_key(&admitted, |seq| seq.admitted)
+                .expect("every finish entry names a running sequence");
+            let seq = self.running.remove(at);
+            self.attended_offset = self.attended_offset.wrapping_sub(seq.attended_offset());
+            complete(&mut self.kv, &mut self.report, self.clock, &seq);
+        }
+    }
+
+    /// The earliest finish epoch among the sequences in decode
+    /// (`u64::MAX` when none decodes).
+    fn next_finish(&self) -> u64 {
+        let next = self.finishes.peek().map_or(u64::MAX, |Reverse((finish, _))| *finish);
+        #[cfg(debug_assertions)]
+        self.check_decodes();
+        next
+    }
+
+    /// The sequences in decode: how many, and their attended positions
+    /// (`context + 1`) summed, both read off the aggregates.
+    fn decode_aggregates(&self) -> (u64, u64) {
+        let n = self.finishes.len() as u64;
+        #[cfg(debug_assertions)]
+        self.check_decodes();
+        (n, self.attended_offset.wrapping_add(n.wrapping_mul(self.epoch)))
+    }
+
+    /// Recomputes the finish heap and the attended offset from the
+    /// running batch, after an uneven advance or a removal that the
+    /// heap cannot pop. Reuses the heap's buffer.
+    fn rebuild_decodes(&mut self) {
+        let mut entries = std::mem::take(&mut self.finishes).into_vec();
+        entries.clear();
+        let mut offset = 0u64;
+        for seq in self.running.iter().filter(|seq| seq.in_decode()) {
+            entries.push(Reverse((seq.finish, seq.admitted)));
+            offset = offset.wrapping_add(seq.attended_offset());
+        }
+        self.finishes = BinaryHeap::from(entries);
+        self.attended_offset = offset;
+    }
+
+    /// Checks the decode aggregates against a fold over the running
+    /// batch: the decode count, the attended sum, and the finish heap's
+    /// entries (their count, earliest entry and sums).
+    #[cfg(debug_assertions)]
+    fn check_decodes(&self) {
+        let decoding = || self.running.iter().filter(|seq| seq.in_decode());
+        let attended =
+            decoding().fold(0u64, |sum, seq| sum.wrapping_add(seq.context_len(self.epoch) + 1));
+        let n = self.finishes.len() as u64;
+        assert_eq!(decoding().count() as u64, n, "decode count drifted");
+        assert_eq!(
+            self.attended_offset.wrapping_add(n.wrapping_mul(self.epoch)),
+            attended,
+            "attended sum drifted"
+        );
+        let entry = |seq: &RunningSeq| (seq.finish, seq.admitted);
+        let sums = |(a, b): (u64, u64), (f, s): (u64, u64)| (a.wrapping_add(f), b.wrapping_add(s));
+        assert_eq!(
+            self.finishes.peek().map(|e| e.0),
+            decoding().map(entry).min(),
+            "finish heap's top drifted"
+        );
+        assert_eq!(
+            self.finishes.iter().map(|e| e.0).fold((0, 0), sums),
+            decoding().map(entry).fold((0, 0), sums),
+            "finish heap's entries drifted"
+        );
+        assert!(
+            self.running.windows(2).all(|w| w[0].admitted < w[1].admitted),
+            "running batch left admission order"
+        );
     }
 
     /// Moves arrived requests into the waiting queue.
@@ -1404,7 +1496,8 @@ impl Engine {
             let req = self.waiting.remove(pos);
             self.queued_total_tokens -= req.total_tokens();
             self.queued_input_tokens -= u64::from(req.input_tokens);
-            let mut seq = RunningSeq::new(req);
+            let mut seq = RunningSeq::new(req, self.admissions);
+            self.admissions += 1;
             if self.config.prefix_caching {
                 // The cached prefix is already resident: skip its prefill.
                 // At least one prompt token must still be processed to
@@ -1412,15 +1505,17 @@ impl Engine {
                 seq.prefill_done =
                     u64::from(req.cached_prefix.min(req.input_tokens.saturating_sub(1)));
             }
-            self.running_outstanding_tokens += seq_outstanding(&seq);
+            self.running_outstanding_tokens += seq_outstanding(&seq, self.epoch);
             self.running_prefill_tokens += seq.prefill_remaining();
             self.running.push(seq);
         }
     }
 
-    /// True when `head` can never be admitted: it can never fit, or has
-    /// no prompt to prefill (no prefill chunk would ever emit its first
-    /// token). Admission rejects it rather than deadlock. A shared head
+    /// True when `head` can never be admitted: it can never fit, has no
+    /// prompt to prefill (no prefill chunk would ever emit its first
+    /// token), or asks for no output (the first token it would emit is
+    /// one more than it asked for, and its load count would go below
+    /// zero). Admission rejects it rather than deadlock. A shared head
     /// never fits when its group's blocks plus its own exceed the pool,
     /// as each rounds up to whole blocks on its own.
     // This and the two KV reservation helpers below run once per
@@ -1437,7 +1532,7 @@ impl Engine {
         } else {
             head.total_tokens() > capacity
         };
-        never_fits || head.input_tokens == 0
+        never_fits || head.input_tokens == 0 || head.output_tokens == 0
     }
 
     /// Shared-prefix memory: with prefix caching under full reservation,
@@ -1575,7 +1670,8 @@ impl Engine {
             return false;
         };
         let victim = self.running.remove(victim_idx);
-        self.running_outstanding_tokens -= seq_outstanding(&victim);
+        debug_assert!(!victim.in_decode(), "a shed victim holds no finish entry");
+        self.running_outstanding_tokens -= seq_outstanding(&victim, self.epoch);
         self.running_prefill_tokens -= victim.prefill_remaining();
         self.queued_total_tokens += victim.request.total_tokens();
         self.queued_input_tokens += u64::from(victim.request.input_tokens);
@@ -1591,9 +1687,10 @@ impl Engine {
     /// and restart it from the waiting queue.
     fn reserve_decode_appends(&mut self) {
         let mut idx = 0;
+        let mut preempted_decode = false;
         while idx < self.running.len() {
             let seq = &self.running[idx];
-            if !seq.in_decode() || seq.finished() {
+            if !seq.in_decode() || seq.finished(self.epoch) {
                 idx += 1;
                 continue;
             }
@@ -1606,9 +1703,10 @@ impl Engine {
             // one we are reserving for) — it restarts from the queue.
             let victim_idx = self.running.len() - 1;
             let victim = self.running.remove(victim_idx);
+            preempted_decode |= victim.in_decode();
             // The preempted request restarts from scratch, so its full
             // footprint moves back to the queued-side counters.
-            self.running_outstanding_tokens -= seq_outstanding(&victim);
+            self.running_outstanding_tokens -= seq_outstanding(&victim, self.epoch);
             self.running_prefill_tokens -= victim.prefill_remaining();
             self.queued_total_tokens += victim.request.total_tokens();
             self.queued_input_tokens += u64::from(victim.request.input_tokens);
@@ -1619,16 +1717,21 @@ impl Engine {
             // possibly out of bounds if we preempted ourselves, which the
             // loop condition handles).
         }
+        // The heap cannot pop a preempted decode.
+        if preempted_decode && self.fast_paths >= FastPaths::Compiled {
+            self.rebuild_decodes();
+        }
     }
 
     /// Builds the iteration batch: all runnable decodes first, then prefill
     /// chunks in admission order until the token budget is spent.
     ///
     /// Without speculative decoding, on rungs from [`FastPaths::Compiled`]
-    /// up, every decode is one token: when they all fit the budget, one
-    /// pass counts them and sums their attended positions, and they
-    /// become the batch's closed-form decode lead (see
-    /// [`StepBatch::decodes`]), with no chunk per sequence. Everywhere
+    /// up, every decode is one token: when they all fit the budget, the
+    /// decode aggregates give their count and attended positions, and
+    /// they become the batch's closed-form decode lead (see
+    /// [`StepBatch::decodes`]), with no chunk per sequence and no pass
+    /// over them. Everywhere
     /// else each decode gets its own chunk: every runnable decode gets at
     /// least one token of progress whenever the budget allows, a
     /// speculative chunk (`draft_len + 1` tokens) that no longer fits
@@ -1651,26 +1754,21 @@ impl Engine {
         let mut prefills = std::mem::take(&mut self.scratch_order);
         prefills.clear();
 
-        // One pass finds the prefills, counts the runnable decodes and
-        // sums their attended positions.
-        let mut decodes = 0u64;
-        let mut attended = 0u64;
-        for (i, seq) in self.running.iter().enumerate() {
-            if !seq.in_decode() {
-                prefills.push(i);
-            } else if !seq.finished() {
-                decodes += 1;
-                attended = attended.saturating_add(seq.context_len().saturating_add(1));
-            }
-        }
         let lead = self.config.spec_decode.is_none()
             && self.fast_paths >= FastPaths::Compiled
-            && decodes <= budget;
+            && self.finishes.len() as u64 <= budget;
+        let (mut decodes, mut attended) = (0, 0);
         if lead {
+            (decodes, attended) = self.decode_aggregates();
             budget -= decodes;
-        } else {
-            decodes = 0;
-            attended = 0;
+        }
+        // The prefills, in running order (none while the load counter
+        // says no prompt token is left to prefill).
+        if self.running_prefill_tokens != 0 {
+            prefills.extend((0..self.running.len()).filter(|&i| !self.running[i].in_decode()));
+        }
+        if !lead {
+            let epoch = self.epoch;
             // Visit every sequence once, starting at the cursor's
             // position: `(cursor + k) % n` for each `k`, with one modulo
             // per batch.
@@ -1683,13 +1781,14 @@ impl Engine {
                 if i == n {
                     i = 0;
                 }
-                if seq.in_decode() && !seq.finished() {
+                if seq.in_decode() && !seq.finished(epoch) {
+                    let context = seq.context_len(epoch);
                     let mut chunk = match self.config.spec_decode {
-                        None => ChunkWork::decode(seq.context_len()),
-                        Some(sd) => ChunkWork::speculative_decode(seq.context_len(), sd.draft_len),
+                        None => ChunkWork::decode(context),
+                        Some(sd) => ChunkWork::speculative_decode(context, sd.draft_len),
                     };
                     if budget < chunk.new_tokens {
-                        chunk = ChunkWork::decode(seq.context_len());
+                        chunk = ChunkWork::decode(context);
                     }
                     if budget < chunk.new_tokens {
                         break;
@@ -1875,6 +1974,33 @@ mod tests {
         assert_eq!(report.rejected(), &[0, 2]);
         assert_eq!(report.records().len(), 1);
         assert_eq!(report.records()[0].request_id, 1);
+    }
+
+    #[test]
+    fn zero_output_request_is_rejected_not_wrapped() {
+        // A request for no output tokens would still emit a first token
+        // when its prefill lands, taking one more from the load counter
+        // than it added. It must land in `rejected()` while its
+        // neighbours complete and the load drains to zero.
+        let trace = Trace::with_ids(
+            [(0, 8), (1, 0), (2, 8)]
+                .into_iter()
+                .map(|(id, output)| Request {
+                    id,
+                    arrival: SimTime::from_secs(0.1 * id as f64),
+                    input_tokens: 16,
+                    output_tokens: output,
+                    class: RequestClass::Interactive,
+                    cached_prefix: 0,
+                    prefix_group: None,
+                })
+                .collect(),
+        );
+        let mut e = engine();
+        let report = e.run(&trace);
+        assert_eq!(report.rejected(), &[1]);
+        assert_eq!(report.records().iter().map(|r| r.request_id).collect::<Vec<_>>(), [0, 2]);
+        assert_eq!(e.outstanding_tokens(), 0);
     }
 
     #[test]
@@ -2297,6 +2423,34 @@ mod tests {
         assert_eq!(stepped.dump(), batch.dump());
     }
 
+    #[test]
+    fn same_iteration_finishes_are_recorded_in_running_order() {
+        // Interactive-first admission runs requests 2 and 3 ahead of 0
+        // and 1. Their prompts prefill together and their outputs are
+        // equal, so all four finish on one iteration: every rung must
+        // record them in running order, not in id order.
+        let trace = Trace::with_ids(
+            [RequestClass::Batch, RequestClass::Batch]
+                .into_iter()
+                .chain([RequestClass::Interactive; 2])
+                .enumerate()
+                .map(|(id, class)| blocked_req(id as u64, 0.0, 64, 8, class))
+                .collect(),
+        );
+        let config =
+            EngineConfig { queue_policy: QueuePolicy::InteractiveFirst, ..EngineConfig::default() };
+        for paths in
+            [FastPaths::Reference, FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps]
+        {
+            let mut e = engine_with(config, ParallelConfig::tensor(8));
+            e.set_fast_paths(paths);
+            let report = e.run(&trace);
+            let order: Vec<u64> = report.records().iter().map(|r| r.request_id).collect();
+            assert_eq!(order, [2, 3, 0, 1], "on {paths:?}");
+            assert!(report.records().iter().all(|r| r.finish == report.records()[0].finish));
+        }
+    }
+
     /// A request for the KV-blocked traces below.
     fn blocked_req(
         id: u64,
@@ -2531,7 +2685,7 @@ mod tests {
         e.push_request(req(0, 64, 100));
         e.push_request(req(1, 10_000, 10));
         e.step_once();
-        assert!(e.running.iter().any(|s| s.in_decode() && !s.finished()));
+        assert!(e.running.iter().any(|s| s.in_decode() && !s.finished(e.epoch)));
         assert!(e.running_prefill_tokens > 2048, "the long prompt needs several more chunks");
 
         let snapshot =
@@ -2809,7 +2963,7 @@ mod tests {
             e.push_request(req);
         }
         let progress = |e: &Engine| -> Vec<(u64, u64, u32)> {
-            e.running.iter().map(|s| (s.request.id, s.prefill_done, s.generated)).collect()
+            e.running.iter().map(|s| (s.request.id, s.prefill_done, s.generated(e.epoch))).collect()
         };
         let mut deferring_steps = 0;
         while !e.is_idle() {

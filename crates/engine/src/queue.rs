@@ -86,12 +86,19 @@ impl EdfIndex {
         }
     }
 
-    /// Removes `key`. In `low` this shifts at most the keys between it
-    /// and the nearer end; in `high` the keys before it cross into `low`
-    /// (each key crosses once), which leaves the next salvageable
-    /// candidate at the front of `high`.
+    /// Removes `key`. The admitted candidate is almost always the front
+    /// of `high` (the earliest salvageable deadline) or of `low` (the
+    /// oldest expired one), which pop without a search. Elsewhere in
+    /// `low` this shifts at most the keys between it and the nearer end;
+    /// in `high` the keys before it cross into `low` (each key crosses
+    /// once), which leaves the next salvageable candidate at the front
+    /// of `high`.
     fn remove(&mut self, key: EdfKey) {
-        if self.in_low(key) {
+        if self.high.front() == Some(&key) {
+            self.high.pop_front();
+        } else if self.low.front() == Some(&key) {
+            self.low.pop_front();
+        } else if self.in_low(key) {
             let i = self.low.binary_search(&key).expect("key is indexed");
             self.low.remove(i);
         } else {
@@ -279,8 +286,13 @@ impl WaitQueue {
             self.edf[class_index(req.class)].remove(key);
         }
         if req.class == RequestClass::Interactive {
-            let i = self.interactive.binary_search(&pos).expect("interactive position is indexed");
-            self.interactive.remove(i);
+            if self.interactive.front() == Some(&pos) {
+                self.interactive.pop_front();
+            } else {
+                let i =
+                    self.interactive.binary_search(&pos).expect("interactive position is indexed");
+                self.interactive.remove(i);
+            }
         }
         req
     }
@@ -498,6 +510,13 @@ mod tests {
         RemoveCandidate {
             clock: f64,
         },
+        /// Removes the entry at the front of one half of a class's EDF
+        /// index (`low` or `high`), or without deadline indexes the
+        /// first interactive entry.
+        RemoveIndexFront {
+            interactive: bool,
+            low: bool,
+        },
         Drain,
     }
 
@@ -505,7 +524,7 @@ mod tests {
         // Arrivals and clocks on a coarse grid, so equal deadlines and
         // clocks equal to a deadline are common. Pushes outweigh
         // removals so the queue grows a backlog.
-        (0u8..11, 0u8..16, any::<bool>(), 0usize..64, 0u8..24).prop_map(
+        (0u8..13, 0u8..16, any::<bool>(), 0usize..64, 0u8..24).prop_map(
             |(kind, at, interactive, nth, clock)| {
                 let at = f64::from(at) * 0.5;
                 match kind {
@@ -513,6 +532,7 @@ mod tests {
                     4 | 5 => Op::PushFront { at, interactive },
                     6 | 7 => Op::Remove { nth },
                     8 | 9 => Op::RemoveCandidate { clock: f64::from(clock) * 0.5 },
+                    10 | 11 => Op::RemoveIndexFront { interactive, low: nth % 2 == 0 },
                     _ => Op::Drain,
                 }
             },
@@ -572,6 +592,20 @@ mod tests {
                         let want = naive_edf(&model, clock).expect("non-empty model");
                         prop_assert_eq!(q.remove(pos).id, want);
                         model.retain(|r| r.id != want);
+                    }
+                    Op::RemoveIndexFront { interactive, low } => {
+                        let pos = if with_slo {
+                            let index = &q.edf[class_index(class(interactive))];
+                            let half = if low { &index.low } else { &index.high };
+                            half.front().map(|&(_, pos)| pos)
+                        } else {
+                            q.first_interactive_pos().filter(|_| interactive)
+                        };
+                        if let Some(pos) = pos {
+                            let id = q.remove(pos).id;
+                            let nth = model.iter().position(|r| r.id == id).expect("queued");
+                            model.remove(nth);
+                        }
                     }
                     Op::Drain => {
                         let drained: Vec<u64> = q.drain().map(|r| r.id).collect();

@@ -229,20 +229,48 @@ proptest! {
     /// price their decodes as a closed-form lead and steps that build a
     /// chunk per sequence must report the same, bit for bit. Shift
     /// engines price each step under one of two plans, and their policy
-    /// counters must match too.
+    /// counters must match too. Each rung takes over from the
+    /// `Reference` rung after `handoff` steps, whose decodes advance
+    /// unevenly, a chunk per sequence. With `equal_outputs`, sequences
+    /// whose prefills land together finish on the same iteration, and
+    /// SLO admission or a requeue admits them out of id order: every
+    /// rung must record them in running order, as the reference does.
     #[test]
     fn every_rung_matches_the_reference_engine(
         trace in arb_step_trace(),
         config in arb_step_config(),
         shift in any::<bool>(),
+        equal_outputs in any::<bool>(),
+        handoff in prop_oneof![Just(0usize), 1usize..200],
     ) {
+        let trace = if equal_outputs {
+            Trace::with_ids(
+                trace.requests().iter().map(|&r| Request { output_tokens: 24, ..r }).collect(),
+            )
+        } else {
+            trace
+        };
         let run = |paths| {
-            if shift {
-                let (mut engine, policy) = shift_engine(config, paths);
-                (engine.run(&trace).dump(), shift_counts(&[policy]))
+            let (mut engine, counts) = if shift {
+                let (engine, policy) = shift_engine(config, FastPaths::Reference);
+                (engine, Some(policy))
             } else {
-                (dp_engine(config, paths).run(&trace).dump(), Vec::new())
+                (dp_engine(config, FastPaths::Reference), None)
+            };
+            for &req in trace.requests() {
+                engine.push_request(req);
             }
+            for _ in 0..handoff {
+                engine.step_once();
+            }
+            engine.set_fast_paths(paths);
+            while !engine.is_idle() {
+                if engine.step_run(None).is_none() {
+                    engine.step_once();
+                }
+            }
+            let counts = counts.map_or_else(Vec::new, |policy| shift_counts(&[policy]));
+            (engine.take_report().dump(), counts)
         };
         let (want, want_counts) = run(FastPaths::Reference);
         for paths in [FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps] {
@@ -410,12 +438,16 @@ fn step_window<N: SimNode>(node: &mut N, cap: f64, runs: bool) {
 /// next event, so the window holds one iteration): `cut` macro-steps
 /// its runs, which every cap cuts, and `whole` steps one iteration at a
 /// time. After every window both must agree on the next event, on
-/// `load()` and on `stats`; at the end their dumps must match.
+/// `load()` and on `stats`; at the end their dumps must match. Before
+/// window `salvage_at`, if given, both are salvaged as a crash would:
+/// they must give back the same requests in the same order (the
+/// running sequences in running order) and the same wasted prefill.
 fn assert_window_cuts_invisible<N: SimNode>(
     mut cut: N,
     mut whole: N,
     trace: &Trace,
     gaps: &[f64],
+    salvage_at: Option<usize>,
     stats: impl Fn(&N) -> Option<(u64, u64, u64)>,
 ) {
     for &req in trace.requests() {
@@ -423,7 +455,14 @@ fn assert_window_cuts_invisible<N: SimNode>(
         whole.push_request(req);
     }
     let bits = |t: Option<SimTime>| t.map(|t| t.as_secs().to_bits());
-    for &gap in gaps.iter().cycle() {
+    let salvage = |node: &mut N| {
+        let work = node.take_unfinished();
+        (work.requests.iter().map(|r| r.id).collect::<Vec<_>>(), work.wasted_prefill_tokens)
+    };
+    for (window, &gap) in gaps.iter().cycle().enumerate() {
+        if salvage_at == Some(window) {
+            assert_eq!(salvage(&mut cut), salvage(&mut whole), "salvage before window {window}");
+        }
         let next = cut.next_event_time();
         assert_eq!(bits(next), bits(whole.next_event_time()), "next-event divergence");
         let Some(t) = next else { break };
@@ -452,19 +491,21 @@ proptest! {
 
     /// A run cut by any caps, however many and however close, leaves
     /// the engine as if it had stepped each iteration: the same load
-    /// after every window (a cut run's tokens wait in its cache until
-    /// the run is settled, while the load counters move per window)
-    /// and the same report at the end.
+    /// after every window (a cut run's report totals wait in its cache
+    /// until the run is settled, while the epoch and the load counters
+    /// move per window), the same salvage when it crashes between two
+    /// windows, and the same report at the end.
     #[test]
     fn window_cuts_leave_an_engine_unchanged(
         sized in arb_trace(&[30_000, 200_000]),
         gaps in arb_gaps(),
         use_slo in any::<bool>(),
+        salvage_at in prop_oneof![Just(None), (1usize..40).prop_map(Some)],
     ) {
         let (kv, trace) = sized;
         let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(kv) };
         let engine = || dp_engine(config, FastPaths::MacroSteps);
-        assert_window_cuts_invisible(engine(), engine(), &trace, &gaps, |_| None);
+        assert_window_cuts_invisible(engine(), engine(), &trace, &gaps, salvage_at, |_| None);
     }
 
     /// The same on a Shift `Deployment`, whose policy counters
@@ -489,6 +530,7 @@ proptest! {
             deployment(),
             &trace,
             &gaps,
+            None,
             Deployment::shift_stats,
         );
     }
