@@ -34,7 +34,7 @@ fn row(name: &str, report: &EngineReport, slo: &ClassSlo) -> Vec<String> {
     ]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let trace = agentic_trace();
     let slo = ClassSlo::default();
     let mut rows = Vec::new();
@@ -53,11 +53,12 @@ fn main() {
     ));
 
     print_table(
+        &mut std::io::stdout(),
         "Replica-seconds vs interactive latency — bursty agentic trace, Qwen-32B on 1x H200, \
          EDF routing",
         &["fleet", "replica-s", "peak", "int SLO att", "int p99 TTFT (s)", "makespan (s)"],
         &rows,
-    );
+    )?;
     println!(
         "\nautoscaler lifecycle events: {events} (spawn/ready/drain/retire; cold start 5s, \
          load band 2000/800 tokens)\n\
@@ -65,4 +66,5 @@ fn main() {
          while billing replica-seconds near the floor fleet — paying for the burst peak only\n\
          while a burst is actually in flight."
     );
+    Ok(())
 }

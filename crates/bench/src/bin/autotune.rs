@@ -1,106 +1,4 @@
-//! Auto-tuning study: profile each evaluation workload, then grid-search
-//! the shift deployment's knobs against it.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin autotune
-//! ```
-
-use shift_core::tuner::{Objective, Tuner};
-use sp_bench::harness::{node, print_table};
-use sp_metrics::{Dur, SloTarget};
-use sp_model::presets;
-use sp_workload::analysis::WorkloadProfile;
-use sp_workload::azure::AzureCodeConfig;
-use sp_workload::bursty::BurstyConfig;
-use sp_workload::mixed::ProductionMixConfig;
-use sp_workload::Trace;
-
-fn main() {
-    let workloads: Vec<(&str, Trace)> = vec![
-        (
-            "bursty",
-            BurstyConfig {
-                duration: Dur::from_secs(180.0),
-                bursts: 1,
-                burst_size: 120,
-                ..BurstyConfig::default()
-            }
-            .generate(),
-        ),
-        (
-            "azure-code",
-            AzureCodeConfig { duration: Dur::from_secs(240.0), ..AzureCodeConfig::default() }
-                .generate(),
-        ),
-        (
-            "production-mix",
-            ProductionMixConfig {
-                duration: Dur::from_secs(120.0),
-                ..ProductionMixConfig::default()
-            }
-            .generate(),
-        ),
-    ];
-
-    // Workload profiles first.
-    let rows: Vec<Vec<String>> = workloads
-        .iter()
-        .map(|(name, trace)| {
-            let p = WorkloadProfile::measure(trace, Dur::from_secs(15.0));
-            vec![
-                name.to_string(),
-                format!("{:?}", p.classify()),
-                format!("{:.1}", p.arrival_rate),
-                format!("{:.1}", p.burstiness_ratio),
-                format!("{:.0}", p.mean_input),
-                format!("{:.0}", p.mean_output),
-                format!("{:.0}", p.demand_tokens_per_sec),
-            ]
-        })
-        .collect();
-    print_table(
-        "Workload profiles",
-        &["workload", "class", "req/s", "burstiness", "mean in", "mean out", "tok/s demand"],
-        &rows,
-    );
-
-    // Tune Llama-70B for each workload and objective.
-    let tuner = Tuner::new(node(), presets::llama_70b());
-    let mut rows = Vec::new();
-    for (name, trace) in &workloads {
-        for (obj_name, objective) in [
-            ("median completion", Objective::MedianCompletion),
-            ("p99 TTFT", Objective::TailTtft),
-            ("goodput", Objective::Goodput(SloTarget::interactive())),
-        ] {
-            match tuner.tune(trace, objective) {
-                Ok(best) => rows.push(vec![
-                    name.to_string(),
-                    obj_name.to_string(),
-                    best.base.to_string(),
-                    best.threshold.to_string(),
-                    best.max_prefill_tokens.map_or("none".into(), |c| c.to_string()),
-                    format!("{:.3}", best.score.abs()),
-                ]),
-                Err(e) => rows.push(vec![
-                    name.to_string(),
-                    obj_name.to_string(),
-                    e,
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]),
-            }
-        }
-    }
-    print_table(
-        "Tuned shift deployments (Llama-70B)",
-        &["workload", "objective", "base", "threshold", "prefill cap", "|score|"],
-        &rows,
-    );
-    println!(
-        "\nThe tuner automates §3.2.2: different workloads genuinely prefer different\n\
-         bases, thresholds and caps — and the defaults (auto base, threshold 256)\n\
-         sit near the optimum for the paper's mixed traffic."
-    );
+//! Prints [`sp_bench::figures::autotune`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::autotune::run(&mut std::io::stdout().lock())
 }

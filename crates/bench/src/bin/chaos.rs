@@ -41,7 +41,7 @@ fn row(name: &str, report: &EngineReport, slo: &ClassSlo, total: usize) -> Vec<S
     ]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let trace = agentic_trace();
     let slo = ClassSlo::default();
     let mut rows = Vec::new();
@@ -55,6 +55,7 @@ fn main() {
     }
 
     print_table(
+        &mut std::io::stdout(),
         "Goodput and interactive latency vs MTTF — bursty agentic trace, Qwen-32B on 1x H200, \
          EDF routing, autoscaled 2..4 with crash-deficit respawn, retry 3x base 0.25s",
         &[
@@ -69,7 +70,7 @@ fn main() {
             "replica-s",
         ],
         &rows,
-    );
+    )?;
     println!(
         "\nCrashes destroy the victim's KV cache: salvaged requests re-enter the router with\n\
          exponential backoff and pay full re-prefill (the wasted-prefill column), while the\n\
@@ -79,4 +80,5 @@ fn main() {
          no-fault row; shrinking MTTF degrades latency first (re-prefill + backoff land in\n\
          the tail), goodput last."
     );
+    Ok(())
 }

@@ -1,73 +1,4 @@
-//! §5 comparison: Shift Parallelism + chunked prefill vs. disaggregated
-//! prefill/decode serving on the same 8-GPU node.
-//!
-//! The paper argues disaggregation eliminates prefill/decode interference
-//! "at the cost of dedicating additional resources to each stage" plus a
-//! per-request KV transfer, while Shift + chunked prefill gets the
-//! benefits with neither cost.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin disagg_compare
-//! ```
-
-use shift_core::{Deployment, DeploymentKind, Fleet};
-use sp_bench::harness::{node, print_table, run_kind};
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-use sp_engine::disagg::{DisaggConfig, DisaggregatedServer};
-use sp_model::presets;
-use sp_workload::synthetic;
-
-fn main() {
-    let model = presets::llama_70b();
-    let mut rows = Vec::new();
-
-    for (scenario, trace) in [
-        ("interactive (1 req)", synthetic::single(4096, 250)),
-        ("steady 2 req/s", synthetic::poisson(100, 2.0, 4096, 250, 11)),
-        ("saturating batch", synthetic::uniform_batch(400, 4096, 250)),
-    ] {
-        // Disaggregated: 2×TP2 prefill + 1×TP4 decode.
-        let mut disagg =
-            DisaggregatedServer::new(node(), model.clone(), DisaggConfig::half_and_half());
-        let mut d = disagg.run(&trace);
-
-        // Shift on the full node.
-        let mut s = run_kind(DeploymentKind::Shift, &model, &trace);
-
-        // Same 8 GPUs split like disagg's pools — but as two symmetric
-        // Shift replicas behind the online JSQ router instead of a static
-        // prefill/decode partition. Any replica serves any phase.
-        let half_node = NodeSpec::new(GpuSpec::h200(), 4, InterconnectSpec::nvswitch());
-        let mut fleet = Fleet::new(2, || {
-            Deployment::builder(half_node, model.clone()).kind(DeploymentKind::Shift)
-        })
-        .expect("known-good fleet");
-        let mut f = fleet.run(&trace);
-
-        for (name, report) in
-            [("disagg 4P+4D", &mut d), ("Shift (8 GPUs)", &mut s), ("Shift x2 (JSQ)", &mut f)]
-        {
-            let tput = report.combined_throughput();
-            let m = report.metrics_mut();
-            rows.push(vec![
-                scenario.to_string(),
-                name.to_string(),
-                format!("{:.0}", m.ttft().median().unwrap() * 1e3),
-                format!("{:.1}", m.tpot().median().unwrap() * 1e3),
-                format!("{:.2}", m.completion().median().unwrap()),
-                format!("{tput:.0}"),
-            ]);
-        }
-    }
-    print_table(
-        "Disaggregated vs Shift Parallelism, Llama-70B",
-        &["scenario", "system", "TTFT p50(ms)", "TPOT p50(ms)", "compl p50(s)", "tok/s"],
-        &rows,
-    );
-    println!(
-        "\nExpected shape: disaggregation pays the KV-transfer on TTFT and strands\n\
-         capacity (prefill pool idle during decode-heavy phases and vice versa);\n\
-         Shift matches its interference-free TPOT while using all 8 GPUs for\n\
-         whichever phase dominates."
-    );
+//! Prints [`sp_bench::figures::disagg_compare`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::disagg_compare::run(&mut std::io::stdout().lock())
 }

@@ -1,37 +1,4 @@
-//! Figure 1: response speed (#input tokens / TTFT), generation rate
-//! (1 / TPOT), and combined throughput in low vs. high traffic.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig1
-//! ```
-
-use sp_bench::harness::{print_table, standard_kinds};
-use sp_bench::probes::{min_latency_probe, peak_throughput_probe};
-use sp_model::presets;
-
-fn main() {
-    let model = presets::llama_70b();
-    let (input, output) = (4096u32, 250u32);
-
-    let mut rows = Vec::new();
-    for (name, kind) in standard_kinds() {
-        let lat = min_latency_probe(kind, &model, input, output);
-        let tput = peak_throughput_probe(kind, &model, input, output, 0);
-        rows.push(vec![
-            name.to_string(),
-            format!("{:.0}", f64::from(input) / (lat.ttft_ms / 1e3)),
-            format!("{:.0}", 1e3 / lat.tpot_ms),
-            format!("{:.0}", tput),
-        ]);
-    }
-    print_table(
-        "Figure 1 — Llama-70B, 4k/250",
-        &["system", "response speed (in-tok/s)", "gen rate (tok/s)", "high-traffic tok/s"],
-        &rows,
-    );
-    println!(
-        "\nExpected shape: Shift ~1.5x higher throughput than TP in high traffic,\n\
-         ~1.5x faster response than TP and ~2x faster generation than DP in low\n\
-         traffic, while losing only ~17% throughput to DP."
-    );
+//! Prints [`sp_bench::figures::fig1`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::fig1::run(&mut std::io::stdout().lock())
 }

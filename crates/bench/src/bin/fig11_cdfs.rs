@@ -1,45 +1,4 @@
-//! Figure 11: completion-time distributions (CDFs) for the Azure and
-//! Mooncake replays.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig11_cdfs
-//! ```
-
-use sp_bench::harness::{print_table, run_kind, standard_kinds};
-use sp_model::{presets, Precision};
-use sp_workload::azure::AzureCodeConfig;
-use sp_workload::mooncake::MooncakeConfig;
-use sp_workload::Trace;
-
-fn cdf_table(title: &str, model: &sp_model::ModelConfig, trace: &Trace) {
-    let probs = [0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
-    let mut rows: Vec<Vec<String>> =
-        probs.iter().map(|p| vec![format!("p{:.0}", p * 100.0)]).collect();
-    for (_, kind) in standard_kinds() {
-        let mut report = run_kind(kind, model, trace);
-        for (i, &p) in probs.iter().enumerate() {
-            let v = report.metrics_mut().completion().quantile(p).unwrap_or(f64::NAN);
-            rows[i].push(format!("{v:.2}"));
-        }
-    }
-    print_table(title, &["quantile", "TP", "DP", "SP", "Shift"], &rows);
-}
-
-fn main() {
-    cdf_table(
-        "Figure 11a — Azure completion-time quantiles (s), Llama-70B",
-        &presets::llama_70b(),
-        &AzureCodeConfig::default().generate(),
-    );
-    let mut qwen = presets::qwen_32b();
-    qwen.kv_precision = Precision::Fp8;
-    cdf_table(
-        "Figure 11b — Mooncake completion-time quantiles (s), Qwen-32B (FP8 KV)",
-        &qwen,
-        &MooncakeConfig::default().generate(),
-    );
-    println!(
-        "\nExpected shape: Shift Parallelism's distribution is left-most (most likely\n\
-         to deliver the lowest completion time) in both traces."
-    );
+//! Prints [`sp_bench::figures::fig11_cdfs`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::fig11_cdfs::run(&mut std::io::stdout().lock())
 }

@@ -1,49 +1,4 @@
-//! Figure 12: latency vs. throughput tradeoff across parallelisms.
-//!
-//! Methodology (§4.3.1): minimum latency from a lone request (4k input,
-//! 250 output); peak throughput from a saturating batch.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig12_tradeoff
-//! ```
-
-use shift_core::DeploymentKind;
-use sp_bench::harness::{print_table, standard_kinds};
-use sp_bench::probes::{min_latency_probe, peak_throughput_probe};
-use sp_model::presets;
-
-fn main() {
-    for model in [presets::llama_70b(), presets::qwen_32b()] {
-        let mut rows = Vec::new();
-        let mut tp_tput = 0.0;
-        let mut tp_ttft = 0.0;
-        for (name, kind) in standard_kinds() {
-            let lat = min_latency_probe(kind, &model, 4096, 250);
-            let tput = peak_throughput_probe(kind, &model, 4096, 250, 0);
-            if kind == DeploymentKind::TensorParallel {
-                tp_tput = tput;
-                tp_ttft = lat.ttft_ms;
-            }
-            rows.push(vec![
-                name.to_string(),
-                format!("{:.0}", lat.ttft_ms),
-                format!("{:.2}", lat.tpot_ms),
-                format!("{:.2}", lat.completion_s),
-                format!("{:.0}", tput),
-            ]);
-        }
-        print_table(
-            &format!("Figure 12 — {} (4k in / 250 out)", model.name),
-            &["system", "min TTFT (ms)", "min TPOT (ms)", "completion (s)", "peak tok/s"],
-            &rows,
-        );
-        let shift_lat = min_latency_probe(DeploymentKind::Shift, &model, 4096, 250);
-        let shift_tput = peak_throughput_probe(DeploymentKind::Shift, &model, 4096, 250, 0);
-        println!(
-            "Shift vs TP: TTFT {:.2}x faster, throughput {:.2}x higher \
-             (paper: ~1.5x TTFT, TP loses ~46% throughput)",
-            tp_ttft / shift_lat.ttft_ms,
-            shift_tput / tp_tput
-        );
-    }
+//! Prints [`sp_bench::figures::fig12_tradeoff`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::fig12_tradeoff::run(&mut std::io::stdout().lock())
 }

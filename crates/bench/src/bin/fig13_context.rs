@@ -1,43 +1,4 @@
-//! Figure 13: TTFT, TPOT and peak throughput vs. input context size
-//! (2k–128k input, 250 output).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig13_context
-//! ```
-
-use sp_bench::harness::{print_table, standard_kinds};
-use sp_bench::probes::{min_latency_probe, peak_throughput_probe};
-use sp_model::presets;
-
-fn main() {
-    let lengths: Vec<u32> = vec![2_048, 4_096, 8_192, 16_384, 32_768, 65_536, 131_072];
-    for model in [presets::llama_70b(), presets::qwen_32b()] {
-        for (metric, col) in [("TTFT (ms)", 0usize), ("TPOT (ms)", 1), ("peak tok/s", 2)] {
-            let mut rows = Vec::new();
-            for &len in &lengths {
-                let mut row = vec![format!("{}k", len / 1024)];
-                for (_, kind) in standard_kinds() {
-                    let cell = match col {
-                        0 => format!("{:.0}", min_latency_probe(kind, &model, len, 250).ttft_ms),
-                        1 => format!("{:.2}", min_latency_probe(kind, &model, len, 250).tpot_ms),
-                        _ => {
-                            format!("{:.0}", peak_throughput_probe(kind, &model, len, 250, 0))
-                        }
-                    };
-                    row.push(cell);
-                }
-                rows.push(row);
-            }
-            print_table(
-                &format!("Figure 13 — {} — {metric}", model.name),
-                &["input", "TP", "DP", "SP", "Shift"],
-                &rows,
-            );
-        }
-    }
-    println!(
-        "\nExpected shapes: Shift response up to ~7x faster than DP and ~1.5x than TP;\n\
-         TPOT grows with context (KV reads); throughput collapses at long context\n\
-         (attention-dominated, §4.4)."
-    );
+//! Prints [`sp_bench::figures::fig13_context`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::fig13_context::run(&mut std::io::stdout().lock())
 }

@@ -1,55 +1,4 @@
-//! Figure 17: peak throughput and minimum latency across all four
-//! Table 4 models and input sequence lengths, including the MoE models
-//! of §4.6 (Llama-17B-16E deployed as (SP=4, TP=2); Qwen-30B-A3B with
-//! KV-cache replication at SP=8).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig17_models
-//! ```
-
-use shift_core::Deployment;
-use sp_bench::harness::{node, print_table, standard_kinds};
-use sp_bench::probes::{min_latency_probe, peak_throughput_probe};
-use sp_model::presets;
-
-fn main() {
-    let lengths: Vec<u32> = vec![2_048, 8_192, 32_768, 131_072];
-
-    for model in presets::all_table4() {
-        let base = Deployment::auto_base(&node(), &model, 0.9).unwrap();
-        println!(
-            "\n### {} — auto base config {base} (total {:.0}B / active {:.0}B params)",
-            model.name,
-            model.total_params() as f64 / 1e9,
-            model.active_params() as f64 / 1e9
-        );
-
-        for (metric, which) in [("peak tok/s", 0usize), ("min TTFT (ms)", 1), ("min TPOT (ms)", 2)]
-        {
-            let mut rows = Vec::new();
-            for &len in &lengths {
-                let mut row = vec![format!("{}k", len / 1024)];
-                for (_, kind) in standard_kinds() {
-                    let cell = match which {
-                        0 => format!("{:.0}", peak_throughput_probe(kind, &model, len, 250, 0)),
-                        1 => format!("{:.0}", min_latency_probe(kind, &model, len, 250).ttft_ms),
-                        _ => format!("{:.2}", min_latency_probe(kind, &model, len, 250).tpot_ms),
-                    };
-                    row.push(cell);
-                }
-                rows.push(row);
-            }
-            print_table(
-                &format!("Figure 17 — {} — {metric}", model.name),
-                &["input", "TP", "DP", "SP", "Shift"],
-                &rows,
-            );
-        }
-    }
-    println!(
-        "\nExpected shapes: sparse (MoE) models reach higher throughput and lower\n\
-         latency than dense ones; Qwen-30B-A3B peaks with DP (engine overhead\n\
-         dominates parallel configs for small models, §4.4/§4.6); Shift gains up to\n\
-         ~50% throughput over TP everywhere without losing latency."
-    );
+//! Prints [`sp_bench::figures::fig17_models`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::fig17_models::run(&mut std::io::stdout().lock())
 }

@@ -1,55 +1,4 @@
-//! Figure 9 + 11a: the Azure LLM Code trace replay on Llama-70B.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig9_azure
-//! ```
-
-use sp_bench::harness::{print_summaries, print_table, run_kind, standard_kinds, summarize};
-use sp_model::presets;
-use sp_workload::azure::AzureCodeConfig;
-
-fn main() {
-    let model = presets::llama_70b();
-    let trace = AzureCodeConfig::default().generate();
-    println!(
-        "Azure-code-like trace: {} requests / 15 min, mean input {:.0}, mean output {:.0}",
-        trace.len(),
-        trace.total_input_tokens() as f64 / trace.len() as f64,
-        trace.total_output_tokens() as f64 / trace.len() as f64,
-    );
-
-    let mut summaries = Vec::new();
-    for (name, kind) in standard_kinds() {
-        let mut report = run_kind(kind, &model, &trace);
-
-        // Figure 9: per-request series, decimated to every 100th request
-        // in arrival order.
-        if name == "Shift" || name == "TP" {
-            let mut records = report.records().to_vec();
-            records.sort_by_key(|r| r.request_id);
-            let rows: Vec<Vec<String>> = records
-                .iter()
-                .step_by(100)
-                .map(|r| {
-                    vec![
-                        r.request_id.to_string(),
-                        format!("{:.0}", r.ttft().as_millis()),
-                        format!("{:.0}", r.tpot().as_millis()),
-                        format!("{:.2}", r.completion_time().as_secs()),
-                    ]
-                })
-                .collect();
-            print_table(
-                &format!("Figure 9 — {name}: per-request series (every 100th request)"),
-                &["req", "TTFT(ms)", "TPOT(ms)", "completion(s)"],
-                &rows,
-            );
-        }
-        summaries.push(summarize(name, &mut report));
-    }
-    print_summaries("Figure 11a — Azure trace latency statistics", &summaries);
-    println!(
-        "\nExpected shape (Figure 9/11a): bursts inflate TTFT for TP the most; Shift\n\
-         obtains the lowest TTFT, TPOT and completion time at p50 and p99."
-    );
+//! Prints [`sp_bench::figures::fig9_azure`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::fig9_azure::run(&mut std::io::stdout().lock())
 }

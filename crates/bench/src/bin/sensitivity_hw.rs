@@ -1,79 +1,4 @@
-//! Hardware sensitivity — artifact appendix A.3.2: "Optimal
-//! configurations, and hence the results may look different on another
-//! type of multi-GPU node, yet the conclusion should be the same."
-//!
-//! Re-runs the Figure 12 probes on H200+NVSwitch (the paper's node),
-//! H100+NVSwitch, A100+NVSwitch, and H200+PCIe, checking that the
-//! qualitative orderings survive.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin sensitivity_hw
-//! ```
-
-use shift_core::{Deployment, DeploymentKind};
-use sp_bench::harness::print_table;
-use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
-use sp_model::presets;
-use sp_workload::synthetic;
-
-fn probe(node: NodeSpec, kind: DeploymentKind) -> (f64, f64, f64) {
-    let model = presets::llama_70b();
-    let mut dep = Deployment::builder(node, model.clone()).kind(kind).build().unwrap();
-    let mut lat = dep.run(&synthetic::single(4096, 250));
-    let ttft = lat.metrics_mut().ttft().median().unwrap() * 1e3;
-    let tpot = lat.metrics_mut().tpot().median().unwrap() * 1e3;
-    let mut dep = Deployment::builder(node, model).kind(kind).build().unwrap();
-    let tput = dep.run(&synthetic::uniform_batch(400, 4096, 250)).combined_throughput();
-    (ttft, tpot, tput)
-}
-
-fn main() {
-    let nodes = [
-        ("8xH200 + NVSwitch", NodeSpec::p5en_48xlarge()),
-        ("8xH100 + NVSwitch", NodeSpec::new(GpuSpec::h100(), 8, InterconnectSpec::nvswitch())),
-        ("8xA100 + NVSwitch", NodeSpec::new(GpuSpec::a100(), 8, InterconnectSpec::nvswitch())),
-        ("8xH200 + PCIe", NodeSpec::new(GpuSpec::h200(), 8, InterconnectSpec::pcie_gen5())),
-        // Pathological: running the node's parallelism over an inter-node
-        // fabric — why the paper deploys within one NVSwitch node.
-        (
-            "8xH200 + EFA (cross-node)",
-            NodeSpec::new(GpuSpec::h200(), 8, InterconnectSpec::efa_internode()),
-        ),
-    ];
-
-    for (node_name, node) in nodes {
-        let mut rows = Vec::new();
-        let mut vals = Vec::new();
-        for (name, kind) in [
-            ("TP", DeploymentKind::TensorParallel),
-            ("DP", DeploymentKind::DataParallel),
-            ("Shift", DeploymentKind::Shift),
-        ] {
-            let (ttft, tpot, tput) = probe(node, kind);
-            vals.push((name, ttft, tpot, tput));
-            rows.push(vec![
-                name.to_string(),
-                format!("{ttft:.0}"),
-                format!("{tpot:.2}"),
-                format!("{tput:.0}"),
-            ]);
-        }
-        print_table(
-            &format!("Sensitivity — {node_name}, Llama-70B 4k/250"),
-            &["system", "min TTFT (ms)", "min TPOT (ms)", "peak tok/s"],
-            &rows,
-        );
-        // The conclusion that must survive hardware changes:
-        let tp = vals[0];
-        let dp = vals[1];
-        let shift = vals[2];
-        let conclusion_holds = shift.1 <= tp.1 * 1.01 // TTFT: Shift <= TP
-            && shift.2 <= tp.2 * 1.05 // TPOT: Shift ~ TP
-            && shift.3 > tp.3 // throughput: Shift > TP
-            && dp.1 > shift.1; // DP responds slowest
-        println!(
-            "conclusion (Shift dominates TP, DP slowest response): {}",
-            if conclusion_holds { "HOLDS" } else { "VIOLATED" }
-        );
-    }
+//! Prints [`sp_bench::figures::sensitivity_hw`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::sensitivity_hw::run(&mut std::io::stdout().lock())
 }

@@ -1,71 +1,4 @@
-//! Table 1: qualitative performance tradeoffs of inference parallelisms,
-//! derived from measured probes (best = ☆, worst = ×).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin table1
-//! ```
-
-use sp_bench::harness::{print_table, standard_kinds};
-use sp_bench::probes::{min_latency_probe, peak_throughput_probe};
-use sp_model::presets;
-
-fn rank(values: &[f64], lower_is_better: bool) -> Vec<&'static str> {
-    let n = values.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).unwrap());
-    if !lower_is_better {
-        idx.reverse();
-    }
-    let mut labels = vec![""; n];
-    for (pos, &i) in idx.iter().enumerate() {
-        labels[i] = match pos {
-            0 => "* best",
-            p if p == n - 1 => "x worst",
-            1 => "~ very good",
-            _ => "- near worst",
-        };
-    }
-    labels
-}
-
-fn main() {
-    let model = presets::llama_70b();
-    let kinds = standard_kinds();
-
-    let mut ttft = Vec::new();
-    let mut tpot = Vec::new();
-    let mut tput = Vec::new();
-    for (_, kind) in &kinds {
-        let lat = min_latency_probe(*kind, &model, 4096, 250);
-        ttft.push(lat.ttft_ms);
-        tpot.push(lat.tpot_ms);
-        tput.push(peak_throughput_probe(*kind, &model, 4096, 250, 0));
-    }
-
-    let ttft_rank = rank(&ttft, true);
-    let tpot_rank = rank(&tpot, true);
-    let tput_rank = rank(&tput, false);
-
-    let rows: Vec<Vec<String>> = kinds
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| {
-            vec![
-                name.to_string(),
-                format!("{} ({:.0}ms)", ttft_rank[i], ttft[i]),
-                format!("{} ({:.0} tok/s)", tput_rank[i], tput[i]),
-                format!("{} ({:.1}ms)", tpot_rank[i], tpot[i]),
-            ]
-        })
-        .collect();
-    print_table(
-        "Table 1 — measured tradeoff grid (Llama-70B)",
-        &["strategy", "TTFT (latency)", "combined throughput", "TPOT (token latency)"],
-        &rows,
-    );
-    println!(
-        "\nPaper's grid: TP = nearly-best TTFT / worst tput / best TPOT;\n\
-         DP = worst TTFT / best tput / near-worst TPOT; SP = best TTFT / very good\n\
-         tput / worst TPOT; Shift = best TTFT / very good tput / best TPOT."
-    );
+//! Prints [`sp_bench::figures::table1`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::table1::run(&mut std::io::stdout().lock())
 }

@@ -1,80 +1,4 @@
-//! Table 3: the optimal static parallelism per traffic regime, measured —
-//! the case analysis motivating Shift Parallelism's switch rule.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin table3
-//! ```
-
-use shift_core::DeploymentKind;
-use sp_bench::harness::{print_table, run_kind};
-use sp_bench::probes::{min_latency_probe, peak_throughput_probe};
-use sp_model::presets;
-use sp_workload::synthetic;
-
-const STATIC_KINDS: [(&str, DeploymentKind); 3] = [
-    ("TP", DeploymentKind::TensorParallel),
-    ("DP", DeploymentKind::DataParallel),
-    ("SP", DeploymentKind::SequenceParallel),
-];
-
-fn argbest(values: &[(&'static str, f64)], lower_is_better: bool) -> String {
-    let best = values
-        .iter()
-        .min_by(|a, b| {
-            let (x, y) = if lower_is_better { (a.1, b.1) } else { (b.1, a.1) };
-            x.partial_cmp(&y).unwrap()
-        })
-        .unwrap();
-    format!("{} ({:.3})", best.0, best.1)
-}
-
-fn main() {
-    let model = presets::llama_70b();
-
-    // Low traffic: one request at a time.
-    let low: Vec<(&str, _)> =
-        STATIC_KINDS.iter().map(|(n, k)| (*n, min_latency_probe(*k, &model, 4096, 250))).collect();
-
-    // High traffic: a stream near (but below) the SP/DP capacity — TP
-    // saturates, the others sustain. ~8 req/s × 4.3k tokens ≈ 35k tok/s.
-    let high_trace = synthetic::poisson(400, 8.0, 4096, 250, 3);
-    let high: Vec<(&str, f64, f64, f64)> = STATIC_KINDS
-        .iter()
-        .map(|(n, k)| {
-            let mut report = run_kind(*k, &model, &high_trace);
-            let ttft = report.metrics_mut().ttft().median().unwrap() * 1e3;
-            let tpot = report.metrics_mut().tpot().median().unwrap() * 1e3;
-            let tput = peak_throughput_probe(*k, &model, 4096, 250, 0);
-            (*n, ttft, tpot, tput)
-        })
-        .collect();
-
-    let rows = vec![
-        vec![
-            "TTFT (ms)".to_string(),
-            argbest(&low.iter().map(|(n, l)| (*n, l.ttft_ms)).collect::<Vec<_>>(), true),
-            argbest(&high.iter().map(|&(n, t, _, _)| (n, t)).collect::<Vec<_>>(), true),
-        ],
-        vec![
-            "TPOT (ms)".to_string(),
-            argbest(&low.iter().map(|(n, l)| (*n, l.tpot_ms)).collect::<Vec<_>>(), true),
-            argbest(&high.iter().map(|&(n, _, t, _)| (n, t)).collect::<Vec<_>>(), true),
-        ],
-        vec![
-            "Throughput".to_string(),
-            // In low traffic throughput is 1/completion-time (s).
-            argbest(&low.iter().map(|(n, l)| (*n, l.completion_s)).collect::<Vec<_>>(), true),
-            argbest(&high.iter().map(|&(n, _, _, t)| (n, t)).collect::<Vec<_>>(), false),
-        ],
-    ];
-    print_table(
-        "Table 3 — best static parallelism per regime (Llama-70B, measured)",
-        &["metric", "low traffic", "high traffic"],
-        &rows,
-    );
-    println!(
-        "\nPaper's Table 3: TTFT → SP in both regimes; TPOT → TP (low) / SP (high);\n\
-         throughput → SP-or-TP (low) / DP (high). Shift Parallelism covers every cell\n\
-         reachable with a KV-invariant switch."
-    );
+//! Prints [`sp_bench::figures::table3`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::table3::run(&mut std::io::stdout().lock())
 }

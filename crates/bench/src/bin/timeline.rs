@@ -1,71 +1,4 @@
-//! Iteration-resolution timeline of a shift deployment under a burst —
-//! Algorithm 2's switching, made visible.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin timeline
-//! ```
-
-use shift_core::{Deployment, DeploymentKind};
-use sp_bench::harness::{node, print_table};
-use sp_metrics::Dur;
-use sp_model::presets;
-use sp_parallel::ParallelConfig;
-use sp_workload::bursty::BurstyConfig;
-
-fn main() {
-    let trace = BurstyConfig {
-        duration: Dur::from_secs(60.0),
-        bursts: 1,
-        burst_size: 60,
-        ..BurstyConfig::default()
-    }
-    .generate();
-
-    let mut dep = Deployment::builder(node(), presets::llama_70b())
-        .kind(DeploymentKind::Shift)
-        .record_timeline(true)
-        .build()
-        .unwrap();
-    let report = dep.run(&trace);
-    let timeline = report.timeline().expect("timeline enabled");
-    println!("{} iterations recorded", timeline.len());
-
-    // Aggregate into 2-second windows: iterations per config, mean batch.
-    let window = 2.0;
-    let mut rows = Vec::new();
-    let mut start = 0usize;
-    let mut w = 1.0;
-    while start < timeline.len() {
-        let end_time = w * window;
-        let slice: Vec<_> =
-            timeline[start..].iter().take_while(|e| e.end.as_secs() <= end_time).collect();
-        if slice.is_empty() {
-            w += 1.0;
-            continue;
-        }
-        let base_iters = slice.iter().filter(|e| e.config != ParallelConfig::tensor(8)).count();
-        let shift_iters = slice.len() - base_iters;
-        let mean_tokens = slice.iter().map(|e| e.tokens).sum::<u64>() as f64 / slice.len() as f64;
-        let peak_kv = slice.iter().map(|e| e.kv_utilization).fold(0.0, f64::max);
-        rows.push(vec![
-            format!("{:.0}-{:.0}", end_time - window, end_time),
-            base_iters.to_string(),
-            shift_iters.to_string(),
-            format!("{mean_tokens:.0}"),
-            format!("{peak_kv:.2}"),
-            "#".repeat((base_iters as f64 / slice.len().max(1) as f64 * 20.0) as usize),
-        ]);
-        start += slice.len();
-        w += 1.0;
-    }
-    print_table(
-        "Shift timeline — iterations per 2s window (Llama-70B, one burst at ~30s)",
-        &["t (s)", "base(SP)", "shift(TP)", "mean batch", "peak KV", "base share"],
-        &rows,
-    );
-    println!(
-        "\nReading: quiet phases run almost entirely in the shift (TP) config (small\n\
-         decode batches); during the burst the batched tokens exceed the threshold\n\
-         and the base (SP) config takes over — Algorithm 2 in action."
-    );
+//! Prints [`sp_bench::figures::timeline`].
+fn main() -> std::io::Result<()> {
+    sp_bench::figures::timeline::run(&mut std::io::stdout().lock())
 }

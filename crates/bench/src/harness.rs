@@ -5,6 +5,7 @@ use sp_cluster::NodeSpec;
 use sp_engine::EngineReport;
 use sp_model::ModelConfig;
 use sp_workload::Trace;
+use std::io::{self, Write};
 
 /// The evaluation node (8×H200, NVSwitch).
 pub fn node() -> NodeSpec {
@@ -77,9 +78,14 @@ pub fn summarize(name: &str, report: &mut EngineReport) -> RunSummary {
     }
 }
 
-/// Prints an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// Writes an aligned text table to `out`.
+pub fn print_table(
+    out: &mut dyn Write,
+    title: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> io::Result<()> {
+    writeln!(out, "\n== {title} ==")?;
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -97,15 +103,20 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .join("  ")
     };
     let head: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
-    println!("{}", render(&head));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    writeln!(out, "{}", render(&head))?;
+    writeln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()))?;
     for row in rows {
-        println!("{}", render(row));
+        writeln!(out, "{}", render(row))?;
     }
+    Ok(())
 }
 
-/// Renders the standard summary columns for a set of runs.
-pub fn print_summaries(title: &str, summaries: &[RunSummary]) {
+/// Writes the standard summary columns for a set of runs to `out`.
+pub fn print_summaries(
+    out: &mut dyn Write,
+    title: &str,
+    summaries: &[RunSummary],
+) -> io::Result<()> {
     let rows: Vec<Vec<String>> = summaries
         .iter()
         .map(|s| {
@@ -123,6 +134,7 @@ pub fn print_summaries(title: &str, summaries: &[RunSummary]) {
         })
         .collect();
     print_table(
+        out,
         title,
         &[
             "system",
@@ -136,7 +148,7 @@ pub fn print_summaries(title: &str, summaries: &[RunSummary]) {
             "done",
         ],
         &rows,
-    );
+    )
 }
 
 #[cfg(test)]
@@ -163,10 +175,10 @@ mod tests {
 
     #[test]
     fn print_helpers_do_not_panic() {
-        print_table("t", &["a", "b"], &[vec!["1".into(), "22".into()]]);
+        print_table(&mut io::sink(), "t", &["a", "b"], &[vec!["1".into(), "22".into()]]).unwrap();
         let model = presets::qwen_32b();
         let mut report =
             run_kind(DeploymentKind::Shift, &model, &synthetic::uniform_batch(2, 256, 4));
-        print_summaries("s", &[summarize("Shift", &mut report)]);
+        print_summaries(&mut io::sink(), "s", &[summarize("Shift", &mut report)]).unwrap();
     }
 }
