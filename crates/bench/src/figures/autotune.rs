@@ -66,33 +66,29 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         &rows,
     )?;
 
-    // Tune Llama-70B for each workload and objective.
+    // Tune Llama-70B for each workload and objective: one sweep per
+    // workload, ranked under all three objectives.
     let tuner = Tuner::new(node(), presets::llama_70b());
+    let objectives = [
+        ("median completion", Objective::MedianCompletion),
+        ("p99 TTFT", Objective::TailTtft),
+        ("goodput", Objective::Goodput(SloTarget::interactive())),
+    ];
     let mut rows = Vec::new();
     for (name, trace) in &workloads {
-        for (obj_name, objective) in [
-            ("median completion", Objective::MedianCompletion),
-            ("p99 TTFT", Objective::TailTtft),
-            ("goodput", Objective::Goodput(SloTarget::interactive())),
-        ] {
-            match tuner.tune(trace, objective) {
-                Ok(best) => rows.push(vec![
-                    name.to_string(),
-                    obj_name.to_string(),
-                    best.base.to_string(),
-                    best.threshold.to_string(),
-                    best.max_prefill_tokens.map_or("none".into(), |c| c.to_string()),
-                    format!("{:.3}", best.score.abs()),
-                ]),
-                Err(e) => rows.push(vec![
-                    name.to_string(),
-                    obj_name.to_string(),
-                    e,
-                    String::new(),
-                    String::new(),
-                    String::new(),
-                ]),
-            }
+        let rankings = tuner
+            .sweep(trace, &objectives.map(|(_, objective)| objective))
+            .expect("Llama-70B has viable shift bases");
+        for ((obj_name, _), ranking) in objectives.iter().zip(rankings) {
+            let best = &ranking[0];
+            rows.push(vec![
+                name.to_string(),
+                obj_name.to_string(),
+                best.base.to_string(),
+                best.threshold.to_string(),
+                best.max_prefill_tokens.map_or("none".into(), |c| c.to_string()),
+                format!("{:.3}", best.score.abs()),
+            ]);
         }
     }
     print_table(

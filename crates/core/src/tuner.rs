@@ -10,6 +10,7 @@
 
 use crate::deployment::{Deployment, DeploymentKind};
 use sp_cluster::NodeSpec;
+use sp_engine::EngineReport;
 use sp_metrics::{SloReport, SloTarget};
 use sp_model::ModelConfig;
 use sp_parallel::ParallelConfig;
@@ -70,6 +71,12 @@ impl fmt::Display for Candidate {
 /// let tuner = Tuner::new(NodeSpec::p5en_48xlarge(), presets::qwen_32b());
 /// let best = tuner.tune(&sample, Objective::MedianCompletion).unwrap();
 /// assert!(best.base.degree() == 8);
+///
+/// // One run per candidate, ranked under several objectives at once.
+/// let rankings =
+///     tuner.sweep(&sample, &[Objective::MedianCompletion, Objective::Throughput]).unwrap();
+/// assert_eq!(rankings[0][0], best);
+/// assert!(rankings[1][0].score < 0.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tuner {
@@ -120,8 +127,7 @@ impl Tuner {
         out
     }
 
-    fn score(&self, candidate: &mut Deployment, sample: &Trace, objective: Objective) -> f64 {
-        let mut report = candidate.run(sample);
+    fn score(report: &mut EngineReport, objective: Objective) -> f64 {
         match objective {
             Objective::MedianCompletion => {
                 report.metrics_mut().completion().median().unwrap_or(f64::INFINITY)
@@ -135,17 +141,23 @@ impl Tuner {
         }
     }
 
-    /// Evaluates the full grid and returns all candidates, best first.
+    /// Runs every grid candidate on `sample` once and ranks the grid under
+    /// each of `objectives`: one list per objective, in the same order,
+    /// each holding every candidate, best first.
     ///
     /// # Errors
     ///
     /// Returns an error message if no base configuration is viable.
-    pub fn sweep(&self, sample: &Trace, objective: Objective) -> Result<Vec<Candidate>, String> {
+    pub fn sweep(
+        &self,
+        sample: &Trace,
+        objectives: &[Objective],
+    ) -> Result<Vec<Vec<Candidate>>, String> {
         let bases = self.base_candidates();
         if bases.is_empty() {
             return Err(format!("no viable shift base for {} on this node", self.model.name));
         }
-        let mut out = Vec::new();
+        let mut rankings = vec![Vec::new(); objectives.len()];
         for &base in &bases {
             for &threshold in &self.thresholds {
                 for &cap in &self.prefill_caps {
@@ -155,13 +167,18 @@ impl Tuner {
                         builder = builder.max_prefill_tokens(c);
                     }
                     let Ok(mut dep) = builder.build() else { continue };
-                    let score = self.score(&mut dep, sample, objective);
-                    out.push(Candidate { base, threshold, max_prefill_tokens: cap, score });
+                    let mut report = dep.run(sample);
+                    for (ranking, &objective) in rankings.iter_mut().zip(objectives) {
+                        let score = Self::score(&mut report, objective);
+                        ranking.push(Candidate { base, threshold, max_prefill_tokens: cap, score });
+                    }
                 }
             }
         }
-        out.sort_by(|a, b| a.score.partial_cmp(&b.score).expect("finite scores"));
-        Ok(out)
+        for ranking in &mut rankings {
+            ranking.sort_by(|a, b| a.score.partial_cmp(&b.score).expect("finite scores"));
+        }
+        Ok(rankings)
     }
 
     /// Returns the best candidate for `objective` on `sample`.
@@ -170,7 +187,8 @@ impl Tuner {
     ///
     /// Returns an error message if no candidate could be evaluated.
     pub fn tune(&self, sample: &Trace, objective: Objective) -> Result<Candidate, String> {
-        self.sweep(sample, objective)?
+        self.sweep(sample, &[objective])?
+            .swap_remove(0)
             .into_iter()
             .next()
             .ok_or_else(|| "no candidate evaluated".to_string())
@@ -200,7 +218,7 @@ mod tests {
     fn sweep_is_sorted_best_first() {
         let sample = synthetic::poisson(20, 4.0, 1024, 32, 2);
         let t = tuner().thresholds(vec![0, 256]).prefill_caps(vec![None]);
-        let sweep = t.sweep(&sample, Objective::MedianCompletion).unwrap();
+        let sweep = t.sweep(&sample, &[Objective::MedianCompletion]).unwrap().swap_remove(0);
         assert!(sweep.len() >= 4);
         for w in sweep.windows(2) {
             assert!(w[0].score <= w[1].score);
@@ -217,12 +235,29 @@ mod tests {
         // grid search discovers.)
         let sample = synthetic::poisson(16, 2.0, 512, 200, 3);
         let t = tuner().thresholds(vec![0, 256]).prefill_caps(vec![None]);
-        let sweep = t.sweep(&sample, Objective::MedianCompletion).unwrap();
+        let sweep = t.sweep(&sample, &[Objective::MedianCompletion]).unwrap().swap_remove(0);
         let worst = sweep.last().unwrap();
         assert_eq!(worst.base, ParallelConfig::sequence(8), "worst {worst}");
         assert_eq!(worst.threshold, 0);
         let best = sweep.first().unwrap();
         assert!(best.score < 0.8 * worst.score, "best {best} vs worst {worst}");
+    }
+
+    #[test]
+    fn one_sweep_ranks_like_one_sweep_per_objective() {
+        let sample = synthetic::poisson(16, 4.0, 1024, 64, 5);
+        let t = tuner().thresholds(vec![64, 1024]).prefill_caps(vec![None, Some(1024)]);
+        let objectives = [
+            Objective::MedianCompletion,
+            Objective::TailTtft,
+            Objective::Throughput,
+            Objective::Goodput(SloTarget::interactive()),
+        ];
+        let joint = t.sweep(&sample, &objectives).unwrap();
+        assert_eq!(joint.len(), objectives.len());
+        for (ranking, &objective) in joint.iter().zip(&objectives) {
+            assert_eq!(*ranking, t.sweep(&sample, &[objective]).unwrap()[0], "{objective:?}");
+        }
     }
 
     #[test]

@@ -36,8 +36,9 @@ fn main() {
         tuner.base_candidates().len()
     );
     let sweep = tuner
-        .sweep(&sample, Objective::Goodput(SloTarget::interactive()))
-        .expect("viable configurations exist");
+        .sweep(&sample, &[Objective::Goodput(SloTarget::interactive())])
+        .expect("viable configurations exist")
+        .swap_remove(0);
 
     println!("\nTop 5 candidates by SLO goodput:");
     for c in sweep.iter().take(5) {
