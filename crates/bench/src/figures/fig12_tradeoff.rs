@@ -16,14 +16,14 @@ use std::io::{self, Write};
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
     for model in [presets::llama_70b(), presets::qwen_32b()] {
         let mut rows = Vec::new();
-        let mut tp_tput = 0.0;
-        let mut tp_ttft = 0.0;
+        let (mut tp_ttft, mut tp_tput, mut shift_ttft, mut shift_tput) = (0.0, 0.0, 0.0, 0.0);
         for (name, kind) in standard_kinds() {
             let lat = min_latency_probe(kind, &model, 4096, 250);
             let tput = peak_throughput_probe(kind, &model, 4096, 250, 0);
-            if kind == DeploymentKind::TensorParallel {
-                tp_tput = tput;
-                tp_ttft = lat.ttft_ms;
+            match kind {
+                DeploymentKind::TensorParallel => (tp_ttft, tp_tput) = (lat.ttft_ms, tput),
+                DeploymentKind::Shift => (shift_ttft, shift_tput) = (lat.ttft_ms, tput),
+                _ => {}
             }
             rows.push(vec![
                 name.to_string(),
@@ -39,13 +39,11 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
             &["system", "min TTFT (ms)", "min TPOT (ms)", "completion (s)", "peak tok/s"],
             &rows,
         )?;
-        let shift_lat = min_latency_probe(DeploymentKind::Shift, &model, 4096, 250);
-        let shift_tput = peak_throughput_probe(DeploymentKind::Shift, &model, 4096, 250, 0);
         writeln!(
             out,
             "Shift vs TP: TTFT {:.2}x faster, throughput {:.2}x higher \
              (paper: ~1.5x TTFT, TP loses ~46% throughput)",
-            tp_ttft / shift_lat.ttft_ms,
+            tp_ttft / shift_ttft,
             shift_tput / tp_tput
         )?;
     }
