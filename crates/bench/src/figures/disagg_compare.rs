@@ -33,7 +33,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         let mut d = disagg.run(&trace);
 
         // Shift on the full node.
-        let mut s = run_kind(DeploymentKind::Shift, &model, &trace);
+        let mut s = run_kind(node(), DeploymentKind::Shift, &model, &trace);
 
         // Same 8 GPUs split like disagg's pools — but as two symmetric
         // Shift replicas behind the online JSQ router instead of a static

@@ -5,7 +5,7 @@
 //! cargo run --release -p sp-bench --bin fig1
 //! ```
 
-use crate::harness::{print_table, standard_kinds};
+use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
 use sp_model::presets;
 use std::io::{self, Write};
@@ -16,8 +16,8 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
 
     let mut rows = Vec::new();
     for (name, kind) in standard_kinds() {
-        let lat = min_latency_probe(kind, &model, input, output);
-        let tput = peak_throughput_probe(kind, &model, input, output, 0);
+        let lat = min_latency_probe(node(), kind, &model, input, output);
+        let tput = peak_throughput_probe(node(), kind, &model, input, output, 0);
         rows.push(vec![
             name.to_string(),
             format!("{:.0}", f64::from(input) / (lat.ttft_ms / 1e3)),

@@ -8,7 +8,7 @@
 //! cargo run --release -p sp-bench --bin fig10_mooncake
 //! ```
 
-use crate::harness::{print_summaries, print_table, run_kind, standard_kinds, summarize};
+use crate::harness::{node, print_summaries, print_table, run_kind, standard_kinds, summarize};
 use sp_model::{presets, Precision};
 use sp_workload::mooncake::MooncakeConfig;
 use std::io::{self, Write};
@@ -33,7 +33,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     let mut summaries = Vec::new();
     let mut wait_rows = Vec::new();
     for (name, kind) in standard_kinds() {
-        let mut report = run_kind(kind, &model, &trace);
+        let mut report = run_kind(node(), kind, &model, &trace);
 
         // Queue growth indicator: TTFT of successive request quintiles.
         let mut records = report.records().to_vec();

@@ -5,7 +5,7 @@
 //! cargo run --release -p sp-bench --bin fig11_cdfs
 //! ```
 
-use crate::harness::{print_table, run_kind, standard_kinds};
+use crate::harness::{node, print_table, run_kind, standard_kinds};
 use sp_model::{presets, Precision};
 use sp_workload::azure::AzureCodeConfig;
 use sp_workload::mooncake::MooncakeConfig;
@@ -22,7 +22,7 @@ fn cdf_table(
     let mut rows: Vec<Vec<String>> =
         probs.iter().map(|p| vec![format!("p{:.0}", p * 100.0)]).collect();
     for (_, kind) in standard_kinds() {
-        let mut report = run_kind(kind, model, trace);
+        let mut report = run_kind(node(), kind, model, trace);
         for (i, &p) in probs.iter().enumerate() {
             let v = report.metrics_mut().completion().quantile(p).unwrap_or(f64::NAN);
             rows[i].push(format!("{v:.2}"));

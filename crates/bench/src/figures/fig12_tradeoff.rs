@@ -7,7 +7,7 @@
 //! cargo run --release -p sp-bench --bin fig12_tradeoff
 //! ```
 
-use crate::harness::{print_table, standard_kinds};
+use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
 use shift_core::DeploymentKind;
 use sp_model::presets;
@@ -18,8 +18,8 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         let mut rows = Vec::new();
         let (mut tp_ttft, mut tp_tput, mut shift_ttft, mut shift_tput) = (0.0, 0.0, 0.0, 0.0);
         for (name, kind) in standard_kinds() {
-            let lat = min_latency_probe(kind, &model, 4096, 250);
-            let tput = peak_throughput_probe(kind, &model, 4096, 250, 0);
+            let lat = min_latency_probe(node(), kind, &model, 4096, 250);
+            let tput = peak_throughput_probe(node(), kind, &model, 4096, 250, 0);
             match kind {
                 DeploymentKind::TensorParallel => (tp_ttft, tp_tput) = (lat.ttft_ms, tput),
                 DeploymentKind::Shift => (shift_ttft, shift_tput) = (lat.ttft_ms, tput),

@@ -5,7 +5,7 @@
 //! cargo run --release -p sp-bench --bin fig13_context
 //! ```
 
-use crate::harness::{print_table, standard_kinds};
+use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
 use sp_model::presets;
 use std::io::{self, Write};
@@ -19,10 +19,19 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
                 let mut row = vec![format!("{}k", len / 1024)];
                 for (_, kind) in standard_kinds() {
                     let cell = match col {
-                        0 => format!("{:.0}", min_latency_probe(kind, &model, len, 250).ttft_ms),
-                        1 => format!("{:.2}", min_latency_probe(kind, &model, len, 250).tpot_ms),
+                        0 => format!(
+                            "{:.0}",
+                            min_latency_probe(node(), kind, &model, len, 250).ttft_ms
+                        ),
+                        1 => format!(
+                            "{:.2}",
+                            min_latency_probe(node(), kind, &model, len, 250).tpot_ms
+                        ),
                         _ => {
-                            format!("{:.0}", peak_throughput_probe(kind, &model, len, 250, 0))
+                            format!(
+                                "{:.0}",
+                                peak_throughput_probe(node(), kind, &model, len, 250, 0)
+                            )
                         }
                     };
                     row.push(cell);

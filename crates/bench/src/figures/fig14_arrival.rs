@@ -5,7 +5,7 @@
 //! cargo run --release -p sp-bench --bin fig14_arrival
 //! ```
 
-use crate::harness::{print_table, run_kind, standard_kinds};
+use crate::harness::{node, print_table, run_kind, standard_kinds};
 use sp_model::presets;
 use sp_workload::synthetic;
 use std::io::{self, Write};
@@ -20,7 +20,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         let trace = synthetic::poisson(requests, rate, 8192, 250, 14);
         let mut row = vec![format!("{rate}")];
         for (_, kind) in standard_kinds() {
-            let mut report = run_kind(kind, &model, &trace);
+            let mut report = run_kind(node(), kind, &model, &trace);
             let completion = report.metrics_mut().completion().median().unwrap();
             row.push(format!("{completion:.2}"));
         }

@@ -33,9 +33,18 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
                 let mut row = vec![format!("{}k", len / 1024)];
                 for (_, kind) in standard_kinds() {
                     let cell = match which {
-                        0 => format!("{:.0}", peak_throughput_probe(kind, &model, len, 250, 0)),
-                        1 => format!("{:.0}", min_latency_probe(kind, &model, len, 250).ttft_ms),
-                        _ => format!("{:.2}", min_latency_probe(kind, &model, len, 250).tpot_ms),
+                        0 => format!(
+                            "{:.0}",
+                            peak_throughput_probe(node(), kind, &model, len, 250, 0)
+                        ),
+                        1 => format!(
+                            "{:.0}",
+                            min_latency_probe(node(), kind, &model, len, 250).ttft_ms
+                        ),
+                        _ => format!(
+                            "{:.2}",
+                            min_latency_probe(node(), kind, &model, len, 250).tpot_ms
+                        ),
                     };
                     row.push(cell);
                 }

@@ -8,7 +8,7 @@
 //! cargo run --release -p sp-bench --bin fig7_table5
 //! ```
 
-use crate::harness::{print_summaries, print_table, run_kind, standard_kinds, summarize};
+use crate::harness::{node, print_summaries, print_table, run_kind, standard_kinds, summarize};
 use sp_metrics::Dur;
 use sp_model::presets;
 use sp_workload::bursty::BurstyConfig;
@@ -35,7 +35,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
 
     let mut summaries = Vec::new();
     for (name, kind) in standard_kinds() {
-        let mut report = run_kind(kind, &model, &trace);
+        let mut report = run_kind(node(), kind, &model, &trace);
 
         // Throughput time series (Figure 7 bottom panel), decimated.
         if name == "Shift" {

@@ -4,7 +4,7 @@
 //! cargo run --release -p sp-bench --bin fig9_azure
 //! ```
 
-use crate::harness::{print_summaries, print_table, run_kind, standard_kinds, summarize};
+use crate::harness::{node, print_summaries, print_table, run_kind, standard_kinds, summarize};
 use sp_model::presets;
 use sp_workload::azure::AzureCodeConfig;
 use std::io::{self, Write};
@@ -22,7 +22,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
 
     let mut summaries = Vec::new();
     for (name, kind) in standard_kinds() {
-        let mut report = run_kind(kind, &model, &trace);
+        let mut report = run_kind(node(), kind, &model, &trace);
 
         // Figure 9: per-request series, decimated to every 100th request
         // in arrival order.

@@ -11,24 +11,14 @@
 //! ```
 
 use crate::harness::print_table;
-use shift_core::{Deployment, DeploymentKind};
+use crate::probes::{min_latency_probe, peak_throughput_probe};
+use shift_core::DeploymentKind;
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_model::presets;
-use sp_workload::synthetic;
 use std::io::{self, Write};
 
-fn probe(node: NodeSpec, kind: DeploymentKind) -> (f64, f64, f64) {
-    let model = presets::llama_70b();
-    let mut dep = Deployment::builder(node, model.clone()).kind(kind).build().unwrap();
-    let mut lat = dep.run(&synthetic::single(4096, 250));
-    let ttft = lat.metrics_mut().ttft().median().unwrap() * 1e3;
-    let tpot = lat.metrics_mut().tpot().median().unwrap() * 1e3;
-    let mut dep = Deployment::builder(node, model).kind(kind).build().unwrap();
-    let tput = dep.run(&synthetic::uniform_batch(400, 4096, 250)).combined_throughput();
-    (ttft, tpot, tput)
-}
-
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
+    let model = presets::llama_70b();
     let nodes = [
         ("8xH200 + NVSwitch", NodeSpec::p5en_48xlarge()),
         ("8xH100 + NVSwitch", NodeSpec::new(GpuSpec::h100(), 8, InterconnectSpec::nvswitch())),
@@ -50,7 +40,9 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
             ("DP", DeploymentKind::DataParallel),
             ("Shift", DeploymentKind::Shift),
         ] {
-            let (ttft, tpot, tput) = probe(node, kind);
+            let lat = min_latency_probe(node, kind, &model, 4096, 250);
+            let tput = peak_throughput_probe(node, kind, &model, 4096, 250, 0);
+            let (ttft, tpot) = (lat.ttft_ms, lat.tpot_ms);
             vals.push((name, ttft, tpot, tput));
             rows.push(vec![
                 name.to_string(),

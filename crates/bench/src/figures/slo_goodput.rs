@@ -8,7 +8,7 @@
 //! cargo run --release -p sp-bench --bin slo_goodput
 //! ```
 
-use crate::harness::{print_table, run_kind, standard_kinds};
+use crate::harness::{node, print_table, run_kind, standard_kinds};
 use shift_core::RoutingKind;
 use sp_metrics::{ClassSlo, SimTime, SloReport, SloTarget};
 use sp_model::presets;
@@ -32,7 +32,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         let mut row = vec![format!("{rate}")];
         let mut goodput_row = vec![String::new()];
         for (_, kind) in standard_kinds() {
-            let report = run_kind(kind, &model, &trace);
+            let report = run_kind(node(), kind, &model, &trace);
             let slo = SloReport::evaluate(report.records(), target);
             row.push(format!("{:.0}%", slo.attainment() * 100.0));
             goodput_row.push(format!(

@@ -5,7 +5,7 @@
 //! cargo run --release -p sp-bench --bin table1
 //! ```
 
-use crate::harness::{print_table, standard_kinds};
+use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
 use sp_model::presets;
 use std::io::{self, Write};
@@ -37,10 +37,10 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     let mut tpot = Vec::new();
     let mut tput = Vec::new();
     for (_, kind) in &kinds {
-        let lat = min_latency_probe(*kind, &model, 4096, 250);
+        let lat = min_latency_probe(node(), *kind, &model, 4096, 250);
         ttft.push(lat.ttft_ms);
         tpot.push(lat.tpot_ms);
-        tput.push(peak_throughput_probe(*kind, &model, 4096, 250, 0));
+        tput.push(peak_throughput_probe(node(), *kind, &model, 4096, 250, 0));
     }
 
     let ttft_rank = rank(&ttft, true);

@@ -5,7 +5,7 @@
 //! cargo run --release -p sp-bench --bin table3
 //! ```
 
-use crate::harness::{print_table, run_kind};
+use crate::harness::{node, print_table, run_kind};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
 use shift_core::DeploymentKind;
 use sp_model::presets;
@@ -33,8 +33,10 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     let model = presets::llama_70b();
 
     // Low traffic: one request at a time.
-    let low: Vec<(&str, _)> =
-        STATIC_KINDS.iter().map(|(n, k)| (*n, min_latency_probe(*k, &model, 4096, 250))).collect();
+    let low: Vec<(&str, _)> = STATIC_KINDS
+        .iter()
+        .map(|(n, k)| (*n, min_latency_probe(node(), *k, &model, 4096, 250)))
+        .collect();
 
     // High traffic: a stream near (but below) the SP/DP capacity — TP
     // saturates, the others sustain. ~8 req/s × 4.3k tokens ≈ 35k tok/s.
@@ -42,10 +44,10 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     let high: Vec<(&str, f64, f64, f64)> = STATIC_KINDS
         .iter()
         .map(|(n, k)| {
-            let mut report = run_kind(*k, &model, &high_trace);
+            let mut report = run_kind(node(), *k, &model, &high_trace);
             let ttft = report.metrics_mut().ttft().median().unwrap() * 1e3;
             let tpot = report.metrics_mut().tpot().median().unwrap() * 1e3;
-            let tput = peak_throughput_probe(*k, &model, 4096, 250, 0);
+            let tput = peak_throughput_probe(node(), *k, &model, 4096, 250, 0);
             (*n, ttft, tpot, tput)
         })
         .collect();

@@ -22,14 +22,19 @@ pub fn standard_kinds() -> Vec<(&'static str, DeploymentKind)> {
     ]
 }
 
-/// Builds a deployment of `kind` and runs `trace` through it.
+/// Builds a deployment of `kind` on `node` and runs `trace` through it.
 ///
 /// # Panics
 ///
 /// Panics if the deployment cannot be built (evaluation configurations
 /// are all known-good).
-pub fn run_kind(kind: DeploymentKind, model: &ModelConfig, trace: &Trace) -> EngineReport {
-    let mut dep = Deployment::builder(node(), model.clone())
+pub fn run_kind(
+    node: NodeSpec,
+    kind: DeploymentKind,
+    model: &ModelConfig,
+    trace: &Trace,
+) -> EngineReport {
+    let mut dep = Deployment::builder(node, model.clone())
         .kind(kind)
         .build()
         .unwrap_or_else(|e| panic!("cannot deploy {kind:?} for {}: {e}", model.name));
@@ -166,7 +171,7 @@ mod tests {
     fn summarize_extracts_metrics() {
         let model = presets::qwen_32b();
         let mut report =
-            run_kind(DeploymentKind::TensorParallel, &model, &synthetic::single(1024, 8));
+            run_kind(node(), DeploymentKind::TensorParallel, &model, &synthetic::single(1024, 8));
         let s = summarize("TP", &mut report);
         assert_eq!(s.completed, 1);
         assert!(s.median_ttft_ms > 0.0);
@@ -178,7 +183,7 @@ mod tests {
         print_table(&mut io::sink(), "t", &["a", "b"], &[vec!["1".into(), "22".into()]]).unwrap();
         let model = presets::qwen_32b();
         let mut report =
-            run_kind(DeploymentKind::Shift, &model, &synthetic::uniform_batch(2, 256, 4));
+            run_kind(node(), DeploymentKind::Shift, &model, &synthetic::uniform_batch(2, 256, 4));
         print_summaries(&mut io::sink(), "s", &[summarize("Shift", &mut report)]).unwrap();
     }
 }
