@@ -177,13 +177,4 @@ mod tests {
         assert!(s.median_ttft_ms > 0.0);
         assert!(s.peak_throughput > 0.0);
     }
-
-    #[test]
-    fn print_helpers_do_not_panic() {
-        print_table(&mut io::sink(), "t", &["a", "b"], &[vec!["1".into(), "22".into()]]).unwrap();
-        let model = presets::qwen_32b();
-        let mut report =
-            run_kind(node(), DeploymentKind::Shift, &model, &synthetic::uniform_batch(2, 256, 4));
-        print_summaries(&mut io::sink(), "s", &[summarize("Shift", &mut report)]).unwrap();
-    }
 }
