@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::ablations`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::ablations::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(ablations);

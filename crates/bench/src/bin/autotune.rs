@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::autotune`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::autotune::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(autotune);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::disagg_compare`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::disagg_compare::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(disagg_compare);

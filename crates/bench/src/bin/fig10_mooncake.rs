@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig10_mooncake`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig10_mooncake::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig10_mooncake);

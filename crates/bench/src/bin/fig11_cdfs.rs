@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig11_cdfs`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig11_cdfs::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig11_cdfs);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig12_tradeoff`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig12_tradeoff::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig12_tradeoff);

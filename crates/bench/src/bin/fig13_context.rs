@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig13_context`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig13_context::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig13_context);

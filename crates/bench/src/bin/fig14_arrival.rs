@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig14_arrival`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig14_arrival::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig14_arrival);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig15_breakdown`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig15_breakdown::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig15_breakdown);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig16_production`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig16_production::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig16_production);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig17_models`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig17_models::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig17_models);

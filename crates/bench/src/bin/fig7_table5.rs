@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig7_table5`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig7_table5::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig7_table5);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig8_traces`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig8_traces::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig8_traces);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::fig9_azure`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::fig9_azure::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(fig9_azure);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::futurework_ep`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::futurework_ep::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(futurework_ep);

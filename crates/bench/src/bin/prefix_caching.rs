@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::prefix_caching`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::prefix_caching::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(prefix_caching);

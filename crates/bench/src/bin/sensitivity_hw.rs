@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::sensitivity_hw`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::sensitivity_hw::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(sensitivity_hw);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::slo_goodput`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::slo_goodput::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(slo_goodput);

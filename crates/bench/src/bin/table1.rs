@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::table1`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::table1::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(table1);

@@ -1,4 +1,1 @@
-//! Prints [`sp_bench::figures::timeline`].
-fn main() -> std::io::Result<()> {
-    sp_bench::figures::timeline::run(&mut std::io::stdout().lock())
-}
+sp_bench::figure_main!(timeline);

@@ -9,10 +9,6 @@
 //!    recompute preemption under cache pressure.
 //! 5. **Chunked-prefill cap** (Sarathi-style) — bounding the worst decode
 //!    stall.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin ablations
-//! ```
 
 use crate::harness::{node, print_table};
 use shift_core::{Deployment, DeploymentKind, ShiftWeightPlan, WeightStrategy};
@@ -69,8 +65,7 @@ fn threshold_sweep(out: &mut dyn Write) -> io::Result<()> {
         out,
         "threshold 0 = always base (pure SP, bad TPOT); inf = never base (pure TP,\n\
          slow prefill). The default (256) takes the best of both."
-    )?;
-    Ok(())
+    )
 }
 
 fn weight_strategy(out: &mut dyn Write) -> io::Result<()> {
@@ -113,8 +108,7 @@ fn weight_strategy(out: &mut dyn Write) -> io::Result<()> {
         out,
         "Separate models buy back the slicing penalty for 1/SP extra memory —\n\
          the paper's chosen tradeoff."
-    )?;
-    Ok(())
+    )
 }
 
 fn padding_cost(out: &mut dyn Write) -> io::Result<()> {
@@ -144,8 +138,7 @@ fn padding_cost(out: &mut dyn Write) -> io::Result<()> {
         out,
         "Small decode batches pad up to the SP degree (batch 9 -> 16, 78% waste):\n\
          exactly why the shift config handles low-traffic decode."
-    )?;
-    Ok(())
+    )
 }
 
 fn admission_mode(out: &mut dyn Write) -> io::Result<()> {
@@ -191,8 +184,7 @@ fn admission_mode(out: &mut dyn Write) -> io::Result<()> {
         out,
         "reserve-full guarantees no mid-flight eviction; preempt-restart packs the\n\
          cache tighter at the cost of recompute work when pressure spikes."
-    )?;
-    Ok(())
+    )
 }
 
 fn prefill_cap(out: &mut dyn Write) -> io::Result<()> {
@@ -225,8 +217,7 @@ fn prefill_cap(out: &mut dyn Write) -> io::Result<()> {
         out,
         "Tighter caps bound the worst decode stall (and the TPOT tail) at a modest\n\
          throughput cost — orthogonal to, and composable with, the shift policy."
-    )?;
-    Ok(())
+    )
 }
 
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
@@ -234,6 +225,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     weight_strategy(out)?;
     padding_cost(out)?;
     admission_mode(out)?;
-    prefill_cap(out)?;
-    Ok(())
+    prefill_cap(out)
 }

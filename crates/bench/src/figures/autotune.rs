@@ -1,9 +1,5 @@
 //! Auto-tuning study: profile each evaluation workload, then grid-search
 //! the shift deployment's knobs against it.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin autotune
-//! ```
 
 use crate::harness::{node, print_table};
 use shift_core::tuner::{Objective, Tuner};
@@ -102,6 +98,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nThe tuner automates §3.2.2: different workloads genuinely prefer different\n\
          bases, thresholds and caps — and the defaults (auto base, threshold 256)\n\
          sit near the optimum for the paper's mixed traffic."
-    )?;
-    Ok(())
+    )
 }

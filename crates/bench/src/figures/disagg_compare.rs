@@ -5,10 +5,6 @@
 //! "at the cost of dedicating additional resources to each stage" plus a
 //! per-request KV transfer, while Shift + chunked prefill gets the
 //! benefits with neither cost.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin disagg_compare
-//! ```
 
 use crate::harness::{node, print_table, run_kind};
 use shift_core::{Deployment, DeploymentKind, Fleet};
@@ -72,6 +68,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
          capacity (prefill pool idle during decode-heavy phases and vice versa);\n\
          Shift matches its interference-free TPOT while using all 8 GPUs for\n\
          whichever phase dominates."
-    )?;
-    Ok(())
+    )
 }

@@ -1,9 +1,5 @@
 //! Figure 1: response speed (#input tokens / TTFT), generation rate
 //! (1 / TPOT), and combined throughput in low vs. high traffic.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig1
-//! ```
 
 use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
@@ -36,6 +32,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nExpected shape: Shift ~1.5x higher throughput than TP in high traffic,\n\
          ~1.5x faster response than TP and ~2x faster generation than DP in low\n\
          traffic, while losing only ~17% throughput to DP."
-    )?;
-    Ok(())
+    )
 }

@@ -3,10 +3,6 @@
 //!
 //! The heavier conversation workload saturates the KV cache of TP and DP
 //! deployments, producing unbounded queueing; SP and Shift sustain it.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig10_mooncake
-//! ```
 
 use crate::harness::{node, print_summaries, print_table, run_kind, standard_kinds, summarize};
 use sp_model::{presets, Precision};
@@ -61,6 +57,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nExpected shape (Figure 10): TP and DP wait times grow without bound across\n\
          quintiles (KV cache saturates); SP and Shift sustain the traffic with\n\
          bounded completion times."
-    )?;
-    Ok(())
+    )
 }

@@ -1,9 +1,5 @@
 //! Figure 11: completion-time distributions (CDFs) for the Azure and
 //! Mooncake replays.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig11_cdfs
-//! ```
 
 use crate::harness::{node, print_table, run_kind, standard_kinds};
 use sp_model::{presets, Precision};
@@ -28,8 +24,7 @@ fn cdf_table(
             rows[i].push(format!("{v:.2}"));
         }
     }
-    print_table(out, title, &["quantile", "TP", "DP", "SP", "Shift"], &rows)?;
-    Ok(())
+    print_table(out, title, &["quantile", "TP", "DP", "SP", "Shift"], &rows)
 }
 
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
@@ -51,6 +46,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nExpected shape: Shift Parallelism's distribution is left-most (most likely\n\
          to deliver the lowest completion time) in both traces."
-    )?;
-    Ok(())
+    )
 }

@@ -2,10 +2,6 @@
 //!
 //! Methodology (§4.3.1): minimum latency from a lone request (4k input,
 //! 250 output); peak throughput from a saturating batch.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig12_tradeoff
-//! ```
 
 use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};

@@ -1,56 +1,24 @@
 //! Figure 13: TTFT, TPOT and peak throughput vs. input context size
 //! (2k–128k input, 250 output).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig13_context
-//! ```
 
-use crate::harness::{node, print_table, standard_kinds};
-use crate::probes::{min_latency_probe, peak_throughput_probe};
+use super::{length_sweep, SweepMetric};
 use sp_model::presets;
 use std::io::{self, Write};
 
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
-    let lengths: Vec<u32> = vec![2_048, 4_096, 8_192, 16_384, 32_768, 65_536, 131_072];
+    let lengths = [2_048, 4_096, 8_192, 16_384, 32_768, 65_536, 131_072];
+    let metrics: [SweepMetric; 3] = [
+        ("TTFT (ms)", |lat, _| format!("{:.0}", lat.ttft_ms)),
+        ("TPOT (ms)", |lat, _| format!("{:.2}", lat.tpot_ms)),
+        ("peak tok/s", |_, tput| format!("{tput:.0}")),
+    ];
     for model in [presets::llama_70b(), presets::qwen_32b()] {
-        for (metric, col) in [("TTFT (ms)", 0usize), ("TPOT (ms)", 1), ("peak tok/s", 2)] {
-            let mut rows = Vec::new();
-            for &len in &lengths {
-                let mut row = vec![format!("{}k", len / 1024)];
-                for (_, kind) in standard_kinds() {
-                    let cell = match col {
-                        0 => format!(
-                            "{:.0}",
-                            min_latency_probe(node(), kind, &model, len, 250).ttft_ms
-                        ),
-                        1 => format!(
-                            "{:.2}",
-                            min_latency_probe(node(), kind, &model, len, 250).tpot_ms
-                        ),
-                        _ => {
-                            format!(
-                                "{:.0}",
-                                peak_throughput_probe(node(), kind, &model, len, 250, 0)
-                            )
-                        }
-                    };
-                    row.push(cell);
-                }
-                rows.push(row);
-            }
-            print_table(
-                out,
-                &format!("Figure 13 — {} — {metric}", model.name),
-                &["input", "TP", "DP", "SP", "Shift"],
-                &rows,
-            )?;
-        }
+        length_sweep(out, "Figure 13", &model, &lengths, &metrics)?;
     }
     writeln!(
         out,
         "\nExpected shapes: Shift response up to ~7x faster than DP and ~1.5x than TP;\n\
          TPOT grows with context (KV reads); throughput collapses at long context\n\
          (attention-dominated, §4.4)."
-    )?;
-    Ok(())
+    )
 }

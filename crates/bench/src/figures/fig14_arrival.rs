@@ -1,9 +1,5 @@
 //! Figure 14: request completion time vs. arrival rate (8k input,
 //! 250 output). TP and DP cross over; Shift stays lowest everywhere.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig14_arrival
-//! ```
 
 use crate::harness::{node, print_table, run_kind, standard_kinds};
 use sp_model::presets;
@@ -36,6 +32,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nExpected shape: TP wins at low rates, DP at high rates (curves cross);\n\
          Shift is lowest (or tied) at every rate."
-    )?;
-    Ok(())
+    )
 }

@@ -4,10 +4,6 @@
 //! splitting time into GEMM, attention, communication, and engine
 //! (vLLM-like) overhead — the "take away one component at a time"
 //! methodology of §4.4.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig15_breakdown
-//! ```
 
 use crate::harness::{node, print_table};
 use sp_model::presets;
@@ -68,6 +64,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nExpected shape: SP communication is a small fraction of TP's; attention time\n\
          dominates at long contexts; engine overhead is a visible share for the smaller\n\
          model at short contexts (§4.4)."
-    )?;
-    Ok(())
+    )
 }

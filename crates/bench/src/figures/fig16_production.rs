@@ -1,9 +1,5 @@
 //! Figure 16: the production composition — Shift Parallelism + SwiftKV +
 //! speculative decoding vs. latency- and throughput-optimized baselines.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig16_production
-//! ```
 
 use crate::harness::{node, print_table};
 use shift_core::DeploymentKind;
@@ -81,6 +77,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nExpected shape (paper: 3.4x lower completion time, 1.06x higher throughput\n\
          than the best baseline): the full stack has the lowest completion time AND\n\
          at-least-parity throughput, in a single deployment."
-    )?;
-    Ok(())
+    )
 }

@@ -2,20 +2,20 @@
 //! Table 4 models and input sequence lengths, including the MoE models
 //! of §4.6 (Llama-17B-16E deployed as (SP=4, TP=2); Qwen-30B-A3B with
 //! KV-cache replication at SP=8).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig17_models
-//! ```
 
-use crate::harness::{node, print_table, standard_kinds};
-use crate::probes::{min_latency_probe, peak_throughput_probe};
+use super::{length_sweep, SweepMetric};
+use crate::harness::node;
 use shift_core::Deployment;
 use sp_model::presets;
 use std::io::{self, Write};
 
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
-    let lengths: Vec<u32> = vec![2_048, 8_192, 32_768, 131_072];
-
+    let lengths = [2_048, 8_192, 32_768, 131_072];
+    let metrics: [SweepMetric; 3] = [
+        ("peak tok/s", |_, tput| format!("{tput:.0}")),
+        ("min TTFT (ms)", |lat, _| format!("{:.0}", lat.ttft_ms)),
+        ("min TPOT (ms)", |lat, _| format!("{:.2}", lat.tpot_ms)),
+    ];
     for model in presets::all_table4() {
         let base = Deployment::auto_base(&node(), &model, 0.9).unwrap();
         writeln!(
@@ -25,38 +25,7 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
             model.total_params() as f64 / 1e9,
             model.active_params() as f64 / 1e9
         )?;
-
-        for (metric, which) in [("peak tok/s", 0usize), ("min TTFT (ms)", 1), ("min TPOT (ms)", 2)]
-        {
-            let mut rows = Vec::new();
-            for &len in &lengths {
-                let mut row = vec![format!("{}k", len / 1024)];
-                for (_, kind) in standard_kinds() {
-                    let cell = match which {
-                        0 => format!(
-                            "{:.0}",
-                            peak_throughput_probe(node(), kind, &model, len, 250, 0)
-                        ),
-                        1 => format!(
-                            "{:.0}",
-                            min_latency_probe(node(), kind, &model, len, 250).ttft_ms
-                        ),
-                        _ => format!(
-                            "{:.2}",
-                            min_latency_probe(node(), kind, &model, len, 250).tpot_ms
-                        ),
-                    };
-                    row.push(cell);
-                }
-                rows.push(row);
-            }
-            print_table(
-                out,
-                &format!("Figure 17 — {} — {metric}", model.name),
-                &["input", "TP", "DP", "SP", "Shift"],
-                &rows,
-            )?;
-        }
+        length_sweep(out, "Figure 17", &model, &lengths, &metrics)?;
     }
     writeln!(
         out,
@@ -64,6 +33,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
          latency than dense ones; Qwen-30B-A3B peaks with DP (engine overhead\n\
          dominates parallel configs for small models, §4.4/§4.6); Shift gains up to\n\
          ~50% throughput over TP everywhere without losing latency."
-    )?;
-    Ok(())
+    )
 }

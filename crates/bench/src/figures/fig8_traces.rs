@@ -1,9 +1,5 @@
 //! Figures 2 and 8: the workload traces' shapes (size distributions and
 //! arrival patterns).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig8_traces
-//! ```
 
 use crate::harness::{node, print_table};
 use shift_core::{Deployment, DeploymentKind, Fleet, RoutingKind};
@@ -39,8 +35,7 @@ fn describe(out: &mut dyn Write, name: &str, trace: &Trace) -> io::Result<()> {
         .iter()
         .map(|(t, c)| vec![format!("{:.0}", t.as_secs()), format!("{c}"), "#".repeat(c / 10)])
         .collect();
-    print_table(out, &format!("Figure 8 — {name}: arrivals per 30s"), &["t(s)", "req", ""], &rows)?;
-    Ok(())
+    print_table(out, &format!("Figure 8 — {name}: arrivals per 30s"), &["t(s)", "req", ""], &rows)
 }
 
 /// How much routing policy matters on a bursty trace: p99 TTFT and
@@ -96,8 +91,7 @@ fn routing_comparison(out: &mut dyn Write, trace: &Trace) -> io::Result<()> {
         "Online routing policies, 2-node Shift fleet on the bursty trace",
         &["router", "TTFT p50(ms)", "TTFT p99(ms)", "Int SLO", "Batch SLO", "to node 0"],
         &rows,
-    )?;
-    Ok(())
+    )
 }
 
 pub fn run(out: &mut dyn Write) -> io::Result<()> {
@@ -110,6 +104,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nExpected shapes: Azure = bursty arrivals, long inputs, short outputs;\n\
          Mooncake = steady ~9 req / 3 s, medium inputs, long outputs."
-    )?;
-    Ok(())
+    )
 }

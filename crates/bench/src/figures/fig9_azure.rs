@@ -1,8 +1,4 @@
 //! Figure 9 + 11a: the Azure LLM Code trace replay on Llama-70B.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin fig9_azure
-//! ```
 
 use crate::harness::{node, print_summaries, print_table, run_kind, standard_kinds, summarize};
 use sp_model::presets;
@@ -55,6 +51,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nExpected shape (Figure 9/11a): bursts inflate TTFT for TP the most; Shift\n\
          obtains the lowest TTFT, TPOT and completion time at p50 and p99."
-    )?;
-    Ok(())
+    )
 }

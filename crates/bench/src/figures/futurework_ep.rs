@@ -1,10 +1,6 @@
 //! §4.6 future work, quantified: combining SP with expert parallelism
 //! (EP) for the sparse models — "there is no prior work that combines SP
 //! with EP to further optimize sparse models".
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin futurework_ep
-//! ```
 
 use crate::harness::{node, print_table};
 use sp_model::presets;
@@ -55,6 +51,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
          streaming by up to the EP degree, at the price of two extra dispatch\n\
          all-to-alls per layer — so EP wins decode-heavy regimes and loses some\n\
          prefill. A shift-style SP/EP switch is the natural extension."
-    )?;
-    Ok(())
+    )
 }

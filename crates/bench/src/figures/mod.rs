@@ -11,59 +11,82 @@
 //! cargo run --release -p sp-bench --bin <name> > results/<name>.txt
 //! ```
 
+use crate::harness::{node, print_table, standard_kinds};
+use crate::probes::{min_latency_probe, peak_throughput_probe, LatencyProbe};
+use sp_model::ModelConfig;
 use std::io::{self, Write};
-
-pub mod ablations;
-pub mod autotune;
-pub mod disagg_compare;
-pub mod fig1;
-pub mod fig10_mooncake;
-pub mod fig11_cdfs;
-pub mod fig12_tradeoff;
-pub mod fig13_context;
-pub mod fig14_arrival;
-pub mod fig15_breakdown;
-pub mod fig16_production;
-pub mod fig17_models;
-pub mod fig7_table5;
-pub mod fig8_traces;
-pub mod fig9_azure;
-pub mod futurework_ep;
-pub mod prefix_caching;
-pub mod sensitivity_hw;
-pub mod slo_goodput;
-pub mod table1;
-pub mod table2;
-pub mod table3;
-pub mod timeline;
 
 /// A figure: writes its whole text output to the writer.
 pub type Figure = fn(&mut dyn Write) -> io::Result<()>;
 
-/// Every figure by name: the paper reproductions in paper order, then the
-/// extension studies.
-pub const FIGURES: &[(&str, Figure)] = &[
-    ("fig1", fig1::run),
-    ("table1", table1::run),
-    ("table2", table2::run),
-    ("table3", table3::run),
-    ("fig7_table5", fig7_table5::run),
-    ("fig8_traces", fig8_traces::run),
-    ("fig9_azure", fig9_azure::run),
-    ("fig10_mooncake", fig10_mooncake::run),
-    ("fig11_cdfs", fig11_cdfs::run),
-    ("fig12_tradeoff", fig12_tradeoff::run),
-    ("fig13_context", fig13_context::run),
-    ("fig14_arrival", fig14_arrival::run),
-    ("fig15_breakdown", fig15_breakdown::run),
-    ("fig16_production", fig16_production::run),
-    ("fig17_models", fig17_models::run),
-    ("ablations", ablations::run),
-    ("disagg_compare", disagg_compare::run),
-    ("futurework_ep", futurework_ep::run),
-    ("sensitivity_hw", sensitivity_hw::run),
-    ("slo_goodput", slo_goodput::run),
-    ("autotune", autotune::run),
-    ("timeline", timeline::run),
-    ("prefix_caching", prefix_caching::run),
-];
+/// Defines the `main` of figure `$name`'s binary: the figure, on stdout.
+#[macro_export]
+macro_rules! figure_main {
+    ($name:ident) => {
+        fn main() -> std::io::Result<()> {
+            $crate::figures::$name::run(&mut std::io::stdout().lock())
+        }
+    };
+}
+
+/// Declares each figure's module and lists them all, in order, in
+/// [`FIGURES`]: the one list of figure names.
+macro_rules! figures {
+    ($($name:ident),* $(,)?) => {
+        $(pub mod $name;)*
+
+        /// Every figure by name: the paper reproductions in paper order,
+        /// then the extension studies.
+        pub const FIGURES: &[(&str, Figure)] = &[$((stringify!($name), $name::run)),*];
+    };
+}
+
+figures! {
+    fig1, table1, table2, table3, fig7_table5, fig8_traces, fig9_azure, fig10_mooncake,
+    fig11_cdfs, fig12_tradeoff, fig13_context, fig14_arrival, fig15_breakdown,
+    fig16_production, fig17_models,
+    // Extension studies.
+    ablations, disagg_compare, futurework_ep, sensitivity_hw, slo_goodput, autotune, timeline,
+    prefix_caching,
+}
+
+/// A length-sweep table: its metric label, and its cell for one kind
+/// from that kind's minimum-latency probe and peak throughput.
+type SweepMetric = (&'static str, fn(&LatencyProbe, f64) -> String);
+
+/// Probes every standard kind of `model` once per input length (250
+/// output tokens), then writes one `input × kind` table per metric,
+/// titled `{figure} — {model} — {metric}`.
+fn length_sweep(
+    out: &mut dyn Write,
+    figure: &str,
+    model: &ModelConfig,
+    lengths: &[u32],
+    metrics: &[SweepMetric],
+) -> io::Result<()> {
+    let probes: Vec<Vec<(LatencyProbe, f64)>> = lengths
+        .iter()
+        .map(|&len| {
+            let probe = |(_, kind)| {
+                let lat = min_latency_probe(node(), kind, model, len, 250);
+                (lat, peak_throughput_probe(node(), kind, model, len, 250, 0))
+            };
+            standard_kinds().into_iter().map(probe).collect()
+        })
+        .collect();
+    for (metric, cell) in metrics {
+        let rows: Vec<Vec<String>> = lengths
+            .iter()
+            .zip(&probes)
+            .map(|(len, kinds)| {
+                let label = format!("{}k", len / 1024);
+                std::iter::once(label)
+                    .chain(kinds.iter().map(|(lat, tput)| cell(lat, *tput)))
+                    .collect()
+            })
+            .collect();
+        let title = format!("{figure} — {} — {metric}", model.name);
+        print_table(out, &title, &["input", "TP", "DP", "SP", "Shift"], &rows)?;
+    }
+    Ok(())
+}

@@ -6,10 +6,6 @@
 //! shifts the workload decode-ward, which interacts with the shift
 //! policy: fewer big batches, more small ones, more time in the TP
 //! configuration.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin prefix_caching
-//! ```
 
 use crate::harness::{node, print_table};
 use shift_core::{Deployment, DeploymentKind};
@@ -60,6 +56,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nExpected: APC slashes warm-turn TTFT (only the fresh tail prefills) for\n\
          both systems; under Shift the cached turns run mostly in the TP config\n\
          (small batches), showing the policy adapting to the workload change."
-    )?;
-    Ok(())
+    )
 }

@@ -5,10 +5,6 @@
 //! Re-runs the Figure 12 probes on H200+NVSwitch (the paper's node),
 //! H100+NVSwitch, A100+NVSwitch, and H200+PCIe, checking that the
 //! qualitative orderings survive.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin sensitivity_hw
-//! ```
 
 use crate::harness::print_table;
 use crate::probes::{min_latency_probe, peak_throughput_probe};
@@ -33,24 +29,23 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     ];
 
     for (node_name, node) in nodes {
-        let mut rows = Vec::new();
-        let mut vals = Vec::new();
-        for (name, kind) in [
+        let [tp, dp, shift] = [
             ("TP", DeploymentKind::TensorParallel),
             ("DP", DeploymentKind::DataParallel),
             ("Shift", DeploymentKind::Shift),
-        ] {
+        ]
+        .map(|(name, kind)| {
             let lat = min_latency_probe(node, kind, &model, 4096, 250);
             let tput = peak_throughput_probe(node, kind, &model, 4096, 250, 0);
-            let (ttft, tpot) = (lat.ttft_ms, lat.tpot_ms);
-            vals.push((name, ttft, tpot, tput));
-            rows.push(vec![
-                name.to_string(),
-                format!("{ttft:.0}"),
-                format!("{tpot:.2}"),
-                format!("{tput:.0}"),
-            ]);
-        }
+            (name, lat.ttft_ms, lat.tpot_ms, tput)
+        });
+        let rows: Vec<Vec<String>> = [tp, dp, shift]
+            .iter()
+            .map(|(name, ttft, tpot, tput)| {
+                let cells = [format!("{ttft:.0}"), format!("{tpot:.2}"), format!("{tput:.0}")];
+                std::iter::once(name.to_string()).chain(cells).collect()
+            })
+            .collect();
         print_table(
             out,
             &format!("Sensitivity — {node_name}, Llama-70B 4k/250"),
@@ -58,9 +53,6 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
             &rows,
         )?;
         // The conclusion that must survive hardware changes:
-        let tp = vals[0];
-        let dp = vals[1];
-        let shift = vals[2];
         let conclusion_holds = shift.1 <= tp.1 * 1.01 // TTFT: Shift <= TP
             && shift.2 <= tp.2 * 1.05 // TPOT: Shift ~ TP
             && shift.3 > tp.3 // throughput: Shift > TP

@@ -3,10 +3,6 @@
 //! metrics") turned into a measurement: what fraction of interactive
 //! requests meet a chatbot-grade SLO, and how many SLO-attaining tokens
 //! per second each deployment delivers.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin slo_goodput
-//! ```
 
 use crate::harness::{node, print_table, run_kind, standard_kinds};
 use shift_core::RoutingKind;
@@ -139,6 +135,5 @@ fn class_aware_comparison(out: &mut dyn Write) -> io::Result<()> {
         "\nExpected shape: the deadline-aware stack trades a sliver of batch\n\
          goodput (deferred/shed burst prefills) for a large interactive\n\
          attainment gain during bursts."
-    )?;
-    Ok(())
+    )
 }

@@ -1,9 +1,5 @@
 //! Table 1: qualitative performance tradeoffs of inference parallelisms,
 //! derived from measured probes (best = ☆, worst = ×).
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin table1
-//! ```
 
 use crate::harness::{node, print_table, standard_kinds};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
@@ -70,6 +66,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nPaper's grid: TP = nearly-best TTFT / worst tput / best TPOT;\n\
          DP = worst TTFT / best tput / near-worst TPOT; SP = best TTFT / very good\n\
          tput / worst TPOT; Shift = best TTFT / very good tput / best TPOT."
-    )?;
-    Ok(())
+    )
 }

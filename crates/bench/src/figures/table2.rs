@@ -1,9 +1,5 @@
 //! Table 2: per-GPU computational complexity of TP vs. SP, evaluated
 //! numerically from the closed forms in `sp_parallel::complexity`.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin table2
-//! ```
 
 use crate::harness::print_table;
 use sp_model::presets;
@@ -44,6 +40,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nShape check: TP memory and compute shrink with degree but communication\n\
          does not (comm/compute grows ∝ TP); SP communication shrinks with degree\n\
          (comm/compute constant) at the price of replicated memory."
-    )?;
-    Ok(())
+    )
 }

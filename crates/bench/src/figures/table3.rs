@@ -1,9 +1,5 @@
 //! Table 3: the optimal static parallelism per traffic regime, measured —
 //! the case analysis motivating Shift Parallelism's switch rule.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin table3
-//! ```
 
 use crate::harness::{node, print_table, run_kind};
 use crate::probes::{min_latency_probe, peak_throughput_probe};
@@ -81,6 +77,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nPaper's Table 3: TTFT → SP in both regimes; TPOT → TP (low) / SP (high);\n\
          throughput → SP-or-TP (low) / DP (high). Shift Parallelism covers every cell\n\
          reachable with a KV-invariant switch."
-    )?;
-    Ok(())
+    )
 }

@@ -1,9 +1,5 @@
 //! Iteration-resolution timeline of a shift deployment under a burst —
 //! Algorithm 2's switching, made visible.
-//!
-//! ```text
-//! cargo run --release -p sp-bench --bin timeline
-//! ```
 
 use crate::harness::{node, print_table};
 use shift_core::{Deployment, DeploymentKind};
@@ -70,6 +66,5 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         "\nReading: quiet phases run almost entirely in the shift (TP) config (small\n\
          decode batches); during the burst the batched tokens exceed the threshold\n\
          and the base (SP) config takes over — Algorithm 2 in action."
-    )?;
-    Ok(())
+    )
 }

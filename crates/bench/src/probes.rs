@@ -36,9 +36,9 @@ pub fn min_latency_probe(
 }
 
 /// Measures peak combined throughput on `node`: a saturating batch
-/// submitted at once ("we send a batch of requests (thousands) and provide sufficient
-/// concurrency"). `count` defaults (when 0) to whatever keeps roughly
-/// 2M prompt tokens in flight.
+/// submitted at once ("we send a batch of requests (thousands) and
+/// provide sufficient concurrency"). `count` defaults (when 0) to
+/// whatever keeps roughly 2M prompt tokens in flight.
 pub fn peak_throughput_probe(
     node: NodeSpec,
     kind: DeploymentKind,
