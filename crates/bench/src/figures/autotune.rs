@@ -72,19 +72,30 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
     ];
     let mut rows = Vec::new();
     for (name, trace) in &workloads {
-        let rankings = tuner
-            .sweep(trace, &objectives.map(|(_, objective)| objective))
-            .expect("Llama-70B has viable shift bases");
-        for ((obj_name, _), ranking) in objectives.iter().zip(rankings) {
-            let best = &ranking[0];
-            rows.push(vec![
-                name.to_string(),
-                obj_name.to_string(),
-                best.base.to_string(),
-                best.threshold.to_string(),
-                best.max_prefill_tokens.map_or("none".into(), |c| c.to_string()),
-                format!("{:.3}", best.score.abs()),
-            ]);
+        let rankings = tuner.sweep(trace, &objectives.map(|(_, objective)| objective));
+        for (i, (obj_name, _)) in objectives.iter().enumerate() {
+            let best = match &rankings {
+                Ok(rankings) => rankings[i].first().ok_or("no candidate evaluated".to_string()),
+                Err(e) => Err(e.clone()),
+            };
+            rows.push(match best {
+                Ok(best) => vec![
+                    name.to_string(),
+                    obj_name.to_string(),
+                    best.base.to_string(),
+                    best.threshold.to_string(),
+                    best.max_prefill_tokens.map_or("none".into(), |c| c.to_string()),
+                    format!("{:.3}", best.score.abs()),
+                ],
+                Err(e) => vec![
+                    name.to_string(),
+                    obj_name.to_string(),
+                    e,
+                    String::new(),
+                    String::new(),
+                    String::new(),
+                ],
+            });
         }
     }
     print_table(

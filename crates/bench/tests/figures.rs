@@ -54,13 +54,13 @@ fn every_figure_prints_its_committed_results() {
                 while let Some(&(name, figure)) = FIGURES.get(next.fetch_add(1, Ordering::Relaxed))
                 {
                     if let Err(e) = check(name, figure) {
-                        failures.lock().unwrap().push(e);
+                        failures.lock().expect("no figure thread panics holding it").push(e);
                     }
                 }
             });
         }
     });
-    let failures = failures.into_inner().unwrap();
+    let failures = failures.into_inner().expect("no figure thread panicked");
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
