@@ -56,10 +56,10 @@ pub fn run(out: &mut dyn Write) -> io::Result<()> {
         let conclusion_holds = shift.1 <= tp.1 * 1.01 // TTFT: Shift <= TP
             && shift.2 <= tp.2 * 1.05 // TPOT: Shift ~ TP
             && shift.3 > tp.3 // throughput: Shift > TP
-            && dp.1 > shift.1; // DP responds slowest
+            && dp.1 > shift.1; // TTFT: DP > Shift
         writeln!(
             out,
-            "conclusion (Shift dominates TP, DP slowest response): {}",
+            "conclusion (Shift dominates TP, DP slower to respond than Shift): {}",
             if conclusion_holds { "HOLDS" } else { "VIOLATED" }
         )?;
     }

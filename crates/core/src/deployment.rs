@@ -13,12 +13,10 @@ use sp_engine::{ClusterSim, Engine, EngineConfig, EngineReport, RoutingKind, Run
 use sp_metrics::{Dur, SimTime};
 use sp_model::ModelConfig;
 use sp_parallel::{
-    BatchStats, EngineOverhead, ExecutionModel, MemoryPlan, ParallelConfig, ParallelismPolicy,
-    StaticPolicy,
+    EngineOverhead, ExecutionModel, MemoryPlan, ParallelConfig, ParallelismPolicy, StaticPolicy,
 };
 use sp_workload::Trace;
 use std::fmt;
-use std::sync::Arc;
 
 /// Minimum group-wide KV capacity (tokens) a base configuration must leave
 /// for [`Deployment::auto_base`] to accept it (§3.2.2's "enough room for
@@ -92,25 +90,10 @@ impl fmt::Display for DeploymentError {
 
 impl std::error::Error for DeploymentError {}
 
-/// Shares one policy between the deployment (for statistics) and the
-/// engine (for decisions).
-#[derive(Debug, Clone)]
-struct SharedPolicy(Arc<dyn ParallelismPolicy>);
-
-impl ParallelismPolicy for SharedPolicy {
-    fn choose(&self, stats: &BatchStats) -> ParallelConfig {
-        self.0.choose(stats)
-    }
-    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
-        self.0.choose_repeated(stats, n)
-    }
-    fn configurations(&self) -> Vec<ParallelConfig> {
-        self.0.configurations()
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-}
+/// The §3.3.2 weight strategy every Shift deployment plans its
+/// memory for. `ablations` compares it with the alternative through
+/// [`ShiftWeightPlan`] directly.
+const WEIGHT_STRATEGY: WeightStrategy = WeightStrategy::SeparateModels;
 
 /// Builder for [`Deployment`].
 #[derive(Debug, Clone)]
@@ -119,7 +102,6 @@ pub struct DeploymentBuilder {
     model: ModelConfig,
     kind: DeploymentKind,
     overhead: EngineOverhead,
-    weight_strategy: WeightStrategy,
     mem_fraction: f64,
     prefill_flops_scale: f64,
     routing: RoutingKind,
@@ -135,7 +117,6 @@ impl DeploymentBuilder {
             model,
             kind: DeploymentKind::Shift,
             overhead: EngineOverhead::default(),
-            weight_strategy: WeightStrategy::SeparateModels,
             mem_fraction: sp_parallel::memory::DEFAULT_MEM_FRACTION,
             prefill_flops_scale: 1.0,
             routing: RoutingKind::default(),
@@ -214,12 +195,6 @@ impl DeploymentBuilder {
     /// Overrides the engine CPU overhead model.
     pub fn overhead(mut self, overhead: EngineOverhead) -> DeploymentBuilder {
         self.overhead = overhead;
-        self
-    }
-
-    /// Selects the §3.3.2 weight strategy (default: separate models).
-    pub fn weight_strategy(mut self, strategy: WeightStrategy) -> DeploymentBuilder {
-        self.weight_strategy = strategy;
         self
     }
 
@@ -331,11 +306,11 @@ impl DeploymentBuilder {
                 };
                 InvarianceCertificate::verify(&self.model, base)
                     .map_err(|e| DeploymentError::Invariance(e.to_string()))?;
-                let weight_plan = ShiftWeightPlan::new(&self.model, base, self.weight_strategy);
+                let weight_plan = ShiftWeightPlan::new(&self.model, base, WEIGHT_STRATEGY);
                 let plan =
                     self.check_fit(&self.node, base, weight_plan.shift_extra_bytes_per_gpu())?;
-                let policy = Arc::new(ShiftPolicy::new(base, threshold));
-                let engine = self.engine(self.node, Box::new(SharedPolicy(policy.clone())), &plan);
+                let policy = ShiftPolicy::new(base, threshold);
+                let engine = self.engine(self.node, Box::new(policy), &plan);
                 return Ok(deployment(
                     plan.kv_capacity_tokens,
                     Some(policy),
@@ -378,7 +353,7 @@ enum Inner {
 pub struct Deployment {
     kind: DeploymentKind,
     kv_capacity_tokens: u64,
-    shift_policy: Option<Arc<ShiftPolicy>>,
+    shift_policy: Option<ShiftPolicy>,
     routing: RoutingKind,
     inner: Inner,
 }
@@ -438,11 +413,20 @@ impl Deployment {
     }
 
     /// For shift deployments: `(base_iterations, shift_iterations,
-    /// switches)` observed so far.
+    /// switches)` since the deployment was built, as its engine counts
+    /// them (an open decode run's iterations included).
     pub fn shift_stats(&self) -> Option<(u64, u64, u64)> {
-        self.shift_policy
-            .as_ref()
-            .map(|p| (p.base_iterations(), p.shift_iterations(), p.switches()))
+        let policy = self.shift_policy?;
+        let engine = self.engine();
+        let base = engine.iterations_under(policy.base());
+        // A pure-TP base is its own shift configuration: every
+        // iteration runs under the base, and none switches.
+        let shift = if policy.shift() == policy.base() {
+            0
+        } else {
+            engine.iterations_under(policy.shift())
+        };
+        Some((base, shift, engine.switches()))
     }
 
     /// Runs a trace to completion from simulated time zero. Multi-replica
@@ -597,6 +581,21 @@ mod tests {
         assert!(shift_iters >= 32, "decode should run in shift config");
         assert!(switches >= 1);
         assert_eq!(report.config_usage().len(), 2);
+    }
+
+    #[test]
+    fn pure_tp_base_runs_every_iteration_as_base() {
+        // The shift configuration of a pure-TP base is the base itself,
+        // so no iteration switches, whichever side of the threshold.
+        let mut dep = Deployment::builder(node(), presets::llama_70b())
+            .kind(DeploymentKind::ShiftWithBase {
+                base: ParallelConfig::tensor(8),
+                threshold: DEFAULT_SHIFT_THRESHOLD,
+            })
+            .build()
+            .unwrap();
+        let report = dep.run(&synthetic::single(4096, 32));
+        assert_eq!(dep.shift_stats(), Some((report.iterations(), 0, 0)));
     }
 
     #[test]

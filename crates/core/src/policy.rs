@@ -1,7 +1,6 @@
 //! The Algorithm 2 threshold switch.
 
 use sp_parallel::{BatchStats, ParallelConfig, ParallelismPolicy};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default switching threshold in batched tokens.
 ///
@@ -17,6 +16,10 @@ pub const DEFAULT_SHIFT_THRESHOLD: u64 = 256;
 /// if batched_tokens > threshold { base (SP, TP) } else { shift (1, SP·TP) }
 /// ```
 ///
+/// The decision is all it keeps: the engine running it counts the
+/// iterations under each configuration and the switches between them
+/// (see [`crate::Deployment::shift_stats`]).
+///
 /// # Examples
 ///
 /// ```
@@ -29,16 +32,11 @@ pub const DEFAULT_SHIFT_THRESHOLD: u64 = 256;
 /// assert_eq!(policy.choose(&small), ParallelConfig::tensor(8));
 /// assert_eq!(policy.choose(&large), ParallelConfig::sequence(8));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShiftPolicy {
     base: ParallelConfig,
     shift: ParallelConfig,
     threshold: u64,
-    base_iterations: AtomicU64,
-    shift_iterations: AtomicU64,
-    switches: AtomicU64,
-    // 0 = none yet, 1 = base, 2 = shift.
-    last: AtomicU64,
 }
 
 impl ShiftPolicy {
@@ -51,15 +49,7 @@ impl ShiftPolicy {
     /// there would be nothing to shift between (degree must exceed 1).
     pub fn new(base: ParallelConfig, threshold: u64) -> ShiftPolicy {
         assert!(base.degree() > 1, "shift parallelism needs more than one GPU");
-        ShiftPolicy {
-            base,
-            shift: base.shift_config(),
-            threshold,
-            base_iterations: AtomicU64::new(0),
-            shift_iterations: AtomicU64::new(0),
-            switches: AtomicU64::new(0),
-            last: AtomicU64::new(0),
-        }
+        ShiftPolicy { base, shift: base.shift_config(), threshold }
     }
 
     /// Creates a shift policy with the default threshold.
@@ -81,57 +71,15 @@ impl ShiftPolicy {
     pub fn threshold(&self) -> u64 {
         self.threshold
     }
-
-    /// Iterations run in the base configuration so far.
-    pub fn base_iterations(&self) -> u64 {
-        self.base_iterations.load(Ordering::Relaxed)
-    }
-
-    /// Iterations run in the shift configuration so far.
-    pub fn shift_iterations(&self) -> u64 {
-        self.shift_iterations.load(Ordering::Relaxed)
-    }
-
-    /// Number of base↔shift transitions observed.
-    pub fn switches(&self) -> u64 {
-        self.switches.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` consecutive iterations in one configuration: at
-    /// most one switch (into it), then `n` iterations.
-    fn record(&self, to_base: bool, n: u64) {
-        let tag = if to_base { 1 } else { 2 };
-        let prev = self.last.swap(tag, Ordering::Relaxed);
-        if prev != 0 && prev != tag {
-            self.switches.fetch_add(1, Ordering::Relaxed);
-        }
-        if to_base {
-            self.base_iterations.fetch_add(n, Ordering::Relaxed);
-        } else {
-            self.shift_iterations.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Algorithm 2's decision for `stats`, recorded `n` times.
-    fn decide(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
-        let to_base = stats.total_new_tokens > self.threshold;
-        self.record(to_base, n);
-        if to_base {
-            self.base
-        } else {
-            self.shift
-        }
-    }
 }
 
 impl ParallelismPolicy for ShiftPolicy {
     fn choose(&self, stats: &BatchStats) -> ParallelConfig {
-        self.decide(stats, 1)
-    }
-
-    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
-        assert!(n > 0, "a repeated choice records at least one iteration");
-        self.decide(stats, n)
+        if stats.total_new_tokens > self.threshold {
+            self.base
+        } else {
+            self.shift
+        }
     }
 
     fn configurations(&self) -> Vec<ParallelConfig> {
@@ -152,6 +100,18 @@ mod tests {
         BatchStats { total_new_tokens: tokens, num_seqs: 1 }
     }
 
+    /// A Llama-70B Shift deployment over SP=8 at the default threshold,
+    /// timeline on: its engine counts the policy's decisions.
+    fn deployment() -> crate::Deployment {
+        let base = ParallelConfig::sequence(8);
+        let node = sp_cluster::NodeSpec::p5en_48xlarge();
+        crate::Deployment::builder(node, sp_model::presets::llama_70b())
+            .kind(crate::DeploymentKind::ShiftWithBase { base, threshold: DEFAULT_SHIFT_THRESHOLD })
+            .record_timeline(true)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn threshold_is_exclusive_lower_bound() {
         // Algorithm 2: "if n > threshold" — equality stays in shift mode.
@@ -170,14 +130,20 @@ mod tests {
 
     #[test]
     fn switch_counter_tracks_transitions() {
-        let p = ShiftPolicy::new(ParallelConfig::sequence(8), 10);
-        p.choose(&stats(100)); // base
-        p.choose(&stats(200)); // base (no switch)
-        p.choose(&stats(1)); // shift (switch 1)
-        p.choose(&stats(500)); // base (switch 2)
-        assert_eq!(p.switches(), 2);
-        assert_eq!(p.base_iterations(), 3);
-        assert_eq!(p.shift_iterations(), 1);
+        // Two requests far apart: each prompt prefills in one base
+        // iteration and decodes in the shift config, so the engine
+        // counts three transitions, as the timeline shows them.
+        let first = sp_workload::synthetic::single(2048, 16).requests()[0];
+        let later =
+            sp_workload::Request { id: 1, arrival: sp_metrics::SimTime::from_secs(100.0), ..first };
+        let mut dep = deployment();
+        let report = dep.run(&sp_workload::Trace::with_ids(vec![first, later]));
+        let configs: Vec<_> = report.timeline().unwrap().iter().map(|e| e.config).collect();
+        let changes = configs.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        let (base_iters, shift_iters, switches) = dep.shift_stats().unwrap();
+        assert_eq!((base_iters, switches, report.switches()), (2, 3, 3));
+        assert_eq!(changes, 3);
+        assert_eq!(base_iters + shift_iters, configs.len() as u64);
     }
 
     #[test]
@@ -200,38 +166,30 @@ mod tests {
             let expected = if tokens > thr { p.base() } else { p.shift() };
             prop_assert_eq!(p.choose(&stats(tokens)), expected);
         }
+    }
 
-        /// `choose` then `choose_repeated(n)` records exactly what
-        /// `1 + n` plain `choose` calls do, in all three counters.
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// Across runs of one deployment, its base and shift counts
+        /// add up to every iteration its reports saw, and its switches
+        /// to the reports' switches, fewer than the iterations.
         #[test]
-        fn repeated_choice_equals_repeated_calls(
-            runs in prop::collection::vec((0u64..600, 1u64..50), 0..40),
+        fn iteration_counts_sum(
+            runs in prop::collection::vec((1usize..8, 64u32..4096, 1u32..48, 0u64..100), 1..3),
         ) {
-            let once = ShiftPolicy::new(ParallelConfig::sequence(8), 256);
-            let each = ShiftPolicy::new(ParallelConfig::sequence(8), 256);
-            for &(tokens, n) in &runs {
-                let first = once.choose(&stats(tokens));
-                prop_assert_eq!(once.choose_repeated(&stats(tokens), n), first);
-                for _ in 0..=n {
-                    prop_assert_eq!(each.choose(&stats(tokens)), first);
-                }
-                prop_assert_eq!(once.base_iterations(), each.base_iterations());
-                prop_assert_eq!(once.shift_iterations(), each.shift_iterations());
-                prop_assert_eq!(once.switches(), each.switches());
+            let mut dep = deployment();
+            let (mut iterations, mut switches) = (0, 0);
+            for &(count, input, output, seed) in &runs {
+                let report =
+                    dep.run(&sp_workload::synthetic::poisson(count, 4.0, input, output, seed));
+                iterations += report.iterations();
+                switches += report.switches();
             }
-        }
-
-        #[test]
-        fn iteration_counts_sum(tokens in prop::collection::vec(0u64..2_000, 0..200)) {
-            let p = ShiftPolicy::new(ParallelConfig::sequence(8), 256);
-            for t in &tokens {
-                p.choose(&stats(*t));
-            }
-            prop_assert_eq!(
-                p.base_iterations() + p.shift_iterations(),
-                tokens.len() as u64
-            );
-            prop_assert!(p.switches() < tokens.len().max(1) as u64);
+            let (base_iters, shift_iters, counted) = dep.shift_stats().unwrap();
+            prop_assert_eq!(base_iters + shift_iters, iterations);
+            prop_assert_eq!(counted, switches);
+            prop_assert!(switches < iterations);
         }
     }
 }

@@ -265,11 +265,15 @@ pub struct Engine {
     /// per call. Bit-identical to the direct walk; debug builds assert so
     /// on every evaluation.
     plans: Vec<ExecPlan>,
-    /// Iterations run under each of `plans`' configurations since the
-    /// last [`Engine::take_report`], which writes them into the report's
-    /// config usage: counting by plan index hashes no configuration per
-    /// step.
-    plan_iterations: Vec<u64>,
+    /// Configuration use since the engine was built, counted where the
+    /// policy is asked (see [`Engine::note_plan`]). By plan index, so a
+    /// step hashes no configuration.
+    usage: PlanUsage,
+    /// `usage` as the latest report took it (see
+    /// [`Engine::take_report`]): the next report counts the difference.
+    reported: PlanUsage,
+    /// The plan of the latest iteration, `None` before the first.
+    last_plan: Option<usize>,
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
     slowdown: f64,
@@ -284,6 +288,14 @@ pub struct Engine {
     /// non-uniformly), a run whose retirement shrinks the batch, and
     /// crash salvage — each right after settling the run.
     run_cache: Option<RunCache>,
+}
+
+/// Iterations run under each of an engine's plans, and switches:
+/// iterations whose plan differs from the previous iteration's.
+#[derive(Debug, Clone)]
+struct PlanUsage {
+    iterations: Vec<u64>,
+    switches: u64,
 }
 
 /// A running sequence's contribution to the outstanding-token load
@@ -412,7 +424,7 @@ struct RunCache {
 /// for bit.
 #[derive(Debug, Clone, Copy, Default)]
 struct RunTally {
-    /// Iterations run (also the configuration's usage count).
+    /// Iterations run.
     iterations: u64,
     /// End of the latest iteration (the makespan candidate).
     end: SimTime,
@@ -460,9 +472,8 @@ impl Engine {
         });
         // Price one budget-sized prefill chunk under every registered
         // configuration (one shared fold, one plan evaluation each) and
-        // keep the fastest: the policy's own `choose` is deliberately not
-        // consulted (adaptive policies count iterations, and this
-        // reference pricing is not an iteration).
+        // keep the fastest, whichever the policy would choose: this
+        // reference pricing is not an iteration.
         let prefill_rate = {
             let tokens = config
                 .max_prefill_tokens
@@ -481,6 +492,7 @@ impl Engine {
                 0.0
             }
         };
+        let usage = PlanUsage { iterations: vec![0; plans.len()], switches: 0 };
         Engine {
             exec,
             policy,
@@ -505,7 +517,9 @@ impl Engine {
             queued_input_tokens: 0,
             running_outstanding_tokens: 0,
             running_prefill_tokens: 0,
-            plan_iterations: vec![0; plans.len()],
+            reported: usage.clone(),
+            usage,
+            last_plan: None,
             plans,
             slowdown: 1.0,
             run_cache: None,
@@ -621,14 +635,13 @@ impl Engine {
     /// retirement — happens at the same iteration and in the same order
     /// as that many per-iteration steps would produce; see DESIGN.md
     /// decision 13 for the equivalence argument. The batch stats are
-    /// constant across the run, so the policy is asked once per run
-    /// (a run resumed from its `RunCache` not at all) and the window's
-    /// other iterations are recorded with one
-    /// [`ParallelismPolicy::choose_repeated`], which leaves the policy
-    /// as per-iteration calls would (decision 15). Every iteration is
-    /// priced one way: from the run's closed-form `RunCache`, which also
-    /// holds the run's report totals until they are settled (see
-    /// `Engine::settle_run`).
+    /// constant across the run, so the policy is asked once per run, at
+    /// its capture (a run resumed from its `RunCache` not at all), where
+    /// the engine also counts the switch into the run's plan; each
+    /// window adds its iterations to that plan's count (decision 15).
+    /// Every iteration is priced one way: from the run's closed-form
+    /// `RunCache`, which also holds the run's report totals until they
+    /// are settled (see `Engine::settle_run`).
     ///
     /// Admission is probed where a step would find it changed: at each
     /// iteration boundary where an arrival is due or the clock has
@@ -706,24 +719,26 @@ impl Engine {
         // iterations closer than at capture. Re-entering the same steady
         // batch across many horizon windows is O(1) per window either way.
         debug_assert_eq!(self.finishes.len(), n, "a prefill-free batch is all decodes");
-        let (run, asked) = match self.run_cache {
+        let run = match self.run_cache {
             Some(cache) => {
                 debug_assert_eq!(
                     self.next_finish() - self.epoch,
                     cache.end - cache.base_k,
                     "cached completion bound diverged from the finish heap"
                 );
-                (cache, false)
+                cache
             }
             None => {
                 let (_, attended) = self.decode_aggregates();
                 let limit = (self.next_finish() - self.epoch) as u32;
                 // A run past the closed form's exactness guard goes
-                // through `step_once` — declined before the policy is
-                // asked, since choices are counted.
+                // through `step_once` — declined before the plan is
+                // counted: every captured run runs at least one
+                // iteration.
                 let lin = self.linear_run_summary(n, attended, limit)?;
                 let config = self.policy.choose(&stats);
                 let plan = self.plan_index(&config);
+                self.note_plan(plan);
                 let pricer = self.plans[plan].decode_run_pricer(&lin.s0, lin.d_attn, lin.d_kv_read);
                 let cache = RunCache {
                     base_k: 0,
@@ -737,7 +752,7 @@ impl Engine {
                     tally: RunTally::default(),
                 };
                 self.run_cache = Some(cache);
-                (cache, true)
+                cache
             }
         };
         assert!(run.base_k < run.end, "a consumed run cache implies a retirement drop");
@@ -837,11 +852,7 @@ impl Engine {
         drop(price_span);
         self.clock = clock;
         debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
-        let repeats = done - u32::from(asked);
-        if repeats > 0 {
-            let again = self.policy.choose_repeated(&stats, u64::from(repeats));
-            debug_assert_eq!(again, config, "policy choice changed on constant batch stats");
-        }
+        self.usage.iterations[run.plan] += u64::from(done);
         tally.iterations += u64::from(done);
         tally.end = self.clock;
         let cache = self.run_cache.as_mut().expect("the run's cache is stored");
@@ -906,7 +917,6 @@ impl Engine {
         if tally.seg_count > 0 {
             self.report.observe_tokens_run(tally.seg_t, tokens, tally.seg_count);
         }
-        self.plan_iterations[cache.plan] += tally.iterations;
         self.report.note_kv_utilization(tally.kv_util);
         self.report.note_run(tally.iterations, tally.end, tally.max_iteration);
     }
@@ -1101,7 +1111,7 @@ impl Engine {
     pub fn run(&mut self, trace: &Trace) -> EngineReport {
         self.settle_run();
         self.report = Engine::fresh_report(&self.config);
-        self.plan_iterations.fill(0);
+        self.reported = self.usage.clone();
         self.clock = SimTime::ZERO;
         for &req in trace.requests() {
             self.push_request(req);
@@ -1176,16 +1186,44 @@ impl Engine {
     }
 
     /// Finalizes an incremental run: returns (and resets) the accumulated
-    /// report, with the iterations counted per configuration written into
-    /// its config usage.
+    /// report, with the iterations counted per configuration and the
+    /// switches since the last report written into it.
     pub fn take_report(&mut self) -> EngineReport {
         self.settle_run();
-        for (plan, count) in self.plans.iter().zip(&mut self.plan_iterations) {
-            if *count > 0 {
-                self.report.note_config_usage(plan.config(), std::mem::take(count));
+        let (now, seen) = (&self.usage, &self.reported);
+        for (i, plan) in self.plans.iter().enumerate() {
+            let count = now.iterations[i] - seen.iterations[i];
+            if count > 0 {
+                self.report.note_config_usage(plan.config(), count);
             }
         }
+        self.report.note_switches(now.switches - seen.switches);
+        self.reported = self.usage.clone();
         std::mem::replace(&mut self.report, Engine::fresh_report(&self.config))
+    }
+
+    /// Iterations run under `config` since the engine was built, the
+    /// open run's included.
+    pub fn iterations_under(&self, config: ParallelConfig) -> u64 {
+        let plans = self.plans.iter().zip(&self.usage.iterations);
+        plans.filter(|(plan, _)| plan.config() == config).map(|(_, &n)| n).sum()
+    }
+
+    /// Switches since the engine was built: iterations whose
+    /// configuration differs from the previous iteration's.
+    pub fn switches(&self) -> u64 {
+        self.usage.switches
+    }
+
+    /// Makes `plan` the latest iteration's, counting a switch when it
+    /// differs from the one before. Called where the policy is asked:
+    /// before each step's iteration, and at a run's capture, whose
+    /// iterations all run under one plan.
+    fn note_plan(&mut self, plan: usize) {
+        if self.last_plan.is_some_and(|last| last != plan) {
+            self.usage.switches += 1;
+        }
+        self.last_plan = Some(plan);
     }
 
     /// Rips every unfinished request out of the engine, as a crash would:
@@ -1251,10 +1289,11 @@ impl Engine {
         };
         let config = self.policy.choose(&stats);
         let plan = self.plan_index(&config);
+        self.note_plan(plan);
+        self.usage.iterations[plan] += 1;
         let duration = slowed(self.price_step(plan, &batch), self.slowdown);
         self.clock += duration;
         self.decode_cursor = self.decode_cursor.wrapping_add(1);
-        self.plan_iterations[plan] += 1;
 
         // Apply results at iteration end. The throughput ledger counts
         // client-visible tokens: prompt tokens, emitted output tokens, and

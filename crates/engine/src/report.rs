@@ -31,6 +31,7 @@ pub struct EngineReport {
     recorder: LatencyRecorder,
     iterations: u64,
     config_usage: HashMap<ParallelConfig, u64>,
+    switches: u64,
     rejected: Vec<u64>,
     failed: Vec<FailedRequest>,
     preemptions: u64,
@@ -53,6 +54,7 @@ impl EngineReport {
             recorder: LatencyRecorder::new(throughput_bin),
             iterations: 0,
             config_usage: HashMap::new(),
+            switches: 0,
             rejected: Vec::new(),
             failed: Vec::new(),
             preemptions: 0,
@@ -116,6 +118,12 @@ impl EngineReport {
     /// Counts `count` iterations under `config`.
     pub(crate) fn note_config_usage(&mut self, config: ParallelConfig, count: u64) {
         *self.config_usage.entry(config).or_default() += count;
+    }
+
+    /// Counts `count` switches between consecutive iterations'
+    /// configurations.
+    pub(crate) fn note_switches(&mut self, count: u64) {
+        self.switches += count;
     }
 
     pub(crate) fn observe_tokens_run(&mut self, t: SimTime, per_event: f64, count: u64) {
@@ -186,6 +194,12 @@ impl EngineReport {
     /// shift policy's switching behaviour is visible here.
     pub fn config_usage(&self) -> &HashMap<ParallelConfig, u64> {
         &self.config_usage
+    }
+
+    /// Configuration switches: iterations whose configuration differs
+    /// from the one their engine ran before, summed over engines.
+    pub fn switches(&self) -> u64 {
+        self.switches
     }
 
     /// Requests rejected because they could never fit the KV cache.
@@ -273,7 +287,7 @@ impl EngineReport {
     /// line per surface: iterations, routing decisions, records,
     /// failures, rejects, the fleet timeline (`timeline:`), request
     /// faults and fleet fault counters, the per-iteration timeline,
-    /// config usage, makespan, longest iteration, peak KV, the
+    /// config usage, switches, makespan, longest iteration, peak KV, the
     /// preemption/shed/deferral counters, latency aggregates and
     /// throughput bins.
     ///
@@ -305,6 +319,7 @@ impl EngineReport {
             ),
             format!("iteration_timeline: {:?}", self.timeline),
             format!("config_usage: {usage:?}"),
+            format!("switches: {}", self.switches),
             format!("makespan: {:?}", self.makespan.as_secs()),
             format!("max_iteration: {:?}", self.max_iteration.as_secs()),
             format!("peak_kv: {:?}", self.peak_kv_utilization),
@@ -326,10 +341,10 @@ impl EngineReport {
     }
 
     /// Merges one node's report into a cluster's (for data-parallel
-    /// clusters). Iteration counts and config usage add; the makespan
-    /// takes the maximum. A node's report carries no routing trail or
-    /// fleet timeline: the cluster attaches its own after merging
-    /// (debug builds check that `other` has neither).
+    /// clusters). Iteration counts, config usage and switches add; the
+    /// makespan takes the maximum. A node's report carries no routing
+    /// trail or fleet timeline: the cluster attaches its own after
+    /// merging (debug builds check that `other` has neither).
     pub fn merge(&mut self, other: EngineReport) {
         debug_assert!(
             other.routing.is_empty() && other.fleet == FleetTimeline::default(),
@@ -349,6 +364,7 @@ impl EngineReport {
         for (cfg, n) in other.config_usage {
             *self.config_usage.entry(cfg).or_default() += n;
         }
+        self.switches += other.switches;
         self.rejected.extend(other.rejected);
         self.failed.extend(other.failed);
         self.preemptions += other.preemptions;

@@ -96,8 +96,7 @@ proptest! {
     fn cluster_runs_are_deterministic(sized in arb_trace(&[100_000]), n in 1usize..4) {
         let (kv, trace) = sized;
         let run = || {
-            let (mut sim, _) = Cluster::dp(n, config(kv)).sim(false, FastPaths::default());
-            sim.run(&trace).dump()
+            Cluster::dp(n, config(kv)).sim(false, FastPaths::default()).run(&trace).dump()
         };
         assert_dumps_eq(&run(), &run(), "rerun");
     }

@@ -75,10 +75,9 @@ proptest! {
     }
 
     /// The same equivalence on Shift engines: a macro-step asks the
-    /// policy once and records the rest of the run as repeated choices,
-    /// so besides the report the policy's `(base, shift, switches)`
-    /// counters must equal the per-iteration engine's, which asks once
-    /// per iteration.
+    /// policy once per run and counts its switch at capture, so the
+    /// report's config usage and switch count must equal the
+    /// per-iteration engine's, which asks once per iteration.
     #[test]
     fn fastforward_shift_engine_matches_per_iteration(
         sized in arb_trace(&[30_000, 200_000]),
@@ -86,14 +85,40 @@ proptest! {
     ) {
         let (kv, trace) = sized;
         let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(kv) };
-        let run = |paths| {
-            let (mut engine, policy) = shift_engine(config, paths);
-            (engine.run(&trace).dump(), shift_counts(&[policy]))
-        };
-        let (fast, fast_counts) = run(FastPaths::MacroSteps);
-        let (slow, slow_counts) = run(FastPaths::Compiled);
-        assert_dumps_eq(&fast, &slow, "fast-forward vs the per-iteration Shift engine");
-        prop_assert_eq!(fast_counts, slow_counts);
+        let run = |paths| shift_engine(config, paths).run(&trace).dump();
+        assert_dumps_eq(
+            &run(FastPaths::MacroSteps),
+            &run(FastPaths::Compiled),
+            "fast-forward vs the per-iteration Shift engine",
+        );
+    }
+
+    /// The engine's configuration counts against its own timeline, on
+    /// every rung: a fresh Shift engine's switch count is the number of
+    /// adjacent timeline events under different configurations, and
+    /// its config usage is the timeline's count of events under each.
+    /// The rung comparisons above only check rungs against each other,
+    /// so a count every rung gets wrong the same way fails here alone.
+    #[test]
+    fn switch_count_matches_the_timeline_on_every_rung(
+        sized in arb_trace(&[30_000, 200_000]),
+        use_slo in any::<bool>(),
+    ) {
+        let (kv, trace) = sized;
+        let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(kv) };
+        for paths in
+            [FastPaths::Reference, FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps]
+        {
+            let report = shift_engine(config, paths).run(&trace);
+            let timeline = report.timeline().expect("timeline capture is on");
+            let switches = timeline.windows(2).filter(|w| w[0].config != w[1].config).count();
+            prop_assert_eq!(report.switches(), switches as u64, "switches on {:?}", paths);
+            let mut usage = std::collections::HashMap::new();
+            for event in timeline {
+                *usage.entry(event.config).or_insert(0u64) += 1;
+            }
+            prop_assert_eq!(report.config_usage(), &usage, "config usage on {:?}", paths);
+        }
     }
 
     /// Cluster-level equivalence, no faults, on fleets of 1 to 5
@@ -112,8 +137,8 @@ proptest! {
     }
 
     /// Cluster-level equivalence on Shift engines, whose macro-steps ask
-    /// the policy once per run: reports and every replica's shift-policy
-    /// counters match the reference loop, which asks once per iteration.
+    /// the policy once per run: reports, switch counts included, match
+    /// the reference loop, which asks once per iteration.
     #[test]
     fn fastforward_shift_cluster_matches_per_iteration(
         sized in arb_trace(&[30_000, 200_000]),
@@ -228,8 +253,8 @@ proptest! {
     /// `Reference` rung, under [`arb_step_config`]'s knobs: steps that
     /// price their decodes as a closed-form lead and steps that build a
     /// chunk per sequence must report the same, bit for bit. Shift
-    /// engines price each step under one of two plans, and their policy
-    /// counters must match too. Each rung takes over from the
+    /// engines price each step under one of two plans, and their switch
+    /// counts must match too. Each rung takes over from the
     /// `Reference` rung after `handoff` steps, whose decodes advance
     /// unevenly, a chunk per sequence. With `equal_outputs`, sequences
     /// whose prefills land together finish on the same iteration, and
@@ -251,12 +276,8 @@ proptest! {
             trace
         };
         let run = |paths| {
-            let (mut engine, counts) = if shift {
-                let (engine, policy) = shift_engine(config, FastPaths::Reference);
-                (engine, Some(policy))
-            } else {
-                (dp_engine(config, FastPaths::Reference), None)
-            };
+            let engine = if shift { shift_engine } else { dp_engine };
+            let mut engine = engine(config, FastPaths::Reference);
             for &req in trace.requests() {
                 engine.push_request(req);
             }
@@ -269,14 +290,12 @@ proptest! {
                     engine.step_once();
                 }
             }
-            let counts = counts.map_or_else(Vec::new, |policy| shift_counts(&[policy]));
-            (engine.take_report().dump(), counts)
+            engine.take_report().dump()
         };
-        let (want, want_counts) = run(FastPaths::Reference);
+        let want = run(FastPaths::Reference);
         for paths in [FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps] {
-            let (got, counts) = run(paths);
+            let got = run(paths);
             assert_dumps_eq(&got, &want, &format!("the {paths:?} engine vs the Reference engine"));
-            prop_assert_eq!(&counts, &want_counts);
         }
     }
 }
@@ -470,7 +489,7 @@ fn assert_window_cuts_invisible<N: SimNode>(
         step_window(&mut cut, cap, true);
         step_window(&mut whole, cap, false);
         assert_eq!(cut.load(), whole.load(), "load after the window capped at {cap}");
-        assert_eq!(stats(&cut), stats(&whole), "policy counters after the window capped at {cap}");
+        assert_eq!(stats(&cut), stats(&whole), "shift counts after the window capped at {cap}");
     }
     assert_dumps_eq(
         &cut.take_report().dump(),
@@ -508,9 +527,9 @@ proptest! {
         assert_window_cuts_invisible(engine(), engine(), &trace, &gaps, salvage_at, |_| None);
     }
 
-    /// The same on a Shift `Deployment`, whose policy counters
+    /// The same on a Shift `Deployment`, whose configuration counts
     /// (`shift_stats`) must also match after every window: a cut run
-    /// records its window's repeated choices before it returns.
+    /// counts its window's iterations before it returns.
     #[test]
     fn window_cuts_leave_a_shift_deployment_unchanged(
         sized in arb_trace(&[30_000]),

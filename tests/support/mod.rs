@@ -18,8 +18,6 @@
 use proptest::prelude::*;
 use shift_parallelism::engine::FastPaths;
 use shift_parallelism::prelude::*;
-use sp_parallel::BatchStats;
-use std::sync::Arc;
 
 /// Every rung of the optimization ladder, slowest first.
 const RUNGS: [FastPaths; 4] =
@@ -158,43 +156,16 @@ pub fn dp_engine(config: EngineConfig, paths: FastPaths) -> Engine {
     e
 }
 
-/// A `ShiftPolicy` the test keeps a handle on, so its counters can be
-/// read after the run. Forwards `choose_repeated`, so the policy's own
-/// O(1) override is what macro-steps exercise.
-#[derive(Debug)]
-pub struct SharedShift(pub Arc<ShiftPolicy>);
-
-impl ParallelismPolicy for SharedShift {
-    fn choose(&self, stats: &BatchStats) -> ParallelConfig {
-        self.0.choose(stats)
-    }
-    fn choose_repeated(&self, stats: &BatchStats, n: u64) -> ParallelConfig {
-        self.0.choose_repeated(stats, n)
-    }
-    fn configurations(&self) -> Vec<ParallelConfig> {
-        self.0.configurations()
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-}
-
 /// A Qwen-32B engine on an 8-GPU node under Shift Parallelism, on the
-/// given rung, and a handle on its policy.
-pub fn shift_engine(config: EngineConfig, paths: FastPaths) -> (Engine, Arc<ShiftPolicy>) {
-    let policy = Arc::new(ShiftPolicy::with_default_threshold(ParallelConfig::sequence(8)));
+/// given rung.
+pub fn shift_engine(config: EngineConfig, paths: FastPaths) -> Engine {
     let mut engine = Engine::new(
         ExecutionModel::new(NodeSpec::p5en_48xlarge(), presets::qwen_32b()),
-        Box::new(SharedShift(Arc::clone(&policy))),
+        Box::new(ShiftPolicy::with_default_threshold(ParallelConfig::sequence(8))),
         config,
     );
     engine.set_fast_paths(paths);
-    (engine, policy)
-}
-
-/// Each policy's `(base, shift, switches)` counters.
-pub fn shift_counts(policies: &[Arc<ShiftPolicy>]) -> Vec<(u64, u64, u64)> {
-    policies.iter().map(|p| (p.base_iterations(), p.shift_iterations(), p.switches())).collect()
+    engine
 }
 
 /// Load-band autoscaling between 1 and 4 replicas.
@@ -224,14 +195,10 @@ impl Cluster {
         Cluster { n, config, shift: false, faults: None, scaling: None }
     }
 
-    /// The engines on `paths`, and handles on their Shift policies
-    /// (none for DP replicas).
-    fn nodes(&self, paths: FastPaths) -> (Vec<Engine>, Vec<Arc<ShiftPolicy>>) {
-        if self.shift {
-            (0..self.n).map(|_| shift_engine(self.config, paths)).unzip()
-        } else {
-            ((0..self.n).map(|_| dp_engine(self.config, paths)).collect(), Vec::new())
-        }
+    /// The engines on `paths`.
+    fn nodes(&self, paths: FastPaths) -> Vec<Engine> {
+        let engine = if self.shift { shift_engine } else { dp_engine };
+        (0..self.n).map(|_| engine(self.config, paths)).collect()
     }
 
     fn scaler(&self, paths: FastPaths) -> Option<Autoscaler<Engine>> {
@@ -254,8 +221,8 @@ impl Cluster {
     /// The cluster over engines on `paths`: the one-event spec loop
     /// (`ClusterSim::reference`) when `spec`, else the horizon-window
     /// loop.
-    pub fn sim(&self, spec: bool, paths: FastPaths) -> (ClusterSim<Engine>, Vec<Arc<ShiftPolicy>>) {
-        let (nodes, policies) = self.nodes(paths);
+    pub fn sim(&self, spec: bool, paths: FastPaths) -> ClusterSim<Engine> {
+        let nodes = self.nodes(paths);
         let policy = RoutingKind::JoinShortestOutstanding.policy();
         let mut sim = if spec {
             ClusterSim::reference(nodes, policy)
@@ -268,7 +235,7 @@ impl Cluster {
         if let Some((plan, retry)) = &self.faults {
             sim = sim.with_faults(plan.clone(), *retry);
         }
-        (sim, policies)
+        sim
     }
 }
 
@@ -314,8 +281,7 @@ pub fn assert_conserved(report: &EngineReport, trace: &Trace, what: &str) {
 /// Asserts that windowed `ClusterSim` runs of `cluster` reproduce the
 /// executable spec, the reference loop over `Reference`-rung engines:
 /// every rung at width 1, and the default `MacroSteps` rung at every
-/// width in [`WIDTHS`]. Each run must match the spec's dump and, on
-/// Shift engines, every replica's policy counters.
+/// width in [`WIDTHS`]. Each run must match the spec's dump.
 pub fn assert_rungs_match(cluster: &Cluster, trace: &Trace) {
     let widened = WIDTHS[1..].iter().map(|&w| (FastPaths::MacroSteps, w));
     let runs = RUNGS.iter().map(|&p| (p, 1)).chain(widened);
@@ -333,24 +299,21 @@ pub fn assert_widths_match(cluster: &Cluster, trace: &Trace) {
 
 /// Runs the reference loop over engines on `spec_paths`, then each
 /// `(rung, width)` windowed run, and asserts each matches the spec's
-/// dump and, on Shift engines, every replica's policy counters.
+/// dump.
 fn assert_windows_match(
     cluster: &Cluster,
     trace: &Trace,
     spec_paths: FastPaths,
     runs: impl Iterator<Item = (FastPaths, usize)>,
 ) {
-    let (mut spec_sim, spec_policies) = cluster.sim(true, spec_paths);
-    let spec_report = spec_sim.run(trace);
+    let spec_report = cluster.sim(true, spec_paths).run(trace);
     assert_conserved(&spec_report, trace, &format!("the {spec_paths:?}-rung reference loop"));
     let spec = spec_report.dump();
-    let spec_counts = shift_counts(&spec_policies);
     for (paths, width) in runs {
-        let (sim, policies) = cluster.sim(false, paths);
+        let sim = cluster.sim(false, paths);
         let what =
             format!("{paths:?} windows at width {width} vs the {spec_paths:?}-rung reference loop");
         assert_dumps_eq(&sim.with_threads(width).run(trace).dump(), &spec, &what);
-        assert_eq!(shift_counts(&policies), spec_counts, "{what}: policy counters");
     }
 }
 
@@ -360,8 +323,8 @@ fn assert_windows_match(
 /// instants must agree bit-for-bit before every step, and their final
 /// dumps must match.
 pub fn assert_lockstep(cluster: &Cluster, trace: &Trace, steps_between: &[usize]) {
-    let (mut windowed, policies) = cluster.sim(false, FastPaths::MacroSteps);
-    let (mut spec, spec_policies) = cluster.sim(true, FastPaths::Reference);
+    let mut windowed = cluster.sim(false, FastPaths::MacroSteps);
+    let mut spec = cluster.sim(true, FastPaths::Reference);
     let step = |windowed: &mut ClusterSim<Engine>, spec: &mut ClusterSim<Engine>| {
         let bits = |t: Option<SimTime>| t.map(|t| t.as_secs().to_bits());
         assert_eq!(
@@ -389,5 +352,4 @@ pub fn assert_lockstep(cluster: &Cluster, trace: &Trace, steps_between: &[usize]
     let spec_report = spec.take_report();
     assert_conserved(&spec_report, trace, what);
     assert_dumps_eq(&windowed.take_report().dump(), &spec_report.dump(), what);
-    assert_eq!(shift_counts(&policies), shift_counts(&spec_policies), "{what}: policy counters");
 }
