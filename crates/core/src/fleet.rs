@@ -166,16 +166,22 @@ mod tests {
     #[test]
     fn repeated_runs_repeat_their_reports() {
         // A second run must start from rewound clocks, not from where
-        // the first run's nodes stopped.
-        let mut fleet = Fleet::new(2, || {
-            Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b())
-                .kind(DeploymentKind::TensorParallel)
-        })
-        .unwrap();
-        let trace = synthetic::poisson(20, 4.0, 1024, 16, 7);
-        let first = fleet.run(&trace);
-        assert_eq!(first.records().len(), 20);
-        assert_eq!(fleet.run(&trace).dump(), first.dump());
+        // the first run's nodes stopped; on Shift nodes, not from the
+        // configuration the first run ended in either (it ends decoding
+        // under shift and starts prefilling under the base).
+        for kind in [DeploymentKind::TensorParallel, DeploymentKind::Shift] {
+            let mut fleet = Fleet::new(2, || {
+                Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b()).kind(kind)
+            })
+            .unwrap();
+            let trace = synthetic::poisson(20, 4.0, 1024, 16, 7);
+            let first = fleet.run(&trace);
+            assert_eq!(first.records().len(), 20);
+            assert_eq!(fleet.run(&trace).dump(), first.dump(), "{kind:?}");
+            if kind == DeploymentKind::Shift {
+                assert!(first.switches() > 0, "both configurations must run");
+            }
+        }
     }
 
     #[test]

@@ -272,7 +272,8 @@ pub struct Engine {
     /// `usage` as the latest report took it (see
     /// [`Engine::take_report`]): the next report counts the difference.
     reported: PlanUsage,
-    /// The plan of the latest iteration, `None` before the first.
+    /// The plan of the latest iteration, `None` before a run's first
+    /// (each [`Engine::run`] starts without one).
     last_plan: Option<usize>,
     /// Fault-injection slowdown multiplier on iteration durations
     /// (1.0 = healthy), applied to the healthy-hardware price.
@@ -1112,6 +1113,8 @@ impl Engine {
         self.settle_run();
         self.report = Engine::fresh_report(&self.config);
         self.reported = self.usage.clone();
+        // A run from time zero has no previous iteration to switch from.
+        self.last_plan = None;
         self.clock = SimTime::ZERO;
         for &req in trace.requests() {
             self.push_request(req);
@@ -1210,7 +1213,8 @@ impl Engine {
     }
 
     /// Switches since the engine was built: iterations whose
-    /// configuration differs from the previous iteration's.
+    /// configuration differs from the previous iteration's in the same
+    /// run (a run's first iteration never switches).
     pub fn switches(&self) -> u64 {
         self.usage.switches
     }

@@ -94,9 +94,11 @@ proptest! {
     }
 
     /// The engine's configuration counts against its own timeline, on
-    /// every rung: a fresh Shift engine's switch count is the number of
+    /// every rung: a Shift engine's switch count is the number of
     /// adjacent timeline events under different configurations, and
     /// its config usage is the timeline's count of events under each.
+    /// The engine runs the trace twice, so the second report checks
+    /// that a run from time zero carries no switch from the run before.
     /// The rung comparisons above only check rungs against each other,
     /// so a count every rung gets wrong the same way fails here alone.
     #[test]
@@ -109,15 +111,23 @@ proptest! {
         for paths in
             [FastPaths::Reference, FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps]
         {
-            let report = shift_engine(config, paths).run(&trace);
-            let timeline = report.timeline().expect("timeline capture is on");
-            let switches = timeline.windows(2).filter(|w| w[0].config != w[1].config).count();
-            prop_assert_eq!(report.switches(), switches as u64, "switches on {:?}", paths);
-            let mut usage = std::collections::HashMap::new();
-            for event in timeline {
-                *usage.entry(event.config).or_insert(0u64) += 1;
+            let mut engine = shift_engine(config, paths);
+            for run in [1, 2] {
+                let report = engine.run(&trace);
+                let timeline = report.timeline().expect("timeline capture is on");
+                let switches =
+                    timeline.windows(2).filter(|w| w[0].config != w[1].config).count();
+                prop_assert_eq!(
+                    report.switches(), switches as u64, "switches on {:?}, run {}", paths, run
+                );
+                let mut usage = std::collections::HashMap::new();
+                for event in timeline {
+                    *usage.entry(event.config).or_insert(0u64) += 1;
+                }
+                prop_assert_eq!(
+                    report.config_usage(), &usage, "config usage on {:?}, run {}", paths, run
+                );
             }
-            prop_assert_eq!(report.config_usage(), &usage, "config usage on {:?}", paths);
         }
     }
 
