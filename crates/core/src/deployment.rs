@@ -414,7 +414,8 @@ impl Deployment {
 
     /// For shift deployments: `(base_iterations, shift_iterations,
     /// switches)` since the deployment was built, as its engine counts
-    /// them (an open decode run's iterations included).
+    /// them (an open decode run's iterations included): the sums of its
+    /// runs' reports, since no switch spans two runs.
     pub fn shift_stats(&self) -> Option<(u64, u64, u64)> {
         let policy = self.shift_policy?;
         let engine = self.engine();
