@@ -10,7 +10,11 @@
 //!   across iterations under a blocked wait queue. The `simperf`
 //!   `dp_chunked_kv_bound` ladder runs it at 64 replicas and the
 //!   `determinism` bin at 16.
+//! * The **Shift drain fleet**: Qwen-32B Shift engines draining one
+//!   deep burst, first under the base configuration, then under the
+//!   shift configuration. The `determinism` bin runs it at 4 replicas.
 
+use shift_core::{Deployment, ShiftPolicy};
 use sp_cluster::{GpuSpec, InterconnectSpec, NodeSpec};
 use sp_engine::{
     AdmissionMode, AutoscaleConfig, Autoscaler, ClusterSim, Engine, EngineConfig, EngineReport,
@@ -18,6 +22,7 @@ use sp_engine::{
 };
 use sp_metrics::{ClassSlo, Dur, Quantiles, RequestClass};
 use sp_model::presets;
+use sp_parallel::memory::DEFAULT_MEM_FRACTION;
 use sp_parallel::{ExecutionModel, ParallelConfig, StaticPolicy};
 use sp_workload::bursty::BurstyConfig;
 use sp_workload::sizes::LengthDist;
@@ -167,6 +172,45 @@ pub fn chunked_kv_bound_trace(replicas: usize, short: bool) -> Trace {
         burst_input: LengthDist::LogNormal { median: 6000.0, sigma: 0.3 },
         burst_output: LengthDist::LogNormal { median: out_median, sigma: 0.2 },
         seed: 0x5A_FE_5A,
+    }
+    .generate()
+}
+
+/// Decoding sequences a Shift drain replica holds at the burst's peak:
+/// more than the Shift policy's default threshold of 256 tokens, so a
+/// full decode batch runs under the base configuration and the drain
+/// crosses to the shift configuration as sequences finish.
+const SHIFT_DRAIN_DEPTH: usize = 384;
+
+/// One replica of the Shift drain fleet: Qwen-32B on an 8-GPU node
+/// under Shift Parallelism from its automatic base configuration, with
+/// room for the whole burst in one batch (512 sequences).
+pub fn shift_drain_engine() -> Engine {
+    let (node, model) = (NodeSpec::p5en_48xlarge(), presets::qwen_32b());
+    let base = Deployment::auto_base(&node, &model, DEFAULT_MEM_FRACTION)
+        .expect("Qwen-32B lays out on an 8-GPU node");
+    Engine::new(
+        ExecutionModel::new(node, model),
+        Box::new(ShiftPolicy::with_default_threshold(base)),
+        EngineConfig { max_seqs: 512, ..EngineConfig::default() },
+    )
+}
+
+/// The Shift drain trace for `replicas` replicas: a light stream plus
+/// one 0.25 s burst of 384 requests per replica, whose outputs
+/// (median 300 tokens) finish over a spread of iterations.
+pub fn shift_drain_trace(replicas: usize) -> Trace {
+    BurstyConfig {
+        duration: Dur::from_secs(2.0),
+        base_rate: 0.5 * replicas as f64,
+        bursts: 1,
+        burst_size: SHIFT_DRAIN_DEPTH * replicas,
+        burst_window: Dur::from_secs(0.25),
+        base_input: LengthDist::LogNormal { median: 150.0, sigma: 0.4 },
+        base_output: LengthDist::LogNormal { median: 200.0, sigma: 0.4 },
+        burst_input: LengthDist::LogNormal { median: 200.0, sigma: 0.3 },
+        burst_output: LengthDist::LogNormal { median: 300.0, sigma: 0.3 },
+        seed: 0x5D_12A1,
     }
     .generate()
 }

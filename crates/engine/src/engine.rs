@@ -276,8 +276,15 @@ pub struct Engine {
     /// (each [`Engine::run`] starts without one).
     last_plan: Option<usize>,
     /// Fault-injection slowdown multiplier on iteration durations
-    /// (1.0 = healthy), applied to the healthy-hardware price.
+    /// (1.0 = healthy), applied to the healthy-hardware price: a product
+    /// by 1.0 is exact, so a healthy price passes unchanged.
     slowdown: f64,
+    /// The throughput bin the latest run iteration ended in, and its
+    /// upper edge (see [`bin_edge`]) or a lower bound of it. The clock
+    /// only moves forward until [`Engine::run`] restarts it, so any
+    /// later iteration ending before the edge lies in the same bin:
+    /// runs divide only at an edge. `(0, 0.0)` makes the next divide.
+    run_bin: (usize, f64),
     /// Cross-window continuation of the decode-run linear summary (see
     /// [`RunCache`]). Horizon-parallel windows are cut at every cluster
     /// coordination point (arrival dispatches, fault timers), so a
@@ -328,16 +335,6 @@ fn complete(kv: &mut KvCacheManager, report: &mut EngineReport, clock: SimTime, 
 fn capped(t: SimTime, cap: Option<f64>) -> bool {
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
     cap.is_some_and(|c| !(t.as_secs() < c))
-}
-
-/// Scales a healthy-hardware price by the fault-injection `slowdown`.
-#[inline]
-fn slowed(base: Dur, slowdown: f64) -> Dur {
-    if slowdown == 1.0 {
-        base
-    } else {
-        base * slowdown
-    }
 }
 
 /// Closed-form pricing input for a decode run (see
@@ -435,13 +432,8 @@ struct RunTally {
     /// cached no reservation changes (anything that reserves or
     /// releases settles first), so the sample holds for every window.
     kv_util: f64,
-    /// Throughput bin of the open segment.
-    seg_bin: usize,
-    /// Upper edge of `seg_bin` (see [`bin_edge`]), or a lower bound of
-    /// it: an iteration ending before it stays in `seg_bin`. The default
-    /// 0.0 makes the next iteration divide.
-    seg_edge: f64,
-    /// Iterations in the open segment, each of the batch's token count.
+    /// Iterations in the open segment (in bin `Engine::run_bin`), each
+    /// of the batch's token count.
     seg_count: u64,
     /// End of the open segment's latest iteration.
     seg_t: SimTime,
@@ -523,6 +515,7 @@ impl Engine {
             last_plan: None,
             plans,
             slowdown: 1.0,
+            run_bin: (0, 0.0),
             run_cache: None,
         }
     }
@@ -653,10 +646,10 @@ impl Engine {
     /// checks the first step of the admission scan — and, when admission
     /// is still impossible, keeps going (decision 14).
     ///
-    /// A pure-decode iteration costs one division: within a proven
-    /// memory-bound stretch the attention kernel is priced by its memory
-    /// term alone, and the throughput bin is recomputed only when the
-    /// clock reaches the open bin's edge (decision 13).
+    /// A pure-decode iteration costs one division and one compare: in a
+    /// proven memory-bound stretch the attention kernel is priced by its
+    /// memory term alone, and the stop rules and the throughput bin are
+    /// only visited where the clock reaches a boundary (decision 13).
     ///
     /// `cap` is the caller's window bound: the run stops before any
     /// iteration whose event instant is not strictly below it, exactly
@@ -694,7 +687,7 @@ impl Engine {
         // The verdict is taken out, so any early return leaves the next
         // window to probe.
         let proof = self.run_cache.as_mut().and_then(|cache| cache.verdict.take());
-        let mut admit_bound = match proof {
+        let admit_bound = match proof {
             Some(bound)
                 if self.next_arrival_secs() > self.clock.as_secs()
                     && !bound.is_some_and(|b| self.clock > b) =>
@@ -720,7 +713,7 @@ impl Engine {
         // iterations closer than at capture. Re-entering the same steady
         // batch across many horizon windows is O(1) per window either way.
         debug_assert_eq!(self.finishes.len(), n, "a prefill-free batch is all decodes");
-        let run = match self.run_cache {
+        let mut run = match self.run_cache {
             Some(cache) => {
                 debug_assert_eq!(
                     self.next_finish() - self.epoch,
@@ -757,117 +750,27 @@ impl Engine {
             }
         };
         assert!(run.base_k < run.end, "a consumed run cache implies a retirement drop");
-        let run_limit = (run.end - run.base_k).min(u64::from(u32::MAX)) as u32;
-        let config = run.config;
-        let pricer = run.pricer;
-        let mut tally = run.tally;
-        let bin_w = self.config.throughput_bin.as_secs();
-        let timeline = self.report.timeline_enabled();
-        if tally.iterations == 0 {
-            tally.kv_util = self.kv.utilization();
+        if run.tally.iterations == 0 {
+            run.tally.kv_util = self.kv.utilization();
         }
-        debug_assert_eq!(tally.kv_util, self.kv.utilization(), "KV changed inside a run");
-        let kv_util = tally.kv_util;
+        debug_assert_eq!(run.tally.kv_util, self.kv.utilization(), "KV changed inside a run");
         // One proof covers the rest of the run: if the kernel is memory
         // bound at both ends of it, every iteration is priced by its
         // memory term alone.
-        let memory_bound = run.memory_bound || pricer.memory_bound(run.base_k, run.end - 1);
-        // The loop's state lives in locals, so an iteration calls
-        // nothing out of line; the clock is written back before any
-        // probe (which reads it) and after the loop.
-        let slowdown = self.slowdown;
-        let mut clock = self.clock;
-        let mut next_arrival = self.next_arrival_secs();
-        let mut lapse = admit_bound.map_or(f64::INFINITY, SimTime::as_secs);
-        let mut admissible = false;
-        let mut last_t = SimTime::ZERO;
-        let mut done = 0u32;
-
+        run.memory_bound = run.memory_bound || run.pricer.memory_bound(run.base_k, run.end - 1);
         let price_span = sp_core::profile::start(sp_core::profile::Phase::Pricing);
-        for k in 0..run_limit {
-            let t = clock;
-            if k > 0 {
-                if capped(t, cap) {
-                    break;
-                }
-                if next_arrival <= t.as_secs() || t.as_secs() > lapse {
-                    self.clock = clock;
-                    let Some(bound) = self.probe_admission() else {
-                        admissible = true;
-                        break; // this step admits, rejects or sheds
-                    };
-                    admit_bound = bound;
-                    lapse = bound.map_or(f64::INFINITY, SimTime::as_secs);
-                    next_arrival = self.next_arrival_secs();
-                } else {
-                    #[cfg(debug_assertions)]
-                    {
-                        self.clock = clock;
-                        self.check_verdict(admit_bound);
-                    }
-                }
-            }
-            let i = run.base_k + u64::from(k);
-            let base = if memory_bound { pricer.price_memory_bound(i) } else { pricer.price(i) };
-            #[cfg(debug_assertions)]
-            self.check_linear_price(&config, k, base);
-            let duration = slowed(base, slowdown);
-            clock += duration;
-            tally.max_iteration = tally.max_iteration.max(duration);
-            last_t = t;
-            done = k + 1;
-
-            // Throughput segment: iterations sharing a bin flush
-            // closed-form; the open segment stays in the tally. The
-            // clock only moves forward, so the bin can change only once
-            // it reaches the open bin's edge: only then does it divide.
-            if clock.as_secs() >= tally.seg_edge {
-                let idx = bin_index(clock.as_secs(), bin_w);
-                if idx != tally.seg_bin {
-                    if tally.seg_count > 0 {
-                        self.report.observe_tokens_run(tally.seg_t, n as f64, tally.seg_count);
-                    }
-                    tally.seg_bin = idx;
-                    tally.seg_count = 0;
-                }
-                tally.seg_edge = bin_edge(idx, bin_w).unwrap_or(f64::INFINITY);
-            }
-            debug_assert_eq!(
-                bin_index(clock.as_secs(), bin_w),
-                tally.seg_bin,
-                "an iteration before the bin edge left the bin"
-            );
-            tally.seg_count += 1;
-            tally.seg_t = clock;
-            if timeline {
-                self.report.note_event(crate::report::IterationEvent {
-                    end: clock,
-                    duration,
-                    config,
-                    tokens: n as u64,
-                    num_seqs: n,
-                    kv_utilization: kv_util,
-                });
-            }
-        }
+        let advance = if run.memory_bound {
+            self.run_span(&run, cap, admit_bound, DecodeRunPricer::price_memory_bound)
+        } else {
+            self.run_span(&run, cap, admit_bound, DecodeRunPricer::price)
+        };
         drop(price_span);
-        self.clock = clock;
-        debug_assert!(done >= 1, "iteration 0 passed the stop rules above");
-        self.usage.iterations[run.plan] += u64::from(done);
-        tally.iterations += u64::from(done);
-        tally.end = self.clock;
-        let cache = self.run_cache.as_mut().expect("the run's cache is stored");
-        cache.base_k += u64::from(done);
-        cache.tally = tally;
-        // A run stopped by a probe that found admission possible leaves
-        // no proof behind: the next window probes again.
-        cache.verdict = (!admissible).then_some(admit_bound);
-        cache.memory_bound = memory_bound;
+        let done = advance.events;
 
         // Apply the run to the O(1) scheduler state: every sequence
         // emitted one token per iteration, which the epoch counts.
-        self.epoch += u64::from(done);
-        self.running_outstanding_tokens -= n as u64 * u64::from(done);
+        self.epoch += done;
+        self.running_outstanding_tokens -= n as u64 * done;
         self.decode_cursor = self.decode_cursor.wrapping_add(done as usize);
 
         // Retire finished sequences exactly as the per-iteration step
@@ -876,7 +779,7 @@ impl Engine {
         // path), settling the run first: retirement ends the run. A
         // window cut before the earliest-completion bound cannot have
         // finished anything, so it touches no sequence at all.
-        if done == run_limit {
+        if done == run.end - run.base_k {
             self.settle_run();
             self.retire_finished();
         } else {
@@ -886,8 +789,140 @@ impl Engine {
         if self.running.len() != n {
             self.run_cache = None;
         }
+        Some(advance)
+    }
 
-        Some(crate::routing::RunAdvance { events: u64::from(done), last: last_t })
+    /// Advances `run` through one window, each iteration priced by
+    /// `price` (one loop in source, compiled once per pricer), and
+    /// writes the clock, the plan's count and the run's progress back.
+    ///
+    /// An iteration prices, advances the clock and compares it once,
+    /// against `boundary`: the least clock at which a stop rule fires.
+    /// The cap (`!(t < cap)`), a due arrival (`next <= t`), the lapse
+    /// (`t > lapse`) and the bin edge (`t >= edge`) are each monotone in
+    /// the clock, so each fires from a threshold on (decision 13). At
+    /// the boundary a cold branch applies them as written and counts
+    /// the open segment's iterations since `seg_from`.
+    fn run_span(
+        &mut self,
+        run: &RunCache,
+        cap: Option<f64>,
+        mut admit_bound: Option<SimTime>,
+        price: impl Fn(&DecodeRunPricer, u64) -> Dur,
+    ) -> crate::routing::RunAdvance {
+        let limit = run.end - run.base_k;
+        let n = run.seqs;
+        let mut tally = run.tally;
+        let bin_w = self.config.throughput_bin.as_secs();
+        let timeline = self.report.timeline_enabled();
+        let slowdown = self.slowdown;
+        // The boundary's fixed part: the cap, or −∞ (every iteration is
+        // a boundary) with the timeline on. A NaN cap never gets here:
+        // `step_run` stops before the first iteration under it.
+        let fixed = if timeline { f64::NEG_INFINITY } else { cap.unwrap_or(f64::INFINITY) };
+        let boundary_at =
+            |arrival: f64, lapse: f64, edge: f64| fixed.min(arrival).min(lapse.next_up()).min(edge);
+        // The loop's state lives in locals, so an iteration calls
+        // nothing out of line; the clock is written back before any
+        // probe (which reads it) and after the loop.
+        let mut clock = self.clock;
+        let mut next_arrival = self.next_arrival_secs();
+        let mut lapse = admit_bound.map_or(f64::INFINITY, SimTime::as_secs);
+        let (mut seg_bin, mut seg_edge) = self.run_bin;
+        let mut boundary = boundary_at(next_arrival, lapse, seg_edge);
+        let mut admissible = false;
+        let mut last_t = clock;
+        let mut max_iteration = tally.max_iteration;
+        let mut seg_from = 0;
+        let mut done = 0;
+        while done < limit {
+            let base = price(&run.pricer, run.base_k + done);
+            #[cfg(debug_assertions)]
+            self.check_linear_price(&run.config, done, base);
+            let duration = base * slowdown;
+            last_t = clock;
+            clock += duration;
+            max_iteration = max_iteration.max(duration);
+            done += 1;
+            let t = clock.as_secs();
+            if t < boundary {
+                debug_assert!(
+                    !capped(clock, cap) && next_arrival > t && t <= lapse && t < seg_edge,
+                    "a stop rule fired before the boundary"
+                );
+                debug_assert_eq!(bin_index(t, bin_w), seg_bin, "an iteration left its bin");
+            } else {
+                // Throughput segment: iterations sharing a bin flush
+                // closed-form; the open segment stays in the tally. The
+                // clock only moves forward, so the bin can change only
+                // once it reaches the open bin's edge: only then does it
+                // divide.
+                if t >= seg_edge {
+                    let k = done - 1;
+                    if k > seg_from {
+                        tally.seg_count += k - seg_from;
+                        tally.seg_t = last_t;
+                    }
+                    seg_from = k;
+                    let idx = bin_index(t, bin_w);
+                    if idx != seg_bin {
+                        if tally.seg_count > 0 {
+                            self.report.observe_tokens_run(tally.seg_t, n as f64, tally.seg_count);
+                        }
+                        seg_bin = idx;
+                        tally.seg_count = 0;
+                    }
+                    seg_edge = bin_edge(idx, bin_w).unwrap_or(f64::INFINITY);
+                }
+                debug_assert_eq!(bin_index(t, bin_w), seg_bin, "an iteration left its bin");
+                if timeline {
+                    self.report.note_event(crate::report::IterationEvent {
+                        end: clock,
+                        duration,
+                        config: run.config,
+                        tokens: n as u64,
+                        num_seqs: n,
+                        kv_utilization: tally.kv_util,
+                    });
+                }
+                // The next iteration's stop rules.
+                if done < limit {
+                    if capped(clock, cap) {
+                        break;
+                    }
+                    if next_arrival <= t || t > lapse {
+                        self.clock = clock;
+                        let Some(bound) = self.probe_admission() else {
+                            admissible = true;
+                            break; // this step admits, rejects or sheds
+                        };
+                        admit_bound = bound;
+                        lapse = bound.map_or(f64::INFINITY, SimTime::as_secs);
+                        next_arrival = self.next_arrival_secs();
+                    }
+                }
+                boundary = boundary_at(next_arrival, lapse, seg_edge);
+            }
+            #[cfg(debug_assertions)]
+            if done < limit {
+                self.clock = clock;
+                self.check_verdict(admit_bound);
+            }
+        }
+        self.clock = clock;
+        self.run_bin = (seg_bin, seg_edge);
+        debug_assert!(done >= 1, "iteration 0 passed the stop rules in `step_run`");
+        self.usage.iterations[run.plan] += done;
+        tally.seg_count += done - seg_from;
+        tally.seg_t = clock;
+        tally.max_iteration = max_iteration;
+        tally.iterations += done;
+        tally.end = clock;
+        // A run stopped by a probe that found admission possible leaves
+        // no proof behind: the next window probes again.
+        let verdict = (!admissible).then_some(admit_bound);
+        self.run_cache = Some(RunCache { base_k: run.base_k + done, verdict, tally, ..*run });
+        crate::routing::RunAdvance { events: done, last: last_t }
     }
 
     /// Writes the run's accumulated report totals (see [`RunTally`])
@@ -1015,8 +1050,8 @@ impl Engine {
     /// advances the epoch when it ends, so at iteration `k` every
     /// context has grown `k` tokens past what the epoch says.
     #[cfg(debug_assertions)]
-    fn check_linear_price(&self, config: &ParallelConfig, k: u32, dur: Dur) {
-        let work = BatchWork::new(self.cursor_decodes(k as usize, u64::from(k)));
+    fn check_linear_price(&self, config: &ParallelConfig, k: u64, dur: Dur) {
+        let work = BatchWork::new(self.cursor_decodes(k as usize, k));
         assert_eq!(work.num_seqs(), self.running.len(), "a run's batch is all decodes");
         assert_eq!(
             dur,
@@ -1116,6 +1151,7 @@ impl Engine {
         // A run from time zero has no previous iteration to switch from.
         self.last_plan = None;
         self.clock = SimTime::ZERO;
+        self.run_bin = (0, 0.0);
         for &req in trace.requests() {
             self.push_request(req);
         }
@@ -1295,7 +1331,7 @@ impl Engine {
         let plan = self.plan_index(&config);
         self.note_plan(plan);
         self.usage.iterations[plan] += 1;
-        let duration = slowed(self.price_step(plan, &batch), self.slowdown);
+        let duration = self.price_step(plan, &batch) * self.slowdown;
         self.clock += duration;
         self.decode_cursor = self.decode_cursor.wrapping_add(1);
 

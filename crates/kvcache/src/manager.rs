@@ -253,6 +253,11 @@ impl KvCacheManager {
         let Some(alloc) = self.seqs.remove(&seq) else { return };
         self.used_tokens -= alloc.tokens;
         self.free_blocks += alloc.blocks;
+        // Without a live shared-prefix group there is no member to look
+        // up: skip hashing the key.
+        if self.member_of.is_empty() {
+            return;
+        }
         let Some(group) = self.member_of.remove(&seq) else { return };
         let shared = self.groups.get_mut(&group).expect("a member implies a live group");
         shared.members -= 1;

@@ -227,7 +227,8 @@ fn arb_step_trace() -> impl Strategy<Value = Trace> {
 /// with a few sequences running and the rest queued behind `max_seqs`,
 /// where an at-risk interactive request cannot shed its way in.
 /// A tight cache holds 1,000 tokens, so recompute preemption preempts
-/// and shared prefix groups contend for blocks.
+/// and shared prefix groups contend for blocks. Throughput bins come
+/// from [`arb_bin`].
 fn arb_step_config() -> impl Strategy<Value = EngineConfig> {
     (
         0u8..3,
@@ -235,11 +236,13 @@ fn arb_step_config() -> impl Strategy<Value = EngineConfig> {
         prop_oneof![2usize..5, Just(256)],
         (any::<bool>(), any::<bool>(), any::<bool>()),
         (1u32..5, 0.0f64..0.9),
+        arb_bin(),
     )
         .prop_map(
-            |(mode, budget, max_seqs, (tight, prefix_caching, slo), (draft, acceptance))| {
+            |(mode, budget, max_seqs, (tight, prefix_caching, slo), (draft, acceptance), bin)| {
                 let kv = if tight { 1_000 } else { 30_000 };
                 EngineConfig {
+                    throughput_bin: bin,
                     max_batched_tokens: budget,
                     max_seqs,
                     spec_decode: (mode == 1).then(|| SpecDecode::new(draft, acceptance)),
@@ -270,6 +273,9 @@ proptest! {
     /// whose prefills land together finish on the same iteration, and
     /// SLO admission or a requeue admits them out of id order: every
     /// rung must record them in running order, as the reference does.
+    /// A `MacroSteps` engine with the timeline off, whose runs visit
+    /// only their boundaries, must match the reference's dump but for
+    /// the timeline line.
     #[test]
     fn every_rung_matches_the_reference_engine(
         trace in arb_step_trace(),
@@ -285,7 +291,7 @@ proptest! {
         } else {
             trace
         };
-        let run = |paths| {
+        let run = |paths, config| {
             let engine = if shift { shift_engine } else { dp_engine };
             let mut engine = engine(config, FastPaths::Reference);
             for &req in trace.requests() {
@@ -302,11 +308,17 @@ proptest! {
             }
             engine.take_report().dump()
         };
-        let want = run(FastPaths::Reference);
+        let want = run(FastPaths::Reference, config);
         for paths in [FastPaths::Indexed, FastPaths::Compiled, FastPaths::MacroSteps] {
-            let got = run(paths);
+            let got = run(paths, config);
             assert_dumps_eq(&got, &want, &format!("the {paths:?} engine vs the Reference engine"));
         }
+        let untimed = run(FastPaths::MacroSteps, EngineConfig { record_timeline: false, ..config });
+        assert_dumps_eq(
+            &untimed,
+            &without_timeline(&want),
+            "the MacroSteps engine without a timeline vs the Reference engine",
+        );
     }
 }
 
@@ -515,6 +527,14 @@ fn arb_gaps() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(prop_oneof![Just(0.0), 1e-4f64..0.05, 0.05f64..4.0], 1..8)
 }
 
+/// Throughput-bin widths: the default 1 s, a third of a second (whose
+/// edges are not binary fractions), 50 ms (a few decode iterations) and
+/// 4 ms, shorter than any iteration, so bin edges fall inside runs and
+/// an iteration can step over a bin.
+fn arb_bin() -> impl Strategy<Value = Dur> {
+    prop_oneof![Just(1.0), Just(1.0 / 3.0), Just(0.05), Just(0.004)].prop_map(Dur::from_secs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
@@ -523,45 +543,60 @@ proptest! {
     /// after every window (a cut run's report totals wait in its cache
     /// until the run is settled, while the epoch and the load counters
     /// move per window), the same salvage when it crashes between two
-    /// windows, and the same report at the end.
+    /// windows, and the same report at the end. With the timeline on
+    /// every iteration is a run boundary; with it off only the cap, the
+    /// arrivals, the admission lapses and the bin edges are.
     #[test]
     fn window_cuts_leave_an_engine_unchanged(
         sized in arb_trace(&[30_000, 200_000]),
         gaps in arb_gaps(),
         use_slo in any::<bool>(),
         salvage_at in prop_oneof![Just(None), (1usize..40).prop_map(Some)],
+        bin in arb_bin(),
     ) {
         let (kv, trace) = sized;
-        let config = EngineConfig { class_slo: use_slo.then(ClassSlo::default), ..config(kv) };
-        let engine = || dp_engine(config, FastPaths::MacroSteps);
-        assert_window_cuts_invisible(engine(), engine(), &trace, &gaps, salvage_at, |_| None);
+        for record_timeline in [true, false] {
+            let config = EngineConfig {
+                class_slo: use_slo.then(ClassSlo::default),
+                throughput_bin: bin,
+                record_timeline,
+                ..config(kv)
+            };
+            let engine = || dp_engine(config, FastPaths::MacroSteps);
+            assert_window_cuts_invisible(engine(), engine(), &trace, &gaps, salvage_at, |_| None);
+        }
     }
 
     /// The same on a Shift `Deployment`, whose configuration counts
     /// (`shift_stats`) must also match after every window: a cut run
-    /// counts its window's iterations before it returns.
+    /// counts its window's iterations before it returns. Timeline on
+    /// and off, as for the engine.
     #[test]
     fn window_cuts_leave_a_shift_deployment_unchanged(
         sized in arb_trace(&[30_000]),
         gaps in arb_gaps(),
         use_slo in any::<bool>(),
+        bin in arb_bin(),
     ) {
         let (_, trace) = sized;
-        let deployment = || {
-            let builder = Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b())
-                .kind(DeploymentKind::Shift)
-                .record_timeline(true);
-            let builder = if use_slo { builder.class_slo(ClassSlo::default()) } else { builder };
-            builder.build().expect("Qwen-32B deploys under Shift on 8 H200s")
-        };
-        assert_window_cuts_invisible(
-            deployment(),
-            deployment(),
-            &trace,
-            &gaps,
-            None,
-            Deployment::shift_stats,
-        );
+        for record_timeline in [true, false] {
+            let deployment = || {
+                let builder = Deployment::builder(NodeSpec::p5en_48xlarge(), presets::qwen_32b())
+                    .kind(DeploymentKind::Shift)
+                    .throughput_bin(bin)
+                    .record_timeline(record_timeline);
+                let builder = if use_slo { builder.class_slo(ClassSlo::default()) } else { builder };
+                builder.build().expect("Qwen-32B deploys under Shift on 8 H200s")
+            };
+            assert_window_cuts_invisible(
+                deployment(),
+                deployment(),
+                &trace,
+                &gaps,
+                None,
+                Deployment::shift_stats,
+            );
+        }
     }
 
     /// The engine equivalence on a GPU whose ridge point falls inside
@@ -626,6 +661,70 @@ fn run_length_one_is_byte_identical() {
     let slow = dp_engine(config(100_000), FastPaths::Compiled).run(&trace);
     assert_dumps_eq(&fast.dump(), &slow.dump(), "length-1 runs vs per-iteration stepping");
     assert_eq!(fast.records().len(), 6, "all staggered sequences must complete");
+}
+
+/// Caps on a run's iteration ends and one ulp either side. A
+/// timeline-on engine records every iteration's end; a timeline-off
+/// twin then steps through windows capped at every recorded end (or
+/// every seventh), at its `next_down` or at its `next_up`,
+/// macro-stepping its runs, and must dump what the same engine stepped
+/// one iteration at a time dumps. A cap on an end stops the run before
+/// the iteration that starts there, and one ulp above it lets that
+/// iteration run. Arrivals land inside runs (admission probes), SLO
+/// deadlines lapse and 50 ms bins put edges inside them, so every
+/// boundary rule meets the caps.
+#[test]
+fn caps_on_iteration_ends_cut_runs_exactly() {
+    let trace = Trace::new(
+        [(0.0, 900, 260), (0.0, 120, 340), (0.31, 2_000, 200), (0.77, 64, 300), (1.9, 700, 150)]
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, input, output))| request(0, at, input, output, class(i % 2 == 0)))
+            .collect(),
+    );
+    let config = EngineConfig {
+        class_slo: Some(ClassSlo::default()),
+        throughput_bin: Dur::from_secs(0.05),
+        ..config(100_000)
+    };
+    let recorded = dp_engine(config, FastPaths::MacroSteps).run(&trace);
+    let ends: Vec<f64> = recorded
+        .timeline()
+        .expect("the timeline is on")
+        .iter()
+        .map(|event| event.end.as_secs())
+        .collect();
+    let untimed = EngineConfig { record_timeline: false, ..config };
+    for (stride, ulps) in [1, 7].into_iter().flat_map(|k| [(k, -1), (k, 0), (k, 1)]) {
+        let nudge = |t: f64| match ulps {
+            -1 => t.next_down(),
+            1 => t.next_up(),
+            _ => t,
+        };
+        let mut cut = dp_engine(untimed, FastPaths::MacroSteps);
+        let mut whole = dp_engine(untimed, FastPaths::MacroSteps);
+        for &req in trace.requests() {
+            cut.push_request(req);
+            whole.push_request(req);
+        }
+        for cap in ends.iter().step_by(stride).map(|&t| nudge(t)).chain([f64::INFINITY]) {
+            step_window(&mut cut, cap, true);
+            step_window(&mut whole, cap, false);
+            assert_eq!(cut.clock(), whole.clock(), "clock after the window capped at {cap}");
+        }
+        assert_dumps_eq(
+            &cut.take_report().dump(),
+            &whole.take_report().dump(),
+            &format!(
+                "runs cut {ulps:+} ulp from every {stride} iteration end vs per-iteration steps"
+            ),
+        );
+    }
+    assert_dumps_eq(
+        &dp_engine(untimed, FastPaths::MacroSteps).run(&trace).dump(),
+        &without_timeline(&recorded.dump()),
+        "the timeline-off run vs the recorded run",
+    );
 }
 
 /// Runs `plan` over four 400-token decodes arriving at t = 0 on `n`

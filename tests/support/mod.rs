@@ -239,6 +239,22 @@ impl Cluster {
     }
 }
 
+/// `dump` with its per-iteration timeline line as an engine with the
+/// timeline off prints it: such an engine must dump what the same
+/// engine with the timeline on dumps, but for that line.
+pub fn without_timeline(dump: &str) -> String {
+    dump.lines()
+        .map(|line| {
+            if line.starts_with("iteration_timeline: ") {
+                "iteration_timeline: None"
+            } else {
+                line
+            }
+        })
+        .flat_map(|line| [line, "\n"])
+        .collect()
+}
+
 /// Panics unless the two dumps are equal, naming `what` and the first
 /// line where they differ, excerpted around its first differing byte.
 pub fn assert_dumps_eq(got: &str, want: &str, what: &str) {
