@@ -8,8 +8,8 @@ use sp_metrics::timeseries::{bin_edge, bin_index};
 use sp_metrics::{ClassSlo, Dur, NodeLoad, RequestClass, RequestRecord, SimTime};
 use sp_parallel::BatchSummary;
 use sp_parallel::{
-    BatchStats, BatchWork, ChunkWork, DecodeRunPricer, ExecPlan, ExecutionModel, ParallelConfig,
-    ParallelismPolicy,
+    BatchStats, BatchWork, ChunkWork, DecodeRunPricer, DecodeTermsTable, ExecPlan, ExecutionModel,
+    ParallelConfig, ParallelismPolicy,
 };
 use sp_workload::{Request, Trace};
 use std::cmp::Reverse;
@@ -265,6 +265,9 @@ pub struct Engine {
     /// per call. Bit-identical to the direct walk; debug builds assert so
     /// on every evaluation.
     plans: Vec<ExecPlan>,
+    /// Per plan, a run capture's batch-constant decode terms by batch
+    /// size (exact; DESIGN.md decision 9), filled as sizes occur.
+    decode_terms: Vec<DecodeTermsTable>,
     /// Configuration use since the engine was built, counted where the
     /// policy is asked (see [`Engine::note_plan`]). By plan index, so a
     /// step hashes no configuration.
@@ -513,6 +516,7 @@ impl Engine {
             reported: usage.clone(),
             usage,
             last_plan: None,
+            decode_terms: vec![DecodeTermsTable::default(); plans.len()],
             plans,
             slowdown: 1.0,
             run_bin: (0, 0.0),
@@ -733,7 +737,13 @@ impl Engine {
                 let config = self.policy.choose(&stats);
                 let plan = self.plan_index(&config);
                 self.note_plan(plan);
-                let pricer = self.plans[plan].decode_run_pricer(&lin.s0, lin.d_attn, lin.d_kv_read);
+                let terms = self.decode_terms[plan].terms(&self.plans[plan], &lin.s0);
+                let pricer = self.plans[plan].decode_run_pricer_from(
+                    terms,
+                    &lin.s0,
+                    lin.d_attn,
+                    lin.d_kv_read,
+                );
                 let cache = RunCache {
                     base_k: 0,
                     end: u64::from(limit),
@@ -832,17 +842,17 @@ impl Engine {
         let mut boundary = boundary_at(next_arrival, lapse, seg_edge);
         let mut admissible = false;
         let mut last_t = clock;
-        let mut max_iteration = tally.max_iteration;
+        let mut duration = Dur::ZERO;
         let mut seg_from = 0;
         let mut done = 0;
         while done < limit {
             let base = price(&run.pricer, run.base_k + done);
             #[cfg(debug_assertions)]
             self.check_linear_price(&run.config, done, base);
-            let duration = base * slowdown;
+            debug_assert!(base * slowdown >= duration, "a run iteration got cheaper");
+            duration = base * slowdown;
             last_t = clock;
             clock += duration;
-            max_iteration = max_iteration.max(duration);
             done += 1;
             let t = clock.as_secs();
             if t < boundary {
@@ -915,7 +925,10 @@ impl Engine {
         self.usage.iterations[run.plan] += done;
         tally.seg_count += done - seg_from;
         tally.seg_t = clock;
-        tally.max_iteration = max_iteration;
+        // The slowdown is fixed within a window and the price never
+        // falls, so the window's longest iteration is its last; a
+        // slowdown may end between windows.
+        tally.max_iteration = tally.max_iteration.max(duration);
         tally.iterations += done;
         tally.end = clock;
         // A run stopped by a probe that found admission possible leaves
@@ -1031,12 +1044,12 @@ impl Engine {
         attended: u64,
         run_limit: u32,
     ) -> Option<LinearRunSummary> {
-        let model = self.exec.model();
+        let decode = self.exec.decode_batch();
         let seqs = n as u64;
         let end = attended.checked_add(seqs.checked_mul(u64::from(run_limit))?)?;
-        model.decode_batch_cost(seqs, end)?;
-        let c0 = model.decode_batch_cost(seqs, attended)?;
-        let c1 = model.decode_batch_cost(seqs, attended + seqs)?;
+        decode.cost(seqs, end)?;
+        let c0 = decode.cost(seqs, attended)?;
+        let c1 = decode.cost(seqs, attended + seqs)?;
         Some(LinearRunSummary {
             s0: BatchSummary { cost: c0, total_new_tokens: seqs, num_seqs: n },
             d_attn: c1.attn_flops - c0.attn_flops,
@@ -1842,10 +1855,27 @@ impl Engine {
             budget -= decodes;
         }
         // The prefills, in running order (none while the load counter
-        // says no prompt token is left to prefill).
-        if self.running_prefill_tokens != 0 {
-            prefills.extend((0..self.running.len()).filter(|&i| !self.running[i].in_decode()));
+        // says no prompt token is left to prefill). Newer admissions
+        // hold them, so the walk starts at the back and stops once their
+        // remaining tokens add up to the counter.
+        let mut left = self.running_prefill_tokens;
+        for (i, seq) in self.running.iter().enumerate().rev() {
+            if left == 0 {
+                break;
+            }
+            if !seq.in_decode() {
+                prefills.push(i);
+                left -= seq.prefill_remaining();
+            }
         }
+        prefills.reverse();
+        debug_assert!(
+            prefills
+                .iter()
+                .copied()
+                .eq((0..self.running.len()).filter(|&i| !self.running[i].in_decode())),
+            "the tail walk missed a prefill"
+        );
         if !lead {
             let epoch = self.epoch;
             // Visit every sequence once, starting at the cursor's
@@ -3069,5 +3099,108 @@ mod tests {
         let mut reference = engine_with(config, ParallelConfig::tensor(8));
         reference.set_fast_paths(FastPaths::Reference);
         assert_eq!(report.dump(), reference.run(&trace).dump());
+    }
+
+    /// An older batch-class prompt whose prefill is deferred while newer
+    /// interactive requests decode behind it in the running order, and
+    /// an at-risk interactive request held back by `max_seqs`: every
+    /// step's prefill list is built from the batch's tail past decoding
+    /// sequences.
+    #[test]
+    fn older_prefill_deferred_behind_newer_decodes_matches_the_reference() {
+        let config = EngineConfig {
+            max_batched_tokens: 128,
+            max_seqs: 3,
+            class_slo: Some(ClassSlo::default()),
+            record_timeline: true,
+            ..EngineConfig::default()
+        };
+        let trace = Trace::with_ids(vec![
+            blocked_req(0, 0.0, 20_000, 10, RequestClass::Batch),
+            blocked_req(1, 0.01, 64, 400, RequestClass::Interactive),
+            blocked_req(2, 0.01, 64, 400, RequestClass::Interactive),
+            blocked_req(3, 0.05, 100, 10, RequestClass::Interactive),
+        ]);
+        let mut e = engine_with(config, ParallelConfig::tensor(8));
+        for &req in trace.requests() {
+            e.push_request(req);
+        }
+        let mut deferred_behind = 0;
+        while !e.is_idle() {
+            let first_prefill = e.running.iter().position(|s| !s.in_decode());
+            let behind =
+                first_prefill.is_some_and(|p| e.running[p..].iter().any(|s| s.in_decode()));
+            let deferrals = e.report.batch_deferrals();
+            if e.step_run(None).is_none() {
+                e.step_once();
+            }
+            if behind && e.report.batch_deferrals() > deferrals {
+                deferred_behind += 1;
+            }
+        }
+        assert!(deferred_behind > 0, "no step deferred the older prefill behind a decode");
+        let report = e.take_report();
+        assert_eq!(report.records().len(), 4);
+        let mut reference = engine_with(config, ParallelConfig::tensor(8));
+        reference.set_fast_paths(FastPaths::Reference);
+        assert_eq!(report.dump(), reference.run(&trace).dump());
+    }
+
+    /// Sequence parallel above `threshold` sequences, tensor parallel at
+    /// or below: a two-plan policy in the manner of Shift.
+    #[derive(Debug)]
+    struct SizePolicy {
+        threshold: usize,
+    }
+
+    impl ParallelismPolicy for SizePolicy {
+        fn choose(&self, stats: &BatchStats) -> ParallelConfig {
+            if stats.num_seqs > self.threshold {
+                ParallelConfig::sequence(8)
+            } else {
+                ParallelConfig::tensor(8)
+            }
+        }
+        fn configurations(&self) -> Vec<ParallelConfig> {
+            vec![ParallelConfig::sequence(8), ParallelConfig::tensor(8)]
+        }
+        fn name(&self) -> &str {
+            "size"
+        }
+    }
+
+    #[test]
+    fn decode_terms_serve_recurring_batch_sizes_under_both_plans() {
+        // Two waves of six requests, the second arriving after the first
+        // drains. Each wave's decode batch shrinks from six sequences to
+        // one as its outputs finish, so every batch size recurs: under
+        // sequence parallelism above three sequences, tensor parallelism
+        // at or below.
+        let trace = Trace::with_ids(
+            (0..12u64)
+                .map(|id| {
+                    let at = if id < 6 { 0.0 } else { 30.0 };
+                    let output = 20 + 15 * (id % 6) as u32;
+                    blocked_req(id, at, 256, output, RequestClass::Interactive)
+                })
+                .collect(),
+        );
+        let engine = |paths| {
+            let exec = ExecutionModel::new(NodeSpec::p5en_48xlarge(), presets::qwen_32b());
+            let config = EngineConfig { record_timeline: true, ..EngineConfig::default() };
+            let mut e = Engine::new(exec, Box::new(SizePolicy { threshold: 3 }), config);
+            e.set_fast_paths(paths);
+            e
+        };
+        let mut e = engine(FastPaths::MacroSteps);
+        let report = e.run(&trace);
+        assert_eq!(report.dump(), engine(FastPaths::Compiled).run(&trace).dump());
+        for (plan, table) in e.plans.iter().zip(&e.decode_terms) {
+            assert!(
+                table.hits() > 0,
+                "no capture under {} was served from the table",
+                plan.config()
+            );
+        }
     }
 }

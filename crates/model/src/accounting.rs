@@ -183,17 +183,65 @@ impl ModelConfig {
     /// exactly representable integer too, so any fold order of the
     /// per-chunk costs produces these same bits. `None` means the
     /// totals leave that range and the caller must fold chunk by chunk.
+    /// A caller that prices many batches of one model compiles the
+    /// constants once with [`DecodeBatchCost::new`].
     pub fn decode_batch_cost(&self, n: u64, attended_sum: u64) -> Option<StepCost> {
+        DecodeBatchCost::new(self).cost(n, attended_sum)
+    }
+}
+
+/// [`ModelConfig::decode_batch_cost`] with the model's constants
+/// compiled once: twice the active linear parameters, attention FLOPs
+/// per attended position, logit FLOPs per sequence and KV bytes per
+/// token. [`DecodeBatchCost::cost`] then takes the same integer
+/// products under the same 2^53 guard, so it returns the same value.
+///
+/// # Examples
+///
+/// ```
+/// use sp_model::{presets, DecodeBatchCost};
+///
+/// let m = presets::llama_70b();
+/// let compiled = DecodeBatchCost::new(&m);
+/// assert_eq!(compiled.cost(64, 64 * 4096), m.decode_batch_cost(64, 64 * 4096));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DecodeBatchCost {
+    /// `2 × linear_params_active()`, `None` when the product overflows
+    /// (every batch then declines).
+    linear_per_seq: Option<u64>,
+    /// Attention FLOPs per attended position, over all layers.
+    attn_per_position: u64,
+    /// LM-head FLOPs of one emitted logit.
+    logit_per_seq: u64,
+    /// KV-cache bytes per token.
+    kv_per_token: u64,
+}
+
+impl DecodeBatchCost {
+    /// Compiles `model`'s decode-batch constants.
+    pub fn new(model: &ModelConfig) -> DecodeBatchCost {
+        DecodeBatchCost {
+            linear_per_seq: model.linear_params_active().checked_mul(2),
+            attn_per_position: 4
+                * u64::from(model.q_heads)
+                * u64::from(model.head_dim)
+                * u64::from(model.num_layers),
+            logit_per_seq: 2 * u64::from(model.hidden_size) * u64::from(model.vocab_size),
+            kv_per_token: model.kv_bytes_per_token(),
+        }
+    }
+
+    /// [`ModelConfig::decode_batch_cost`] of `n` decodes attending
+    /// `attended_sum` positions in all.
+    pub fn cost(&self, n: u64, attended_sum: u64) -> Option<StepCost> {
         /// Integers below 2^53 are exact in f64.
         const EXACT: u64 = 1 << 53;
         let exact = |v: Option<u64>| v.filter(|&v| v < EXACT);
-        let kv = self.kv_bytes_per_token();
-        let attn_per_position =
-            4 * u64::from(self.q_heads) * u64::from(self.head_dim) * u64::from(self.num_layers);
-        let logit_per_chunk = 2 * u64::from(self.hidden_size) * u64::from(self.vocab_size);
-        let linear_flops = exact(self.linear_params_active().checked_mul(2)?.checked_mul(n))?;
-        let attn_flops = exact(attended_sum.checked_mul(attn_per_position))?;
-        let logit_flops = exact(logit_per_chunk.checked_mul(n))?;
+        let kv = self.kv_per_token;
+        let linear_flops = exact(self.linear_per_seq?.checked_mul(n))?;
+        let attn_flops = exact(attended_sum.checked_mul(self.attn_per_position))?;
+        let logit_flops = exact(self.logit_per_seq.checked_mul(n))?;
         Some(StepCost {
             linear_flops: linear_flops as f64,
             attn_flops: attn_flops as f64,
@@ -340,7 +388,69 @@ mod tests {
         assert!(m.decode_batch_cost(u64::MAX, u64::MAX).is_none());
     }
 
+    /// A batch size or attended sum for the guard property: by `mode`,
+    /// a small random value, an unrestricted one, or the value `offset`
+    /// away from one of `edges` (saturating).
+    fn around(edges: &[u64], (mode, raw, offset): (usize, u64, i64)) -> u64 {
+        match mode {
+            0 => raw % (1 << 20),
+            1 => raw,
+            m => edges[(m - 2) % edges.len()].saturating_add_signed(offset),
+        }
+    }
+
     proptest! {
+        /// A value compiled once prices every batch as
+        /// `decode_batch_cost` does, and both equal the exact integer
+        /// products, `Some` exactly when every field total lies below
+        /// 2^53. Batch sizes and attended sums are drawn at random and
+        /// around each field's last exact value.
+        #[test]
+        fn compiled_decode_batch_cost_matches_decode_batch_cost(
+            preset in 0usize..4,
+            n_pick in (0usize..5, any::<u64>(), -4i64..4),
+            attended_pick in (0usize..4, any::<u64>(), -4i64..4),
+        ) {
+            let m = match preset {
+                0 => presets::llama_70b(),
+                1 => presets::qwen_32b(),
+                2 => presets::qwen_30b_a3b(),
+                _ => presets::llama_17b_16e(),
+            };
+            let compiled = DecodeBatchCost::new(&m);
+            let linear = 2 * m.linear_params_active();
+            let attn = 4 * u64::from(m.q_heads) * u64::from(m.head_dim) * u64::from(m.num_layers);
+            let logit = 2 * u64::from(m.hidden_size) * u64::from(m.vocab_size);
+            let kv = m.kv_bytes_per_token();
+            let last_exact = |per: u64| ((1u64 << 53) - 1) / per;
+            let n = around(&[last_exact(linear), last_exact(logit), last_exact(kv)], n_pick);
+            let attended = around(&[last_exact(attn), last_exact(kv)], attended_pick);
+
+            let wide = |a: u64, b: u64| u128::from(a) * u128::from(b);
+            let fields = [
+                wide(linear, n),
+                wide(attended, attn),
+                wide(logit, n),
+                wide(attended, kv),
+                wide(n, kv),
+            ];
+            let expected = fields.iter().all(|&f| f < 1 << 53).then(|| StepCost {
+                linear_flops: fields[0] as f64,
+                attn_flops: fields[1] as f64,
+                logit_flops: fields[2] as f64,
+                kv_read_bytes: fields[3] as u64,
+                kv_write_bytes: fields[4] as u64,
+            });
+            let got = compiled.cost(n, attended);
+            let direct = m.decode_batch_cost(n, attended);
+            prop_assert_eq!(got.is_some(), expected.is_some(), "guard at n {}, attended {}", n, attended);
+            prop_assert_eq!(direct.is_some(), expected.is_some());
+            if let (Some(got), Some(direct), Some(expected)) = (got, direct, expected) {
+                prop_assert!(same_bits(&got, &direct), "{got:?} vs {direct:?}");
+                prop_assert!(same_bits(&got, &expected), "{got:?} vs {expected:?}");
+            }
+        }
+
         #[test]
         fn decode_batch_cost_matches_chunk_fold(
             preset in 0usize..4,

@@ -32,5 +32,5 @@ pub mod accounting;
 pub mod config;
 pub mod presets;
 
-pub use accounting::StepCost;
+pub use accounting::{DecodeBatchCost, StepCost};
 pub use config::{ModelConfig, MoeConfig, Precision};

@@ -27,7 +27,7 @@ use sp_cluster::{CollectiveModel, NodeSpec, Roofline};
 use sp_kvcache::layout::LayoutError;
 use sp_kvcache::KvShardLayout;
 use sp_metrics::Dur;
-use sp_model::ModelConfig;
+use sp_model::{DecodeBatchCost, ModelConfig};
 
 /// Per-iteration CPU cost of the serving framework (scheduler, python
 /// glue, sampling, worker coordination).
@@ -115,6 +115,8 @@ pub struct ExecutionModel {
     pub(crate) roofline: Roofline,
     pub(crate) collectives: CollectiveModel,
     pub(crate) prefill_linear_scale: f64,
+    /// `model`'s decode-batch constants, compiled at construction.
+    pub(crate) decode: DecodeBatchCost,
 }
 
 impl ExecutionModel {
@@ -137,6 +139,7 @@ impl ExecutionModel {
         ExecutionModel {
             roofline: Roofline::new(node.gpu),
             collectives: CollectiveModel::new(node.interconnect),
+            decode: DecodeBatchCost::new(&model),
             node,
             model,
             overhead,
@@ -163,6 +166,12 @@ impl ExecutionModel {
     /// The model being served.
     pub fn model(&self) -> &ModelConfig {
         &self.model
+    }
+
+    /// [`ModelConfig::decode_batch_cost`] of the served model, its
+    /// constants compiled once at construction.
+    pub fn decode_batch(&self) -> &DecodeBatchCost {
+        &self.decode
     }
 
     /// The configured engine overhead.

@@ -58,5 +58,5 @@ pub use config::{BatchWork, ChunkKind, ChunkWork, ParallelConfig};
 pub use exec::{EngineOverhead, ExecutionModel, IterationBreakdown};
 pub use mapping::ProcessMapping;
 pub use memory::MemoryPlan;
-pub use plan::{BatchSummary, DecodeRunPricer, ExecPlan};
+pub use plan::{BatchSummary, DecodeRunPricer, DecodeTerms, DecodeTermsTable, ExecPlan};
 pub use policy::{BatchStats, ParallelismPolicy, StaticPolicy};

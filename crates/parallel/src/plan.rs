@@ -216,6 +216,17 @@ impl ExecPlan {
         IterationBreakdown { gemm, attention, communication, overhead }
     }
 
+    /// The batch-constant terms of a pure-decode iteration (see
+    /// [`DecodeTerms`]) whose summary is `s0`.
+    pub(crate) fn decode_terms(&self, s0: &BatchSummary) -> DecodeTerms {
+        let priced = self.price(s0);
+        DecodeTerms {
+            gemm: priced.gemm,
+            communication: priced.communication,
+            overhead: priced.overhead,
+        }
+    }
+
     /// Partially evaluates [`ExecPlan::price`] for a run of pure-decode
     /// iterations. Run iteration `i` shares every summary field with
     /// `s0` except two, which grow by a fixed step per iteration:
@@ -233,11 +244,21 @@ impl ExecPlan {
         d_attn: f64,
         d_kv_read: u64,
     ) -> DecodeRunPricer {
-        let priced = self.price(s0);
+        self.decode_run_pricer_from(self.decode_terms(s0), s0, d_attn, d_kv_read)
+    }
+
+    /// [`ExecPlan::decode_run_pricer`] with the batch-constant terms
+    /// already priced, as a [`DecodeTermsTable`] of this plan returns
+    /// them for `s0`.
+    pub fn decode_run_pricer_from(
+        &self,
+        terms: DecodeTerms,
+        s0: &BatchSummary,
+        d_attn: f64,
+        d_kv_read: u64,
+    ) -> DecodeRunPricer {
         DecodeRunPricer {
-            gemm: priced.gemm,
-            communication: priced.communication,
-            overhead: priced.overhead,
+            terms,
             attn0: s0.cost.attn_flops,
             d_attn,
             kv0: s0.cost.total_kv_bytes(),
@@ -247,6 +268,74 @@ impl ExecPlan {
             mem_bw: self.roofline.gpu().effective_mem_bw(),
             roofline: self.roofline,
         }
+    }
+}
+
+/// The batch-constant terms of a pure-decode iteration under one plan:
+/// every [`IterationBreakdown`] term but the attention kernel.
+///
+/// A pure-decode summary of `n` one-token decodes (the closed form of
+/// [`ModelConfig::decode_batch_cost`]) has `n` new tokens and `n`
+/// sequences, and its linear and logit FLOPs and KV writes are `n`
+/// times model constants. [`ExecPlan::price`] reads only those fields
+/// for the GEMM, communication and overhead terms; the attended sum
+/// reaches only the attention kernel. So under one plan the three terms
+/// are a function of `n` alone, bit for bit: the same float operations
+/// on the same inputs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecodeTerms {
+    gemm: Dur,
+    communication: Dur,
+    overhead: Dur,
+}
+
+/// One plan's [`DecodeTerms`] by batch size, each priced by
+/// [`ExecPlan::price`] the first time its size is asked for.
+///
+/// Exact, not approximate: the terms depend on the batch size alone
+/// (see [`DecodeTerms`]), which is the table's key. The table grows to
+/// the largest size asked for, with exact reservation, and holds each
+/// entry as its terms' seconds, three `f64`s; a size not priced yet
+/// holds NaN, which no [`Dur`] is. Debug builds check every hit against
+/// a fresh evaluation.
+#[derive(Debug, Clone, Default)]
+pub struct DecodeTermsTable {
+    by_seqs: Vec<[f64; 3]>,
+    hits: u64,
+}
+
+impl DecodeTermsTable {
+    /// The terms of `s0`, a pure-decode summary, under `plan`: from the
+    /// table when its batch size was priced before. `plan` must be the
+    /// plan every earlier call passed.
+    pub fn terms(&mut self, plan: &ExecPlan, s0: &BatchSummary) -> DecodeTerms {
+        let n = s0.num_seqs;
+        debug_assert_eq!(s0.total_new_tokens, n as u64, "a pure-decode summary");
+        if let Some(&[gemm, communication, overhead]) =
+            self.by_seqs.get(n).filter(|entry| !entry[0].is_nan())
+        {
+            let terms = DecodeTerms {
+                gemm: Dur::from_secs_unchecked(gemm),
+                communication: Dur::from_secs_unchecked(communication),
+                overhead: Dur::from_secs_unchecked(overhead),
+            };
+            debug_assert_eq!(terms, plan.decode_terms(s0), "cached decode terms diverged");
+            self.hits += 1;
+            return terms;
+        }
+        if self.by_seqs.len() <= n {
+            self.by_seqs.reserve_exact(n + 1 - self.by_seqs.len());
+            self.by_seqs.resize(n + 1, [f64::NAN; 3]);
+        }
+        let terms = plan.decode_terms(s0);
+        self.by_seqs[n] =
+            [terms.gemm.as_secs(), terms.communication.as_secs(), terms.overhead.as_secs()];
+        terms
+    }
+
+    /// Calls [`DecodeTermsTable::terms`] answered from the table.
+    pub fn hits(&self) -> u64 {
+        self.hits
     }
 }
 
@@ -262,9 +351,7 @@ impl ExecPlan {
 /// memory term alone: one division per iteration instead of three.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeRunPricer {
-    gemm: Dur,
-    communication: Dur,
-    overhead: Dur,
+    terms: DecodeTerms,
     /// Attention FLOPs at run iteration 0.
     attn0: f64,
     /// Attention-FLOP growth per iteration.
@@ -295,7 +382,8 @@ impl DecodeRunPricer {
     /// The left-to-right component sum of `price(...).total()`.
     #[inline]
     fn total(&self, attention: Dur) -> Dur {
-        self.gemm + attention + self.communication + self.overhead
+        let terms = &self.terms;
+        terms.gemm + attention + terms.communication + terms.overhead
     }
 
     /// Total latency of run iteration `i`: the attention kernel's full
@@ -440,11 +528,12 @@ impl ExecutionModel {
     /// The summary of a batch that leads with `n` plain one-token decode
     /// chunks whose attended positions (`past + 1` each) sum to
     /// `attended`, followed by the chunks of `rest`: the decodes are
-    /// priced in closed form by [`ModelConfig::decode_batch_cost`], and
-    /// `rest` folds on top in order. Under that formula's exactness
-    /// guard the decodes' per-chunk fold is integer arithmetic below
-    /// 2^53, so the result equals, bit for bit, [`summarize`] of the
-    /// materialized batch in any decode order. `None` when the guard
+    /// priced in closed form by [`ModelConfig::decode_batch_cost`] (its
+    /// constants compiled at construction), and `rest` folds on top in
+    /// order. Under that formula's exactness guard the decodes'
+    /// per-chunk fold is integer arithmetic below 2^53, so the result
+    /// equals, bit for bit, [`summarize`] of the materialized batch in
+    /// any decode order. `None` when the guard
     /// declines; the caller then folds the materialized batch.
     ///
     /// [`summarize`]: ExecutionModel::summarize
@@ -454,7 +543,7 @@ impl ExecutionModel {
         attended: u64,
         rest: &[ChunkWork],
     ) -> Option<BatchSummary> {
-        let lead = self.model.decode_batch_cost(n, attended)?;
+        let lead = self.decode.cost(n, attended)?;
         Some(self.fold_onto(lead, n, rest))
     }
 
