@@ -8,7 +8,7 @@
 //! latency- and throughput-optimized configurations of other frameworks.
 //!
 //! * [`swiftkv::SwiftKv`] — prefill FLOPs reduction model.
-//! * [`specdec`] — speculative-decoding presets and expectation math.
+//! * [`specdec`] — speculative-decoding presets.
 //! * [`production::ProductionStack`] — composes both onto any
 //!   [`shift_core::Deployment`].
 //! * [`production::FrameworkProfile`] — engine-overhead profiles standing
@@ -31,10 +31,8 @@
 
 pub mod production;
 pub mod specdec;
-pub mod suffix;
 pub mod swiftkv;
 
 pub use production::{FrameworkProfile, ProductionStack};
 pub use specdec::suffix_decoding;
-pub use suffix::SuffixTree;
 pub use swiftkv::SwiftKv;

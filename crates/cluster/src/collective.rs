@@ -85,12 +85,6 @@ impl CollectiveModel {
         self.alpha_beta(2.0 * bytes as f64, steps)
     }
 
-    /// The better of ring and tree all-reduce for this payload — what an
-    /// algorithm-selecting runtime (NCCL) would achieve.
-    pub fn all_reduce_best(&self, bytes: u64, ranks: usize) -> Dur {
-        self.all_reduce(bytes, ranks).min(self.all_reduce_tree(bytes, ranks))
-    }
-
     /// Time for an all-to-all where each rank sends a `send_bytes`-byte
     /// buffer, evenly sharded to the other ranks.
     pub fn all_to_all(&self, send_bytes: u64, ranks: usize) -> Dur {
@@ -199,9 +193,6 @@ mod tests {
         assert!(m.all_reduce_tree(16 << 10, 8) < m.all_reduce(16 << 10, 8));
         // 256 MB: ring's 2(P-1)/P volume factor beats tree's 2x.
         assert!(m.all_reduce(256 << 20, 8) < m.all_reduce_tree(256 << 20, 8));
-        // best() equals the winner on both ends.
-        assert_eq!(m.all_reduce_best(16 << 10, 8), m.all_reduce_tree(16 << 10, 8));
-        assert_eq!(m.all_reduce_best(256 << 20, 8), m.all_reduce(256 << 20, 8));
     }
 
     #[test]

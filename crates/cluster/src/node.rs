@@ -46,16 +46,6 @@ impl NodeSpec {
     pub fn total_mem_bytes(&self) -> u64 {
         self.gpu.mem_bytes * self.gpu_count as u64
     }
-
-    /// Aggregate sustainable compute across all GPUs, FLOP/s.
-    pub fn total_effective_flops(&self) -> f64 {
-        self.gpu.effective_flops() * self.gpu_count as f64
-    }
-
-    /// Aggregate sustainable HBM bandwidth across all GPUs, bytes/s.
-    pub fn total_effective_mem_bw(&self) -> f64 {
-        self.gpu.effective_mem_bw() * self.gpu_count as f64
-    }
 }
 
 #[cfg(test)]
@@ -67,13 +57,6 @@ mod tests {
         let n = NodeSpec::p5en_48xlarge();
         assert_eq!(n.gpu_count, 8);
         assert_eq!(n.total_mem_bytes(), 8 * 141 * (1u64 << 30));
-    }
-
-    #[test]
-    fn aggregates_scale_linearly() {
-        let n = NodeSpec::p5en_48xlarge();
-        assert!((n.total_effective_flops() - 8.0 * n.gpu.effective_flops()).abs() < 1.0);
-        assert!((n.total_effective_mem_bw() - 8.0 * n.gpu.effective_mem_bw()).abs() < 1.0);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Roofline {
     pub fn kernel(&self, flops: f64, bytes: u64) -> Dur {
         self.compute(flops).max(self.memory(bytes))
     }
-
-    /// The arithmetic intensity (FLOP/byte) at which this GPU transitions
-    /// from memory- to compute-bound.
-    pub fn ridge_intensity(&self) -> f64 {
-        self.gpu.effective_flops() / self.gpu.effective_mem_bw()
-    }
 }
 
 #[cfg(test)]
@@ -71,6 +65,13 @@ mod tests {
 
     fn roofline() -> Roofline {
         Roofline::new(GpuSpec::h200())
+    }
+
+    /// The arithmetic intensity (FLOP/byte) at which the H200 turns from
+    /// memory- to compute-bound.
+    fn ridge() -> f64 {
+        let gpu = GpuSpec::h200();
+        gpu.effective_flops() / gpu.effective_mem_bw()
     }
 
     #[test]
@@ -90,7 +91,7 @@ mod tests {
     #[test]
     fn ridge_point_separates_regimes() {
         let r = roofline();
-        let ridge = r.ridge_intensity();
+        let ridge = ridge();
         let bytes = 1u64 << 20;
         // Just below ridge intensity: memory bound.
         let low = r.kernel(0.5 * ridge * bytes as f64, bytes);
@@ -104,7 +105,7 @@ mod tests {
     #[test]
     fn h200_ridge_is_hundreds_of_flops_per_byte() {
         // 1088 TFLOPS effective / 3.6 TB/s effective ≈ 302 FLOP/byte.
-        let ridge = roofline().ridge_intensity();
+        let ridge = ridge();
         assert!((250.0..400.0).contains(&ridge), "ridge {ridge}");
     }
 

@@ -43,7 +43,6 @@
 
 pub mod deployment;
 pub mod fleet;
-pub mod graphs;
 pub mod invariance;
 pub mod policy;
 pub mod shards;

@@ -53,17 +53,6 @@ impl RequestRecord {
     pub fn total_tokens(&self) -> u64 {
         u64::from(self.input_tokens) + u64::from(self.output_tokens)
     }
-
-    /// Response speed in input tokens per second of TTFT (Figure 1's
-    /// "response speed" metric), or infinity for instant first tokens.
-    pub fn response_speed(&self) -> f64 {
-        let t = self.ttft().as_secs();
-        if t == 0.0 {
-            f64::INFINITY
-        } else {
-            f64::from(self.input_tokens) / t
-        }
-    }
 }
 
 /// Aggregates [`RequestRecord`]s into the paper's three headline metrics.
@@ -236,7 +225,6 @@ mod tests {
         assert!((r.tpot().as_secs() - 0.1).abs() < 1e-12);
         assert_eq!(r.completion_time().as_secs(), 1.5);
         assert_eq!(r.total_tokens(), 111);
-        assert_eq!(r.response_speed(), 200.0);
     }
 
     #[test]
@@ -271,11 +259,5 @@ mod tests {
         let mut l = LatencyRecorder::new(Dur::from_secs(1.0));
         l.observe(&rec(0.0, 0.5, 2.0, 50, 50)); // 100 tokens by t=2
         assert!((l.mean_throughput() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn instant_first_token_speed_is_infinite() {
-        let r = rec(1.0, 1.0, 2.0, 10, 5);
-        assert!(r.response_speed().is_infinite());
     }
 }

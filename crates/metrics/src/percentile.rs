@@ -107,23 +107,6 @@ impl Quantiles {
     pub fn max(&mut self) -> Option<f64> {
         self.quantile(1.0)
     }
-
-    /// Returns the empirical CDF sampled at `points` evenly spaced quantiles,
-    /// as `(value, cumulative_probability)` pairs. Empty when no samples.
-    ///
-    /// Used to regenerate the completion-time distributions of Figure 11.
-    pub fn cdf(&mut self, points: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        self.ensure_sorted();
-        (0..points)
-            .map(|i| {
-                let p = if points == 1 { 1.0 } else { i as f64 / (points - 1) as f64 };
-                (self.quantile(p).expect("non-empty"), p)
-            })
-            .collect()
-    }
 }
 
 impl Extend<f64> for Quantiles {
@@ -151,7 +134,6 @@ mod tests {
     fn empty_returns_none() {
         let mut q = Quantiles::new();
         assert_eq!(q.median(), None);
-        assert!(q.cdf(10).is_empty());
     }
 
     #[test]
@@ -177,19 +159,6 @@ mod tests {
         assert_eq!(q.median(), Some(15.0));
         q.record(0.0);
         assert_eq!(q.median(), Some(10.0));
-    }
-
-    #[test]
-    fn cdf_is_monotone() {
-        let mut q: Quantiles = (0..100).map(|i| (i * 7 % 100) as f64).collect();
-        let cdf = q.cdf(11);
-        assert_eq!(cdf.len(), 11);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(cdf[0].1, 0.0);
-        assert_eq!(cdf[10].1, 1.0);
     }
 
     #[test]

@@ -205,15 +205,6 @@ impl BinnedSeries {
         self.rates().map(|(_, r)| r).fold(0.0, f64::max)
     }
 
-    /// Mean per-second rate over the recorded span, or 0.0 when empty.
-    pub fn mean_rate(&self) -> f64 {
-        if self.bins.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self.bins.iter().sum();
-        total / (self.bins.len() as f64 * self.bin_width.as_secs())
-    }
-
     /// Total weight across all bins.
     pub fn total(&self) -> f64 {
         self.bins.iter().sum()
@@ -250,7 +241,8 @@ mod tests {
         s.record(SimTime::from_secs(0.1), 10.0); // bin 0: 20/s
         s.record(SimTime::from_secs(0.6), 5.0); // bin 1: 10/s
         assert_eq!(s.peak_rate(), 20.0);
-        assert_eq!(s.mean_rate(), 15.0);
+        let rates: Vec<_> = s.rates().map(|(_, r)| r).collect();
+        assert_eq!(rates.iter().sum::<f64>() / rates.len() as f64, 15.0);
         assert_eq!(s.total(), 15.0);
     }
 
@@ -259,7 +251,7 @@ mod tests {
         let s = BinnedSeries::new(Dur::from_secs(1.0));
         assert!(s.is_empty());
         assert_eq!(s.peak_rate(), 0.0);
-        assert_eq!(s.mean_rate(), 0.0);
+        assert_eq!(s.rates().count(), 0);
     }
 
     proptest! {
@@ -284,7 +276,8 @@ mod tests {
             for &(t, w) in &events {
                 s.record(SimTime::from_secs(t), w);
             }
-            prop_assert!(s.peak_rate() >= s.mean_rate() - 1e-9);
+            let span = s.totals().count() as f64 * s.bin_width().as_secs();
+            prop_assert!(s.peak_rate() >= s.total() / span - 1e-9);
         }
 
         /// `bin_edge` is the exact least instant of the next bin: the

@@ -71,11 +71,6 @@ impl ParallelConfig {
     pub fn shift_config(&self) -> ParallelConfig {
         ParallelConfig::tensor(self.degree())
     }
-
-    /// True if this is a pure-TP configuration.
-    pub fn is_pure_tp(&self) -> bool {
-        self.sp == 1
-    }
 }
 
 impl fmt::Display for ParallelConfig {
@@ -222,7 +217,7 @@ mod tests {
         let base = ParallelConfig::new(3, 2);
         let shift = base.shift_config();
         assert_eq!(shift.degree(), base.degree());
-        assert!(shift.is_pure_tp());
+        assert_eq!(shift.sp(), 1);
     }
 
     #[test]

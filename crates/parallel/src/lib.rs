@@ -50,7 +50,6 @@ pub mod exec;
 pub mod expert;
 pub mod mapping;
 pub mod memory;
-pub mod pipeline;
 pub mod plan;
 pub mod policy;
 

@@ -93,11 +93,6 @@ pub fn gamma<R: Rng + ?Sized>(
         .collect()
 }
 
-/// `count` arrivals all at `start` (peak-throughput batch submission).
-pub fn all_at_once(count: usize, start: SimTime) -> Vec<SimTime> {
-    vec![start; count]
-}
-
 /// Groups of `group_size` simultaneous arrivals every `period`, until
 /// `count` arrivals are produced (the Mooncake cadence).
 ///
@@ -147,13 +142,6 @@ mod tests {
         let bursty = gamma(&mut rng, 10_000, 5.0, 0.2, SimTime::ZERO);
         let smooth = gamma(&mut rng, 10_000, 5.0, 5.0, SimTime::ZERO);
         assert!(var(&bursty) > 3.0 * var(&smooth));
-    }
-
-    #[test]
-    fn all_at_once_is_simultaneous() {
-        let a = all_at_once(5, SimTime::from_secs(2.0));
-        assert_eq!(a.len(), 5);
-        assert!(a.iter().all(|&t| t == SimTime::from_secs(2.0)));
     }
 
     #[test]

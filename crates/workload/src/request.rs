@@ -252,9 +252,9 @@ impl Trace {
         Trace { requests }
     }
 
-    /// Creates a trace preserving the requests' existing ids (used when
-    /// slicing an already-numbered trace, e.g. routing shards to
-    /// data-parallel replicas).
+    /// Creates a trace preserving the requests' existing ids: for a
+    /// filtered or sliced already-numbered trace (the agentic scenario
+    /// drops the requests no replica fits), or for hand-numbered requests.
     pub fn with_ids(mut requests: Vec<Request>) -> Trace {
         requests.sort_by(|a, b| {
             a.arrival.as_secs().partial_cmp(&b.arrival.as_secs()).expect("finite times")

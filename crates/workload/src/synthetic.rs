@@ -2,7 +2,6 @@
 
 use crate::arrival;
 use crate::request::{Request, RequestClass, Trace};
-use crate::sizes::LengthDist;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sp_metrics::SimTime;
@@ -49,30 +48,6 @@ pub fn poisson(count: usize, rate: f64, input_tokens: u32, output_tokens: u32, s
         .collect()
 }
 
-/// Poisson arrivals with sampled sizes.
-pub fn poisson_sized(
-    count: usize,
-    rate: f64,
-    input: &LengthDist,
-    output: &LengthDist,
-    seed: u64,
-) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    arrival::poisson(&mut rng, count, rate, SimTime::ZERO)
-        .into_iter()
-        .enumerate()
-        .map(|(i, arrival)| Request {
-            id: i as u64,
-            arrival,
-            input_tokens: input.sample(&mut rng),
-            output_tokens: output.sample(&mut rng),
-            class: RequestClass::Interactive,
-            cached_prefix: 0,
-            prefix_group: None,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,18 +74,5 @@ mod tests {
         assert_eq!(a, b);
         let c = poisson(50, 2.0, 1024, 128, 10);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn poisson_sized_samples_lengths() {
-        let t = poisson_sized(
-            200,
-            5.0,
-            &LengthDist::Uniform { lo: 100, hi: 200 },
-            &LengthDist::Fixed(32),
-            1,
-        );
-        assert!(t.requests().iter().all(|r| (100..=200).contains(&r.input_tokens)));
-        assert!(t.requests().iter().all(|r| r.output_tokens == 32));
     }
 }
